@@ -1,30 +1,40 @@
 """Vectorized dense kernels for the autograd engine.
 
 Every kernel here is a single-pass computation: there are **no Python loops
-over batch or channel dimensions**.  Convolution and pooling are built on
-im2col / col2im — patches are exposed as a zero-copy strided window view and
-contracted with a single ``tensordot`` (which lowers to one GEMM), the only
-Python-level loops being over the kernel footprint (``kh × kw``, a handful
-of iterations).
+over batch or channel dimensions**.  Convolution and pooling share one
+recipe, a loop over the kernel footprint (``kh × kw``, a handful of
+iterations) whose every step touches one strided ``(N, C, OH, OW)`` slice of
+the padded image — whole output rows at a time.  Convolution copies the
+slices into a channel-major patch matrix ``(C·kh·kw, N·OH·OW)`` and
+contracts it with ``weight.reshape(O, -1)`` in one GEMM; max- and
+average-pooling reduce across the slices directly, never materializing
+windows.  :func:`im2col` / :func:`col2im` expose the lowering and its adjoint
+in the ``(N, OH, OW, C·kh·kw)`` layout.
 
 The dense numerical work dispatches through the **active array backend**
-(:func:`repro.backend.get_backend`): the ndarray primitives (contractions,
-padding, window views, reductions, transcendentals, RNG draws) and the
-fusible elementwise chains (the affine map, the softmax family, batch-norm
-normalization, the dropout mask) are backend methods, so an alternate
-backend can fuse or reimplement them without touching this module.  Per the
-``ArrayBackend`` contract, backends consume and produce numpy ndarrays (or
-ndarray-compatible duck arrays): the cheap glue between composite calls —
-broadcast bias adds, index gathers, scalar reductions of the gathered loss —
-stays plain ndarray arithmetic on the backend's outputs.  Each kernel
-resolves the backend once at trace time and its backward closure reuses that
-same backend, so a forward pass and its backward always run on the same
-implementation even if the active backend changes in between.
+(:func:`repro.backend.get_backend`): the ndarray primitives (the GEMM,
+padding, reductions, transcendentals, RNG draws) and the fusible elementwise
+chains (the affine map, the softmax family, batch-norm normalization, the
+dropout mask) are backend methods, so an alternate backend can fuse or
+reimplement them without touching this module.  Per the ``ArrayBackend``
+contract, backends consume and produce numpy ndarrays (or ndarray-compatible
+duck arrays): the cheap glue between composite calls — the footprint loop's
+slice copies and accumulations, broadcast bias adds, index gathers, scalar
+reductions of the gathered loss — stays plain ndarray arithmetic on the
+backend's outputs.  Each kernel resolves the backend once at trace time and
+its backward closure reuses that same backend, so a forward pass and its
+backward always run on the same implementation even if the active backend
+changes in between.
 
 All public ops accept :class:`~repro.autograd.tensor.Tensor` (or anything
-coercible to one), record themselves on the tape and return a ``Tensor``
-whose backward pass reuses the saved window views, so forward and backward
-each cost one pass over the data.
+coercible to one), record themselves on the tape and return a ``Tensor``.
+What a window node retains for backward: ``conv2d`` keeps its patch matrix
+(``kh·kw`` times the input, until backward runs; the padded copy is dropped)
+and reuses it for the weight gradient, so the input is lowered once per
+step; ``max_pool2d`` keeps its output and the slice views of its (padded)
+input and routes each window's gradient to the **first** maximal element in
+row-major window order (``+0.0`` and ``-0.0`` tie) — a window holding a NaN
+outputs NaN and routes to its first NaN.
 
 Layouts follow the PyTorch convention: images are NCHW, convolution weights
 are ``(out_channels, in_channels, kh, kw)``, classification logits are
@@ -67,12 +77,22 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 
 
 def _pad_hw(be, x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
+    x = np.asarray(x)  # a deferred (lazy-backend) operand is forced once, here
     if ph == 0 and pw == 0:
         return x
     return be.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), value=value)
 
 
-def _check_pool_padding(kh: int, kw: int, ph: int, pw: int) -> None:
+def _unpad_hw(xp: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """The owned, contiguous interior of a padded gradient buffer."""
+    if ph == 0 and pw == 0:
+        return xp
+    return np.ascontiguousarray(xp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw])
+
+
+def _check_pool(op: str, xd, kh: int, kw: int, ph: int, pw: int) -> None:
+    if xd.ndim != 4:
+        raise ValueError(f"{op} expects NCHW input, got shape {tuple(xd.shape)}")
     # Padding wider than half the kernel creates windows lying entirely in
     # padding (-inf outputs for max, diluted zeros for avg).
     if 2 * ph > kh or 2 * pw > kw:
@@ -93,8 +113,57 @@ def _out_hw(h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
 
 
 # --------------------------------------------------------------------------- #
-# im2col / col2im (ndarray-level building blocks)
+# The kernel-footprint loop (ndarray-level building blocks)
+#
+# Every window kernel walks the ``kh * kw`` kernel offsets and, per offset,
+# touches one strided ``(N, C, OH, OW)`` slice of the (padded) image: the
+# element each window sees at that offset.  The slices' inner runs are whole
+# output rows, so each pass is a row-wise copy / ufunc over the image rather
+# than a gather of ``kw``-element window rows.  Convolution copies the slices
+# into a patch matrix and runs one GEMM; col2im adds them back; pooling
+# reduces across them.  ``repro.serve.session`` builds the same views once at
+# compile time over its preallocated buffers.
 # --------------------------------------------------------------------------- #
+def _window_slices(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
+    """The ``kh * kw`` strided ``(N, C, OH, OW)`` views of a padded image,
+    one per kernel offset in row-major footprint order."""
+    oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
+    return [
+        xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
+def _patch_slots(cols: np.ndarray, n: int, c: int, oh: int, ow: int):
+    """The channel-major patch matrix ``(C*kh*kw, N*OH*OW)`` (row order of
+    ``weight.reshape(O, -1)``) regrouped per kernel offset: slot ``k`` is the
+    ``(N, C, OH, OW)`` view that the ``k``-th window slice fills."""
+    planes = cols.reshape(c, -1, n, oh, ow)
+    return [planes[:, k].transpose(1, 0, 2, 3) for k in range(planes.shape[1])]
+
+
+def _patch_matrix(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Lower a padded NCHW image to the ``(C*kh*kw, N*OH*OW)`` patch matrix."""
+    windows = _window_slices(xp, kh, kw, sh, sw)
+    n, c, oh, ow = windows[0].shape
+    cols = np.empty((c * kh * kw, n * oh * ow), dtype=xp.dtype)
+    for slot, window in zip(_patch_slots(cols, n, c, oh, ow), windows):
+        np.copyto(slot, window)
+    return cols
+
+
+def _patch_matrix_adjoint(be, cols: np.ndarray, xp_shape, kh, kw, sh, sw) -> np.ndarray:
+    """Scatter-add a ``(C*kh*kw, N*OH*OW)`` matrix back onto the padded image
+    (the exact adjoint of :func:`_patch_matrix`: overlapping patches sum)."""
+    dxp = be.zeros(xp_shape, dtype=cols.dtype)
+    dwindows = _window_slices(dxp, kh, kw, sh, sw)
+    n, c, oh, ow = dwindows[0].shape
+    for slot, dwindow in zip(_patch_slots(cols, n, c, oh, ow), dwindows):
+        dwindow += slot
+    return dxp
+
+
 def im2col(
     x: np.ndarray, kernel_size: IntPair, stride: IntPair = 1, padding: IntPair = 0, be=None
 ) -> np.ndarray:
@@ -102,15 +171,17 @@ def im2col(
 
     The resulting matrix turns convolution into a single GEMM against the
     flattened filter bank.  ``be`` pins the backend (default: the active one).
+    (The kernels themselves keep the transposed, channel-major layout of
+    :func:`_patch_matrix`; this is its documented public view.)
     """
     be = be if be is not None else get_backend()
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    xp = _pad_hw(be, np.asarray(x), ph, pw)
-    win = be.sliding_windows(xp, kh, kw, sh, sw)  # (N, C, OH, OW, kh, kw)
-    n, c, oh, ow = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, c * kh * kw)
+    xp = _pad_hw(be, x, ph, pw)
+    oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
+    cols = _patch_matrix(xp, kh, kw, sh, sw)
+    return np.ascontiguousarray(cols.reshape(-1, len(xp), oh, ow).transpose(1, 2, 3, 0))
 
 
 def col2im(
@@ -133,14 +204,10 @@ def col2im(
     ph, pw = _pair(padding)
     n, c, h, w = x_shape
     oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    xp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += patches[..., i, j]
-    if ph or pw:
-        return np.ascontiguousarray(xp[:, :, ph : ph + h, pw : pw + w])
-    return xp
+    dxp = _patch_matrix_adjoint(
+        be, cols.reshape(n * oh * ow, c * kh * kw).T, (n, c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
+    )
+    return _unpad_hw(dxp, ph, pw)
 
 
 # --------------------------------------------------------------------------- #
@@ -153,41 +220,50 @@ def _conv2d_forward(
     be, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray],
     sh: int, sw: int, ph: int, pw: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """NCHW cross-correlation core; returns ``(out, window_view)``."""
-    kh, kw = wd.shape[2], wd.shape[3]
+    """NCHW cross-correlation core; returns ``(out, patch_matrix)``."""
+    out_c, _, kh, kw = wd.shape
     xp = _pad_hw(be, xd, ph, pw)
-    win = be.sliding_windows(xp, kh, kw, sh, sw)  # (N, C, OH, OW, kh, kw) view into xp
-    # Contract channels and kernel footprint in one GEMM: -> (N, OH, OW, O).
-    out = be.tensordot(win, wd, axes=((1, 4, 5), (1, 2, 3)))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    if bd is not None:
-        out += bd.reshape(1, -1, 1, 1)
-    return out, win
+    oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
+    cols = _patch_matrix(xp, kh, kw, sh, sw)
+    # One GEMM over channels and kernel footprint: -> (O, N*OH*OW).
+    out_t = be.matmul(wd.reshape(out_c, -1), cols).reshape(out_c, len(xp), oh, ow)
+    out = np.empty((len(xp), out_c, oh, ow), dtype=out_t.dtype)
+    if bd is None:
+        np.copyto(out, out_t.transpose(1, 0, 2, 3))
+    else:
+        np.add(out_t.transpose(1, 0, 2, 3), bd.reshape(1, -1, 1, 1), out=out)
+    return out, cols
+
+
+def _max_over(windows, out: np.ndarray) -> np.ndarray:
+    """Running ``np.maximum`` over footprint slices into ``out``: NaN
+    propagates, and the running value is the *second* operand so an equal
+    later element leaves it untouched."""
+    np.copyto(out, windows[0])
+    for window in windows[1:]:
+        np.maximum(window, out, out=out)
+    return out
 
 
 def _max_pool2d_forward(
     be, xd: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
-) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
-    """Max-pool core; returns ``(out, argmax_indices, padded_shape)``."""
-    n, c, h, w = xd.shape
-    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+) -> Tuple[np.ndarray, list]:
+    """Max-pool core; returns ``(out, window_slices)``."""
     # Pad with -inf so padded positions never win the max.
-    xp = _pad_hw(be, xd, ph, pw, value=-np.inf)
-    win = be.sliding_windows(xp, kh, kw, sh, sw)
-    flat = win.reshape(n, c, oh, ow, kh * kw)  # materializes the windows once
-    arg = be.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), arg, xp.shape
+    windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
+    return _max_over(windows, np.empty(windows[0].shape, windows[0].dtype)), windows
 
 
 def _avg_pool2d_forward(
     be, xd: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
-) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Average-pool core; returns ``(out, padded_shape)``."""
-    xp = _pad_hw(be, xd, ph, pw)
-    win = be.sliding_windows(xp, kh, kw, sh, sw)
-    out = np.ascontiguousarray(be.mean(win, axis=(4, 5)))
-    return out, xp.shape
+) -> np.ndarray:
+    """Average-pool core: footprint-order running sum over the window area."""
+    windows = _window_slices(_pad_hw(be, xd, ph, pw), kh, kw, sh, sw)
+    out = windows[0].copy()
+    for window in windows[1:]:
+        out += window
+    out /= kh * kw
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -257,8 +333,10 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation of an NCHW batch with an OIHW filter bank.
 
-    Forward and backward are each a single im2col GEMM; the backward pass
-    reuses the strided window view saved at trace time (no re-lowering).
+    Forward is one footprint-loop lowering plus one GEMM.  The node retains
+    the patch matrix (not the padded input) for backward, which reuses it
+    for the weight gradient and runs the same footprint loop as col2im for
+    the input gradient — the input is never lowered twice.
     """
     be = get_backend()
     x_t = Tensor._wrap(x)
@@ -276,11 +354,11 @@ def conv2d(
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, _, h, w = xd.shape
-    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+    _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
 
-    out, win = _conv2d_forward(
-        be, xd, wd, b_t.data if b_t is not None else None, sh, sw, ph, pw
-    )
+    out, cols = _conv2d_forward(be, xd, wd, None if b_t is None else b_t.data, sh, sw, ph, pw)
+    if not w_t.requires_grad:
+        cols = None  # only the weight gradient reads it: do not pin it for a frozen filter
 
     parents = (x_t, w_t) if b_t is None else (x_t, w_t, b_t)
 
@@ -289,20 +367,18 @@ def conv2d(
             g = out_t.grad  # (N, O, OH, OW)
             if b_t is not None and b_t.requires_grad:
                 b_t._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
+            # (O, N*OH*OW): the layout the forward GEMM produced.
+            g_t = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
             if w_t.requires_grad:
-                # (N,O,OH,OW) x (N,C,OH,OW,kh,kw) over (N,OH,OW) -> (O,C,kh,kw)
-                w_t._accumulate_fresh(
-                    np.ascontiguousarray(be.tensordot(g, win, axes=((0, 2, 3), (0, 2, 3))))
-                )
+                # Contract over N*OH*OW against the forward's patch matrix.
+                dw = be.matmul(cols, g_t.T)  # (C*kh*kw, O)
+                w_t._accumulate_fresh(np.ascontiguousarray(dw.T).reshape(wd.shape))
             if x_t.requires_grad:
-                # (N,O,OH,OW) x (O,C,kh,kw) over O -> (N,OH,OW,C,kh,kw),
-                # which is exactly the patch matrix col2im scatter-adds back.
-                dwin = be.tensordot(g.transpose(0, 2, 3, 1), wd, axes=((3,), (0,)))
-                x_t._accumulate_fresh(
-                    col2im(
-                        dwin.reshape(n, oh, ow, -1), xd.shape, (kh, kw), (sh, sw), (ph, pw), be=be
-                    )
+                dcols = be.matmul(wd.reshape(out_c, -1).T, g_t)
+                dxp = _patch_matrix_adjoint(
+                    be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
                 )
+                x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
 
         return _backward
 
@@ -318,37 +394,46 @@ def conv2d(
 def max_pool2d(
     x, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0
 ) -> Tensor:
-    """Max pooling over NCHW windows; gradient routes to the arg-max element."""
+    """Max pooling over NCHW windows.
+
+    The gradient of each window goes to its first maximal element in
+    row-major window order (``-0.0`` and ``+0.0`` tie); a window holding a
+    NaN outputs NaN and routes its gradient to the first NaN.
+    """
     be = get_backend()
     x_t = Tensor._wrap(x)
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(kernel_size if stride is None else stride)
     ph, pw = _pair(padding)
-    _check_pool_padding(kh, kw, ph, pw)
     xd = x_t.data
+    _check_pool("max_pool2d", xd, kh, kw, ph, pw)
     n, c, h, w = xd.shape
-    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+    _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
 
-    # xp_shape: the closure needs only the padded shape, not the padded copy.
-    out, arg, xp_shape = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
+    out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
             if not x_t.requires_grad:
                 return
             g = out_t.grad
-            dxp = be.zeros(xp_shape, dtype=xd.dtype)
-            n_i, c_i, oh_i, ow_i = np.ogrid[0:n, 0:c, 0:oh, 0:ow]
-            rows = oh_i * sh + arg // kw
-            cols = ow_i * sw + arg % kw
-            # Scatter-add handles overlapping windows (stride < kernel).
-            np.add.at(dxp, (n_i, c_i, rows, cols), g)
-            if ph or pw:
-                x_t._accumulate_fresh(
-                    np.ascontiguousarray(dxp[:, :, ph : ph + h, pw : pw + w])
-                )
-            else:
-                x_t._accumulate_fresh(dxp)
+            dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
+            dwindows = _window_slices(dxp, kh, kw, sh, sw)
+            # First-winner masks: a window is ``pending`` until one of its
+            # elements has claimed the gradient.  After the equality round
+            # only windows holding a NaN are unclaimed (nothing compares
+            # equal to their NaN output): a second round hands those to
+            # their first NaN.
+            pending = np.ones(out.shape, dtype=bool)
+            for claims in (lambda window: window == out, np.isnan):
+                for window, dwindow in zip(windows, dwindows):
+                    hit = claims(window)
+                    hit &= pending
+                    np.logical_xor(pending, hit, out=pending)
+                    dwindow += g * hit
+                if not pending.any():
+                    break
+            x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
 
         return _backward
 
@@ -367,13 +452,12 @@ def avg_pool2d(
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(kernel_size if stride is None else stride)
     ph, pw = _pair(padding)
-    _check_pool_padding(kh, kw, ph, pw)
     xd = x_t.data
+    _check_pool("avg_pool2d", xd, kh, kw, ph, pw)
     n, c, h, w = xd.shape
-    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+    _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
 
-    # xp_shape: the closure needs only the padded shape, not the padded copy.
-    out, xp_shape = _avg_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
+    out = _avg_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
     inv_area = 1.0 / (kh * kw)
 
     def make_backward(out_t: Tensor):
@@ -381,19 +465,12 @@ def avg_pool2d(
             if not x_t.requires_grad:
                 return
             g = out_t.grad * np.asarray(inv_area, dtype=xd.dtype)
-            # Direct scatter instead of col2im: every patch entry is the same
-            # g value, so materializing the (N,OH,OW,C*kh*kw) matrix would be
-            # pure waste.
-            dxp = be.zeros(xp_shape, dtype=xd.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += g
-            if ph or pw:
-                x_t._accumulate_fresh(
-                    np.ascontiguousarray(dxp[:, :, ph : ph + h, pw : pw + w])
-                )
-            else:
-                x_t._accumulate_fresh(dxp)
+            # Every patch entry is the same g value: add it per footprint
+            # slice instead of materializing a patch matrix for col2im.
+            dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
+            for dwindow in _window_slices(dxp, kh, kw, sh, sw):
+                dwindow += g
+            x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
 
         return _backward
 
@@ -773,7 +850,7 @@ def _eval_max_pool2d(be, inputs, attrs):
 @ir.register_forward("avg_pool2d")
 def _eval_avg_pool2d(be, inputs, attrs):
     (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    return _avg_pool2d_forward(be, inputs[0], kh, kw, sh, sw, ph, pw)[0]
+    return _avg_pool2d_forward(be, inputs[0], kh, kw, sh, sw, ph, pw)
 
 
 @ir.register_forward("batch_norm")

@@ -9,10 +9,9 @@ implementing this protocol, resolved via :func:`repro.backend.get_backend`.
 The surface has two tiers:
 
 **Primitives** are the ~15 ndarray operations the kernels are actually built
-from: GEMM-shaped contractions (``matmul`` / ``tensordot``), padding and
-strided window views, reductions, transcendentals and the RNG draws.  A new
-backend (an accelerator, a JIT such as numexpr, a remote device) must provide
-all of them.
+from: the GEMM-shaped contraction (``matmul``), padding, reductions,
+transcendentals and the RNG draws.  A new backend (an accelerator, a JIT
+such as numexpr, a remote device) must provide all of them.
 
 **Composites** are fusion points: whole elementwise chains (the affine map of
 ``linear``, the softmax family, batch-norm normalization and its input
@@ -72,8 +71,6 @@ class ArrayBackend(Protocol):
 
     def matmul(self, a, b) -> np.ndarray: ...
 
-    def tensordot(self, a, b, axes) -> np.ndarray: ...
-
     # ------------------------------------------------------------------ #
     # Primitives: transcendentals
     # ------------------------------------------------------------------ #
@@ -96,13 +93,7 @@ class ArrayBackend(Protocol):
 
     def amax(self, x, axis=None, keepdims: bool = False) -> np.ndarray: ...
 
-    def argmax(self, x, axis: int) -> np.ndarray: ...
-
     def pad(self, x, pad_width, value: float = 0.0) -> np.ndarray: ...
-
-    def sliding_windows(self, x, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-        """Zero-copy ``(N, C, OH, OW, kh, kw)`` window view of an NCHW array."""
-        ...
 
     # ------------------------------------------------------------------ #
     # Primitives: random draws (always from an explicit Generator)

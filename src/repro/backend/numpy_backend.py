@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["NumpyBackend"]
 
@@ -47,9 +46,6 @@ class NumpyBackend:
     def matmul(self, a, b) -> np.ndarray:
         return np.matmul(a, b)
 
-    def tensordot(self, a, b, axes) -> np.ndarray:
-        return np.tensordot(a, b, axes=axes)
-
     def exp(self, x) -> np.ndarray:
         return np.exp(x)
 
@@ -78,15 +74,14 @@ class NumpyBackend:
     def amax(self, x, axis=None, keepdims: bool = False) -> np.ndarray:
         return x.max(axis=axis, keepdims=keepdims)
 
-    def argmax(self, x, axis: int) -> np.ndarray:
-        return x.argmax(axis=axis)
-
     def pad(self, x, pad_width, value: float = 0.0) -> np.ndarray:
-        return np.pad(x, pad_width, mode="constant", constant_values=value)
-
-    def sliding_windows(self, x, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-        return windows[:, :, ::sh, ::sw]
+        # Fill + one interior copy: np.pad's generic per-axis machinery
+        # costs more than the copy itself at the kernels' image sizes.
+        out = np.full(
+            [lo + size + hi for size, (lo, hi) in zip(x.shape, pad_width)], value, dtype=x.dtype
+        )
+        out[tuple(slice(lo, lo + size) for size, (lo, _) in zip(x.shape, pad_width))] = x
+        return out
 
     def random_uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.random(shape)

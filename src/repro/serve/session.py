@@ -49,9 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from numpy.lib.stride_tricks import sliding_window_view
-
-from repro.autograd import fusion, ir
+from repro.autograd import functional as F, fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import get_backend, use_backend
 from repro.backend.fused import FusedNumpyBackend
@@ -637,159 +635,94 @@ class InferenceSession:
 
         return step
 
-    def _emit_conv2d(self, node, attrs, getters, out_slot, example, slot_of):
-        """Conv replay with every workspace pre-allocated.
+    def _window_source(self, node, slot_of, gx, footprint, ph, pw, fill):
+        """``values -> footprint slices`` of a conv/pool step's (padded) input.
 
-        Runs the exact arithmetic of the im2col kernel: the patch matrix is
-        laid out the way ``np.tensordot`` lays it out internally, the weight
-        operand is the same no-copy F-contiguous ``transpose().reshape()``
-        view tensordot builds (same BLAS operand layouts → same bits), and
-        the contraction is the same 2-D GEMM — but the padded image, the
-        patch matrix and the GEMM output live in buffers allocated once at
-        compile time.  The strided window view is hoisted out of the call
-        too: a session is shape-stable, so the view over the padded buffer
-        is a compile-time constant, and for unpadded convs the view over a
-        stable upstream buffer is built once and revalidated by identity.
+        The slices (:func:`functional._window_slices`) are views, so a
+        shape-stable session builds them once.  Padded: the input is copied
+        into a session-owned buffer whose ``fill`` border is written once;
+        the views over it are compile-time constants.  Unpadded: the views
+        slice the upstream array directly — interior steps write fixed
+        session-owned buffers, so they are cached keyed by that array's
+        identity (the cached strong reference makes the ``is`` check exact).
+        Raw session inputs are rebound every call, and caching one would pin
+        the caller's batch between calls, so those are sliced per call.
         """
-        (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
-        xd, wd = node.inputs[0].data, node.inputs[1].data
+        xd = node.inputs[0].data
         n, c, h, w = xd.shape
-        oc, _, kh, kw = wd.shape
-        oh, ow = example.shape[2], example.shape[3]
-        gx, gw = getters[0], getters[1]
-        gb = getters[2] if len(getters) == 3 else None
-        dtype = example.dtype
+        if ph or pw:
+            xp_buf = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, xd.dtype)
+            interior = xp_buf[:, :, ph : ph + h, pw : pw + w]
+            windows = F._window_slices(xp_buf, *footprint)
 
-        # Zero-initialised once: the interior is overwritten every call and
-        # the padding border stays zero.
-        xp_buf = (
-            np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype) if (ph or pw) else None
-        )
-        patches = np.empty((n, oh, ow, c, kh, kw), dtype)
-        patches2d = patches.reshape(n * oh * ow, c * kh * kw)
-        gemm_out = np.empty((n * oh * ow, oc), dtype)
-        gemm4d = gemm_out.reshape(n, oh, ow, oc)
-        buf = np.empty(example.shape, dtype)
+            def source(values):
+                np.copyto(interior, gx(values))
+                return windows
 
-        def win_t_of(xp):
-            win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            return win.transpose(0, 2, 3, 1, 4, 5)
+            return source
 
-        if xp_buf is not None:
-            # Padded: the view base is the session-owned padded buffer, so
-            # the window view itself is a compile-time constant.
-            win_t = win_t_of(xp_buf)
-
-            def step(values):
-                xp_buf[:, :, ph : ph + h, pw : pw + w] = gx(values)
-                np.copyto(patches, win_t)
-                # The F-contiguous no-copy view tensordot itself hands to
-                # BLAS; a C-contiguous copy here would change sgemm's
-                # summation path (and the result's last bits) at some shapes.
-                wmat = gw(values).transpose(1, 2, 3, 0).reshape(c * kh * kw, oc)
-                np.matmul(patches2d, wmat, out=gemm_out)
-                np.copyto(buf, gemm4d.transpose(0, 3, 1, 2))
-                if gb is not None:
-                    np.add(buf, gb(values).reshape(1, -1, 1, 1), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        # Unpadded: the view base is whatever array the input getter hands
-        # back.  Interior steps write fixed session-owned buffers, so cache
-        # the view keyed by the base array's identity — the cached strong
-        # reference makes the ``is`` check exact (a live object's id cannot
-        # be reused).  Raw session inputs are rebound every call, and
-        # caching one would pin the caller's batch between calls, so those
-        # keep the per-call view construction.
         in_slot = slot_of.get(id(node.inputs[0]))
         cacheable = not (in_slot is not None and in_slot < len(self._input_meta))
         cache = [None, None]
 
-        def step(values):
+        def source(values):
             x = gx(values)
             if x is cache[0]:
-                win_t = cache[1]
+                return cache[1]
+            windows = F._window_slices(x, *footprint)
+            if cacheable:
+                cache[0], cache[1] = x, windows
+            return windows
+
+        return source
+
+    def _emit_conv2d(self, node, attrs, getters, out_slot, example, slot_of):
+        """Conv replay with every workspace pre-allocated.
+
+        Runs the exact arithmetic of ``functional._conv2d_forward``: the
+        footprint slices are copied into the channel-major patch matrix
+        ``(C*kh*kw, N*OH*OW)``, one GEMM against ``weight.reshape(O, -1)``
+        (same operand layouts → same BLAS call → same bits) fills
+        ``(O, N*OH*OW)``, and the bias add writes the NCHW result — but the
+        padded image, the patch matrix, the GEMM output and every slice
+        view live in buffers and lists built once at compile time.
+        """
+        (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
+        xd = node.inputs[0].data
+        n, c = xd.shape[:2]
+        oc, _, kh, kw = node.inputs[1].data.shape
+        oh, ow = example.shape[2], example.shape[3]
+        gw = getters[1]
+        gb = getters[2] if len(getters) == 3 else None
+
+        source = self._window_source(node, slot_of, getters[0], (kh, kw, sh, sw), ph, pw, 0.0)
+        cols = np.empty((c * kh * kw, n * oh * ow), xd.dtype)
+        slots = F._patch_slots(cols, n, c, oh, ow)
+        gemm_out = np.empty((oc, n * oh * ow), example.dtype)
+        gemm_nchw = gemm_out.reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+        buf = np.empty(example.shape, example.dtype)
+
+        def step(values):
+            for slot, window in zip(slots, source(values)):
+                np.copyto(slot, window)
+            np.matmul(gw(values).reshape(oc, -1), cols, out=gemm_out)
+            if gb is None:
+                np.copyto(buf, gemm_nchw)
             else:
-                win_t = win_t_of(x)
-                if cacheable:
-                    cache[0], cache[1] = x, win_t
-            np.copyto(patches, win_t)
-            wmat = gw(values).transpose(1, 2, 3, 0).reshape(c * kh * kw, oc)
-            np.matmul(patches2d, wmat, out=gemm_out)
-            np.copyto(buf, gemm4d.transpose(0, 3, 1, 2))
-            if gb is not None:
-                np.add(buf, gb(values).reshape(1, -1, 1, 1), out=buf)
+                np.add(gemm_nchw, gb(values).reshape(1, -1, 1, 1), out=buf)
             values[out_slot] = buf
 
         return step
 
     def _emit_max_pool2d(self, node, attrs, getters, out_slot, example, slot_of):
-        """Max-pool replay with the window matrix and argmax pre-allocated.
-
-        Like conv, the window view is hoisted (compile-time over the padded
-        buffer, identity-cached over a stable upstream buffer), and the
-        winner gather runs as one flat ``np.take`` over precomputed base
-        offsets instead of rebuilding ``take_along_axis`` index grids per
-        call — the same elements copied either way, so bits are unchanged.
-        """
-        (kh, kw), (sh, sw), (ph, pw) = (
-            attrs["kernel_size"], attrs["stride"], attrs["padding"]
-        )
-        xd = node.inputs[0].data
-        n, c, h, w = xd.shape
-        oh, ow = example.shape[2], example.shape[3]
-        gx = getters[0]
-        dtype = example.dtype
-
-        if ph or pw:
-            # -inf border written once; the interior is refreshed per call.
-            xp_buf = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, dtype)
-        else:
-            xp_buf = None
-        flat = np.empty((n, c, oh, ow, kh * kw), dtype)
-        flat6d = flat.reshape(n, c, oh, ow, kh, kw)
-        flat1d = flat.reshape(-1)
-        arg = np.empty((n, c, oh, ow), dtype=np.intp)
-        base_idx = (
-            np.arange(n * c * oh * ow, dtype=np.intp) * (kh * kw)
-        ).reshape(n, c, oh, ow)
-        idx = np.empty((n, c, oh, ow), dtype=np.intp)
-        buf = np.empty(example.shape, dtype)
-
-        def win_of(xp):
-            return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-
-        def gather(win):
-            np.copyto(flat6d, win)
-            np.argmax(flat, axis=-1, out=arg)
-            np.add(base_idx, arg, out=idx)
-            np.take(flat1d, idx, out=buf)
-
-        if xp_buf is not None:
-            win = win_of(xp_buf)
-
-            def step(values):
-                xp_buf[:, :, ph : ph + h, pw : pw + w] = gx(values)
-                gather(win)
-                values[out_slot] = buf
-
-            return step
-
-        in_slot = slot_of.get(id(node.inputs[0]))
-        cacheable = not (in_slot is not None and in_slot < len(self._input_meta))
-        cache = [None, None]
+        """Max-pool replay: the eager kernel's ``functional._max_over`` (NaN
+        propagates, ties keep the earlier element) into a pre-allocated output."""
+        footprint, (ph, pw) = attrs["kernel_size"] + attrs["stride"], attrs["padding"]
+        source = self._window_source(node, slot_of, getters[0], footprint, ph, pw, -np.inf)
+        buf = np.empty(example.shape, example.dtype)
 
         def step(values):
-            x = gx(values)
-            if x is cache[0]:
-                win = cache[1]
-            else:
-                win = win_of(x)
-                if cacheable:
-                    cache[0], cache[1] = x, win
-            gather(win)
-            values[out_slot] = buf
+            values[out_slot] = F._max_over(source(values), buf)
 
         return step
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
@@ -90,7 +91,9 @@ def test_conv2d_forward_matches_reference(stride, padding):
     np.testing.assert_allclose(out.data, conv2d_ref(x, w, b, stride, padding), rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("stride,padding,bias", [(1, 0, True), (2, 1, True), (1, 1, False)])
+@pytest.mark.parametrize(
+    "stride,padding,bias", [(1, 0, True), (2, 1, True), (1, 1, False), (2, 0, True)]
+)
 def test_conv2d_gradients(stride, padding, bias):
     x = t64((2, 3, 6, 6))
     w = t64((4, 3, 3, 3), scale=0.2)
@@ -150,6 +153,107 @@ def test_max_pool_overlapping_routes_to_argmax():
     out.sum().backward()
     assert t.grad[0, 0, 1, 1] == 4.0  # centre is argmax of all four windows
     assert t.grad.sum() == 4.0
+
+
+@pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (1, 1, 2, 4, 4)])
+def test_pool_rejects_non_nchw_input(op, shape):
+    # Used to die unpacking ``n, c, h, w`` ("not enough values to unpack").
+    with pytest.raises(ValueError, match=rf"{op.__name__} expects NCHW input, got shape"):
+        op(Tensor(np.ones(shape)), 2)
+
+
+# --------------------------------------------------------------------------- #
+# Max-pool boundaries, differential against the previous recipe
+# --------------------------------------------------------------------------- #
+def max_pool_argmax_ref(x, k, stride, padding, g):
+    """The recipe ``F.max_pool2d`` used before the footprint loop, kept as the
+    reference: materialized windows, ``argmax`` (first maximum wins; a NaN
+    counts as the maximum), gradient scattered with ``np.add.at``.
+    Returns ``(out, dx)``."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2), constant_values=-np.inf)
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2:4]
+    flat = win.reshape(n, c, oh, ow, k * k)
+    arg = flat.argmax(axis=-1)
+    out = np.ascontiguousarray(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
+    dxp = np.zeros(xp.shape, dtype=x.dtype)
+    n_i, c_i, oh_i, ow_i = np.ogrid[0:n, 0:c, 0:oh, 0:ow]
+    np.add.at(dxp, (n_i, c_i, oh_i * stride + arg // k, ow_i * stride + arg % k), g)
+    return out, np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w])
+
+
+def _max_pool_case(name, dtype):
+    """``(x, kernel, stride, padding)`` for one named boundary."""
+    rng = np.random.default_rng(12)
+    if name == "all_equal":
+        return np.full((2, 3, 6, 6), 1.5, dtype), 2, 2, 0
+    if name == "nan":
+        x = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = np.nan  # many windows hold several NaNs
+        return x, 2, 2, 0
+    if name == "signed_zero":
+        return rng.choice(np.array([-0.0, 0.0, -1.0], dtype), size=(2, 3, 6, 6)), 2, 2, 0
+    if name == "neg_inf_at_padding":
+        x = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+        x[:, :, :2, :] = -np.inf  # border windows are -inf data plus -inf padding
+        x[:, :, :, -2:] = -np.inf
+        return x, 3, 2, 1
+    if name == "overlapping":
+        return rng.standard_normal((2, 3, 7, 8)).astype(dtype), 3, 2, 1
+    if name == "overlapping_ties":
+        return rng.integers(0, 2, size=(2, 3, 7, 8)).astype(dtype), 3, 2, 1
+    if name == "non_contiguous":
+        base = rng.standard_normal((2, 8, 6, 3)).astype(dtype)
+        return base.transpose(0, 3, 2, 1)[:, :, :, ::-1], 2, 2, 0
+    if name == "n0":
+        return np.zeros((0, 3, 6, 6), dtype), 2, 2, 0
+    if name == "n1":
+        return rng.standard_normal((1, 1, 4, 4)).astype(dtype), 2, 2, 0
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "case",
+    ["all_equal", "nan", "signed_zero", "neg_inf_at_padding", "overlapping",
+     "overlapping_ties", "non_contiguous", "n0", "n1"],
+)
+def test_max_pool_matches_argmax_recipe_bitwise(case, dtype):
+    x, k, stride, padding = _max_pool_case(case, dtype)
+    t = Tensor(x, requires_grad=True, dtype=dtype)
+    out = F.max_pool2d(t, k, stride=stride, padding=padding)
+    # Integer-valued upstream gradients: a cell that wins several overlapping
+    # windows sums its contributions in footprint order here and in window
+    # order in the reference; small integers make both sums exact.
+    g = np.random.default_rng(5).integers(-4, 5, size=out.shape).astype(dtype)
+    out.backward(g)
+    ref_out, ref_dx = max_pool_argmax_ref(x, k, stride, padding, g)
+    assert out.data.dtype == dtype and t.grad.dtype == dtype
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert t.grad.tobytes() == ref_dx.tobytes()
+
+
+def test_max_pool_tie_and_nan_routing_is_pinned():
+    # Ties: the first maximal element in row-major window order takes the
+    # whole gradient (+0.0 and -0.0 tie).  NaN: the output is NaN and the
+    # first NaN takes the gradient, even behind a larger-looking element.
+    x = np.array(
+        [[[[2.0, 2.0, -0.0, 0.0],
+           [2.0, 2.0, -3.0, -1.0],
+           [9.0, np.nan, np.inf, 1.0],
+           [np.nan, 0.0, 1.0, np.inf]]]]
+    )
+    t = Tensor(x, requires_grad=True, dtype=np.float64)
+    out = F.max_pool2d(t, 2)
+    out.backward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    assert out.data[0, 0, 0, 0] == 2.0 and np.isnan(out.data[0, 0, 1, 0])
+    assert out.data[0, 0, 0, 1] == 0.0 and np.signbit(out.data[0, 0, 0, 1])
+    assert out.data[0, 0, 1, 1] == np.inf
+    expected = np.zeros((4, 4))
+    expected[0, 0], expected[0, 2], expected[2, 1], expected[2, 2] = 1.0, 2.0, 3.0, 4.0
+    np.testing.assert_array_equal(t.grad[0, 0], expected)
 
 
 # --------------------------------------------------------------------------- #

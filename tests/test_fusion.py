@@ -311,9 +311,9 @@ def _primitives_only_backend():
 
     for method in (
         "zeros", "add", "multiply", "divide", "negative", "power", "matmul",
-        "tensordot", "exp", "log", "sqrt", "tanh", "sum", "mean", "var",
-        "amax", "argmax", "pad", "sliding_windows", "random_uniform",
-        "standard_normal", "uniform", "relu", "sigmoid", "linear", "softmax",
+        "exp", "log", "sqrt", "tanh", "sum", "mean", "var", "amax", "pad",
+        "random_uniform", "standard_normal", "uniform", "relu", "sigmoid",
+        "linear", "softmax",
         "softmax_grad", "log_softmax", "log_softmax_grad", "xent_grad",
         "bn_normalize", "bn_input_grad", "dropout_mask", "sgd_update",
         "adam_update",

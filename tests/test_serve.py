@@ -85,6 +85,37 @@ def test_tbnet_session_is_bit_equal_to_eager(backend):
         )
 
 
+@pytest.mark.parametrize("backend", BACKENDS + ("lazy",))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bucket", [1, 4, 16, 64])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_window_steps_are_bit_equal_to_eager(stride, padding, bucket, dtype, backend):
+    # Off TBNet's shapes: strided / unpadded convs, a padded overlapping
+    # max-pool, and every input route of the window emitters — a raw session
+    # input (first conv), a session-owned upstream buffer sliced directly
+    # (second conv, last pool) and the padded private copy (first pool).
+    rng = np.random.default_rng(17)
+    with use_backend(backend):
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, stride=stride, padding=padding, rng=rng),
+            nn.ReLU(),
+            nn.MaxPool2d(3, stride=2, padding=1),
+            nn.Conv2d(4, 5, 2, bias=False, rng=rng),
+            nn.MaxPool2d(2),
+        )
+        for param in model.parameters():
+            param.data = param.data.astype(dtype)
+        model.eval()
+        session = compile_inference(model, np.zeros((bucket, 3, 12, 12), dtype))
+        for _ in range(2):  # the cached slice views must survive buffer reuse
+            batch = rng.standard_normal((bucket, 3, 12, 12)).astype(dtype)
+            with no_grad():
+                expected = np.asarray(model(Tensor(batch, dtype=dtype)).data)
+            got = session.run(batch)
+            assert got.dtype == expected.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
+
+
 class _ScaleShiftRelu(nn.Module):
     """An elementwise tail the fusion pass extracts as one region."""
 
