@@ -199,6 +199,14 @@ class TBNet(nn.Module):
                 logits = server(images, context)        # blocking
                 future = server.submit(images, context) # or async
 
+        ``max_wait`` is the longest a request is held to form a batch
+        (``0`` = never) and the horizon of the isolation test: an isolated
+        request (nothing arrived in the ``max_wait`` seconds before it) is
+        dispatched at once; a request that follows another within
+        ``max_wait`` opens a window of at most ``max_wait``, never past a
+        collected deadline; a burst after idle sends its first request
+        alone and coalesces the rest.
+
         Extra keyword arguments pass straight through to
         :class:`repro.serve.Server` — the resilience knobs (``queue_limit``,
         ``overload``, ``default_timeout``, ``retry``, ``supervise``,

@@ -19,10 +19,15 @@ that into a front end that serves *any* traffic shape and survives failure:
 - :class:`Server` is the request-queue front end: clients :meth:`submit
   <Server.submit>` arrays and get :class:`concurrent.futures.Future`\\ s
   back; a batching loop coalesces pending requests up to
-  ``max_batch_size`` samples (waiting at most ``max_wait`` seconds once a
-  request is in hand), packs them into bucket runs, and scatters **result
-  copies** back into the futures — callers own their outputs, the reused
-  session buffers never escape.
+  ``max_batch_size`` samples, packs them into bucket runs, and scatters
+  **result copies** back into the futures — callers own their outputs,
+  the reused session buffers never escape.  The loop waits for companions
+  only on evidence that one is coming: an **isolated** request (nothing
+  arrived in the ``max_wait`` seconds before it) is dispatched at once; a
+  request that follows another within ``max_wait`` opens a window of at
+  most ``max_wait``, never past a collected deadline; a burst after idle
+  sends its first request alone and coalesces the rest (see
+  :func:`is_isolated` / :func:`linger_until`).
 - **Sharding**: ``workers=N`` runs N batching loops, each holding its own
   :class:`SessionPool` replica.  Replicas are safe because replay touches
   only per-session pre-allocated buffers while parameters stay bound by
@@ -116,9 +121,48 @@ from repro.serve.session import (
     compile_inference,
 )
 
-__all__ = ["SessionPool", "Server", "DEFAULT_BUCKETS"]
+__all__ = ["SessionPool", "Server", "DEFAULT_BUCKETS", "is_isolated",
+           "linger_until"]
 
 DEFAULT_BUCKETS = (1, 4, 16, 64)
+
+
+# ---------------------------------------------------------------------- #
+# Batching policy: pure functions of timestamps (no clock, lock or thread),
+# so the policy is table-tested without sleeping.
+# ---------------------------------------------------------------------- #
+def is_isolated(prev_arrival: Optional[float], arrival: float,
+                max_wait: float) -> bool:
+    """True when no request arrived in the ``max_wait`` before this one.
+
+    A batch window opened at the predecessor would already have closed
+    without this request, so nothing suggests a companion is on its way:
+    such a request is dispatched without lingering.  The first request a
+    server ever accepts has no predecessor and is isolated.
+    """
+    return prev_arrival is None or arrival - prev_arrival > max_wait
+
+
+def linger_until(isolated: bool, collected_at: float, max_wait: float,
+                 earliest_deadline: Optional[float] = None) -> float:
+    """Monotonic time until which a batch may wait for stragglers.
+
+    ``isolated`` / ``collected_at`` describe the batch's *first* request;
+    ``earliest_deadline`` is the soonest deadline among the requests
+    collected so far.  An isolated first request does not linger (the
+    result is ``collected_at``); otherwise the window is ``max_wait`` long,
+    cut back to the midpoint between collection and the earliest deadline.
+    The midpoint — not the deadline itself — because a window that closes
+    *at* a deadline hands the worker a request that has already expired
+    (a process worker refuses it); this way the server never spends more
+    than half of a request's remaining budget sleeping on it.
+    """
+    if isolated:
+        return collected_at
+    until = collected_at + max_wait
+    if earliest_deadline is not None:
+        until = min(until, collected_at + (earliest_deadline - collected_at) / 2)
+    return until
 
 #: Server-label allocator: every Server's metrics carry server="srvN" so
 #: several servers can share one registry without colliding.
@@ -139,11 +183,12 @@ class _ServerMetrics:
 
     __slots__ = (
         "requests_submitted", "requests_completed", "samples_completed",
-        "batches_dispatched", "samples_dispatched", "requests_rejected",
-        "requests_shed", "requests_expired", "requests_failed",
-        "batches_retried", "worker_restarts", "queue_depth", "workers_alive",
-        "batch_occupancy", "request_latency_ms", "queue_wait_ms",
-        "service_ms", "bucket_calls", "eager_tail",
+        "batches_dispatched", "batches_immediate", "samples_dispatched",
+        "requests_rejected", "requests_shed", "requests_expired",
+        "requests_failed", "batches_retried", "worker_restarts",
+        "queue_depth", "workers_alive", "batch_occupancy",
+        "request_latency_ms", "queue_wait_ms", "service_ms", "bucket_calls",
+        "eager_tail",
     )
 
     def __init__(self, registry, server_label: str, buckets: Tuple[int, ...],
@@ -169,6 +214,9 @@ class _ServerMetrics:
         self.batches_dispatched = counter(
             "repro_serve_batches_dispatched_total",
             "Coalesced batches handed to workers.")
+        self.batches_immediate = counter(
+            "repro_serve_batches_immediate_total",
+            "Batches dispatched without lingering for stragglers.")
         self.samples_dispatched = counter(
             "repro_serve_samples_dispatched_total",
             "Samples inside dispatched batches (clamped to max_batch_size).")
@@ -446,7 +494,7 @@ class SessionPool:
 
 class _Request:
     __slots__ = ("arrays", "n", "future", "submitted_at", "deadline", "started",
-                 "trace_id", "collected_at")
+                 "trace_id", "collected_at", "isolated")
 
     def __init__(self, arrays, n, future, submitted_at, deadline=None,
                  trace_id=0):
@@ -466,6 +514,10 @@ class _Request:
         #: queue-wait/service boundary); re-set if the request is re-queued
         #: after a worker crash, so stage metrics cover the last attempt.
         self.collected_at: Optional[float] = None
+        #: :func:`is_isolated` verdict, stamped once by ``submit()`` (a
+        #: re-queued request keeps it): a batch this request leads is
+        #: dispatched without lingering.
+        self.isolated = False
 
 
 class Server:
@@ -476,10 +528,17 @@ class Server:
     dimension, any size) and get a :class:`concurrent.futures.Future`
     resolving to an owned copy of that request's outputs.  ``workers``
     batching threads each drain the shared queue: a worker takes the oldest
-    pending request, keeps coalescing whole requests until
-    ``max_batch_size`` samples are in hand or ``max_wait`` seconds have
-    passed, runs the coalesced batch through its private pool replica
-    (isolating failures per request), and scatters the results back.
+    pending request, absorbs every whole request already queued up to
+    ``max_batch_size`` samples, runs the coalesced batch through its
+    private pool replica (isolating failures per request), and scatters the
+    results back.  It lingers for stragglers only when one is likely: an
+    isolated request (nothing arrived in the ``max_wait`` seconds before
+    it) is dispatched at once; a request that follows another within
+    ``max_wait`` opens a window of at most ``max_wait``, never past a
+    collected deadline; a burst after idle sends its first request alone.
+    ``max_wait`` is thus both the longest a request is held to form a batch
+    (``0`` = never) and the horizon of the isolation test (README's serving
+    section records the measured latency-vs-CPU cost of ``max_wait=0``).
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`
     explicitly::
@@ -628,6 +687,9 @@ class Server:
         self._service_times: deque = deque(maxlen=latency_window)
         self._first_dispatch_at: Optional[float] = None
         self._last_completion_at: Optional[float] = None
+        #: submitted_at of the latest accepted request (cond held): the
+        #: predecessor is_isolated() measures the next arrival against.
+        self._last_arrival: Optional[float] = None
         # Scrape-time gauges: evaluated by the registry at render, so queue
         # churn never writes a gauge.
         self._m.queue_depth.set_function(lambda: float(len(self._queue)))
@@ -874,6 +936,11 @@ class Server:
             self._check_accepting_locked()
             if self._queue_limit is not None:
                 self._admit_locked(request, deadline)
+            # Stamped only once the request is accepted: zero-sample and
+            # refused submits are not arrivals.
+            request.isolated = is_isolated(self._last_arrival, now,
+                                           self._max_wait)
+            self._last_arrival = now
             self._queue.append(request)
             self._cond.notify_all()
         self._m.requests_submitted.inc()
@@ -952,6 +1019,9 @@ class Server:
           (deadline sweeps), ``requests_failed`` (futures resolved with the
           batch's exception), ``batches_retried`` (re-serve attempts from
           transient retries and bisection), ``worker_restarts``;
+        - ``batches_immediate``: batches dispatched without lingering for
+          stragglers (isolated first request, full batch, ``max_wait=0``);
+          the rest of ``batches_dispatched`` paid a window;
         - plus raw counters (requests/samples/batches), ``workers_alive``,
           and the pools' bucket routing counts.
         """
@@ -980,6 +1050,7 @@ class Server:
             "requests_completed": m.requests_completed.value,
             "samples_completed": completed_samples,
             "batches_dispatched": m.batches_dispatched.value,
+            "batches_immediate": m.batches_immediate.value,
             "batch_occupancy": float(self._occupancy()),
             "throughput_rps": float(throughput),
             "requests_rejected": m.requests_rejected.value,
@@ -1044,15 +1115,18 @@ class Server:
             if not request.future.done():
                 request.future.set_exception(exc)
 
-    def _collect(self, slot: WorkerSlot) -> Optional[List[_Request]]:
+    def _collect(self, slot: WorkerSlot) -> Optional[Tuple[List[_Request], bool]]:
         """Take one coalesced batch off the queue (None = shut down).
 
-        Blocks until a request arrives, then keeps absorbing whole pending
-        requests while the running total stays within ``max_batch_size``,
-        waiting up to ``max_wait`` seconds for stragglers before
-        dispatching what it has.  Requests are never split: a request
-        larger than ``max_batch_size`` is dispatched alone (the pool
-        decomposes it internally).
+        Blocks until a request arrives, then absorbs whole pending requests
+        while the running total stays within ``max_batch_size``.  Once the
+        queue is empty it lingers for stragglers until
+        :func:`linger_until`: not at all when the first request is
+        isolated, otherwise for at most ``max_wait`` seconds and never past
+        the midpoint to a collected deadline.  Returns the batch and
+        whether it lingered.  Requests are never split: a request larger
+        than ``max_batch_size`` is dispatched alone (the pool decomposes it
+        internally).
 
         Expired requests are swept here (resolved with
         :class:`DeadlineExceeded`, never served) and every collected future
@@ -1079,7 +1153,8 @@ class Server:
                     break  # not cancelled; serve it
             requests = [first]
             total = first.n
-            deadline = time.monotonic() + self._max_wait
+            earliest = first.deadline
+            lingered = False
             while total < self._max_batch:
                 if self._queue:
                     now = time.monotonic()
@@ -1098,14 +1173,20 @@ class Server:
                     request.collected_at = now
                     requests.append(request)
                     total += request.n
+                    if request.deadline is not None and (
+                            earliest is None or request.deadline < earliest):
+                        earliest = request.deadline
                 else:
-                    remaining = deadline - time.monotonic()
+                    remaining = linger_until(
+                        first.isolated, first.collected_at, self._max_wait,
+                        earliest) - time.monotonic()
                     if remaining <= 0 or self._stopping:
                         break
+                    lingered = True
                     self._cond.wait(timeout=remaining)
             if self._first_dispatch_at is None:
                 self._first_dispatch_at = time.monotonic()
-            return requests
+            return requests, lingered
 
     def _requeue(self, requests: List[_Request]) -> None:
         """Put a killed worker's unresolved requests back at the queue head.
@@ -1131,12 +1212,15 @@ class Server:
 
     def _worker(self, slot: WorkerSlot) -> None:
         while True:
-            requests = self._collect(slot)
-            if requests is None:
+            collected = self._collect(slot)
+            if collected is None:
                 return
+            requests, lingered = collected
             total = sum(r.n for r in requests)
             dispatched_at = time.monotonic()
             self._m.batches_dispatched.inc()
+            if not lingered:
+                self._m.batches_immediate.inc()
             # Clamped so occupancy stays a fraction <= 1.0: an oversized
             # single request (never split) counts as one full dispatch.
             self._m.samples_dispatched.inc(min(total, self._max_batch))
@@ -1147,7 +1231,7 @@ class Server:
             queue_waits = []
             spans = [] if self._tracer is not None else None
             coalesce_args = {"batch_requests": len(requests),
-                             "batch_samples": total}
+                             "batch_samples": total, "lingered": lingered}
             for request in requests:
                 if request.collected_at is None:
                     continue
@@ -1394,11 +1478,14 @@ class Server:
             self._cond.notify_all()  # let the stuck thread see retirement
 
     def _check_all_dead(self) -> None:
-        """With no live or respawnable worker left, fail the queue loudly."""
-        if any(
-            slot.is_alive() or (not slot.retired and slot.respawn_at is not None)
-            for slot in self._slots
-        ):
+        """With every slot retired, fail the queue loudly.
+
+        Only retirement is final: a dead thread on an unretired slot —
+        respawn pending, or a respawn that crashed again within this sweep
+        — is counted and respawned (or retired) by the next sweep's
+        :meth:`_handle_dead`.
+        """
+        if any(not slot.retired for slot in self._slots):
             return
         with self._cond:
             if self._stopping or self._failed:

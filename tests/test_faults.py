@@ -236,7 +236,7 @@ def test_killed_worker_is_respawned_and_the_request_still_served():
     assert stats["worker_restarts"] == 1
 
 
-def test_crash_loop_retires_the_slot_and_fails_the_queue():
+def _check_crash_loop_retires_the_slot(max_wait):
     rng = np.random.default_rng(8)
     model = _model()
     supervision = SupervisionPolicy(
@@ -245,7 +245,7 @@ def test_crash_loop_retires_the_slot_and_fails_the_queue():
         restart_backoff=0.001,
         restart_backoff_cap=0.002,
     )
-    with _server(model, supervision=supervision) as server:
+    with _server(model, supervision=supervision, max_wait=max_wait) as server:
         with inject_faults(server, kill_on=set(range(1, 50))) as chaos:
             future = server.submit(_req(rng))
             with pytest.raises(RuntimeError, match="all workers are dead"):
@@ -259,6 +259,18 @@ def test_crash_loop_retires_the_slot_and_fails_the_queue():
             with pytest.raises(RuntimeError, match="Server failed"):
                 server.submit(_req(rng))
     assert chaos.killed == 3
+
+
+def test_crash_loop_retires_the_slot_and_fails_the_queue():
+    _check_crash_loop_retires_the_slot(max_wait=0.002)
+
+
+def test_crash_loop_cap_holds_when_a_respawn_dies_within_the_sweep():
+    # Without a linger the respawned thread collects the re-queued request
+    # and dies again before the watchdog's sweep ends: the slot is dead with
+    # no respawn pending, which must still count as recoverable (3 crashes,
+    # not "all workers are dead" after the first).
+    _check_crash_loop_retires_the_slot(max_wait=0.0)
 
 
 def test_stuck_worker_is_replaced_and_new_requests_flow():
