@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.backend import default_rng, get_backend
 from repro.autograd import ir
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, _owned_copy
 
 __all__ = [
     "im2col",
@@ -83,11 +83,11 @@ def _pad_hw(be, x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarr
     return be.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), value=value)
 
 
-def _unpad_hw(xp: np.ndarray, ph: int, pw: int) -> np.ndarray:
+def _unpad_hw(be, xp: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """The owned, contiguous interior of a padded gradient buffer."""
     if ph == 0 and pw == 0:
         return xp
-    return np.ascontiguousarray(xp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw])
+    return _owned_copy(be, xp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw])
 
 
 def _check_pool(op: str, xd, kh: int, kw: int, ph: int, pw: int) -> None:
@@ -143,11 +143,11 @@ def _patch_slots(cols: np.ndarray, n: int, c: int, oh: int, ow: int):
     return [planes[:, k].transpose(1, 0, 2, 3) for k in range(planes.shape[1])]
 
 
-def _patch_matrix(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+def _patch_matrix(be, xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     """Lower a padded NCHW image to the ``(C*kh*kw, N*OH*OW)`` patch matrix."""
     windows = _window_slices(xp, kh, kw, sh, sw)
     n, c, oh, ow = windows[0].shape
-    cols = np.empty((c * kh * kw, n * oh * ow), dtype=xp.dtype)
+    cols = be.empty((c * kh * kw, n * oh * ow), xp.dtype)
     for slot, window in zip(_patch_slots(cols, n, c, oh, ow), windows):
         np.copyto(slot, window)
     return cols
@@ -180,8 +180,8 @@ def im2col(
     ph, pw = _pair(padding)
     xp = _pad_hw(be, x, ph, pw)
     oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
-    cols = _patch_matrix(xp, kh, kw, sh, sw)
-    return np.ascontiguousarray(cols.reshape(-1, len(xp), oh, ow).transpose(1, 2, 3, 0))
+    cols = _patch_matrix(be, xp, kh, kw, sh, sw)
+    return _owned_copy(be, cols.reshape(-1, len(xp), oh, ow).transpose(1, 2, 3, 0))
 
 
 def col2im(
@@ -207,7 +207,7 @@ def col2im(
     dxp = _patch_matrix_adjoint(
         be, cols.reshape(n * oh * ow, c * kh * kw).T, (n, c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
     )
-    return _unpad_hw(dxp, ph, pw)
+    return _unpad_hw(be, dxp, ph, pw)
 
 
 # --------------------------------------------------------------------------- #
@@ -224,10 +224,10 @@ def _conv2d_forward(
     out_c, _, kh, kw = wd.shape
     xp = _pad_hw(be, xd, ph, pw)
     oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
-    cols = _patch_matrix(xp, kh, kw, sh, sw)
+    cols = _patch_matrix(be, xp, kh, kw, sh, sw)
     # One GEMM over channels and kernel footprint: -> (O, N*OH*OW).
     out_t = be.matmul(wd.reshape(out_c, -1), cols).reshape(out_c, len(xp), oh, ow)
-    out = np.empty((len(xp), out_c, oh, ow), dtype=out_t.dtype)
+    out = be.empty((len(xp), out_c, oh, ow), out_t.dtype)
     if bd is None:
         np.copyto(out, out_t.transpose(1, 0, 2, 3))
     else:
@@ -251,7 +251,7 @@ def _max_pool2d_forward(
     """Max-pool core; returns ``(out, window_slices)``."""
     # Pad with -inf so padded positions never win the max.
     windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
-    return _max_over(windows, np.empty(windows[0].shape, windows[0].dtype)), windows
+    return _max_over(windows, be.empty(windows[0].shape, windows[0].dtype)), windows
 
 
 def _avg_pool2d_forward(
@@ -259,7 +259,7 @@ def _avg_pool2d_forward(
 ) -> np.ndarray:
     """Average-pool core: footprint-order running sum over the window area."""
     windows = _window_slices(_pad_hw(be, xd, ph, pw), kh, kw, sh, sw)
-    out = windows[0].copy()
+    out = _owned_copy(be, windows[0])
     for window in windows[1:]:
         out += window
     out /= kh * kw
@@ -368,17 +368,17 @@ def conv2d(
             if b_t is not None and b_t.requires_grad:
                 b_t._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
             # (O, N*OH*OW): the layout the forward GEMM produced.
-            g_t = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+            g_t = _owned_copy(be, g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
             if w_t.requires_grad:
                 # Contract over N*OH*OW against the forward's patch matrix.
                 dw = be.matmul(cols, g_t.T)  # (C*kh*kw, O)
-                w_t._accumulate_fresh(np.ascontiguousarray(dw.T).reshape(wd.shape))
+                w_t._accumulate_fresh(_owned_copy(be, dw.T).reshape(wd.shape))
             if x_t.requires_grad:
                 dcols = be.matmul(wd.reshape(out_c, -1).T, g_t)
                 dxp = _patch_matrix_adjoint(
                     be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
                 )
-                x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
+                x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
 
         return _backward
 
@@ -424,16 +424,23 @@ def max_pool2d(
             # only windows holding a NaN are unclaimed (nothing compares
             # equal to their NaN output): a second round hands those to
             # their first NaN.
-            pending = np.ones(out.shape, dtype=bool)
-            for claims in (lambda window: window == out, np.isnan):
+            pending = be.empty(out.shape, bool)
+            pending.fill(True)
+            hit = be.empty(out.shape, bool)
+            routed = be.empty(out.shape, g.dtype)
+            claim_rounds = (
+                lambda window: np.equal(window, out, out=hit),
+                lambda window: np.isnan(window, out=hit),
+            )
+            for claims in claim_rounds:
                 for window, dwindow in zip(windows, dwindows):
-                    hit = claims(window)
+                    claims(window)
                     hit &= pending
                     np.logical_xor(pending, hit, out=pending)
-                    dwindow += g * hit
+                    dwindow += np.multiply(g, hit, out=routed)
                 if not pending.any():
                     break
-            x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
+            x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
 
         return _backward
 
@@ -464,13 +471,13 @@ def avg_pool2d(
         def _backward() -> None:
             if not x_t.requires_grad:
                 return
-            g = out_t.grad * np.asarray(inv_area, dtype=xd.dtype)
+            g = be.multiply(out_t.grad, np.asarray(inv_area, dtype=xd.dtype))
             # Every patch entry is the same g value: add it per footprint
             # slice instead of materializing a patch matrix for col2im.
             dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
             for dwindow in _window_slices(dxp, kh, kw, sh, sw):
                 dwindow += g
-            x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
+            x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
 
         return _backward
 

@@ -22,10 +22,12 @@ Backward closures that produce a fresh temporary hand it over through
 :meth:`Tensor._accumulate_fresh`, which *donates* the buffer instead of copying
 it, so the common single-consumer case allocates nothing extra at all.
 
-``backward(retain_graph=False)`` (the default) frees the recorded graph after
-the pass: backward closures and parent links are dropped, which breaks the
-reference cycles between tensors and their closures and lets CPython reclaim
-the graph by refcounting instead of waiting for the cycle collector.  Training
+``backward(retain_graph=False)`` (the default) frees the recorded graph as the
+pass goes: each node's backward closure and parent links are dropped right
+after its thunk has run, which breaks the reference cycles between tensors
+and their closures and lets CPython reclaim the graph by refcounting instead
+of waiting for the cycle collector — and returns every interior gradient and
+saved array to the kernel workspace while the pass is still running.  Training
 loops therefore neither leak the whole graph nor stall in periodic GC sweeps.
 Pass ``retain_graph=True`` to keep the graph (and to reuse the cached
 topological order on repeated ``backward()`` calls over the same graph).
@@ -123,6 +125,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         grad = grad.sum(axis=axes, keepdims=True)
     # A full reduction yields a numpy scalar; grads must stay writable arrays.
     return np.asarray(grad).reshape(shape)
+
+
+def _owned_copy(be, arr: np.ndarray) -> np.ndarray:
+    """``arr.copy()`` (owned, C-contiguous, same dtype) in a buffer from
+    ``be.empty`` — the one spelling of "make this view mine" in the kernels."""
+    out = be.empty(arr.shape, arr.dtype)
+    np.copyto(out, arr)
+    return out
 
 
 def _raise_freed_graph() -> None:
@@ -358,7 +368,9 @@ class Tensor:
         g = self.grad
         if g is None:
             dtype = self.data.dtype
-            self.grad = grad.astype(dtype) if grad.dtype != dtype else grad.copy()
+            self.grad = (
+                grad.astype(dtype) if grad.dtype != dtype else _owned_copy(get_backend(), grad)
+            )
         else:
             np.add(g, grad, out=g)
 
@@ -627,7 +639,8 @@ class Tensor:
         # would both waste a full-size compare and force a lazy-backend
         # chain mid-region, so it exists only when a backward will.
         if _GRAD_ENABLED and self.requires_grad:
-            mask = self.data > 0
+            data = np.asarray(self.data)  # a deferred (lazy-backend) chain is forced here
+            mask = np.greater(data, 0, out=be.empty(data.shape, bool))
             attrs = {"mask": mask}
         else:
             mask = None
@@ -881,12 +894,17 @@ class Tensor:
         grad:
             Seed gradient; defaults to ``1`` for scalar tensors.
         retain_graph:
-            When ``False`` (the default) the recorded graph is freed after
-            the pass: backward closures, parent links and saved arrays of
-            every visited node are dropped.  Pass ``True`` to keep the graph
-            alive for another ``backward()`` call; the topologically sorted
-            node list is cached on this tensor and reused by subsequent
-            calls.
+            When ``False`` (the default) the recorded graph is freed **as
+            the pass goes**: each node's backward closure, parent links,
+            saved arrays and output link are dropped as soon as its thunk
+            has run, so an interior gradient or a saved array lives only
+            until its consumer is done with it, not until the end of the
+            pass.  If a thunk raises, the nodes that already ran stay freed:
+            a second ``backward()`` over that graph raises the freed-graph
+            ``RuntimeError`` instead of accumulating twice.  Pass ``True``
+            to keep the graph alive for another ``backward()`` call; the
+            topologically sorted node list is cached on this tensor and
+            reused by subsequent calls.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -936,41 +954,41 @@ class Tensor:
         lazy = _get_lazy()
         prev_defer = lazy.set_deferral(False)
         try:
+            # Unless the graph is retained, each node is freed as soon as
+            # its thunk has run: the closure goes (breaking the
+            # tensor<->closure cycles) and a raising sentinel stays, so a
+            # later backward over this graph fails loudly; the saved arrays
+            # and the output link go with it, so peak memory is what is
+            # live *between* two thunks, not the sum over the pass.  Nodes a
+            # rewrite pass bypassed are freed with their replacement.  A
+            # leaf root never had a node and stays repeatable.
             profiler = _get_profile().active_profiler()
             if profiler is None:
                 for node in reversed(topo):
                     backward_fn = node.backward
                     if backward_fn is not None:
                         backward_fn()
+                    if not retain_graph:
+                        _free_node(node)
             else:
                 # Timing-only instrumentation: the same thunks run in the
-                # same order, so gradients stay bit-identical with
+                # same order and are freed at the same points, so gradients
+                # stay bit-identical and peak memory unchanged with
                 # profiling on.
                 perf = time.perf_counter
-                for node in reversed(topo):
-                    backward_fn = node.backward
-                    if backward_fn is not None:
-                        start = perf()
-                        backward_fn()
-                        profiler.record("backward:" + node.op, perf() - start)
+                with profiler.step("backward"):
+                    for node in reversed(topo):
+                        backward_fn = node.backward
+                        if backward_fn is not None:
+                            start = perf()
+                            backward_fn()
+                            profiler.record("backward:" + node.op, perf() - start)
+                        if not retain_graph:
+                            _free_node(node)
         finally:
             lazy.set_deferral(prev_defer)
 
-        if retain_graph:
-            self._topo = topo
-        else:
-            self._topo = None
-            for node in topo:
-                # Drop the closure (breaking the tensor<->closure cycles) and
-                # leave a raising sentinel so a later backward over this graph
-                # fails loudly instead of silently skipping freed nodes; the
-                # saved arrays and the output link are dropped with it so the
-                # finished graph is reclaimed by refcounting alone.  Nodes a
-                # rewrite pass bypassed (a fused node's original producer)
-                # are freed with their replacement, keeping the sentinel
-                # semantics of the unfused chain.  A leaf root never had a
-                # node and stays repeatable.
-                _free_node(node)
+        self._topo = topo if retain_graph else None
 
     # Convenience constructors -------------------------------------------------
     #

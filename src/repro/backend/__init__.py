@@ -26,7 +26,9 @@ Select a backend process-wide with :func:`set_backend`, temporarily with the
 accelerator, a JIT) with :func:`register_backend`.
 
 The module also hosts the seeded global generator behind
-``repro.nn.init.manual_seed`` (see :func:`manual_seed` / :func:`default_rng`).
+``repro.nn.init.manual_seed`` (see :func:`manual_seed` / :func:`default_rng`)
+and the kernel workspace behind ``ArrayBackend.empty``
+(:mod:`repro.backend.workspace`).
 """
 
 from repro.backend.base import ArrayBackend

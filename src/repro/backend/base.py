@@ -57,6 +57,13 @@ class ArrayBackend(Protocol):
     # ------------------------------------------------------------------ #
     # Primitives: allocation, arithmetic, contractions
     # ------------------------------------------------------------------ #
+    def empty(self, shape, dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array of ``shape`` (a tuple), the
+        caller's like any other.  Every array a kernel creates comes from
+        here and is written with ``out=`` (the numpy backends serve large
+        requests from :mod:`repro.backend.workspace`)."""
+        ...
+
     def zeros(self, shape, dtype) -> np.ndarray: ...
 
     def add(self, a, b) -> np.ndarray: ...

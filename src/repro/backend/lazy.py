@@ -43,6 +43,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import workspace
 from repro.backend.numpy_backend import NumpyBackend
 from repro.codegen import RegionIR, RegionInput, compile_region
 
@@ -69,11 +70,11 @@ _MAX_CHAIN = 32
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
 
-_UFUNC = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
+#: Region op -> the eager primitive that computes it when not deferring.
+_EAGER = {
+    "add": NumpyBackend.add,
+    "mul": NumpyBackend.multiply,
+    "div": NumpyBackend.divide,
 }
 
 
@@ -303,7 +304,7 @@ def _flush(root: LazyArray) -> np.ndarray:
         root.shape,
         root.dtype,
     )
-    return compile_region(region)(leaves)
+    return compile_region(region)(leaves, out=workspace.empty(root.shape, root.dtype))
 
 
 def _operand(value) -> Optional[tuple]:
@@ -339,7 +340,7 @@ class LazyBackend(NumpyBackend):
                     a = _maybe_force_long_chain(a)
                     b = _maybe_force_long_chain(b)
                     return LazyArray(op, (a, b), shape, ma[1])
-        return _UFUNC[op](_concrete(a), _concrete(b))
+        return _EAGER[op](self, _concrete(a), _concrete(b))
 
     def add(self, a, b):
         return self._defer_binary("add", a, b)
@@ -364,7 +365,7 @@ class LazyBackend(NumpyBackend):
             if mx is not None:
                 x = _maybe_force_long_chain(x)
                 return LazyArray("relu", (x,), mx[0], mx[1])
-        return np.maximum(_concrete(x), 0.0)
+        return super().relu(_concrete(x))
 
     # ---- deferred reduction tails ------------------------------------- #
     # sum/mean defer when the reduced axes form a trailing contiguous run —

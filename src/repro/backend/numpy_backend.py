@@ -1,18 +1,32 @@
 """The reference numpy backend.
 
-Every method is the plainest correct numpy expression of the operation, with
-no in-place tricks: this backend defines the semantics that alternate
-backends (including :class:`~repro.backend.fused.FusedNumpyBackend`) are
-validated against in the cross-backend equivalence suite.  Operation *order*
-matches the historical inline kernels, so results are bit-identical to the
-pre-registry engine.
+Every method is the plainest correct numpy expression of the operation: this
+backend defines the semantics that alternate backends (including
+:class:`~repro.backend.fused.FusedNumpyBackend`) are validated against in the
+cross-backend equivalence suite.  Operation *order* matches the historical
+inline kernels, so results are bit-identical to the pre-registry engine.
+
+The methods a training step calls on image-sized operands take their result
+buffer from :meth:`NumpyBackend.empty` (:mod:`repro.backend.workspace`) and
+write into it with ``out=``: the same ufuncs in the same order, so not a byte
+changes.  A buffer that carries a whole chain is created in the dtype the
+chain ends in, so its in-place steps stay exact under mixed precision too.
+Whether a request is pooled is ``empty``'s business, with one measured
+exception: ``multiply``, ``matmul`` and ``relu`` — the primitives every small
+op goes through — take numpy's own result when it cannot reach the
+workspace's floor.  Asking first costs a small op about as much again
+(``train_b4`` ``latency_ms_p50`` +8 % in 10 of 12 pairs, a 64-wide MLP step
++18 %); the image-sized kernels ask unconditionally.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.backend import workspace
 
 __all__ = ["NumpyBackend"]
 
@@ -25,14 +39,23 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Primitives
     # ------------------------------------------------------------------ #
+    def empty(self, shape, dtype) -> np.ndarray:
+        return workspace.empty(shape, dtype)
+
     def zeros(self, shape, dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
+        out = self.empty(shape, dtype)
+        out.fill(0)
+        return out
 
     def add(self, a, b) -> np.ndarray:
         return np.add(a, b)
 
     def multiply(self, a, b) -> np.ndarray:
-        return np.multiply(a, b)
+        if a.nbytes < workspace.FLOOR > b.nbytes:  # so is a * b, short of an outer product
+            return np.multiply(a, b)
+        shape = a.shape if a.shape == b.shape else np.broadcast(a, b).shape
+        dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+        return np.multiply(a, b, out=self.empty(shape, dtype))
 
     def divide(self, a, b) -> np.ndarray:
         return np.divide(a, b)
@@ -44,7 +67,10 @@ class NumpyBackend:
         return np.power(a, exponent)
 
     def matmul(self, a, b) -> np.ndarray:
-        return np.matmul(a, b)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[0] * b.shape[1] * a.itemsize < workspace.FLOOR:
+            return np.matmul(a, b)  # small, a vector to squeeze or a stack: numpy's own result
+        dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
+        return np.matmul(a, b, out=self.empty((a.shape[0], b.shape[1]), dtype))
 
     def exp(self, x) -> np.ndarray:
         return np.exp(x)
@@ -69,7 +95,23 @@ class NumpyBackend:
         return x.mean(axis=axis, keepdims=keepdims)
 
     def var(self, x, axis=None) -> np.ndarray:
-        return x.var(axis=axis)
+        x = np.asarray(x)
+        if x.dtype.kind != "f" or x.dtype.itemsize < 4 or not x.flags.c_contiguous:
+            # numpy widens these itself / lays its temporary out like x, which
+            # decides the order the second sum adds in.
+            return x.var(axis=axis)
+        # ``x.var(axis=axis)`` call for call (numpy's ``_var``), with its one
+        # array-sized temporary taken from the workspace.
+        axes = range(x.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+        count = np.intp(math.prod(x.shape[a] for a in axes))
+        mean = np.add.reduce(x, axis=axis, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        dev = np.subtract(x, mean, out=self.empty(x.shape, x.dtype))
+        np.square(dev, out=dev)
+        var = np.add.reduce(dev, axis=axis)
+        if isinstance(var, np.ndarray):
+            return np.true_divide(var, count, out=var, casting="unsafe")
+        return var.dtype.type(var / count)  # a full reduction is a scalar
 
     def amax(self, x, axis=None, keepdims: bool = False) -> np.ndarray:
         return x.max(axis=axis, keepdims=keepdims)
@@ -77,9 +119,10 @@ class NumpyBackend:
     def pad(self, x, pad_width, value: float = 0.0) -> np.ndarray:
         # Fill + one interior copy: np.pad's generic per-axis machinery
         # costs more than the copy itself at the kernels' image sizes.
-        out = np.full(
-            [lo + size + hi for size, (lo, hi) in zip(x.shape, pad_width)], value, dtype=x.dtype
+        out = self.empty(
+            tuple(lo + size + hi for size, (lo, hi) in zip(x.shape, pad_width)), x.dtype
         )
+        out.fill(value)
         out[tuple(slice(lo, lo + size) for size, (lo, _) in zip(x.shape, pad_width))] = x
         return out
 
@@ -96,7 +139,10 @@ class NumpyBackend:
     # Composites (plain reference expressions)
     # ------------------------------------------------------------------ #
     def relu(self, x) -> np.ndarray:
-        return np.maximum(x, 0.0)
+        if x.nbytes < workspace.FLOOR:
+            return np.maximum(x, 0.0)
+        dtype = x.dtype if x.dtype.kind == "f" else np.result_type(x, 0.0)
+        return np.maximum(x, 0.0, out=self.empty(x.shape, dtype))
 
     def sigmoid(self, x) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
@@ -105,7 +151,7 @@ class NumpyBackend:
         # The matmul output is a fresh buffer we own, so folding the bias in
         # place is safe even for the reference (and matches the historical
         # inline kernel bit-for-bit).
-        out = np.matmul(x, w)
+        out = self.matmul(x, w)
         if b is not None:
             out += b
         return out
@@ -135,20 +181,31 @@ class NumpyBackend:
     def bn_normalize(
         self, x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
-        out = xhat
+        x, mean = np.asarray(x), mean.reshape(bshape)
+        xhat = np.subtract(x, mean, out=self.empty(x.shape, np.result_type(x.dtype, mean.dtype)))
+        np.multiply(xhat, inv_std.reshape(bshape), out=xhat)
+        # out never aliases the saved xhat; its dtype is what the affine
+        # terms promote to.
+        affine = [p.dtype for p in (gamma, beta) if p is not None]
+        out = self.empty(xhat.shape, np.result_type(xhat.dtype, *affine))
         if gamma is not None:
-            out = out * gamma.reshape(bshape)
+            np.multiply(xhat, gamma.reshape(bshape), out=out)
+        else:
+            np.copyto(out, xhat)
         if beta is not None:
-            out = out + beta.reshape(bshape)
-        if out is xhat:
-            out = xhat.copy()  # never hand the saved xhat buffer downstream
+            np.add(out, beta.reshape(bshape), out=out)
         return xhat, out
 
     def bn_input_grad(self, dxhat, xhat, inv_std, axes, bshape) -> np.ndarray:
+        # ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) * inv_std
         mean_dxhat = dxhat.mean(axis=axes).reshape(bshape)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes).reshape(bshape)
-        return (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * inv_std.reshape(bshape)
+        t = self.multiply(dxhat, xhat)
+        mean_dxhat_xhat = t.mean(axis=axes).reshape(bshape)
+        np.multiply(xhat, mean_dxhat_xhat, out=t)
+        dx = np.subtract(dxhat, mean_dxhat, out=self.empty(t.shape, t.dtype))
+        dx -= t
+        dx *= inv_std.reshape(bshape)
+        return dx
 
     # ------------------------------------------------------------------ #
     # Fused tape chains (reference: the exact op sequence of the separate
@@ -159,19 +216,21 @@ class NumpyBackend:
         return self.multiply(g, mask)
 
     def linear_relu(self, x, w, b: Optional[np.ndarray]) -> np.ndarray:
-        return np.maximum(self.linear(x, w, b), 0.0)
+        out = self.linear(x, w, b)  # a buffer we own: rectify in place
+        return np.maximum(out, 0.0, out=out)
 
     def mul_add(self, a, b, c) -> np.ndarray:
         return np.add(np.multiply(a, b), c)
 
     def add_relu(self, a, b) -> np.ndarray:
-        return np.maximum(np.add(a, b), 0.0)
+        out = np.add(a, b)
+        return np.maximum(out, 0.0, out=out)
 
     def bn_normalize_relu(
         self, x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
         xhat, out = self.bn_normalize(x, mean, inv_std, gamma, beta, bshape)
-        return xhat, np.maximum(out, 0.0)
+        return xhat, np.maximum(out, 0.0, out=out)
 
     # ------------------------------------------------------------------ #
     # Region codegen fusion point

@@ -77,6 +77,18 @@ Histograms (milliseconds, buckets
 - ``repro_serve_queue_wait_ms`` — submit-to-collection (time spent queued);
 - ``repro_serve_service_ms`` — collection-to-result (coalesce + serve +
   scatter), so ``latency ≈ queue_wait + service`` per request.
+
+The kernel workspace (:mod:`repro.backend.workspace`) answers "did this step
+allocate", per process, in the default registry (:func:`get_registry`), read
+from its own integers at scrape time:
+
+- ``repro_workspace_requests_total{result="hit"|"miss"|"small"}`` — buffers
+  the kernels asked ``be.empty`` for, served by a retained block, a newly
+  allocated one, or plain ``np.empty`` (under the size floor, or no usable
+  reference counts); a steady-state step moves only ``hit`` and ``small``;
+- ``repro_workspace_retained_bytes`` — bytes of blocks held, leased or idle;
+- ``repro_workspace_leased_bytes_peak`` — most bytes leased at once (per
+  thread, summed): the working set the retained bytes are there to cover.
 """
 
 from repro.obs.http import ObsHTTPServer
@@ -98,6 +110,36 @@ from repro.obs.profile import (
     using_profiler,
 )
 from repro.obs.trace import Span, Tracer
+
+
+def _export_workspace() -> None:
+    """Scrape-time views of the kernel workspace's counts (imported on the
+    first scrape: this package stays importable without the backends)."""
+    registry = get_registry()
+
+    def stat(key: str):
+        def read() -> float:
+            from repro.backend import workspace
+
+            return workspace.stats()[key]
+
+        return read
+
+    requests = registry.counter(
+        "repro_workspace_requests_total",
+        "Kernel buffer requests by how they were served",
+        labelnames=("result",),
+    )
+    for result in ("hit", "miss", "small"):
+        requests.labels(result=result).set_function(stat(result))
+    for key, text in (
+        ("retained_bytes", "Bytes of blocks the workspace pools hold"),
+        ("leased_bytes_peak", "Most workspace bytes leased at once (per thread, summed)"),
+    ):
+        registry.gauge("repro_workspace_" + key, text).set_function(stat(key))
+
+
+_export_workspace()
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",

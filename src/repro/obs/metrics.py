@@ -99,40 +99,10 @@ def _render_labels(labelnames: Sequence[str], labelvalues: Sequence[str],
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-class Counter:
-    """A monotonically increasing total.  Thread-safe; negative increments
-    raise (a counter that can go down is a :class:`Gauge`)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up; inc({amount}) is negative")
-        # Hot path: explicit acquire/release is measurably cheaper than the
-        # `with` statement's context-manager machinery.
-        lock = self._lock
-        lock.acquire()
-        try:
-            self._value += amount
-        finally:
-            lock.release()
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def _samples(self, name, labelnames, labelvalues):
-        yield name, _render_labels(labelnames, labelvalues), self.value
-
-
-class Gauge:
-    """A value that goes up and down — or, with :meth:`set_function`, a
-    callback evaluated at scrape time (queue depth, live worker count)."""
+class _Value:
+    """A float behind a lock — or, with :meth:`set_function`, a callback
+    evaluated at scrape time: a queue depth, a live worker count, a total
+    some subsystem already keeps in plain integers on its hot path."""
 
     __slots__ = ("_lock", "_value", "_fn")
 
@@ -141,21 +111,10 @@ class Gauge:
         self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Make this gauge read ``fn()`` at scrape time instead of a stored
-        value.  The callback must be cheap and thread-safe."""
+        """Read ``fn()`` at scrape time instead of a stored value.  The
+        callback must be cheap and thread-safe (and, for a counter,
+        non-decreasing)."""
         with self._lock:
             self._fn = fn
 
@@ -169,6 +128,44 @@ class Gauge:
 
     def _samples(self, name, labelnames, labelvalues):
         yield name, _render_labels(labelnames, labelvalues), self.value
+
+
+class Counter(_Value):
+    """A monotonically increasing total.  Thread-safe; negative increments
+    raise (a counter that can go down is a :class:`Gauge`)."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counters only go up; inc({amount}) is negative")
+        # Hot path: explicit acquire/release is measurably cheaper than the
+        # `with` statement's context-manager machinery.
+        lock = self._lock
+        lock.acquire()
+        try:
+            self._value += amount
+        finally:
+            lock.release()
+
+
+class Gauge(_Value):
+    """A value that goes up and down — or, with :meth:`set_function`, a
+    callback evaluated at scrape time (queue depth, live worker count)."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value += amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value -= amount
 
 
 class Histogram:

@@ -30,6 +30,13 @@ distinguishable per context):
 - ``backward:<op>`` — every backward thunk run by
   :meth:`repro.autograd.tensor.Tensor.backward`.
 
+Each instrumented pass (``serve``, ``backward``) and any block wrapped in
+:meth:`Profiler.step` is also a *step* row carrying what no per-op timer
+sees: the minor page faults and the system time the process spent inside it
+(``resource.getrusage`` deltas, zeros without a ``resource`` module).  A step
+that allocates its working set afresh shows thousands of faults; one served
+by the kernel workspace (:mod:`repro.backend.workspace`) shows none.
+
 The active profiler is process-global (like the fusion toggle): spans from
 worker threads all land in one table, aggregation is lock-protected.
 """
@@ -42,6 +49,11 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None
+
 __all__ = [
     "Profiler",
     "active_profiler",
@@ -51,6 +63,14 @@ __all__ = [
 ]
 
 
+def _usage() -> Tuple[int, float]:
+    """The process's minor faults and system seconds so far."""
+    if resource is None:  # pragma: no cover
+        return 0, 0.0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_stime
+
+
 class Profiler:
     """Aggregates per-op call counts and total wall time (thread-safe)."""
 
@@ -58,6 +78,8 @@ class Profiler:
         self._lock = threading.Lock()
         # op -> [calls, total_seconds]
         self._records: Dict[str, List[float]] = {}
+        # step -> [calls, total_seconds, minor_faults, system_seconds]
+        self._steps: Dict[str, List[float]] = {}
 
     def record(self, op: str, seconds: float) -> None:
         """Add one timed call of ``op`` (called from the instrumented loops)."""
@@ -78,9 +100,41 @@ class Profiler:
         finally:
             self.record(op, time.perf_counter() - start)
 
+    @contextmanager
+    def step(self, name: str) -> Iterator[None]:
+        """Context manager recording one block as one step of ``name``: wall
+        time plus the process's minor-fault and system-time deltas."""
+        faults, system = _usage()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            seconds = time.perf_counter() - start
+            after = _usage()
+            with self._lock:
+                entry = self._steps.setdefault(name, [0, 0.0, 0, 0.0])
+                for i, amount in enumerate((1, seconds, after[0] - faults, after[1] - system)):
+                    entry[i] += amount
+
+    def step_stats(self) -> Dict[str, Dict[str, float]]:
+        """Per-step summary: ``{step: {calls, mean_ms, minor_faults_per_call,
+        system_ms_per_call}}`` (see :meth:`step`)."""
+        with self._lock:
+            snapshot = {name: tuple(entry) for name, entry in self._steps.items()}
+        return {
+            name: {
+                "calls": float(calls),
+                "mean_ms": seconds / calls * 1e3,
+                "minor_faults_per_call": faults / calls,
+                "system_ms_per_call": system / calls * 1e3,
+            }
+            for name, (calls, seconds, faults, system) in snapshot.items()
+        }
+
     def reset(self) -> None:
         with self._lock:
             self._records.clear()
+            self._steps.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -106,10 +160,11 @@ class Profiler:
         }
 
     def table(self, sort_by: str = "total_ms", limit: Optional[int] = None) -> str:
-        """A fixed-width per-op table, heaviest first.
+        """A fixed-width per-op table, heaviest first, then one line per
+        profiled step (:meth:`step_stats`).
 
         ``sort_by`` is any :meth:`stats` column (``total_ms`` default,
-        ``calls``, ``mean_us``, ``share``); ``limit`` truncates the rows.
+        ``calls``, ``mean_us``, ``share``); ``limit`` truncates the op rows.
         """
         stats = self.stats()
         if not stats:
@@ -130,6 +185,12 @@ class Profiler:
             lines.append(
                 f"{op:<{width}}  {int(row['calls']):>8}  {row['total_ms']:>10.3f}  "
                 f"{row['mean_us']:>10.1f}  {row['share']:>5.1%}"
+            )
+        for name, row in sorted(self.step_stats().items()):
+            lines.append(
+                f"step {name}: {int(row['calls'])} calls, {row['mean_ms']:.3f} ms, "
+                f"{row['minor_faults_per_call']:.1f} minor faults and "
+                f"{row['system_ms_per_call']:.3f} ms system time per call"
             )
         return "\n".join(lines)
 

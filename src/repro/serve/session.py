@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.autograd import functional as F, fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
-from repro.backend import get_backend, use_backend
+from repro.backend import get_backend, use_backend, workspace
 from repro.backend.fused import FusedNumpyBackend
 from repro.backend.lazy import LazyBackend, pause_deferral, set_deferral
 from repro.backend.numpy_backend import NumpyBackend
@@ -235,7 +235,16 @@ def compile_inference(model: Module, example_batch, fuse: bool = True) -> "Infer
     if fuse:
         fused_counts = fusion.fuse(output)
         nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
-    return InferenceSession(inputs, output, nodes, get_backend(), fused_counts, model=model)
+    session = InferenceSession(inputs, output, nodes, get_backend(), fused_counts, model=model)
+    # The example trace's activations die here — those of dead and bypassed
+    # nodes too, whose node<->tensor cycle would otherwise wait for the
+    # collector — and their blocks go back, so a server does not retain its
+    # compile-time temporaries.
+    for node in graph.nodes:
+        node.out, node.inputs = None, ()
+    node = graph = output = None  # the last names on the example trace
+    workspace.trim()
+    return session
 
 
 class InferenceSession:
@@ -373,10 +382,11 @@ class InferenceSession:
                 # Timing-only instrumentation: the exact same step closures
                 # run in the exact same order, so results stay bit-identical.
                 perf = time.perf_counter
-                for op, step in zip(self._step_ops, self._steps):
-                    start = perf()
-                    step(values)
-                    profiler.record("serve:" + op, perf() - start)
+                with profiler.step("serve"):
+                    for op, step in zip(self._step_ops, self._steps):
+                        start = perf()
+                        step(values)
+                        profiler.record("serve:" + op, perf() - start)
             result = self._get_output(values)
         finally:
             if prev_defer is not None:

@@ -221,6 +221,37 @@ def test_kernel_equivalence_across_backends(case):
     assert_equivalent(run_on_backends(build, n_inputs, shapes))
 
 
+@pytest.mark.parametrize("name", ["numpy", "fused", "lazy"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16, np.int32])
+@pytest.mark.parametrize(
+    "shape, axis",
+    [
+        ((6, 5, 4, 3), None),  # a full reduction: a scalar
+        ((6, 5, 4, 3), 1),
+        ((6, 5, 4, 3), -1),
+        ((6, 5, 4, 3), (0, 2, 3)),  # batch norm's axes
+        ((64, 16, 16, 16), (0, 2, 3)),  # 1 MiB in float32: a pooled temporary
+        ((7,), 0),
+        ((0, 3), 0),  # nothing to average: numpy's nan, and its warnings
+    ],
+)
+def test_var_replays_numpy_var_byte_for_byte(name, dtype, shape, axis):
+    # ``NumpyBackend.var`` spells out numpy's private ``_var`` to route its
+    # temporary through ``be.empty``; a numpy release that changes ``_var``
+    # must fail here, not in a tolerance somewhere downstream.
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal(shape) * 3 + 40).astype(dtype)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for source in (x, x[::-1], np.asfortranarray(x)):  # views and orders too
+            with use_backend(name):
+                got = get_backend().var(source, axis=axis)
+            reference = source.var(axis=axis)
+            assert type(got) is type(reference)
+            assert got.dtype == reference.dtype and np.shape(got) == np.shape(reference)
+            assert np.asarray(got).tobytes() == np.asarray(reference).tobytes()
+
+
 def test_batch_norm_eval_equivalence_and_running_stats():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 5)).astype(np.float32)

@@ -310,7 +310,7 @@ def _primitives_only_backend():
         name = "primitives-only"
 
     for method in (
-        "zeros", "add", "multiply", "divide", "negative", "power", "matmul",
+        "empty", "zeros", "add", "multiply", "divide", "negative", "power", "matmul",
         "exp", "log", "sqrt", "tanh", "sum", "mean", "var", "amax", "pad",
         "random_uniform", "standard_normal", "uniform", "relu", "sigmoid",
         "linear", "softmax",

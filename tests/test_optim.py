@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
+from repro.backend import use_backend
 
 
 def param(values):
@@ -178,3 +179,73 @@ def test_optimizer_minimizes_quadratic(make_opt):
         opt.step()
         opt.zero_grad()
     np.testing.assert_allclose(p.data, target, atol=0.05)
+
+
+# --------------------------------------------------------------------------- #
+# Moments of a zero-gradient parameter flush to zero instead of sticking in
+# the subnormals (where 0.9 * m rounds back onto m and every ufunc over the
+# entry runs microcoded)
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def unflushed(monkeypatch):
+    """Switch the sweep off inside a ``with`` block: the optimizers as they
+    were, the reference the swept ones must match wherever a parameter can
+    tell."""
+    import contextlib
+
+    @contextlib.contextmanager
+    def off():
+        with monkeypatch.context() as patch:
+            patch.setattr(nn.optim, "_flush_subnormals", lambda states: None)
+            yield
+
+    return off
+
+
+def _decayed_state(backend, dtype, make_opt, steps=1200):
+    """Entry 0 sees one tiny gradient and then exact zeros; entry 1 a live one."""
+    small = 1e-30 if dtype == np.float32 else 1e-300
+    p = Tensor(np.ones(2), requires_grad=True, dtype=dtype)
+    with use_backend(backend):
+        opt = make_opt([p])
+        for step in range(steps):
+            p.grad = np.array([small if step == 0 else 0.0, 0.5], dtype=dtype)
+            opt.step()
+    return p.data, (opt._m if isinstance(opt, nn.optim.Adam) else opt._velocity)[0]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "make_opt",
+    [lambda ps: nn.optim.Adam(ps, lr=1e-3), lambda ps: nn.optim.SGD(ps, lr=1e-3, momentum=0.9)],
+    ids=["adam", "sgd-momentum"],
+)
+def test_zero_gradient_moment_flushes_to_zero_not_to_a_subnormal(
+    backend, dtype, make_opt, unflushed
+):
+    tiny = np.finfo(dtype).tiny
+    with unflushed():
+        p_ref, stuck = _decayed_state(backend, dtype, make_opt)
+    assert 0 < abs(stuck[0]) < tiny  # unswept, the entry sticks in the subnormals for good
+    p, state = _decayed_state(backend, dtype, make_opt)
+    assert state[0] == 0.0
+    assert np.abs(state[state != 0]).min() >= tiny
+    assert state[1] == stuck[1]  # a live entry is not touched
+    assert p.tobytes() == p_ref.tobytes()  # and no parameter can tell
+
+
+def test_swept_adam_trains_tbnet_byte_for_byte_like_the_unswept_one(unflushed):
+    from repro.models import TBNet, make_synthetic_batch
+
+    def run():
+        model = TBNet(width=16, rng=np.random.default_rng(1))
+        opt = nn.optim.Adam(model.parameters(), 1e-3)
+        rng = np.random.default_rng(2)
+        batches = [make_synthetic_batch(4, rng=rng) for _ in range(8)]
+        losses = [model.train_step(opt, *batches[i % 8]) for i in range(300)]
+        return np.array(losses).tobytes(), [p.data.tobytes() for p in model.parameters()]
+
+    swept = run()
+    with unflushed():
+        assert run() == swept

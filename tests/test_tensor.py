@@ -244,6 +244,52 @@ def test_retain_graph_allows_second_backward():
         z.backward()
 
 
+def _spliced(parent, thunk):
+    """An identity op over ``parent`` whose backward runs ``thunk(out)``."""
+    return Tensor._make(
+        np.array(parent.data), (parent,), "spliced", lambda out: lambda: thunk(out)
+    )
+
+
+def test_backward_frees_each_node_as_soon_as_its_thunk_has_run():
+    seen = []
+    x = Tensor([2.0], requires_grad=True)
+    y = x * 3.0
+
+    def thunk(out):
+        # Downstream thunks have run, upstream ones have not.
+        seen.append((w._prev != (), z._prev != (), y._prev != ()))
+        y._accumulate(out.grad)
+
+    mid = _spliced(y, thunk)
+    w = mid * mid
+    z = w.sum()
+    z.backward(retain_graph=True)  # a retained graph stays whole throughout
+    z.backward()  # by now w and z are already freed when mid's thunk runs
+    assert seen == [(True, True, True), (False, False, True)]
+    np.testing.assert_allclose(x.grad, [72.0])
+    assert y._prev == () and mid._prev == ()
+
+
+def test_a_raising_thunk_leaves_the_nodes_that_already_ran_freed():
+    x = Tensor([2.0], requires_grad=True)
+    y = x * 3.0
+
+    def thunk(out):
+        raise ValueError("boom")
+
+    bad = _spliced(y, thunk)
+    z = (bad * 2.0).sum()
+    with pytest.raises(ValueError, match="boom"):
+        z.backward()
+    assert z._prev == ()  # ran, freed
+    assert bad._prev == (y,) and y._prev != ()  # never finished: untouched
+    assert x.grad is None
+    # No second pass accumulates on top of the first: the graph is spent.
+    with pytest.raises(RuntimeError, match="already been freed"):
+        z.backward()
+
+
 def test_freed_graph_is_collectable_without_gc():
     """Freeing must break tensor<->closure reference cycles (regression)."""
     import gc
