@@ -139,7 +139,7 @@ def _patch_slots(cols: np.ndarray, n: int, c: int, oh: int, ow: int):
     """The channel-major patch matrix ``(C*kh*kw, N*OH*OW)`` (row order of
     ``weight.reshape(O, -1)``) regrouped per kernel offset: slot ``k`` is the
     ``(N, C, OH, OW)`` view that the ``k``-th window slice fills."""
-    planes = cols.reshape(c, -1, n, oh, ow)
+    planes = cols.reshape(c, len(cols) // c, n, oh, ow)  # no -1: n may be 0
     return [planes[:, k].transpose(1, 0, 2, 3) for k in range(planes.shape[1])]
 
 

@@ -130,9 +130,14 @@ def _op_expr(op: str, srcs, val, zero: str) -> str:
 
 def _body_lines(ops, n_in: int, indent: str, ctype: str, zero: str, bases) -> Tuple[list, str]:
     """Loads + the op program as scalar temporaries; returns the last temp."""
+    lines = [f"{indent}const {ctype} v{k} = {bases[k]}[0];" for k in range(n_in)]
+    op_lines, last = _op_lines(ops, n_in, indent, ctype, zero)
+    return lines + op_lines, last
+
+
+def _op_lines(ops, n_in: int, indent: str, ctype: str, zero: str) -> Tuple[list, str]:
+    """The op program over already-loaded ``v0..v{n_in-1}``."""
     lines = []
-    for k in range(n_in):
-        lines.append(f"{indent}const {ctype} v{k} = {bases[k]}[0];")
     slot = n_in
     val = {k: f"v{k}" for k in range(n_in)}
     for op, srcs in ops:

@@ -23,15 +23,25 @@ unavailable).  Kernels are cached at three levels:
 pipeline planned by :func:`repro.codegen.crender.stage_plan`: host GEMMs
 into workspaces, then one kernel per map/reduce stage.  Passing
 ``specialize=True`` renders every stage with its concrete shapes as
-literal loop bounds — the serving planner compiles each bucket this way so
-``-O3`` can unroll and vectorize batch-1 loops — keyed into the same cache
-by (structure, shapes); the dynamic-shape kernels remain the default for
-eager/lazy use.
+literal loop bounds, keyed into the same cache by (structure, shapes); the
+dynamic-shape kernels remain the default for eager/lazy use.
+
+A serving session's *stage plan* (``("stages", ...)`` signatures, rendered
+by :mod:`repro.codegen.cstage`) goes through the same cache, and through
+the part of this module that keeps the compiler **off the caller's
+thread**: :func:`resolve` with ``wait=False`` answers from the memo or the
+disk at once and otherwise queues the signature on one daemon compile
+thread (in-flight compiles deduplicated in the memo) and hands back a
+:class:`Pending`.  A failure there is counted there, by reason.  A process
+that leaves mid-compile takes its compiler with it — at exit and on a
+worker's way out (:func:`abandon_compiles`); ``fork`` waits for the thread to hold no interpreter-wide lock
+(:data:`_GATE`), and the child starts with no inherited compile in flight.
 
 When codegen is disabled (``REPRO_CODEGEN=0``), no compiler is available,
 or a compile fails, :func:`compile_region` falls back to the numpy
 interpreter arm — bit-equal to the compiled arm by contract, so the
-fallback is purely a performance event.  It is counted as one: the module
+fallback is purely a performance event.  It is counted as one, labelled
+with its reason (:func:`count_fallback`): the module
 registers ``repro_codegen_*`` counters and a ``compile_ms`` histogram in
 the process-default observability registry (:func:`repro.obs.get_registry`),
 all off the kernel execution hot path.  The ``mode``-labelled
@@ -42,19 +52,21 @@ traffic (``mode="local"``) from worker-process compiles that
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import os
+import queue
 import shutil
 import subprocess
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.codegen.crender import kernel_arity, render_kernel, stage_plan
+from repro.codegen.crender import kernel_arity, kernel_name, render_kernel, stage_plan
 from repro.codegen.region import RegionIR
 
 __all__ = [
@@ -67,6 +79,7 @@ __all__ = [
     "clear_kernel_memo",
     "codegen_stats",
     "ingest_worker_codegen_stats",
+    "abandon_compiles",
 ]
 
 _FALSY = ("", "0", "off", "false", "no")
@@ -170,8 +183,9 @@ def _metrics():
             ),
             "fallback": registry.counter(
                 "repro_codegen_fallback_total",
-                "Regions resolved to the numpy-interpreter arm "
-                "(codegen disabled, no compiler, or compile failure)",
+                "Regions and session stage plans resolved to the numpy arm, "
+                "by why no native kernel serves them",
+                labelnames=("reason",),
             ),
             "compile_ms": registry.histogram(
                 "repro_codegen_compile_ms",
@@ -205,9 +219,10 @@ def ingest_worker_codegen_stats(stats: dict, mode: str = "process") -> None:
     process's ``mode``-labelled cache counters.
 
     ``ProcServer`` workers compile kernels in their own processes, invisible
-    to the parent's ``/metrics`` edge; each worker reports its snapshot once
-    (at ready-handshake time, when its session pool — and therefore every
-    kernel it will use — has been built), so snapshots are deltas and sum
+    to the parent's ``/metrics`` edge; each worker reports what its pool
+    build resolved at once in the ready handshake and, before a later
+    reply, what its counters gained since (kernels compiled off the request
+    path land after the handshake), so every report is a delta and they sum
     correctly across respawns.
     """
     hits = int(stats.get("disk_hits", 0)) + int(stats.get("memo_hits", 0))
@@ -221,13 +236,23 @@ def ingest_worker_codegen_stats(stats: dict, mode: str = "process") -> None:
 
 _STATS = {"compiled": 0, "disk_hits": 0, "memo_hits": 0, "fallbacks": 0}
 
+def count_fallback(reason: str) -> None:
+    """Count one resolution that ended on the numpy arm, by ``reason`` (the
+    label of ``repro_codegen_fallback_total``): ``disabled``,
+    ``no_compiler``, ``compile_failed``, ``load_failed`` or ``unplannable``."""
+    _metrics()["fallback"].labels(reason=reason).inc()
+    with _LOCK:
+        _STATS["fallbacks"] += 1
+
 
 # --------------------------------------------------------------------------- #
 # Kernel compilation + loading
 # --------------------------------------------------------------------------- #
 _LOCK = threading.Lock()
-#: signature -> (raw_fn, keepalive) | None (None = interpreter fallback).
+#: signature -> loaded ``(callable(s), keepalive)`` | fallback reason (str) |
+#: :class:`Pending` (a compile in flight on the compile thread).
 _MEMO: dict = {}
+_MISSING = object()
 
 #: -O3 for auto-vectorization of the elementwise loops (per-element op
 #: sequences are independent, so vectorizing them is IEEE-exact); no
@@ -237,6 +262,9 @@ _MEMO: dict = {}
 #: cache content hash: a flag change can never serve a stale binary.
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
+#: Longest one compiler run may take before it is killed (``compile_failed``).
+_CC_TIMEOUT = 120.0
+
 try:  # pragma: no cover - exercised via whichever loader is present
     import cffi as _cffi
 except ImportError:  # pragma: no cover
@@ -244,13 +272,48 @@ except ImportError:  # pragma: no cover
 
 
 def clear_kernel_memo() -> None:
-    """Drop the in-process kernel memo (tests re-exercise the disk cache)."""
+    """Drop the in-process kernel memo (tests re-exercise the disk cache).
+    Compiles still in flight stay: their waiters need the entry."""
     with _LOCK:
-        _MEMO.clear()
+        for signature in [s for s, v in _MEMO.items() if not isinstance(v, Pending)]:
+            del _MEMO[signature]
 
 
-def _load(so_path: Path, name: str, n_in: int):
-    """Load one kernel symbol; raises OSError/AttributeError on corruption."""
+class StageLibrary:
+    """The loaded stages of one session plan (:mod:`repro.codegen.cstage`).
+
+    ``fns[k](table, n)`` runs stage ``k`` over a pointer table made by
+    ``table(rows)``; ``table[i] = address(array)`` binds row ``i``.  The
+    caller keeps every bound array alive.
+    """
+
+    __slots__ = ("fns", "table", "address")
+
+    def __init__(self, fns, table, address) -> None:
+        self.fns = fns
+        self.table = table
+        self.address = address
+
+
+def _render(signature):
+    """``(name, source)``; a ``("stages", ...)`` signature imports its
+    renderer here — on the compile thread, off ``import repro.serve``."""
+    if signature[0] == "stages":
+        from repro.codegen.cstage import render_stages
+
+        return render_stages(signature)
+    return render_kernel(signature)
+
+
+def _load(so_path: Path, name: str, signature: tuple):
+    """Load one cache entry; raises OSError/AttributeError on corruption.
+
+    Region kernels load as ``(call(shape_arr, arrays, out), keepalive)``,
+    a stage plan as ``(StageLibrary, keepalive)``.
+    """
+    if signature[0] == "stages":
+        return _load_stages(so_path, name, len(signature[1]))
+    n_in = kernel_arity(signature)
     if _cffi is not None:
         ffi = _cffi.FFI()
         # ABI-level pointer args: the calling convention only needs "pointer",
@@ -289,6 +352,35 @@ def _load(so_path: Path, name: str, n_in: int):
     return call, (lib,)
 
 
+def _load_stages(so_path: Path, name: str, count: int):
+    """The ``count`` stage functions of one plan, through :mod:`ctypes`.
+
+    Not the cffi path of region kernels.  Those bind every argument on
+    every call, which is where cffi's ``from_buffer`` earns its keep; a
+    stage call binds none (pointers sit in a table), so cffi is worth
+    0.15 us a call (``infer_tbnet_b1``: 0.0235 against 0.0258 ms).  Its
+    first ``cdef`` in a process costs 20 ms of pure-Python parser set-up
+    and 2.3 MiB that are never returned — on the caller's thread whenever
+    the cache is warm (``compile_serving(1)`` on a warm cache: 54-63 ms
+    here, 78-84 ms through cffi), in every process whose only kernels are
+    stage plans (every TBNet session).  numpy has ctypes loaded already.
+    """
+    import ctypes
+
+    lib = ctypes.CDLL(str(so_path))
+    fns = []
+    for k in range(count):
+        fn = getattr(lib, f"{name}_{k}")
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_longlong]
+        fn.restype = None
+        fns.append(fn)
+    return StageLibrary(
+        fns,
+        lambda rows: (ctypes.c_void_p * max(rows, 1))(),
+        lambda a: a.ctypes.data,
+    ), (lib,)
+
+
 @contextlib.contextmanager
 def _entry_lock(cache_dir: Path, stem: str):
     """Advisory per-entry lock for cross-process compile serialization.
@@ -306,7 +398,8 @@ def _entry_lock(cache_dir: Path, stem: str):
         import fcntl
 
         handle = open(cache_dir / f"{stem}.lock", "a+b")
-        fcntl.flock(handle, fcntl.LOCK_EX)
+        with _fork_window():
+            fcntl.flock(handle, fcntl.LOCK_EX)
         locked = True
     except (ImportError, OSError):
         pass
@@ -322,12 +415,12 @@ def _entry_lock(cache_dir: Path, stem: str):
             handle.close()
 
 
-def _try_disk_hit(so_path: Path, name: str, n_in: int) -> Optional[tuple]:
+def _try_disk_hit(so_path: Path, name: str, signature: tuple) -> Optional[tuple]:
     """Load an existing cache entry; unlink (don't crash) on corruption."""
     if not so_path.exists():
         return None
     try:
-        loaded = _load(so_path, name, n_in)
+        loaded = _load(so_path, name, signature)
     except (OSError, AttributeError):
         # Corrupted entry (truncated write, bad disk, wrong arch):
         # drop it and let the caller recompile.
@@ -341,16 +434,92 @@ def _try_disk_hit(so_path: Path, name: str, n_in: int) -> Optional[tuple]:
     return loaded
 
 
-def _compile_to_cache(signature) -> Optional[tuple]:
-    """Compile (or cache-load) the kernel for one signature.
+#: ``[Popen or None, temp dir]`` of every compile in flight (one, but for a
+#: synchronous compile racing the compile thread), entered when the
+#: directory is made — before there is a compiler.
+_IN_FLIGHT: list = []
+#: Held while a compiler is being started, so :func:`abandon_compiles`
+#: never looks between the ``exec`` and the entry that records it.
+_SPAWNING = threading.Lock()
 
-    Returns ``(call, keepalive)`` or ``None`` when the native arm is
-    unavailable.  Caller holds no locks; the memo is updated by the caller.
+
+def abandon_compiles() -> None:
+    """Kill every compiler run in flight and remove its temp directory.
+
+    Runs at interpreter exit; a process that leaves through ``os._exit``
+    (every fork-start worker) calls it on its way out, so no ``cc`` outlives
+    either and the cache keeps no litter.  A process that is *killed* runs
+    neither.  Its compiler sits in its process group — whoever kills the
+    group gets it, otherwise it ends with its own run — and the directory
+    is what :func:`_sweep_abandoned` is for.
+
+    (Having the kernel kill the compiler with its parent —
+    ``PR_SET_PDEATHSIG`` from a ``preexec_fn`` — was tried and withdrawn:
+    a ``preexec_fn`` turns ``Popen``'s ``vfork`` into a ``fork``, which runs
+    OpenBLAS's at-fork handler on the compile thread; it stops the BLAS
+    worker threads, and a GEMM in flight on another thread then waits for
+    them for ever.)
+    """
+    with _SPAWNING:
+        in_flight = list(_IN_FLIGHT)
+    for proc, tmp_dir in in_flight:
+        if proc is not None:
+            with contextlib.suppress(OSError):
+                proc.kill()
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+
+
+atexit.register(abandon_compiles)
+
+
+def _sweep_abandoned(cache_dir: Path) -> None:
+    """Remove the temp directories of compiles whose process was killed.  No
+    compile outlives ``_CC_TIMEOUT``, so a directory untouched for twice
+    that long has no owner, in this process or another."""
+    cutoff = time.time() - 2.0 * _CC_TIMEOUT
+    for path in cache_dir.glob("tmp*"):
+        with contextlib.suppress(OSError):
+            if path.is_dir() and path.stat().st_mtime < cutoff:
+                shutil.rmtree(path, ignore_errors=True)
+
+
+def _run_compiler(command, entry: list) -> bool:
+    """One compiler run to completion, entered in ``entry`` (of
+    :data:`_IN_FLIGHT`) while it lasts; ``False`` on a non-zero exit, a
+    timeout (the compiler is killed) or a compiler that cannot be started."""
+    try:
+        # stderr through a pipe: communicate() then sleeps on the pipe's EOF,
+        # where wait(timeout) would poll (up to 50 ms late on a 30 ms compile).
+        with _SPAWNING:
+            proc = entry[0] = subprocess.Popen(
+                command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+            )
+    except OSError:
+        return False
+    try:
+        with _fork_window():
+            proc.communicate(timeout=_CC_TIMEOUT)
+        return proc.returncode == 0
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        return False
+    finally:
+        entry[0] = None
+
+
+def _compile_to_cache(signature, build: bool = True) -> Union[tuple, str, None]:
+    """Load the cache entry for one signature, compiling it first if absent.
+
+    Returns the loaded kernel, or the reason (see :func:`count_fallback`)
+    the native arm is unavailable.  With ``build=False`` only the disk is
+    consulted: ``None`` when there is no loadable entry.  Caller holds no
+    locks; the memo is updated by the caller.
     """
     cc, cc_version = _compiler()
     if cc is None:
-        return None
-    name, source = render_kernel(signature)
+        return "no_compiler"
+    name, source = _render(signature)
     import hashlib
 
     content = hashlib.sha256(
@@ -358,52 +527,54 @@ def _compile_to_cache(signature) -> Optional[tuple]:
     ).hexdigest()[:20]
     cache_dir = kernel_cache_dir()
     so_path = cache_dir / f"{name}-{content}.so"
-    n_in = kernel_arity(signature)
 
-    loaded = _try_disk_hit(so_path, name, n_in)
-    if loaded is not None:
+    loaded = _try_disk_hit(so_path, name, signature)
+    if loaded is not None or not build:
         return loaded
 
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError:
-        return None
+        return "compile_failed"
 
     with _entry_lock(cache_dir, f"{name}-{content}"):
         # Double-check under the lock: the process that held it before us
         # may have just published this entry.
-        loaded = _try_disk_hit(so_path, name, n_in)
+        loaded = _try_disk_hit(so_path, name, signature)
         if loaded is not None:
             return loaded
 
         start = time.perf_counter()
-        tmp_dir = tempfile.mkdtemp(dir=str(cache_dir))
+        _sweep_abandoned(cache_dir)
+        try:
+            tmp_dir = tempfile.mkdtemp(dir=str(cache_dir))
+        except OSError:
+            return "compile_failed"
+        entry = [None, tmp_dir]
+        _IN_FLIGHT.append(entry)
         try:
             c_path = Path(tmp_dir) / f"{name}.c"
             tmp_so = Path(tmp_dir) / f"{name}.so"
             c_path.write_text(source)
-            proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp_so), str(c_path)],
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            if proc.returncode != 0:
-                return None
+            if not _run_compiler([cc, *_CFLAGS, "-o", str(tmp_so), str(c_path)], entry):
+                return "compile_failed"
             # Keep the source next to the binary for debuggability; both are
             # content-addressed, so concurrent racers write identical bytes.
             with contextlib.suppress(OSError):
                 os.replace(str(c_path), str(cache_dir / f"{name}-{content}.c"))
             os.replace(str(tmp_so), str(so_path))
-        except (OSError, subprocess.SubprocessError):
-            return None
+        except OSError:
+            return "compile_failed"
         finally:
+            _IN_FLIGHT.remove(entry)
             shutil.rmtree(tmp_dir, ignore_errors=True)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     try:
-        loaded = _load(so_path, name, n_in)
+        loaded = _load(so_path, name, signature)
     except (OSError, AttributeError):
-        return None
+        with contextlib.suppress(OSError):
+            so_path.unlink()  # what the compiler left is no cache entry
+        return "load_failed"
     _metrics()["compiled"].inc()
     _metrics()["compile_ms"].observe(elapsed_ms)
     _metrics()["cache_miss"].labels(mode="local").inc()
@@ -412,25 +583,158 @@ def _compile_to_cache(signature) -> Optional[tuple]:
     return loaded
 
 
-def _kernel_for(signature):
-    """The loaded native kernel for ``signature``, or ``None`` (memoized)."""
-    sentinel = object()
+# --------------------------------------------------------------------------- #
+# Compiling off the caller's thread
+# --------------------------------------------------------------------------- #
+class Pending:
+    """A compile in flight on the compile thread.  Once ``event`` is set the
+    memo holds the outcome: ask :func:`resolve` for the signature again."""
+
+    __slots__ = ("event",)
+
+    def __init__(self) -> None:
+        self.event = threading.Event()
+
+
+_QUEUE: "queue.SimpleQueue" = queue.SimpleQueue()
+_THREAD: Optional[threading.Thread] = None
+
+#: Held by the compile thread while it runs Python: importing the renderer,
+#: cffi's parser and the metrics registry all take process-wide locks, and a
+#: ``fork`` that lands while another thread holds one hands the child a lock
+#: nobody will ever release (a forked ``ProcServer`` worker then hangs in
+#: its first ``cdef``).  ``fork`` takes the gate first, so it waits for the
+#: thread to be idle or inside a :func:`_fork_window`.
+_GATE = threading.Lock()
+
+
+@contextlib.contextmanager
+def _fork_window():
+    """Around the compile thread's long waits (the compiler, another
+    process's entry lock), where it holds no interpreter-wide lock."""
+    gated = threading.current_thread() is _THREAD
+    if gated:
+        _GATE.release()
+    try:
+        yield
+    finally:
+        if gated:
+            _GATE.acquire()
+
+
+def _compile_loop() -> None:
+    """The compile thread: one signature at a time, for the process's life."""
+    while True:
+        signature, pending = _QUEUE.get()
+        with _GATE:
+            try:
+                resolved = _compile_to_cache(signature)
+            except Exception:  # a renderer bug must not strand the waiters
+                import logging
+
+                logging.getLogger(__name__).exception("compiling %r failed", signature[:2])
+                resolved = "compile_failed"
+            if isinstance(resolved, str):
+                # Nobody is waiting on this thread's result: count the
+                # failure here or it vanishes with the compile.
+                count_fallback(resolved)
+            with _LOCK:
+                _MEMO[signature] = resolved
+            pending.event.set()
+
+
+def _has_disk_candidate(signature) -> bool:
+    """Whether the cache holds *an* entry of this signature's name — the
+    only case in which rendering on the caller's thread (to learn the
+    content hash) can save a compile."""
+    try:
+        return any(kernel_cache_dir().glob(kernel_name(signature) + "-*.so"))
+    except OSError:
+        return False
+
+
+def resolve(signature, wait: bool = True) -> Union[tuple, str, Pending]:
+    """The loaded kernel for ``signature`` or the reason there is none.
+
+    ``wait=True`` compiles on the calling thread.  ``wait=False`` never
+    runs the compiler on it: a memo or disk hit resolves at once, anything
+    else is queued on the compile thread (deduplicated by signature) and a
+    :class:`Pending` comes back.
+    """
+    global _THREAD
     with _LOCK:
-        resolved = _MEMO.get(signature, sentinel)
-        if resolved is not sentinel:
+        resolved = _MEMO.get(signature, _MISSING)
+        if resolved is not _MISSING:
             _STATS["memo_hits"] += 1
-    if resolved is not sentinel:
-        if resolved is not None:
-            # Memoized fallbacks (None) are not cache hits — nothing was
-            # served; they re-count as fallbacks at the region level.
+    if isinstance(resolved, Pending):
+        if not wait:
+            return resolved
+        resolved.event.wait()
+        return resolve(signature, wait)
+    if resolved is not _MISSING:
+        if not isinstance(resolved, str):
+            # Memoized fallbacks are not cache hits — nothing was served;
+            # the caller re-counts them as fallbacks.
             _metrics()["cache_hit"].labels(mode="local").inc()
         return resolved
-    resolved = _compile_to_cache(signature)
+    if wait:
+        resolved = _compile_to_cache(signature)
+    else:
+        resolved = _compile_to_cache(signature, False) if _has_disk_candidate(signature) else None
+        if resolved is None:
+            resolved = Pending()
     with _LOCK:
         # A racing thread may have resolved it first; keep the winner so
         # both closures share one loaded library.
         existing = _MEMO.setdefault(signature, resolved)
+        if existing is resolved and isinstance(resolved, Pending):  # ours to compile
+            _QUEUE.put((signature, resolved))
+            if _THREAD is None or not _THREAD.is_alive():
+                _THREAD = threading.Thread(
+                    target=_compile_loop, name="repro-codegen-compile", daemon=True
+                )
+                _THREAD.start()
+    if isinstance(existing, Pending) and not isinstance(resolved, Pending):
+        return resolved  # ours is ready; the compile in flight lands later
     return existing
+
+
+def _before_fork() -> None:
+    if threading.current_thread() is not _THREAD:  # its own Popen is no fork of ours
+        _GATE.acquire()
+
+
+def _after_fork_in_parent() -> None:
+    if threading.current_thread() is not _THREAD:
+        _GATE.release()
+
+
+def _after_fork_in_child() -> None:
+    """A forked worker inherits neither the compile thread nor its ``cc``
+    child, and the memo lock may have been held at the fork: start clean,
+    and wake whoever waits on an inherited compile so they ask again."""
+    global _LOCK, _GATE, _SPAWNING, _QUEUE, _THREAD
+    _LOCK = threading.Lock()
+    _GATE = threading.Lock()
+    _SPAWNING = threading.Lock()
+    _QUEUE = queue.SimpleQueue()
+    _THREAD = None
+    del _IN_FLIGHT[:]
+    for key in _STATS:  # the parent's counts are not this process's
+        _STATS[key] = 0
+    for signature, value in list(_MEMO.items()):
+        if isinstance(value, Pending):
+            del _MEMO[signature]
+            value.event = threading.Event()  # the inherited one's lock may be held
+            value.event.set()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=_after_fork_in_parent,
+        after_in_child=_after_fork_in_child,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -460,22 +764,22 @@ def _elementwise_kernel(region: RegionIR, resolved: tuple) -> Callable:
     return kernel
 
 
-def _structured_kernel(region: RegionIR, specialize: bool) -> Optional[Callable]:
+def _structured_kernel(region: RegionIR, specialize: bool) -> Union[Callable, str]:
     """Compile a structured region as host GEMMs + a stage pipeline.
 
-    Returns ``None`` when the program cannot be stage-planned or any stage
-    fails to compile — the caller falls back to the interpreter arm for the
-    *whole* region, keeping the two-arm bit-equality trivially.
+    Returns the fallback reason when the program cannot be stage-planned or
+    any stage fails to compile — the caller falls back to the interpreter
+    arm for the *whole* region, keeping the two-arm bit-equality trivially.
     """
     plan = stage_plan(region)
     if plan is None:
-        return None
+        return "unplannable"
     dtype_str = str(region.out_dtype)
     calls = []
     for stage in plan.stages:
-        resolved = _kernel_for(stage.signature(dtype_str, specialize))
-        if resolved is None:
-            return None
+        resolved = resolve(stage.signature(dtype_str, specialize))
+        if isinstance(resolved, str):
+            return resolved
         calls.append(resolved[0])
 
     out_dtype = region.out_dtype
@@ -520,6 +824,32 @@ def _structured_kernel(region: RegionIR, specialize: bool) -> Optional[Callable]
     return kernel
 
 
+def _elementwise_signature(region: RegionIR, specialize: bool) -> tuple:
+    if not specialize:
+        return region.signature()
+    return (
+        "spec",
+        region.ops,
+        str(region.out_dtype),
+        region.out_shape,
+        tuple(inp.shape for inp in region.inputs),
+    )
+
+
+def prefetch_region(region: RegionIR, specialize: bool = True) -> list:
+    """:func:`resolve` without waiting, for every stage kernel
+    ``compile_region(region, specialize)`` would compile for a *structured*
+    region: what is not in the memo or on disk goes to the compile thread.
+    A caller that must not wait for a compiler serves on
+    ``region.interpret`` until the returned compiles have landed, then
+    takes ``compile_region``'s memo hits."""
+    plan = stage_plan(region)
+    if plan is None:
+        return []
+    dtype = str(region.out_dtype)
+    return [resolve(st.signature(dtype, specialize), wait=False) for st in plan.stages]
+
+
 def compile_region(region: RegionIR, specialize: bool = False) -> Callable:
     """Compile one region into ``kernel(arrays, out=None) -> ndarray``.
 
@@ -537,33 +867,25 @@ def compile_region(region: RegionIR, specialize: bool = False) -> Callable:
     Specialized and dynamic kernels of the same region are distinct cache
     entries; the numeric results are identical either way.
     """
+    reason = "disabled"
     if codegen_enabled():
         if region.is_elementwise:
-            if specialize:
-                signature = (
-                    "spec",
-                    region.ops,
-                    str(region.out_dtype),
-                    region.out_shape,
-                    tuple(inp.shape for inp in region.inputs),
-                )
-            else:
-                signature = region.signature()
-            resolved = _kernel_for(signature)
-            if resolved is not None:
+            resolved = resolve(_elementwise_signature(region, specialize))
+            if not isinstance(resolved, str):
                 return _elementwise_kernel(region, resolved)
+            reason = resolved
         else:
             kernel = _structured_kernel(region, specialize)
-            if kernel is not None:
+            if not isinstance(kernel, str):
                 return kernel
+            reason = kernel
 
-    _metrics()["fallback"].inc()
-    with _LOCK:
-        _STATS["fallbacks"] += 1
+    count_fallback(reason)
     interpret = region.interpret
 
     def kernel(arrays, out=None):
         return interpret(arrays, out=out)
 
     kernel.is_compiled = False
+    kernel.reason = reason
     return kernel

@@ -91,7 +91,6 @@ from its own integers at scrape time:
   thread, summed): the working set the retained bytes are there to cover.
 """
 
-from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     NULL_REGISTRY,
@@ -110,6 +109,17 @@ from repro.obs.profile import (
     using_profiler,
 )
 from repro.obs.trace import Span, Tracer
+
+
+def __getattr__(name: str):
+    """``ObsHTTPServer`` on first use: ``http.server`` (with ``email``,
+    ``ssl``, ``socketserver``) is 7 MiB and 40 ms that a process which never
+    opens the HTTP edge — every trainer, every worker — need not pay."""
+    if name == "ObsHTTPServer":
+        from repro.obs.http import ObsHTTPServer
+
+        return ObsHTTPServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _export_workspace() -> None:

@@ -6,6 +6,10 @@ The serving stack toward the production north star, bottom-up:
   through the graph IR and returns an :class:`InferenceSession` that replays
   it over new batches with pre-allocated, reused buffers — no tape, no
   module dispatch, fused composite kernels;
+- :mod:`repro.serve.stages` plans the work around a session's GEMMs into
+  compiled C loop stages, compiled off the request path and adopted by the
+  session's owner thread (:meth:`InferenceSession.wait_compiled`,
+  :meth:`InferenceSession.explain`) — a session never waits for a compiler;
 - :func:`serve_batches` chunks an arbitrarily long request stream through
   one fixed-batch session;
 - :class:`SessionPool` compiles one session per bucket size and routes any

@@ -26,7 +26,6 @@ dispatch if still queued).
 
 from __future__ import annotations
 
-import asyncio
 import functools
 from typing import Optional
 
@@ -35,6 +34,10 @@ import numpy as np
 from repro.serve.frontend import Server
 
 __all__ = ["AsyncServer"]
+
+# ``asyncio`` is imported where a coroutine runs — whoever awaits one has it
+# loaded already — not here: ``import repro.serve`` would pay 6 MiB and 25 ms
+# for it in every process, servers that never see an event loop included.
 
 
 class AsyncServer:
@@ -58,6 +61,8 @@ class AsyncServer:
 
     async def submit(self, *batch, timeout: Optional[float] = None) -> np.ndarray:
         """Submit one request and await its result (an owned copy)."""
+        import asyncio
+
         if self._blocking_submit:
             loop = asyncio.get_running_loop()
             future = await loop.run_in_executor(
@@ -79,6 +84,8 @@ class AsyncServer:
     async def stop(self, drain: bool = True,
                    timeout: Optional[float] = 30.0) -> None:
         """Stop the wrapped server without blocking the event loop."""
+        import asyncio
+
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, functools.partial(self._server.stop, drain=drain,

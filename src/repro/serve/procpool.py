@@ -63,6 +63,7 @@ from repro.backend import get_backend, use_backend
 from repro.backend.lazy import pause_deferral
 from repro.backend.registry import get_rng_state, set_backend, set_rng_state
 from repro.codegen.jit import (
+    abandon_compiles,
     codegen_enabled,
     codegen_stats,
     enable_codegen,
@@ -75,6 +76,7 @@ from repro.serve.frontend import (
     Server,
     SessionPool,
     _NULL_COUNTER,
+    _ServerPool,
     _normalize_buckets,
 )
 from repro.serve.resilience import DeadlineExceeded, WorkerKill, WorkerSlot
@@ -171,8 +173,18 @@ def _build_worker_model(payload) -> Module:
 
 
 def _worker_main(spec: dict, conn) -> None:
-    """Worker-process entry point: apply environment, build the pool,
-    serve ring slots until told to stop (or the pipe dies)."""
+    """Worker-process entry point."""
+    try:
+        _serve_worker(spec, conn)
+    finally:
+        # A fork-start worker leaves through os._exit, which runs no atexit:
+        # a compile still in flight is stopped here, compiler and temp dir.
+        abandon_compiles()
+
+
+def _serve_worker(spec: dict, conn) -> None:
+    """Apply environment, build the pool, serve ring slots until told to
+    stop (or the pipe dies)."""
     try:
         for key, value in spec["env"].items():
             os.environ[key] = value
@@ -190,23 +202,33 @@ def _worker_main(spec: dict, conn) -> None:
         example = [np.array(a) for a in spec["example"]]
 
         def build_pool() -> SessionPool:
-            return SessionPool(model, example, spec["buckets"],
+            return _ServerPool(model, example, spec["buckets"],
                                fuse=spec["fuse"])
 
         pool = build_pool()
-        # Pool construction is where this process compiles its bucket
-        # kernels, so the codegen counters are settled: snapshot them into
-        # the handshake and let the parent fold them into its /metrics
+        # The parent folds this process's codegen counters into its /metrics
         # (labeled mode="process" — a worker's disk hits are invisible to
-        # the parent's in-process counters otherwise).
+        # the parent's in-process counters otherwise).  The handshake carries
+        # what pool construction resolved at once (memo and disk hits);
+        # kernels compiled off the request path land later, so every reply
+        # is preceded by whatever the counters gained since.
+        shipped = codegen_stats()
         conn.send(("ready", os.getpid(), binder.version,
-                   pool.has_batch_statistics, codegen_stats()))
+                   pool.has_batch_statistics, shipped))
     except BaseException:
         try:
             conn.send(("fatal", traceback.format_exc()))
         except Exception:
             pass
         return
+
+    def respond(*msg) -> None:
+        nonlocal shipped
+        stats = codegen_stats()
+        if stats != shipped:
+            conn.send(("codegen", {k: v - shipped[k] for k, v in stats.items()}))
+            shipped = stats
+        conn.send(msg)
 
     delay = float(spec.get("serve_delay") or 0.0)
     try:
@@ -248,10 +270,10 @@ def _worker_main(spec: dict, conn) -> None:
                     _, slot, n, _ = msg
                     views = ring.input_views(slot, n)
                     pool.serve(views, out=ring.output_view(slot, n))
-                    conn.send(("ok", binder.version))
+                    respond("ok", binder.version)
                 else:
                     result = pool.serve(msg[1])
-                    conn.send(("ok_obj", result, binder.version))
+                    respond("ok_obj", result, binder.version)
             except BaseException as exc:
                 try:
                     conn.send(("err", exc, binder.version))
@@ -318,6 +340,9 @@ class _ProcWorkerProxy:
         self._proc = None
         self._conn = None
         self._awaiting_ready = True
+        #: The worker slot serving through this proxy (set by
+        #: ``ProcServer._spawn``): its stuck clock restarts at the handshake.
+        self.slot: Optional[WorkerSlot] = None
         self._start_process()
 
     # -------------------------- process lifecycle --------------------- #
@@ -512,9 +537,17 @@ class _ProcWorkerProxy:
         self.arena_version = version
         self.has_batch_statistics = has_bs
         if len(reply) > 4 and reply[4]:
-            # Worker compile/cache counters, snapshotted after its pool
-            # build; fold into the parent's labeled mode="process" series.
+            # Worker compile/cache counters as its pool build left them;
+            # fold into the parent's labeled mode="process" series.
             ingest_worker_codegen_stats(reply[4])
+        slot = self.slot
+        if slot is not None and slot.busy_since is not None:
+            # The slot's stuck clock started when it took this batch, before
+            # the start-up it just sat through; the exemption for start-up
+            # ends on the next line.  Restart the clock first, or a watchdog
+            # sweep landing before the worker's first reply sees a slot busy
+            # for the whole handshake and kills a healthy worker.
+            slot.busy_since = time.monotonic()
         self._awaiting_ready = False
 
     def probe(self, rng_draw: bool = False, timeout: float = 30.0) -> dict:
@@ -549,7 +582,13 @@ class _ProcWorkerProxy:
                 raise WorkerKill("worker pipe is closed")
             try:
                 if conn.poll(0.05):
-                    return conn.recv()
+                    msg = conn.recv()
+                    if msg[0] != "codegen":
+                        return msg
+                    # Counters the worker gained since its last message
+                    # (kernels compiled off the request path): fold, go on.
+                    ingest_worker_codegen_stats(msg[1])
+                    continue
             except (EOFError, OSError):
                 raise WorkerKill(
                     f"worker process pid={self.pid} closed its pipe "
@@ -772,6 +811,7 @@ class ProcServer(Server):
     def _spawn(self, slot: WorkerSlot) -> None:
         pool = slot.pool
         if isinstance(pool, _ProcWorkerProxy):
+            pool.slot = slot
             pool.ensure_process()
         super()._spawn(slot)
 

@@ -205,9 +205,11 @@ class SupervisionPolicy:
 
     def restart_delay(self, crashes: int) -> float:
         """Respawn backoff after a slot's ``crashes``-th crash (1-based)."""
+        # Exponent clamped: a process that stays dead is counted every sweep,
+        # and 2.0 ** 1024 raises OverflowError — on the watchdog thread.
         return min(
             self.restart_backoff_cap,
-            self.restart_backoff * (2.0 ** max(0, crashes - 1)),
+            self.restart_backoff * (2.0 ** min(max(0, crashes - 1), 64)),
         )
 
 

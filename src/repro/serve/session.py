@@ -16,6 +16,13 @@ returned :class:`InferenceSession` replays that list over new batches with:
   example batch (fixed shapes are what make buffer reuse safe) and rejects
   mismatches with a clear error.
 
+On the built-in backends those steps are the *no-compiler arm*: the session
+also plans compiled loop stages around its GEMMs (:mod:`repro.serve.stages`),
+has them compiled off the calling thread — it **never waits for a
+compiler** — and its owner thread swaps them in at the top of a later
+:meth:`InferenceSession.run`; :meth:`InferenceSession.explain` says which
+arm runs each step and why.
+
 Replay is **bit-identical** to the eager ``no_grad`` forward under the
 backend active at compile time: every specialized step runs the exact op
 sequence of the eager kernel (in-place where the buffer is owned), and ops
@@ -55,12 +62,19 @@ from repro.backend import get_backend, use_backend, workspace
 from repro.backend.fused import FusedNumpyBackend
 from repro.backend.lazy import LazyBackend, pause_deferral, set_deferral
 from repro.backend.numpy_backend import NumpyBackend
+from repro.codegen.jit import codegen_enabled, count_fallback
 from repro.nn.module import Module
 from repro.obs.profile import active_profiler
 
 __all__ = ["InferenceSession", "compile_inference", "serve_batches"]
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
+
+
+class Unbound(Exception):
+    """A by-reference tensor was rebound to an array the compiled stages
+    cannot read (other dtype, shape or layout): the session goes back to
+    its numpy steps, which take whatever numpy takes."""
 
 
 def _as_input_tensors(example_batch) -> Tuple[Tensor, ...]:
@@ -183,6 +197,11 @@ def _has_array_index(index) -> bool:
 def compile_inference(model: Module, example_batch, fuse: bool = True) -> "InferenceSession":
     """Capture one eval-mode ``no_grad`` trace of ``model`` and compile it.
 
+    The session starts on numpy steps and plans *compiled loop stages*
+    around its GEMMs (see :mod:`repro.serve.stages`); kernels already in the
+    on-disk cache are adopted before this returns, anything else compiles
+    off the calling thread and is adopted at the top of a later ``run``.
+
     Parameters
     ----------
     model:
@@ -197,6 +216,12 @@ def compile_inference(model: Module, example_batch, fuse: bool = True) -> "Infer
         (``linear_relu`` and friends) and codegen'd ``region`` kernels
         instead of separate nodes.
     """
+    return _compile(model, example_batch, fuse, gemm_stages=True)
+
+
+def _compile(model: Module, example_batch, fuse: bool, gemm_stages: bool) -> "InferenceSession":
+    """:func:`compile_inference`; ``gemm_stages=False`` plans compiled
+    stages for ``region`` steps only (see ``frontend._ServerPool``)."""
     if not isinstance(model, Module):
         raise TypeError(
             f"compile_inference expects a repro.nn Module, got {type(model).__name__}"
@@ -235,7 +260,9 @@ def compile_inference(model: Module, example_batch, fuse: bool = True) -> "Infer
     if fuse:
         fused_counts = fusion.fuse(output)
         nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
-    session = InferenceSession(inputs, output, nodes, get_backend(), fused_counts, model=model)
+    session = InferenceSession(
+        inputs, output, nodes, get_backend(), fused_counts, model=model, gemm_stages=gemm_stages
+    )
     # The example trace's activations die here — those of dead and bypassed
     # nodes too, whose node<->tensor cycle would otherwise wait for the
     # collector — and their blocks go back, so a server does not retain its
@@ -262,6 +289,7 @@ class InferenceSession:
         backend,
         fused_counts: Optional[Dict[str, int]] = None,
         model: Optional[Module] = None,
+        gemm_stages: bool = True,
     ) -> None:
         self._be = backend
         #: Replay must see concrete arrays: a deferring backend would hand
@@ -272,9 +300,15 @@ class InferenceSession:
         self._input_meta = [(t.data.shape, t.data.dtype) for t in inputs]
         self.fused_counts = dict(fused_counts or {})
         self.op_counts: Dict[str, int] = ir.op_counts(nodes)
-        #: Per-step op names, aligned with the compiled step list — the
-        #: labels the op profiler records each replayed step under.
-        self._step_ops = [node.op for node in nodes]
+        self._node_ops = [node.op for node in nodes]
+        # What the emitters tell the stage planner (dropped once it has run):
+        # the buffers the numpy steps own, by value slot — the compiled
+        # stages fill the same ones — each conv step's (patch matrix, GEMM
+        # output), and each region step's (RegionIR, compiled-step builder)
+        # by node index.
+        self._bufs: Dict[int, np.ndarray] = {}
+        self._conv_ws: Dict[int, tuple] = {}
+        self._region_steps: Dict[int, tuple] = {}
         #: Whether any node computes statistics *across* the batch (eval
         #: batch-norm without running statistics): sample outputs then depend
         #: on the other samples in their micro-batch, so chunk boundaries
@@ -294,7 +328,11 @@ class InferenceSession:
             slot_of[id(node.out)] = base + j
         self._values: List[Optional[np.ndarray]] = [None] * (base + len(nodes))
 
-        self._steps = [self._emit(node, slot_of) for node in nodes]
+        self._numpy_steps = self._steps = [
+            self._emit(j, node, slot_of) for j, node in enumerate(nodes)
+        ]
+        self._plan_stages(nodes, slot_of, gemm_stages)
+        del self._bufs, self._conv_ws, self._region_steps
 
         # For a degenerate trace (the model returned an input or a constant)
         # the getter falls through to the input slot / live tensor read.
@@ -338,7 +376,37 @@ class InferenceSession:
 
     @property
     def num_steps(self) -> int:
+        """How many steps one :meth:`run` replays now (fewer once compiled
+        stages have been adopted)."""
         return len(self._steps)
+
+    def wait_compiled(self, timeout: Optional[float] = None) -> bool:
+        """Wait for the compiles this session started and adopt them.
+
+        Returns whether every plannable step now runs compiled.  Serving
+        never needs this — :meth:`run` adopts by itself — it is for tests
+        and warm-up code; call it from the thread that owns the session.
+        """
+        for pending in self._pending or ():
+            if not pending.event.wait(timeout):
+                return False
+        if self._pending is not None:
+            self._adopt()
+            if self._pending is not None:  # re-queued (a forked worker): wait again
+                return self.wait_compiled(timeout)
+        return self._plan is not None and self._reason is None
+
+    def explain(self) -> List[Dict[str, object]]:
+        """One row per replayed step: the trace ``ops`` it covers, the
+        ``arm`` that runs it (``compiled`` loop stages around a host GEMM,
+        a specialised ``numpy`` step, or the ``generic`` IR evaluator) and,
+        when it is not compiled, the ``reason`` — ``pending`` while the
+        compile is in flight, else a ``repro_codegen_fallback_total``
+        reason."""
+        return [
+            {"step": i, "ops": list(ops), "arm": arm, "reason": reason}
+            for i, (ops, arm, reason) in enumerate(self._rows)
+        ]
 
     def run(self, *batch: ArrayOrTensor) -> np.ndarray:
         """Replay the compiled trace over ``batch``; returns the logits array.
@@ -372,21 +440,18 @@ class InferenceSession:
                     "recompile with an example of the new dtype)"
                 )
             values[i] = arr
+        if self._pending is not None:
+            self._adopt()
         prev_defer = set_deferral(False) if self._pause_deferral else None
         try:
-            profiler = active_profiler()
-            if profiler is None:
-                for step in self._steps:
-                    step(values)
-            else:
-                # Timing-only instrumentation: the exact same step closures
-                # run in the exact same order, so results stay bit-identical.
-                perf = time.perf_counter
-                with profiler.step("serve"):
-                    for op, step in zip(self._step_ops, self._steps):
-                        start = perf()
-                        step(values)
-                        profiler.record("serve:" + op, perf() - start)
+            try:
+                self._replay(values)
+            except Unbound:
+                # Every step rewrites its whole output, so the numpy steps
+                # simply start over on the same inputs.
+                self._serve_numpy("unplannable")
+                count_fallback("unplannable")
+                self._replay(values)
             result = self._get_output(values)
         finally:
             if prev_defer is not None:
@@ -399,6 +464,77 @@ class InferenceSession:
         return result
 
     __call__ = run
+
+    def _replay(self, values) -> None:
+        profiler = active_profiler()
+        if profiler is None:
+            for step in self._steps:
+                step(values)
+        else:
+            # Timing-only instrumentation: the exact same step closures
+            # run in the exact same order, so results stay bit-identical.
+            perf = time.perf_counter
+            with profiler.step("serve"):
+                for (ops, _, _), step in zip(self._rows, self._steps):
+                    start = perf()
+                    step(values)
+                    profiler.record("serve:" + "+".join(ops), perf() - start)
+
+    # ------------------------------------------------------------------ #
+    # Compiled stages: planned at construction, adopted when they exist
+    # ------------------------------------------------------------------ #
+    def _plan_stages(self, nodes, slot_of, gemm_stages: bool) -> None:
+        """Plan the compiled arm and ask for its kernels — without ever
+        waiting for a compiler: a session serves on its numpy steps until
+        its owner thread finds the kernels ready at the top of a ``run``."""
+        self._plan = None
+        #: Compiles in flight (``None``: nothing to adopt — the one test
+        #: ``run`` pays per call).
+        self._pending: Optional[list] = None
+        reason = None
+        if not _is_builtin_backend(self._be):
+            reason = "unplannable"
+        elif not codegen_enabled():
+            reason = "disabled"
+            count_fallback(reason)
+        else:
+            from repro.serve.stages import SessionPlan  # deferred: only compiling sessions pay
+
+            self._plan = SessionPlan(self, nodes, slot_of, gemm_stages) or None
+            reason = "pending" if self._plan else "unplannable"
+        self._serve_numpy(reason)
+        if self._plan is not None:
+            self._adopt()
+            if self._pending is None and self._reason is not None:
+                count_fallback(self._reason)  # a failure the memo remembered
+
+    def _numpy_rows(self, reason: Optional[str]) -> list:
+        """:meth:`explain` rows of the numpy steps; ``reason`` is why the
+        steps the plan covers are not compiled."""
+        covered = self._plan.covered if self._plan is not None else None
+        return [
+            ((op,), "generic" if getattr(step, "generic", False) else "numpy",
+             reason if covered is None or j in covered else "unplannable")
+            for j, (op, step) in enumerate(zip(self._node_ops, self._numpy_steps))
+        ]
+
+    def _serve_numpy(self, reason: Optional[str]) -> None:
+        self._steps = self._numpy_steps
+        #: Why the planned steps are not compiled (``None``: they are).
+        self._reason = reason
+        self._rows = self._numpy_rows(reason)
+
+    def _adopt(self) -> None:
+        """Swap in the steps of the kernels that have landed (owner thread
+        only: the session is not thread-safe, so nothing else may touch
+        ``_steps``)."""
+        if not all(p.event.is_set() for p in self._pending or ()):
+            return
+        # Asking again finds the memo; a forked worker, whose inherited
+        # compiles were dropped, queues its own.
+        self._pending = self._plan.request() or None
+        if self._pending is None:
+            self._steps, self._rows, self._reason = self._plan.steps(self)
 
     def _run_eager_tail(self, arrays: List[np.ndarray]) -> np.ndarray:
         """Eager ``no_grad`` forward for an odd-sized chunk (serve_batches).
@@ -447,7 +583,7 @@ class InferenceSession:
             return lambda values, _s=slot: values[_s]
         return lambda values, _t=tensor: _t.data
 
-    def _emit(self, node: ir.GraphNode, slot_of: Dict[int, int]):
+    def _emit(self, index: int, node: ir.GraphNode, slot_of: Dict[int, int]):
         """Compile one node into a step closure.
 
         On the built-in backends, hot ops get specialized in-place emitters
@@ -463,13 +599,18 @@ class InferenceSession:
         example = node.out.data
         be = self._be
 
+        def own() -> np.ndarray:
+            """This step's pre-allocated output buffer."""
+            buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
+            return buf
+
         if not _is_builtin_backend(be) and op not in ("reshape", "transpose"):
             # Structural ops are backend-independent by the ArrayBackend
             # contract; everything numerical must go through the backend.
             return self._emit_generic(node, getters, out_slot)
 
         if op in ("linear", "linear_relu") and node.inputs[0].data.ndim == 2:
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             gx, gw = getters[0], getters[1]
             gb = getters[2] if len(getters) == 3 else None
             relu = op == "linear_relu"
@@ -485,7 +626,7 @@ class InferenceSession:
             return step
 
         if op == "relu":
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             gx = getters[0]
 
             def step(values):
@@ -496,7 +637,7 @@ class InferenceSession:
 
         if op in ("add", "mul", "div"):
             ufunc = {"add": np.add, "mul": np.multiply, "div": np.divide}[op]
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             ga, gb2 = getters[0], getters[1]
 
             def step(values, _u=ufunc):
@@ -506,7 +647,7 @@ class InferenceSession:
             return step
 
         if op == "neg":
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             gx = getters[0]
 
             def step(values):
@@ -516,7 +657,7 @@ class InferenceSession:
             return step
 
         if op == "add_relu":
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             ga, gb2 = getters[0], getters[1]
 
             def step(values):
@@ -527,7 +668,7 @@ class InferenceSession:
             return step
 
         if op == "mul_add" and attrs["p_shape"] == example.shape:
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             ga, gb2, gc = getters
 
             def step(values):
@@ -538,9 +679,8 @@ class InferenceSession:
             return step
 
         if op == "region":
-            # One codegen'd kernel for the whole extracted elementwise
-            # region (compiled C when available, the bit-equal numpy
-            # interpreter otherwise), writing into a pre-allocated buffer.
+            # One step for the whole extracted region, writing into a
+            # pre-allocated buffer.
             # The fusion plan cache is structure-keyed, so the recorded
             # RegionIR may carry the shapes of an earlier, differently-sized
             # trace; respecialize to this trace's live shapes before
@@ -549,23 +689,19 @@ class InferenceSession:
             shapes = [t.data.shape for t in node.inputs]
             if [inp.shape for inp in region.inputs if inp.const is None] != shapes:
                 region = region.respecialize(shapes)
-            # Bucket kernels are shape-stable by construction (one compiled
-            # plan per padded batch size), so ask the backend for a
-            # shape-specialized kernel: constant loop bounds and literal
-            # strides instead of runtime dims.  Backends whose
-            # ``compile_region`` predates the keyword get the positional
-            # call (same values, dynamic bounds).
-            try:
-                kern = be.compile_region(region, specialize=True)
-            except TypeError:
-                kern = be.compile_region(region)
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
 
-            def step(values):
-                kern([g(values) for g in getters], out=buf)
-                values[out_slot] = buf
+            def region_step(kern):
+                def step(values):
+                    kern([g(values) for g in getters], out=buf)
+                    values[out_slot] = buf
 
-            return step
+                return step
+
+            # The numpy arm is the region's interpreter; a native kernel
+            # takes the step over once it exists (never waited for).
+            self._region_steps[index] = (region, region_step)
+            return region_step(region.interpret)
 
         if op in ("batch_norm", "batch_norm_relu") and not attrs["use_batch_stats"]:
             # Eval-mode statistics are constants of the trace: fold the
@@ -580,7 +716,7 @@ class InferenceSession:
                 else None
             )
             relu = op == "batch_norm_relu"
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
             gx = getters[0]
 
             def step(values):
@@ -622,7 +758,7 @@ class InferenceSession:
 
         if op == "concat":
             axis = attrs["axis"]
-            buf = np.empty(example.shape, example.dtype)
+            buf = own()
 
             def step(values):
                 np.concatenate([g(values) for g in getters], axis=axis, out=buf)
@@ -643,6 +779,7 @@ class InferenceSession:
                 node, be, tuple(g(values) for g in getters)
             )
 
+        step.generic = True  # explain(): replayed by the IR evaluator
         return step
 
     def _window_source(self, node, slot_of, gx, footprint, ph, pw, fill):
@@ -710,7 +847,8 @@ class InferenceSession:
         slots = F._patch_slots(cols, n, c, oh, ow)
         gemm_out = np.empty((oc, n * oh * ow), example.dtype)
         gemm_nchw = gemm_out.reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
-        buf = np.empty(example.shape, example.dtype)
+        buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
+        self._conv_ws[out_slot] = (cols, gemm_out)
 
         def step(values):
             for slot, window in zip(slots, source(values)):
@@ -729,7 +867,7 @@ class InferenceSession:
         propagates, ties keep the earlier element) into a pre-allocated output."""
         footprint, (ph, pw) = attrs["kernel_size"] + attrs["stride"], attrs["padding"]
         source = self._window_source(node, slot_of, getters[0], footprint, ph, pw, -np.inf)
-        buf = np.empty(example.shape, example.dtype)
+        buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
 
         def step(values):
             values[out_slot] = F._max_over(source(values), buf)

@@ -29,6 +29,25 @@ except ImportError:
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _suite_kernel_cache(tmp_path_factory):
+    """One kernel cache for the whole run (unless the caller named one).
+
+    Sessions never wait for the compiler: a session whose kernels are in
+    neither the memo nor the cache serves on its numpy steps until they are.
+    With one cache per run, only the first session of each structure starts
+    that way; every later one — worker processes included — adopts its
+    compiled stages at construction, so the whole serving suite exercises
+    the compiled arm.  It also keeps the suite out of ``~/.cache``.
+    """
+    if "REPRO_KERNEL_CACHE" in os.environ:
+        yield
+        return
+    os.environ["REPRO_KERNEL_CACHE"] = str(tmp_path_factory.mktemp("kernels"))
+    yield
+    del os.environ["REPRO_KERNEL_CACHE"]
+
+
 if not _HAVE_PYTEST_TIMEOUT and _TIMEOUT > 0:
 
     @pytest.hookimpl(hookwrapper=True)
@@ -41,3 +60,17 @@ if not _HAVE_PYTEST_TIMEOUT and _TIMEOUT > 0:
             yield
         finally:
             faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def _no_compile_outlives_its_test():
+    """Compiles run off the request path, on a thread the next test would
+    share the process with: a test that reads process-wide counters (page
+    faults, threads, ``codegen_stats()``) must not see the previous test's
+    compiler at work."""
+    yield
+    from repro.codegen import jit
+
+    for value in list(jit._MEMO.values()):
+        if isinstance(value, jit.Pending):
+            value.event.wait(120)

@@ -73,6 +73,9 @@ def test_supervision_policy_validation_and_backoff():
     assert policy.restart_delay(1) == pytest.approx(0.01)
     assert policy.restart_delay(2) == pytest.approx(0.02)
     assert policy.restart_delay(5) == pytest.approx(0.04)  # capped
+    # A process that stays dead is counted every sweep; the 1 025th count
+    # used to raise OverflowError on the watchdog thread.
+    assert policy.restart_delay(5000) == pytest.approx(0.04)
     with pytest.raises(ValueError, match="watchdog_interval"):
         SupervisionPolicy(watchdog_interval=0.0)
     with pytest.raises(ValueError, match="stuck_timeout"):
