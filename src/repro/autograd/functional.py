@@ -36,6 +36,15 @@ input and routes each window's gradient to the **first** maximal element in
 row-major window order (``+0.0`` and ``-0.0`` tie) — a window holding a NaN
 outputs NaN and routes to its first NaN.
 
+Under a tape, ``conv2d`` / ``max_pool2d`` / ``batch_norm`` (and
+``Tensor.relu``) run compiled loop stages around the same GEMMs and
+reductions once :mod:`repro.autograd.kernels` has adopted them for their
+geometry — the same bytes, so the bodies here stay the reference and what
+runs until then.  A compiled window node retains the same arrays with one
+difference: ``max_pool2d`` keeps its *input* (no padded copy, no slice
+views) and its output; should its numpy backward have to run after all, it
+lowers the input then.
+
 Layouts follow the PyTorch convention: images are NCHW, convolution weights
 are ``(out_channels, in_channels, kh, kw)``, classification logits are
 ``(batch, classes)``.
@@ -49,7 +58,7 @@ import numpy as np
 
 from repro.backend import default_rng, get_backend
 from repro.autograd import ir
-from repro.autograd.tensor import Tensor, _owned_copy
+from repro.autograd.tensor import Tensor, _get_kernels, _owned_copy, _taping
 
 __all__ = [
     "im2col",
@@ -354,9 +363,17 @@ def conv2d(
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, _, h, w = xd.shape
-    _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
+    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
+    bd = None if b_t is None else b_t.data
 
-    out, cols = _conv2d_forward(be, xd, wd, None if b_t is None else b_t.data, sh, sw, ph, pw)
+    # The compiled arm (repro.autograd.kernels) exists only under a tape.
+    arm = None
+    if _taping(x_t, w_t, b_t):
+        arm = _get_kernels().arm(
+            "conv2d", be, xd.dtype, n, in_c, h, w, kh, kw, sh, sw, ph, pw, out_c, bd is not None
+        )
+    forward = arm and arm.forward(be, np.asarray(xd), wd, bd, oh, ow)
+    out, cols = forward or _conv2d_forward(be, xd, wd, bd, sh, sw, ph, pw)
     if not w_t.requires_grad:
         cols = None  # only the weight gradient reads it: do not pin it for a frozen filter
 
@@ -368,17 +385,22 @@ def conv2d(
             if b_t is not None and b_t.requires_grad:
                 b_t._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
             # (O, N*OH*OW): the layout the forward GEMM produced.
-            g_t = _owned_copy(be, g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+            g_t = arm and arm.transpose(be, g, out.shape)
+            if g_t is None:
+                g_t = _owned_copy(be, g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
             if w_t.requires_grad:
                 # Contract over N*OH*OW against the forward's patch matrix.
                 dw = be.matmul(cols, g_t.T)  # (C*kh*kw, O)
                 w_t._accumulate_fresh(_owned_copy(be, dw.T).reshape(wd.shape))
             if x_t.requires_grad:
                 dcols = be.matmul(wd.reshape(out_c, -1).T, g_t)
-                dxp = _patch_matrix_adjoint(
-                    be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
-                )
-                x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
+                dx = arm and arm.scatter(be, dcols, (n, in_c, h, w))
+                if dx is None:
+                    dxp = _patch_matrix_adjoint(
+                        be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
+                    )
+                    dx = _unpad_hw(be, dxp, ph, pw)
+                x_t._accumulate_fresh(dx)
 
         return _backward
 
@@ -408,15 +430,30 @@ def max_pool2d(
     xd = x_t.data
     _check_pool("max_pool2d", xd, kh, kw, ph, pw)
     n, c, h, w = xd.shape
-    _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
+    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
 
-    out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
+    arm = None
+    if _taping(x_t):
+        xd = np.asarray(xd)
+        arm = _get_kernels().arm("max_pool2d", be, xd.dtype, n, c, h, w, kh, kw, sh, sw, ph, pw)
+    out = arm and arm.forward(be, xd, oh, ow)
+    if out is None:
+        out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
+    else:
+        windows = None  # the numpy backward lowers the input itself, should it run
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
             if not x_t.requires_grad:
                 return
             g = out_t.grad
+            dx = arm and arm.backward(be, xd, out, g)
+            if dx is not None:
+                x_t._accumulate_fresh(dx)
+                return
+            nonlocal windows
+            if windows is None:
+                windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
             dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
             dwindows = _window_slices(dxp, kh, kw, sh, sw)
             # First-winner masks: a window is ``pending`` until one of its
@@ -543,10 +580,18 @@ def batch_norm(
             "use eval mode or a larger batch"
         )
 
+    arm = None
+    if _taping(x_t, w_t, b_t):
+        xd = np.asarray(xd)
+        arm = _get_kernels().arm(
+            "batch_norm", be, xd.dtype, len(xd), c, m // max(len(xd), 1), w_t is not None, b_t is not None
+        )
     use_batch_stats = training or running_mean is None or running_var is None
     if use_batch_stats:
         mean = be.mean(xd, axis=axes)
-        var = be.var(xd, axis=axes)
+        var = arm and arm.var(be, xd, mean, axes)
+        if var is None:
+            var = be.var(xd, axis=axes)
     else:
         mean = np.asarray(running_mean, dtype=xd.dtype)
         var = np.asarray(running_var, dtype=xd.dtype)
@@ -561,14 +606,10 @@ def batch_norm(
         running_var += momentum * unbiased.astype(running_var.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat, out = be.bn_normalize(
-        xd,
-        mean,
-        inv_std,
-        w_t.data if w_t is not None else None,
-        b_t.data if b_t is not None else None,
-        bshape,
-    )
+    gamma = w_t.data if w_t is not None else None
+    beta = b_t.data if b_t is not None else None
+    normalized = arm and arm.normalize(be, xd, mean, inv_std, gamma, beta)
+    xhat, out = normalized or be.bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
 
     parents = tuple(t for t in (x_t, w_t, b_t) if t is not None)
 
@@ -623,6 +664,19 @@ def batch_norm_backward(
     """
     if b_t is not None and b_t.requires_grad:
         b_t._accumulate_fresh(be.sum(g, axis=axes))
+    if x_t.requires_grad and use_batch_stats:  # the compiled arm: elementwise passes in C
+        gamma = None if w_t is None else w_t.data
+        n, c = xhat.shape[:2]
+        arm = _get_kernels().arm(
+            "batch_norm", be, xhat.dtype, n, c, xhat.size // max(n * c, 1),
+            gamma is not None, b_t is not None, ask=False,
+        )
+        grads = arm and arm.backward(be, g, xhat, inv_std, gamma, axes)
+        if grads is not None:
+            if gamma is not None and w_t.requires_grad:
+                w_t._accumulate_fresh(be.sum(grads[0], axis=axes))
+            x_t._accumulate_fresh(grads[1])
+            return
     if w_t is not None and w_t.requires_grad:
         w_t._accumulate_fresh(be.sum(be.multiply(g, xhat), axis=axes))
     if not x_t.requires_grad:

@@ -1,0 +1,350 @@
+"""The compiled arm of the tape's image-sized kernels.
+
+A train step is mostly numpy passes over activations: strided footprint
+loops with inner runs of 8-16 elements, batch-norm and relu chains that
+stream every activation a dozen times.  ``conv2d`` / ``max_pool2d`` /
+``batch_norm`` / ``relu`` therefore ask here — **only where a backward thunk
+is being built or run** — for C loop stages of their shape: described as a
+``("stages", ...)`` signature, rendered by :mod:`repro.codegen.cstage`,
+built by :mod:`repro.codegen.jit`'s compile thread.  :func:`arm` never waits
+for a compiler; until a library is adopted, when codegen is off, and for
+whatever the stages do not cover, it returns ``None`` and the caller runs
+its numpy body, which stays the reference.  A process that never records a
+tape (serving, ``no_grad`` inference) never imports this module.
+
+What is compiled: the window gather / scatter-add and the GEMM epilogue of
+``conv2d`` and its gradient transpose; max-pool's running maximum and its
+first-winner gradient routing; the elementwise passes of train-mode
+``batch_norm`` (squared deviations, ``xhat`` and the output in one pass, the
+three products of the backward, its final combination) and relu's value +
+mask and masked gradient.  Every GEMM and every reduction between them is
+the numpy call it was, on materialised arrays, so no summation is
+reordered, and each stage applies numpy's operations in numpy's order to
+every element (:mod:`repro.codegen.cstage`): both arms produce **the same
+bytes**, and a run may switch between them at any step.
+
+**The NaN rule.**  *Which* elements are NaN is identical on both arms; the
+sign and payload of a NaN produced from two NaN operands is unspecified
+(x86 keeps the first operand's and C may commute ``a + b``).
+
+An operand the stages cannot take — wrong dtype, read-only, strided,
+misaligned — sends that call to the numpy body; like every reason an op
+geometry stays on numpy (``backend``, ``dtype``, ``geometry``, ``layout``,
+``disabled``, or a failed build counted where it failed) it is counted once
+per signature under ``repro_codegen_fallback_total{reason}``.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.autograd.functional import _out_hw
+from repro.backend.fused import FusedNumpyBackend
+from repro.backend.lazy import LazyBackend
+from repro.backend.numpy_backend import NumpyBackend
+from repro.codegen import jit
+from repro.codegen.crender import _CTYPE
+from repro.obs import profile as _profile
+
+__all__ = ["arm"]
+
+#: ``serve.session._is_builtin_backend``'s rule: any other backend may
+#: compute these ops differently, and gets its own methods.
+_BUILTIN = (NumpyBackend, FusedNumpyBackend, LazyBackend)
+
+#: The most bytes one stage may keep on the C stack (a padded plane).
+_STACK = 256 * 1024
+
+#: key -> :class:`Arm` | ``None`` (numpy, for good) | ``(Pending, signature)``,
+#: the pending ``None`` between a geometry's first sight and its second.
+_ARMS: dict = {}
+_ASK = object()
+_COUNTED: set = set()
+_perf = time.perf_counter
+
+
+def _numpy(key: tuple, reason: str) -> None:
+    """The numpy body runs; ``reason`` is counted once per signature."""
+    if (key, reason) not in _COUNTED:
+        _COUNTED.add((key, reason))
+        jit.count_fallback(reason)
+
+
+class Arm:
+    """The loaded stages of one op geometry (``key``: op, dtype, geometry).
+
+    A subclass per op: ``stages`` describes them to ``cstage`` (every extent
+    but the batch a literal; a ``str`` instead names why numpy keeps this
+    geometry) and the methods are the compiled bodies.  Each mirrors a numpy
+    body of ``autograd.functional`` / ``NumpyBackend`` / ``Tensor.relu``
+    buffer for buffer — results come from ``be.empty`` — and returns
+    ``None`` when that body has to run instead.
+    """
+
+    __slots__ = ("key", "library")
+    rows: tuple = ()  # the stages' profiler rows
+
+    def __init__(self, key: tuple, library) -> None:
+        self.key = key
+        self.library = library
+
+    def run(self, k: int, n: int, *arrays) -> bool:
+        """Stage ``k`` over ``arrays`` (the first one of the arm's dtype);
+        ``False``, counted as ``layout``, if one cannot be bound."""
+        profiler = _profile._ACTIVE
+        if profiler is None:
+            ran = self.library.run(k, n, *arrays)
+        else:
+            start = _perf()
+            ran = self.library.run(k, n, *arrays)
+            profiler.record_inner(self.rows[k], _perf() - start)
+        if not ran:
+            _numpy(self.key, "layout")
+        return ran
+
+    def takes(self, *arrays) -> bool:
+        """Whether every array has the arm's dtype (else ``dtype`` is counted)."""
+        dtype = self.key[1]
+        for array in arrays:
+            if array.dtype != dtype:
+                _numpy(self.key, "dtype")
+                return False
+        return True
+
+
+def arm(op: str, be, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
+    """The compiled arm of ``op`` at this dtype and geometry over ``n``
+    leading items, or ``None``: run the numpy body.  Never waits.
+
+    A geometry's first sight adopts what the kernel cache already holds and
+    builds nothing; the compile thread is asked at the second — a shape that
+    is recorded once (a gradient check, a test) costs no compiler run, and a
+    training run's first step only looks.  ``ask=False`` (a backward whose
+    forward did the asking) neither counts as a sight nor asks."""
+    if not n:
+        return None
+    key = (op, dtype) + geometry
+    # What an adopted arm costs per call is the budget of a small batch: the
+    # scoped override is one attribute read, ``REPRO_CODEGEN`` (a microsecond
+    # of ``os.environ``) is read while asking — as sessions and region
+    # kernels read it when they compile, not when they run.
+    if jit._OVERRIDE is False:
+        return _numpy(key, "disabled")
+    if be.__class__ not in _BUILTIN:
+        return _numpy(key, "backend")
+    found = _ARMS.get(key, _ASK)
+    if found is not _ASK and found.__class__ is not tuple:
+        return found  # adopted, or numpy for good
+    if not ask:
+        return None
+    if not jit.codegen_enabled():
+        return _numpy(key, "disabled")
+    if found is _ASK:
+        native = dtype.name in _CTYPE and dtype.isnative  # what ``cstage`` renders
+        stages = _OPS[op].stages(dtype.name, *geometry) if native else "dtype"
+        if isinstance(stages, str):
+            _ARMS[key] = None
+            return _numpy(key, stages)
+        signature = ("stages", stages)
+        if not jit._has_disk_candidate(signature):
+            _ARMS[key] = (None, signature)
+            return None
+    else:
+        pending, signature = found
+        if pending is not None and not pending.event.is_set():
+            return None
+    resolved = jit.resolve(signature, wait=False)
+    if isinstance(resolved, jit.Pending):
+        _ARMS[key] = (resolved, signature)
+        return None
+    if isinstance(resolved, str):  # counted by the compile thread
+        _ARMS[key] = None
+        return None
+    found = _ARMS[key] = _OPS[op](key, resolved[0])
+    return found
+
+
+class Conv2d(Arm):
+    __slots__ = ()
+    rows = ("conv2d.gather[c]", "conv2d.epilogue[c]", "conv2d.transpose[c]", "conv2d.scatter[c]")
+
+    @staticmethod
+    def stages(dtype, c, h, w, kh, kw, sh, sw, ph, pw, out_c, bias):
+        if (ph or pw) and (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
+            return "geometry"
+        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+        size, geometry = oh * ow, (c, h, w, kh, kw, sh, sw, ph, pw)
+        # The GEMM's (O, n*OH*OW) output read in NCHW order, plus the bias.
+        gemm = (0, (size, ("n", size), ow, 1))
+        inputs, ops = ((gemm, (1, (0, 1, 0, 0))), (("add", (0, 1)),)) if bias else ((gemm,), ())
+        return (
+            ("gather", dtype, 0, 1) + geometry,
+            ("map", dtype, (out_c, oh, ow), inputs, ops, None, 1 + bias, out_c * size, 0),
+            ("transpose", dtype, 0, 1, out_c, size),
+            ("scatter", dtype, 0, 1) + geometry,
+        )
+
+    def forward(self, be, xd, wd, bd, oh: int, ow: int):
+        """``functional._conv2d_forward``: ``(out, patch matrix)``."""
+        if not (self.takes(wd) if bd is None else self.takes(wd, bd)):
+            return None
+        n, out_c = len(xd), len(wd)
+        cols = be.empty((wd.size // out_c, n * oh * ow), xd.dtype)
+        if not self.run(0, n, xd, cols):
+            return None
+        gemm = be.matmul(wd.reshape(out_c, -1), cols)
+        out = be.empty((n, out_c, oh, ow), xd.dtype)
+        ran = self.run(1, n, gemm, out) if bd is None else self.run(1, n, gemm, bd, out)
+        return (out, cols) if ran else None
+
+    def transpose(self, be, g, shape: tuple):
+        """The ``(N, O, OH, OW)`` gradient of an output of ``shape`` as the
+        ``(O, N*OH*OW)`` matrix the forward GEMM produced."""
+        if g.shape != shape or not self.takes(g):
+            return None
+        g_t = be.empty((shape[1], g.size // shape[1]), g.dtype)
+        return g_t if self.run(2, shape[0], g, g_t) else None
+
+    def scatter(self, be, dcols, shape: tuple):
+        """``_patch_matrix_adjoint`` + ``_unpad_hw``: the input gradient."""
+        if not self.takes(dcols):
+            return None
+        dx = be.empty(shape, dcols.dtype)
+        return dx if self.run(3, shape[0], dcols, dx) else None
+
+
+class MaxPool2d(Arm):
+    __slots__ = ()
+    rows = ("max_pool2d.max[c]", "max_pool2d.route[c]")
+
+    @staticmethod
+    def stages(dtype, c, h, w, kh, kw, sh, sw, ph, pw):
+        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+        if oh * ow + bool(ph or pw) * (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
+            return "geometry"
+        image, pool = (0, (c * h * w, h * w, w, 1)), (kh, kw, sh, sw, ph, pw)
+        return (
+            ("map", dtype, (c, h, w), (image,), (), pool, 1, c * oh * ow, 0),
+            ("route", dtype, 0, 1, 2, 3, c, h, w) + pool,
+        )
+
+    def forward(self, be, xd, oh: int, ow: int):
+        out = be.empty(xd.shape[:2] + (oh, ow), xd.dtype)
+        return out if self.run(0, len(xd), xd, out) else None
+
+    def backward(self, be, xd, out, g):
+        if g.shape != out.shape or not self.takes(xd, g):
+            return None
+        dx = be.empty(xd.shape, xd.dtype)
+        return dx if self.run(1, len(xd), xd, out, g, dx) else None
+
+
+class BatchNorm(Arm):
+    __slots__ = ()
+    rows = ("batch_norm.var[c]", "batch_norm.normalize[c]", "batch_norm.bwd1[c]", "batch_norm.bwd2[c]")
+
+    @staticmethod
+    def stages(dtype, c, size, gamma, beta):
+        x, channel = (c * size, size, 1), (0, 1, 0)
+
+        def stage(inputs, ops, dst):
+            return ("map", dtype, (c, size), inputs, ops, None, dst, c * size, 0)
+
+        var = stage(((0, x), (1, channel)), (("sub", (0, 1)), ("mul", (2, 2))), 2)
+        # (x - mean) * inv_std [* gamma] [+ beta]: xhat and the output, one pass.
+        k = 3 + gamma + beta
+        ops = [("sub", (0, 1)), ("mul", (k, 2))]
+        if gamma:
+            ops.append(("mul", (k + 1, 3)))
+        if beta:
+            ops.append(("add", (k + len(ops) - 1, 3 + gamma)))
+        normalize = stage(
+            tuple((i, channel if i else x) for i in range(k)),
+            tuple(ops),
+            ((k, k + 1, None), (k + 1, k + len(ops) - 1, None)),
+        )
+        if gamma:  # g * xhat, dxhat = g * gamma, dxhat * xhat
+            products = (("mul", (0, 1)), ("mul", (0, 2)), ("mul", (4, 1)))
+            outs = ((3, 3, None), (4, 4, None), (5, 5, None))
+            bwd1 = stage(((0, x), (1, x), (2, channel)), products, outs)
+        else:
+            bwd1 = stage(((0, x), (1, x)), (("mul", (0, 1)),), 2)
+        # ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) * inv_std
+        combine = (("mul", (1, 3)), ("sub", (0, 2)), ("sub", (6, 5)), ("mul", (7, 4)))
+        bwd2 = stage(((0, x), (1, x), (2, channel), (3, channel), (4, channel)), combine, 5)
+        return var, normalize, bwd1, bwd2
+
+    def var(self, be, xd, mean, axes):
+        """``NumpyBackend.var``, given the mean it starts from (``xd.mean``
+        and ``xd.var`` compute it with the same two calls)."""
+        dev = be.empty(xd.shape, xd.dtype)
+        if not self.run(0, len(xd), xd, mean, dev):
+            return None
+        var = np.add.reduce(dev, axis=axes)
+        return np.true_divide(var, np.intp(xd.size // len(var)), out=var, casting="unsafe")
+
+    def normalize(self, be, xd, mean, inv_std, gamma, beta):
+        """``NumpyBackend.bn_normalize``: ``(xhat, out)``."""
+        operands = [xd, mean, inv_std] + [p for p in (gamma, beta) if p is not None]
+        if mean.shape != inv_std.shape or mean.shape != (xd.shape[1],):
+            return None
+        if not self.takes(*operands):
+            return None
+        xhat, out = be.empty(xd.shape, xd.dtype), be.empty(xd.shape, xd.dtype)
+        return (xhat, out) if self.run(1, len(xd), *operands, xhat, out) else None
+
+    def backward(self, be, g, xhat, inv_std, gamma, axes) -> Optional[Tuple]:
+        """``(g * xhat, dx)`` of a batch-statistics node (the first ``None``
+        without a gamma): ``functional.batch_norm_backward``'s products and
+        ``NumpyBackend.bn_input_grad`` around numpy's own reductions."""
+        affine = () if gamma is None else (gamma,)
+        if g.shape != xhat.shape or any(p.shape != xhat.shape[1:2] for p in (inv_std, *affine)):
+            return None
+        if not self.takes(g, xhat, inv_std, *affine):
+            return None
+        n, shape, dtype = len(g), g.shape, g.dtype
+        t = be.empty(shape, dtype)
+        if gamma is None:
+            gx, dxhat = None, g
+            ran = self.run(2, n, g, xhat, t)
+        else:
+            gx, dxhat = be.empty(shape, dtype), be.empty(shape, dtype)
+            ran = self.run(2, n, g, xhat, gamma, gx, dxhat, t)
+        if not ran:
+            return None
+        dx = be.empty(shape, dtype)
+        means = dxhat.mean(axis=axes), t.mean(axis=axes)
+        return (gx, dx) if self.run(3, n, dxhat, xhat, *means, inv_std, dx) else None
+
+
+class Relu(Arm):
+    """Flat: one library per dtype, ``n`` the element count."""
+
+    __slots__ = ()
+    rows = ("relu.forward[c]", "relu.backward[c]")
+
+    @staticmethod
+    def stages(dtype):
+        flat, mask = (1,), "unsigned char"  # numpy's bool
+        outs = ((1, 1, None), (2, 2, mask))
+        return (
+            ("map", dtype, (), ((0, flat),), (("relu", (0,)), ("pos", (0,))), None, outs, 1, 0),
+            ("map", dtype, (), ((0, flat), (1, flat, mask)), (("mul", (0, 1)),), None, 2, 1, 0),
+        )
+
+    def forward(self, be, data):
+        """``(np.maximum(data, 0), data > 0)`` in one pass."""
+        out, mask = be.empty(data.shape, data.dtype), be.empty(data.shape, bool)
+        return (out, mask) if self.run(0, data.size, data, out, mask) else None
+
+    def backward(self, be, g, mask):
+        if g.shape != mask.shape or not self.takes(g):
+            return None
+        dx = be.empty(g.shape, g.dtype)
+        return dx if self.run(1, g.size, g, mask, dx) else None
+
+
+_OPS = {"conv2d": Conv2d, "max_pool2d": MaxPool2d, "batch_norm": BatchNorm, "relu": Relu}

@@ -204,6 +204,31 @@ def _get_profile():
     return _profile_module
 
 
+_kernels_module = None
+
+
+def _get_kernels():
+    """Lazy import of :mod:`repro.autograd.kernels`, the compiled arm of the
+    image-sized kernels: loaded by the first op that records a backward
+    thunk, never by a process that only serves."""
+    global _kernels_module
+    if _kernels_module is None:
+        from repro.autograd import kernels
+
+        _kernels_module = kernels
+    return _kernels_module
+
+
+def _taping(*parents) -> bool:
+    """Whether an op over ``parents`` (``None`` entries skipped) gets a
+    backward thunk — :meth:`Tensor._make`'s rule."""
+    if _GRAD_ENABLED:
+        for parent in parents:
+            if parent is not None and parent.requires_grad:
+                return True
+    return False
+
+
 def _unwrap_index(index):
     """Unwrap :class:`Tensor` indices (also inside tuples) to their arrays.
 
@@ -638,25 +663,31 @@ class Tensor:
         # The mask is a gradient-only artifact: computing it in inference
         # would both waste a full-size compare and force a lazy-backend
         # chain mid-region, so it exists only when a backward will.
+        arm = result = None
         if _GRAD_ENABLED and self.requires_grad:
             data = np.asarray(self.data)  # a deferred (lazy-backend) chain is forced here
-            mask = np.greater(data, 0, out=be.empty(data.shape, bool))
+            arm = _get_kernels().arm("relu", be, data.dtype, data.size)
+            result = arm and arm.forward(be, data)  # value and mask in one compiled pass
+            if result is None:
+                mask = np.greater(data, 0, out=be.empty(data.shape, bool))
+            else:
+                result, mask = result
             attrs = {"mask": mask}
         else:
             mask = None
             attrs = None
+        if result is None:
+            result = be.relu(self.data)
 
         def make_backward(out: "Tensor") -> Callable[[], None]:
             def _backward() -> None:
                 if self.requires_grad:
-                    self._accumulate_fresh(be.multiply(out.grad, mask))
+                    grad = arm and arm.backward(be, out.grad, mask)
+                    self._accumulate_fresh(be.multiply(out.grad, mask) if grad is None else grad)
 
             return _backward
 
-        return self._make(
-            be.relu(self.data), (self,), "relu", make_backward,
-            attrs=attrs, be=be,
-        )
+        return self._make(result, (self,), "relu", make_backward, attrs=attrs, be=be)
 
     def sigmoid(self) -> "Tensor":
         be = get_backend()
@@ -982,7 +1013,8 @@ class Tensor:
                         if backward_fn is not None:
                             start = perf()
                             backward_fn()
-                            profiler.record("backward:" + node.op, perf() - start)
+                            elapsed = perf() - start  # compiled stages have rows of their own
+                            profiler.record("backward:" + node.op, elapsed - profiler.take_inner())
                         if not retain_graph:
                             _free_node(node)
         finally:

@@ -15,6 +15,7 @@ from repro.codegen.jit import (
     ingest_worker_codegen_stats,
     kernel_cache_dir,
     using_codegen,
+    wait_for_compiles,
 )
 from repro.codegen.region import (
     REGION_OPS,
@@ -37,4 +38,5 @@ __all__ = [
     "ingest_worker_codegen_stats",
     "kernel_cache_dir",
     "using_codegen",
+    "wait_for_compiles",
 ]

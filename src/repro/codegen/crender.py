@@ -123,6 +123,8 @@ def _op_expr(op: str, srcs, val, zero: str) -> str:
         return f"-{a}"
     if op == "relu":
         return f"({a} > {zero} || isnan({a})) ? {a} : {zero}"
+    if op == "pos":  # relu's gradient mask, ``np.greater(x, 0)`` (stages only)
+        return f"{a} > {zero}"
     b = val[srcs[1]]
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
     return f"{a} {sym} {b}"

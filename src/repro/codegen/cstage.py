@@ -1,18 +1,21 @@
-"""Render a session's compiled loop stages to one C translation unit.
+"""Render compiled loop stages to one C translation unit.
 
 :mod:`repro.serve.session` plans the work that surrounds a trace's GEMMs
-into *stages* and describes them as one hashable signature::
+into *stages*, :mod:`repro.autograd.kernels` does so for the tape's
+image-sized kernels, forward and backward; either describes them as one
+hashable signature::
 
     ("stages", (stage, stage, ...))
 
 Every stage renders as ``void <name>_<k>(void **tab, i64 n)``: ``tab`` is
-the session's pointer table (one entry per buffer, parameter or operand,
-bound by the session) and ``n`` the leading extent of the stage's arrays —
-the batch.  ``n`` is the only runtime bound; every other extent and stride
-is a literal, so one translation unit serves every bucket of a
-``SessionPool`` and ``-O3`` still sees fixed-size inner loops.
+the caller's pointer table (one entry per buffer, parameter or operand) and
+``n`` the leading extent of the stage's arrays — the batch.  ``n`` is the
+only runtime bound; every other extent and stride is a literal, so one
+translation unit serves every bucket of a ``SessionPool`` and every batch
+of a training run, and ``-O3`` still sees fixed-size inner loops (the same
+loops with runtime extents measured *slower* than numpy's).
 
-Two stage kinds:
+The stage kinds (the last three are the train step's):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -31,7 +34,30 @@ Two stage kinds:
     ``ops`` is a :class:`~repro.codegen.region.RegionIR` program over them.
     This is the GEMM epilogue (bias, eval batch-norm, relu, pool, written
     in the layout the next consumer reads) and, with no GEMM in front, an
-    elementwise region.
+    elementwise region.  For the train step an input may carry a third
+    element, its C type (``unsigned char``: a bool mask), and ``dst`` may
+    be a tuple of ``(tab_index, value slot, C type or None)`` — several
+    destinations written in one pass (``xhat`` and the output; relu's value
+    and its mask, the ``pos`` op; batch-norm backward's three products).
+
+``("transpose", dtype, src, dst, c, size)``
+    ``(n, c, size)`` to ``(c, n, size)``: a conv output's gradient as the
+    ``(O, n*OH*OW)`` matrix the forward GEMM produced.  A copy.
+
+``("scatter", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
+    The gather's adjoint, ``functional._patch_matrix_adjoint`` +
+    ``_unpad_hw``: per ``(sample, channel)`` a plane of the padded image is
+    zeroed and the patch matrix's rows are added onto it in footprint order
+    — per element the additions numpy's offset-outer loop makes, in its
+    order, from ``+0.0`` — and the interior lands in the unpadded ``dx``.
+
+``("route", dtype, x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
+    ``max_pool2d``'s backward over the same planes, numpy's two rounds in
+    numpy's order: a window's gradient goes to its first element equal to
+    the output, then — only if some output anywhere is NaN, which is when
+    numpy runs its second round, over every window — to the first NaN of
+    each window still unclaimed; either round adds ``g * hit`` (``g * 0``
+    where nothing is claimed: NaN for an infinite ``g``) for every window.
 
 Bit-equality with the numpy steps rests on the rules
 :mod:`repro.codegen.crender` already enforces: each op is one IEEE-754
@@ -58,10 +84,9 @@ def render_stages(signature: tuple) -> Tuple[str, str]:
     name = kernel_name(signature)
     lines = ["#include <math.h>", "typedef long long i64;", ""]
     for k, stage in enumerate(signature[1]):
-        render = _render_gather if stage[0] == "gather" else _render_map
         lines.append(f"void {name}_{k}(void **tab, i64 n)")
         lines.append("{")
-        lines.extend(render(stage[2:], _CTYPE[stage[1]]))
+        lines.extend(_RENDER[stage[0]](stage[2:], _CTYPE[stage[1]]))
         lines.append("}")
         lines.append("")
     return name, "\n".join(lines)
@@ -120,8 +145,19 @@ def _render_map(stage: tuple, ctype: str) -> List[str]:
     # With a pool the last two logical dims are walked by the footprint
     # loops of the body; the loop nest covers the dims in front of them.
     outer = len(bounds) - (2 if pool else 0)
-    lines = [f"    const {ctype} *in{k} = tab[{idx}];" for k, (idx, _) in enumerate(inputs)]
-    lines.append(f"    {ctype} *dst = tab[{dst}];")
+    types = [operand[2] if len(operand) == 3 else ctype for operand in inputs]
+    inputs = [operand[:2] for operand in inputs]
+    # One destination — a table row, written with the program's last value —
+    # or several ``(row, value slot, C type or None)``.  The operands of
+    # those never alias, and saying so keeps three output streams vectorised.
+    several = isinstance(dst, tuple)
+    outs = [(j, *out) for j, out in enumerate(dst)] if several else [("", dst, None, None)]
+    keyword = "restrict " if several else ""
+    lines = [
+        f"    const {types[k]} *{keyword}in{k} = tab[{idx}];" for k, (idx, _) in enumerate(inputs)
+    ]
+    for j, row, _, kind in outs:
+        lines.append(f"    {kind or ctype} *{keyword}dst{j} = tab[{row}];")
     bases = [f"in{k}" for k in range(len(inputs))]
     # An operand is loaded at the deepest loop level it strides over (a
     # per-channel vector once per channel), so the inner loops carry no
@@ -146,16 +182,19 @@ def _render_map(stage: tuple, ctype: str) -> List[str]:
         for k, (_, strides) in enumerate(inputs):
             if strides[d] != 0:
                 lines.append(
-                    f"{indent}const {ctype} *b{k}_{d} = {bases[k]} + i{d} * {_stride(strides[d])};"
+                    f"{indent}const {types[k]} *b{k}_{d} = {bases[k]} + i{d} * {_stride(strides[d])};"
                 )
                 bases[k] = f"b{k}_{d}"
         if d == 0:
-            lines.append(f"{indent}{ctype} *o = dst + i0 * {dst_stride} + {dst_off};")
+            for j, _, _, kind in outs:
+                lines.append(f"{indent}{kind or ctype} *o{j} = dst{j} + i0 * {dst_stride} + {dst_off};")
         load(d, indent)
     if not pool:
         program, last = _op_lines(ops, len(inputs), indent, ctype, zero)
         lines += program
-        lines.append(f"{indent}*o++ = {last};")
+        for j, _, slot, _ in outs:
+            value = last if slot is None else f"{'v' if slot < len(inputs) else 't'}{slot}"
+            lines.append(f"{indent}*o{j}++ = {value};")
     else:
         lines += _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero)
     for d in range(outer):
@@ -196,3 +235,106 @@ def _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero) ->
         f"{indent}}}",
     ]
     return lines
+
+
+def _render_transpose(stage: tuple, ctype: str) -> List[str]:
+    src, dst, c, size = stage
+    return [
+        f"    const {ctype} *restrict src = tab[{src}];",
+        f"    {ctype} *restrict dst = tab[{dst}];",
+        "    for (i64 b = 0; b < n; ++b)",
+        f"    for (i64 c = 0; c < {c}; ++c)",
+        f"    for (i64 i = 0; i < {size}; ++i)",
+        f"        dst[(c * n + b) * {size} + i] = src[(b * {c} + c) * {size} + i];",
+    ]
+
+
+def _planes(body: List[str], c: int, h: int, w: int, ph: int, pw: int, ctype: str) -> List[str]:
+    """``body`` once per ``(sample b, channel c)``, accumulating into a zeroed
+    ``tile`` of the padded plane, row length ``w + 2*pw``: the plane of
+    ``dx`` itself without padding, else a stack array whose interior is
+    copied out — numpy's zero-filled padded buffer and its ``_unpad_hw``."""
+    hp, wp = h + 2 * ph, w + 2 * pw
+    lines = [
+        "    for (i64 b = 0; b < n; ++b)",
+        f"    for (i64 c = 0; c < {c}; ++c) {{",
+        f"        {ctype} *plane = dx + (b * {c} + c) * {h * w};",
+        f"        {ctype} tile[{hp * wp}];" if ph or pw else f"        {ctype} *tile = plane;",
+        f"        for (i64 i = 0; i < {hp * wp}; ++i) tile[i] = 0;",
+    ]
+    lines += body
+    if ph or pw:
+        lines += [
+            f"        for (i64 y = 0; y < {h}; ++y)",
+            f"        for (i64 x = 0; x < {w}; ++x)",
+            f"            plane[y * {w} + x] = tile[(y + {ph}) * {wp} + x + {pw}];",
+        ]
+    return lines + ["    }"]
+
+
+def _render_scatter(stage: tuple, ctype: str) -> List[str]:
+    src, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
+    oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
+    body = [
+        f"        for (i64 fi = 0; fi < {kh}; ++fi)",
+        f"        for (i64 fj = 0; fj < {kw}; ++fj) {{",
+        f"            const {ctype} *row = cols + ((c * {kh} + fi) * {kw} + fj) * m + b * {oh * ow};",
+        f"            for (i64 oy = 0; oy < {oh}; ++oy)",
+        f"            for (i64 ox = 0; ox < {ow}; ++ox)",
+        f"                tile[(oy * {sh} + fi) * {w + 2 * pw} + ox * {sw} + fj] += row[oy * {ow} + ox];",
+        "        }",
+    ]
+    return [
+        f"    const {ctype} *restrict cols = tab[{src}];",
+        f"    {ctype} *restrict dx = tab[{dst}];",
+        f"    const i64 m = n * {oh * ow};",
+    ] + _planes(body, c, h, w, ph, pw, ctype)
+
+
+def _render_route(stage: tuple, ctype: str) -> List[str]:
+    x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
+    oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
+    inside = [f"y >= {ph} && y < {h + ph}"] * bool(ph) + [f"x >= {pw} && x < {w + pw}"] * bool(pw)
+    pixel = f"img[(y - {ph}) * {w} + x - {pw}]"
+    if inside:
+        pixel = f"({' && '.join(inside)}) ? {pixel} : -INFINITY"
+    body = [
+        f"        const {ctype} *img = src + (b * {c} + c) * {h * w};",
+        f"        const {ctype} *mo = out + (b * {c} + c) * {oh * ow}, *go = g + (b * {c} + c) * {oh * ow};",
+        f"        unsigned char pend[{oh * ow}];",
+    ]
+    # Round one hands a window to its first element equal to the output;
+    # round two, the windows still unclaimed — their output is NaN — to
+    # their first NaN.  Either round adds ``g * hit`` for every window.
+    rounds = (("1", "v == mo[i]", "        "), ("mo[i] != mo[i]", "v != v", "            "))
+    for pending, claim, pad in rounds:
+        body += [
+            f"{pad}for (i64 i = 0; i < {oh * ow}; ++i) pend[i] = {pending};",
+            f"{pad}for (i64 fi = 0; fi < {kh}; ++fi)",
+            f"{pad}for (i64 fj = 0; fj < {kw}; ++fj)",
+            f"{pad}for (i64 oy = 0; oy < {oh}; ++oy)",
+            f"{pad}for (i64 ox = 0; ox < {ow}; ++ox) {{",
+            f"{pad}    const i64 i = oy * {ow} + ox, y = oy * {sh} + fi, x = ox * {sw} + fj;",
+            f"{pad}    const {ctype} v = {pixel};",
+            f"{pad}    const unsigned char hit = pend[i] & ({claim});",
+            f"{pad}    pend[i] ^= hit;",
+            f"{pad}    tile[y * {w + 2 * pw} + x] += go[i] * ({ctype})hit;",
+            f"{pad}}}",
+        ]
+        body.append("        if (second) {" if pad == "        " else "        }")
+    return [
+        f"    const {ctype} *restrict src = tab[{x}], *restrict out = tab[{out}], *restrict g = tab[{g}];",
+        f"    {ctype} *restrict dx = tab[{dst}];",
+        # numpy runs round two over the whole array or not at all.
+        "    int second = 0;",
+        f"    for (i64 i = 0; i < n * {c * oh * ow}; ++i) second |= out[i] != out[i];",
+    ] + _planes(body, c, h, w, ph, pw, ctype)
+
+
+_RENDER = {
+    "gather": _render_gather,
+    "map": _render_map,
+    "scatter": _render_scatter,
+    "route": _render_route,
+    "transpose": _render_transpose,
+}

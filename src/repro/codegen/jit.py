@@ -26,13 +26,17 @@ into workspaces, then one kernel per map/reduce stage.  Passing
 literal loop bounds, keyed into the same cache by (structure, shapes); the
 dynamic-shape kernels remain the default for eager/lazy use.
 
-A serving session's *stage plan* (``("stages", ...)`` signatures, rendered
-by :mod:`repro.codegen.cstage`) goes through the same cache, and through
-the part of this module that keeps the compiler **off the caller's
-thread**: :func:`resolve` with ``wait=False`` answers from the memo or the
-disk at once and otherwise queues the signature on one daemon compile
-thread (in-flight compiles deduplicated in the memo) and hands back a
-:class:`Pending`.  A failure there is counted there, by reason.  A process
+A *stage plan* (``("stages", ...)`` signatures, rendered by
+:mod:`repro.codegen.cstage`: a serving session's steps, a train step's
+kernels) goes through the same cache, and through the part of this module
+that keeps the compiler **off the caller's thread**: :func:`resolve` with
+``wait=False`` answers from the memo or the disk at once and otherwise
+queues the signature on one daemon compile thread (in-flight compiles
+deduplicated in the memo) and hands back a :class:`Pending`.  Whatever was
+queued while the thread was busy it builds at its next wake-up, the stage
+plans among it as one translation unit in one compiler run, published under
+each entry's own name; :func:`wait_for_compiles` waits for it to be idle.
+A failure there is counted there, by reason.  A process
 that leaves mid-compile takes its compiler with it — at exit and on a
 worker's way out (:func:`abandon_compiles`); ``fork`` waits for the thread to hold no interpreter-wide lock
 (:data:`_GATE`), and the child starts with no inherited compile in flight.
@@ -54,6 +58,8 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import ctypes
+import hashlib
 import os
 import queue
 import shutil
@@ -80,6 +86,7 @@ __all__ = [
     "codegen_stats",
     "ingest_worker_codegen_stats",
     "abandon_compiles",
+    "wait_for_compiles",
 ]
 
 _FALSY = ("", "0", "off", "false", "no")
@@ -239,7 +246,9 @@ _STATS = {"compiled": 0, "disk_hits": 0, "memo_hits": 0, "fallbacks": 0}
 def count_fallback(reason: str) -> None:
     """Count one resolution that ended on the numpy arm, by ``reason`` (the
     label of ``repro_codegen_fallback_total``): ``disabled``,
-    ``no_compiler``, ``compile_failed``, ``load_failed`` or ``unplannable``."""
+    ``no_compiler``, ``compile_failed``, ``load_failed`` or ``unplannable``;
+    from the train step's kernels (:mod:`repro.autograd.kernels`, once per
+    signature) also ``backend``, ``dtype``, ``geometry`` and ``layout``."""
     _metrics()["fallback"].labels(reason=reason).inc()
     with _LOCK:
         _STATS["fallbacks"] += 1
@@ -279,12 +288,24 @@ def clear_kernel_memo() -> None:
             del _MEMO[signature]
 
 
+class _Rows(threading.local):
+    """One reused pointer table per thread, for :meth:`StageLibrary.run`."""
+
+    def __init__(self) -> None:
+        self.table = (ctypes.c_void_p * 8)()
+
+
+_ROWS = _Rows()
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
+
+
 class StageLibrary:
-    """The loaded stages of one session plan (:mod:`repro.codegen.cstage`).
+    """The loaded stages of one stage plan (:mod:`repro.codegen.cstage`).
 
     ``fns[k](table, n)`` runs stage ``k`` over a pointer table made by
     ``table(rows)``; ``table[i] = address(array)`` binds row ``i``.  The
-    caller keeps every bound array alive.
+    caller keeps every bound array alive.  A session binds its own table
+    once; :meth:`run` is for callers whose every operand is new each call.
     """
 
     __slots__ = ("fns", "table", "address")
@@ -293,6 +314,27 @@ class StageLibrary:
         self.fns = fns
         self.table = table
         self.address = address
+
+    def run(self, k: int, n: int, *arrays) -> bool:
+        """Stage ``k`` over ``arrays`` (at most eight) bound to rows 0, 1, …
+        of the calling thread's table.  ``False``, and nothing ran, unless
+        every one is a non-empty, writable, C-contiguous array aligned to
+        the item size of the first.  The address comes through the buffer
+        protocol: 0.3 us an operand where ``array.ctypes.data`` takes 1.3,
+        and a train step binds a hundred of them."""
+        table = _ROWS.table
+        low = i = 0
+        try:
+            for array in arrays:
+                table[i] = address = _addressof(_from_buffer(array))
+                low |= address
+                i += 1
+        except (TypeError, ValueError):  # read-only / strided or empty
+            return False
+        if low & (arrays[0].itemsize - 1):
+            return False
+        self.fns[k](table, n)
+        return True
 
 
 def _render(signature):
@@ -508,40 +550,54 @@ def _run_compiler(command, entry: list) -> bool:
         entry[0] = None
 
 
-def _compile_to_cache(signature, build: bool = True) -> Union[tuple, str, None]:
-    """Load the cache entry for one signature, compiling it first if absent.
+def _compile_to_cache(signatures, build: bool = True) -> list:
+    """Load the cache entry of every signature, first compiling the absent
+    ones — together, as one translation unit in one compiler run, published
+    under each entry's own name.
 
-    Returns the loaded kernel, or the reason (see :func:`count_fallback`)
-    the native arm is unavailable.  With ``build=False`` only the disk is
-    consulted: ``None`` when there is no loadable entry.  Caller holds no
-    locks; the memo is updated by the caller.
+    Returns, per signature, the loaded kernel or the reason (see
+    :func:`count_fallback`) the native arm is unavailable.  With
+    ``build=False`` only the disk is consulted: ``None`` where there is no
+    loadable entry.  Caller holds no locks; the memo is updated by the caller.
     """
     cc, cc_version = _compiler()
     if cc is None:
-        return "no_compiler"
-    name, source = _render(signature)
-    import hashlib
-
-    content = hashlib.sha256(
-        (source + "\x00" + cc_version + "\x00" + " ".join(_CFLAGS)).encode()
-    ).hexdigest()[:20]
+        return ["no_compiler"] * len(signatures)
     cache_dir = kernel_cache_dir()
-    so_path = cache_dir / f"{name}-{content}.so"
+    entries = []  # (name, source, cache path without suffix)
+    for signature in signatures:
+        name, source = _render(signature)
+        content = hashlib.sha256(
+            (source + "\x00" + cc_version + "\x00" + " ".join(_CFLAGS)).encode()
+        ).hexdigest()[:20]
+        entries.append((name, source, cache_dir / f"{name}-{content}"))
 
-    loaded = _try_disk_hit(so_path, name, signature)
-    if loaded is not None or not build:
+    loaded: list = [None] * len(signatures)
+
+    def hits(wanted) -> None:
+        for i in wanted:
+            name, _, stem = entries[i]
+            loaded[i] = _try_disk_hit(stem.with_suffix(".so"), name, signatures[i])
+
+    hits(range(len(signatures)))
+    absent = [i for i, kernel in enumerate(loaded) if kernel is None]
+    if not absent or not build:
         return loaded
+
+    def failed(reason: str) -> list:
+        return [reason if kernel is None else kernel for kernel in loaded]
 
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError:
-        return "compile_failed"
+        return failed("compile_failed")
 
-    with _entry_lock(cache_dir, f"{name}-{content}"):
+    with _entry_lock(cache_dir, entries[absent[0]][2].name):
         # Double-check under the lock: the process that held it before us
-        # may have just published this entry.
-        loaded = _try_disk_hit(so_path, name, signature)
-        if loaded is not None:
+        # may have just published these entries.
+        hits(absent)
+        absent = [i for i in absent if loaded[i] is None]
+        if not absent:
             return loaded
 
         start = time.perf_counter()
@@ -549,32 +605,46 @@ def _compile_to_cache(signature, build: bool = True) -> Union[tuple, str, None]:
         try:
             tmp_dir = tempfile.mkdtemp(dir=str(cache_dir))
         except OSError:
-            return "compile_failed"
+            return failed("compile_failed")
         entry = [None, tmp_dir]
         _IN_FLIGHT.append(entry)
         try:
-            c_path = Path(tmp_dir) / f"{name}.c"
-            tmp_so = Path(tmp_dir) / f"{name}.so"
-            c_path.write_text(source)
+            c_path = Path(tmp_dir) / "unit.c"
+            tmp_so = Path(tmp_dir) / "unit.so"
+            # Every kernel's symbols carry its signature's hash, so the
+            # sources of several concatenate into one valid unit.
+            c_path.write_text("\n".join(entries[i][1] for i in absent))
             if not _run_compiler([cc, *_CFLAGS, "-o", str(tmp_so), str(c_path)], entry):
-                return "compile_failed"
-            # Keep the source next to the binary for debuggability; both are
-            # content-addressed, so concurrent racers write identical bytes.
-            with contextlib.suppress(OSError):
-                os.replace(str(c_path), str(cache_dir / f"{name}-{content}.c"))
-            os.replace(str(tmp_so), str(so_path))
+                return failed("compile_failed")
+            for i in absent:
+                _, source, stem = entries[i]
+                # Keep the source next to the binary for debuggability; both
+                # are content-addressed, so concurrent racers write identical
+                # bytes.  One binary serves every entry: a hard link each.
+                with contextlib.suppress(OSError):
+                    stem.with_suffix(".c").write_text(source)
+                link = f"{tmp_so}.{i}"
+                try:
+                    os.link(tmp_so, link)
+                except OSError:
+                    shutil.copyfile(tmp_so, link)
+                os.replace(link, str(stem.with_suffix(".so")))
         except OSError:
-            return "compile_failed"
+            return failed("compile_failed")
         finally:
             _IN_FLIGHT.remove(entry)
             shutil.rmtree(tmp_dir, ignore_errors=True)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    try:
-        loaded = _load(so_path, name, signature)
-    except (OSError, AttributeError):
-        with contextlib.suppress(OSError):
-            so_path.unlink()  # what the compiler left is no cache entry
-        return "load_failed"
+    for i in absent:
+        name, _, stem = entries[i]
+        try:
+            loaded[i] = _load(stem.with_suffix(".so"), name, signatures[i])
+        except (OSError, AttributeError):
+            with contextlib.suppress(OSError):
+                stem.with_suffix(".so").unlink()  # what the compiler left is no cache entry
+            loaded[i] = "load_failed"
+    if all(isinstance(loaded[i], str) for i in absent):
+        return loaded
     _metrics()["compiled"].inc()
     _metrics()["compile_ms"].observe(elapsed_ms)
     _metrics()["cache_miss"].labels(mode="local").inc()
@@ -623,24 +693,49 @@ def _fork_window():
 
 
 def _compile_loop() -> None:
-    """The compile thread: one signature at a time, for the process's life."""
+    """The compile thread, for the process's life.  Everything queued while
+    it was busy is built at the next wake-up — the stage plans among it in
+    one compiler run (a cold train step queues a dozen small ones), a region
+    kernel in a run of its own (they share file-level helpers)."""
     while True:
-        signature, pending = _QUEUE.get()
-        with _GATE:
-            try:
-                resolved = _compile_to_cache(signature)
-            except Exception:  # a renderer bug must not strand the waiters
-                import logging
+        batch = [_QUEUE.get()]
+        with contextlib.suppress(queue.Empty):
+            while True:
+                batch.append(_QUEUE.get_nowait())
+        plans = [item for item in batch if item[0][0] == "stages"]
+        groups = [plans] * bool(plans) + [[item] for item in batch if item[0][0] != "stages"]
+        for group in groups:
+            signatures = [signature for signature, _ in group]
+            with _GATE:
+                try:
+                    resolved = _compile_to_cache(signatures)
+                except Exception:  # a renderer bug must not strand the waiters
+                    import logging
 
-                logging.getLogger(__name__).exception("compiling %r failed", signature[:2])
-                resolved = "compile_failed"
-            if isinstance(resolved, str):
-                # Nobody is waiting on this thread's result: count the
-                # failure here or it vanishes with the compile.
-                count_fallback(resolved)
-            with _LOCK:
-                _MEMO[signature] = resolved
-            pending.event.set()
+                    logging.getLogger(__name__).exception("compiling %r failed", signatures[0][:2])
+                    resolved = ["compile_failed"] * len(group)
+                for (signature, pending), kernel in zip(group, resolved):
+                    if isinstance(kernel, str):
+                        # Nobody is waiting on this thread's result: count the
+                        # failure here or it vanishes with the compile.
+                        count_fallback(kernel)
+                    with _LOCK:
+                        _MEMO[signature] = kernel
+                    pending.event.set()
+
+
+def wait_for_compiles(timeout: Optional[float] = None) -> bool:
+    """Wait until the compile thread has built everything queued so far —
+    tests, CI gates and warm-up code that want the compiled arm before they
+    measure.  ``False`` if ``timeout`` seconds did not suffice."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    with _LOCK:
+        waiting = [value for value in _MEMO.values() if isinstance(value, Pending)]
+    for pending in waiting:
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        if not pending.event.wait(left):
+            return False
+    return True
 
 
 def _has_disk_candidate(signature) -> bool:
@@ -678,9 +773,11 @@ def resolve(signature, wait: bool = True) -> Union[tuple, str, Pending]:
             _metrics()["cache_hit"].labels(mode="local").inc()
         return resolved
     if wait:
-        resolved = _compile_to_cache(signature)
+        resolved = _compile_to_cache([signature])[0]
     else:
-        resolved = _compile_to_cache(signature, False) if _has_disk_candidate(signature) else None
+        resolved = (
+            _compile_to_cache([signature], False)[0] if _has_disk_candidate(signature) else None
+        )
         if resolved is None:
             resolved = Pending()
     with _LOCK:

@@ -28,7 +28,11 @@ distinguishable per context):
 - ``serve:<op>`` — every compiled step replayed by
   :meth:`repro.serve.session.InferenceSession.run`;
 - ``backward:<op>`` — every backward thunk run by
-  :meth:`repro.autograd.tensor.Tensor.backward`.
+  :meth:`repro.autograd.tensor.Tensor.backward`, and
+  ``backward:<op>.<stage>[c]`` (``backward:conv2d.scatter[c]``) for each
+  compiled kernel stage a thunk ran (:mod:`repro.autograd.kernels`): its
+  time is taken off the thunk's own row, so the rows still sum to the step
+  and say which arm ran.
 
 Each instrumented pass (``serve``, ``backward``) and any block wrapped in
 :meth:`Profiler.step` is also a *step* row carrying what no per-op timer
@@ -80,6 +84,9 @@ class Profiler:
         self._records: Dict[str, List[float]] = {}
         # step -> [calls, total_seconds, minor_faults, system_seconds]
         self._steps: Dict[str, List[float]] = {}
+        # Per thread: ``step``, the step it is inside, and ``inner``, the
+        # seconds :meth:`record_inner` rows took since :meth:`take_inner`.
+        self._local = threading.local()
 
     def record(self, op: str, seconds: float) -> None:
         """Add one timed call of ``op`` (called from the instrumented loops)."""
@@ -90,6 +97,23 @@ class Profiler:
             else:
                 entry[0] += 1
                 entry[1] += seconds
+
+    def record_inner(self, op: str, seconds: float) -> None:
+        """One timed call *inside* an op of the running step — a compiled
+        kernel stage, ``conv2d.scatter[c]`` — as its own ``<step>:<op>`` row.
+        The loop that times the op around it takes the seconds off that op's
+        row (:meth:`take_inner`), so the rows still sum to the step.  Outside
+        a step nothing is recorded (eager forward ops have no rows)."""
+        local = self._local
+        step = getattr(local, "step", None)
+        if step is not None:
+            local.inner += seconds
+            self.record(f"{step}:{op}", seconds)
+
+    def take_inner(self) -> float:
+        """Seconds of :meth:`record_inner` rows on this thread since the last call."""
+        seconds, self._local.inner = self._local.inner, 0.0
+        return seconds
 
     @contextmanager
     def timed(self, op: str) -> Iterator[None]:
@@ -104,12 +128,15 @@ class Profiler:
     def step(self, name: str) -> Iterator[None]:
         """Context manager recording one block as one step of ``name``: wall
         time plus the process's minor-fault and system-time deltas."""
+        local = self._local
+        outer, local.step, local.inner = getattr(local, "step", None), name, 0.0
         faults, system = _usage()
         start = time.perf_counter()
         try:
             yield
         finally:
             seconds = time.perf_counter() - start
+            local.step = outer
             after = _usage()
             with self._lock:
                 entry = self._steps.setdefault(name, [0, 0.0, 0, 0.0])

@@ -69,8 +69,6 @@ def _no_compile_outlives_its_test():
     faults, threads, ``codegen_stats()``) must not see the previous test's
     compiler at work."""
     yield
-    from repro.codegen import jit
+    from repro.codegen import wait_for_compiles
 
-    for value in list(jit._MEMO.values()):
-        if isinstance(value, jit.Pending):
-            value.event.wait(120)
+    wait_for_compiles(120)

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.autograd import Tensor, no_grad
 from repro.backend import get_backend, workspace
+from repro.codegen import wait_for_compiles
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.optim import Adam
 from repro.obs import get_registry
@@ -74,6 +75,20 @@ def _trainer(batch=64, dtype=np.float32, seed=1):
         images, context = Tensor(images.data.astype(dtype)), Tensor(context.data.astype(dtype))
     optimizer = Adam(model.parameters(), 1e-3)
     return model, lambda: model.train_step(optimizer, images, context, targets)
+
+
+def _settled_trainer():
+    """A trainer past its warm-up *and* past the switch of arms: a cold
+    kernel cache adopts compiled kernels a second into the run
+    (:mod:`repro.autograd.kernels`), and a count of one step's allocations or
+    faults must measure one arm, not the compile thread at work."""
+    model, step = _trainer()
+    for _ in range(3):
+        step()
+    assert wait_for_compiles(300)
+    for _ in range(2):
+        step()  # the first step on the compiled arm settles its own blocks
+    return model, step
 
 
 def _losses(steps, **kwargs):
@@ -160,9 +175,7 @@ def test_random_lease_sequence_never_recycles_a_live_block():
 # --------------------------------------------------------------------------- #
 @pooled
 def test_steady_state_train_step_allocates_nothing():
-    _, step = _trainer()
-    for _ in range(3):
-        step()
+    _, step = _settled_trainer()
     before = workspace.stats()
     tracemalloc.start()
     try:
@@ -187,9 +200,7 @@ def test_steady_state_train_step_allocates_nothing():
 @pooled
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt semantics")
 def test_steady_state_train_steps_take_no_page_faults():
-    _, step = _trainer()
-    for _ in range(3):
-        step()
+    _, step = _settled_trainer()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(5):
         step()
