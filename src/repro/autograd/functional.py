@@ -315,9 +315,10 @@ def linear(x, weight, bias=None) -> Tensor:
 def linear_backward(be, g: np.ndarray, x_t: Tensor, w_t: Tensor, b_t: Optional[Tensor]) -> None:
     """Accumulate the affine map's three adjoints for incoming grad ``g``.
 
-    Shared by the ``linear`` tape node and the fused ``linear_relu`` node
+    Shared by the ``linear`` tape node, the fused ``linear_relu`` node
     (:mod:`repro.autograd.fusion`), which calls it with the relu-masked
-    gradient — one definition, so a backward fix reaches both.
+    gradient, and the train-step replay — one definition, so a backward fix
+    reaches all three.
     """
     if x_t.requires_grad:
         x_t._accumulate_fresh(be.matmul(g, w_t.data.swapaxes(-1, -2)))
@@ -367,11 +368,7 @@ def conv2d(
     bd = None if b_t is None else b_t.data
 
     # The compiled arm (repro.autograd.kernels) exists only under a tape.
-    arm = None
-    if _taping(x_t, w_t, b_t):
-        arm = _get_kernels().arm(
-            "conv2d", be, xd.dtype, n, in_c, h, w, kh, kw, sh, sw, ph, pw, out_c, bd is not None
-        )
+    arm = _conv2d_arm(be, xd, wd, bd is not None, (sh, sw), (ph, pw)) if _taping(x_t, w_t, b_t) else None
     forward = arm and arm.forward(be, np.asarray(xd), wd, bd, oh, ow)
     out, cols = forward or _conv2d_forward(be, xd, wd, bd, sh, sw, ph, pw)
     if not w_t.requires_grad:
@@ -381,26 +378,7 @@ def conv2d(
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
-            g = out_t.grad  # (N, O, OH, OW)
-            if b_t is not None and b_t.requires_grad:
-                b_t._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
-            # (O, N*OH*OW): the layout the forward GEMM produced.
-            g_t = arm and arm.transpose(be, g, out.shape)
-            if g_t is None:
-                g_t = _owned_copy(be, g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
-            if w_t.requires_grad:
-                # Contract over N*OH*OW against the forward's patch matrix.
-                dw = be.matmul(cols, g_t.T)  # (C*kh*kw, O)
-                w_t._accumulate_fresh(_owned_copy(be, dw.T).reshape(wd.shape))
-            if x_t.requires_grad:
-                dcols = be.matmul(wd.reshape(out_c, -1).T, g_t)
-                dx = arm and arm.scatter(be, dcols, (n, in_c, h, w))
-                if dx is None:
-                    dxp = _patch_matrix_adjoint(
-                        be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
-                    )
-                    dx = _unpad_hw(be, dxp, ph, pw)
-                x_t._accumulate_fresh(dx)
+            conv2d_backward(be, arm, out_t.grad, x_t, w_t, b_t, cols, (sh, sw), (ph, pw))
 
         return _backward
 
@@ -408,6 +386,44 @@ def conv2d(
         out, parents, "conv2d", make_backward,
         attrs={"stride": (sh, sw), "padding": (ph, pw)}, be=be,
     )
+
+
+def _conv2d_arm(be, xd, wd, bias: bool, stride, padding, ask=True):
+    """``kernels.arm`` for a conv of ``xd`` with ``wd`` (see its ``ask``)."""
+    n, in_c, h, w = xd.shape
+    out_c, _, kh, kw = wd.shape
+    return _get_kernels().arm(
+        "conv2d", be, xd.dtype, n, in_c, h, w, kh, kw, *stride, *padding, out_c, bias, ask=ask
+    )
+
+
+def conv2d_backward(be, arm, g, x_t: Tensor, w_t: Tensor, b_t: Optional[Tensor], cols, stride, padding) -> None:
+    """Accumulate conv2d's adjoints for incoming grad ``g`` (``N, O, OH, OW``)
+    against the forward's patch matrix ``cols``; ``arm`` is the compiled arm
+    or ``None``.  Shared by the tape node and the train-step replay."""
+    wd = w_t.data
+    out_c, _, kh, kw = wd.shape
+    n, in_c, h, w = x_t.data.shape
+    (sh, sw), (ph, pw) = stride, padding
+    if b_t is not None and b_t.requires_grad:
+        b_t._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
+    # (O, N*OH*OW): the layout the forward GEMM produced.
+    g_t = arm and arm.transpose(be, g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
+    if g_t is None:
+        g_t = _owned_copy(be, g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+    if w_t.requires_grad:
+        # Contract over N*OH*OW against the forward's patch matrix.
+        dw = be.matmul(cols, g_t.T)  # (C*kh*kw, O)
+        w_t._accumulate_fresh(_owned_copy(be, dw.T).reshape(wd.shape))
+    if x_t.requires_grad:
+        dcols = be.matmul(wd.reshape(out_c, -1).T, g_t)
+        dx = arm and arm.scatter(be, dcols, (n, in_c, h, w))
+        if dx is None:
+            dxp = _patch_matrix_adjoint(
+                be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
+            )
+            dx = _unpad_hw(be, dxp, ph, pw)
+        x_t._accumulate_fresh(dx)
 
 
 # --------------------------------------------------------------------------- #
@@ -435,7 +451,7 @@ def max_pool2d(
     arm = None
     if _taping(x_t):
         xd = np.asarray(xd)
-        arm = _get_kernels().arm("max_pool2d", be, xd.dtype, n, c, h, w, kh, kw, sh, sw, ph, pw)
+        arm = _max_pool2d_arm(be, xd, (kh, kw), (sh, sw), (ph, pw))
     out = arm and arm.forward(be, xd, oh, ow)
     if out is None:
         out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
@@ -444,40 +460,7 @@ def max_pool2d(
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
-            if not x_t.requires_grad:
-                return
-            g = out_t.grad
-            dx = arm and arm.backward(be, xd, out, g)
-            if dx is not None:
-                x_t._accumulate_fresh(dx)
-                return
-            nonlocal windows
-            if windows is None:
-                windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
-            dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
-            dwindows = _window_slices(dxp, kh, kw, sh, sw)
-            # First-winner masks: a window is ``pending`` until one of its
-            # elements has claimed the gradient.  After the equality round
-            # only windows holding a NaN are unclaimed (nothing compares
-            # equal to their NaN output): a second round hands those to
-            # their first NaN.
-            pending = be.empty(out.shape, bool)
-            pending.fill(True)
-            hit = be.empty(out.shape, bool)
-            routed = be.empty(out.shape, g.dtype)
-            claim_rounds = (
-                lambda window: np.equal(window, out, out=hit),
-                lambda window: np.isnan(window, out=hit),
-            )
-            for claims in claim_rounds:
-                for window, dwindow in zip(windows, dwindows):
-                    claims(window)
-                    hit &= pending
-                    np.logical_xor(pending, hit, out=pending)
-                    dwindow += np.multiply(g, hit, out=routed)
-                if not pending.any():
-                    break
-            x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
+            max_pool2d_backward(be, arm, out_t.grad, x_t, xd, out, windows, (kh, kw), (sh, sw), (ph, pw))
 
         return _backward
 
@@ -485,6 +468,53 @@ def max_pool2d(
         out, (x_t,), "max_pool2d", make_backward,
         attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)}, be=be,
     )
+
+
+def _max_pool2d_arm(be, xd, kernel, stride, padding, ask=True):
+    """``kernels.arm`` for max-pooling ``xd`` (see its ``ask``)."""
+    n, c, h, w = xd.shape
+    return _get_kernels().arm("max_pool2d", be, xd.dtype, n, c, h, w, *kernel, *stride, *padding, ask=ask)
+
+
+def max_pool2d_backward(be, arm, g, x_t: Tensor, xd, out, windows, kernel, stride, padding) -> None:
+    """Accumulate max-pooling's adjoint for incoming grad ``g`` into ``x_t``:
+    each window's gradient to its first winner (``windows``: the forward's
+    footprint slices, or ``None`` to lower ``xd`` here).  Shared by the tape
+    node and the train-step replay."""
+    if not x_t.requires_grad:
+        return
+    dx = arm and arm.backward(be, xd, out, g)
+    if dx is not None:
+        x_t._accumulate_fresh(dx)
+        return
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    n, c, h, w = xd.shape
+    if windows is None:
+        windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
+    dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
+    dwindows = _window_slices(dxp, kh, kw, sh, sw)
+    # First-winner masks: a window is ``pending`` until one of its
+    # elements has claimed the gradient.  After the equality round
+    # only windows holding a NaN are unclaimed (nothing compares
+    # equal to their NaN output): a second round hands those to
+    # their first NaN.
+    pending = be.empty(out.shape, bool)
+    pending.fill(True)
+    hit = be.empty(out.shape, bool)
+    routed = be.empty(out.shape, g.dtype)
+    claim_rounds = (
+        lambda window: np.equal(window, out, out=hit),
+        lambda window: np.isnan(window, out=hit),
+    )
+    for claims in claim_rounds:
+        for window, dwindow in zip(windows, dwindows):
+            claims(window)
+            hit &= pending
+            np.logical_xor(pending, hit, out=pending)
+            dwindow += np.multiply(g, hit, out=routed)
+        if not pending.any():
+            break
+    x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
 
 
 def avg_pool2d(
@@ -583,40 +613,19 @@ def batch_norm(
     arm = None
     if _taping(x_t, w_t, b_t):
         xd = np.asarray(xd)
-        arm = _get_kernels().arm(
-            "batch_norm", be, xd.dtype, len(xd), c, m // max(len(xd), 1), w_t is not None, b_t is not None
-        )
-    use_batch_stats = training or running_mean is None or running_var is None
-    if use_batch_stats:
-        mean = be.mean(xd, axis=axes)
-        var = arm and arm.var(be, xd, mean, axes)
-        if var is None:
-            var = be.var(xd, axis=axes)
-    else:
-        mean = np.asarray(running_mean, dtype=xd.dtype)
-        var = np.asarray(running_var, dtype=xd.dtype)
-
-    if training and running_mean is not None and running_var is not None:
-        # Unbiased variance for the running estimate (biased for
-        # normalization); m > 1 is guaranteed by the check above.
-        unbiased = var * (m / (m - 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased.astype(running_var.dtype)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
+        arm = _batch_norm_arm(be, xd, w_t is not None, b_t is not None)
     gamma = w_t.data if w_t is not None else None
     beta = b_t.data if b_t is not None else None
-    normalized = arm and arm.normalize(be, xd, mean, inv_std, gamma, beta)
-    xhat, out = normalized or be.bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
+    out, xhat, mean, inv_std, use_batch_stats = _batch_norm_forward(
+        be, arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps
+    )
 
     parents = tuple(t for t in (x_t, w_t, b_t) if t is not None)
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
             batch_norm_backward(
-                be, out_t.grad, x_t, w_t, b_t, xhat, inv_std, axes, bshape, use_batch_stats
+                be, out_t.grad, x_t, w_t, b_t, xhat, inv_std, axes, bshape, use_batch_stats, arm
             )
 
         return _backward
@@ -625,6 +634,8 @@ def batch_norm(
         out, parents, "batch_norm", make_backward,
         attrs={
             "training": training,
+            "momentum": momentum,
+            "running": (running_mean, running_var),
             "use_batch_stats": use_batch_stats,
             "axes": axes,
             "bshape": bshape,
@@ -643,6 +654,47 @@ def batch_norm(
     )
 
 
+def _batch_norm_arm(be, xd, gamma: bool, beta: bool, ask=True):
+    """``kernels.arm`` for normalizing ``xd`` over its batch (see its ``ask``)."""
+    n, c = xd.shape[:2]
+    return _get_kernels().arm(
+        "batch_norm", be, xd.dtype, n, c, xd.size // max(n * c, 1), gamma, beta, ask=ask
+    )
+
+
+def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps):
+    """Batch norm's forward over ``xd`` (``arm``: the compiled arm or
+    ``None``), updating the running statistics in place in training:
+    ``(out, xhat, mean, inv_std, use_batch_stats)``.  Shared by the tape
+    node and the train-step replay."""
+    axes = (0,) + tuple(range(2, xd.ndim))
+    m = xd.size // xd.shape[1]  # elements per channel
+    use_batch_stats = training or running_mean is None or running_var is None
+    if use_batch_stats:
+        mean = be.mean(xd, axis=axes)
+        var = arm and arm.var(be, xd, mean, axes)
+        if var is None:
+            var = be.var(xd, axis=axes)
+    else:
+        mean = np.asarray(running_mean, dtype=xd.dtype)
+        var = np.asarray(running_var, dtype=xd.dtype)
+
+    if training and running_mean is not None and running_var is not None:
+        # Unbiased variance for the running estimate (biased for
+        # normalization); m > 1 is guaranteed by batch_norm's check.
+        unbiased = var * (m / (m - 1))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased.astype(running_var.dtype)
+
+    inv_std = 1.0 / np.sqrt(var + eps)
+    bshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
+    normalized = arm and arm.normalize(be, xd, mean, inv_std, gamma, beta)
+    xhat, out = normalized or be.bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
+    return out, xhat, mean, inv_std, use_batch_stats
+
+
 def batch_norm_backward(
     be,
     g: np.ndarray,
@@ -654,23 +706,22 @@ def batch_norm_backward(
     axes,
     bshape,
     use_batch_stats: bool,
+    arm=None,
 ) -> None:
     """Accumulate batch-norm's adjoints for incoming grad ``g``.
 
-    Shared by the ``batch_norm`` tape node and the fused
-    ``batch_norm_relu`` node (:mod:`repro.autograd.fusion`), which calls it
-    with the relu-masked gradient — one definition, so a backward fix
-    reaches both.
+    Shared by the ``batch_norm`` tape node, the fused ``batch_norm_relu``
+    node (:mod:`repro.autograd.fusion`), which calls it with the relu-masked
+    gradient, and the train-step replay — one definition, so a backward fix
+    reaches all three.  ``arm``: the compiled arm the forward ran, else it is
+    looked up.
     """
     if b_t is not None and b_t.requires_grad:
         b_t._accumulate_fresh(be.sum(g, axis=axes))
     if x_t.requires_grad and use_batch_stats:  # the compiled arm: elementwise passes in C
         gamma = None if w_t is None else w_t.data
-        n, c = xhat.shape[:2]
-        arm = _get_kernels().arm(
-            "batch_norm", be, xhat.dtype, n, c, xhat.size // max(n * c, 1),
-            gamma is not None, b_t is not None, ask=False,
-        )
+        if arm is None:
+            arm = _batch_norm_arm(be, xhat, gamma is not None, b_t is not None, ask=False)
         grads = arm and arm.backward(be, g, xhat, inv_std, gamma, axes)
         if grads is not None:
             if gamma is not None and w_t.requires_grad:
@@ -715,10 +766,7 @@ def dropout(
         return x_t
 
     xd = x_t.data
-    if p == 1.0:
-        mask = be.zeros(xd.shape, dtype=xd.dtype)
-    else:
-        mask = be.dropout_mask(rng if rng is not None else default_rng(), xd.shape, p, xd.dtype)
+    mask = _dropout_mask(be, xd, p, rng)
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
@@ -729,8 +777,16 @@ def dropout(
 
     return Tensor._make(
         be.multiply(xd, mask), (x_t,), "dropout", make_backward,
-        attrs={"mask": mask, "p": p}, be=be,
+        attrs={"mask": mask, "p": p, "rng": rng}, be=be,
     )
+
+
+def _dropout_mask(be, xd, p: float, rng) -> np.ndarray:
+    """The scaled keep-mask of one dropout call, drawn from ``rng`` or, for
+    ``None``, from the seeded global generator as it is now."""
+    if p == 1.0:
+        return be.zeros(xd.shape, dtype=xd.dtype)
+    return be.dropout_mask(rng if rng is not None else default_rng(), xd.shape, p, xd.dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -799,21 +855,11 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
         t_t = Tensor(idx, dtype=np.int64)
 
     out, logp, rows = _softmax_cross_entropy_forward(be, x_t.data, idx, reduction)
-    n = idx.shape[0]
 
     def make_backward(out_t: Tensor):
         def _backward() -> None:
-            if not x_t.requires_grad:
-                return
-            g = out_t.grad
-            if reduction == "none":
-                scale = g.reshape(-1, 1)
-                if scale.dtype != logp.dtype:
-                    scale = scale.astype(logp.dtype)
-            else:
-                s = float(g) / n if reduction == "mean" else float(g)
-                scale = np.asarray(s, dtype=logp.dtype)
-            x_t._accumulate_fresh(be.xent_grad(logp, rows, idx, scale))
+            if x_t.requires_grad:
+                x_t._accumulate_fresh(_xent_backward(be, out_t.grad, logp, rows, idx, reduction))
 
         return _backward
 
@@ -821,6 +867,18 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
         out, (x_t, t_t), "softmax_cross_entropy", make_backward,
         attrs={"reduction": reduction}, be=be,
     )
+
+
+def _xent_backward(be, g, logp, rows, idx, reduction: str) -> np.ndarray:
+    """The logits' gradient for the loss's incoming grad ``g``."""
+    if reduction == "none":
+        scale = g.reshape(-1, 1)
+        if scale.dtype != logp.dtype:
+            scale = scale.astype(logp.dtype)
+    else:
+        s = float(g) / idx.shape[0] if reduction == "mean" else float(g)
+        scale = np.asarray(s, dtype=logp.dtype)
+    return be.xent_grad(logp, rows, idx, scale)
 
 
 def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, reduction: str):

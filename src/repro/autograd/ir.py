@@ -39,6 +39,8 @@ did.
 from __future__ import annotations
 
 import contextlib
+import threading
+import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +59,8 @@ __all__ = [
     "has_forward",
     "run_forward",
     "evaluate_node",
+    "run_steps",
+    "explain_rows",
 ]
 
 
@@ -137,32 +141,39 @@ class Graph:
         return iter(self.nodes)
 
 
-#: The graph collecting nodes while a :func:`capture` block is active.  Read
-#: directly by ``Tensor._make`` on the hot path; ``None`` almost always.
-_CAPTURE: Optional[Graph] = None
+class _Capturing(threading.local):
+    """Per thread, the graph collecting nodes while a :func:`capture` block
+    is active (``graph``; ``None`` almost always).  Read directly by
+    ``Tensor._make`` on the hot path.  Per thread, so a capture on one thread
+    (a train step, a session compile) never collects another's nodes."""
+
+    graph: Optional[Graph] = None
+
+
+_CAPTURE = _Capturing()
 
 
 @contextlib.contextmanager
 def capture(graph: Optional[Graph] = None) -> Iterator[Graph]:
-    """Collect every node recorded inside the block into a :class:`Graph`.
+    """Collect every node the calling thread records inside the block into a
+    :class:`Graph`.
 
     Capture is independent of gradient mode: under ``no_grad()`` the recorded
     nodes simply carry no backward thunks, which is exactly what a serving
     trace wants.  Nested captures stack (the innermost graph collects).
     """
-    global _CAPTURE
     g = graph if graph is not None else Graph()
-    previous = _CAPTURE
-    _CAPTURE = g
+    previous = _CAPTURE.graph
+    _CAPTURE.graph = g
     try:
         yield g
     finally:
-        _CAPTURE = previous
+        _CAPTURE.graph = previous
 
 
 def current_capture() -> Optional[Graph]:
-    """The graph currently collecting nodes, or ``None``."""
-    return _CAPTURE
+    """The graph currently collecting the calling thread's nodes, or ``None``."""
+    return _CAPTURE.graph
 
 
 # --------------------------------------------------------------------------- #
@@ -211,6 +222,39 @@ def op_counts(nodes: List[GraphNode]) -> Dict[str, int]:
     for node in nodes:
         counts[node.op] = counts.get(node.op, 0) + 1
     return counts
+
+
+# --------------------------------------------------------------------------- #
+# Step lists: the replay core of a compiled serving session and of a
+# replayed train step
+# --------------------------------------------------------------------------- #
+def run_steps(steps, values: list, profiler=None, names=()) -> None:
+    """Run step closures in order over one list of value slots.
+
+    With a profiler, step ``i`` is timed as one call of the row
+    ``names[i]``, less the rows of compiled stages recorded inside it
+    (:meth:`repro.obs.profile.Profiler.record_inner`); the caller opens the
+    profiler step around the call.  The same closures run in the same order
+    either way, so profiling changes no result.
+    """
+    if profiler is None:
+        for step in steps:
+            step(values)
+        return
+    perf = time.perf_counter
+    for name, step in zip(names, steps):
+        start = perf()
+        step(values)
+        profiler.record(name, perf() - start - profiler.take_inner())
+
+
+def explain_rows(rows) -> List[Dict[str, object]]:
+    """``explain()`` rows from ``(ops, arm, reason)`` triples: the trace ops
+    a step covers, the arm that runs it and why it is not compiled."""
+    return [
+        {"step": i, "ops": list(ops), "arm": arm, "reason": reason}
+        for i, (ops, arm, reason) in enumerate(rows)
+    ]
 
 
 # --------------------------------------------------------------------------- #

@@ -36,6 +36,7 @@ per signature under ``repro_codegen_fallback_total{reason}``.
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Optional, Tuple
 
@@ -62,6 +63,8 @@ _STACK = 256 * 1024
 #: the pending ``None`` between a geometry's first sight and its second.
 _ARMS: dict = {}
 _ASK = object()
+#: What :func:`arm` answers a capture (``ask=None``) while a geometry is unsettled.
+PENDING = object()
 _COUNTED: set = set()
 _perf = time.perf_counter
 
@@ -105,6 +108,14 @@ class Arm:
             _numpy(self.key, "layout")
         return ran
 
+    def pinned(self, keep_below: int) -> "Arm":
+        """This arm over stage tables of one caller's own, which keep what
+        they bound (:class:`repro.codegen.jit.PinnedStages`): for a replay
+        that hands every call the same buffers."""
+        arm = copy.copy(self)
+        arm.library = jit.PinnedStages(self.library.fns, keep_below)
+        return arm
+
     def takes(self, *arrays) -> bool:
         """Whether every array has the arm's dtype (else ``dtype`` is counted)."""
         dtype = self.key[1]
@@ -123,7 +134,9 @@ def arm(op: str, be, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm
     builds nothing; the compile thread is asked at the second — a shape that
     is recorded once (a gradient check, a test) costs no compiler run, and a
     training run's first step only looks.  ``ask=False`` (a backward whose
-    forward did the asking) neither counts as a sight nor asks."""
+    forward did the asking) neither counts as a sight nor asks; ``ask=None``
+    (a replay being captured) does neither either and answers
+    :data:`PENDING` instead of ``None`` while the answer may still change."""
     if not n:
         return None
     key = (op, dtype) + geometry
@@ -138,6 +151,8 @@ def arm(op: str, be, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm
     found = _ARMS.get(key, _ASK)
     if found is not _ASK and found.__class__ is not tuple:
         return found  # adopted, or numpy for good
+    if ask is None:
+        return PENDING if jit.codegen_enabled() else _numpy(key, "disabled")
     if not ask:
         return None
     if not jit.codegen_enabled():

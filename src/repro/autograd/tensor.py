@@ -101,7 +101,7 @@ def _capturing() -> bool:
     values directly — so the hot ops build them only inside a capture
     block, shaving the per-node dict allocation off every training step.
     """
-    return _ir._CAPTURE is not None
+    return _ir._CAPTURE.graph is not None
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -217,6 +217,25 @@ def _get_kernels():
 
         _kernels_module = kernels
     return _kernels_module
+
+
+def _relu_arm(be, data: np.ndarray, ask=True):
+    """``kernels.arm`` for relu over ``data`` (see its ``ask``)."""
+    return _get_kernels().arm("relu", be, data.dtype, data.size, ask=ask)
+
+
+def _relu_forward(be, arm, data: np.ndarray):
+    """``(relu(data), data > 0)``: one compiled pass, or numpy's two."""
+    result = arm and arm.forward(be, data)  # value and mask in one compiled pass
+    if result is not None:
+        return result
+    mask = np.greater(data, 0, out=be.empty(data.shape, bool))
+    return be.relu(data), mask
+
+
+def _relu_backward(be, arm, g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    grad = arm and arm.backward(be, g, mask)
+    return be.multiply(g, mask) if grad is None else grad
 
 
 def _taping(*parents) -> bool:
@@ -351,7 +370,7 @@ class Tensor:
         the new inputs instead of freezing the trace-time activation.
         """
         out = Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-        graph = _ir._CAPTURE
+        graph = _ir._CAPTURE.graph
         if graph is not None:
             node = _ir.GraphNode("detach", (self,), None, out)
             out._node = node
@@ -446,7 +465,7 @@ class Tensor:
         backend on the node for rewrite passes.
         """
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        graph = _ir._CAPTURE
+        graph = _ir._CAPTURE.graph
         out = Tensor(data, requires_grad=requires, dtype=data.dtype)
         if requires or graph is not None:
             node = _ir.GraphNode(op, parents, attrs, out, be=be)
@@ -663,27 +682,20 @@ class Tensor:
         # The mask is a gradient-only artifact: computing it in inference
         # would both waste a full-size compare and force a lazy-backend
         # chain mid-region, so it exists only when a backward will.
-        arm = result = None
+        arm = None
         if _GRAD_ENABLED and self.requires_grad:
             data = np.asarray(self.data)  # a deferred (lazy-backend) chain is forced here
-            arm = _get_kernels().arm("relu", be, data.dtype, data.size)
-            result = arm and arm.forward(be, data)  # value and mask in one compiled pass
-            if result is None:
-                mask = np.greater(data, 0, out=be.empty(data.shape, bool))
-            else:
-                result, mask = result
+            arm = _relu_arm(be, data)
+            result, mask = _relu_forward(be, arm, data)
             attrs = {"mask": mask}
         else:
-            mask = None
-            attrs = None
-        if result is None:
             result = be.relu(self.data)
+            mask = attrs = None
 
         def make_backward(out: "Tensor") -> Callable[[], None]:
             def _backward() -> None:
                 if self.requires_grad:
-                    grad = arm and arm.backward(be, out.grad, mask)
-                    self._accumulate_fresh(be.multiply(out.grad, mask) if grad is None else grad)
+                    self._accumulate_fresh(_relu_backward(be, arm, out.grad, mask))
 
             return _backward
 

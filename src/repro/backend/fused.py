@@ -8,10 +8,10 @@ identical to the reference (the cross-backend equivalence suite is the judge).
 
 What is left here is what still differs from the reference.  The affine and
 batch-norm composites (``linear``, ``linear_relu``, ``add_relu``,
-``bn_normalize``, ``bn_normalize_relu``, ``bn_input_grad``) are gone: since
-the reference writes them through ``out=`` into workspace buffers
-(:mod:`repro.backend.workspace`) the overrides were the same lines with a
-different spelling.
+``bn_normalize``, ``bn_normalize_relu``, ``bn_input_grad``) and the
+optimizer rules are gone: since the reference writes them through ``out=``
+into workspace buffers (:mod:`repro.backend.workspace`) the overrides were
+the same lines with a different spelling.
 """
 
 from __future__ import annotations
@@ -80,53 +80,3 @@ class FusedNumpyBackend(NumpyBackend):
             out += c
             return out
         return np.add(out, c)
-
-    # ------------------------------------------------------------------ #
-    # Optimizer update rules (one scratch buffer per parameter)
-    # ------------------------------------------------------------------ #
-    def sgd_update(self, p, g, v, lr, momentum, weight_decay, nesterov) -> None:
-        if weight_decay:
-            eff = np.multiply(p, weight_decay)  # the single owned scratch
-            eff += g
-            owned = True
-        else:
-            eff, owned = g, False
-        if momentum:
-            v *= momentum
-            v += eff
-            if nesterov:
-                nv = np.multiply(v, momentum)
-                nv += eff
-                eff, owned = nv, True
-            else:
-                eff, owned = v, False
-        lr_t = np.asarray(lr, dtype=p.dtype)
-        if owned:
-            eff *= lr_t
-            p -= eff
-        else:
-            p -= lr_t * eff  # grad / velocity are not ours to scale in place
-
-    def adam_update(
-        self, p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, weight_decay
-    ) -> None:
-        if weight_decay:
-            gw = np.multiply(p, weight_decay)
-            gw += g
-        else:
-            gw = g
-        m *= beta1
-        scratch = np.multiply(gw, 1.0 - beta1)
-        m += scratch
-        v *= beta2
-        np.multiply(gw, gw, out=scratch)
-        scratch *= 1.0 - beta2
-        v += scratch
-        denom = np.divide(v, bc2, out=scratch)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        # (lr/bc1 * m) / denom in the reference's association (bit-identical),
-        # with the product landing in a fresh buffer and the divide in place.
-        step = np.asarray(lr / bc1, dtype=p.dtype) * m
-        step /= denom
-        p -= step

@@ -266,24 +266,39 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Optimizer update rules
     # ------------------------------------------------------------------ #
+    # Each rule runs the reference expressions' operations in their order
+    # (IEEE products and sums commute: ``(1 - beta1) * g`` is ``g * (1 -
+    # beta1)``), with the temporaries in one or two scratch buffers from
+    # ``empty``: a whole-model update (``Optimizer.flat_step``) would
+    # otherwise map and fault in fresh pages for each of them, every step.
     def sgd_update(self, p, g, v, lr, momentum, weight_decay, nesterov) -> None:
+        scratch = self.empty(p.shape, p.dtype)
         if weight_decay:
-            g = g + weight_decay * p  # fresh buffer; caller's grad untouched
+            g = np.add(g, np.multiply(p, weight_decay, out=scratch), out=scratch)
         if momentum:
             v *= momentum
             v += g
-            g = g + momentum * v if nesterov else v
-        p -= np.asarray(lr, dtype=p.dtype) * g
+            if nesterov:
+                g = np.add(g, np.multiply(v, momentum, out=self.empty(p.shape, p.dtype)))
+            else:
+                g = v
+        p -= np.multiply(g, np.asarray(lr, dtype=p.dtype), out=scratch)
 
     def adam_update(
         self, p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, weight_decay
     ) -> None:
+        scratch = self.empty(p.shape, p.dtype)
         if weight_decay:
-            g = g + weight_decay * p
+            g = np.add(g, np.multiply(p, weight_decay, out=scratch))
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=scratch)
         v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        denom = np.sqrt(v / bc2)
+        np.square(g, out=scratch)
+        scratch *= 1.0 - beta2
+        v += scratch
+        denom = np.divide(v, bc2, out=scratch)
+        np.sqrt(denom, out=denom)
         denom += eps
-        p -= np.asarray(lr / bc1, dtype=p.dtype) * m / denom
+        step = np.multiply(m, np.asarray(lr / bc1, dtype=p.dtype), out=self.empty(p.shape, p.dtype))
+        step /= denom
+        p -= step

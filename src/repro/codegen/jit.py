@@ -337,6 +337,44 @@ class StageLibrary:
         return True
 
 
+class PinnedStages:
+    """A :class:`StageLibrary` with one table per stage kept across calls: a
+    row is bound again only when its array is not the one bound last time.
+    Arrays of ``keep_below`` bytes or more (pooled workspace blocks) are let
+    go after each call and bound every time.  Not thread-safe."""
+
+    __slots__ = ("fns", "keep_below", "tables", "held")
+
+    def __init__(self, fns, keep_below: int) -> None:
+        self.fns = fns
+        self.keep_below = keep_below
+        self.tables = [(ctypes.c_void_p * 8)() for _ in fns]
+        self.held = [[None] * 8 for _ in fns]
+
+    def run(self, k: int, n: int, *arrays) -> bool:
+        """:meth:`StageLibrary.run` over this caller's table of stage ``k``."""
+        table, held = self.tables[k], self.held[k]
+        align = arrays[0].itemsize - 1
+        i = 0
+        try:
+            for array in arrays:
+                if held[i] is not array:
+                    address = _addressof(_from_buffer(array))
+                    if address & align:
+                        held[i] = None
+                        return False
+                    table[i], held[i] = address, array
+                i += 1
+        except (TypeError, ValueError):  # read-only / strided or empty
+            held[i] = None
+            return False
+        self.fns[k](table, n)
+        for i, array in enumerate(arrays):
+            if array.nbytes >= self.keep_below:
+                held[i] = None
+        return True
+
+
 def _render(signature):
     """``(name, source)``; a ``("stages", ...)`` signature imports its
     renderer here — on the compile thread, off ``import repro.serve``."""

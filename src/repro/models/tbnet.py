@@ -12,7 +12,8 @@ Every block is built from :mod:`repro.nn` layers, so the whole model is a
 :class:`~repro.nn.module.Module`: ``parameters()``, ``train()``/``eval()``
 and ``state_dict()`` checkpointing come for free, and
 :meth:`TBNet.train_step` is one fused-kernel forward, one backward and one
-optimizer step.
+optimizer step, replayed from one captured tape while nothing it depends on
+changes.
 
 :func:`make_synthetic_batch` produces a deterministic class-conditional batch
 (class identity is injected into both modalities) so smoke training has
@@ -21,15 +22,18 @@ actual signal to fit, not just labels to memorise.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import nn
-from repro.autograd import Tensor, functional as F, no_grad
-from repro.backend import default_rng
+from repro.autograd import Tensor, functional as F, ir, is_grad_enabled, no_grad
+from repro.backend import FusedNumpyBackend, LazyBackend, NumpyBackend, default_rng, get_backend
+from repro.codegen.jit import codegen_enabled
 
-__all__ = ["TBNet", "make_synthetic_batch"]
+__all__ = ["TBNet", "make_synthetic_batch", "train_replay"]
 
 
 class TBNet(nn.Module):
@@ -118,12 +122,17 @@ class TBNet(nn.Module):
         Returns the scalar loss of the step (before the update).  Gradients
         are cleared after the update, so steps compose without manual
         ``zero_grad()`` calls.
+
+        The second call with an unchanged signature (see
+        :class:`_Signature`) captures the step, later ones replay it
+        (:mod:`repro.autograd.replay`) — the same bytes without the tape;
+        ``repro_train_steps_total{path, reason}`` counts which path ran.
         """
-        loss = self.loss(images, context, targets)
-        loss.backward()
-        optimizer.step()
-        optimizer.zero_grad()
-        return loss.item()
+        images, context = Tensor._wrap(images), Tensor._wrap(context)
+        state = _STEPS.get(self)
+        if state is None:
+            state = _STEPS[self] = _TrainState()
+        return state.step(self, optimizer, images, context, targets)
 
     def infer(self, images, context) -> np.ndarray:
         """Eager ``no_grad`` forward returning the plain logits array.
@@ -274,6 +283,180 @@ class TBNet(nn.Module):
         if http_port is not None:
             server.serve_http(host=http_host, port=http_port)
         return server
+
+
+# --------------------------------------------------------------------------- #
+# The replayed train step
+# --------------------------------------------------------------------------- #
+#: Per model (a weak key: a collected model frees its replay) its train step.
+_STEPS: "weakref.WeakKeyDictionary[TBNet, _TrainState]" = weakref.WeakKeyDictionary()
+
+#: The forwards a replay can see through: the built-in layers' (a subclass
+#: that keeps its layer's forward is fine).
+_LAYER_FORWARDS = frozenset(
+    cls.forward for cls in (nn.Linear, nn.Conv2d, nn.BatchNorm2d, nn.BatchNorm1d, nn.Dropout,
+                            nn.ReLU, nn.MaxPool2d, nn.Flatten, nn.Sequential)
+)
+_BACKENDS = (NumpyBackend, FusedNumpyBackend, LazyBackend)
+_COUNTS: dict = {}
+
+
+def train_replay(model: TBNet):
+    """The :class:`~repro.autograd.replay.TrainReplay` ``model.train_step``
+    runs now (``explain()`` says what each captured op runs on), or ``None``."""
+    state = _STEPS.get(model)
+    return state.replay if state is not None else None
+
+
+def _count(path: str, reason: str) -> None:
+    """One step under ``repro_train_steps_total{path, reason}``."""
+    counter = _COUNTS.get((path, reason))
+    if counter is None:
+        from repro.obs import get_registry
+
+        counter = _COUNTS[path, reason] = get_registry().counter(
+            "repro_train_steps_total",
+            "TBNet train steps by path (replay / eager) and why eager ran",
+            labelnames=("path", "reason"),
+        ).labels(path=path, reason=reason)
+    counter.inc()
+
+
+def _replayable(model: TBNet, modules, optimizer) -> bool:
+    """Whether every forward the step runs is one the capture can see, and
+    the optimizer's update one it can run over flat arrays."""
+    cls, update = type(model), type(optimizer)
+    if cls.forward is not TBNet.forward or cls.loss is not TBNet.loss:
+        return False
+    if not any(update.step is rule.step and update.flat_step is rule.flat_step
+               for rule in (nn.optim.SGD, nn.optim.Adam)):
+        return False
+    return all(
+        type(m).forward in _LAYER_FORWARDS and type(m).__call__ is nn.Module.__call__
+        for m in modules
+    )
+
+
+class _Signature:
+    """What a captured step depends on, by identity (module attributes —
+    ``training`` among them — and buffers, parameter storage, the optimizer
+    and its state arrays, the backend) and by value (input shapes and
+    dtypes, every ``requires_grad``, the codegen state).  ``reason``:
+    ``module`` when the step cannot be captured at all."""
+
+    __slots__ = ("modules", "params", "reason", "parts", "objects", "meta")
+
+    def __init__(self, model: TBNet, optimizer, images: Tensor, context: Tensor, targets) -> None:
+        self.modules = list(model.modules())[1:]
+        self.params = model.parameters()
+        self.reason = None if _replayable(model, self.modules, optimizer) else "module"
+        # Per module: its attributes, its buffers and the names of its list
+        # attributes (Sequential's layers), read item by item.
+        self.parts = [
+            (m.__dict__, m._buffers, [k for k, v in m.__dict__.items() if v.__class__ is list])
+            for m in [model] + self.modules
+        ]
+        self.objects, self.meta = self._read(optimizer, images, context, targets)
+
+    def _read(self, optimizer, images, context, targets):
+        objects = [optimizer, get_backend()]
+        extend = objects.extend
+        for attributes, buffers, lists in self.parts:
+            extend(attributes.values())
+            extend(buffers.values())
+            for name in lists:
+                extend(attributes[name])
+        extend(optimizer.params)
+        for name in optimizer._state_lists:
+            extend(getattr(optimizer, name))
+        extend([p.data for p in self.params])
+        meta = (
+            type(optimizer), codegen_enabled(),
+            images.data.shape, images.data.dtype, images.requires_grad,
+            context.data.shape, context.data.dtype, context.requires_grad,
+            targets.data.shape if isinstance(targets, Tensor) else np.shape(targets),
+            tuple([p.requires_grad for p in self.params]),
+        )
+        return objects, meta
+
+    def holds(self, optimizer, images, context, targets) -> bool:
+        objects, meta = self._read(optimizer, images, context, targets)
+        return (
+            meta == self.meta and len(objects) == len(self.objects)
+            and all(map(operator.is_, objects, self.objects))
+        )
+
+
+class _TrainState:
+    """One model's train step: the eager step, counted with why it ran
+    (``signature`` changed — the replay is dropped and recaptured once it
+    holds again — ``module``, ``grad`` present, an active ``capture``,
+    ``no_grad``, a third-party ``backend``, a kernel ``pending``, or
+    ``capturing``), or the replay."""
+
+    __slots__ = ("signature", "replay")
+
+    def __init__(self) -> None:
+        self.signature: Optional[_Signature] = None
+        self.replay = None
+
+    def step(self, model, optimizer, images: Tensor, context: Tensor, targets) -> float:
+        reason = None
+        if not is_grad_enabled():
+            reason = "no_grad"
+        elif ir.current_capture() is not None:
+            reason = "capture"
+        elif type(get_backend()) not in _BACKENDS:
+            reason = "backend"
+        else:
+            signature = self.signature
+            if signature is None or not signature.holds(optimizer, images, context, targets):
+                self.replay = None
+                self.signature = _Signature(model, optimizer, images, context, targets)
+                reason = "signature"
+            elif signature.reason is not None:
+                reason = signature.reason
+            elif any(p.grad is not None for p in signature.params):
+                reason = "grad"
+            elif self.replay is not None:
+                _count("replay", "")
+                return self.replay.run(images.data, context.data, targets)
+            else:
+                return self._capture(model, optimizer, images, context, targets)
+        _count("eager", reason)
+        loss = model.loss(images, context, targets)
+        loss.backward()
+        optimizer.step()
+        optimizer.zero_grad()
+        return loss.item()
+
+    def _capture(self, model, optimizer, images, context, targets) -> float:
+        """The eager step, recorded; the replay built from its tape."""
+        from repro.autograd import replay  # a process that never captures never loads it
+
+        counters = [m._buffers["num_batches_tracked"] for m in self.signature.modules
+                    if "num_batches_tracked" in m._buffers]
+        before = [int(counter) for counter in counters]
+        with ir.capture() as graph:
+            loss = model.loss(images, context, targets)
+        deltas = [(c, int(c) - b) for c, b in zip(counters, before) if int(c) != b]
+        try:
+            self.replay = replay.TrainReplay(
+                graph.nodes, (images, context), self.signature.params, optimizer, get_backend(),
+                deltas)
+        except replay.Refused as refused:
+            if refused.reason == "module":
+                self.signature.reason = "module"  # until the signature changes
+            _count("eager", refused.reason)
+        else:
+            _count("eager", "capturing")
+        graph = None
+        loss.backward()
+        optimizer.step()
+        optimizer.zero_grad()
+        if self.replay is not None:  # parameters and moments moved into flat arrays
+            self.signature = _Signature(model, optimizer, images, context, targets)
+        return loss.item()
 
 
 def make_synthetic_batch(

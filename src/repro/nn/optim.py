@@ -12,6 +12,12 @@ The update rules themselves are backend composites
 resolves the active backend once and applies its fused (or reference) update
 to every parameter, so an accelerator backend owns the optimizer arithmetic
 too.
+
+:meth:`Optimizer.flatten` moves parameters and their state into one array
+each (``.data`` and the state lists become views) and
+:meth:`Optimizer.flat_step` applies the rule to the whole arrays at once —
+elementwise, so the same bytes — for the replayed train step; ``step()``
+keeps working on the views.
 """
 
 from __future__ import annotations
@@ -28,6 +34,16 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 
 #: Steps between two sweeps of the moment buffers for subnormals.
 _FLUSH_EVERY = 64
+
+
+def _views(flat: np.ndarray, params: List[Tensor]) -> List[np.ndarray]:
+    """Views of ``flat`` shaped like each of ``params``, back to back."""
+    views, offset = [], 0
+    for p in params:
+        size = p.data.size
+        views.append(flat[offset:offset + size].reshape(p.data.shape))
+        offset += size
+    return views
 
 
 def _flush_subnormals(states: List[Optional[np.ndarray]]) -> None:
@@ -75,11 +91,40 @@ class Optimizer:
             )
         self.lr = float(lr)
 
+    #: Names of the per-parameter state lists (``None`` until first used).
+    _state_lists: tuple = ()
+
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
+        raise NotImplementedError
+
+    def flatten(self, params: List[Tensor]) -> tuple:
+        """Move ``params`` (some of :attr:`params`, one dtype) and their state
+        into flat arrays: ``(params, grads to fill, states, grad views)``."""
+        dtype = params[0].data.dtype
+        size = sum(p.data.size for p in params)
+        flat = np.empty(size, dtype)
+        for p, view in zip(params, _views(flat, params)):
+            np.copyto(view, p.data)
+            p.data = view
+        index = {id(p): i for i, p in enumerate(self.params)}
+        states = []
+        for name in self._state_lists:
+            state, held = np.zeros(size, dtype), getattr(self, name)
+            for p, view in zip(params, _views(state, params)):
+                i = index[id(p)]
+                if held[i] is not None:
+                    np.copyto(view, held[i])
+                held[i] = view
+            states.append(state)
+        grads = np.empty(size, dtype)
+        return flat, grads, states, _views(grads, params)
+
+    def flat_step(self, be, flat: np.ndarray, grads: np.ndarray, states: list) -> None:
+        """One :meth:`step` over arrays made by :meth:`flatten`."""
         raise NotImplementedError
 
 
@@ -109,12 +154,24 @@ class SGD(Optimizer):
         self.nesterov = bool(nesterov)
         self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
         self._step_count = 0
+        if self.momentum:
+            self._state_lists = ("_velocity",)
 
-    def step(self) -> None:
-        be = get_backend()
+    def _advance(self) -> None:
         self._step_count += 1
         if self.momentum and self._step_count % _FLUSH_EVERY == 0:
             _flush_subnormals(self._velocity)
+
+    def flat_step(self, be, flat, grads, states) -> None:
+        self._advance()
+        be.sgd_update(
+            flat, grads, states[0] if states else None,
+            self.lr, self.momentum, self.weight_decay, self.nesterov,
+        )
+
+    def step(self) -> None:
+        be = get_backend()
+        self._advance()
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -154,14 +211,28 @@ class Adam(Optimizer):
         self._m: List[Optional[np.ndarray]] = [None] * len(self.params)
         self._v: List[Optional[np.ndarray]] = [None] * len(self.params)
 
-    def step(self) -> None:
-        be = get_backend()
+    _state_lists = ("_m", "_v")
+
+    def _advance(self) -> tuple:
+        """Count the step, sweep when due; the bias corrections ``(bc1, bc2)``."""
         self._step_count += 1
         t = self._step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
         if t % _FLUSH_EVERY == 0:
-            _flush_subnormals(self._m)
+            # Both moments: under an exactly-zero gradient v (beta2 = 0.999)
+            # reaches the subnormals too, ~7e4 steps in.
+            _flush_subnormals(self._m + self._v)
+        return 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+
+    def flat_step(self, be, flat, grads, states) -> None:
+        bc1, bc2 = self._advance()
+        be.adam_update(
+            flat, grads, states[0], states[1], self.lr, self.beta1, self.beta2, self.eps,
+            bc1, bc2, self.weight_decay,
+        )
+
+    def step(self) -> None:
+        be = get_backend()
+        bc1, bc2 = self._advance()
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:

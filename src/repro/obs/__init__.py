@@ -89,6 +89,14 @@ from its own integers at scrape time:
 - ``repro_workspace_retained_bytes`` — bytes of blocks held, leased or idle;
 - ``repro_workspace_leased_bytes_peak`` — most bytes leased at once (per
   thread, summed): the working set the retained bytes are there to cover.
+
+Training registers one family there too, on its first step
+(:meth:`repro.models.TBNet.train_step`):
+
+- ``repro_train_steps_total{path="replay"|"eager", reason}`` — train steps
+  by the path that ran them: a replay of the captured step (``reason=""``)
+  or the taped step, with why (``signature``, ``module``, ``grad``,
+  ``capture``, ``no_grad``, ``backend``, ``pending``, ``capturing``).
 """
 
 from repro.obs.metrics import (

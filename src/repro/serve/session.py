@@ -51,7 +51,6 @@ including ones whose samples interact through batch statistics).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -403,10 +402,7 @@ class InferenceSession:
         when it is not compiled, the ``reason`` — ``pending`` while the
         compile is in flight, else a ``repro_codegen_fallback_total``
         reason."""
-        return [
-            {"step": i, "ops": list(ops), "arm": arm, "reason": reason}
-            for i, (ops, arm, reason) in enumerate(self._rows)
-        ]
+        return ir.explain_rows(self._rows)
 
     def run(self, *batch: ArrayOrTensor) -> np.ndarray:
         """Replay the compiled trace over ``batch``; returns the logits array.
@@ -468,17 +464,11 @@ class InferenceSession:
     def _replay(self, values) -> None:
         profiler = active_profiler()
         if profiler is None:
-            for step in self._steps:
-                step(values)
+            ir.run_steps(self._steps, values)
         else:
-            # Timing-only instrumentation: the exact same step closures
-            # run in the exact same order, so results stay bit-identical.
-            perf = time.perf_counter
             with profiler.step("serve"):
-                for (ops, _, _), step in zip(self._rows, self._steps):
-                    start = perf()
-                    step(values)
-                    profiler.record("serve:" + "+".join(ops), perf() - start)
+                names = ["serve:" + "+".join(ops) for ops, _, _ in self._rows]
+                ir.run_steps(self._steps, values, profiler, names)
 
     # ------------------------------------------------------------------ #
     # Compiled stages: planned at construction, adopted when they exist

@@ -213,3 +213,24 @@ def test_train_mode_batch_norm_replay_is_refused():
     (node,) = graph.nodes
     with pytest.raises(RuntimeError, match="train-mode batch_norm"):
         ir.evaluate_node(node, get_backend(), (x.data,))
+
+
+def test_a_capture_collects_only_its_own_threads_nodes():
+    import threading
+
+    started, done = threading.Event(), threading.Event()
+
+    def elsewhere():
+        started.wait(10)
+        (Tensor(np.ones(3), requires_grad=True) * 2.0).sum()
+        done.set()
+
+    thread = threading.Thread(target=elsewhere)
+    thread.start()
+    with ir.capture() as graph:
+        Tensor(np.ones(3), requires_grad=True) + 1.0
+        started.set()
+        assert done.wait(10)
+    thread.join(10)
+    assert not thread.is_alive()
+    assert [node.op for node in graph.nodes] == ["add"]

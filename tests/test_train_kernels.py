@@ -180,16 +180,16 @@ def adopted():
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """How many compiled stages ran (``StageLibrary.run`` calls that bound)."""
+    """How many compiled stages ran (``run`` calls that bound, on a
+    library's shared tables or on a replay's pinned ones)."""
     calls = []
-    run = jit.StageLibrary.run
+    for library in (jit.StageLibrary, jit.PinnedStages):
+        def counting(self, k, n, *arrays, _run=library.run):
+            ran = _run(self, k, n, *arrays)
+            calls.append(ran)
+            return ran
 
-    def counting(self, k, n, *arrays):
-        ran = run(self, k, n, *arrays)
-        calls.append(ran)
-        return ran
-
-    monkeypatch.setattr(jit.StageLibrary, "run", counting)
+        monkeypatch.setattr(library, "run", counting)
     return calls
 
 
@@ -469,7 +469,8 @@ def test_profile_rows_name_the_compiled_stages_and_still_sum_to_the_step(adopted
     assert wait_for_compiles(300)
     model.train_step(opt, *batch)
     with using_profiler() as prof, fusion.using_fusion(False):  # fused nodes have other names
-        model.train_step(opt, *batch)
+        model.loss(*batch).backward()  # the taped step: a replayed one has rows of its own
+        opt.zero_grad()
     rows = prof.stats()
     assert all(op.startswith("backward:") for op in rows)
     for op in ("conv2d", "conv2d.scatter[c]", "conv2d.transpose[c]", "max_pool2d.route[c]",
@@ -501,6 +502,7 @@ def test_serving_and_inference_never_load_the_train_kernels(tmp_path):
         for i in range(100):
             session.run(images.data[i:i + 1], context.data[i:i + 1])
         assert "repro.autograd.kernels" not in sys.modules
+        assert "repro.autograd.replay" not in sys.modules
         kinds = {stage[0] for signature in jit._MEMO if signature[0] == "stages"
                  for stage in signature[1]}
         several = [stage for signature in jit._MEMO if signature[0] == "stages"
