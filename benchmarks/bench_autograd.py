@@ -80,18 +80,13 @@ Workloads
     ``process_serving``.  Process sharding only pays on multi-core hosts;
     single-core runs record a ratio < 1 by design.
 
-Every repro-engine workload runs once per **array backend** (``--backend``,
-default: ``numpy fused``), so the JSON records per-backend numbers:
-the ``numpy`` reference and the ``fused`` in-place backend side by side.  The
-headline ``speedups`` (seed engine vs. repro) are computed against the
-``fused`` backend — the successor of the historical inline kernels — while
-the ``backends`` section reports numpy-vs-fused ratios per workload (>= 1.0
-means fusion pays).
+Every repro-engine workload runs on the ``numpy`` backend, the one built
+in; rows keep a ``backend`` field so their keys read as before.  The
+headline ``speedups`` compare the seed engine against it.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_autograd.py [--quick] [--output PATH]
-        [--backend numpy fused]
 
 Writes ``BENCH_autograd.json`` (see ``schema`` key) with per-workload median
 step times and seed/new speedups.
@@ -119,7 +114,7 @@ from repro import nn, serve  # noqa: E402
 from repro.autograd import Tensor as NewTensor  # noqa: E402
 from repro.autograd import functional as F  # noqa: E402
 from repro.autograd import fusion, no_grad  # noqa: E402
-from repro.backend import available_backends, use_backend  # noqa: E402
+from repro.backend import use_backend  # noqa: E402
 from repro.models import TBNet, make_synthetic_batch  # noqa: E402
 
 SeedTensor = seed_engine.Tensor
@@ -872,14 +867,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None, help="timing repeats per workload")
     parser.add_argument("--batch-sizes", type=int, nargs="+", default=None)
     parser.add_argument(
-        "--backend",
-        nargs="+",
-        choices=available_backends(),
-        default=None,
-        help="array backends to benchmark the repro engine under "
-        "(default: numpy fused; others, e.g. lazy, are opt-in)",
-    )
-    parser.add_argument(
         "--rounds",
         type=int,
         default=None,
@@ -895,11 +882,7 @@ def main(argv=None) -> int:
     inner = 2 if quick else 10
     warmup = 1 if quick else 5
     batches = args.batch_sizes or ([32] if quick else [64, 256])
-    # Reference first: the numpy run absorbs any residual warm-up cost so the
-    # fused numbers are never flattered by ordering.  Other registered
-    # backends (e.g. ``lazy``) are opt-in via --backend: the default matrix
-    # stays the two whose rows every trend gate keys on.
-    backends = args.backend or [n for n in ("numpy", "fused") if n in available_backends()]
+    backends = ["numpy"]
     mlp_dims = [64, 64, 64, 64, 10]
     red_width, red_depth = 256, 8
 
@@ -1172,7 +1155,7 @@ def main(argv=None) -> int:
     # Headline backend only — the comparison is worker substrate, not
     # kernels, and the process arm pays a worker-compile warmup per server.
     process_serving: Dict[str, Dict] = {}
-    proc_backend = "fused" if "fused" in backends else backends[0]
+    proc_backend = backends[0]
     openloop_rates = [50, 100, 200] if quick else [100, 200, 400, 800]
     openloop_duration = 0.25 if quick else 0.5
     openloop_slo_ms = 50.0
@@ -1225,9 +1208,8 @@ def main(argv=None) -> int:
     )
 
     # Headline speedups keep their historical keys and semantics (seed engine
-    # vs. repro); the repro side is the fused backend when it was measured,
-    # since the fused backend is the successor of the old inline kernels.
-    headline = "fused" if "fused" in backends else backends[0]
+    # vs. repro).
+    headline = backends[0]
     speedups = {}
     for workload in ("mlp", "reduction"):
         for batch in batches:
@@ -1239,32 +1221,13 @@ def main(argv=None) -> int:
             if "seed" in times and headline in times:
                 speedups[f"{workload}/batch{batch}"] = times["seed"] / times[headline]
 
-    # Per-workload backend comparison: numpy reference vs fused (>= 1.0 means
-    # the fused backend meets or beats the reference).  Uses best-of timings:
-    # the minimum over repeats is the least noise-contaminated estimate of a
-    # deterministic step, so ratios between two near-identical code paths are
-    # not dominated by scheduler jitter.
-    backend_speedups = {}
-    if "numpy" in backends and "fused" in backends:
-        for r in results:
-            # serve_queue rows carry burst throughput, not per-step timings.
-            if r["backend"] != "numpy" or r["engine"] == "seed" or "best_ms" not in r:
-                continue
-            twin = next(
-                (
-                    s for s in results
-                    if s["backend"] == "fused"
-                    and (s["workload"], s["engine"], s["batch"])
-                    == (r["workload"], r["engine"], r["batch"])
-                ),
-                None,
-            )
-            if twin is not None:
-                key = f"{r['workload']}/{r['engine']}/batch{r['batch']}"
-                backend_speedups[key] = r["best_ms"] / twin["best_ms"]
-
     def _paired_ratio(workload: str, num_engine: str, den_engine: str) -> Dict[str, float]:
-        """Per-backend/batch best-of ratios between two engines of a workload."""
+        """Per-backend/batch best-of ratios between two engines of a workload.
+
+        Best-of timings: the minimum over repeats is the least
+        noise-contaminated estimate of a deterministic step, so ratios
+        between two near-identical code paths are not dominated by
+        scheduler jitter."""
         ratios = {}
         for r in results:
             if r["workload"] != workload or r["engine"] != num_engine:
@@ -1345,7 +1308,7 @@ def main(argv=None) -> int:
     from repro.codegen import codegen_stats, have_compiler
 
     report = {
-        "schema": "bench_autograd/v9",
+        "schema": "bench_autograd/v10",
         "meta": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -1354,8 +1317,8 @@ def main(argv=None) -> int:
             "backends": backends,
             "headline_backend": headline,
             # Pinning BLAS to one thread (OMP_NUM_THREADS=1) stabilizes the
-            # numpy-vs-fused ratios on noisy hosts; record it so artifacts
-            # are only compared like-for-like.
+            # paired ratios on noisy hosts; record it so artifacts are only
+            # compared like-for-like.
             "blas_threads": os.environ.get("OMP_NUM_THREADS", "default"),
         },
         "config": {
@@ -1368,7 +1331,6 @@ def main(argv=None) -> int:
         },
         "results": results,
         "speedups": speedups,
-        "backends": backend_speedups,
         "overhead": overhead,
         "inference": inference,
         "fusion": fusion_ratios,
@@ -1385,8 +1347,6 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.output}")
     for key, value in sorted(speedups.items()):
         print(f"  speedup {key}: {value:.2f}x")
-    for key, value in sorted(backend_speedups.items()):
-        print(f"  backend {key}: {value:.2f}x (numpy/fused)")
     for key, value in sorted(overhead.items()):
         print(f"  overhead {key}: {value:.2f}x (functional/module)")
     for key, value in sorted(inference.items()):

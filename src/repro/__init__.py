@@ -3,8 +3,8 @@
 Layers:
 
 - :mod:`repro.backend` — the swappable ndarray backend registry: the
-  ``numpy`` reference and the ``fused`` in-place backend behind one
-  ``ArrayBackend`` surface, plus the process-wide seeded generator.
+  ``numpy`` reference behind the ``ArrayBackend`` surface, plus the
+  process-wide seeded generator.
 - :mod:`repro.autograd` — the define-by-run tape engine (reified as a graph
   IR of explicit nodes), the dense kernels, and the trace-time fusion pass
   (:mod:`repro.autograd.fusion`), dispatching all numerical work through the

@@ -86,7 +86,6 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 
 
 def _pad_hw(be, x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
-    x = np.asarray(x)  # a deferred (lazy-backend) operand is forced once, here
     if ph == 0 and pw == 0:
         return x
     return be.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), value=value)

@@ -40,13 +40,11 @@ Three extensions widen what a region may contain:
   emitter drops it.
 
 **Pattern pairs** (the composite-kernel mechanism).  ``linear → relu`` and
-``batch_norm → relu`` still fuse into ``linear_relu`` /
-``batch_norm_relu`` nodes dispatching to the backend composites: a GEMM or
-a training-mode batch norm cannot join an elementwise region, but masking
-its activation inside the composite is a real win.  The legacy
-``mul_add`` / ``add_relu`` pairs remain only as a fallback for third-party
-backends that implement the composites but not ``compile_region``; on the
-built-in backends those chains now become regions.
+``batch_norm → relu`` fuse into ``linear_relu`` / ``batch_norm_relu`` nodes
+dispatching to the backend composites: a GEMM or a training-mode batch norm
+cannot join an elementwise region, but masking its activation inside the
+composite is a real win.  Every other elementwise chain is a region's
+business; a backend without ``compile_region`` leaves it unfused.
 
 A chain is fused only when each interior output is consumed by exactly one
 node of the walked graph, so gradient accumulation order — and therefore
@@ -110,9 +108,7 @@ __all__ = [
 ]
 
 #: Ops produced by this pass (also the keys of the fusion-count stats).
-#: ``mul_add``/``add_relu`` appear only on backends without
-#: ``compile_region``; the built-in backends produce ``region`` instead.
-FUSED_OPS = ("linear_relu", "batch_norm_relu", "region", "mul_add", "add_relu")
+FUSED_OPS = ("linear_relu", "batch_norm_relu", "region")
 
 _FALSY = ("", "0", "off", "false", "no")
 
@@ -160,7 +156,7 @@ def _node_backend(node: ir.GraphNode):
 #: them, so a third-party backend that predates (or skips) the composites
 #: simply gets no fusion instead of an AttributeError mid-backward or
 #: mid-replay.
-_COMPOSITE_METHODS = ("relu_grad", "linear_relu", "mul_add", "add_relu", "bn_normalize_relu")
+_COMPOSITE_METHODS = ("relu_grad", "linear_relu", "bn_normalize_relu")
 
 def _backend_caps(be) -> tuple:
     """(supports composites, supports regions, region features), memoized
@@ -327,8 +323,6 @@ def _freeze_plan(entries: list) -> tuple:
 _PATTERN_OPS = {
     "linear_relu": ("linear", "relu"),
     "batch_norm_relu": ("batch_norm", "relu"),
-    "add_relu": ("add", "relu"),
-    "mul_add": ("mul", "add"),
 }
 
 
@@ -393,8 +387,6 @@ def _plan_applies(plan, nodes) -> bool:
                     _supports_composites(producer)
                     and _supports_composites(consumer)
                 ):
-                    return False
-                if kind in ("add_relu", "mul_add") and _supports_regions(consumer):
                     return False
     except (AttributeError, IndexError, TypeError):
         # Freed nodes or a structurally stale plan: rebuild from scratch.
@@ -540,38 +532,16 @@ def _build_plan(nodes, root: Tensor) -> list:
 
     # ---- pattern pairs (topo order keeps the pass deterministic) -------- #
     for i, node in enumerate(nodes):
-        if id(node) in claimed or node.out is None:
+        if id(node) in claimed or node.out is None or node.op != "relu":
             continue
-        if node.op == "relu":
-            producer = fusable_producer(node.inputs[0])
-            if producer is None or not (
-                _supports_composites(node) and _supports_composites(producer)
-            ):
-                continue
-            if producer.op == "linear":
-                entry = ("linear_relu", position[id(producer)], i)
-            elif producer.op == "batch_norm":
-                entry = ("batch_norm_relu", position[id(producer)], i)
-            elif producer.op == "add" and not _supports_regions(node):
-                entry = ("add_relu", position[id(producer)], i)
-            else:
-                continue
-            plan.append(entry)
-            claimed.add(id(producer))
-            claimed.add(id(node))
-        elif node.op == "add" and not _supports_regions(node):
-            for side in (0, 1):
-                candidate = fusable_producer(node.inputs[side])
-                if (
-                    candidate is not None
-                    and candidate.op == "mul"
-                    and _supports_composites(node)
-                    and _supports_composites(candidate)
-                ):
-                    plan.append(("mul_add", position[id(candidate)], i, side))
-                    claimed.add(id(candidate))
-                    claimed.add(id(node))
-                    break
+        producer = fusable_producer(node.inputs[0])
+        if producer is None or producer.op not in ("linear", "batch_norm") or not (
+            _supports_composites(node) and _supports_composites(producer)
+        ):
+            continue
+        plan.append((producer.op + "_relu", position[id(producer)], i))
+        claimed.add(id(producer))
+        claimed.add(id(node))
 
     # ---- elementwise regions ------------------------------------------- #
     cache: dict = {}
@@ -758,12 +728,8 @@ def _apply_plan(plan, nodes) -> Dict[str, int]:
             producer, consumer = nodes[p_pos], nodes[c_pos]
             if kind == "linear_relu":
                 _rewrite_linear_relu(producer, consumer)
-            elif kind == "batch_norm_relu":
-                _rewrite_batch_norm_relu(producer, consumer)
-            elif kind == "add_relu":
-                _rewrite_add_relu(producer, consumer)
             else:
-                _rewrite_mul_add(producer, consumer, entry[3])
+                _rewrite_batch_norm_relu(producer, consumer)
             nodes[c_pos] = consumer.out._node
             nodes[p_pos] = None
     # Copy: callers may keep the counts dict; the original lives in the
@@ -964,7 +930,7 @@ def _region_backward(members, routes, out_t: Tensor, be, dup_mask):
 
 
 # --------------------------------------------------------------------------- #
-# Pattern rewrites (shared with the legacy composite path)
+# Pattern rewrites
 # --------------------------------------------------------------------------- #
 def _install(producer: ir.GraphNode, consumer: ir.GraphNode, fused: ir.GraphNode) -> None:
     """Hang ``fused`` on the consumer's output tensor, bypassing both nodes.
@@ -1000,56 +966,6 @@ def _rewrite_linear_relu(P: ir.GraphNode, C: ir.GraphNode) -> None:
             # Mask the incoming grad (the relu node's exact op), then run
             # the kernel's own backward — shared with functional.linear.
             linear_backward(pbe, cbe.relu_grad(out_t.grad, mask), x_t, w_t, b_t)
-
-        fused.backward = _backward
-    _install(P, C, fused)
-
-
-def _rewrite_mul_add(P: ir.GraphNode, C: ir.GraphNode, side: int) -> None:
-    """mul → add  ⇒  mul_add over ``(a, b, c)`` where ``c`` is the addend."""
-    a_t, b_t = P.inputs
-    c_t = C.inputs[1 - side]
-    out_t = C.out
-    p_shape = P.out.data.shape
-    pbe = _node_backend(P)
-    fused = ir.GraphNode("mul_add", (a_t, b_t, c_t), {"p_shape": p_shape}, out_t, be=pbe)
-    if C.backward is not None:
-        def _backward() -> None:
-            g = out_t.grad
-            # Same phase order as the separate thunks: the add side first
-            # (c), then the mul side (a, b) — identical bit patterns when a
-            # tensor appears on both sides.
-            if c_t.requires_grad:
-                c_t._accumulate_bcast(g)
-            if a_t.requires_grad or b_t.requires_grad:
-                gm = _unbroadcast(g, p_shape)
-                if a_t.requires_grad:
-                    a_t._accumulate_fresh(
-                        _unbroadcast(pbe.multiply(gm, b_t.data), a_t.data.shape)
-                    )
-                if b_t.requires_grad:
-                    b_t._accumulate_fresh(
-                        _unbroadcast(pbe.multiply(gm, a_t.data), b_t.data.shape)
-                    )
-
-        fused.backward = _backward
-    _install(P, C, fused)
-
-
-def _rewrite_add_relu(P: ir.GraphNode, C: ir.GraphNode) -> None:
-    """add → relu  ⇒  add_relu (one node, one masked grad fanned out)."""
-    a_t, b_t = P.inputs
-    out_t = C.out
-    mask = _relu_mask(C)
-    cbe = _node_backend(C)
-    fused = ir.GraphNode("add_relu", (a_t, b_t), {"mask": mask}, out_t, be=_node_backend(P))
-    if C.backward is not None:
-        def _backward() -> None:
-            gm = cbe.relu_grad(out_t.grad, mask)
-            if a_t.requires_grad:
-                a_t._accumulate_bcast(gm)
-            if b_t.requires_grad:
-                b_t._accumulate_bcast(gm)
 
         fused.backward = _backward
     _install(P, C, fused)
@@ -1114,16 +1030,6 @@ def _eval_region(be, inputs, attrs):
 @ir.register_forward("linear_relu")
 def _eval_linear_relu(be, inputs, attrs):
     return be.linear_relu(inputs[0], inputs[1], inputs[2] if len(inputs) == 3 else None)
-
-
-@ir.register_forward("mul_add")
-def _eval_mul_add(be, inputs, attrs):
-    return be.mul_add(inputs[0], inputs[1], inputs[2])
-
-
-@ir.register_forward("add_relu")
-def _eval_add_relu(be, inputs, attrs):
-    return be.add_relu(inputs[0], inputs[1])
 
 
 @ir.register_forward("batch_norm_relu")

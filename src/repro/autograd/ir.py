@@ -70,7 +70,7 @@ class GraphNode:
     Attributes
     ----------
     op:
-        Operation name (``"linear"``, ``"relu"``, ``"mul_add"``, ...), the
+        Operation name (``"linear"``, ``"relu"``, ``"region"``, ...), the
         key into the forward-eval registry and the fusion pattern tables.
     inputs:
         The parent :class:`Tensor` objects, in the op's argument order.

@@ -43,18 +43,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.functional import _out_hw
-from repro.backend.fused import FusedNumpyBackend
-from repro.backend.lazy import LazyBackend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.codegen import jit
 from repro.codegen.crender import _CTYPE
 from repro.obs import profile as _profile
 
 __all__ = ["arm"]
-
-#: ``serve.session._is_builtin_backend``'s rule: any other backend may
-#: compute these ops differently, and gets its own methods.
-_BUILTIN = (NumpyBackend, FusedNumpyBackend, LazyBackend)
 
 #: The most bytes one stage may keep on the C stack (a padded plane).
 _STACK = 256 * 1024
@@ -146,7 +140,7 @@ def arm(op: str, be, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm
     # kernels read it when they compile, not when they run.
     if jit._OVERRIDE is False:
         return _numpy(key, "disabled")
-    if be.__class__ not in _BUILTIN:
+    if be.__class__ is not NumpyBackend:  # any other backend gets its own methods
         return _numpy(key, "backend")
     found = _ARMS.get(key, _ASK)
     if found is not _ASK and found.__class__ is not tuple:

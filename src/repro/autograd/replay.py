@@ -43,7 +43,7 @@ import numpy as np
 from repro.autograd import functional as F, ir, kernels
 from repro.autograd.tensor import (
     Tensor, _owned_copy, _relu_arm, _relu_backward, _relu_forward)
-from repro.backend import lazy, workspace
+from repro.backend import workspace
 from repro.obs import profile as _profile
 
 __all__ = ["Refused", "TrainReplay"]
@@ -303,14 +303,12 @@ class TrainReplay:
         for buffer, delta in self._counters:
             buffer += delta
         profiler = _profile._ACTIVE
-        previous = lazy.set_deferral(False)
         try:
             if profiler is None:
                 return self._steps(values, None)
             with profiler.step("replay"):
                 return self._steps(values, profiler)
         finally:
-            lazy.set_deferral(previous)
             for slot in range(self._fixed, len(values)):
                 values[slot] = None
 

@@ -85,11 +85,6 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
         if value.dtype != dtype:
             return value.astype(dtype)
         return value
-    if getattr(value, "_repro_lazy", False) and value.dtype == dtype:
-        # A deferred array from the lazy backend: adopt it unforced so the
-        # elementwise chain keeps growing; any np.asarray here would flush
-        # the region one op at a time.
-        return value
     return np.asarray(value, dtype=dtype)
 
 
@@ -174,20 +169,6 @@ def _get_fusion():
 
         _fusion_module = fusion
     return _fusion_module
-
-
-_lazy_module = None
-
-
-def _get_lazy():
-    """Lazy import of :mod:`repro.backend.lazy` (only loaded when a
-    backward pass needs to pause deferral)."""
-    global _lazy_module
-    if _lazy_module is None:
-        from repro.backend import lazy
-
-        _lazy_module = lazy
-    return _lazy_module
 
 
 _profile_module = None
@@ -323,16 +304,8 @@ class Tensor:
         return self.data.dtype
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy).
-
-        Forces (and swaps in) the concrete array when the lazy backend left
-        a deferred region here — ``.data`` reads are a region flush point.
-        """
-        data = self.data
-        if getattr(data, "_repro_lazy", False):
-            data = np.asarray(data)
-            self.data = data
-        return data
+        """Return the underlying numpy array (no copy)."""
+        return self.data
 
     def item(self) -> float:
         data = self.numpy()
@@ -342,23 +315,6 @@ class Tensor:
                 f"got shape {self.shape}"
             )
         return float(data.item())
-
-    # Node views: the recorded graph lives in ``_node``; these read-only
-    # views keep the historical tape attribute names working.
-    @property
-    def _prev(self) -> Tuple["Tensor", ...]:
-        node = self._node
-        return node.inputs if node is not None else ()
-
-    @property
-    def _backward(self) -> Optional[Callable[[], None]]:
-        node = self._node
-        return node.backward if node is not None else None
-
-    @property
-    def _op(self) -> str:
-        node = self._node
-        return node.op if node is not None else ""
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but detached from the *gradient* graph.
@@ -393,7 +349,8 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
+        op = self._node.op if self._node is not None else ""
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={op!r})"
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -680,13 +637,12 @@ class Tensor:
     def relu(self) -> "Tensor":
         be = get_backend()
         # The mask is a gradient-only artifact: computing it in inference
-        # would both waste a full-size compare and force a lazy-backend
-        # chain mid-region, so it exists only when a backward will.
+        # would waste a full-size compare, so it exists only when a backward
+        # will.
         arm = None
         if _GRAD_ENABLED and self.requires_grad:
-            data = np.asarray(self.data)  # a deferred (lazy-backend) chain is forced here
-            arm = _relu_arm(be, data)
-            result, mask = _relu_forward(be, arm, data)
+            arm = _relu_arm(be, self.data)
+            result, mask = _relu_forward(be, arm, self.data)
             attrs = {"mask": mask}
         else:
             result = be.relu(self.data)
@@ -990,47 +946,37 @@ class Tensor:
                 out.grad = None
         self.grad = seed
 
-        # Gradient math must produce concrete arrays: under the lazy
-        # backend, deferring VJP ops would interleave half-built gradient
-        # regions with the in-place accumulation buffers, so deferral is
-        # paused for the duration of the thunk loop.
-        lazy = _get_lazy()
-        prev_defer = lazy.set_deferral(False)
-        try:
-            # Unless the graph is retained, each node is freed as soon as
-            # its thunk has run: the closure goes (breaking the
-            # tensor<->closure cycles) and a raising sentinel stays, so a
-            # later backward over this graph fails loudly; the saved arrays
-            # and the output link go with it, so peak memory is what is
-            # live *between* two thunks, not the sum over the pass.  Nodes a
-            # rewrite pass bypassed are freed with their replacement.  A
-            # leaf root never had a node and stays repeatable.
-            profiler = _get_profile().active_profiler()
-            if profiler is None:
+        # Unless the graph is retained, each node is freed as soon as its
+        # thunk has run: the closure goes (breaking the tensor<->closure
+        # cycles) and a raising sentinel stays, so a later backward over
+        # this graph fails loudly; the saved arrays and the output link go
+        # with it, so peak memory is what is live *between* two thunks, not
+        # the sum over the pass.  Nodes a rewrite pass bypassed are freed
+        # with their replacement.  A leaf root never had a node and stays
+        # repeatable.
+        profiler = _get_profile().active_profiler()
+        if profiler is None:
+            for node in reversed(topo):
+                backward_fn = node.backward
+                if backward_fn is not None:
+                    backward_fn()
+                if not retain_graph:
+                    _free_node(node)
+        else:
+            # Timing-only instrumentation: the same thunks run in the same
+            # order and are freed at the same points, so gradients stay
+            # bit-identical and peak memory unchanged with profiling on.
+            perf = time.perf_counter
+            with profiler.step("backward"):
                 for node in reversed(topo):
                     backward_fn = node.backward
                     if backward_fn is not None:
+                        start = perf()
                         backward_fn()
+                        elapsed = perf() - start  # compiled stages have rows of their own
+                        profiler.record("backward:" + node.op, elapsed - profiler.take_inner())
                     if not retain_graph:
                         _free_node(node)
-            else:
-                # Timing-only instrumentation: the same thunks run in the
-                # same order and are freed at the same points, so gradients
-                # stay bit-identical and peak memory unchanged with
-                # profiling on.
-                perf = time.perf_counter
-                with profiler.step("backward"):
-                    for node in reversed(topo):
-                        backward_fn = node.backward
-                        if backward_fn is not None:
-                            start = perf()
-                            backward_fn()
-                            elapsed = perf() - start  # compiled stages have rows of their own
-                            profiler.record("backward:" + node.op, elapsed - profiler.take_inner())
-                        if not retain_graph:
-                            _free_node(node)
-        finally:
-            lazy.set_deferral(prev_defer)
 
         self._topo = topo if retain_graph else None
 

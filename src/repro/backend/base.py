@@ -20,9 +20,6 @@ methods so a backend may collapse them into fewer temporaries or a single
 fused kernel.  :class:`~repro.backend.numpy_backend.NumpyBackend` implements
 each composite as the plain, readable numpy expression — that is the
 reference semantics alternate backends are validated against.
-:class:`~repro.backend.fused.FusedNumpyBackend` overrides them with in-place
-chains that allocate far fewer temporaries while keeping the same operation
-order (and therefore near-bit-identical results).
 
 Structural operations with no numerical content — ``reshape``, ``transpose``,
 basic indexing — are *not* part of the surface: they follow numpy semantics
@@ -179,14 +176,6 @@ class ArrayBackend(Protocol):
         """Fused ``relu(x @ w + b)`` (``b`` may be ``None``)."""
         ...
 
-    def mul_add(self, a, b, c) -> np.ndarray:
-        """Fused elementwise ``a * b + c`` with numpy broadcasting."""
-        ...
-
-    def add_relu(self, a, b) -> np.ndarray:
-        """Fused elementwise ``relu(a + b)`` with numpy broadcasting."""
-        ...
-
     def bn_normalize_relu(
         self, x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -204,10 +193,10 @@ class ArrayBackend(Protocol):
     #: feature strings: ``"elementwise"`` (the plain REGION_OPS — implied by
     #: having the method at all), ``"reduce"`` (trailing-axes ``sum``/
     #: ``mean`` tails), ``"linear"`` (the GEMM head with fused epilogue).
-    #: The fusion pass and LazyBackend consult this *before* absorbing a
-    #: structured node into a region; a backend that omits the attribute is
-    #: treated as elementwise-only, so adding node kinds upstream can never
-    #: hand an older backend a program it does not understand.
+    #: The fusion pass consults this *before* absorbing a structured node
+    #: into a region; a backend that omits the attribute is treated as
+    #: elementwise-only, so adding node kinds upstream can never hand an
+    #: older backend a program it does not understand.
     region_features: frozenset
 
     def compile_region(self, region, specialize: bool = False) -> "Callable":
@@ -215,8 +204,7 @@ class ArrayBackend(Protocol):
         ``kernel(arrays, out=None) -> ndarray`` callable.
 
         This is the fusion pipeline's execution hook: the region pass
-        (:mod:`repro.autograd.fusion`), the lazy backend
-        (:mod:`repro.backend.lazy`) and the serving compiler all hand
+        (:mod:`repro.autograd.fusion`) and the serving compiler hand
         extracted regions to the active backend through it.  The returned
         kernel must be **bit-identical** to running the region's op
         sequence through this backend's own primitives — that equality is

@@ -1,10 +1,9 @@
 """The reference numpy backend.
 
 Every method is the plainest correct numpy expression of the operation: this
-backend defines the semantics that alternate backends (including
-:class:`~repro.backend.fused.FusedNumpyBackend`) are validated against in the
-cross-backend equivalence suite.  Operation *order* matches the historical
-inline kernels, so results are bit-identical to the pre-registry engine.
+backend defines the semantics that any other backend is validated against.
+Operation *order* matches the historical inline kernels, so results are
+bit-identical to the pre-registry engine.
 
 The methods a training step calls on image-sized operands take their result
 buffer from :meth:`NumpyBackend.empty` (:mod:`repro.backend.workspace`) and
@@ -219,13 +218,6 @@ class NumpyBackend:
         out = self.linear(x, w, b)  # a buffer we own: rectify in place
         return np.maximum(out, 0.0, out=out)
 
-    def mul_add(self, a, b, c) -> np.ndarray:
-        return np.add(np.multiply(a, b), c)
-
-    def add_relu(self, a, b) -> np.ndarray:
-        out = np.add(a, b)
-        return np.maximum(out, 0.0, out=out)
-
     def bn_normalize_relu(
         self, x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -237,21 +229,20 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
 
     #: Region node kinds this backend's ``compile_region`` accepts — the
-    #: capability hook the fusion pass and LazyBackend consult before
-    #: absorbing a node into a region.  ``"elementwise"`` covers the plain
-    #: REGION_OPS; ``"reduce"`` adds trailing-axes sum/mean tails;
-    #: ``"linear"`` adds the host-GEMM head with fused epilogue.  A backend
-    #: without this attribute is treated as elementwise-only.
+    #: capability hook the fusion pass consults before absorbing a node
+    #: into a region.  ``"elementwise"`` covers the plain REGION_OPS;
+    #: ``"reduce"`` adds trailing-axes sum/mean tails; ``"linear"`` adds
+    #: the host-GEMM head with fused epilogue.  A backend without this
+    #: attribute is treated as elementwise-only.
     region_features = frozenset({"elementwise", "reduce", "linear"})
 
     def compile_region(self, region, specialize: bool = False):
         # One compiled C loop per region (bit-equal to the ufunc sequence
         # by the codegen contract); the numpy-interpreter arm — which *is*
         # this backend's op sequence — when codegen is off or no compiler
-        # exists.  FusedNumpyBackend inherits this: its elementwise
-        # primitives are the same ufuncs.  ``specialize=True`` renders the
-        # kernels with the region's concrete shapes as literal loop bounds
-        # (serving sessions opt in per bucket).
+        # exists.  ``specialize=True`` renders the kernels with the region's
+        # concrete shapes as literal loop bounds (serving sessions opt in
+        # per bucket).
         from repro.codegen import compile_region as _compile_region
 
         return _compile_region(region, specialize=specialize)

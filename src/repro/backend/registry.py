@@ -6,10 +6,9 @@ duration of a ``with`` block and restores the previous backend even when the
 block raises, and :func:`get_backend` is the cheap accessor every kernel
 calls on its hot path.
 
-Backends are registered by name; ``numpy`` (the plain reference) and
-``fused`` (in-place, fewer temporaries) are built in.  The default at import
-time is the ``numpy`` reference, overridable with the ``REPRO_BACKEND``
-environment variable (the CI matrix runs the whole test suite under both).
+Backends are registered by name; ``numpy`` (the plain reference) is the one
+built in and the default, overridable with the ``REPRO_BACKEND``
+environment variable once a program has registered another.
 
 This module also owns the **seeded global generator**: the stream that
 ``repro.nn.init.manual_seed`` resets and that every default random draw in
@@ -28,8 +27,6 @@ from typing import Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.backend.base import ArrayBackend
-from repro.backend.fused import FusedNumpyBackend
-from repro.backend.lazy import LazyBackend
 from repro.backend.numpy_backend import NumpyBackend
 
 __all__ = [
@@ -155,11 +152,9 @@ def set_rng_state(state: dict) -> np.random.Generator:
 
 
 # --------------------------------------------------------------------------- #
-# Built-in backends; the default (numpy, or $REPRO_BACKEND) is resolved
+# The built-in backend; the default (numpy, or $REPRO_BACKEND) is resolved
 # lazily by the first get_backend() call — see its docstring.
 # --------------------------------------------------------------------------- #
 register_backend(NumpyBackend())
-register_backend(FusedNumpyBackend())
-register_backend(LazyBackend())
 
 _active: Optional[ArrayBackend] = None

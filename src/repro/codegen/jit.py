@@ -24,7 +24,7 @@ pipeline planned by :func:`repro.codegen.crender.stage_plan`: host GEMMs
 into workspaces, then one kernel per map/reduce stage.  Passing
 ``specialize=True`` renders every stage with its concrete shapes as
 literal loop bounds, keyed into the same cache by (structure, shapes); the
-dynamic-shape kernels remain the default for eager/lazy use.
+dynamic-shape kernels remain the default for eager use.
 
 A *stage plan* (``("stages", ...)`` signatures, rendered by
 :mod:`repro.codegen.cstage`: a serving session's steps, a train step's

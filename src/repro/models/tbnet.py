@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, ir, is_grad_enabled, no_grad
-from repro.backend import FusedNumpyBackend, LazyBackend, NumpyBackend, default_rng, get_backend
+from repro.backend import NumpyBackend, default_rng, get_backend
 from repro.codegen.jit import codegen_enabled
 
 __all__ = ["TBNet", "make_synthetic_batch", "train_replay"]
@@ -297,7 +297,6 @@ _LAYER_FORWARDS = frozenset(
     cls.forward for cls in (nn.Linear, nn.Conv2d, nn.BatchNorm2d, nn.BatchNorm1d, nn.Dropout,
                             nn.ReLU, nn.MaxPool2d, nn.Flatten, nn.Sequential)
 )
-_BACKENDS = (NumpyBackend, FusedNumpyBackend, LazyBackend)
 _COUNTS: dict = {}
 
 
@@ -406,7 +405,7 @@ class _TrainState:
             reason = "no_grad"
         elif ir.current_capture() is not None:
             reason = "capture"
-        elif type(get_backend()) not in _BACKENDS:
+        elif type(get_backend()) is not NumpyBackend:
             reason = "backend"
         else:
             signature = self.signature

@@ -59,8 +59,7 @@ import numpy as np
 
 from repro.autograd.fusion import enable_fusion, fusion_enabled
 from repro.autograd.tensor import Tensor, no_grad
-from repro.backend import get_backend, use_backend
-from repro.backend.lazy import pause_deferral
+from repro.backend import get_backend
 from repro.backend.registry import get_rng_state, set_backend, set_rng_state
 from repro.codegen.jit import (
     abandon_compiles,
@@ -766,7 +765,7 @@ class ProcServer(Server):
         per-sample output shape/dtype without compiling parent-side."""
         inputs = [Tensor(np.ascontiguousarray(a[:1]), dtype=a.dtype)
                   for a in examples]
-        with use_backend(get_backend()), no_grad(), pause_deferral():
+        with no_grad():
             out = model(*inputs)
         data = out.data
         if data.ndim == 0 or data.shape[0] != 1:

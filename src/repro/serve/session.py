@@ -16,7 +16,7 @@ returned :class:`InferenceSession` replays that list over new batches with:
   example batch (fixed shapes are what make buffer reuse safe) and rejects
   mismatches with a clear error.
 
-On the built-in backends those steps are the *no-compiler arm*: the session
+On the numpy backend those steps are the *no-compiler arm*: the session
 also plans compiled loop stages around its GEMMs (:mod:`repro.serve.stages`),
 has them compiled off the calling thread — it **never waits for a
 compiler** — and its owner thread swaps them in at the top of a later
@@ -58,8 +58,6 @@ import numpy as np
 from repro.autograd import functional as F, fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import get_backend, use_backend, workspace
-from repro.backend.fused import FusedNumpyBackend
-from repro.backend.lazy import LazyBackend, pause_deferral, set_deferral
 from repro.backend.numpy_backend import NumpyBackend
 from repro.codegen.jit import codegen_enabled, count_fallback
 from repro.nn.module import Module
@@ -233,12 +231,7 @@ def _compile(model: Module, example_batch, fuse: bool, gemm_stages: bool) -> "In
             "model.eval() first"
         )
     inputs = _as_input_tensors(example_batch)
-    # Deferral paused for the capture: under the lazy backend an eager
-    # elementwise chain would record LazyArray outputs, which the fusion
-    # pass cannot extract regions from and the specialized emitters cannot
-    # pre-allocate against.  The captured trace *is* the region plan here,
-    # so deferring during it buys nothing.
-    with no_grad(), pause_deferral(), ir.capture() as graph:
+    with no_grad(), ir.capture() as graph:
         output = model(*inputs)
     if not isinstance(output, Tensor):
         raise TypeError(
@@ -291,10 +284,6 @@ class InferenceSession:
         gemm_stages: bool = True,
     ) -> None:
         self._be = backend
-        #: Replay must see concrete arrays: a deferring backend would hand
-        #: the generic steps LazyArrays (and the caller a lazy output), so
-        #: ``run`` pauses deferral for the step loop on such backends.
-        self._pause_deferral = isinstance(backend, LazyBackend)
         self._model = model
         self._input_meta = [(t.data.shape, t.data.dtype) for t in inputs]
         self.fused_counts = dict(fused_counts or {})
@@ -438,20 +427,15 @@ class InferenceSession:
             values[i] = arr
         if self._pending is not None:
             self._adopt()
-        prev_defer = set_deferral(False) if self._pause_deferral else None
         try:
-            try:
-                self._replay(values)
-            except Unbound:
-                # Every step rewrites its whole output, so the numpy steps
-                # simply start over on the same inputs.
-                self._serve_numpy("unplannable")
-                count_fallback("unplannable")
-                self._replay(values)
-            result = self._get_output(values)
-        finally:
-            if prev_defer is not None:
-                set_deferral(prev_defer)
+            self._replay(values)
+        except Unbound:
+            # Every step rewrites its whole output, so the numpy steps
+            # simply start over on the same inputs.
+            self._serve_numpy("unplannable")
+            count_fallback("unplannable")
+            self._replay(values)
+        result = self._get_output(values)
         # Drop the slot references (caller inputs, generic-step outputs) so
         # a long-lived session does not pin the last batch between calls;
         # the pre-allocated emitter buffers live in the step closures.
@@ -547,9 +531,8 @@ class InferenceSession:
                 f"({training[:3]}); call model.eval() before serving"
             )
         # Pin the compile-time backend: full chunks replay under it, so the
-        # tail must too — one request stream, one set of numerics.  Deferral
-        # paused so a lazy backend hands back a concrete output array.
-        with use_backend(self._be), no_grad(), pause_deferral():
+        # tail must too — one request stream, one set of numerics.
+        with use_backend(self._be), no_grad():
             out = model(
                 *(
                     Tensor(a, dtype=meta[1])
@@ -576,9 +559,9 @@ class InferenceSession:
     def _emit(self, index: int, node: ir.GraphNode, slot_of: Dict[int, int]):
         """Compile one node into a step closure.
 
-        On the built-in backends, hot ops get specialized in-place emitters
+        On the numpy backend, hot ops get specialized in-place emitters
         over pre-allocated buffers (bit-equal to the eager kernels); every
-        other op — and *every* op on a non-built-in backend — replays
+        other op — and *every* op on any other backend — replays
         through the generic IR evaluator, which dispatches through the
         backend itself.
         """
@@ -642,28 +625,6 @@ class InferenceSession:
 
             def step(values):
                 np.negative(gx(values), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "add_relu":
-            buf = own()
-            ga, gb2 = getters[0], getters[1]
-
-            def step(values):
-                np.add(ga(values), gb2(values), out=buf)
-                np.maximum(buf, 0.0, out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "mul_add" and attrs["p_shape"] == example.shape:
-            buf = own()
-            ga, gb2, gc = getters
-
-            def step(values):
-                np.multiply(ga(values), gb2(values), out=buf)
-                np.add(buf, gc(values), out=buf)
                 values[out_slot] = buf
 
             return step
@@ -866,18 +827,15 @@ class InferenceSession:
 
 
 def _is_builtin_backend(be) -> bool:
-    """Whether ``be`` is exactly one of the built-in numpy backends.
+    """Whether ``be`` is exactly the built-in :class:`NumpyBackend`.
 
     The specialized step emitters rewrite kernels as raw in-place numpy
-    chains that are validated bit-equal against :class:`NumpyBackend` and
-    :class:`FusedNumpyBackend` — but only against those.
-    :class:`LazyBackend` also qualifies: sessions capture and replay with
-    deferral paused, where its primitives *are* ``NumpyBackend``'s.  Any
-    other backend (a subclass with overridden methods, a third-party
-    registration) gets the generic IR evaluators, which dispatch every
-    operation through the backend itself.
+    chains that are validated bit-equal against :class:`NumpyBackend` — but
+    only against it.  Any other backend (a subclass with overridden
+    methods, a third-party registration) gets the generic IR evaluators,
+    which dispatch every operation through the backend itself.
     """
-    return type(be) in (NumpyBackend, FusedNumpyBackend, LazyBackend)
+    return type(be) is NumpyBackend
 
 
 def serve_batches(

@@ -2,9 +2,12 @@
 
 The equivalence tests are the contract the registry exists for: every kernel
 (forward *and* backward) and every optimizer update must produce the same
-numbers under the ``fused`` backend as under the ``numpy`` reference, to
-tolerances tight enough that the only admissible differences are last-ulp
-reassociation effects.
+numbers under a registered third-party backend as under the ``numpy``
+reference, to tolerances tight enough that the only admissible differences
+are last-ulp reassociation effects.  The third-party backend here is a
+:class:`NumpyBackend` subclass: the built-in fast paths (compiled kernel
+arms, specialized session steps, the replayed train step) do not recognise
+it, so it takes the route any other backend would.
 """
 
 import subprocess
@@ -14,19 +17,24 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import backend, nn
+from repro import nn
 from repro.autograd import Tensor, functional as F
 from repro.backend import (
-    FusedNumpyBackend,
     NumpyBackend,
     available_backends,
     get_backend,
     register_backend,
+    registry,
     set_backend,
     use_backend,
 )
 
 RTOL, ATOL = 1e-5, 1e-6
+_REGISTRY = registry._REGISTRY
+
+
+class ThirdParty(NumpyBackend):
+    name = "third-party"
 
 
 @pytest.fixture(autouse=True)
@@ -36,18 +44,31 @@ def _restore_active_backend():
     set_backend(previous)
 
 
+@pytest.fixture(autouse=True)
+def _registered():
+    """A second numpy instance and the third-party backend, registered for
+    one test and dropped afterwards (there is no public unregister)."""
+    register_backend(NumpyBackend(), "second")
+    register_backend(ThirdParty())
+    yield
+    for name in ("second", ThirdParty.name):
+        _REGISTRY.pop(name, None)
+
+
 # --------------------------------------------------------------------------- #
 # Registry mechanics
 # --------------------------------------------------------------------------- #
 def test_builtin_backends_are_registered():
-    names = available_backends()
-    assert "numpy" in names and "fused" in names
+    for name in ("second", ThirdParty.name):
+        _REGISTRY.pop(name)
+    assert available_backends() == ["numpy"]
+    assert type(_REGISTRY["numpy"]) is NumpyBackend
 
 
 def test_set_backend_by_name_and_instance():
-    fused = set_backend("fused")
-    assert isinstance(fused, FusedNumpyBackend)
-    assert get_backend() is fused
+    second = set_backend("second")
+    assert type(second) is NumpyBackend and second is not _REGISTRY["numpy"]
+    assert get_backend() is second
     ref = NumpyBackend()
     assert set_backend(ref) is ref
     assert get_backend() is ref
@@ -60,8 +81,8 @@ def test_set_backend_unknown_name_raises():
 
 def test_use_backend_restores_previous():
     set_backend("numpy")
-    with use_backend("fused") as active:
-        assert active.name == "fused"
+    with use_backend("second") as active:
+        assert active is _REGISTRY["second"]
         assert get_backend() is active
     assert get_backend().name == "numpy"
 
@@ -69,19 +90,20 @@ def test_use_backend_restores_previous():
 def test_use_backend_restores_on_exception():
     set_backend("numpy")
     with pytest.raises(RuntimeError, match="boom"):
-        with use_backend("fused"):
-            assert get_backend().name == "fused"
+        with use_backend("second") as active:
+            assert get_backend() is active
             raise RuntimeError("boom")
     assert get_backend().name == "numpy"
 
 
 def test_use_backend_nests():
     set_backend("numpy")
-    with use_backend("fused"):
+    numpy = get_backend()
+    with use_backend("second") as second:
         with use_backend("numpy"):
-            assert get_backend().name == "numpy"
-        assert get_backend().name == "fused"
-    assert get_backend().name == "numpy"
+            assert get_backend() is numpy
+        assert get_backend() is second
+    assert get_backend() is numpy
 
 
 def test_register_backend_rejects_duplicates_and_accepts_overwrite():
@@ -99,7 +121,7 @@ def test_register_backend_rejects_duplicates_and_accepts_overwrite():
                        Tensor(np.ones((3, 4), dtype=np.float32)))
         np.testing.assert_allclose(out.data, 3.0)
     finally:
-        backend.registry._REGISTRY.pop("custom-test-backend", None)
+        _REGISTRY.pop("custom-test-backend", None)
 
 
 def test_repro_backend_env_var_selects_default():
@@ -115,10 +137,9 @@ def test_repro_backend_env_var_selects_default():
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
 
-    for name in ("numpy", "fused"):
-        proc = run(name)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == name
+    proc = run("numpy")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy"
     proc = run("nope")
     assert proc.returncode != 0 and "REPRO_BACKEND" in proc.stderr
     # Lazy resolution: a third-party backend registered after import is
@@ -138,6 +159,24 @@ def test_repro_backend_env_var_selects_default():
     assert proc.stdout.strip() == "myaccel"
 
 
+def test_repro_backend_naming_no_registered_backend_fails_at_first_use():
+    import os
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import repro, repro.backend as b\n"
+        "try:\n"
+        "    b.get_backend()\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), REPRO_BACKEND="lazy")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "REPRO_BACKEND='lazy'" in proc.stdout and "available: ['numpy']" in proc.stdout
+
+
 # --------------------------------------------------------------------------- #
 # Cross-backend equivalence: kernels
 # --------------------------------------------------------------------------- #
@@ -150,7 +189,7 @@ def run_on_backends(build, n_inputs, shapes, seed=0, grad_dtype=np.float32):
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes[:n_inputs]]
     results = {}
-    for name in ("numpy", "fused"):
+    for name in ("numpy", ThirdParty.name):
         with use_backend(name):
             tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             out = build(*tensors)
@@ -162,11 +201,11 @@ def run_on_backends(build, n_inputs, shapes, seed=0, grad_dtype=np.float32):
 
 def assert_equivalent(results):
     ref_out, ref_grads = results["numpy"]
-    fused_out, fused_grads = results["fused"]
-    np.testing.assert_allclose(fused_out, ref_out, rtol=RTOL, atol=ATOL)
-    assert len(ref_grads) == len(fused_grads)
-    for rg, fg in zip(ref_grads, fused_grads):
-        np.testing.assert_allclose(fg, rg, rtol=RTOL, atol=ATOL)
+    out, grads = results[ThirdParty.name]
+    np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=ATOL)
+    assert len(ref_grads) == len(grads)
+    for rg, g in zip(ref_grads, grads):
+        np.testing.assert_allclose(g, rg, rtol=RTOL, atol=ATOL)
 
 
 KERNEL_CASES = {
@@ -221,7 +260,7 @@ def test_kernel_equivalence_across_backends(case):
     assert_equivalent(run_on_backends(build, n_inputs, shapes))
 
 
-@pytest.mark.parametrize("name", ["numpy", "fused", "lazy"])
+@pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"], indirect=True)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16, np.int32])
 @pytest.mark.parametrize(
     "shape, axis",
@@ -235,7 +274,7 @@ def test_kernel_equivalence_across_backends(case):
         ((0, 3), 0),  # nothing to average: numpy's nan, and its warnings
     ],
 )
-def test_var_replays_numpy_var_byte_for_byte(name, dtype, shape, axis):
+def test_var_replays_numpy_var_byte_for_byte(backend, dtype, shape, axis):
     # ``NumpyBackend.var`` spells out numpy's private ``_var`` to route its
     # temporary through ``be.empty``; a numpy release that changes ``_var``
     # must fail here, not in a tolerance somewhere downstream.
@@ -244,7 +283,7 @@ def test_var_replays_numpy_var_byte_for_byte(name, dtype, shape, axis):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for source in (x, x[::-1], np.asfortranarray(x)):  # views and orders too
-            with use_backend(name):
+            with use_backend(backend):
                 got = get_backend().var(source, axis=axis)
             reference = source.var(axis=axis)
             assert type(got) is type(reference)
@@ -256,7 +295,7 @@ def test_batch_norm_eval_equivalence_and_running_stats():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 5)).astype(np.float32)
     results = {}
-    for name in ("numpy", "fused"):
+    for name in ("numpy", ThirdParty.name):
         rm = np.zeros(5, dtype=np.float32)
         rv = np.ones(5, dtype=np.float32)
         with use_backend(name):
@@ -267,21 +306,21 @@ def test_batch_norm_eval_equivalence_and_running_stats():
             out = F.batch_norm(t, running_mean=rm, running_var=rv, training=False)
             out.backward(np.ones_like(out.data))
             results[name] = (out.data.copy(), rm.copy(), rv.copy(), t.grad.copy())
-    for ref, fused in zip(results["numpy"], results["fused"]):
-        np.testing.assert_allclose(fused, ref, rtol=RTOL, atol=ATOL)
+    for ref, got in zip(results["numpy"], results[ThirdParty.name]):
+        np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
 
 def test_dropout_equivalence_with_shared_seed():
     x = np.random.default_rng(4).standard_normal((16, 16)).astype(np.float32)
     results = {}
-    for name in ("numpy", "fused"):
+    for name in ("numpy", ThirdParty.name):
         with use_backend(name):
             t = Tensor(x.copy(), requires_grad=True)
             out = F.dropout(t, p=0.4, training=True, rng=np.random.default_rng(99))
             out.backward(np.ones_like(out.data))
             results[name] = (out.data.copy(), t.grad.copy())
-    np.testing.assert_array_equal(results["fused"][0], results["numpy"][0])
-    np.testing.assert_array_equal(results["fused"][1], results["numpy"][1])
+    np.testing.assert_array_equal(results[ThirdParty.name][0], results["numpy"][0])
+    np.testing.assert_array_equal(results[ThirdParty.name][1], results["numpy"][1])
 
 
 # --------------------------------------------------------------------------- #
@@ -304,7 +343,7 @@ def test_optimizer_equivalence_across_backends(make_opt):
     init = rng.standard_normal((4, 3)).astype(np.float32)
     grads = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(5)]
     finals = {}
-    for name in ("numpy", "fused"):
+    for name in ("numpy", ThirdParty.name):
         with use_backend(name):
             p = nn.Parameter(init.copy())
             opt = make_opt([p])
@@ -312,11 +351,11 @@ def test_optimizer_equivalence_across_backends(make_opt):
                 p.grad = g.copy()
                 opt.step()
             finals[name] = p.data.copy()
-    np.testing.assert_allclose(finals["fused"], finals["numpy"], rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(finals[ThirdParty.name], finals["numpy"], rtol=RTOL, atol=ATOL)
 
 
 def test_optimizer_step_never_mutates_grad_on_either_backend():
-    for name in ("numpy", "fused"):
+    for name in ("numpy", ThirdParty.name):
         with use_backend(name):
             p = nn.Parameter(np.ones(3, dtype=np.float32))
             g = np.full(3, 0.5, dtype=np.float32)
@@ -334,7 +373,7 @@ def test_full_training_run_equivalence():
     x = np.random.default_rng(11).standard_normal((32, 12)).astype(np.float32)
     y = np.random.default_rng(12).integers(0, 5, 32)
     finals, losses = {}, {}
-    for name in ("numpy", "fused"):
+    for name in ("numpy", ThirdParty.name):
         with use_backend(name):
             rng = np.random.default_rng(123)
             model = nn.Sequential(
@@ -351,10 +390,10 @@ def test_full_training_run_equivalence():
                 trace.append(loss.item())
             finals[name] = {k: v.copy() for k, v in model.state_dict().items()}
             losses[name] = trace
-    np.testing.assert_allclose(losses["fused"], losses["numpy"], rtol=1e-4)
+    np.testing.assert_allclose(losses[ThirdParty.name], losses["numpy"], rtol=1e-4)
     for key in finals["numpy"]:
         np.testing.assert_allclose(
-            finals["fused"][key], finals["numpy"][key], rtol=1e-4, atol=1e-5,
+            finals[ThirdParty.name][key], finals["numpy"][key], rtol=1e-4, atol=1e-5,
             err_msg=f"state_dict entry {key} diverged across backends",
         )
 
@@ -468,11 +507,11 @@ def test_softmax_cross_entropy_rejects_out_of_range_labels():
 
 
 def test_backward_uses_the_backend_captured_at_trace_time():
-    # Forward under fused, backward after switching away: the closure must
-    # keep using the backend that produced the forward buffers.
+    # Forward under one backend, backward after switching away: the closure
+    # must keep using the backend that produced the forward buffers.
     x = Tensor(np.random.default_rng(1).standard_normal((4, 6)).astype(np.float32),
                requires_grad=True)
-    with use_backend("fused"):
+    with use_backend(ThirdParty.name):
         out = F.softmax_cross_entropy(x, np.arange(4) % 6)
     set_backend("numpy")
     out.backward()

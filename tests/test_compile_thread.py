@@ -77,13 +77,6 @@ def _fallbacks(reason):
 
 
 def _ends_on_numpy_steps(reason, timeout=60):
-    # On the numpy backend: under ``lazy`` the eager reference forward
-    # flushes regions through the same (fake) compiler and counts too.
-    with use_backend("numpy"):
-        _ends_on_numpy_steps_on_this_backend(reason, timeout)
-
-
-def _ends_on_numpy_steps_on_this_backend(reason, timeout):
     counted, total = _fallbacks(reason), codegen_stats()["fallbacks"]
     session, check = _session_and_check()
     assert {row["reason"] for row in session.explain()} == {"pending"}

@@ -10,6 +10,8 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import Server, SessionPool
 
+#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
+#: fixture registers it for one test), kept so the case ids stay stable.
 BACKENDS = ("numpy", "fused")
 AWKWARD_COUNTS = (1, 5, 63, 65, 129)
 
@@ -64,7 +66,7 @@ def test_bucket_validation():
         SessionPool(model, np.zeros((1, 12), np.float32), buckets=())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_pool_is_bit_equal_to_eager_for_awkward_counts(backend):
     # The numerics contract: every routed chunk is bit-equal to the eager
     # no_grad forward of exactly those samples, for every awkward count.
@@ -160,7 +162,7 @@ def test_pool_parameters_stay_bound_by_reference():
         start += chunk
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_tbnet_pool_round_trip(backend):
     with use_backend(backend):
         manual_seed(31)

@@ -365,7 +365,7 @@ def test_linear_no_bias_gradients():
     x, w = t64((6, 5)), t64((5, 4))
     out = F.linear(x, w, None)
     np.testing.assert_allclose(out.data, x.data @ w.data, rtol=1e-12)
-    assert len(out._prev) == 2
+    assert len(out._node.inputs) == 2
     assert check_gradients(lambda x, w: F.linear(x, w, None), [x, w]).ok
 
 

@@ -5,22 +5,13 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, fusion, ir
-from repro.backend import get_backend, use_backend
+from repro.backend import use_backend
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 
+#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
+#: fixture registers it for one test), kept so the case ids stay stable.
 BACKENDS = ("numpy", "fused")
-
-#: Region extraction needs concrete ndarray node outputs; under the lazy
-#: backend eager elementwise results are LazyArrays, because deferral
-#: *itself* delivers region fusion there (covered by test_lazy.py).  Only
-#: the tests that call fuse() on eagerly built tensors are affected —
-#: traced/served paths capture with deferral paused and fuse normally.
-requires_eager_data = pytest.mark.skipif(
-    get_backend().name == "lazy",
-    reason="eager tensors carry LazyArrays under the lazy backend; "
-    "deferral provides the equivalent region fusion (see test_lazy.py)",
-)
 
 
 def _grads(params):
@@ -41,7 +32,6 @@ def test_linear_relu_fuses_into_one_node():
     assert out._node.inputs == (x, w)
 
 
-@requires_eager_data
 def test_mul_add_relu_chain_becomes_one_region():
     # mul → add → relu: the whole elementwise chain collapses into one
     # region node (the old pass could only take the mul+add pair).
@@ -57,7 +47,6 @@ def test_mul_add_relu_chain_becomes_one_region():
     assert out._node.inputs == (x, s, t)
 
 
-@requires_eager_data
 def test_add_relu_fuses_into_a_region():
     a = Tensor([1.0, -2.0], requires_grad=True)
     b = Tensor([3.0, -4.0], requires_grad=True)
@@ -67,7 +56,6 @@ def test_add_relu_fuses_into_a_region():
     assert out._node.attrs["size"] == 2
 
 
-@requires_eager_data
 def test_region_matches_either_addend_side():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0, 4.0], requires_grad=True)
@@ -107,7 +95,7 @@ def test_fused_away_intermediate_gets_no_transient_grad():
 # --------------------------------------------------------------------------- #
 # Bit-exactness against the unfused tape
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("pattern", ["linear_relu", "mul_add", "add_relu", "bn_relu_train", "bn_relu_eval"])
 def test_fused_backward_is_bit_identical(backend, pattern):
     rng = np.random.default_rng(7)
@@ -155,7 +143,7 @@ def test_fused_backward_is_bit_identical(backend, pattern):
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_tbnet_fused_train_step_is_bit_identical(backend):
     """Full two-branch model: forward loss, every parameter gradient and the
     batch-norm running statistics are bit-equal with and without fusion."""
@@ -301,7 +289,7 @@ def test_freed_graph_backward_still_raises_the_sentinel_under_fusion():
 
 def _primitives_only_backend():
     """A third-party backend exposing the pre-IR ArrayBackend surface only
-    (no linear_relu/mul_add/add_relu/bn_normalize_relu/relu_grad)."""
+    (no linear_relu/bn_normalize_relu/relu_grad, no compile_region)."""
     from repro.backend.numpy_backend import NumpyBackend
 
     reference = NumpyBackend()
@@ -415,7 +403,6 @@ def test_fusion_applies_inside_nn_modules():
 # --------------------------------------------------------------------------- #
 # Structured capture regions: reduction tails
 # --------------------------------------------------------------------------- #
-@requires_eager_data
 def test_captured_reduction_tail_joins_the_region():
     rng = np.random.default_rng(19)
     a = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
@@ -431,7 +418,6 @@ def test_captured_reduction_tail_joins_the_region():
     assert not region.is_elementwise
 
 
-@requires_eager_data
 def test_captured_mean_tail_fuses_with_its_epilogue():
     # Tensor.mean lowers to sum + div-by-count: both join one region, the
     # division riding along as a post-reduce elementwise stage.
@@ -461,7 +447,6 @@ def test_training_sum_is_not_absorbed_into_regions():
 # --------------------------------------------------------------------------- #
 # Multi-consumer regions: duplicated cheap producers
 # --------------------------------------------------------------------------- #
-@requires_eager_data
 def test_fanout_producer_is_duplicated_into_one_region():
     # p feeds two eligible elementwise consumers: instead of refusing the
     # whole chain, the pass recomputes p inside the region and routes its
@@ -477,7 +462,7 @@ def test_fanout_producer_is_duplicated_into_one_region():
     assert p._node.out is not None
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("codegen", [False, True])
 def test_duplicated_producer_gradients_bit_identical(backend, codegen):
     from repro.codegen import using_codegen
@@ -501,7 +486,7 @@ def test_duplicated_producer_gradients_bit_identical(backend, codegen):
         np.testing.assert_array_equal(want, got)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_self_fanout_square_gradients_bit_identical(backend):
     # mul(p, p): both consumer edges are the same node — the duplication
     # bookkeeping must count it as one fan-out of two uses.

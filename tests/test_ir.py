@@ -32,13 +32,16 @@ def test_every_op_records_an_explicit_node():
 
 
 def test_node_views_match_legacy_tape_attributes():
+    # The node is the only record: the tape's old attribute names are gone.
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = x * 2.0
-    assert y._op == "mul"
-    assert len(y._prev) == 2 and y._prev[0] is x
-    assert y._backward is y._node.backward
+    assert y._node.op == "mul"
+    assert len(y._node.inputs) == 2 and y._node.inputs[0] is x
+    assert callable(y._node.backward)
     leaf = Tensor([1.0])
-    assert leaf._op == "" and leaf._prev == () and leaf._backward is None
+    assert leaf._node is None
+    for name in ("_prev", "_backward", "_op"):
+        assert not hasattr(y, name) and not hasattr(leaf, name)
 
 
 def test_leaves_have_no_node():

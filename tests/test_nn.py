@@ -147,7 +147,7 @@ def test_no_grad_inference_through_sequential_records_no_graph():
     with no_grad():
         out = model(x)
     assert not out.requires_grad
-    assert out._backward is None and out._prev == ()
+    assert out._node is None
 
 
 # --------------------------------------------------------------------------- #

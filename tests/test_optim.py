@@ -214,7 +214,7 @@ def _decayed_state(backend, dtype, make_opt, steps=1200):
     return p.data, (opt._m if isinstance(opt, nn.optim.Adam) else opt._velocity)[0]
 
 
-@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("backend", ["numpy", "fused"], indirect=True)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "make_opt",

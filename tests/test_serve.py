@@ -10,6 +10,8 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import InferenceSession, compile_inference, serve_batches
 
+#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
+#: fixture registers it for one test), kept so the case ids stay stable.
 BACKENDS = ("numpy", "fused")
 
 
@@ -34,7 +36,7 @@ def _warm_stats(model, rng):
 # --------------------------------------------------------------------------- #
 # Replay fidelity
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("fuse", [False, True])
 def test_session_is_bit_equal_to_eager_no_grad(backend, fuse):
     rng = np.random.default_rng(0)
@@ -64,7 +66,7 @@ def test_tbnet_session_is_bit_equal_across_batch_sizes(batch):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_tbnet_session_is_bit_equal_to_eager(backend):
     with use_backend(backend):
         manual_seed(3)
@@ -85,7 +87,7 @@ def test_tbnet_session_is_bit_equal_to_eager(backend):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ("lazy",))
+@pytest.mark.parametrize("backend", BACKENDS + ("lazy",), indirect=True)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bucket", [1, 4, 16, 64])
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -130,7 +132,7 @@ class _ScaleShiftRelu(nn.Module):
         return (h * self.scale + self.shift).relu()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_session_emits_region_kernel_and_stays_bit_equal(backend):
     rng = np.random.default_rng(9)
     with use_backend(backend):

@@ -19,6 +19,8 @@ from repro.autograd import no_grad
 from repro.backend import use_backend
 from repro.serve import DeadlineExceeded, Server
 
+#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
+#: fixture registers it for one test), kept so the case ids stay stable.
 BACKENDS = ("numpy", "fused")
 
 
@@ -35,7 +37,7 @@ def _eager(model, arr):
         return model(arr).data
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_concurrent_submit_and_stop_leaves_no_future_stranded(backend):
     with use_backend(backend):
         rng = np.random.default_rng(20)
@@ -85,7 +87,7 @@ def test_concurrent_submit_and_stop_leaves_no_future_stranded(backend):
         assert stats["queue_depth"] == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_cancel_while_collecting_race(backend):
     # Clients cancel futures at random moments — before collection, during
     # coalescing, after dispatch.  Whatever the interleaving: cancelled

@@ -131,8 +131,7 @@ def test_no_grad_records_nothing():
         y = (x * 2.0 + 1.0).sum()
     assert is_grad_enabled()
     assert not y.requires_grad
-    assert y._prev == ()
-    assert y._backward is None
+    assert y._node is None
     with pytest.raises(RuntimeError):
         y.backward()
 
@@ -191,7 +190,7 @@ def test_backward_frees_graph_by_default():
     z.backward()
     np.testing.assert_allclose(x.grad, [36.0])
     # Interior nodes dropped their parent links (closures replaced by sentinel).
-    assert z._prev == () and y._prev == ()
+    assert z._node.inputs == () and y._node.inputs == ()
     # A second backward over the freed graph must fail loudly, not silently
     # produce missing gradients.
     with pytest.raises(RuntimeError, match="already been freed"):
@@ -258,7 +257,7 @@ def test_backward_frees_each_node_as_soon_as_its_thunk_has_run():
 
     def thunk(out):
         # Downstream thunks have run, upstream ones have not.
-        seen.append((w._prev != (), z._prev != (), y._prev != ()))
+        seen.append((w._node.inputs != (), z._node.inputs != (), y._node.inputs != ()))
         y._accumulate(out.grad)
 
     mid = _spliced(y, thunk)
@@ -268,7 +267,7 @@ def test_backward_frees_each_node_as_soon_as_its_thunk_has_run():
     z.backward()  # by now w and z are already freed when mid's thunk runs
     assert seen == [(True, True, True), (False, False, True)]
     np.testing.assert_allclose(x.grad, [72.0])
-    assert y._prev == () and mid._prev == ()
+    assert y._node.inputs == () and mid._node.inputs == ()
 
 
 def test_a_raising_thunk_leaves_the_nodes_that_already_ran_freed():
@@ -282,8 +281,8 @@ def test_a_raising_thunk_leaves_the_nodes_that_already_ran_freed():
     z = (bad * 2.0).sum()
     with pytest.raises(ValueError, match="boom"):
         z.backward()
-    assert z._prev == ()  # ran, freed
-    assert bad._prev == (y,) and y._prev != ()  # never finished: untouched
+    assert z._node.inputs == ()  # ran, freed
+    assert bad._node.inputs == (y,) and y._node.inputs != ()  # never finished: untouched
     assert x.grad is None
     # No second pass accumulates on top of the first: the graph is spent.
     with pytest.raises(RuntimeError, match="already been freed"):

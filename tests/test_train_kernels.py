@@ -393,8 +393,7 @@ def test_a_run_that_adopts_half_way_equals_the_numpy_run(cold, stage_calls):
         assert wait_for_compiles(300)
 
     compiled = codegen_stats()["compiled"]
-    with use_backend("numpy"):  # ``lazy`` compiles its regions on this thread, and counts them
-        assert train_hash(4, 40, pause=adopt) == want
+    assert train_hash(4, 40, pause=adopt) == want
     # 29 stages a step (24 when fused nodes mask relu's gradient themselves).
     assert all(stage_calls) and held[0] < 19 * 24 <= len(stage_calls) - held[0]
     assert 1 <= codegen_stats()["compiled"] - compiled <= 3  # queued signatures share a unit
@@ -410,7 +409,7 @@ def test_batch_64_hash_and_what_the_workspace_holds_across_the_switch(adopted):
     assert workspace.stats()["retained_bytes"] - held <= 4 * 2**20
 
 
-@pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"])
+@pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"], indirect=True)
 @pytest.mark.parametrize("fuse", [False, True])
 def test_training_hash_is_the_same_on_every_arm(adopted, backend, fuse):
     with fusion.using_fusion(fuse), use_backend(backend):

@@ -25,7 +25,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, fusion, ir, no_grad
-from repro.backend import default_rng, manual_seed, set_backend, get_backend, use_backend
+from repro.backend import NumpyBackend, default_rng, manual_seed, set_backend, get_backend, use_backend
 from repro.codegen import codegen_enabled, have_compiler, using_codegen, wait_for_compiles
 from repro.models import TBNet, make_synthetic_batch, tbnet
 from repro.nn import optim
@@ -134,7 +134,7 @@ def test_replay_straddling_capture_and_adoption_equals_the_explicit_parts(
 @pytest.mark.parametrize("backend, fuse, codegen, batch", [
     ("numpy", False, True, 4), ("numpy", True, True, 4), ("fused", False, True, 4),
     ("fused", True, True, 4), ("lazy", False, True, 4), ("lazy", True, True, 4),
-    ("numpy", False, False, 4), ("numpy", False, True, 64)])
+    ("numpy", False, False, 4), ("numpy", False, True, 64)], indirect=["backend"])
 def test_replay_equals_the_explicit_parts_on_every_arm(backend, fuse, codegen, batch):
     with use_backend(backend), fusion.using_fusion(fuse), using_codegen(codegen):
         want = run(40, True, batch=batch)
@@ -322,13 +322,13 @@ def test_a_backend_switch_recaptures_on_the_new_backend():
         model, opt, batches = build()
         losses = [model.train_step(opt, *batches[i % 4]) for i in range(8)]
         first = tbnet.train_replay(model)
-        set_backend("fused")
+        other = set_backend(NumpyBackend())
         losses += [model.train_step(opt, *batches[i % 4]) for i in range(8, 16)]
         assert first is not None and tbnet.train_replay(model) not in (first, None)
         set_backend(previous)
         ref, ref_opt, ref_batches = build()
         want = [explicit(ref, ref_opt, *ref_batches[i % 4]) for i in range(8)]
-        set_backend("fused")
+        set_backend(other)
         want += [explicit(ref, ref_opt, *ref_batches[i % 4]) for i in range(8, 16)]
         assert digest(losses, model, opt) == digest(want, ref, ref_opt)
     finally:
