@@ -7,9 +7,11 @@ order) and rewrites it at two granularities:
 chains of ``add``/``mul``/``div``/``neg``/``relu`` nodes — any mix, any
 length ≥ 2 — are collapsed into one ``region`` node carrying a
 :class:`~repro.codegen.region.RegionIR`.  On replay (serving) the region
-executes as **one compiled C kernel** through the backend's
-``compile_region`` fusion point (falling back to the bit-equal numpy
-interpreter arm when codegen is off or no compiler exists).  During
+executes as **one compiled C loop** — a stage of its stage plan — through
+the backend's ``compile_region`` fusion point (falling back to the
+bit-equal numpy interpreter arm when codegen is off or no compiler
+exists); the loop takes the batch at run time, so one kernel serves every
+batch size of a structure.  During
 training the fused backward runs the exact per-op VJP sequences of the
 original thunks in reverse order, passing interior gradients straight
 through without the per-link ownership copy the unfused engine pays.

@@ -45,7 +45,7 @@ import numpy as np
 from repro.autograd.functional import _out_hw
 from repro.backend.numpy_backend import NumpyBackend
 from repro.codegen import jit
-from repro.codegen.crender import _CTYPE
+from repro.codegen.cstage import _CTYPE
 from repro.obs import profile as _profile
 
 __all__ = ["arm"]

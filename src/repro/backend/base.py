@@ -199,7 +199,7 @@ class ArrayBackend(Protocol):
     #: older backend a program it does not understand.
     region_features: frozenset
 
-    def compile_region(self, region, specialize: bool = False) -> "Callable":
+    def compile_region(self, region) -> "Callable":
         """Compile one :class:`repro.codegen.region.RegionIR` into a
         ``kernel(arrays, out=None) -> ndarray`` callable.
 
@@ -210,13 +210,6 @@ class ArrayBackend(Protocol):
         sequence through this backend's own primitives — that equality is
         what lets fusion stay on by default.  Backends that cannot honor
         it simply omit the method and their nodes are never region-fused.
-
-        ``specialize=True`` asks for kernels rendered against the region's
-        concrete shapes (constant loop bounds); callers pass it only for
-        shape-stable compiled artifacts (serving buckets).  Backends may
-        ignore the hint — it changes performance, never values — and
-        callers tolerate backends whose ``compile_region`` predates the
-        keyword (a ``TypeError`` falls back to the positional call).
         """
         ...
 

@@ -236,16 +236,14 @@ class NumpyBackend:
     #: attribute is treated as elementwise-only.
     region_features = frozenset({"elementwise", "reduce", "linear"})
 
-    def compile_region(self, region, specialize: bool = False):
-        # One compiled C loop per region (bit-equal to the ufunc sequence
+    def compile_region(self, region):
+        # The region's compiled stage plan (bit-equal to the ufunc sequence
         # by the codegen contract); the numpy-interpreter arm — which *is*
         # this backend's op sequence — when codegen is off or no compiler
-        # exists.  ``specialize=True`` renders the kernels with the region's
-        # concrete shapes as literal loop bounds (serving sessions opt in
-        # per bucket).
+        # exists.
         from repro.codegen import compile_region as _compile_region
 
-        return _compile_region(region, specialize=specialize)
+        return _compile_region(region)
 
     def dropout_mask(self, rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
         # Drawn through the random_uniform primitive so a backend that

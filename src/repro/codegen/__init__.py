@@ -1,8 +1,9 @@
-"""Region codegen: elementwise region IR → one compiled C loop kernel.
+"""Codegen: region IR and stage plans → compiled C loops.
 
-See :mod:`repro.codegen.region` for the IR, :mod:`repro.codegen.crender`
-for the C renderer, and :mod:`repro.codegen.jit` for compilation, the
-on-disk kernel cache, and the numpy-interpreter fallback arm.
+See :mod:`repro.codegen.region` for the IR and its stage plan,
+:mod:`repro.codegen.cstage` for the C renderer, and
+:mod:`repro.codegen.jit` for compilation, the on-disk kernel cache, and
+the numpy-interpreter fallback arm.
 """
 
 from repro.codegen.jit import (

@@ -2,8 +2,9 @@
 
 :mod:`repro.serve.session` plans the work that surrounds a trace's GEMMs
 into *stages*, :mod:`repro.autograd.kernels` does so for the tape's
-image-sized kernels, forward and backward; either describes them as one
-hashable signature::
+image-sized kernels, forward and backward, and
+:meth:`repro.codegen.region.RegionIR.lower` for a fused region; each
+describes them as one hashable signature::
 
     ("stages", (stage, stage, ...))
 
@@ -15,7 +16,8 @@ translation unit serves every bucket of a ``SessionPool`` and every batch
 of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
-The stage kinds (the last three are the train step's):
+The stage kinds (``transpose``, ``scatter`` and ``route`` are the train
+step's, ``reduce`` a region's):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -40,6 +42,16 @@ The stage kinds (the last three are the train step's):
     destinations written in one pass (``xhat`` and the output; relu's value
     and its mask, the ``pos`` op; batch-norm backward's three products).
 
+``("reduce", dtype, dims, inputs, ops, red, mean, scratch, dst)``
+    The ``map`` program over ``(n,) + dims``, summed over its last ``red``
+    logical dims (the leading ``n`` among them when ``red`` covers every
+    dim) into a dense ``tab[dst]``, divided by the reduced extent when
+    ``mean``.  Each reduced block is written in C order to the scratch row
+    ``tab[scratch]`` and collapsed with **numpy's pairwise summation** —
+    8 accumulators over 8..128-element blocks, a fixed combine tree,
+    halving above 128 at multiples of 8 — the order ``np.sum`` /
+    ``np.mean`` add a contiguous trailing-axes block in.
+
 ``("transpose", dtype, src, dst, c, size)``
     ``(n, c, size)`` to ``(c, n, size)``: a conv output's gradient as the
     ``(O, n*OH*OW)`` matrix the forward GEMM produced.  A copy.
@@ -59,10 +71,12 @@ The stage kinds (the last three are the train step's):
     each window still unclaimed; either round adds ``g * hit`` (``g * 0``
     where nothing is claimed: NaN for an infinite ``g``) for every window.
 
-Bit-equality with the numpy steps rests on the rules
-:mod:`repro.codegen.crender` already enforces: each op is one IEEE-754
-scalar operation rounded to the stage dtype (``-ffp-contract=off``),
-``relu`` is ``(x > 0 || isnan(x)) ? x : 0`` and the pool is
+Bit-equality with the numpy steps rests on a few rules: each op is one
+IEEE-754 scalar operation rounded to the stage dtype, as numpy's ufunc
+loops compute it (``-ffp-contract=off``: no ``a*b+c`` contracted into an
+FMA), ``relu`` is ``(x > 0 || isnan(x)) ? x : 0`` — ``np.maximum(x, 0)``:
+NaN propagates, ``-0.0`` becomes ``+0.0`` — a mean divides the pairwise
+sum by the extent as ``np.mean`` does, and the pool is
 ``functional._max_over``'s running maximum ``(v > m || isnan(v)) ? v : m``
 over the footprint in row-major order with ``-inf`` padding: NaN
 propagates and the running value wins ties, as ``np.maximum(window, out,
@@ -72,24 +86,86 @@ window; it is a pure function of its operands, so the values repeat.
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Tuple
 
-from repro.codegen.crender import _CTYPE, _op_lines, kernel_name
+__all__ = ["render_stages", "kernel_name", "operand_strides"]
 
-__all__ = ["render_stages"]
+_CTYPE = {"float32": "float", "float64": "double"}
+
+
+def kernel_name(signature: tuple) -> str:
+    """Stable symbol/file name for one stage plan."""
+    digest = hashlib.sha256(repr(signature).encode()).hexdigest()[:16]
+    return f"repro_region_{digest}"
+
+
+def operand_strides(shape, against, activation: bool) -> tuple:
+    """Element strides of a C-contiguous operand of effective ``shape``
+    broadcast (right-aligned) against the logical ``against`` shape.  An
+    ``activation`` whose leading extent *is* the batch strides over it even
+    when the batch is 1 — so every batch size renders the same stage; any
+    other extent of 1 (a per-batch row next to an ``(n, d)`` activation
+    included) broadcasts with stride 0."""
+    nd = len(against)
+    lead = nd - len(shape)
+    strides, run = [0] * nd, 1
+    for d in range(nd - 1, lead - 1, -1):
+        size = shape[d - lead]
+        if size != 1 or (activation and d == 0 and against[0] == 1):
+            strides[d] = run
+        run *= size
+    return tuple(strides)
 
 
 def render_stages(signature: tuple) -> Tuple[str, str]:
-    """Return ``(name, c_source)``; stage ``k`` is the symbol ``<name>_<k>``."""
+    """Return ``(name, c_source)``; stage ``k`` is the symbol ``<name>_<k>``
+    (and a ``reduce`` stage's pairwise sum ``<name>_<k>_sum``, so the
+    sources of several plans concatenate into one translation unit)."""
     name = kernel_name(signature)
     lines = ["#include <math.h>", "typedef long long i64;", ""]
     for k, stage in enumerate(signature[1]):
+        ctype = _CTYPE[stage[1]]
+        if stage[0] == "reduce":
+            pairwise = f"{name}_{k}_sum"
+            zero = "0.0f" if ctype == "float" else "0.0"
+            lines.append(_PAIRWISE_C.format(name=pairwise, ctype=ctype, zero=zero))
+            body = _render_reduce(stage[2:], ctype, pairwise)
+        else:
+            body = _RENDER[stage[0]](stage[2:], ctype)
         lines.append(f"void {name}_{k}(void **tab, i64 n)")
         lines.append("{")
-        lines.extend(_RENDER[stage[0]](stage[2:], _CTYPE[stage[1]]))
+        lines.extend(body)
         lines.append("}")
         lines.append("")
     return name, "\n".join(lines)
+
+
+def _op_expr(op: str, srcs, val, zero: str) -> str:
+    a = val[srcs[0]]
+    if op == "neg":
+        return f"-{a}"
+    if op == "relu":
+        return f"({a} > {zero} || isnan({a})) ? {a} : {zero}"
+    if op == "pos":  # relu's gradient mask, ``np.greater(x, 0)``
+        return f"{a} > {zero}"
+    b = val[srcs[1]]
+    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
+    return f"{a} {sym} {b}"
+
+
+def _op_lines(ops, n_in: int, indent: str, ctype: str, zero: str) -> Tuple[list, str]:
+    """The op program over already-loaded ``v0..v{n_in-1}`` as scalar
+    temporaries; returns them and the last one's name."""
+    lines = []
+    slot = n_in
+    val = {k: f"v{k}" for k in range(n_in)}
+    for op, srcs in ops:
+        expr = _op_expr(op, srcs, val, zero)
+        lines.append(f"{indent}const {ctype} t{slot} = {expr};")
+        val[slot] = f"t{slot}"
+        slot += 1
+    return lines, f"t{slot - 1}" if ops else "v0"
 
 
 def _windows(size: int, k: int, stride: int, pad: int) -> int:
@@ -234,6 +310,69 @@ def _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero) ->
         f"{indent}    *o++ = m;",
         f"{indent}}}",
     ]
+    return lines
+
+
+_PAIRWISE_C = """
+static {ctype} {name}(const {ctype} *a, i64 n)
+{{
+    if (n < 8) {{
+        {ctype} res = {zero};
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }} else if (n <= 128) {{
+        {ctype} r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        {ctype} r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        i64 i;
+        for (i = 8; i < n - (n % 8); i += 8) {{
+            r0 += a[i + 0]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+            r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+        }}
+        {ctype} res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }} else {{
+        i64 n2 = n / 2;
+        n2 -= n2 % 8;
+        return {name}(a, n2) + {name}(a + n2, n - n2);
+    }}
+}}
+"""
+
+
+def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+    dims, inputs, ops, red, mean, scratch, dst = stage
+    zero = "0.0f" if ctype == "float" else "0.0"
+    bounds = ["n"] + [str(d) for d in dims]
+    kept = len(bounds) - red
+    lines = [f"    const {ctype} *in{k} = tab[{idx}];" for k, (idx, _) in enumerate(inputs)]
+    lines += [
+        f"    {ctype} *row = tab[{scratch}], *o = tab[{dst}];",
+        f"    const i64 extent = {' * '.join(bounds[kept:])};",
+    ]
+    bases = [f"in{k}" for k in range(len(inputs))]
+    indent = "    "
+    for d, bound in enumerate(bounds):
+        if d == kept:  # the reduced block of one output element starts here
+            lines.append(f"{indent}i64 q = 0;")
+        lines.append(f"{indent}for (i64 i{d} = 0; i{d} < {bound}; ++i{d}) {{")
+        indent += "    "
+        for k, (_, strides) in enumerate(inputs):
+            if strides[d] != 0:
+                lines.append(f"{indent}const {ctype} *b{k}_{d} = {bases[k]} + i{d} * {_stride(strides[d])};")
+                bases[k] = f"b{k}_{d}"
+    lines += [f"{indent}const {ctype} v{k} = {bases[k]}[0];" for k in range(len(inputs))]
+    program, last = _op_lines(ops, len(inputs), indent, ctype, zero)
+    lines += program
+    lines.append(f"{indent}row[q++] = {last};")
+    for _ in range(kept, len(bounds)):
+        indent = indent[:-4]
+        lines.append(f"{indent}}}")
+    total = f"{pairwise}(row, extent)"
+    lines.append(f"{indent}*o++ = {f'({total}) / ({ctype})extent' if mean else total};")
+    for _ in range(kept):
+        indent = indent[:-4]
+        lines.append(f"{indent}}}")
     return lines
 
 

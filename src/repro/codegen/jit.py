@@ -1,9 +1,11 @@
-"""Compile region kernels to native code, with an on-disk kernel cache.
+"""Compile stage plans to native code, with an on-disk kernel cache.
 
-Pipeline: region → structural signature → C source
-(:mod:`repro.codegen.crender`) → shared object compiled by the system C
-compiler → loaded through :mod:`cffi` (ABI mode; :mod:`ctypes` when cffi is
-unavailable).  Kernels are cached at three levels:
+Pipeline: a ``("stages", ...)`` signature — a serving session's steps, a
+train step's kernels, a fused region (:meth:`RegionIR.lower
+<repro.codegen.region.RegionIR.lower>`) — → C source
+(:mod:`repro.codegen.cstage`) → shared object compiled by the system C
+compiler → one :mod:`ctypes` function per stage, called over a pointer
+table (:class:`StageLibrary`).  Kernels are cached at three levels:
 
 - **in process** by signature, so repeated flushes/compiles of the same
   region structure resolve to one loaded function;
@@ -19,23 +21,15 @@ unavailable).  Kernels are cached at three levels:
 - a **corrupted entry** (truncated .so, missing symbol) is unlinked and
   recompiled instead of crashing.
 
-*Structured* regions (reduction tails, ``linear`` heads) compile as a
-pipeline planned by :func:`repro.codegen.crender.stage_plan`: host GEMMs
-into workspaces, then one kernel per map/reduce stage.  Passing
-``specialize=True`` renders every stage with its concrete shapes as
-literal loop bounds, keyed into the same cache by (structure, shapes); the
-dynamic-shape kernels remain the default for eager use.
-
-A *stage plan* (``("stages", ...)`` signatures, rendered by
-:mod:`repro.codegen.cstage`: a serving session's steps, a train step's
-kernels) goes through the same cache, and through the part of this module
-that keeps the compiler **off the caller's thread**: :func:`resolve` with
+:func:`compile_region` compiles one region synchronously; sessions and the
+train step go through the part of this module that keeps the compiler
+**off the caller's thread**: :func:`resolve` with
 ``wait=False`` answers from the memo or the disk at once and otherwise
 queues the signature on one daemon compile thread (in-flight compiles
 deduplicated in the memo) and hands back a :class:`Pending`.  Whatever was
-queued while the thread was busy it builds at its next wake-up, the stage
-plans among it as one translation unit in one compiler run, published under
-each entry's own name; :func:`wait_for_compiles` waits for it to be idle.
+queued while the thread was busy it builds at its next wake-up as one
+translation unit in one compiler run, published under each entry's own
+name; :func:`wait_for_compiles` waits for it to be idle.
 A failure there is counted there, by reason.  A process
 that leaves mid-compile takes its compiler with it — at exit and on a
 worker's way out (:func:`abandon_compiles`); ``fork`` waits for the thread to hold no interpreter-wide lock
@@ -72,7 +66,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.codegen.crender import kernel_arity, kernel_name, render_kernel, stage_plan
+from repro.codegen.cstage import kernel_name, render_stages
 from repro.codegen.region import RegionIR
 
 __all__ = [
@@ -182,21 +176,22 @@ def _metrics():
         _metrics_cache = {
             "compiled": registry.counter(
                 "repro_codegen_kernels_compiled_total",
-                "Region kernels compiled to native code",
+                "Compiler runs that built stage plans (one run builds every "
+                "plan queued meanwhile)",
             ),
             "cache_hits": registry.counter(
                 "repro_codegen_cache_hits_total",
-                "Region kernels served from the on-disk cache",
+                "Stage plans loaded from the on-disk cache",
             ),
             "fallback": registry.counter(
                 "repro_codegen_fallback_total",
-                "Regions and session stage plans resolved to the numpy arm, "
+                "Regions and stage plans resolved to the numpy arm, "
                 "by why no native kernel serves them",
                 labelnames=("reason",),
             ),
             "compile_ms": registry.histogram(
                 "repro_codegen_compile_ms",
-                "Wall time of one region kernel compile",
+                "Wall time of one compiler run (one or more stage plans)",
                 buckets=(1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0),
             ),
             "cache_hit": registry.counter(
@@ -274,11 +269,6 @@ _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 #: Longest one compiler run may take before it is killed (``compile_failed``).
 _CC_TIMEOUT = 120.0
 
-try:  # pragma: no cover - exercised via whichever loader is present
-    import cffi as _cffi
-except ImportError:  # pragma: no cover
-    _cffi = None
-
 
 def clear_kernel_memo() -> None:
     """Drop the in-process kernel memo (tests re-exercise the disk cache).
@@ -316,13 +306,15 @@ class StageLibrary:
         self.address = address
 
     def run(self, k: int, n: int, *arrays) -> bool:
-        """Stage ``k`` over ``arrays`` (at most eight) bound to rows 0, 1, …
-        of the calling thread's table.  ``False``, and nothing ran, unless
-        every one is a non-empty, writable, C-contiguous array aligned to
-        the item size of the first.  The address comes through the buffer
-        protocol: 0.3 us an operand where ``array.ctypes.data`` takes 1.3,
-        and a train step binds a hundred of them."""
+        """Stage ``k`` over ``arrays`` bound to rows 0, 1, … of the calling
+        thread's table (grown to the call's length).  ``False``, and nothing
+        ran, unless every one is a non-empty, writable, C-contiguous array
+        aligned to the item size of the first.  The address comes through
+        the buffer protocol: 0.3 us an operand where ``array.ctypes.data``
+        takes 1.3, and a train step binds a hundred of them."""
         table = _ROWS.table
+        if len(arrays) > len(table):
+            table = _ROWS.table = (ctypes.c_void_p * len(arrays))()
         low = i = 0
         try:
             for array in arrays:
@@ -354,6 +346,9 @@ class PinnedStages:
     def run(self, k: int, n: int, *arrays) -> bool:
         """:meth:`StageLibrary.run` over this caller's table of stage ``k``."""
         table, held = self.tables[k], self.held[k]
+        if len(arrays) > len(held):
+            table = self.tables[k] = (ctypes.c_void_p * len(arrays))()
+            held = self.held[k] = [None] * len(arrays)
         align = arrays[0].itemsize - 1
         i = 0
         try:
@@ -375,81 +370,15 @@ class PinnedStages:
         return True
 
 
-def _render(signature):
-    """``(name, source)``; a ``("stages", ...)`` signature imports its
-    renderer here — on the compile thread, off ``import repro.serve``."""
-    if signature[0] == "stages":
-        from repro.codegen.cstage import render_stages
-
-        return render_stages(signature)
-    return render_kernel(signature)
-
-
-def _load(so_path: Path, name: str, signature: tuple):
-    """Load one cache entry; raises OSError/AttributeError on corruption.
-
-    Region kernels load as ``(call(shape_arr, arrays, out), keepalive)``,
-    a stage plan as ``(StageLibrary, keepalive)``.
-    """
-    if signature[0] == "stages":
-        return _load_stages(so_path, name, len(signature[1]))
-    n_in = kernel_arity(signature)
-    if _cffi is not None:
-        ffi = _cffi.FFI()
-        # ABI-level pointer args: the calling convention only needs "pointer",
-        # so void* avoids re-declaring the kernel's typed prototype.
-        ffi.cdef(
-            f"void {name}(" + ", ".join(["const void *"] * (n_in + 1)) + ", void *);"
-        )
-        lib = ffi.dlopen(str(so_path))
-        fn = getattr(lib, name)
-
-        from_buffer = ffi.from_buffer
-
-        def call(shape_arr, arrays, out):
-            fn(
-                from_buffer(shape_arr),
-                *(from_buffer(a) for a in arrays),
-                from_buffer(out, require_writable=True),
-            )
-
-        return call, (ffi, lib)
-
-    import ctypes
-
-    lib = ctypes.CDLL(str(so_path))
-    fn = getattr(lib, name)
-    fn.argtypes = [ctypes.c_void_p] * (n_in + 2)
-    fn.restype = None
-
-    def call(shape_arr, arrays, out):
-        fn(
-            shape_arr.ctypes.data,
-            *(a.ctypes.data for a in arrays),
-            out.ctypes.data,
-        )
-
-    return call, (lib,)
-
-
-def _load_stages(so_path: Path, name: str, count: int):
-    """The ``count`` stage functions of one plan, through :mod:`ctypes`.
-
-    Not the cffi path of region kernels.  Those bind every argument on
-    every call, which is where cffi's ``from_buffer`` earns its keep; a
-    stage call binds none (pointers sit in a table), so cffi is worth
-    0.15 us a call (``infer_tbnet_b1``: 0.0235 against 0.0258 ms).  Its
-    first ``cdef`` in a process costs 20 ms of pure-Python parser set-up
-    and 2.3 MiB that are never returned — on the caller's thread whenever
-    the cache is warm (``compile_serving(1)`` on a warm cache: 54-63 ms
-    here, 78-84 ms through cffi), in every process whose only kernels are
-    stage plans (every TBNet session).  numpy has ctypes loaded already.
-    """
-    import ctypes
-
+def _load_stages(so_path: Path, name: str, signature: tuple):
+    """One cache entry as ``(StageLibrary, keepalive)``: a :mod:`ctypes`
+    function per stage of the plan.  Raises OSError/AttributeError on a
+    corrupted entry.  Every argument is a table row, bound by the caller,
+    so the call itself converts nothing; numpy has ctypes loaded already,
+    so loading costs no import and no parser set-up."""
     lib = ctypes.CDLL(str(so_path))
     fns = []
-    for k in range(count):
+    for k in range(len(signature[1])):
         fn = getattr(lib, f"{name}_{k}")
         fn.argtypes = [ctypes.c_void_p, ctypes.c_longlong]
         fn.restype = None
@@ -500,7 +429,7 @@ def _try_disk_hit(so_path: Path, name: str, signature: tuple) -> Optional[tuple]
     if not so_path.exists():
         return None
     try:
-        loaded = _load(so_path, name, signature)
+        loaded = _load_stages(so_path, name, signature)
     except (OSError, AttributeError):
         # Corrupted entry (truncated write, bad disk, wrong arch):
         # drop it and let the caller recompile.
@@ -604,7 +533,7 @@ def _compile_to_cache(signatures, build: bool = True) -> list:
     cache_dir = kernel_cache_dir()
     entries = []  # (name, source, cache path without suffix)
     for signature in signatures:
-        name, source = _render(signature)
+        name, source = render_stages(signature)
         content = hashlib.sha256(
             (source + "\x00" + cc_version + "\x00" + " ".join(_CFLAGS)).encode()
         ).hexdigest()[:20]
@@ -676,7 +605,7 @@ def _compile_to_cache(signatures, build: bool = True) -> list:
     for i in absent:
         name, _, stem = entries[i]
         try:
-            loaded[i] = _load(stem.with_suffix(".so"), name, signatures[i])
+            loaded[i] = _load_stages(stem.with_suffix(".so"), name, signatures[i])
         except (OSError, AttributeError):
             with contextlib.suppress(OSError):
                 stem.with_suffix(".so").unlink()  # what the compiler left is no cache entry
@@ -707,12 +636,12 @@ class Pending:
 _QUEUE: "queue.SimpleQueue" = queue.SimpleQueue()
 _THREAD: Optional[threading.Thread] = None
 
-#: Held by the compile thread while it runs Python: importing the renderer,
-#: cffi's parser and the metrics registry all take process-wide locks, and a
-#: ``fork`` that lands while another thread holds one hands the child a lock
-#: nobody will ever release (a forked ``ProcServer`` worker then hangs in
-#: its first ``cdef``).  ``fork`` takes the gate first, so it waits for the
-#: thread to be idle or inside a :func:`_fork_window`.
+#: Held by the compile thread while it runs Python: imports, ``dlopen`` and
+#: the metrics registry all take process-wide locks, and a ``fork`` that
+#: lands while another thread holds one hands the child a lock nobody will
+#: ever release (a forked ``ProcServer`` worker then hangs on it).  ``fork``
+#: takes the gate first, so it waits for the thread to be idle or inside a
+#: :func:`_fork_window`.
 _GATE = threading.Lock()
 
 
@@ -732,34 +661,30 @@ def _fork_window():
 
 def _compile_loop() -> None:
     """The compile thread, for the process's life.  Everything queued while
-    it was busy is built at the next wake-up — the stage plans among it in
-    one compiler run (a cold train step queues a dozen small ones), a region
-    kernel in a run of its own (they share file-level helpers)."""
+    it was busy is built at the next wake-up in one compiler run (a cold
+    train step queues a dozen small plans)."""
     while True:
         batch = [_QUEUE.get()]
         with contextlib.suppress(queue.Empty):
             while True:
                 batch.append(_QUEUE.get_nowait())
-        plans = [item for item in batch if item[0][0] == "stages"]
-        groups = [plans] * bool(plans) + [[item] for item in batch if item[0][0] != "stages"]
-        for group in groups:
-            signatures = [signature for signature, _ in group]
-            with _GATE:
-                try:
-                    resolved = _compile_to_cache(signatures)
-                except Exception:  # a renderer bug must not strand the waiters
-                    import logging
+        signatures = [signature for signature, _ in batch]
+        with _GATE:
+            try:
+                resolved = _compile_to_cache(signatures)
+            except Exception:  # a renderer bug must not strand the waiters
+                import logging
 
-                    logging.getLogger(__name__).exception("compiling %r failed", signatures[0][:2])
-                    resolved = ["compile_failed"] * len(group)
-                for (signature, pending), kernel in zip(group, resolved):
-                    if isinstance(kernel, str):
-                        # Nobody is waiting on this thread's result: count the
-                        # failure here or it vanishes with the compile.
-                        count_fallback(kernel)
-                    with _LOCK:
-                        _MEMO[signature] = kernel
-                    pending.event.set()
+                logging.getLogger(__name__).exception("compiling %r failed", signatures[0][:2])
+                resolved = ["compile_failed"] * len(batch)
+            for (signature, pending), kernel in zip(batch, resolved):
+                if isinstance(kernel, str):
+                    # Nobody is waiting on this thread's result: count the
+                    # failure here or it vanishes with the compile.
+                    count_fallback(kernel)
+                with _LOCK:
+                    _MEMO[signature] = kernel
+                pending.event.set()
 
 
 def wait_for_compiles(timeout: Optional[float] = None) -> bool:
@@ -875,145 +800,54 @@ if hasattr(os, "register_at_fork"):
 # --------------------------------------------------------------------------- #
 # The public fusion point
 # --------------------------------------------------------------------------- #
-def _as_buffer(a: np.ndarray) -> np.ndarray:
-    """A ≥1-d view for the FFI layer (0-d arrays confuse ``from_buffer``)."""
-    return a if a.ndim else a.reshape(1)
-
-
-def _elementwise_kernel(region: RegionIR, resolved: tuple) -> Callable:
-    call, _keepalive = resolved
-    bind = region.bind
-    out_shape = region.out_shape
-    out_dtype = region.out_dtype
-    shape_arr = np.asarray(out_shape or (0,), dtype=np.int64)
-    ascontiguous = np.ascontiguousarray
+def _region_kernel(region: RegionIR, plan: tuple, lib: StageLibrary) -> Callable:
+    """``kernel(arrays, out=None)`` over a region's loaded stage plan: the
+    bound inputs, ``out`` and each GEMM or buffer of the plan take a table
+    row, then every stage runs.  A call whose arrays cannot be bound
+    (read-only, empty, misaligned) is the interpreter's."""
+    _, extents, work = plan
+    bind, interpret, run = region.bind, region.interpret, lib.run
+    out_shape, dtype = region.out_shape, region.out_dtype
+    stages = tuple(enumerate(extents))
+    ascontiguous, empty, matmul = np.ascontiguousarray, np.empty, np.matmul
 
     def kernel(arrays, out=None):
-        bound = [ascontiguous(a) for a in bind(arrays)]
         if out is None:
-            out = np.empty(out_shape, out_dtype)
-        call(shape_arr, bound, out)
+            out = empty(out_shape, dtype)
+        elif out.shape != out_shape or out.dtype != dtype:  # the stages write it blind
+            raise ValueError(f"out must be {dtype} {out_shape}, got {out.dtype} {out.shape}")
+        rows = [ascontiguous(a) for a in bind(arrays)]
+        rows.append(out)
+        for item in work:
+            rows.append(empty(item, dtype) if type(item) is int
+                        else matmul(rows[item[0]], rows[item[1]]))
+        for k, n in stages:
+            if not run(k, n, *rows):
+                return interpret(arrays, out=out)
         return out
 
     kernel.is_compiled = True
     return kernel
 
 
-def _structured_kernel(region: RegionIR, specialize: bool) -> Union[Callable, str]:
-    """Compile a structured region as host GEMMs + a stage pipeline.
-
-    Returns the fallback reason when the program cannot be stage-planned or
-    any stage fails to compile — the caller falls back to the interpreter
-    arm for the *whole* region, keeping the two-arm bit-equality trivially.
-    """
-    plan = stage_plan(region)
-    if plan is None:
-        return "unplannable"
-    dtype_str = str(region.out_dtype)
-    calls = []
-    for stage in plan.stages:
-        resolved = resolve(stage.signature(dtype_str, specialize))
-        if isinstance(resolved, str):
-            return resolved
-        calls.append(resolved[0])
-
-    out_dtype = region.out_dtype
-    out_shape = region.out_shape
-    bind = region.bind
-    ascontiguous = np.ascontiguousarray
-    matmuls = plan.matmuls
-    stages = plan.stages
-    last = len(stages) - 1
-    dims = [np.asarray(st.core_shape or (0,), dtype=np.int64) for st in stages]
-    scratch_n = [
-        int(np.prod(st.core_shape[len(st.core_shape) - st.reduce[0]:], dtype=np.int64))
-        if st.reduce is not None else 0
-        for st in stages
-    ]
-
-    def kernel(arrays, out=None):
-        bound = [ascontiguous(a) for a in bind(arrays)]
-        mm_outs = [np.matmul(bound[x], bound[w]) for x, w, _b, _shape in matmuls]
-        stage_outs = []
-        for si, stage in enumerate(stages):
-            ins = []
-            for kind, idx in stage.inputs:
-                if kind == "ext":
-                    ins.append(bound[idx])
-                elif kind == "mm":
-                    ins.append(mm_outs[idx])
-                else:
-                    ins.append(stage_outs[idx])
-            ins = [_as_buffer(a) for a in ins]
-            if stage.reduce is not None:
-                ins.append(np.empty(scratch_n[si], out_dtype))
-            if si == last:
-                buf = np.empty(out_shape, out_dtype) if out is None else out
-            else:
-                buf = np.empty(stage.out_shape, out_dtype)
-            calls[si](dims[si], ins, _as_buffer(buf))
-            stage_outs.append(buf)
-        return stage_outs[-1]
-
-    kernel.is_compiled = True
-    return kernel
-
-
-def _elementwise_signature(region: RegionIR, specialize: bool) -> tuple:
-    if not specialize:
-        return region.signature()
-    return (
-        "spec",
-        region.ops,
-        str(region.out_dtype),
-        region.out_shape,
-        tuple(inp.shape for inp in region.inputs),
-    )
-
-
-def prefetch_region(region: RegionIR, specialize: bool = True) -> list:
-    """:func:`resolve` without waiting, for every stage kernel
-    ``compile_region(region, specialize)`` would compile for a *structured*
-    region: what is not in the memo or on disk goes to the compile thread.
-    A caller that must not wait for a compiler serves on
-    ``region.interpret`` until the returned compiles have landed, then
-    takes ``compile_region``'s memo hits."""
-    plan = stage_plan(region)
-    if plan is None:
-        return []
-    dtype = str(region.out_dtype)
-    return [resolve(st.signature(dtype, specialize), wait=False) for st in plan.stages]
-
-
-def compile_region(region: RegionIR, specialize: bool = False) -> Callable:
+def compile_region(region: RegionIR) -> Callable:
     """Compile one region into ``kernel(arrays, out=None) -> ndarray``.
 
     The returned callable takes the region's *dynamic* input arrays (consts
     are bound inside) and an optional pre-allocated ``out`` buffer.  It runs
-    the native kernel when codegen is enabled and a compiler is available,
-    and the numpy-interpreter arm otherwise — the two arms are bit-equal,
-    so which one you got is observable only through the codegen counters
-    (and :func:`codegen_stats`).
-
-    With ``specialize=True`` the kernels render with the region's concrete
-    shapes as literal loop bounds (and literal strides), trading one cache
-    entry per shape for fully unrollable loops — the serving planner opts
-    in per compiled bucket, where the shapes are known and stable.
-    Specialized and dynamic kernels of the same region are distinct cache
-    entries; the numeric results are identical either way.
+    the region's stage plan (:meth:`RegionIR.lower`) natively when codegen
+    is enabled and a compiler is available, and the numpy-interpreter arm
+    otherwise — the two arms are bit-equal, so which one you got is
+    observable only through ``kernel.is_compiled``, the codegen counters
+    and :func:`codegen_stats`.  Only leading extents are runtime values:
+    the same structure at another batch size is a memo hit.
     """
     reason = "disabled"
     if codegen_enabled():
-        if region.is_elementwise:
-            resolved = resolve(_elementwise_signature(region, specialize))
-            if not isinstance(resolved, str):
-                return _elementwise_kernel(region, resolved)
-            reason = resolved
-        else:
-            kernel = _structured_kernel(region, specialize)
-            if not isinstance(kernel, str):
-                return kernel
-            reason = kernel
+        plan = region.lower()
+        reason = "unplannable" if plan is None else resolve(plan[0])
+        if not isinstance(reason, str):
+            return _region_kernel(region, plan, reason[0])
 
     count_fallback(reason)
     interpret = region.interpret

@@ -4,9 +4,9 @@ A *region* is the unit the fusion passes extract and the execution backends
 compile: a DAG of elementwise operations (``add``/``sub``/``mul``/``div``/
 ``neg``/``relu``) plus three *structured* node kinds — trailing-axes
 ``sum``/``mean`` reduction tails and a ``linear`` (GEMM + bias) head —
-whose interior values can run as **one kernel**: a single pass over the
-output elements for elementwise programs, accumulator loops for the
-reduction tails, and a host GEMM whose bias/activation epilogue folds into
+whose interior values run without temporaries: a single pass over the
+output elements for elementwise programs, a pairwise-summing loop per
+reduction tail, and a host GEMM whose bias/activation epilogue folds into
 the first elementwise loop.
 
 The program form is linear SSA: slots ``[0, len(inputs))`` name the region
@@ -36,21 +36,18 @@ Two execution arms share this IR:
   accumulators are pinned to the region dtype (explicit ``dtype=`` on
   ``np.sum``/``np.mean``) so the interpreter can never accumulate a
   float32 region in float64 precision the C arm doesn't have.
-- the C arm (:mod:`repro.codegen.crender` + :mod:`repro.codegen.jit`) —
-  compiled loop kernels.  Every elementwise op maps to an IEEE-754 scalar
-  operation that numpy also implements as a plain IEEE op, and the
-  reduction tails replay numpy's own pairwise-summation order, so the two
-  arms are **bit-equal**; that equality is the contract the test suite
-  enforces.
+- the C arm — :meth:`RegionIR.lower` plans the program as ``map`` and
+  ``reduce`` stages of :mod:`repro.codegen.cstage`, and
+  :func:`repro.codegen.jit.compile_region` runs them.  Every elementwise
+  op maps to an IEEE-754 scalar operation that numpy also implements as a
+  plain IEEE op, and the reduction tails replay numpy's own
+  pairwise-summation order, so the two arms are **bit-equal**; that
+  equality is the contract the test suite enforces.
 
-:meth:`RegionIR.signature` is the kernel-cache key: for elementwise
-programs it abstracts concrete sizes into per-input *broadcast patterns*
-(which output dims an input actually strides over), so one compiled kernel
-serves every batch size of the same region structure, while a dtype or
-rank change misses the cache.  Structured regions include the concrete
-input shapes (their stage decomposition is shape-dependent), and
-:func:`repro.codegen.jit.compile_region` can *specialize* any region on
-its shapes so the loops render with constant bounds.
+The stage plan's signature is the kernel-cache key.  Only the leading
+extent of each stage is a runtime argument, so one structure at any batch
+size shares one kernel; a dtype, rank or broadcast change, or any other
+extent, makes another.
 """
 
 from __future__ import annotations
@@ -58,6 +55,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.codegen.cstage import operand_strides
 
 __all__ = ["REGION_OPS", "REGION_STRUCTURED_OPS", "RegionInput", "RegionIR"]
 
@@ -82,6 +81,10 @@ _UFUNC = {
 }
 
 
+class _Unstageable(Exception):
+    """A program :meth:`RegionIR.lower` cannot express as stages."""
+
+
 class RegionInput:
     """One region operand: dtype/shape metadata plus optional binding.
 
@@ -101,7 +104,7 @@ class RegionInput:
         const: Optional[np.ndarray] = None,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.shape = tuple(shape)
+        self.shape = tuple(int(s) for s in shape)
         self.reshape = tuple(reshape) if reshape is not None else None
         self.const = const
 
@@ -109,9 +112,8 @@ class RegionInput:
 def _normalize_op(entry) -> tuple:
     """``(op, srcs)`` or ``(op, srcs, meta)`` → stored form.
 
-    Elementwise ops stay 2-tuples (keeping their signatures — and therefore
-    the kernel cache keys of every pre-existing region — byte-stable);
-    ``sum``/``mean`` keep their ``(k, keepdims)`` meta as a plain tuple.
+    Elementwise ops stay 2-tuples — the form a stage program takes —
+    and ``sum``/``mean`` keep their ``(k, keepdims)`` meta as a plain tuple.
     """
     if len(entry) == 2:
         op, srcs = entry
@@ -180,9 +182,7 @@ class RegionIR:
         Shape/dtype of the final op's result (the region output).
     """
 
-    __slots__ = (
-        "inputs", "ops", "out_shape", "out_dtype", "slot_shapes", "_signature"
-    )
+    __slots__ = ("inputs", "ops", "out_shape", "out_dtype", "slot_shapes")
 
     def __init__(
         self,
@@ -195,7 +195,6 @@ class RegionIR:
         self.ops = tuple(_normalize_op(entry) for entry in ops)
         self.out_shape = tuple(out_shape)
         self.out_dtype = np.dtype(out_dtype)
-        self._signature = None
         if not self.ops:
             raise ValueError("a region needs at least one op")
         if self.out_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -249,58 +248,114 @@ class RegionIR:
         return all(len(entry) == 2 and entry[0] != "linear" for entry in self.ops)
 
     # ------------------------------------------------------------------ #
-    # Cache key
+    # The C arm's stage plan
     # ------------------------------------------------------------------ #
-    def broadcast_pattern(self, inp: RegionInput) -> Tuple[int, ...]:
-        """Which output dims ``inp`` strides over: 1 = real dim, 0 = broadcast.
+    def lower(self) -> Optional[tuple]:
+        """The program as ``(signature, extents, work)``: a ``("stages", …)``
+        plan of ``map`` and ``reduce`` stages (:mod:`repro.codegen.cstage`),
+        or ``None`` when it has none — a value used past the stage that
+        computes it, a reduction of anything but the stage's last value, an
+        operand broader than the stage's value — and the interpreter serves.
 
-        The input's effective shape is right-aligned against the output
-        shape (numpy broadcasting); missing leading dims and size-1 dims
-        read with stride 0.  (Elementwise regions only — a structured
-        region's inputs broadcast against their *stage* shapes, computed by
-        the stage planner.)
+        The plan's table holds the bound inputs in rows ``0 .. len(inputs)
+        - 1``, the output in the next, then one row per ``work`` entry:
+        ``(x, w)``, the host ``np.matmul`` of two input rows (generated C
+        cannot be bit-equal to BLAS, so a ``linear``'s bias and epilogue
+        join a stage and its GEMM does not), or the element count of a
+        buffer (a reduction's scratch row or an intermediate result).
+        ``extents[k]`` is stage ``k``'s leading extent, its runtime ``n``.
         """
-        ndim = len(self.out_shape)
-        shape = (1,) * (ndim - len(inp.shape)) + inp.shape
-        return tuple(0 if s == 1 else 1 for s in shape)
+        n_in, shapes, dtype = len(self.inputs), self.slot_shapes, str(self.out_dtype)
+        final = n_in + len(self.ops) - 1
+        work: list = []
+        stages: list = []
+        extents: list = []
+        #: value (a slot, or a GEMM's key) -> (row, shape) of the buffer holding it
+        held = {s: (s, shapes[s]) for s in range(n_in)}
+        program: list = []  # the open stage: (op, srcs); src ("in", k) | ("op", i)
+        operands: list = []  # its (row, shape) inputs
+        local: dict = {}  # value -> its src in the open stage
 
-    def signature(self) -> tuple:
-        """Structural kernel-cache key.
+        def buffer(entry) -> int:
+            work.append(entry)
+            return n_in + len(work)
 
-        Elementwise regions: op program, dtype, rank, broadcast patterns —
-        everything the rendered C depends on, and nothing else (concrete
-        sizes are runtime arguments, so one kernel serves every batch
-        size).  Structured regions (reductions / linear): the concrete
-        input shapes join the key — their host/stage decomposition is
-        shape-dependent — so two sizes are two keys.
-        """
-        sig = self._signature
-        if sig is None:
-            if self.is_elementwise:
-                sig = (
-                    self.ops,
-                    str(self.out_dtype),
-                    len(self.out_shape),
-                    tuple(self.broadcast_pattern(inp) for inp in self.inputs),
-                )
+        def src(value):
+            if value not in local:
+                if value not in held:
+                    raise _Unstageable  # an interior value of a closed stage
+                local[value] = ("in", len(operands))
+                operands.append(held[value])
+            return local[value]
+
+        def close(core, slot, reduce=None) -> None:
+            for _, shape in operands:
+                if len(shape) > len(core) or any(
+                        s not in (1, c) for s, c in zip(shape[::-1], core[::-1])):
+                    raise _Unstageable
+            logical = core or (1,)
+            count = len(operands)
+            inputs = tuple((row, operand_strides(shape, logical, len(shape) == len(logical)))
+                           for row, shape in operands)
+            ops = tuple((op, tuple(i if kind == "in" else count + i for kind, i in srcs))
+                        for op, srcs in program)
+            size = int(np.prod(shapes[slot], dtype=np.int64))
+            dst = n_in if slot == final else buffer(size)
+            dims = logical[1:]
+            if reduce is None:
+                stage = ("map", dtype, dims, inputs, ops, None, dst, int(np.prod(dims)), 0)
             else:
-                sig = (
-                    "structured",
-                    self.ops,
-                    str(self.out_dtype),
-                    tuple(inp.shape for inp in self.inputs),
-                )
-            self._signature = sig
-        return sig
+                red, mean = reduce
+                scratch = buffer(int(np.prod(core[len(core) - red:])))
+                stage = ("reduce", dtype, dims, inputs, ops, red, mean, scratch, dst)
+            stages.append(stage)
+            extents.append(logical[0])
+            held[slot] = (dst, shapes[slot])
+            program.clear()
+            operands.clear()
+            local.clear()
+
+        try:
+            for j, entry in enumerate(self.ops):
+                op, srcs, slot = entry[0], entry[1], n_in + j
+                if op == "linear":
+                    x, w = srcs[0], srcs[1]
+                    gemm = (buffer((x, w)), shapes[x][:-1] + (shapes[w][1],))
+                    if len(srcs) == 2:
+                        held[slot] = gemm
+                        continue
+                    held[("gemm", slot)] = gemm
+                    program.append(("add", (src(("gemm", slot)), src(srcs[2]))))
+                elif op in ("sum", "mean"):
+                    if not program:
+                        src(srcs[0])
+                    elif local.get(srcs[0]) != ("op", len(program) - 1):
+                        raise _Unstageable
+                    close(shapes[srcs[0]], slot, (entry[2][0], op == "mean"))
+                    continue
+                else:
+                    program.append((op, tuple(src(s) for s in srcs)))
+                local[slot] = ("op", len(program) - 1)
+            if final not in local and held[final][0] != n_in:
+                program.clear()  # a bias-free GEMM last: copied out
+                operands.clear()
+                local.clear()
+                src(final)
+            if final in local:
+                close(shapes[final], final)
+        except _Unstageable:
+            return None
+        return ("stages", tuple(stages)), tuple(extents), tuple(work)
 
     def respecialize(self, shapes: Sequence[Tuple[int, ...]]) -> "RegionIR":
         """The same program over new *dynamic* input shapes.
 
         Used when a captured region is replayed over a different batch
-        size: the op program (and usually the kernel-cache signature) is
-        unchanged, only the concrete shapes move.  Const inputs keep their
-        pinned shapes; reshaped inputs are not supported (the caller's
-        array shape would be pre-reshape and ambiguous).
+        size: the op program (and, when only leading extents move, the
+        stage plan's signature) is unchanged, only the concrete shapes
+        move.  Const inputs keep their pinned shapes; reshaped inputs are
+        not supported (the caller's array shape would be pre-reshape and
+        ambiguous).
         """
         new_inputs = []
         j = 0

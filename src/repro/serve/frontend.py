@@ -8,11 +8,9 @@ that into a front end that serves *any* traffic shape and survives failure:
   1/4/16/64) in a single up-front pass over the model and routes any
   incoming sample count through a greedy largest-first decomposition
   (85 → 64+16+4+1), serving each chunk as a zero-copy slice through the
-  matching compiled session.  Bucket sessions are shape-stable by
-  construction, so each one compiles its fused regions with
-  ``compile_region(..., specialize=True)``: per-bucket kernels with the
-  batch size baked in as constant loop bounds, cached under shape-keyed
-  signatures alongside the dynamic-shape kernels training uses.  The eager odd-chunk fallback that
+  matching compiled session.  Every compiled loop takes the batch as its
+  one runtime extent, so the buckets of a pool share their kernels.  The
+  eager odd-chunk fallback that
   :func:`~repro.serve.session.serve_batches` leans on becomes a last
   resort, reached only when the remainder is smaller than every bucket
   (impossible with a size-1 bucket in the pool).

@@ -18,9 +18,10 @@ An elementwise ``region`` with no GEMM in front is an epilogue over its
 own operands (a ``linear`` head inside a region is the GEMM).  Everything
 else stays the numpy step it is — an elementwise region the stages cannot
 express (non-float or mixed dtypes, a 0-d output) runs ``region.interpret``
-— except a *structured* region (reduction tails), which keeps its
-:func:`repro.codegen.compile_region` kernels, queued on the same compile
-thread.
+— except a *structured* region (reduction tails), which runs its own
+stage plan (:meth:`~repro.codegen.region.RegionIR.lower`) through
+:func:`repro.codegen.compile_region`, queued on the same compile thread
+and built in the same compiler run.
 
 The plan is described to :mod:`repro.codegen.cstage` as one hashable
 signature with the batch as a runtime argument, so every bucket of a pool,
@@ -42,29 +43,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.codegen import jit
+from repro.codegen.cstage import operand_strides
 from repro.serve.session import Unbound
 
 __all__ = ["SessionPlan"]
 
 _FLOATS = ("float32", "float64")
-
-
-def _strides(shape, against, activation: bool) -> tuple:
-    """Element strides of a C-contiguous operand of effective ``shape``
-    broadcast (right-aligned) against the logical ``against`` shape.  An
-    ``activation`` whose leading extent *is* the batch strides over it even
-    when the batch is 1 — so every bucket renders the same stage; any other
-    extent of 1 (a per-batch row next to an ``(n, d)`` activation included)
-    broadcasts with stride 0."""
-    nd = len(against)
-    lead = nd - len(shape)
-    strides, run = [0] * nd, 1
-    for d in range(nd - 1, lead - 1, -1):
-        size = shape[d - lead]
-        if size != 1 or (activation and d == 0 and against[0] == 1):
-            strides[d] = run
-        run *= size
-    return tuple(strides)
 
 
 class _Group:
@@ -89,7 +73,7 @@ class _Group:
         self.redirect = None      # (concat node, element offset) when absorbed
 
     def operand(self, ref, shape, activation: bool = False):
-        strides = _strides(shape, (self.n,) + self.dims, activation)
+        strides = operand_strides(shape, (self.n,) + self.dims, activation)
         for k, (have, have_strides) in enumerate(self.operands):
             if have is ref and have_strides == strides:
                 return ("in", k)
@@ -412,7 +396,9 @@ class SessionPlan:
         if self.signature is not None:
             pending.append(jit.resolve(self.signature, wait=False))
         for region, _ in self._region_steps.values():
-            pending += jit.prefetch_region(region)
+            plan = region.lower()
+            if plan is not None:
+                pending.append(jit.resolve(plan[0], wait=False))
         return [p for p in pending if isinstance(p, jit.Pending)]
 
     def steps(self, session):
@@ -424,7 +410,7 @@ class SessionPlan:
         rows = session._numpy_rows(reason)
         steps = list(session._numpy_steps)
         for j, (region, build) in self._region_steps.items():
-            kernel = jit.compile_region(region, specialize=True)  # memo hits only
+            kernel = jit.compile_region(region)  # memo hits only
             if kernel.is_compiled:
                 steps[j], rows[j] = build(kernel), (rows[j][0], "compiled", None)
             else:

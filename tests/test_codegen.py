@@ -13,6 +13,7 @@ from repro.codegen import (
     kernel_cache_dir,
     using_codegen,
 )
+from repro.codegen import jit
 
 needs_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler available")
 
@@ -62,26 +63,27 @@ def test_region_validates_program():
         )
 
 
-def test_signature_abstracts_concrete_sizes():
-    # Same structure at different batch sizes -> one cache key.
-    r8 = _chain_region(shape=(8, 16))
-    r64 = _chain_region(shape=(64, 16))
-    assert r8.signature() == r64.signature()
-    # dtype changes the key.
-    assert r8.signature() != _chain_region(shape=(8, 16), dtype=np.float64).signature()
-    # Rank changes the key (same element count).
-    r3d = _chain_region(shape=(8, 4, 4))
-    assert r8.signature() != r3d.signature()
-    # Broadcast pattern changes the key.
-    inputs = [
-        RegionInput(np.float32, (8, 16)),
-        RegionInput(np.float32, (16,)),  # row-broadcast operand
-        RegionInput(np.float32, (8, 16)),
-    ]
-    rb = RegionIR(
-        inputs, [("mul", (0, 1)), ("add", (3, 2)), ("relu", (4,))], (8, 16), np.float32
-    )
-    assert rb.signature() != r8.signature()
+@needs_cc
+def test_signature_abstracts_concrete_sizes(cache_dir):
+    # Only the leading extent is a runtime value: one structure at batch 8
+    # and at batch 64 is one cache entry.
+    with using_codegen(True):
+        for shape in ((8, 16), (64, 16)):
+            assert compile_region(_chain_region(shape=shape)).is_compiled
+        assert len(list(cache_dir.glob("*.so"))) == 1
+        # A dtype, a rank (same element count) and a broadcast change: one
+        # more entry each.
+        compile_region(_chain_region(shape=(8, 16), dtype=np.float64))
+        compile_region(_chain_region(shape=(8, 4, 4)))
+        inputs = [
+            RegionInput(np.float32, (8, 16)),
+            RegionInput(np.float32, (16,)),  # row-broadcast operand
+            RegionInput(np.float32, (8, 16)),
+        ]
+        compile_region(RegionIR(
+            inputs, [("mul", (0, 1)), ("add", (3, 2)), ("relu", (4,))], (8, 16), np.float32
+        ))
+    assert len(list(cache_dir.glob("*.so"))) == 4
 
 
 def test_interpret_matches_eager_ufunc_sequence():
@@ -108,15 +110,25 @@ def test_bind_rejects_shape_and_dtype_mismatch():
         region.bind([a, b])
 
 
-def test_respecialize_reuses_program_at_new_batch_size():
+@needs_cc
+def test_respecialize_reuses_program_at_new_batch_size(cache_dir):
     region = _chain_region(shape=(4, 8))
     bigger = region.respecialize([(32, 8), (32, 8), (32, 8)])
     assert bigger.out_shape == (32, 8)
     assert bigger.ops == region.ops
-    assert bigger.signature() == region.signature()
     arrays = _arrays(bigger, seed=3)
     expect = np.maximum(arrays[0] * arrays[1] + arrays[2], 0.0)
     assert bigger.interpret(arrays).tobytes() == expect.tobytes()
+    # The respecialized region reuses the compiled kernel: a memo hit.
+    before = codegen_stats()
+    with using_codegen(True):
+        compile_region(region)
+        kern = compile_region(bigger)
+    after = codegen_stats()
+    assert kern.is_compiled
+    assert after["compiled"] == before["compiled"] + 1
+    assert after["memo_hits"] == before["memo_hits"] + 1
+    assert kern(arrays).tobytes() == expect.tobytes()
 
 
 # --------------------------------------------------------------------------- #
@@ -150,6 +162,9 @@ def test_compiled_arm_bit_equal_to_interpreter(cache_dir):
     buf = np.empty(region.out_shape, region.out_dtype)
     got = compiled(arrays, out=buf)
     assert got is buf and buf.tobytes() == interp(arrays).tobytes()
+    # The stages write out blind: a buffer of another shape is refused.
+    with pytest.raises(ValueError, match="out must be"):
+        compiled(arrays, out=np.empty((16, 16), np.float32))
 
 
 @needs_cc
@@ -260,7 +275,7 @@ def test_codegen_counters_exported_to_registry(cache_dir):
 
 
 # --------------------------------------------------------------------------- #
-# Structured regions: reduction tails, linear heads, shape specialization
+# Structured regions: reduction tails, linear heads
 # --------------------------------------------------------------------------- #
 def _reduce_region(op="sum", shape=(6, 10), k=1, keepdims=False, dtype=np.float32):
     """``op((a * b), over the last k axes)`` — map stage + reduce tail."""
@@ -287,6 +302,17 @@ def _linear_region(b=True, tail=None, dtype=np.float32, n=4, d=6, m=8):
     return RegionIR(inputs, ops, out_shape, dtype)
 
 
+def _compiled(region, reload: bool):
+    """``compile_region(region)``; with ``reload``, the kernel a fresh memo
+    loads from the disk cache after the first compile."""
+    with using_codegen(True):
+        kern = compile_region(region)
+        if reload:
+            clear_kernel_memo()
+            kern = compile_region(region)
+    return kern
+
+
 def test_reduction_meta_is_part_of_the_program():
     with pytest.raises(ValueError, match="meta"):
         RegionIR(
@@ -294,7 +320,7 @@ def test_reduction_meta_is_part_of_the_program():
         )
     r1 = _reduce_region(k=1)
     r2 = _reduce_region(shape=(6, 10, 3), k=2)
-    assert r1.signature() != r2.signature()
+    assert r1.lower()[0] != r2.lower()[0]
     assert not r1.is_elementwise
     assert _chain_region().is_elementwise
 
@@ -321,8 +347,8 @@ def test_reduction_interpret_matches_eager_and_pins_dtype():
 @needs_cc
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("op", ["sum", "mean"])
-@pytest.mark.parametrize("specialize", [False, True])
-def test_reduction_tail_kernel_bit_equal_to_interpreter(cache_dir, dtype, op, specialize):
+@pytest.mark.parametrize("reload", [False, True])
+def test_reduction_tail_kernel_bit_equal_to_interpreter(cache_dir, dtype, op, reload):
     # Cover all three pairwise-summation regimes of the C arm: sequential
     # (R < 8), the 8-lane block (8 <= R <= 128), and recursive halving
     # (R > 128) — plus a multi-axis tail and keepdims.
@@ -335,8 +361,7 @@ def test_reduction_tail_kernel_bit_equal_to_interpreter(cache_dir, dtype, op, sp
     for shape, k, keepdims in cases:
         region = _reduce_region(op=op, shape=shape, k=k, keepdims=keepdims, dtype=dtype)
         arrays = _arrays(region, seed=hash((shape, k)) % 1000)
-        with using_codegen(True):
-            kern = compile_region(region, specialize=specialize)
+        kern = _compiled(region, reload)
         assert kern.is_compiled, (shape, k)
         expect = region.interpret(arrays)
         got = kern(arrays)
@@ -349,13 +374,12 @@ def test_reduction_tail_kernel_bit_equal_to_interpreter(cache_dir, dtype, op, sp
 
 
 @needs_cc
-@pytest.mark.parametrize("specialize", [False, True])
+@pytest.mark.parametrize("reload", [False, True])
 @pytest.mark.parametrize("bias", [True, False])
-def test_linear_epilogue_kernel_matches_interpreter(cache_dir, specialize, bias):
+def test_linear_epilogue_kernel_matches_interpreter(cache_dir, reload, bias):
     region = _linear_region(b=bias)
     arrays = _arrays(region, seed=9)
-    with using_codegen(True):
-        kern = compile_region(region, specialize=specialize)
+    kern = _compiled(region, reload)
     assert kern.is_compiled
     expect = region.interpret(arrays)
     x, w = arrays[0], arrays[1]
@@ -415,50 +439,29 @@ def test_unplannable_structured_region_falls_back_whole(cache_dir):
     assert kern([x]).tobytes() == expect.tobytes()
 
 
-# --------------------------------------------------------------------------- #
-# Shape-specialized kernels and the shape-keyed cache
-# --------------------------------------------------------------------------- #
 @needs_cc
-def test_specialized_kernels_are_shape_keyed(cache_dir):
-    region8 = _chain_region(shape=(8, 16))
-    region64 = _chain_region(shape=(64, 16))
-    before = codegen_stats()
-    with using_codegen(True):
-        k8 = compile_region(region8, specialize=True)
-        k64 = compile_region(region64, specialize=True)
-    after = codegen_stats()
-    assert k8.is_compiled and k64.is_compiled
-    # One structure, two shapes -> two cache entries (the dynamic kernel
-    # would be a single shared one, see test_identical_region_hits_cache).
-    assert after["compiled"] == before["compiled"] + 2
-    assert len(list(cache_dir.glob("*.so"))) == 2
-    for region, kern in ((region8, k8), (region64, k64)):
-        arrays = _arrays(region, seed=1)
-        assert kern(arrays).tobytes() == region.interpret(arrays).tobytes()
+def test_stage_tables_grow_past_eight_rows(cache_dir, monkeypatch):
+    # Eleven dynamic inputs and the output: a twelve-row pointer table.
+    inputs = [RegionInput(np.float32, (3, 5)) for _ in range(11)]
+    ops = [("add", (0, 1))] + [(("mul", "add")[i % 2], (11 + i, i + 2)) for i in range(9)]
+    region = RegionIR(inputs, ops, (3, 5), np.float32)
+    arrays = _arrays(region, seed=4)
+    expect = region.interpret(arrays).tobytes()
 
-    # Shape-keyed entries round-trip through the disk cache: a fresh memo
-    # reloads both .so files instead of recompiling.
-    clear_kernel_memo()
-    with using_codegen(True):
-        k8b = compile_region(region8, specialize=True)
-        k64b = compile_region(region64, specialize=True)
-    final = codegen_stats()
-    assert k8b.is_compiled and k64b.is_compiled
-    assert final["compiled"] == after["compiled"]
-    assert final["disk_hits"] == after["disk_hits"] + 2
+    def no_fallback(self, arrays, out=None):
+        raise AssertionError("the kernel fell back to the interpreter")
 
-
-@needs_cc
-def test_specialized_and_dynamic_kernels_coexist(cache_dir):
-    region = _reduce_region(shape=(4, 32), k=1)
-    arrays = _arrays(region, seed=8)
+    monkeypatch.setattr(RegionIR, "interpret", no_fallback)
     with using_codegen(True):
-        dyn = compile_region(region)
-        spec = compile_region(region, specialize=True)
-    assert dyn.is_compiled and spec.is_compiled
-    assert dyn(arrays).tobytes() == spec(arrays).tobytes()
-    # Distinct cache entries: specializing never shadows the dynamic kernel.
-    assert len(list(cache_dir.glob("*.so"))) == 2
+        kern = compile_region(region)
+    assert kern.is_compiled
+    assert kern(arrays).tobytes() == expect
+    # The same stage through a pinned table.
+    signature, extents, _ = region.lower()
+    lib, _ = jit.resolve(signature)
+    out = np.empty((3, 5), np.float32)
+    assert jit.PinnedStages(lib.fns, 1 << 20).run(0, extents[0], *arrays, out)
+    assert out.tobytes() == expect
 
 
 # --------------------------------------------------------------------------- #
