@@ -33,12 +33,8 @@ Workloads
     section; > 1.0 means compiled replay beats eager.  Measured at batch 1
     (latency serving, overhead-dominated) and the conv batch.
 ``fusion_chain``
-    Two pairs, both landing in the ``fusion`` section.  The *training* pair
-    (``unfused`` vs ``fused``) trains a linear+relu / mul+add+relu chain
-    with the trace-time fusion pass off vs. on — the per-step cost of the
-    region-extraction rewrite (plan-cached across steps) against the nodes
-    and dispatches it saves.  The *codegen* pair (``eager_fwd`` vs
-    ``codegen``; keys prefixed ``fusion_chain/codegen/``) runs just the
+    The *codegen* pair (``eager_fwd`` vs ``codegen``; keys prefixed
+    ``fusion_chain/codegen/`` in the ``fusion`` section) runs an
     elementwise tail forward — the eager ufunc-by-ufunc sequence with its
     temporaries vs. the single compiled region kernel writing one
     pre-allocated buffer (``repro.codegen``); this is the raw win codegen
@@ -113,7 +109,7 @@ from benchmarks import _seed_tensor as seed_engine  # noqa: E402
 from repro import nn, serve  # noqa: E402
 from repro.autograd import Tensor as NewTensor  # noqa: E402
 from repro.autograd import functional as F  # noqa: E402
-from repro.autograd import fusion, no_grad  # noqa: E402
+from repro.autograd import no_grad  # noqa: E402
 from repro.backend import use_backend  # noqa: E402
 from repro.models import TBNet, make_synthetic_batch  # noqa: E402
 
@@ -285,50 +281,6 @@ def build_tbnet_infer_step(mode: str, batch: int, rng: np.random.Generator) -> C
     def step() -> float:
         with no_grad():
             return float(model(images, context).data[0, 0])
-
-    return step
-
-
-def build_fusion_chain_step(
-    fused: bool,
-    batch: int,
-    rng: np.random.Generator,
-    width: int = 128,
-    depth: int = 3,
-    tail: int = 3,
-) -> Callable[[], float]:
-    """Forward+backward over fusable chains, with the rewrite pass off/on.
-
-    The ``tail`` rounds of ``relu(h * scale + shift)`` form one maximal
-    elementwise region (3 * tail ops), the shape region fusion targets:
-    the fused backward runs it as a single thunk and skips the ownership
-    copy on every interior link, so the saving scales with chain depth
-    while the per-step plan machinery stays constant.
-    """
-    params: List[NewTensor] = []
-    layers = []
-    for _ in range(depth):
-        w = NewTensor(rng.standard_normal((width, width)).astype(np.float32) / np.sqrt(width), requires_grad=True)
-        b = NewTensor(np.zeros(width, dtype=np.float32), requires_grad=True)
-        layers.append((w, b))
-        params += [w, b]
-    scale = NewTensor(rng.standard_normal(width).astype(np.float32), requires_grad=True)
-    shift = NewTensor(rng.standard_normal(width).astype(np.float32), requires_grad=True)
-    params += [scale, shift]
-    x_np = rng.standard_normal((batch, width)).astype(np.float32)
-
-    def step() -> float:
-        with fusion.using_fusion(fused):
-            h = NewTensor(x_np)
-            for w, b in layers:
-                h = F.linear(h, w, b).relu()  # linear+relu chains
-            for _ in range(tail):
-                h = (h * scale + shift).relu()  # one 3*tail-op region
-            loss = (h * h).mean()
-            loss.backward()
-        for p in params:
-            p.zero_grad()
-        return float(loss.data)
 
     return step
 
@@ -1022,21 +974,14 @@ def main(argv=None) -> int:
             inner,
         )
 
-    # Trace-time fusion: the rewrite pass off vs on over fusable chains.
-    # Pinned to batch 64 even under --quick: the fusion ratio's sign depends
-    # on array size (fixed plan-cache cost vs size-scaled backward savings),
-    # and the CI gate reads the quick run — gate and full bench must measure
-    # the same operating point.  An explicit --batch-sizes still wins.
+    # Region codegen, pinned to batch 64 even under --quick: the CI gate
+    # reads the quick run, so gate and full bench must measure the same
+    # operating point.  An explicit --batch-sizes still wins.
     fusion_batch = batches[0] if args.batch_sizes else 64
-    # Full-size inner blocks even under --quick: these steps run in ~0.5ms,
-    # so 2-step blocks sit at the timer's noise floor and the gated ratio
-    # swings ±5%; 10-step blocks cost ~100ms extra total and stabilize it.
+    # Full-size inner blocks even under --quick: these steps run in well
+    # under a millisecond, so 2-step blocks sit at the timer's noise floor
+    # and the gated ratio swings ±5%.
     fusion_inner = max(inner, 10)
-    record_engine_pair(
-        "fusion_chain", ("unfused", "fused"), fusion_batch,
-        lambda m: build_fusion_chain_step(m == "fused", fusion_batch, np.random.default_rng(7000)),
-        fusion_inner,
-    )
     # Codegen: the elementwise tail forward, eager ufuncs vs one compiled
     # region kernel (the numpy-interpreter arm when no compiler exists).
     record_engine_pair(
@@ -1248,9 +1193,9 @@ def main(argv=None) -> int:
     # Inference section: eager-vs-compiled per backend/batch (> 1.0 means the
     # compiled replay beats the eager no_grad forward).
     inference = _paired_ratio("tbnet_infer", "eager", "compiled")
-    # Fusion section: unfused-vs-fused training over the same chains, plus
-    # the forward-only eager-vs-codegen tail under its own key prefix.
-    fusion_ratios = _paired_ratio("fusion_chain", "unfused", "fused")
+    # Fusion section: the forward-only eager-vs-codegen tails (> 1.0 means
+    # the compiled region kernel beats the eager ufuncs).
+    fusion_ratios = {}
     for key, value in _paired_ratio("fusion_chain", "eager_fwd", "codegen").items():
         fusion_ratios[key.replace("fusion_chain/", "fusion_chain/codegen/", 1)] = value
     for key, value in _paired_ratio("fusion_reduce", "eager_fwd", "codegen").items():
@@ -1352,7 +1297,7 @@ def main(argv=None) -> int:
     for key, value in sorted(inference.items()):
         print(f"  inference {key}: {value:.2f}x (eager/compiled)")
     for key, value in sorted(fusion_ratios.items()):
-        print(f"  fusion {key}: {value:.2f}x (unfused/fused)")
+        print(f"  fusion {key}: {value:.2f}x (eager/codegen)")
     for key, value in sorted(serving.items()):
         print(f"  serving {key}: {value:.2f}x (queued throughput gain)")
     for bname, section in sorted(resilience.items()):

@@ -6,9 +6,9 @@ Layers:
   ``numpy`` reference behind the ``ArrayBackend`` surface, plus the
   process-wide seeded generator.
 - :mod:`repro.autograd` — the define-by-run tape engine (reified as a graph
-  IR of explicit nodes), the dense kernels, and the trace-time fusion pass
-  (:mod:`repro.autograd.fusion`), dispatching all numerical work through the
-  active backend.
+  IR of explicit nodes), the dense kernels, and the compile-time fusion
+  pass over captured traces (:mod:`repro.autograd.fusion`), dispatching all
+  numerical work through the active backend.
 - :mod:`repro.nn` — Module/Parameter containers, layers, init schemes and
   optimizers over the fused kernels.
 - :mod:`repro.models` — reference models; :class:`~repro.models.tbnet.TBNet`

@@ -314,10 +314,8 @@ def linear(x, weight, bias=None) -> Tensor:
 def linear_backward(be, g: np.ndarray, x_t: Tensor, w_t: Tensor, b_t: Optional[Tensor]) -> None:
     """Accumulate the affine map's three adjoints for incoming grad ``g``.
 
-    Shared by the ``linear`` tape node, the fused ``linear_relu`` node
-    (:mod:`repro.autograd.fusion`), which calls it with the relu-masked
-    gradient, and the train-step replay — one definition, so a backward fix
-    reaches all three.
+    Shared by the ``linear`` tape node and the train-step replay — one
+    definition, so a backward fix reaches both.
     """
     if x_t.requires_grad:
         x_t._accumulate_fresh(be.matmul(g, w_t.data.swapaxes(-1, -2)))
@@ -709,10 +707,8 @@ def batch_norm_backward(
 ) -> None:
     """Accumulate batch-norm's adjoints for incoming grad ``g``.
 
-    Shared by the ``batch_norm`` tape node, the fused ``batch_norm_relu``
-    node (:mod:`repro.autograd.fusion`), which calls it with the relu-masked
-    gradient, and the train-step replay — one definition, so a backward fix
-    reaches all three.  ``arm``: the compiled arm the forward ran, else it is
+    Shared by the ``batch_norm`` tape node and the train-step replay — one
+    definition, so a backward fix reaches both.  ``arm``: the compiled arm the forward ran, else it is
     looked up.
     """
     if b_t is not None and b_t.requires_grad:

@@ -1,7 +1,11 @@
-"""Trace-time fusion: region extraction + pattern rewrites over the graph IR.
+"""Compile-time fusion: region extraction + pattern rewrites over captured traces.
 
 The pass walks the node graph reachable from a root tensor (in topological
-order) and rewrites it at two granularities:
+order) and rewrites it at two granularities.  It is meant for captured
+``no_grad`` traces — :func:`repro.serve.compile_inference` runs it on the
+trace it compiles — and **a node that carries a backward thunk is never a
+fusion member**: on a training graph :func:`fuse` finds nothing to rewrite,
+and ``backward()`` never calls into this module.
 
 **Elementwise regions** (the general mechanism).  Maximal single-consumer
 chains of ``add``/``mul``/``div``/``neg``/``relu`` nodes — any mix, any
@@ -11,154 +15,69 @@ executes as **one compiled C loop** — a stage of its stage plan — through
 the backend's ``compile_region`` fusion point (falling back to the
 bit-equal numpy interpreter arm when codegen is off or no compiler
 exists); the loop takes the batch at run time, so one kernel serves every
-batch size of a structure.  During
-training the fused backward runs the exact per-op VJP sequences of the
-original thunks in reverse order, passing interior gradients straight
-through without the per-link ownership copy the unfused engine pays.
+batch size of a structure.
 
 Three extensions widen what a region may contain:
 
-- **Reduction tails** — a no-grad ``sum`` node whose axes form a trailing
-  contiguous run joins the region (captured traces only; a training
-  ``sum`` keeps its exact eager thunk), so a softmax-CE style epilogue
-  compiles into the same kernel pipeline instead of forcing a region
-  boundary.  Gated on the backend advertising ``"reduce"`` in its
+- **Reduction tails** — a ``sum`` node whose axes form a trailing
+  contiguous run joins the region, so a softmax-CE style epilogue compiles
+  into the same kernel pipeline instead of forcing a region boundary.
+  Gated on the backend advertising ``"reduce"`` in its
   ``region_features``.
-- **Linear heads** — a no-grad ``linear`` node may be absorbed as the
-  *first* member of a region: the GEMM still runs through the host BLAS,
-  but its bias add (and any following activation) folds into the region's
-  first compiled loop.  Gated on ``"linear"`` in ``region_features``;
+- **Linear heads** — a ``linear`` node may be absorbed as the *first*
+  member of a region: the GEMM still runs through the host BLAS, but its
+  bias add (and any following activation) folds into the region's first
+  compiled loop.  Gated on ``"linear"`` in ``region_features``;
   ``linear → relu`` pairs are still claimed by the ``linear_relu``
   composite first.
 - **Duplicated producers** — the single-consumer rule is lifted for one
   narrow shape: a lone elementwise node whose inputs are all graph
   leaves and whose output feeds *exactly two* region-eligible consumers
-  is recomputed into each consuming region.  The producer node itself
-  stays in the graph: the regions' backwards accumulate the two incoming
-  gradients into its output tensor (two contributions commute bitwise),
-  and its own thunk then runs its VJP — so every leaf gradient stays
-  bit-identical while the forward chains fuse through the fan-out.  In a
-  captured trace the bypassed producer becomes dead and the serving
-  emitter drops it.
+  is recomputed into each consuming region.  The producer node becomes
+  dead and the serving emitter drops it.
 
 **Pattern pairs** (the composite-kernel mechanism).  ``linear → relu`` and
 ``batch_norm → relu`` fuse into ``linear_relu`` / ``batch_norm_relu`` nodes
-dispatching to the backend composites: a GEMM or a training-mode batch norm
-cannot join an elementwise region, but masking its activation inside the
-composite is a real win.  Every other elementwise chain is a region's
-business; a backend without ``compile_region`` leaves it unfused.
+dispatching to the backend composites: a GEMM or a batch norm cannot join
+an elementwise region, but rectifying inside the composite saves a pass
+over its output.  Every other elementwise chain is a region's business; a
+backend without ``compile_region`` leaves it unfused.
 
 A chain is fused only when each interior output is consumed by exactly one
-node of the walked graph, so gradient accumulation order — and therefore
-every leaf gradient — stays **bit-identical** to the unfused tape: fused
-backward thunks run the exact op sequence of the separate thunks, on the
-backends the nodes captured at trace time.  The only observable difference
-is that fused-away intermediates no longer receive a transient ``.grad``
-(they are bypassed entirely, like PyTorch's non-leaf tensors).
-
-Incremental rewrite path
-------------------------
-Per-step training must not pay the full analysis on every tape: the pass
-hashes the tape's *structure* (ops, wiring, dtypes, shapes, backend) into a
-plan key and memoizes the resulting fusion plan.  Steady-state steps do one
-cheap structural scan, hit the plan cache, and apply the recorded rewrites
-directly — no consumer counting, no region discovery, no RegionIR
-rebuilding.
-
-When to run
------------
-- **Before ``backward()``** (automatic): with fusion enabled,
-  :meth:`Tensor.backward` runs the pass once per freshly recorded graph
-  before toposorting it.  Enable with the ``REPRO_FUSION`` environment
-  variable (anything but ``0/off/false/no``), programmatically with
-  :func:`enable_fusion`, or scoped with :func:`using_fusion`.
-- **At trace time** (explicit): call :func:`fuse` on a freshly traced
-  output (or on the output of an :func:`repro.autograd.ir.capture` block).
-  The serving compiler (:func:`repro.serve.compile_inference`) does exactly
-  this, and its executor then runs each region as one preallocated-buffer
-  kernel step.
-
-Fused nodes register forward evaluators in the IR registry, so a fused
-captured trace replays like any other.
+node of the walked graph, so no other consumer can observe a fused-away
+intermediate.  Fused nodes register forward evaluators in the IR registry,
+so a fused captured trace replays like any other.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.autograd import ir
-from repro.autograd.functional import (
-    _bn_affine_inputs,
-    _bn_replay_stats,
-    batch_norm_backward,
-    linear_backward,
-)
-from repro.autograd.tensor import Tensor, _raise_freed_graph, _unbroadcast
+from repro.autograd.functional import _bn_affine_inputs, _bn_replay_stats
+from repro.autograd.tensor import Tensor
 from repro.backend import get_backend
 from repro.codegen import RegionIR, RegionInput
 
-__all__ = [
-    "FUSED_OPS",
-    "enable_fusion",
-    "fuse",
-    "fusion_enabled",
-    "using_fusion",
-]
+__all__ = ["FUSED_OPS", "fuse"]
 
 #: Ops produced by this pass (also the keys of the fusion-count stats).
 FUSED_OPS = ("linear_relu", "batch_norm_relu", "region")
 
-_FALSY = ("", "0", "off", "false", "no")
-
-#: Programmatic override of the REPRO_FUSION environment toggle.
-_OVERRIDE: Optional[bool] = None
-
-
-def fusion_enabled() -> bool:
-    """Whether ``backward()`` runs the rewrite pass automatically.
-
-    :func:`enable_fusion` / :func:`using_fusion` take precedence; otherwise
-    the ``REPRO_FUSION`` environment variable decides (off by default).
-    """
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return os.environ.get("REPRO_FUSION", "").strip().lower() not in _FALSY
-
-
-def enable_fusion(flag: Optional[bool]) -> None:
-    """Force fusion on (``True``), off (``False``) or back to the
-    ``REPRO_FUSION`` environment default (``None``)."""
-    global _OVERRIDE
-    _OVERRIDE = flag
-
-
-@contextlib.contextmanager
-def using_fusion(flag: bool):
-    """Scoped :func:`enable_fusion`, restoring the previous override."""
-    global _OVERRIDE
-    previous = _OVERRIDE
-    _OVERRIDE = bool(flag)
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
-
 
 def _node_backend(node: ir.GraphNode):
-    """The backend a fused thunk must run on: the node's trace-time backend."""
+    """The backend a fused node runs on: the node's trace-time backend."""
     return node.be if node.be is not None else get_backend()
 
 
 #: Composite methods a backend must provide before its nodes may be
 #: pattern-fused.  The pre-IR ``ArrayBackend`` surface did not include
 #: them, so a third-party backend that predates (or skips) the composites
-#: simply gets no fusion instead of an AttributeError mid-backward or
-#: mid-replay.
-_COMPOSITE_METHODS = ("relu_grad", "linear_relu", "bn_normalize_relu")
+#: simply gets no fusion instead of an AttributeError mid-replay.
+_COMPOSITE_METHODS = ("linear_relu", "bn_normalize_relu")
+
 
 def _backend_caps(be) -> tuple:
     """(supports composites, supports regions, region features), memoized
@@ -202,210 +121,33 @@ def _supports_regions(node: ir.GraphNode) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Entry points
+# Entry point
 # --------------------------------------------------------------------------- #
 def fuse(root: Tensor) -> Dict[str, int]:
     """Collapse fusable chains reachable from ``root``; returns counts per op.
 
-    Safe to call on any traced tensor: training graphs (backward thunks are
-    fused too) and captured ``no_grad`` traces (forward-only nodes) alike.
-    Tensors shared with *other* graphs are never mutated — a fused chain
-    bypasses its producer nodes rather than rewriting them, so other
-    consumers of an interior output keep working.
+    Nodes that carry a backward thunk are never members, so a training
+    graph comes back as it went in and the counts are ``{}``.  Tensors
+    shared with *other* graphs are never mutated — a fused node is hung on
+    the chain's output tensor and the member nodes are left as they were,
+    so other consumers of an interior output keep working.
     """
     root_node = root._node
     if root_node is None:
         return {}
-    # Training graphs are walked the way backward() will walk them (pruning
-    # backward-less parents); captured no_grad traces are walked fully.
-    nodes = ir.toposort(root_node, backward_only=root_node.backward is not None)
-    return _fuse_nodes(nodes, root)[0]
-
-
-def fuse_for_backward(root: Tensor):
-    """The pass as ``backward()`` invokes it: returns a reusable topo list.
-
-    Each rewrite splices the fused node into the region/pattern head's slot
-    of the pass's own topological walk (and blanks the bypassed members'
-    slots), so the post-rewrite order is returned ready to run —
-    ``backward()`` never walks the graph a second time.  ``None`` only when
-    there is no graph at all.
-    """
-    root_node = root._node
-    if root_node is None:
-        return None
-    nodes = ir.toposort(root_node, backward_only=root_node.backward is not None)
-    return _fuse_nodes(nodes, root)[1]
+    return _rewrite(ir.toposort(root_node, backward_only=False), root)
 
 
 # --------------------------------------------------------------------------- #
-# The plan cache (incremental rewrite path)
-# --------------------------------------------------------------------------- #
-#: Structural plan key -> fusion plan.  A training loop records the same
-#: tape every step; after the first step the analysis (consumer counting,
-#: eligibility, region discovery, RegionIR construction) is skipped and the
-#: memoized plan is applied directly.
-_PLAN_CACHE: Dict[tuple, list] = {}
-_PLAN_CACHE_LIMIT = 64
-
-
-def _plan_key(nodes) -> Optional[tuple]:
-    """Structural identity of a topo list, or ``None`` when uncacheable.
-
-    Captures op names and wiring (producer positions / leaf identity
-    classes) — enough to make consumer counts, and therefore every
-    *shape*-independent analysis decision, identical between two graphs
-    with equal keys.  Everything else a plan depends on (dtypes, backend
-    capabilities, relu masks) is re-validated per plan entry by
-    :func:`_plan_applies`, whose cost is bounded by the plan size rather
-    than the tape size: this function is the per-step hot path, so it
-    deliberately reads nothing but ``op`` and the input links.
-    """
-    # One flat mixed tuple: each node contributes its op string followed by
-    # its source codes (ints).  Op strings delimit the int runs, so the
-    # encoding stays injective without per-node tuples — one allocation for
-    # the whole key instead of two per node.
-    key = []
-    append = key.append
-    node_pos: Dict[int, int] = {}
-    leaf_ids: Dict[int, int] = {}
-    pos_get = node_pos.get
-    leaf_default = leaf_ids.setdefault
-    idx = 0
-    for node in nodes:
-        if node.out is None:
-            return None  # partially freed graph: let the full analysis cope
-        append(node.op)
-        for t in node.inputs:
-            p = t._node
-            if p is not None:
-                pos = pos_get(id(p))
-                if pos is not None:
-                    append(pos)
-                    continue
-            append(-1 - leaf_default(id(t), len(leaf_ids)))
-        node_pos[id(node)] = idx
-        idx += 1
-    return tuple(key)
-
-
-def _fuse_nodes(nodes, root: Tensor):
-    """Rewrite a prebuilt topological node list; returns ``(counts, topo)``.
-
-    ``topo`` is the post-rewrite topological order: a fused node takes the
-    head's slot (its inputs all precede the earliest member, so the order
-    stays valid) and every other member's slot is dropped.
-    """
-    key = _plan_key(nodes)
-    plan = _PLAN_CACHE.get(key) if key is not None else None
-    if plan is None or not _plan_applies(plan, nodes):
-        plan = _build_plan(nodes, root)
-        if key is not None:
-            if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-                _PLAN_CACHE.clear()
-            _PLAN_CACHE[key] = plan
-    counts = _apply_plan(plan, nodes)
-    if counts:
-        nodes = [n for n in nodes if n is not None]
-    return counts, nodes
-
-
-def _freeze_plan(entries: list) -> tuple:
-    """Pack plan entries with their rewrite counts (counts depend only on
-    the plan, so they are computed once here instead of on every apply)."""
-    counts: Dict[str, int] = {}
-    for entry in entries:
-        kind = entry[0]
-        counts[kind] = counts.get(kind, 0) + 1
-    return entries, counts
-
-
-#: Expected (producer_op, consumer_op) per pattern kind.  The structural
-#: key already guarantees these match; re-checked here as cheap insurance.
-_PATTERN_OPS = {
-    "linear_relu": ("linear", "relu"),
-    "batch_norm_relu": ("batch_norm", "relu"),
-}
-
-
-def _plan_applies(plan, nodes) -> bool:
-    """Validate a key-matched plan against this graph instance.
-
-    The structural key guarantees ops and wiring — and wiring fixes the
-    consumer counts, so the single-consumer precondition of every fusion
-    below holds whenever the key matches.  What the key deliberately
-    dropped for speed is re-checked here, bounded by the *plan* size rather
-    than the tape size: dtypes (head output + external inputs pin the whole
-    region cone by promotion), backend capabilities and identity, and relu
-    mask availability.  Shapes need no check — training backward reads live
-    data, and captured-region replay respecializes by shape at evaluation
-    time.  A miss falls back to full analysis.
-    """
-    try:
-        for entry in plan[0]:
-            kind = entry[0]
-            if kind == "region":
-                _, member_pos, _routes, region, ext_locs, _dup_mask = entry
-                head = nodes[member_pos[-1]]
-                data = head.out.data
-                if not isinstance(data, np.ndarray) or data.dtype != region.out_dtype:
-                    return False
-                be = _node_backend(head)
-                if not _backend_caps(be)[1]:
-                    return False
-                structured = not region.is_elementwise
-                if structured and head.backward is not None:
-                    # A structurally identical *training* tape must not
-                    # reuse a capture plan containing sum/linear members.
-                    return False
-                # Ops need no re-check — the structural key pins them; only
-                # what the key dropped (backend identity, mask presence,
-                # reduction axes) is validated per member.
-                for j, pos in enumerate(member_pos):
-                    node = nodes[pos]
-                    if _node_backend(node) is not be:
-                        return False
-                    if node.op == "relu" and node.backward is not None:
-                        attrs = node.attrs
-                        if not attrs or "mask" not in attrs:
-                            return False
-                    if node.op == "sum":
-                        # The structural key ignores attrs: same wiring
-                        # with different reduction axes is a plan miss.
-                        if _sum_meta(node) != region.ops[j][2]:
-                            return False
-                for s, (j, i) in enumerate(ext_locs):
-                    td = nodes[member_pos[j]].inputs[i].data
-                    if (
-                        not isinstance(td, np.ndarray)
-                        or td.dtype != region.inputs[s].dtype
-                    ):
-                        return False
-            else:
-                producer, consumer = nodes[entry[1]], nodes[entry[2]]
-                if producer.op != _PATTERN_OPS[kind][0]:
-                    return False
-                if not (
-                    _supports_composites(producer)
-                    and _supports_composites(consumer)
-                ):
-                    return False
-    except (AttributeError, IndexError, TypeError):
-        # Freed nodes or a structurally stale plan: rebuild from scratch.
-        return False
-    return True
-
-
-# --------------------------------------------------------------------------- #
-# Analysis: build a fusion plan from one topo walk
+# Analysis and rewrites over one topo walk
 # --------------------------------------------------------------------------- #
 #: Graph ops an elementwise region may absorb.  Restricted to ops whose C
 #: scalar form is bit-equal to the numpy ufunc (see repro.codegen.region);
 #: ``sub`` never appears as a node (a - b records add(a, neg(b))).
 _REGION_NODE_OPS = frozenset(("add", "mul", "div", "neg", "relu"))
 
-#: Structured graph ops a region may absorb in captured (no-grad) traces,
-#: gated per backend through ``region_features``.
+#: Structured graph ops a region may absorb, gated per backend through
+#: ``region_features``.
 _REGION_STRUCTURED_NODE_OPS = frozenset(("sum", "linear"))
 
 _F32 = np.dtype(np.float32)
@@ -414,6 +156,12 @@ _F64 = np.dtype(np.float64)
 #: Cap on ops per region: bounds generated-C size and compile time; a chain
 #: longer than this splits into one region plus eager stragglers.
 _MAX_REGION = 32
+
+
+def _is_member(node: ir.GraphNode) -> bool:
+    """Whether ``node`` may be rewritten at all: a live node recorded
+    without a backward thunk (freed nodes carry the raising sentinel)."""
+    return node.backward is None and node.out is not None
 
 
 def _trailing_k(ndim: int, axis) -> Optional[int]:
@@ -437,8 +185,7 @@ def _trailing_k(ndim: int, axis) -> Optional[int]:
 
 def _sum_meta(node) -> Optional[tuple]:
     """A sum node's region meta ``(k, keepdims)``, or ``None`` when its
-    recorded axes are not a trailing run (or it recorded no attrs — the
-    training path, which must keep its exact eager reduction thunk)."""
+    recorded axes are not a trailing run (or it recorded no attrs)."""
     attrs = node.attrs
     if not attrs or "axis" not in attrs:
         return None
@@ -448,25 +195,19 @@ def _sum_meta(node) -> Optional[tuple]:
     return (k, bool(attrs.get("keepdims", False)))
 
 
-def _region_eligible(node, cache: dict, structured_ok: bool) -> bool:
+def _region_eligible(node, cache: dict) -> bool:
     flag = cache.get(id(node))
     if flag is None:
-        flag = _compute_region_eligible(node, structured_ok)
+        flag = _compute_region_eligible(node)
         cache[id(node)] = flag
     return flag
 
 
-def _compute_region_eligible(node, structured_ok: bool) -> bool:
-    structured = node.op in _REGION_STRUCTURED_NODE_OPS
-    if structured:
-        # Structured nodes join regions only in captured traces (their
-        # nodes carry no backward): a training sum/linear keeps its exact
-        # eager thunk, so gradient op order is never in question.
-        if not structured_ok or node.backward is not None:
-            return False
-    elif node.op not in _REGION_NODE_OPS:
+def _compute_region_eligible(node) -> bool:
+    if not _is_member(node):
         return False
-    if node.out is None:
+    structured = node.op in _REGION_STRUCTURED_NODE_OPS
+    if not structured and node.op not in _REGION_NODE_OPS:
         return False
     data = node.out.data
     if not isinstance(data, np.ndarray) or data.dtype not in (_F32, _F64):
@@ -488,19 +229,17 @@ def _compute_region_eligible(node, structured_ok: bool) -> bool:
             x, w = node.inputs[0].data, node.inputs[1].data
             if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
                 return False
-    if node.op == "relu" and node.backward is not None:
-        attrs = node.attrs
-        if not attrs or "mask" not in attrs:
-            return False
     return True
 
 
-def _build_plan(nodes, root: Tensor) -> list:
-    """Full analysis over one topo list: pattern pairs first (a GEMM or a
-    batch norm cannot join an elementwise region, and masking the relu
-    inside the composite is the bigger win), then maximal regions over the
-    remaining eligible nodes."""
-    plan: list = []
+def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
+    """Fuse over one topo list; returns counts per fused op.  Pattern pairs
+    go first (a GEMM or a batch norm cannot join an elementwise region, and
+    rectifying inside the composite is the bigger win), then maximal
+    regions over the remaining eligible nodes.  A rewrite only repoints the
+    head's output tensor, so the analysis of the original nodes that
+    follows it is unaffected."""
+    counts: Dict[str, int] = {}
     node_ids = {id(n) for n in nodes}
     position = {id(n): i for i, n in enumerate(nodes)}
     consumers: Dict[int, int] = {}
@@ -511,37 +250,28 @@ def _build_plan(nodes, root: Tensor) -> list:
             consumer_nodes.setdefault(id(t), []).append(node)
 
     claimed: set = set()
-    # Structured nodes (sum / linear) may join regions only when the whole
-    # walked graph is a no-grad capture; a training graph's topo contains
-    # only backward-bearing nodes, so the root's thunk decides.
-    root_node = root._node
-    structured_ok = root_node is not None and root_node.backward is None
 
     def fusable_producer(tensor: Tensor) -> Optional[ir.GraphNode]:
         node = tensor._node
         if node is None or id(node) not in node_ids or id(node) in claimed:
             return None
-        if node.out is None:
-            # Freed by another root's backward over a shared subgraph: its
-            # inputs/attrs are gone.  Leave it so backward() reaches the
-            # freed-graph sentinel instead of the rewrite crashing.
-            return None
-        if tensor is root:
+        if not _is_member(node) or tensor is root:
             return None
         if consumers.get(id(tensor)) != 1:
             return None
         return node
 
     # ---- pattern pairs (topo order keeps the pass deterministic) -------- #
-    for i, node in enumerate(nodes):
-        if id(node) in claimed or node.out is None or node.op != "relu":
+    for node in nodes:
+        if id(node) in claimed or node.op != "relu" or not _is_member(node):
             continue
         producer = fusable_producer(node.inputs[0])
         if producer is None or producer.op not in ("linear", "batch_norm") or not (
             _supports_composites(node) and _supports_composites(producer)
         ):
             continue
-        plan.append((producer.op + "_relu", position[id(producer)], i))
+        op = _rewrite_pair(producer, node)
+        counts[op] = counts.get(op, 0) + 1
         claimed.add(id(producer))
         claimed.add(id(node))
 
@@ -556,11 +286,9 @@ def _build_plan(nodes, root: Tensor) -> list:
 
         The narrow duplication shape: a lone *elementwise* node whose
         inputs are all graph-external and whose output feeds exactly two
-        region-eligible consumers on the same backend.  Exactly two
-        because the regions' backwards accumulate their gradients into
-        the producer's output tensor in whichever order the regions run
-        — two float contributions commute bitwise, three would change
-        the ``+=`` grouping against the eager tape.
+        region-eligible consumers on the same backend.  A third consumer
+        is refused: the producer then stays a node of its own and feeds
+        its consumers' regions as an external input.
         """
         if tensor is root or consumers.get(id(tensor)) != 2:
             return None
@@ -569,9 +297,8 @@ def _build_plan(nodes, root: Tensor) -> list:
             p is None
             or id(p) not in node_ids
             or id(p) in claimed
-            or p.out is None
             or p.op not in _REGION_NODE_OPS
-            or not _region_eligible(p, cache, structured_ok)
+            or not _region_eligible(p, cache)
             or _node_backend(p) is not be
         ):
             return None
@@ -583,14 +310,14 @@ def _build_plan(nodes, root: Tensor) -> list:
             if (
                 id(c) in claimed
                 or c.op == "linear"
-                or not _region_eligible(c, cache, structured_ok)
+                or not _region_eligible(c, cache)
                 or _node_backend(c) is not be
             ):
                 return None
         return p
 
     for node in nodes:
-        if id(node) in claimed or not _region_eligible(node, cache, structured_ok):
+        if id(node) in claimed or not _region_eligible(node, cache):
             continue
         if node.op == "linear":
             # A linear is a head-only member: its operands must stay region
@@ -601,8 +328,7 @@ def _build_plan(nodes, root: Tensor) -> list:
             producer = fusable_producer(t)
             if (
                 producer is not None
-                and id(producer) not in claimed
-                and _region_eligible(producer, cache, structured_ok)
+                and _region_eligible(producer, cache)
                 and _node_backend(producer) is be
             ):
                 absorbed.add(id(producer))
@@ -620,14 +346,15 @@ def _build_plan(nodes, root: Tensor) -> list:
             id(node) in claimed
             or id(node) in absorbed
             or id(node) in dup
-            or not _region_eligible(node, cache, structured_ok)
+            or not _region_eligible(node, cache)
         ):
             continue
         members = _collect_members(node, edges, position)
         if len(members) < 2:
             continue
-        plan.append(_region_recipe(members, position, dup))
-    return _freeze_plan(plan)
+        _rewrite_region(members)
+        counts["region"] = counts.get("region", 0) + 1
+    return counts
 
 
 def _collect_members(head, edges, position) -> list:
@@ -652,352 +379,63 @@ def _collect_members(head, edges, position) -> list:
     return members
 
 
-def _region_recipe(members, position, dup) -> tuple:
-    """One plan entry: member positions, per-member grad routes, the
-    RegionIR, where each external input tensor lives, and which members
-    are duplicated producers.
+def _rewrite_region(members) -> None:
+    """Hang one ``region`` node on the head's output tensor.
 
-    A duplicated member is wired into the region *program* like any other
-    (the region recomputes it) but its grad route is ``-1``: the backward
-    treats the link as external and accumulates into the producer's own
-    output tensor, whose node — left alive in the graph — then runs its
-    original VJP.
+    External inputs take slots in first-use order; a duplicated producer
+    is wired in like any other member (the region recomputes it from its
+    leaf inputs).  The members are left as they were; nothing the fused
+    node replaces references them any more.
     """
     member_index = {id(m): j for j, m in enumerate(members)}
-    member_set = frozenset(member_index)
-    dup_mask = tuple(id(m) in dup for m in members)
-    routes = []
     ext_slot: Dict[int, int] = {}
-    ext_locs: List[Tuple[int, int]] = []
+    ext_tensors: List[Tensor] = []
     prog = []
-    for j, m in enumerate(members):
-        route = []
+    for m in members:
         srcs = []
-        for i, t in enumerate(m.inputs):
+        for t in m.inputs:
             p = t._node
-            if p is not None and id(p) in member_set:
-                k = member_index[id(p)]
-                route.append(-1 if dup_mask[k] else k)
-                srcs.append(("m", k))
+            if p is not None and id(p) in member_index:
+                srcs.append(("m", member_index[id(p)]))
             else:
-                route.append(-1)
                 s = ext_slot.get(id(t))
                 if s is None:
-                    s = len(ext_locs)
-                    ext_slot[id(t)] = s
-                    ext_locs.append((j, i))
+                    s = ext_slot[id(t)] = len(ext_tensors)
+                    ext_tensors.append(t)
                 srcs.append(("e", s))
-        routes.append(tuple(route))
         if m.op == "sum":
             prog.append((m.op, tuple(srcs), _sum_meta(m)))
         else:
             prog.append((m.op, tuple(srcs)))
 
-    n_ext = len(ext_locs)
+    n_ext = len(ext_tensors)
     ops = [
         (entry[0], tuple(n_ext + s if tag == "m" else s for tag, s in entry[1]))
         + entry[2:]
         for entry in prog
     ]
-    ext_tensors = [members[j].inputs[i] for j, i in ext_locs]
-    out = members[-1].out
+    head = members[-1]
+    out_t = head.out
     region = RegionIR(
         [RegionInput(t.data.dtype, t.data.shape) for t in ext_tensors],
         ops,
-        out.data.shape,
-        out.data.dtype,
+        out_t.data.shape,
+        out_t.data.dtype,
     )
-    return (
-        "region",
-        tuple(position[id(m)] for m in members),
-        tuple(routes),
-        region,
-        tuple(ext_locs),
-        dup_mask,
+    attrs = {"region": region, "size": len(members)}
+    out_t._node = ir.GraphNode(
+        "region", tuple(ext_tensors), attrs, out_t, be=_node_backend(head)
     )
 
 
-# --------------------------------------------------------------------------- #
-# Application: execute a plan over a (possibly fresh) topo list
-# --------------------------------------------------------------------------- #
-def _apply_plan(plan, nodes) -> Dict[str, int]:
-    for entry in plan[0]:
-        kind = entry[0]
-        if kind == "region":
-            _apply_region(entry, nodes)
-        else:
-            p_pos, c_pos = entry[1], entry[2]
-            producer, consumer = nodes[p_pos], nodes[c_pos]
-            if kind == "linear_relu":
-                _rewrite_linear_relu(producer, consumer)
-            else:
-                _rewrite_batch_norm_relu(producer, consumer)
-            nodes[c_pos] = consumer.out._node
-            nodes[p_pos] = None
-    # Copy: callers may keep the counts dict; the original lives in the
-    # cached plan and must stay untouched.
-    return dict(plan[1])
-
-
-def _apply_region(entry, nodes) -> None:
-    """Splice one fused ``region`` node over its members.
-
-    The fused node takes the head's topo slot; every member (head included)
-    is recorded on ``bypassed`` so ``backward()`` frees them with the fused
-    node, keeping the freed-graph sentinel semantics of the unfused chain.
-    """
-    _, member_pos, routes, region, ext_locs, dup_mask = entry
-    members = [nodes[p] for p in member_pos]
-    head = members[-1]
-    out_t = head.out
-    ext_tensors = tuple(members[j].inputs[i] for j, i in ext_locs)
-    be = _node_backend(head)
-    fused = ir.GraphNode(
-        "region", ext_tensors, {"region": region, "size": len(members)}, out_t, be=be
-    )
-    if head.backward is not None:
-        fused.backward = _region_backward(members, routes, out_t, be, dup_mask)
-    # Duplicated producers stay live: their nodes keep their topo slots and
-    # run their own backward (fed by the gradients the regions accumulate
-    # into their outputs), so they are neither blanked nor bypassed.
-    fused.bypassed = tuple(m for m, d in zip(members, dup_mask) if not d)
-    out_t._node = fused
-    nodes[member_pos[-1]] = fused
-    for pos, d in zip(member_pos[:-1], dup_mask[:-1]):
-        if not d:
-            nodes[pos] = None
-
-
-def _region_backward(members, routes, out_t: Tensor, be, dup_mask):
-    """The chained-VJP backward for one region.
-
-    Runs the exact per-op gradient sequences of the original thunks, in
-    reverse member order.  Interior gradients (single-consumer by
-    construction) are passed straight through ``grads`` without the
-    ownership copy ``_accumulate`` would have made — the copy is
-    value-preserving, so skipping it keeps every leaf gradient
-    bit-identical while saving one full-array copy per interior link.
-    External tensors go through the original ``_accumulate_*`` calls, which
-    copy on first contribution, so shared buffers are never mutated.
-
-    Duplicated members are skipped entirely: their grad routes are ``-1``,
-    so the consuming members' external paths have already accumulated the
-    incoming gradients into the producer's output tensor, and the
-    producer's own (still-live) node runs its VJP afterwards.
-    """
-    n = len(members)
-
-    def _backward() -> None:
-        for m, d in zip(members, dup_mask):
-            if m.out is None and not d:
-                # A member shared with another graph was freed by that
-                # graph's backward: same sentinel the unfused tape hits.
-                # (A duplicated member freed by its own earlier backward —
-                # impossible in one reverse-topo pass, but cheap to allow —
-                # is not this region's concern.)
-                _raise_freed_graph()
-        # ``own[j]``: grads[j] is a private buffer this thunk allocated and
-        # nothing else references — interior links may then compute the
-        # next gradient *in place* (same op, same operands, only the
-        # destination changes, so every value stays bit-identical) instead
-        # of allocating a fresh full-size array per link.  The head slot is
-        # the caller's accumulated grad and external contributions are
-        # handed to ``_accumulate_*`` (which copy or adopt fresh buffers),
-        # so neither is ever mutated here.
-        grads: List[Optional[np.ndarray]] = [None] * n
-        own = [False] * n
-        grads[n - 1] = out_t.grad
-        for j in range(n - 1, -1, -1):
-            if dup_mask[j]:
-                continue  # recomputed producer: its own node runs the VJP
-            g = grads[j]
-            m = members[j]
-            op = m.op
-            ins = m.inputs
-            route = routes[j]
-            writable = own[j] and type(g) is np.ndarray
-            if op == "add":
-                alias = -1
-                for i in (0, 1):
-                    t = ins[i]
-                    k = route[i]
-                    if k >= 0:
-                        red = _unbroadcast(g, t.data.shape)
-                        grads[k] = red
-                        if red is g:
-                            if alias < 0:
-                                alias = k
-                                own[k] = own[j]
-                            else:
-                                # both sides alias one buffer: neither owns it
-                                own[alias] = own[k] = False
-                        else:
-                            own[k] = True
-                    elif t.requires_grad:
-                        t._accumulate_bcast(g)
-            elif op == "mul":
-                a_t, b_t = ins
-                ka, kb = route
-                # External sides read the original ``g``; they run before
-                # any in-place mutation for an interior side.  a-then-b
-                # accumulation order is preserved for shared tensors.
-                if ka < 0 and a_t.requires_grad:
-                    a_t._accumulate_fresh(
-                        _unbroadcast(be.multiply(g, b_t.data), a_t.data.shape)
-                    )
-                if kb < 0 and b_t.requires_grad:
-                    b_t._accumulate_fresh(
-                        _unbroadcast(be.multiply(g, a_t.data), b_t.data.shape)
-                    )
-                if ka >= 0 and kb >= 0:
-                    # both interior (tree): second side fresh, then first in place
-                    grads[kb] = _unbroadcast(be.multiply(g, a_t.data), b_t.data.shape)
-                    own[kb] = True
-                if ka >= 0:
-                    if writable:
-                        np.multiply(g, b_t.data, out=g)
-                        grads[ka] = _unbroadcast(g, a_t.data.shape)
-                    else:
-                        grads[ka] = _unbroadcast(
-                            be.multiply(g, b_t.data), a_t.data.shape
-                        )
-                    own[ka] = True
-                elif kb >= 0:
-                    if writable:
-                        np.multiply(g, a_t.data, out=g)
-                        grads[kb] = _unbroadcast(g, b_t.data.shape)
-                    else:
-                        grads[kb] = _unbroadcast(
-                            be.multiply(g, a_t.data), b_t.data.shape
-                        )
-                    own[kb] = True
-            elif op == "relu":
-                t = ins[0]
-                k = route[0]
-                mask = m.attrs["mask"]
-                if k >= 0:
-                    if writable:
-                        np.multiply(g, mask, out=g)
-                        grads[k] = g
-                    else:
-                        grads[k] = be.multiply(g, mask)
-                    own[k] = True
-                elif t.requires_grad:
-                    t._accumulate_fresh(be.multiply(g, mask))
-            elif op == "neg":
-                t = ins[0]
-                k = route[0]
-                if k >= 0:
-                    if writable:
-                        np.negative(g, out=g)
-                        grads[k] = g
-                    else:
-                        grads[k] = be.negative(g)
-                    own[k] = True
-                elif t.requires_grad:
-                    t._accumulate_fresh(be.negative(g))
-            else:  # div
-                a_t, b_t = ins
-                ka, kb = route
-                gb = None
-                if kb >= 0 or b_t.requires_grad:
-                    # needs the original ``g``: computed before the a-side
-                    # may mutate it, accumulated in the original order below
-                    gb = _unbroadcast(
-                        be.divide(
-                            be.multiply(be.negative(g), a_t.data),
-                            be.power(b_t.data, 2.0),
-                        ),
-                        b_t.data.shape,
-                    )
-                if ka >= 0:
-                    if writable:
-                        np.divide(g, b_t.data, out=g)
-                        grads[ka] = _unbroadcast(g, a_t.data.shape)
-                    else:
-                        grads[ka] = _unbroadcast(be.divide(g, b_t.data), a_t.data.shape)
-                    own[ka] = True
-                elif a_t.requires_grad:
-                    a_t._accumulate_fresh(
-                        _unbroadcast(be.divide(g, b_t.data), a_t.data.shape)
-                    )
-                if kb >= 0:
-                    grads[kb] = gb
-                    own[kb] = True
-                elif gb is not None:
-                    b_t._accumulate_fresh(gb)
-            grads[j] = None
-
-    return _backward
-
-
-# --------------------------------------------------------------------------- #
-# Pattern rewrites
-# --------------------------------------------------------------------------- #
-def _install(producer: ir.GraphNode, consumer: ir.GraphNode, fused: ir.GraphNode) -> None:
-    """Hang ``fused`` on the consumer's output tensor, bypassing both nodes.
-
-    The producer node is left *intact* for now (its output tensor still
-    points at it) but recorded on ``fused.bypassed``: when ``backward()``
-    frees the fused node it frees the producer with it, so a later backward
-    through the bypassed intermediate — or through another graph sharing it
-    — hits the freed-graph sentinel exactly as it would have unfused,
-    instead of silently re-running a stale thunk.  The consumer node is
-    referenced by nothing after the rewrite and dies by refcount.
-    """
-    fused.bypassed = (producer,)
-    consumer.out._node = fused
-
-
-def _relu_mask(C: ir.GraphNode):
-    """The relu mask, if the consumer recorded one (grad-tracking traces
-    only; no-grad captures skip the mask and never run a backward)."""
-    return C.attrs["mask"] if C.attrs else None
-
-
-def _rewrite_linear_relu(P: ir.GraphNode, C: ir.GraphNode) -> None:
-    """linear → relu  ⇒  linear_relu (one node, three backward GEMM/sum ops)."""
-    x_t, w_t = P.inputs[0], P.inputs[1]
-    b_t = P.inputs[2] if len(P.inputs) == 3 else None
-    out_t = C.out
-    mask = _relu_mask(C)
-    pbe, cbe = _node_backend(P), _node_backend(C)
-    fused = ir.GraphNode("linear_relu", P.inputs, {"mask": mask}, out_t, be=pbe)
-    if C.backward is not None:
-        def _backward() -> None:
-            # Mask the incoming grad (the relu node's exact op), then run
-            # the kernel's own backward — shared with functional.linear.
-            linear_backward(pbe, cbe.relu_grad(out_t.grad, mask), x_t, w_t, b_t)
-
-        fused.backward = _backward
-    _install(P, C, fused)
-
-
-def _rewrite_batch_norm_relu(P: ir.GraphNode, C: ir.GraphNode) -> None:
-    """batch_norm → relu  ⇒  batch_norm_relu (masked grad into the bn adjoint)."""
-    out_t = C.out
-    mask = _relu_mask(C)
-    pa = P.attrs
-    x_t = P.inputs[0]
-    w_t = P.inputs[1] if pa["has_weight"] else None
-    b_t = (P.inputs[2] if pa["has_weight"] else P.inputs[1]) if pa["has_bias"] else None
-    xhat, inv_std = pa["xhat"], pa["inv_std"]
-    axes, bshape, batch_stats = pa["axes"], pa["bshape"], pa["use_batch_stats"]
-    pbe, cbe = _node_backend(P), _node_backend(C)
-    attrs = dict(pa)
-    attrs["mask"] = mask
-    fused = ir.GraphNode("batch_norm_relu", P.inputs, attrs, out_t, be=pbe)
-    if C.backward is not None:
-        def _backward() -> None:
-            # Mask the incoming grad, then run the kernel's own backward —
-            # shared with functional.batch_norm.
-            batch_norm_backward(
-                pbe, cbe.relu_grad(out_t.grad, mask),
-                x_t, w_t, b_t, xhat, inv_std, axes, bshape, batch_stats,
-            )
-
-        fused.backward = _backward
-    _install(P, C, fused)
+def _rewrite_pair(P: ir.GraphNode, C: ir.GraphNode) -> str:
+    """``linear → relu`` / ``batch_norm → relu``  ⇒  one ``linear_relu`` /
+    ``batch_norm_relu`` node whose composite rectifies the producer's
+    output; returns the fused op."""
+    op = P.op + "_relu"
+    attrs = None if P.attrs is None else dict(P.attrs)
+    C.out._node = ir.GraphNode(op, P.inputs, attrs, C.out, be=_node_backend(P))
+    return op
 
 
 # --------------------------------------------------------------------------- #

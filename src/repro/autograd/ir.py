@@ -81,7 +81,7 @@ class GraphNode:
     be:
         The array backend resolved at trace time (``None`` for structural
         ops with no numerical content).  Rewrite passes use it so a fused
-        backward runs on the same backend that produced the forward buffers.
+        node runs on the same backend that produced its inputs.
     backward:
         The zero-argument backward thunk, ``None`` for nodes recorded
         without gradient tracking (e.g. a captured ``no_grad`` trace), or
@@ -89,15 +89,9 @@ class GraphNode:
     out:
         The output tensor (cleared when the node is freed, so a freed graph
         is reclaimable by refcounting).
-    bypassed:
-        Nodes a rewrite pass routed around to create this node (the
-        producer/consumer pair behind a fused node).  ``backward()``'s free
-        pass frees them together with this node, so a bypassed chain keeps
-        the freed-graph sentinel and refcount-reclamation behaviour it
-        would have had unfused.
     """
 
-    __slots__ = ("op", "inputs", "attrs", "be", "backward", "out", "bypassed")
+    __slots__ = ("op", "inputs", "attrs", "be", "backward", "out")
 
     def __init__(
         self,
@@ -114,7 +108,6 @@ class GraphNode:
         self.be = be
         self.backward = backward
         self.out = out
-        self.bypassed: Optional[Tuple["GraphNode", ...]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         shapes = ", ".join(str(t.shape) for t in self.inputs)

@@ -9,9 +9,10 @@ recorded node graph and accumulates gradients into ``.grad`` of every tensor
 that requires them.
 
 The explicit node records (rather than bare closures) make the tape a real
-IR: :mod:`repro.autograd.fusion` pattern-matches and rewrites chains of nodes
-before the backward pass, and :mod:`repro.serve` replays captured traces over
-new inputs through the forward-eval registry in :mod:`repro.autograd.ir`.
+IR: :mod:`repro.autograd.replay` captures a train step's tape and replays it,
+:mod:`repro.autograd.fusion` rewrites chains of captured ``no_grad`` nodes,
+and :mod:`repro.serve` replays captured traces over new inputs through the
+forward-eval registry in :mod:`repro.autograd.ir`.
 
 Hot-path notes
 --------------
@@ -139,36 +140,13 @@ def _raise_freed_graph() -> None:
 
 
 def _free_node(node) -> None:
-    """Free one graph node (and any nodes a rewrite bypassed into it)."""
-    while node is not None:
-        if node.backward is not None:
-            node.backward = _raise_freed_graph
-        node.inputs = ()
-        node.attrs = None
-        node.out = None
-        extra = node.bypassed
-        node.bypassed = None
-        if not extra:
-            return
-        # Pattern rewrites bypass one producer; region rewrites bypass the
-        # whole member chain.  Loop on the first entry, recurse only on
-        # true fan-out.
-        for sub in extra[1:]:
-            _free_node(sub)
-        node = extra[0]
-
-
-_fusion_module = None
-
-
-def _get_fusion():
-    """Lazy import of :mod:`repro.autograd.fusion` (it imports this module)."""
-    global _fusion_module
-    if _fusion_module is None:
-        from repro.autograd import fusion
-
-        _fusion_module = fusion
-    return _fusion_module
+    """Free one graph node: a raising sentinel replaces its thunk, and its
+    inputs, saved attrs and output link go."""
+    if node.backward is not None:
+        node.backward = _raise_freed_graph
+    node.inputs = ()
+    node.attrs = None
+    node.out = None
 
 
 _profile_module = None
@@ -884,9 +862,7 @@ class Tensor:
         The recorded node graph is topologically sorted by
         :func:`repro.autograd.ir.toposort` (leaves — nodes without a
         backward thunk — are pruned exactly as the historical tensor-level
-        sort pruned them).  When fusion is enabled (``REPRO_FUSION`` or
-        :func:`repro.autograd.fusion.enable_fusion`) the rewrite pass runs
-        over the graph first, collapsing matched chains into fused nodes.
+        sort pruned them), and every node's thunk runs in reverse order.
 
         Parameters
         ----------
@@ -921,19 +897,7 @@ class Tensor:
 
         topo = self._topo
         if topo is None:
-            if self._node is not None:
-                topo = None
-                fusion = _get_fusion()
-                if fusion.fusion_enabled():
-                    # The rewrite may replace this tensor's own node (the
-                    # root is re-read below); the pass splices rewrites
-                    # into its own walk, so its topo order is used directly
-                    # instead of re-sorting.
-                    topo = fusion.fuse_for_backward(self)
-                if topo is None:
-                    topo = _ir.toposort(self._node)
-            else:
-                topo = []
+            topo = _ir.toposort(self._node) if self._node is not None else []
 
         # Interior-node grads are transient: clear them so a repeated pass
         # over a retained graph does not double-count (leaves, which are not
@@ -951,8 +915,7 @@ class Tensor:
         # cycles) and a raising sentinel stays, so a later backward over
         # this graph fails loudly; the saved arrays and the output link go
         # with it, so peak memory is what is live *between* two thunks, not
-        # the sum over the pass.  Nodes a rewrite pass bypassed are freed
-        # with their replacement.  A leaf root never had a node and stays
+        # the sum over the pass.  A leaf root never had a node and stays
         # repeatable.
         profiler = _get_profile().active_profiler()
         if profiler is None:

@@ -160,18 +160,14 @@ class ArrayBackend(Protocol):
         ...
 
     # ------------------------------------------------------------------ #
-    # Composites: fused tape chains (repro.autograd.fusion)
+    # Composites: fused trace chains (repro.autograd.fusion)
     #
-    # Each collapses a matched chain of tape nodes into one call.  The
+    # Each collapses a matched chain of captured nodes into one call.  The
     # reference implementations run the exact op sequence of the separate
     # kernels, so fused and unfused traces are bit-identical; a backend may
     # collapse the chain into fewer buffers (or one device kernel) as long
     # as it keeps that operation order.
     # ------------------------------------------------------------------ #
-    def relu_grad(self, g, mask) -> np.ndarray:
-        """VJP of relu: ``g * mask`` as a fresh buffer (``g`` is read-only)."""
-        ...
-
     def linear_relu(self, x, w, b: Optional[np.ndarray]) -> np.ndarray:
         """Fused ``relu(x @ w + b)`` (``b`` may be ``None``)."""
         ...

@@ -207,13 +207,9 @@ class NumpyBackend:
         return dx
 
     # ------------------------------------------------------------------ #
-    # Fused tape chains (reference: the exact op sequence of the separate
+    # Fused trace chains (reference: the exact op sequence of the separate
     # kernels, so fused and unfused traces are bit-identical)
     # ------------------------------------------------------------------ #
-    def relu_grad(self, g, mask) -> np.ndarray:
-        # Exactly the multiply the standalone relu backward performs.
-        return self.multiply(g, mask)
-
     def linear_relu(self, x, w, b: Optional[np.ndarray]) -> np.ndarray:
         out = self.linear(x, w, b)  # a buffer we own: rectify in place
         return np.maximum(out, 0.0, out=out)

@@ -93,9 +93,9 @@ def codegen_enabled() -> bool:
     """Whether :func:`compile_region` may emit native kernels.
 
     :func:`enable_codegen` / :func:`using_codegen` take precedence;
-    otherwise ``REPRO_CODEGEN`` decides (**on** by default — unlike fusion,
-    codegen only runs where fusion already placed a region, and it degrades
-    gracefully to the interpreter without a compiler).
+    otherwise ``REPRO_CODEGEN`` decides (**on** by default — codegen only
+    runs where fusion already placed a region or a session planned a stage,
+    and it degrades gracefully to the interpreter without a compiler).
     """
     if _OVERRIDE is not None:
         return _OVERRIDE

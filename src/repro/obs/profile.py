@@ -41,7 +41,7 @@ sees: the minor page faults and the system time the process spent inside it
 that allocates its working set afresh shows thousands of faults; one served
 by the kernel workspace (:mod:`repro.backend.workspace`) shows none.
 
-The active profiler is process-global (like the fusion toggle): spans from
+The active profiler is process-global (like the codegen toggle): spans from
 worker threads all land in one table, aggregation is lock-protected.
 """
 

@@ -299,7 +299,7 @@ class SessionPool:
         remainders smaller than the smallest bucket fall back to the
         model's eager ``no_grad`` forward (counted in :attr:`eager_calls`).
     fuse:
-        Run the trace-time fusion pass on each compiled session (default).
+        Run the compile-time fusion pass on each compiled session (default).
     metrics:
         Optional ``(bucket_counters, eager_counter)`` pair of
         :class:`repro.obs.metrics.Counter` children (``{bucket_size:

@@ -255,7 +255,7 @@ def _compile(model: Module, example_batch, fuse: bool, gemm_stages: bool) -> "In
     session = InferenceSession(
         inputs, output, nodes, get_backend(), fused_counts, model=model, gemm_stages=gemm_stages
     )
-    # The example trace's activations die here — those of dead and bypassed
+    # The example trace's activations die here — those of dead (fused-away)
     # nodes too, whose node<->tensor cycle would otherwise wait for the
     # collector — and their blocks go back, so a server does not retain its
     # compile-time temporaries.
@@ -338,7 +338,6 @@ class InferenceSession:
         for node in nodes:
             node.out = None
             node.inputs = ()
-            node.bypassed = None
             if node.attrs:
                 node.attrs.pop("xhat", None)
                 node.attrs.pop("mask", None)
@@ -632,14 +631,7 @@ class InferenceSession:
         if op == "region":
             # One step for the whole extracted region, writing into a
             # pre-allocated buffer.
-            # The fusion plan cache is structure-keyed, so the recorded
-            # RegionIR may carry the shapes of an earlier, differently-sized
-            # trace; respecialize to this trace's live shapes before
-            # compiling (mirrors replay's _region_for_arrays).
             region = attrs["region"]
-            shapes = [t.data.shape for t in node.inputs]
-            if [inp.shape for inp in region.inputs if inp.const is None] != shapes:
-                region = region.respecialize(shapes)
             buf = own()
 
             def region_step(kern):

@@ -243,7 +243,7 @@ class SessionPlan:
     def _splice_region(self, group: _Group, index: int, node, t) -> bool:
         """Append an elementwise region's program (``t``: the running value
         among its inputs); a standalone region may lead with a ``linear``."""
-        region = self._session._region_steps[index][0]  # respecialized by the emitter
+        region = self._session._region_steps[index][0]
         if region.out_shape != (group.n,) + group.dims:
             return False
         ops = region.ops

@@ -1,0 +1,202 @@
+"""Generated traces: every fused session byte-equal to the eager forward.
+
+A seeded generator builds eval-mode models whose forwards mix elementwise
+chains (``add`` / ``mul`` / ``div`` / ``neg`` / ``relu``) over operands
+broadcast against the activation, ``sum`` / ``mean`` tails over trailing
+axes, ``nn.Linear`` heads with and without bias, and eval ``BatchNorm1d``.
+One shape per kind, drawn in float32 and float64 at batch 1 and above:
+
+- ``chain``: every value has one consumer;
+- ``fanout2``: a product of graph leaves feeds two chains (the duplicated
+  producer, recomputed inside the one region);
+- ``fanout3``: the same product feeds three chains (refused: it stays a
+  node of its own, and the chains fuse around it);
+- ``reduce``, ``linear``, ``batch_norm``: the structured members.
+
+``compile_inference(...).run`` must give the bytes of the eager ``no_grad``
+forward, with codegen off (the region interpreter) and on (the compiled
+stages), on the example batch and on a fresh one.
+"""
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.autograd import Tensor, no_grad
+from repro.codegen import using_codegen
+from repro.serve import compile_inference
+
+SEED = 28
+KINDS = ("chain", "fanout2", "fanout3", "reduce", "linear", "batch_norm")
+CASES = 4 * len(KINDS)
+
+
+class _Generated(nn.Module):
+    """A model whose forward is a generated list of steps."""
+
+    def __init__(self, steps):
+        super().__init__()
+        self.steps = steps
+
+    def forward(self, x):
+        return self.steps(x)
+
+
+class _Builder:
+    """Draws operands and elementwise chains for one model."""
+
+    def __init__(self, rng, dtype):
+        self.rng, self.dtype = rng, dtype
+
+    def array(self, shape, positive=False):
+        value = self.rng.standard_normal(shape)
+        if positive:  # a divisor: kept away from zero
+            value = np.abs(value) + 0.5
+        return value.astype(self.dtype)
+
+    def operand(self, shape, positive=False):
+        """A leaf broadcast against an activation of ``shape``: the full
+        shape, its last axis alone or as a row, a column, or a scalar."""
+        shapes = [shape, shape[-1:], (1,) * (len(shape) - 1) + shape[-1:],
+                  shape[:-1] + (1,), ()]
+        shape = shapes[self.rng.integers(len(shapes))]
+        return Tensor(self.array(shape, positive), dtype=self.dtype)
+
+    def chain(self, length, shape):
+        """``length`` random elementwise ops over an activation of
+        ``shape``, as a function of the activation."""
+        ops = []
+        for _ in range(length):
+            op = str(self.rng.choice(["add", "mul", "div", "neg", "relu"]))
+            ops.append((op, self.operand(shape, positive=op == "div"), self.rng.random() < 0.5))
+
+        def apply(h):
+            for op, c, left in ops:
+                if op == "add":
+                    h = c + h if left else h + c
+                elif op == "mul":
+                    h = c * h if left else h * c
+                elif op == "div":
+                    h = h / c
+                elif op == "neg":
+                    h = -h
+                else:
+                    h = h.relu()
+            return h
+
+        return apply
+
+    def length(self, low=1, high=4):
+        return int(self.rng.integers(low, high + 1))
+
+
+def _to_dtype(module, dtype):
+    for param in module.parameters():
+        param.data = param.data.astype(dtype)
+    for name in ("running_mean", "running_var"):
+        buffer = getattr(module, name, None)
+        if isinstance(buffer, np.ndarray):
+            module.register_buffer(name, buffer.astype(dtype))
+
+
+def _generate(kind, rng, dtype):
+    """``(model, example input shape)`` for one case of ``kind``."""
+    n = int(rng.choice([1, 3, 8]))
+    d = int(rng.choice([5, 16]))
+    b = _Builder(rng, dtype)
+    model = _Generated(None)
+
+    if kind in ("fanout2", "fanout3"):
+        scale = b.operand((n, d))
+        chains = [b.chain(b.length(), (n, d)) for _ in range(2 if kind == "fanout2" else 3)]
+
+        def steps(x):
+            p = x * scale  # a lone node over graph leaves
+            out = chains[0](p)
+            for chain in chains[1:]:
+                out = out + chain(p)
+            return out
+
+        model.steps = steps
+        return model, (n, d)
+
+    if kind == "reduce":
+        three = rng.random() < 0.5
+        shape = (n, 3, d) if three else (n, d)
+        head = b.chain(b.length(), shape)
+        tail = str(rng.choice(["sum", "mean"]))
+        axis = (1, 2) if three and rng.random() < 0.5 else -1
+        keepdims = bool(rng.random() < 0.5)
+        after = b.chain(b.length(0, 2), (n, 1)) if keepdims and not three else None
+
+        def steps(x):
+            h = head(x)
+            h = h.sum(axis=axis, keepdims=keepdims) if tail == "sum" else h.mean(
+                axis=axis, keepdims=keepdims)
+            return after(h) if after is not None else h
+
+        model.steps = steps
+        return model, shape
+
+    if kind == "linear":
+        e = int(rng.choice([4, 12]))
+        model.proj = nn.Linear(d, e, bias=bool(rng.random() < 0.5), rng=rng)
+        if model.proj.bias is not None:
+            model.proj.bias.data = b.array((e,))
+        before = b.chain(b.length(0, 2), (n, d))
+        after = b.chain(b.length(), (n, e))
+        model.steps = lambda x: after(model.proj(before(x)))
+        _to_dtype(model.proj, dtype)
+        return model, (n, d)
+
+    if kind == "batch_norm":
+        model.bn = nn.BatchNorm1d(d)
+        model.bn.weight.data = b.array((d,))
+        model.bn.bias.data = b.array((d,))
+        model.bn.register_buffer("running_mean", b.array((d,)))
+        model.bn.register_buffer("running_var", b.array((d,), positive=True))
+        after = b.chain(b.length(), (n, d))
+        model.steps = lambda x: after(model.bn(x))
+        _to_dtype(model.bn, dtype)
+        return model, (n, d)
+
+    chain = b.chain(b.length(2, 6), (n, d))
+    model.steps = chain
+    return model, (n, d)
+
+
+def _cases():
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for i in range(CASES):
+        kind = KINDS[i % len(KINDS)]
+        dtype = (np.float32, np.float64)[(i // len(KINDS)) % 2]
+        model, shape = _generate(kind, rng, dtype)
+        model.eval()
+        inputs = [rng.standard_normal(shape).astype(dtype) for _ in range(2)]
+        cases.append((kind, model, inputs))
+    return cases
+
+
+def _eager(model, x):
+    with no_grad():
+        return model(Tensor(x, dtype=x.dtype)).data.tobytes()
+
+
+@pytest.mark.parametrize("codegen", [False, True])
+def test_generated_traces_fuse_and_replay_the_eager_bytes(codegen):
+    cases = _cases()
+    with using_codegen(codegen):
+        sessions = [compile_inference(model, inputs[0]) for _, model, inputs in cases]
+    fused = {kind: 0 for kind in KINDS}
+    for (kind, model, inputs), session in zip(cases, sessions):
+        if codegen:
+            session.wait_compiled(120)
+        for x in inputs:
+            assert session.run(x).tobytes() == _eager(model, x), (kind, session.op_counts)
+        fused[kind] += bool(session.fused_counts)
+        if kind == "fanout2":  # the producer is recomputed in the region
+            assert session.op_counts == {"region": 1}, session.op_counts
+        if kind == "fanout3":  # refused: the producer stays, the chains fuse
+            assert session.op_counts == {"mul": 1, "region": 1}, session.op_counts
+    assert all(fused.values()), fused

@@ -20,7 +20,6 @@ import pytest
 
 from repro import nn
 from repro.autograd import no_grad
-from repro.autograd.fusion import enable_fusion
 from repro.backend.registry import get_rng_state, manual_seed
 from repro.codegen.jit import enable_codegen
 from repro.models import TBNet
@@ -184,7 +183,6 @@ def test_env_and_rng_state_propagate_into_workers(start_method):
     expected_rng = np.random.default_rng()
     expected_rng.bit_generator.state = get_rng_state()
     expected_draw = float(expected_rng.standard_normal())
-    enable_fusion(True)
     enable_codegen(False)
     try:
         with _server(model, workers=1, start_method=start_method,
@@ -194,11 +192,9 @@ def test_env_and_rng_state_propagate_into_workers(start_method):
             # A probed worker goes on serving.
             server.submit(_req(np.random.default_rng(0))).result(timeout=60)
     finally:
-        enable_fusion(None)
         enable_codegen(None)
     assert probe["pid"] != os.getpid()
     assert probe["backend"] == server._base_spec["backend"]
-    assert probe["fusion"] is True
     assert probe["codegen"] is False
     assert probe["rng_draw"] == expected_draw
 

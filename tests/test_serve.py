@@ -185,12 +185,10 @@ def test_batch_norm_statistics_are_frozen_at_compile():
 
 
 def test_region_sessions_compile_per_trace_shapes():
-    # The fusion plan cache is keyed on tape *structure*, not shapes, so a
-    # second compile at a new batch size key-matches the first trace's plan
-    # — whose recorded RegionIR carries the first trace's shapes.  The
-    # emitter must respecialize to the live trace before compiling
-    # (regression: every run() of the second session raised a region input
-    # shape mismatch).
+    # One structure compiled at several batch sizes: each session's region
+    # carries its own trace's shapes (regression: a structure-keyed plan
+    # once handed a second session the first trace's shapes, and every
+    # run() raised a region input shape mismatch).
     class Scale(nn.Module):
         def __init__(self):
             super().__init__()

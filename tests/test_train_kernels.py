@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, functional as F, kernels
-from repro.autograd import fusion
 from repro.backend import NumpyBackend, get_backend, use_backend, workspace
 from repro.codegen import (
     codegen_enabled, codegen_stats, have_compiler, jit, using_codegen, wait_for_compiles)
@@ -394,8 +393,8 @@ def test_a_run_that_adopts_half_way_equals_the_numpy_run(cold, stage_calls):
 
     compiled = codegen_stats()["compiled"]
     assert train_hash(4, 40, pause=adopt) == want
-    # 29 stages a step (24 when fused nodes mask relu's gradient themselves).
-    assert all(stage_calls) and held[0] < 19 * 24 <= len(stage_calls) - held[0]
+    # 29 stages a step.
+    assert all(stage_calls) and held[0] < 19 * 29 <= len(stage_calls) - held[0]
     assert 1 <= codegen_stats()["compiled"] - compiled <= 3  # queued signatures share a unit
 
 
@@ -410,10 +409,9 @@ def test_batch_64_hash_and_what_the_workspace_holds_across_the_switch(adopted):
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"], indirect=True)
-@pytest.mark.parametrize("fuse", [False, True])
-def test_training_hash_is_the_same_on_every_arm(adopted, backend, fuse):
-    with fusion.using_fusion(fuse), use_backend(backend):
-        for optimizer in (Adam, SGD) if (backend, fuse) == ("numpy", False) else (Adam,):
+def test_training_hash_is_the_same_on_every_arm(adopted, backend):
+    with use_backend(backend):
+        for optimizer in (Adam, SGD) if backend == "numpy" else (Adam,):
             with using_codegen(False):
                 want = train_hash(4, 40, optimizer)
             assert train_hash(4, 40, optimizer, pause=lambda: wait_for_compiles(300)) == want
@@ -467,7 +465,7 @@ def test_profile_rows_name_the_compiled_stages_and_still_sum_to_the_step(adopted
         model.train_step(opt, *batch)
     assert wait_for_compiles(300)
     model.train_step(opt, *batch)
-    with using_profiler() as prof, fusion.using_fusion(False):  # fused nodes have other names
+    with using_profiler() as prof:
         model.loss(*batch).backward()  # the taped step: a replayed one has rows of its own
         opt.zero_grad()
     rows = prof.stats()

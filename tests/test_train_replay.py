@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, fusion, ir, no_grad
+from repro.autograd import Tensor, ir, no_grad
 from repro.backend import NumpyBackend, default_rng, manual_seed, set_backend, get_backend, use_backend
 from repro.codegen import codegen_enabled, have_compiler, using_codegen, wait_for_compiles
 from repro.models import TBNet, make_synthetic_batch, tbnet
@@ -131,12 +131,11 @@ def test_replay_straddling_capture_and_adoption_equals_the_explicit_parts(
     assert got == run(40, True, **kwargs)
 
 
-@pytest.mark.parametrize("backend, fuse, codegen, batch", [
-    ("numpy", False, True, 4), ("numpy", True, True, 4), ("fused", False, True, 4),
-    ("fused", True, True, 4), ("lazy", False, True, 4), ("lazy", True, True, 4),
-    ("numpy", False, False, 4), ("numpy", False, True, 64)], indirect=["backend"])
-def test_replay_equals_the_explicit_parts_on_every_arm(backend, fuse, codegen, batch):
-    with use_backend(backend), fusion.using_fusion(fuse), using_codegen(codegen):
+@pytest.mark.parametrize("backend, codegen, batch", [
+    ("numpy", True, 4), ("fused", True, 4), ("lazy", True, 4),
+    ("numpy", False, 4), ("numpy", True, 64)], indirect=["backend"])
+def test_replay_equals_the_explicit_parts_on_every_arm(backend, codegen, batch):
+    with use_backend(backend), using_codegen(codegen):
         want = run(40, True, batch=batch)
         wait_for_compiles(300)
         replayed = count("replay")
