@@ -110,7 +110,6 @@ from repro import nn, serve  # noqa: E402
 from repro.autograd import Tensor as NewTensor  # noqa: E402
 from repro.autograd import functional as F  # noqa: E402
 from repro.autograd import no_grad  # noqa: E402
-from repro.backend import use_backend  # noqa: E402
 from repro.models import TBNet, make_synthetic_batch  # noqa: E402
 
 SeedTensor = seed_engine.Tensor
@@ -292,12 +291,11 @@ def build_fusion_tail_step(
 
     ``eager_fwd`` runs the exact ufunc sequence the unfused tape executes
     (allocating every temporary); ``codegen`` runs the same program as one
-    region kernel through the active backend's ``compile_region`` hook,
-    writing a single pre-allocated output buffer.  The two arms are
-    bit-equal by the codegen contract — the ratio is pure execution cost.
+    region kernel through :func:`repro.codegen.compile_region`, writing a
+    single pre-allocated output buffer.  The two arms are bit-equal by the
+    codegen contract — the ratio is pure execution cost.
     """
-    from repro.backend import get_backend
-    from repro.codegen import RegionIR, RegionInput
+    from repro.codegen import RegionIR, RegionInput, compile_region
 
     x = rng.standard_normal((batch, width)).astype(np.float32)
     scale = rng.standard_normal(width).astype(np.float32)
@@ -321,7 +319,7 @@ def build_fusion_tail_step(
             x.shape,
             np.float32,
         )
-        kern = get_backend().compile_region(region)
+        kern = compile_region(region)
         buf = np.empty(x.shape, np.float32)
         arrays = [x, scale, shift]
 
@@ -349,10 +347,9 @@ def build_fusion_reduce_step(
     numpy reduction per axis group); ``codegen`` runs the same program as
     one structured region — the elementwise stage and both reduction
     stages compiled, the C reductions replaying numpy's pairwise summation
-    bit-for-bit — through the active backend's ``compile_region`` hook.
+    bit-for-bit — through :func:`repro.codegen.compile_region`.
     """
-    from repro.backend import get_backend
-    from repro.codegen import RegionIR, RegionInput
+    from repro.codegen import RegionIR, RegionInput, compile_region
 
     logp = -np.abs(rng.standard_normal((batch, classes))).astype(np.float32)
     t = rng.random((batch, classes)).astype(np.float32)
@@ -372,7 +369,7 @@ def build_fusion_reduce_step(
             (),
             np.float32,
         )
-        kern = get_backend().compile_region(region)
+        kern = compile_region(region)
         buf = np.empty((), np.float32)
         arrays = [logp, t]
 
@@ -875,9 +872,8 @@ def main(argv=None) -> int:
         merged: Dict[str, Dict] = {}
         for _ in range(rounds):
             for bname in backends:
-                with use_backend(bname):
-                    step = make_step()
-                    timing = time_step(step, repeats, bench_inner, warmup)
+                step = make_step()
+                timing = time_step(step, repeats, bench_inner, warmup)
                 merged[bname] = _min_merge(merged.get(bname), timing)
         for bname in backends:
             rec = {"workload": workload, "engine": engine, "batch": batch, "backend": bname}
@@ -886,10 +882,8 @@ def main(argv=None) -> int:
             print(f"{workload:9s}{engine + '/' + bname:14s} batch={batch:<4d} {rec['per_step_ms']:8.3f} ms/step")
 
     # Each (workload, batch) gets its own fixed seed so the seed and repro
-    # engines (under every backend) train on byte-identical weights and
-    # inputs.  The seed engine predates the backend registry, so its rows
-    # carry backend=None; repro rows are repeated per requested backend with
-    # the whole build+measure loop running under that backend.
+    # engines train on byte-identical weights and inputs.  Seed-engine rows
+    # carry backend=None; repro rows carry the "numpy" key.
     for batch in batches:
         record("mlp", "seed", batch,
                lambda b=batch: build_mlp_step("seed", b, mlp_dims, np.random.default_rng(1000 + b)),
@@ -947,10 +941,9 @@ def main(argv=None) -> int:
         merged: Dict[tuple, Dict] = {}
         for r in range(max(2, rounds)):
             for bname in backends[r % len(backends):] + backends[: r % len(backends)]:
-                with use_backend(bname):
-                    timing_a, timing_b = time_pair(
-                        make_step(ea), make_step(eb), repeats, bench_inner, warmup
-                    )
+                timing_a, timing_b = time_pair(
+                    make_step(ea), make_step(eb), repeats, bench_inner, warmup
+                )
                 merged[(ea, bname)] = _min_merge(merged.get((ea, bname)), timing_a)
                 merged[(eb, bname)] = _min_merge(merged.get((eb, bname)), timing_b)
         for ename in engines:
@@ -1008,11 +1001,10 @@ def main(argv=None) -> int:
     overload_limit = 8
     resilience: Dict[str, Dict] = {}
     for bname in backends:
-        with use_backend(bname):
-            queue_report = run_serve_queue(
-                serve_requests, serve_buckets, serve_workers, 0.001,
-                np.random.default_rng(8000), rounds,
-            )
+        queue_report = run_serve_queue(
+            serve_requests, serve_buckets, serve_workers, 0.001,
+            np.random.default_rng(8000), rounds,
+        )
         qstats = queue_report["stats"]
         for mode, seconds in queue_report["timings"].items():
             rec = {
@@ -1034,11 +1026,10 @@ def main(argv=None) -> int:
                 f" {rec['throughput_rps']:8.0f} req/s"
             )
         # Overload: arrival >> capacity, shed_oldest vs unbounded queueing.
-        with use_backend(bname):
-            overload = run_serve_overload(
-                overload_requests, overload_delay, overload_limit,
-                np.random.default_rng(8100),
-            )
+        overload = run_serve_overload(
+            overload_requests, overload_delay, overload_limit,
+            np.random.default_rng(8100),
+        )
         for mode, report in overload.items():
             rec = {
                 "workload": "serve_queue", "engine": f"overload_{mode}",
@@ -1083,11 +1074,10 @@ def main(argv=None) -> int:
     obs_requests = max(128, serve_requests)
     observability: Dict[str, Dict] = {}
     for bname in backends:
-        with use_backend(bname):
-            obs_report = run_obs_overhead(
-                obs_requests, serve_buckets, serve_workers, 0.001,
-                np.random.default_rng(8200), rounds,
-            )
+        obs_report = run_obs_overhead(
+            obs_requests, serve_buckets, serve_workers, 0.001,
+            np.random.default_rng(8200), rounds,
+        )
         observability[bname] = obs_report
         print(
             f"{'serve_m':9s}{'obs/' + bname:14s} reqs={obs_requests:<4d}"
@@ -1104,16 +1094,15 @@ def main(argv=None) -> int:
     openloop_rates = [50, 100, 200] if quick else [100, 200, 400, 800]
     openloop_duration = 0.25 if quick else 0.5
     openloop_slo_ms = 50.0
-    with use_backend(proc_backend):
-        proc_report = run_serve_procpool(
-            serve_requests, serve_buckets, serve_workers, 0.001,
-            np.random.default_rng(8300), rounds,
-        )
-        open_report = run_serve_openloop(
-            openloop_rates, openloop_duration, openloop_slo_ms,
-            serve_buckets, serve_workers, 0.001,
-            np.random.default_rng(8400),
-        )
+    proc_report = run_serve_procpool(
+        serve_requests, serve_buckets, serve_workers, 0.001,
+        np.random.default_rng(8300), rounds,
+    )
+    open_report = run_serve_openloop(
+        openloop_rates, openloop_duration, openloop_slo_ms,
+        serve_buckets, serve_workers, 0.001,
+        np.random.default_rng(8400),
+    )
     thread_s = proc_report["timings"]["thread"]
     process_s = proc_report["timings"]["process"]
     for mode, seconds in proc_report["timings"].items():

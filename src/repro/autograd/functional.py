@@ -11,20 +11,13 @@ average-pooling reduce across the slices directly, never materializing
 windows.  :func:`im2col` / :func:`col2im` expose the lowering and its adjoint
 in the ``(N, OH, OW, C·kh·kw)`` layout.
 
-The dense numerical work dispatches through the **active array backend**
+The dense numerical work dispatches through the **array backend**
 (:func:`repro.backend.get_backend`): the ndarray primitives (the GEMM,
-padding, reductions, transcendentals, RNG draws) and the fusible elementwise
-chains (the affine map, the softmax family, batch-norm normalization, the
-dropout mask) are backend methods, so an alternate backend can fuse or
-reimplement them without touching this module.  Per the ``ArrayBackend``
-contract, backends consume and produce numpy ndarrays (or ndarray-compatible
-duck arrays): the cheap glue between composite calls — the footprint loop's
-slice copies and accumulations, broadcast bias adds, index gathers, scalar
-reductions of the gathered loss — stays plain ndarray arithmetic on the
-backend's outputs.  Each kernel resolves the backend once at trace time and
-its backward closure reuses that same backend, so a forward pass and its
-backward always run on the same implementation even if the active backend
-changes in between.
+padding, reductions, transcendentals, RNG draws) and the elementwise chains
+(the affine map, the softmax family, batch-norm normalization, the dropout
+mask) are its methods.  The cheap glue between those calls — the footprint
+loop's slice copies and accumulations, broadcast bias adds, index gathers,
+scalar reductions of the gathered loss — stays plain ndarray arithmetic.
 
 All public ops accept :class:`~repro.autograd.tensor.Tensor` (or anything
 coercible to one), record themselves on the tape and return a ``Tensor``.
@@ -173,16 +166,16 @@ def _patch_matrix_adjoint(be, cols: np.ndarray, xp_shape, kh, kw, sh, sw) -> np.
 
 
 def im2col(
-    x: np.ndarray, kernel_size: IntPair, stride: IntPair = 1, padding: IntPair = 0, be=None
+    x: np.ndarray, kernel_size: IntPair, stride: IntPair = 1, padding: IntPair = 0
 ) -> np.ndarray:
     """Lower NCHW images to a patch matrix of shape ``(N, OH, OW, C*kh*kw)``.
 
     The resulting matrix turns convolution into a single GEMM against the
-    flattened filter bank.  ``be`` pins the backend (default: the active one).
-    (The kernels themselves keep the transposed, channel-major layout of
-    :func:`_patch_matrix`; this is its documented public view.)
+    flattened filter bank.  (The kernels themselves keep the transposed,
+    channel-major layout of :func:`_patch_matrix`; this is its documented
+    public view.)
     """
-    be = be if be is not None else get_backend()
+    be = get_backend()
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -198,15 +191,12 @@ def col2im(
     kernel_size: IntPair,
     stride: IntPair = 1,
     padding: IntPair = 0,
-    be=None,
 ) -> np.ndarray:
     """Scatter-add a ``(N, OH, OW, C*kh*kw)`` patch matrix back to NCHW.
 
     This is the exact adjoint of :func:`im2col`: overlapping patches sum.
-    ``be`` pins the backend; callers inside a backward closure pass the one
-    they captured at trace time (default: the active backend).
     """
-    be = be if be is not None else get_backend()
+    be = get_backend()
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -308,7 +298,7 @@ def linear(x, weight, bias=None) -> Tensor:
 
         return _backward
 
-    return Tensor._make(out, parents, "linear", make_backward, be=be)
+    return Tensor._make(out, parents, "linear", make_backward)
 
 
 def linear_backward(be, g: np.ndarray, x_t: Tensor, w_t: Tensor, b_t: Optional[Tensor]) -> None:
@@ -365,7 +355,7 @@ def conv2d(
     bd = None if b_t is None else b_t.data
 
     # The compiled arm (repro.autograd.kernels) exists only under a tape.
-    arm = _conv2d_arm(be, xd, wd, bd is not None, (sh, sw), (ph, pw)) if _taping(x_t, w_t, b_t) else None
+    arm = _conv2d_arm(xd, wd, bd is not None, (sh, sw), (ph, pw)) if _taping(x_t, w_t, b_t) else None
     forward = arm and arm.forward(be, np.asarray(xd), wd, bd, oh, ow)
     out, cols = forward or _conv2d_forward(be, xd, wd, bd, sh, sw, ph, pw)
     if not w_t.requires_grad:
@@ -381,16 +371,16 @@ def conv2d(
 
     return Tensor._make(
         out, parents, "conv2d", make_backward,
-        attrs={"stride": (sh, sw), "padding": (ph, pw)}, be=be,
+        attrs={"stride": (sh, sw), "padding": (ph, pw)},
     )
 
 
-def _conv2d_arm(be, xd, wd, bias: bool, stride, padding, ask=True):
+def _conv2d_arm(xd, wd, bias: bool, stride, padding, ask=True):
     """``kernels.arm`` for a conv of ``xd`` with ``wd`` (see its ``ask``)."""
     n, in_c, h, w = xd.shape
     out_c, _, kh, kw = wd.shape
     return _get_kernels().arm(
-        "conv2d", be, xd.dtype, n, in_c, h, w, kh, kw, *stride, *padding, out_c, bias, ask=ask
+        "conv2d", xd.dtype, n, in_c, h, w, kh, kw, *stride, *padding, out_c, bias, ask=ask
     )
 
 
@@ -448,7 +438,7 @@ def max_pool2d(
     arm = None
     if _taping(x_t):
         xd = np.asarray(xd)
-        arm = _max_pool2d_arm(be, xd, (kh, kw), (sh, sw), (ph, pw))
+        arm = _max_pool2d_arm(xd, (kh, kw), (sh, sw), (ph, pw))
     out = arm and arm.forward(be, xd, oh, ow)
     if out is None:
         out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
@@ -463,14 +453,14 @@ def max_pool2d(
 
     return Tensor._make(
         out, (x_t,), "max_pool2d", make_backward,
-        attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)}, be=be,
+        attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)},
     )
 
 
-def _max_pool2d_arm(be, xd, kernel, stride, padding, ask=True):
+def _max_pool2d_arm(xd, kernel, stride, padding, ask=True):
     """``kernels.arm`` for max-pooling ``xd`` (see its ``ask``)."""
     n, c, h, w = xd.shape
-    return _get_kernels().arm("max_pool2d", be, xd.dtype, n, c, h, w, *kernel, *stride, *padding, ask=ask)
+    return _get_kernels().arm("max_pool2d", xd.dtype, n, c, h, w, *kernel, *stride, *padding, ask=ask)
 
 
 def max_pool2d_backward(be, arm, g, x_t: Tensor, xd, out, windows, kernel, stride, padding) -> None:
@@ -547,7 +537,7 @@ def avg_pool2d(
 
     return Tensor._make(
         out, (x_t,), "avg_pool2d", make_backward,
-        attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)}, be=be,
+        attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)},
     )
 
 
@@ -610,7 +600,7 @@ def batch_norm(
     arm = None
     if _taping(x_t, w_t, b_t):
         xd = np.asarray(xd)
-        arm = _batch_norm_arm(be, xd, w_t is not None, b_t is not None)
+        arm = _batch_norm_arm(xd, w_t is not None, b_t is not None)
     gamma = w_t.data if w_t is not None else None
     beta = b_t.data if b_t is not None else None
     out, xhat, mean, inv_std, use_batch_stats = _batch_norm_forward(
@@ -647,15 +637,14 @@ def batch_norm(
             "has_weight": w_t is not None,
             "has_bias": b_t is not None,
         },
-        be=be,
     )
 
 
-def _batch_norm_arm(be, xd, gamma: bool, beta: bool, ask=True):
+def _batch_norm_arm(xd, gamma: bool, beta: bool, ask=True):
     """``kernels.arm`` for normalizing ``xd`` over its batch (see its ``ask``)."""
     n, c = xd.shape[:2]
     return _get_kernels().arm(
-        "batch_norm", be, xd.dtype, n, c, xd.size // max(n * c, 1), gamma, beta, ask=ask
+        "batch_norm", xd.dtype, n, c, xd.size // max(n * c, 1), gamma, beta, ask=ask
     )
 
 
@@ -716,7 +705,7 @@ def batch_norm_backward(
     if x_t.requires_grad and use_batch_stats:  # the compiled arm: elementwise passes in C
         gamma = None if w_t is None else w_t.data
         if arm is None:
-            arm = _batch_norm_arm(be, xhat, gamma is not None, b_t is not None, ask=False)
+            arm = _batch_norm_arm(xhat, gamma is not None, b_t is not None, ask=False)
         grads = arm and arm.backward(be, g, xhat, inv_std, gamma, axes)
         if grads is not None:
             if gamma is not None and w_t.requires_grad:
@@ -772,7 +761,7 @@ def dropout(
 
     return Tensor._make(
         be.multiply(xd, mask), (x_t,), "dropout", make_backward,
-        attrs={"mask": mask, "p": p, "rng": rng}, be=be,
+        attrs={"mask": mask, "p": p, "rng": rng},
     )
 
 
@@ -800,9 +789,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
         return _backward
 
-    return Tensor._make(
-        probs, (x_t,), "softmax", make_backward, attrs={"axis": axis}, be=be
-    )
+    return Tensor._make(probs, (x_t,), "softmax", make_backward, attrs={"axis": axis})
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -818,9 +805,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
         return _backward
 
-    return Tensor._make(
-        logp, (x_t,), "log_softmax", make_backward, attrs={"axis": axis}, be=be
-    )
+    return Tensor._make(logp, (x_t,), "log_softmax", make_backward, attrs={"axis": axis})
 
 
 def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
@@ -860,7 +845,7 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
 
     return Tensor._make(
         out, (x_t, t_t), "softmax_cross_entropy", make_backward,
-        attrs={"reduction": reduction}, be=be,
+        attrs={"reduction": reduction},
     )
 
 

@@ -12,24 +12,21 @@ chains of ``add``/``mul``/``div``/``neg``/``relu`` nodes — any mix, any
 length ≥ 2 — are collapsed into one ``region`` node carrying a
 :class:`~repro.codegen.region.RegionIR`.  On replay (serving) the region
 executes as **one compiled C loop** — a stage of its stage plan — through
-the backend's ``compile_region`` fusion point (falling back to the
-bit-equal numpy interpreter arm when codegen is off or no compiler
-exists); the loop takes the batch at run time, so one kernel serves every
-batch size of a structure.
+:func:`repro.codegen.compile_region` (falling back to the bit-equal numpy
+interpreter arm when codegen is off or no compiler exists); the loop takes
+the batch at run time, so one kernel serves every batch size of a
+structure.
 
 Three extensions widen what a region may contain:
 
 - **Reduction tails** — a ``sum`` node whose axes form a trailing
   contiguous run joins the region, so a softmax-CE style epilogue compiles
   into the same kernel pipeline instead of forcing a region boundary.
-  Gated on the backend advertising ``"reduce"`` in its
-  ``region_features``.
 - **Linear heads** — a ``linear`` node may be absorbed as the *first*
   member of a region: the GEMM still runs through the host BLAS, but its
   bias add (and any following activation) folds into the region's first
-  compiled loop.  Gated on ``"linear"`` in ``region_features``;
-  ``linear → relu`` pairs are still claimed by the ``linear_relu``
-  composite first.
+  compiled loop.  ``linear → relu`` pairs are still claimed by the
+  ``linear_relu`` composite first.
 - **Duplicated producers** — the single-consumer rule is lifted for one
   narrow shape: a lone elementwise node whose inputs are all graph
   leaves and whose output feeds *exactly two* region-eligible consumers
@@ -40,8 +37,7 @@ Three extensions widen what a region may contain:
 ``batch_norm → relu`` fuse into ``linear_relu`` / ``batch_norm_relu`` nodes
 dispatching to the backend composites: a GEMM or a batch norm cannot join
 an elementwise region, but rectifying inside the composite saves a pass
-over its output.  Every other elementwise chain is a region's business; a
-backend without ``compile_region`` leaves it unfused.
+over its output.  Every other elementwise chain is a region's business.
 
 A chain is fused only when each interior output is consumed by exactly one
 node of the walked graph, so no other consumer can observe a fused-away
@@ -58,66 +54,12 @@ import numpy as np
 from repro.autograd import ir
 from repro.autograd.functional import _bn_affine_inputs, _bn_replay_stats
 from repro.autograd.tensor import Tensor
-from repro.backend import get_backend
-from repro.codegen import RegionIR, RegionInput
+from repro.codegen import RegionIR, RegionInput, compile_region
 
 __all__ = ["FUSED_OPS", "fuse"]
 
 #: Ops produced by this pass (also the keys of the fusion-count stats).
 FUSED_OPS = ("linear_relu", "batch_norm_relu", "region")
-
-
-def _node_backend(node: ir.GraphNode):
-    """The backend a fused node runs on: the node's trace-time backend."""
-    return node.be if node.be is not None else get_backend()
-
-
-#: Composite methods a backend must provide before its nodes may be
-#: pattern-fused.  The pre-IR ``ArrayBackend`` surface did not include
-#: them, so a third-party backend that predates (or skips) the composites
-#: simply gets no fusion instead of an AttributeError mid-replay.
-_COMPOSITE_METHODS = ("linear_relu", "bn_normalize_relu")
-
-
-def _backend_caps(be) -> tuple:
-    """(supports composites, supports regions, region features), memoized
-    on the backend.
-
-    The probe result is stored on the instance itself so its lifetime is
-    tied to the backend object (an external ``id()``-keyed cache would go
-    stale when a test-scoped backend is collected and its id reused).
-    Capabilities are treated as static per backend, like everywhere else
-    in this module.  ``region features`` is the backend's advertised
-    ``region_features`` set (``{"elementwise"}`` when it has
-    ``compile_region`` but predates the attribute, empty when it has no
-    ``compile_region`` at all) — the gate for absorbing structured nodes.
-    """
-    caps = getattr(be, "_repro_fusion_caps", None)
-    if caps is None or len(caps) != 3:
-        has_regions = hasattr(be, "compile_region")
-        features = (
-            frozenset(getattr(be, "region_features", ("elementwise",)))
-            if has_regions
-            else frozenset()
-        )
-        caps = (
-            all(hasattr(be, method) for method in _COMPOSITE_METHODS),
-            has_regions,
-            features,
-        )
-        try:
-            be._repro_fusion_caps = caps
-        except (AttributeError, TypeError):
-            pass  # slotted/frozen third-party backend: probe every time
-    return caps
-
-
-def _supports_composites(node: ir.GraphNode) -> bool:
-    return _backend_caps(_node_backend(node))[0]
-
-
-def _supports_regions(node: ir.GraphNode) -> bool:
-    return _backend_caps(_node_backend(node))[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -146,8 +88,7 @@ def fuse(root: Tensor) -> Dict[str, int]:
 #: ``sub`` never appears as a node (a - b records add(a, neg(b))).
 _REGION_NODE_OPS = frozenset(("add", "mul", "div", "neg", "relu"))
 
-#: Structured graph ops a region may absorb, gated per backend through
-#: ``region_features``.
+#: Structured graph ops a region may absorb.
 _REGION_STRUCTURED_NODE_OPS = frozenset(("sum", "linear"))
 
 _F32 = np.dtype(np.float32)
@@ -206,8 +147,7 @@ def _region_eligible(node, cache: dict) -> bool:
 def _compute_region_eligible(node) -> bool:
     if not _is_member(node):
         return False
-    structured = node.op in _REGION_STRUCTURED_NODE_OPS
-    if not structured and node.op not in _REGION_NODE_OPS:
+    if node.op not in _REGION_NODE_OPS and node.op not in _REGION_STRUCTURED_NODE_OPS:
         return False
     data = node.out.data
     if not isinstance(data, np.ndarray) or data.dtype not in (_F32, _F64):
@@ -216,19 +156,11 @@ def _compute_region_eligible(node) -> bool:
         td = t.data
         if not isinstance(td, np.ndarray) or td.dtype != data.dtype:
             return False
-    if not _supports_regions(node):
-        return False
-    if structured:
-        features = _backend_caps(_node_backend(node))[2]
-        if node.op == "sum":
-            if "reduce" not in features or _sum_meta(node) is None:
-                return False
-        else:  # linear
-            if "linear" not in features:
-                return False
-            x, w = node.inputs[0].data, node.inputs[1].data
-            if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-                return False
+    if node.op == "sum":
+        return _sum_meta(node) is not None
+    if node.op == "linear":
+        x, w = node.inputs[0].data, node.inputs[1].data
+        return x.ndim >= 2 and w.ndim == 2 and x.shape[-1] == w.shape[0]
     return True
 
 
@@ -266,9 +198,7 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
         if id(node) in claimed or node.op != "relu" or not _is_member(node):
             continue
         producer = fusable_producer(node.inputs[0])
-        if producer is None or producer.op not in ("linear", "batch_norm") or not (
-            _supports_composites(node) and _supports_composites(producer)
-        ):
+        if producer is None or producer.op not in ("linear", "batch_norm"):
             continue
         op = _rewrite_pair(producer, node)
         counts[op] = counts.get(op, 0) + 1
@@ -281,14 +211,14 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
     dup: set = set()
     edges: Dict[int, List[ir.GraphNode]] = {}
 
-    def dup_candidate(tensor: Tensor, be) -> Optional[ir.GraphNode]:
+    def dup_candidate(tensor: Tensor) -> Optional[ir.GraphNode]:
         """A producer recomputable into each of its two consuming regions.
 
         The narrow duplication shape: a lone *elementwise* node whose
         inputs are all graph-external and whose output feeds exactly two
-        region-eligible consumers on the same backend.  A third consumer
-        is refused: the producer then stays a node of its own and feeds
-        its consumers' regions as an external input.
+        region-eligible consumers.  A third consumer is refused: the
+        producer then stays a node of its own and feeds its consumers'
+        regions as an external input.
         """
         if tensor is root or consumers.get(id(tensor)) != 2:
             return None
@@ -299,7 +229,6 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
             or id(p) in claimed
             or p.op not in _REGION_NODE_OPS
             or not _region_eligible(p, cache)
-            or _node_backend(p) is not be
         ):
             return None
         for t in p.inputs:
@@ -307,12 +236,7 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
             if tn is not None and id(tn) in node_ids:
                 return None  # inputs must be graph leaves
         for c in consumer_nodes[id(tensor)]:
-            if (
-                id(c) in claimed
-                or c.op == "linear"
-                or not _region_eligible(c, cache)
-                or _node_backend(c) is not be
-            ):
+            if id(c) in claimed or c.op == "linear" or not _region_eligible(c, cache):
                 return None
         return p
 
@@ -323,18 +247,13 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
             # A linear is a head-only member: its operands must stay region
             # inputs (the GEMM runs on the host), so it absorbs nothing.
             continue
-        be = _node_backend(node)
         for t in node.inputs:
             producer = fusable_producer(t)
-            if (
-                producer is not None
-                and _region_eligible(producer, cache)
-                and _node_backend(producer) is be
-            ):
+            if producer is not None and _region_eligible(producer, cache):
                 absorbed.add(id(producer))
                 edges.setdefault(id(node), []).append(producer)
                 continue
-            producer = dup_candidate(t, be)
+            producer = dup_candidate(t)
             if producer is not None:
                 links = edges.setdefault(id(node), [])
                 if producer not in links:
@@ -423,9 +342,7 @@ def _rewrite_region(members) -> None:
         out_t.data.dtype,
     )
     attrs = {"region": region, "size": len(members)}
-    out_t._node = ir.GraphNode(
-        "region", tuple(ext_tensors), attrs, out_t, be=_node_backend(head)
-    )
+    out_t._node = ir.GraphNode("region", tuple(ext_tensors), attrs, out_t)
 
 
 def _rewrite_pair(P: ir.GraphNode, C: ir.GraphNode) -> str:
@@ -434,37 +351,19 @@ def _rewrite_pair(P: ir.GraphNode, C: ir.GraphNode) -> str:
     output; returns the fused op."""
     op = P.op + "_relu"
     attrs = None if P.attrs is None else dict(P.attrs)
-    C.out._node = ir.GraphNode(op, P.inputs, attrs, C.out, be=_node_backend(P))
+    C.out._node = ir.GraphNode(op, P.inputs, attrs, C.out)
     return op
 
 
 # --------------------------------------------------------------------------- #
 # Forward evaluators for the fused ops (graph replay / serving)
 # --------------------------------------------------------------------------- #
-def _region_for_arrays(region: RegionIR, inputs):
-    """``region``, respecialized if the replay arrays changed shape (a
-    captured trace replayed over a different batch size)."""
-    dyn = [inp for inp in region.inputs if inp.const is None]
-    if all(a.shape == inp.shape for a, inp in zip(inputs, dyn)):
-        return region
-    return region.respecialize([a.shape for a in inputs])
-
-
 @ir.register_forward("region")
 def _eval_region(be, inputs, attrs):
-    # Keyed by the replay shapes, not RegionIR identity: respecialization
-    # returns a fresh object whenever the replay batch differs from the
-    # trace, so an identity key would re-run respecialize + compile_region
-    # on every call of a hot steady-state replay.
-    key = tuple(a.shape for a in inputs)
-    cached = attrs.get("_kernel")
-    if cached is None or cached[0] != key:
-        region = _region_for_arrays(attrs["region"], inputs)
-        compiler = getattr(be, "compile_region", None)
-        kern = region.interpret if compiler is None else compiler(region)
-        cached = (key, kern)
-        attrs["_kernel"] = cached
-    return cached[1](inputs)
+    kernel = attrs.get("_kernel")
+    if kernel is None:
+        kernel = attrs["_kernel"] = compile_region(attrs["region"])
+    return kernel(inputs)
 
 
 @ir.register_forward("linear_relu")

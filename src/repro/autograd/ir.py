@@ -1,9 +1,9 @@
 """Graph IR for the tape: explicit nodes instead of opaque closures.
 
 Every operation recorded by :class:`~repro.autograd.tensor.Tensor` becomes a
-:class:`GraphNode` — op name, input tensors, saved arrays/attributes, the
-trace-time backend and the backward thunk — hung off the output tensor's
-``_node`` attribute.  The recorded graph is therefore *inspectable and
+:class:`GraphNode` — op name, input tensors, saved arrays/attributes and the
+backward thunk — hung off the output tensor's ``_node`` attribute.  The
+recorded graph is therefore *inspectable and
 rewritable*: downstream passes can pattern-match chains of nodes
 (:mod:`repro.autograd.fusion`), and a captured trace can be replayed over new
 inputs (:mod:`repro.serve`), neither of which was possible when the tape was
@@ -78,10 +78,6 @@ class GraphNode:
         Saved non-tensor state: op parameters (axis, stride, padding, ...)
         and arrays the backward/replay needs (the relu mask, batch-norm
         ``xhat``/``inv_std``).  ``None`` when the op needs nothing.
-    be:
-        The array backend resolved at trace time (``None`` for structural
-        ops with no numerical content).  Rewrite passes use it so a fused
-        node runs on the same backend that produced its inputs.
     backward:
         The zero-argument backward thunk, ``None`` for nodes recorded
         without gradient tracking (e.g. a captured ``no_grad`` trace), or
@@ -91,7 +87,7 @@ class GraphNode:
         is reclaimable by refcounting).
     """
 
-    __slots__ = ("op", "inputs", "attrs", "be", "backward", "out")
+    __slots__ = ("op", "inputs", "attrs", "backward", "out")
 
     def __init__(
         self,
@@ -99,13 +95,11 @@ class GraphNode:
         inputs: Tuple["Tensor", ...],
         attrs: Optional[dict],
         out: "Tensor",
-        be=None,
         backward: Optional[Callable[[], None]] = None,
     ) -> None:
         self.op = op
         self.inputs = inputs
         self.attrs = attrs
-        self.be = be
         self.backward = backward
         self.out = out
 

@@ -29,9 +29,9 @@ sign and payload of a NaN produced from two NaN operands is unspecified
 
 An operand the stages cannot take — wrong dtype, read-only, strided,
 misaligned — sends that call to the numpy body; like every reason an op
-geometry stays on numpy (``backend``, ``dtype``, ``geometry``, ``layout``,
-``disabled``, or a failed build counted where it failed) it is counted once
-per signature under ``repro_codegen_fallback_total{reason}``.
+geometry stays on numpy (``dtype``, ``geometry``, ``layout``, ``disabled``,
+or a failed build counted where it failed) it is counted once per signature
+under ``repro_codegen_fallback_total{reason}``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.functional import _out_hw
-from repro.backend.numpy_backend import NumpyBackend
 from repro.codegen import jit
 from repro.codegen.cstage import _CTYPE
 from repro.obs import profile as _profile
@@ -120,7 +119,7 @@ class Arm:
         return True
 
 
-def arm(op: str, be, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
+def arm(op: str, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
     """The compiled arm of ``op`` at this dtype and geometry over ``n``
     leading items, or ``None``: run the numpy body.  Never waits.
 
@@ -140,8 +139,6 @@ def arm(op: str, be, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm
     # kernels read it when they compile, not when they run.
     if jit._OVERRIDE is False:
         return _numpy(key, "disabled")
-    if be.__class__ is not NumpyBackend:  # any other backend gets its own methods
-        return _numpy(key, "backend")
     found = _ARMS.get(key, _ASK)
     if found is not _ASK and found.__class__ is not tuple:
         return found  # adopted, or numpy for good

@@ -60,9 +60,9 @@ class Refused(Exception):
 
 
 class _Tape:
-    """The replay's backend: the active one, with ``empty`` handing every
-    request under the workspace's floor the array the same request of the
-    first replayed step got — fixed buffers, so pinned stage tables bind
+    """The replay's backend: a copy of the backend whose ``empty`` hands
+    every request under the workspace's floor the array the same request of
+    the first replayed step got — fixed buffers, so pinned stage tables bind
     them once.  Larger requests go to the workspace each time.  A request
     that differs from the recorded one (the sequence changed) gets a new
     array, and the sequence is recorded again from there."""
@@ -133,13 +133,13 @@ class _Port:
 #: Ops whose eager kernel asks :mod:`repro.autograd.kernels` for a compiled
 #: arm: the lookup (``ask=None``) over the node's input arrays and attrs.
 _ARM_LOOKUPS = {
-    "conv2d": lambda be, xs, attrs: F._conv2d_arm(
-        be, xs[0], xs[1], len(xs) == 3, attrs["stride"], attrs["padding"], ask=None),
-    "max_pool2d": lambda be, xs, attrs: F._max_pool2d_arm(
-        be, xs[0], attrs["kernel_size"], attrs["stride"], attrs["padding"], ask=None),
-    "batch_norm": lambda be, xs, attrs: F._batch_norm_arm(
-        be, xs[0], attrs["has_weight"], attrs["has_bias"], ask=None),
-    "relu": lambda be, xs, attrs: _relu_arm(be, xs[0], ask=None),
+    "conv2d": lambda xs, attrs: F._conv2d_arm(
+        xs[0], xs[1], len(xs) == 3, attrs["stride"], attrs["padding"], ask=None),
+    "max_pool2d": lambda xs, attrs: F._max_pool2d_arm(
+        xs[0], attrs["kernel_size"], attrs["stride"], attrs["padding"], ask=None),
+    "batch_norm": lambda xs, attrs: F._batch_norm_arm(
+        xs[0], attrs["has_weight"], attrs["has_bias"], ask=None),
+    "relu": lambda xs, attrs: _relu_arm(xs[0], ask=None),
 }
 
 
@@ -178,7 +178,7 @@ class TrainReplay:
         for node in nodes:
             lookup = _ARM_LOOKUPS.get(node.op)
             if lookup is not None and node.out.requires_grad:
-                arms[id(node)] = lookup(be, [t.data for t in node.inputs], node.attrs)
+                arms[id(node)] = lookup([t.data for t in node.inputs], node.attrs)
         if kernels.PENDING in arms.values():
             raise Refused("pending")
 

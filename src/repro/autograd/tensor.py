@@ -39,12 +39,9 @@ is implemented for arbitrary broadcastable shapes so the layer code in
 pooling, fused softmax cross-entropy) live in :mod:`repro.autograd.functional`.
 
 The numerical work of every op — elementwise arithmetic, matmul,
-transcendentals, reductions — dispatches through the active array backend
-(:func:`repro.backend.get_backend`).  Each op resolves the backend once at
-trace time and its backward closure reuses that same backend, so forward and
-backward always run on the same implementation.  Structural ops (reshape,
-transpose, indexing, concatenation) have no numerical content and stay plain
-numpy.
+transcendentals, reductions — dispatches through the array backend
+(:func:`repro.backend.get_backend`).  Structural ops (reshape, transpose,
+indexing, concatenation) have no numerical content and stay plain numpy.
 """
 
 from __future__ import annotations
@@ -178,9 +175,9 @@ def _get_kernels():
     return _kernels_module
 
 
-def _relu_arm(be, data: np.ndarray, ask=True):
+def _relu_arm(data: np.ndarray, ask=True):
     """``kernels.arm`` for relu over ``data`` (see its ``ask``)."""
-    return _get_kernels().arm("relu", be, data.dtype, data.size, ask=ask)
+    return _get_kernels().arm("relu", data.dtype, data.size, ask=ask)
 
 
 def _relu_forward(be, arm, data: np.ndarray):
@@ -388,7 +385,6 @@ class Tensor:
         op: str,
         backward: Callable[["Tensor"], Callable[[], None]],
         attrs: Optional[dict] = None,
-        be=None,
     ) -> "Tensor":
         """Record one operation as a :class:`~repro.autograd.ir.GraphNode`.
 
@@ -396,14 +392,13 @@ class Tensor:
         :func:`repro.autograd.ir.capture` block is active (so ``no_grad``
         serving traces still record the graph); the backward thunk is built
         only in the former case.  ``attrs`` carries the saved arrays and op
-        parameters the fusion/replay passes need; ``be`` pins the trace-time
-        backend on the node for rewrite passes.
+        parameters the fusion/replay passes need.
         """
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         graph = _ir._CAPTURE.graph
         out = Tensor(data, requires_grad=requires, dtype=data.dtype)
         if requires or graph is not None:
-            node = _ir.GraphNode(op, parents, attrs, out, be=be)
+            node = _ir.GraphNode(op, parents, attrs, out)
             if requires:
                 node.backward = backward(out)
             out._node = node
@@ -427,7 +422,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(be.add(self.data, other.data), (self, other), "add", make_backward, be=be)
+        return self._make(be.add(self.data, other.data), (self, other), "add", make_backward)
 
     __radd__ = __add__
 
@@ -441,7 +436,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(be.negative(self.data), (self,), "neg", make_backward, be=be)
+        return self._make(be.negative(self.data), (self,), "neg", make_backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._wrap(other))
@@ -466,7 +461,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(be.multiply(self.data, other.data), (self, other), "mul", make_backward, be=be)
+        return self._make(be.multiply(self.data, other.data), (self, other), "mul", make_backward)
 
     __rmul__ = __mul__
 
@@ -493,7 +488,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(be.divide(self.data, other.data), (self, other), "div", make_backward, be=be)
+        return self._make(be.divide(self.data, other.data), (self, other), "div", make_backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._wrap(other) / self
@@ -526,7 +521,7 @@ class Tensor:
 
         return self._make(
             be.power(self.data, exponent), (self,), "pow", make_backward,
-            attrs={"exponent": exponent} if _capturing() else None, be=be,
+            attrs={"exponent": exponent} if _capturing() else None,
         )
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
@@ -559,7 +554,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(be.matmul(self.data, other.data), (self, other), "matmul", make_backward, be=be)
+        return self._make(be.matmul(self.data, other.data), (self, other), "matmul", make_backward)
 
     def abs(self) -> "Tensor":
         def make_backward(out: "Tensor") -> Callable[[], None]:
@@ -582,7 +577,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(result, (self,), "exp", make_backward, be=be)
+        return self._make(result, (self,), "exp", make_backward)
 
     def log(self) -> "Tensor":
         be = get_backend()
@@ -594,7 +589,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(be.log(self.data), (self,), "log", make_backward, be=be)
+        return self._make(be.log(self.data), (self,), "log", make_backward)
 
     def sqrt(self) -> "Tensor":
         be = get_backend()
@@ -607,7 +602,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(result, (self,), "sqrt", make_backward, be=be)
+        return self._make(result, (self,), "sqrt", make_backward)
 
     # ------------------------------------------------------------------ #
     # Non-linearities
@@ -619,7 +614,7 @@ class Tensor:
         # will.
         arm = None
         if _GRAD_ENABLED and self.requires_grad:
-            arm = _relu_arm(be, self.data)
+            arm = _relu_arm(self.data)
             result, mask = _relu_forward(be, arm, self.data)
             attrs = {"mask": mask}
         else:
@@ -633,7 +628,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(result, (self,), "relu", make_backward, attrs=attrs, be=be)
+        return self._make(result, (self,), "relu", make_backward, attrs=attrs)
 
     def sigmoid(self) -> "Tensor":
         be = get_backend()
@@ -646,7 +641,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(result, (self,), "sigmoid", make_backward, be=be)
+        return self._make(result, (self,), "sigmoid", make_backward)
 
     def tanh(self) -> "Tensor":
         be = get_backend()
@@ -659,7 +654,7 @@ class Tensor:
 
             return _backward
 
-        return self._make(result, (self,), "tanh", make_backward, be=be)
+        return self._make(result, (self,), "tanh", make_backward)
 
     # ------------------------------------------------------------------ #
     # Reductions and shape manipulation
@@ -684,7 +679,6 @@ class Tensor:
         return self._make(
             be.sum(self.data, axis=axis, keepdims=keepdims), (self,), "sum", make_backward,
             attrs={"axis": axis, "keepdims": keepdims} if _capturing() else None,
-            be=be,
         )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -787,7 +781,6 @@ class Tensor:
         return self._make(
             result, (self,), "max", make_backward,
             attrs={"axis": axis, "keepdims": keepdims} if _capturing() else None,
-            be=be,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,8 @@
-"""The reference numpy backend.
+"""The numpy array backend: the one implementation every kernel calls.
 
-Every method is the plainest correct numpy expression of the operation: this
-backend defines the semantics that any other backend is validated against.
-Operation *order* matches the historical inline kernels, so results are
-bit-identical to the pre-registry engine.
+Every method is the plainest correct numpy expression of the operation, and
+its results define the semantics of the stack.  Operation *order* matches the
+historical inline kernels, so results are bit-identical to them.
 
 The methods a training step calls on image-sized operands take their result
 buffer from :meth:`NumpyBackend.empty` (:mod:`repro.backend.workspace`) and
@@ -16,6 +15,9 @@ op goes through — take numpy's own result when it cannot reach the
 workspace's floor.  Asking first costs a small op about as much again
 (``train_b4`` ``latency_ms_p50`` +8 % in 10 of 12 pairs, a 64-wide MLP step
 +18 %); the image-sized kernels ask unconditionally.
+
+Methods never mutate the arrays they are handed, except the parameters and
+optimizer state the update rules own.
 """
 
 from __future__ import annotations
@@ -31,14 +33,15 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend:
-    """Plain-numpy reference implementation of the ``ArrayBackend`` protocol."""
-
-    name = "numpy"
+    """The ndarray operations the kernels are built from (see the module
+    docstring)."""
 
     # ------------------------------------------------------------------ #
     # Primitives
     # ------------------------------------------------------------------ #
     def empty(self, shape, dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array of ``shape`` (a tuple), the
+        caller's like any other; large requests come from the workspace."""
         return workspace.empty(shape, dtype)
 
     def zeros(self, shape, dtype) -> np.ndarray:
@@ -85,8 +88,8 @@ class NumpyBackend:
 
     # Reductions call the ndarray bound methods, not the np.* module
     # functions: the fromnumeric wrappers add a measurable per-call cost on
-    # the tape hot path (~10% of a small MLP step), and the protocol already
-    # guarantees ndarray (or duck-array) inputs.
+    # the tape hot path (~10% of a small MLP step), and the kernels only
+    # ever hand over ndarrays.
     def sum(self, x, axis=None, keepdims: bool = False) -> np.ndarray:
         return x.sum(axis=axis, keepdims=keepdims)
 
@@ -180,11 +183,14 @@ class NumpyBackend:
     def bn_normalize(
         self, x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(xhat, out)``: ``xhat = (x - mean) * inv_std`` and ``out = xhat *
+        gamma + beta`` (either affine term may be ``None``).  ``out`` never
+        aliases ``xhat``: the caller saves ``xhat`` for the backward pass and
+        hands ``out`` to downstream ops."""
         x, mean = np.asarray(x), mean.reshape(bshape)
         xhat = np.subtract(x, mean, out=self.empty(x.shape, np.result_type(x.dtype, mean.dtype)))
         np.multiply(xhat, inv_std.reshape(bshape), out=xhat)
-        # out never aliases the saved xhat; its dtype is what the affine
-        # terms promote to.
+        # out's dtype is what the affine terms promote to.
         affine = [p.dtype for p in (gamma, beta) if p is not None]
         out = self.empty(xhat.shape, np.result_type(xhat.dtype, *affine))
         if gamma is not None:
@@ -220,42 +226,20 @@ class NumpyBackend:
         xhat, out = self.bn_normalize(x, mean, inv_std, gamma, beta, bshape)
         return xhat, np.maximum(out, 0.0, out=out)
 
-    # ------------------------------------------------------------------ #
-    # Region codegen fusion point
-    # ------------------------------------------------------------------ #
-
-    #: Region node kinds this backend's ``compile_region`` accepts — the
-    #: capability hook the fusion pass consults before absorbing a node
-    #: into a region.  ``"elementwise"`` covers the plain REGION_OPS;
-    #: ``"reduce"`` adds trailing-axes sum/mean tails; ``"linear"`` adds
-    #: the host-GEMM head with fused epilogue.  A backend without this
-    #: attribute is treated as elementwise-only.
-    region_features = frozenset({"elementwise", "reduce", "linear"})
-
-    def compile_region(self, region):
-        # The region's compiled stage plan (bit-equal to the ufunc sequence
-        # by the codegen contract); the numpy-interpreter arm — which *is*
-        # this backend's op sequence — when codegen is off or no compiler
-        # exists.
-        from repro.codegen import compile_region as _compile_region
-
-        return _compile_region(region)
-
     def dropout_mask(self, rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
-        # Drawn through the random_uniform primitive so a backend that
-        # overrides only the RNG (a device generator) inherits a consistent
-        # mask for free.
         keep = self.random_uniform(rng, shape) >= p
         return keep.astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
 
     # ------------------------------------------------------------------ #
     # Optimizer update rules
     # ------------------------------------------------------------------ #
-    # Each rule runs the reference expressions' operations in their order
-    # (IEEE products and sums commute: ``(1 - beta1) * g`` is ``g * (1 -
-    # beta1)``), with the temporaries in one or two scratch buffers from
-    # ``empty``: a whole-model update (``Optimizer.flat_step``) would
-    # otherwise map and fault in fresh pages for each of them, every step.
+    # Each rule mutates ``p`` and its state (``v``; ``m`` and ``v``) in
+    # place, never ``g``.  It runs the reference expressions' operations in
+    # their order (IEEE products and sums commute: ``(1 - beta1) * g`` is
+    # ``g * (1 - beta1)``), with the temporaries in one or two scratch
+    # buffers from ``empty``: a whole-model update (``Optimizer.flat_step``)
+    # would otherwise map and fault in fresh pages for each of them, every
+    # step.
     def sgd_update(self, p, g, v, lr, momentum, weight_decay, nesterov) -> None:
         scratch = self.empty(p.shape, p.dtype)
         if weight_decay:

@@ -243,7 +243,7 @@ def count_fallback(reason: str) -> None:
     label of ``repro_codegen_fallback_total``): ``disabled``,
     ``no_compiler``, ``compile_failed``, ``load_failed`` or ``unplannable``;
     from the train step's kernels (:mod:`repro.autograd.kernels`, once per
-    signature) also ``backend``, ``dtype``, ``geometry`` and ``layout``."""
+    signature) also ``dtype``, ``geometry`` and ``layout``."""
     _metrics()["fallback"].labels(reason=reason).inc()
     with _LOCK:
         _STATS["fallbacks"] += 1

@@ -1,7 +1,7 @@
 """Region IR: a straight-line program over broadcastable arrays.
 
-A *region* is the unit the fusion passes extract and the execution backends
-compile: a DAG of elementwise operations (``add``/``sub``/``mul``/``div``/
+A *region* is the unit the fusion pass extracts and codegen compiles: a
+DAG of elementwise operations (``add``/``sub``/``mul``/``div``/
 ``neg``/``relu``) plus three *structured* node kinds — trailing-axes
 ``sum``/``mean`` reduction tails and a ``linear`` (GEMM + bias) head —
 whose interior values run without temporaries: a single pass over the
@@ -347,32 +347,6 @@ class RegionIR:
             return None
         return ("stages", tuple(stages)), tuple(extents), tuple(work)
 
-    def respecialize(self, shapes: Sequence[Tuple[int, ...]]) -> "RegionIR":
-        """The same program over new *dynamic* input shapes.
-
-        Used when a captured region is replayed over a different batch
-        size: the op program (and, when only leading extents move, the
-        stage plan's signature) is unchanged, only the concrete shapes
-        move.  Const inputs keep their pinned shapes; reshaped inputs are
-        not supported (the caller's array shape would be pre-reshape and
-        ambiguous).
-        """
-        new_inputs = []
-        j = 0
-        for inp in self.inputs:
-            if inp.const is not None:
-                new_inputs.append(inp)
-                continue
-            if inp.reshape is not None:
-                raise ValueError("cannot respecialize a region with reshaped inputs")
-            shape = tuple(shapes[j])
-            j += 1
-            new_inputs.append(RegionInput(inp.dtype, shape))
-        slot_shapes = _infer_slot_shapes(
-            [inp.shape for inp in new_inputs], self.ops
-        )
-        return RegionIR(new_inputs, self.ops, slot_shapes[-1], self.out_dtype)
-
     # ------------------------------------------------------------------ #
     # Binding + the numpy interpreter arm
     # ------------------------------------------------------------------ #
@@ -445,7 +419,7 @@ class RegionIR:
                 r = fn(v, axis=axes, keepdims=keepdims, dtype=dtype, out=dst)
             elif op == "linear":
                 # Exactly the backend linear: a GEMM, then the bias added
-                # elementwise (the backends do `out += b`, which is the
+                # elementwise (the backend does `out += b`, which is the
                 # same IEEE add as np.add).
                 r = np.matmul(vals[srcs[0]], vals[srcs[1]], out=dst)
                 if len(srcs) == 3:

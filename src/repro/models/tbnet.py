@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, ir, is_grad_enabled, no_grad
-from repro.backend import NumpyBackend, default_rng, get_backend
+from repro.backend import default_rng, get_backend
 from repro.codegen.jit import codegen_enabled
 
 __all__ = ["TBNet", "make_synthetic_batch", "train_replay"]
@@ -339,7 +339,7 @@ def _replayable(model: TBNet, modules, optimizer) -> bool:
 class _Signature:
     """What a captured step depends on, by identity (module attributes —
     ``training`` among them — and buffers, parameter storage, the optimizer
-    and its state arrays, the backend) and by value (input shapes and
+    and its state arrays) and by value (input shapes and
     dtypes, every ``requires_grad``, the codegen state).  ``reason``:
     ``module`` when the step cannot be captured at all."""
 
@@ -358,7 +358,7 @@ class _Signature:
         self.objects, self.meta = self._read(optimizer, images, context, targets)
 
     def _read(self, optimizer, images, context, targets):
-        objects = [optimizer, get_backend()]
+        objects = [optimizer]
         extend = objects.extend
         for attributes, buffers, lists in self.parts:
             extend(attributes.values())
@@ -390,8 +390,7 @@ class _TrainState:
     """One model's train step: the eager step, counted with why it ran
     (``signature`` changed — the replay is dropped and recaptured once it
     holds again — ``module``, ``grad`` present, an active ``capture``,
-    ``no_grad``, a third-party ``backend``, a kernel ``pending``, or
-    ``capturing``), or the replay."""
+    ``no_grad``, a kernel ``pending``, or ``capturing``), or the replay."""
 
     __slots__ = ("signature", "replay")
 
@@ -405,8 +404,6 @@ class _TrainState:
             reason = "no_grad"
         elif ir.current_capture() is not None:
             reason = "capture"
-        elif type(get_backend()) is not NumpyBackend:
-            reason = "backend"
         else:
             signature = self.signature
             if signature is None or not signature.holds(optimizer, images, context, targets):

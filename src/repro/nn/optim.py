@@ -6,12 +6,10 @@ modules) see the new values.  State buffers (momentum, Adam moments) are
 allocated lazily on the first step that sees a gradient and keyed by position,
 so parameters that never receive gradients cost nothing.
 
-The update rules themselves are backend composites
-(:meth:`~repro.backend.base.ArrayBackend.sgd_update` /
-:meth:`~repro.backend.base.ArrayBackend.adam_update`): each ``step()``
-resolves the active backend once and applies its fused (or reference) update
-to every parameter, so an accelerator backend owns the optimizer arithmetic
-too.
+The update rules themselves are backend methods
+(:meth:`~repro.backend.numpy_backend.NumpyBackend.sgd_update` /
+:meth:`~repro.backend.numpy_backend.NumpyBackend.adam_update`), applied to
+every parameter by ``step()``.
 
 :meth:`Optimizer.flatten` moves parameters and their state into one array
 each (``.data`` and the state lists become views) and

@@ -96,7 +96,7 @@ Training registers one family there too, on its first step
 - ``repro_train_steps_total{path="replay"|"eager", reason}`` — train steps
   by the path that ran them: a replay of the captured step (``reason=""``)
   or the taped step, with why (``signature``, ``module``, ``grad``,
-  ``capture``, ``no_grad``, ``backend``, ``pending``, ``capturing``).
+  ``capture``, ``no_grad``, ``pending``, ``capturing``).
 """
 
 from repro.obs.metrics import (
@@ -132,7 +132,7 @@ def __getattr__(name: str):
 
 def _export_workspace() -> None:
     """Scrape-time views of the kernel workspace's counts (imported on the
-    first scrape: this package stays importable without the backends)."""
+    first scrape: this package stays importable without the backend)."""
     registry = get_registry()
 
     def stat(key: str):

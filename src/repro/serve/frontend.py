@@ -68,7 +68,7 @@ that into a front end that serves *any* traffic shape and survives failure:
   the resilience counters (``requests_rejected`` / ``requests_shed`` /
   ``requests_expired`` / ``requests_failed`` / ``batches_retried`` /
   ``worker_restarts``); the ``serve_queue`` benchmark workload records
-  them per backend.
+  them.
 
 Deterministic chaos hooks for all of the above live in
 :mod:`repro.serve.faults`.

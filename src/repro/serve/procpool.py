@@ -22,10 +22,10 @@ surface while shipping batches across process boundaries:
   pickled on the hot path.  Requests larger than the ring capacity take a
   pickled cold path (counted by
   ``repro_serve_proc_pipe_fallback_total``).
-- **Determinism** propagates: the parent's backend selection, codegen
-  toggle and seeded global RNG state are applied inside every worker
-  under both ``fork`` and ``spawn`` start methods, so process-mode
-  results are bit-identical to thread-mode.
+- **Determinism** propagates: the parent's codegen toggle and seeded
+  global RNG state are applied inside every worker under both ``fork``
+  and ``spawn`` start methods, so process-mode results are bit-identical
+  to thread-mode.
 - **Resilience** keeps the PR 6 contract: a worker process dying (crash
   *or* SIGKILL) surfaces as :class:`~repro.serve.resilience.WorkerKill`,
   re-queues the in-flight batch and respawns through the existing
@@ -58,8 +58,7 @@ import multiprocessing as mp
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.backend import get_backend
-from repro.backend.registry import get_rng_state, set_backend, set_rng_state
+from repro.backend.registry import default_rng, get_rng_state, set_rng_state
 from repro.codegen.jit import (
     abandon_compiles,
     codegen_enabled,
@@ -87,7 +86,7 @@ _START_METHODS = ("fork", "spawn", "forkserver")
 #: Environment toggles mirrored into every worker process (spawn loses the
 #: parent's interpreter state; fork keeps it, but the explicit programmatic
 #: overrides below win either way).
-_ENV_KEYS = ("REPRO_BACKEND", "REPRO_CODEGEN", "REPRO_KERNEL_CACHE")
+_ENV_KEYS = ("REPRO_CODEGEN", "REPRO_KERNEL_CACHE")
 
 
 # ---------------------------------------------------------------------- #
@@ -185,7 +184,6 @@ def _serve_worker(spec: dict, conn) -> None:
     try:
         for key, value in spec["env"].items():
             os.environ[key] = value
-        set_backend(spec["backend"])
         enable_codegen(spec["codegen"])
         model = _build_worker_model(spec["model"])
         # After model construction: factory init draws must not perturb
@@ -239,13 +237,11 @@ def _serve_worker(spec: dict, conn) -> None:
             if tag == "probe":
                 reply = {
                     "pid": os.getpid(),
-                    "backend": get_backend().name,
                     "codegen": codegen_enabled(),
                     "env": {k: os.environ.get(k) for k in _ENV_KEYS},
                     "arena_version": binder.version,
                 }
                 if msg[1]:  # draw one value from the propagated RNG stream
-                    from repro.backend.registry import default_rng
                     reply["rng_draw"] = float(default_rng().standard_normal())
                 conn.send(("probe_ok", reply))
                 continue
@@ -547,7 +543,7 @@ class _ProcWorkerProxy:
 
     def probe(self, rng_draw: bool = False, timeout: float = 30.0) -> dict:
         """Ask the worker process to report its effective settings
-        (backend, codegen toggle, env, pid; optionally one draw from its
+        (codegen toggle, env, pid; optionally one draw from its
         propagated RNG stream).  Test/debug surface."""
         with self._io_lock:
             self._ensure_ready()
@@ -719,7 +715,6 @@ class ProcServer(Server):
         self._proxies: List[_ProcWorkerProxy] = []
         self._base_spec = {
             "env": {k: os.environ[k] for k in _ENV_KEYS if k in os.environ},
-            "backend": get_backend().name,
             "codegen": codegen_enabled(),
             "rng_state": get_rng_state(),
             "model": self._model_payload(model, model_factory, method),

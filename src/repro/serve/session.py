@@ -16,18 +16,16 @@ returned :class:`InferenceSession` replays that list over new batches with:
   example batch (fixed shapes are what make buffer reuse safe) and rejects
   mismatches with a clear error.
 
-On the numpy backend those steps are the *no-compiler arm*: the session
-also plans compiled loop stages around its GEMMs (:mod:`repro.serve.stages`),
-has them compiled off the calling thread — it **never waits for a
-compiler** — and its owner thread swaps them in at the top of a later
-:meth:`InferenceSession.run`; :meth:`InferenceSession.explain` says which
-arm runs each step and why.
+Those steps are the *no-compiler arm*: the session also plans compiled
+loop stages around its GEMMs (:mod:`repro.serve.stages`), has them compiled
+off the calling thread — it **never waits for a compiler** — and its owner
+thread swaps them in at the top of a later :meth:`InferenceSession.run`;
+:meth:`InferenceSession.explain` says which arm runs each step and why.
 
-Replay is **bit-identical** to the eager ``no_grad`` forward under the
-backend active at compile time: every specialized step runs the exact op
-sequence of the eager kernel (in-place where the buffer is owned), and ops
-without a specialized emitter fall back to the IR forward evaluators, which
-share the kernels' forward cores.
+Replay is **bit-identical** to the eager ``no_grad`` forward: every
+specialized step runs the exact op sequence of the eager kernel (in-place
+where the buffer is owned), and ops without a specialized emitter fall back
+to the IR forward evaluators, which share the kernels' forward cores.
 
 Train-mode state is refused twice: models with any module still in training
 mode are rejected up front, and traces containing train-mode nodes (a
@@ -57,8 +55,7 @@ import numpy as np
 
 from repro.autograd import functional as F, fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
-from repro.backend import get_backend, use_backend, workspace
-from repro.backend.numpy_backend import NumpyBackend
+from repro.backend import get_backend, workspace
 from repro.codegen.jit import codegen_enabled, count_fallback
 from repro.nn.module import Module
 from repro.obs.profile import active_profiler
@@ -253,7 +250,7 @@ def _compile(model: Module, example_batch, fuse: bool, gemm_stages: bool) -> "In
         fused_counts = fusion.fuse(output)
         nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
     session = InferenceSession(
-        inputs, output, nodes, get_backend(), fused_counts, model=model, gemm_stages=gemm_stages
+        inputs, output, nodes, fused_counts, model=model, gemm_stages=gemm_stages
     )
     # The example trace's activations die here — those of dead (fused-away)
     # nodes too, whose node<->tensor cycle would otherwise wait for the
@@ -278,12 +275,10 @@ class InferenceSession:
         inputs: Tuple[Tensor, ...],
         output: Tensor,
         nodes: List[ir.GraphNode],
-        backend,
         fused_counts: Optional[Dict[str, int]] = None,
         model: Optional[Module] = None,
         gemm_stages: bool = True,
     ) -> None:
-        self._be = backend
         self._model = model
         self._input_meta = [(t.data.shape, t.data.dtype) for t in inputs]
         self.fused_counts = dict(fused_counts or {})
@@ -464,10 +459,7 @@ class InferenceSession:
         #: Compiles in flight (``None``: nothing to adopt — the one test
         #: ``run`` pays per call).
         self._pending: Optional[list] = None
-        reason = None
-        if not _is_builtin_backend(self._be):
-            reason = "unplannable"
-        elif not codegen_enabled():
+        if not codegen_enabled():
             reason = "disabled"
             count_fallback(reason)
         else:
@@ -529,9 +521,7 @@ class InferenceSession:
                 f"the compiled model was switched back to train mode "
                 f"({training[:3]}); call model.eval() before serving"
             )
-        # Pin the compile-time backend: full chunks replay under it, so the
-        # tail must too — one request stream, one set of numerics.
-        with use_backend(self._be), no_grad():
+        with no_grad():
             out = model(
                 *(
                     Tensor(a, dtype=meta[1])
@@ -558,28 +548,21 @@ class InferenceSession:
     def _emit(self, index: int, node: ir.GraphNode, slot_of: Dict[int, int]):
         """Compile one node into a step closure.
 
-        On the numpy backend, hot ops get specialized in-place emitters
-        over pre-allocated buffers (bit-equal to the eager kernels); every
-        other op — and *every* op on any other backend — replays
+        Hot ops get specialized in-place emitters over pre-allocated
+        buffers (bit-equal to the eager kernels); every other op replays
         through the generic IR evaluator, which dispatches through the
-        backend itself.
+        backend.
         """
         op = node.op
         attrs = node.attrs or {}
         out_slot = slot_of[id(node.out)]
         getters = [self._getter_for(t, slot_of) for t in node.inputs]
         example = node.out.data
-        be = self._be
 
         def own() -> np.ndarray:
             """This step's pre-allocated output buffer."""
             buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
             return buf
-
-        if not _is_builtin_backend(be) and op not in ("reshape", "transpose"):
-            # Structural ops are backend-independent by the ArrayBackend
-            # contract; everything numerical must go through the backend.
-            return self._emit_generic(node, getters, out_slot)
 
         if op in ("linear", "linear_relu") and node.inputs[0].data.ndim == 2:
             buf = own()
@@ -715,7 +698,7 @@ class InferenceSession:
         return self._emit_generic(node, getters, out_slot)
 
     def _emit_generic(self, node: ir.GraphNode, getters, out_slot):
-        be = self._be
+        be = get_backend()
 
         def step(values):
             values[out_slot] = ir.evaluate_node(
@@ -816,18 +799,6 @@ class InferenceSession:
             values[out_slot] = F._max_over(source(values), buf)
 
         return step
-
-
-def _is_builtin_backend(be) -> bool:
-    """Whether ``be`` is exactly the built-in :class:`NumpyBackend`.
-
-    The specialized step emitters rewrite kernels as raw in-place numpy
-    chains that are validated bit-equal against :class:`NumpyBackend` — but
-    only against it.  Any other backend (a subclass with overridden
-    methods, a third-party registration) gets the generic IR evaluators,
-    which dispatch every operation through the backend itself.
-    """
-    return type(be) is NumpyBackend
 
 
 def serve_batches(

@@ -29,31 +29,6 @@ except ImportError:
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
 
 
-@pytest.fixture
-def backend(request):
-    """The name of the backend a test runs on, for
-    ``parametrize("backend", names, indirect=True)``.
-
-    ``numpy`` is the built-in backend.  Any other name is a further plain
-    :class:`~repro.backend.NumpyBackend` instance, registered for this one
-    test and dropped from the registry after it (there is no public
-    unregister): such a case checks that nothing depends on *which*
-    registered instance runs it — the per-instance capability memos, the
-    backend a session pins at compile time, the train replay's signature.
-    """
-    from repro.backend import NumpyBackend, register_backend, registry
-
-    name = request.param
-    if name == "numpy":
-        yield name
-        return
-    register_backend(NumpyBackend(), name)
-    try:
-        yield name
-    finally:
-        registry._REGISTRY.pop(name, None)
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _suite_kernel_cache(tmp_path_factory):
     """One kernel cache for the whole run (unless the caller named one).

@@ -110,27 +110,6 @@ def test_bind_rejects_shape_and_dtype_mismatch():
         region.bind([a, b])
 
 
-@needs_cc
-def test_respecialize_reuses_program_at_new_batch_size(cache_dir):
-    region = _chain_region(shape=(4, 8))
-    bigger = region.respecialize([(32, 8), (32, 8), (32, 8)])
-    assert bigger.out_shape == (32, 8)
-    assert bigger.ops == region.ops
-    arrays = _arrays(bigger, seed=3)
-    expect = np.maximum(arrays[0] * arrays[1] + arrays[2], 0.0)
-    assert bigger.interpret(arrays).tobytes() == expect.tobytes()
-    # The respecialized region reuses the compiled kernel: a memo hit.
-    before = codegen_stats()
-    with using_codegen(True):
-        compile_region(region)
-        kern = compile_region(bigger)
-    after = codegen_stats()
-    assert kern.is_compiled
-    assert after["compiled"] == before["compiled"] + 1
-    assert after["memo_hits"] == before["memo_hits"] + 1
-    assert kern(arrays).tobytes() == expect.tobytes()
-
-
 # --------------------------------------------------------------------------- #
 # The two execution arms
 # --------------------------------------------------------------------------- #

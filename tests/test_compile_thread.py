@@ -15,7 +15,6 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.backend import use_backend
 from repro.codegen import codegen_enabled, codegen_stats, have_compiler, jit
 from repro.models import TBNet, make_synthetic_batch
 from repro.obs.metrics import get_registry
@@ -142,7 +141,7 @@ def test_disabled_codegen_spawns_neither_thread_nor_compiler(cold, monkeypatch):
     # Every thread and every compiler run starts in resolve().
     monkeypatch.setattr(jit, "resolve", lambda *a, **k: pytest.fail("a kernel was requested"))
     counted = _fallbacks("disabled")
-    with using_codegen(False), use_backend("numpy"):
+    with using_codegen(False):
         session, check = _session_and_check()
         assert {row["reason"] for row in session.explain()} == {"disabled"}
         assert not session.wait_compiled()

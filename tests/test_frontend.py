@@ -5,14 +5,10 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, no_grad
-from repro.backend import use_backend
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import Server, SessionPool
 
-#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
-#: fixture registers it for one test), kept so the case ids stay stable.
-BACKENDS = ("numpy", "fused")
 AWKWARD_COUNTS = (1, 5, 63, 65, 129)
 
 
@@ -66,28 +62,26 @@ def test_bucket_validation():
         SessionPool(model, np.zeros((1, 12), np.float32), buckets=())
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_pool_is_bit_equal_to_eager_for_awkward_counts(backend):
+def test_pool_is_bit_equal_to_eager_for_awkward_counts():
     # The numerics contract: every routed chunk is bit-equal to the eager
     # no_grad forward of exactly those samples, for every awkward count.
     rng = np.random.default_rng(1)
-    with use_backend(backend):
-        model = _mlp(rng)
-        pool = SessionPool(model, rng.standard_normal((2, 12)).astype(np.float32))
-        for n in AWKWARD_COUNTS:
-            data = rng.standard_normal((n, 12)).astype(np.float32)
-            out = pool.serve(data)
-            assert out.shape == (n, 5)
-            chunks, remainder = pool.decompose(n)
-            assert remainder == 0  # size-1 bucket: no eager last resort
-            start = 0
-            for chunk in chunks:
-                np.testing.assert_array_equal(
-                    out[start : start + chunk],
-                    _eager(model, data[start : start + chunk]),
-                )
-                start += chunk
-        assert pool.eager_calls == 0
+    model = _mlp(rng)
+    pool = SessionPool(model, rng.standard_normal((2, 12)).astype(np.float32))
+    for n in AWKWARD_COUNTS:
+        data = rng.standard_normal((n, 12)).astype(np.float32)
+        out = pool.serve(data)
+        assert out.shape == (n, 5)
+        chunks, remainder = pool.decompose(n)
+        assert remainder == 0  # size-1 bucket: no eager last resort
+        start = 0
+        for chunk in chunks:
+            np.testing.assert_array_equal(
+                out[start : start + chunk],
+                _eager(model, data[start : start + chunk]),
+            )
+            start += chunk
+    assert pool.eager_calls == 0
 
 
 def test_pool_routes_greedily_and_counts():
@@ -162,29 +156,27 @@ def test_pool_parameters_stay_bound_by_reference():
         start += chunk
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_tbnet_pool_round_trip(backend):
-    with use_backend(backend):
-        manual_seed(31)
-        model = TBNet(width=8)
-        model.eval()
-        pool = SessionPool(
-            model,
-            (Tensor.zeros(1, 3, 16, 16), Tensor.zeros(1, 16)),
-            buckets=(1, 4, 16),
+def test_tbnet_pool_round_trip():
+    manual_seed(31)
+    model = TBNet(width=8)
+    model.eval()
+    pool = SessionPool(
+        model,
+        (Tensor.zeros(1, 3, 16, 16), Tensor.zeros(1, 16)),
+        buckets=(1, 4, 16),
+    )
+    images, context, _ = make_synthetic_batch(21, rng=np.random.default_rng(8))
+    out = pool.serve((images, context))
+    start = 0
+    for chunk in pool.decompose(21)[0]:
+        np.testing.assert_array_equal(
+            out[start : start + chunk],
+            model.infer(
+                images.data[start : start + chunk],
+                context.data[start : start + chunk],
+            ),
         )
-        images, context, _ = make_synthetic_batch(21, rng=np.random.default_rng(8))
-        out = pool.serve((images, context))
-        start = 0
-        for chunk in pool.decompose(21)[0]:
-            np.testing.assert_array_equal(
-                out[start : start + chunk],
-                model.infer(
-                    images.data[start : start + chunk],
-                    context.data[start : start + chunk],
-                ),
-            )
-            start += chunk
+        start += chunk
 
 
 # --------------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, fusion, ir, no_grad
-from repro.backend import get_backend, use_backend
+from repro.backend import get_backend
 from repro.nn.init import manual_seed
 
 
@@ -154,62 +154,6 @@ def test_training_sum_is_not_absorbed_into_regions():
     out = (a * b).sum(axis=-1)
     fusion.fuse(out)
     assert out._node.op == "sum"
-
-
-# --------------------------------------------------------------------------- #
-# Backends without composites or regions
-# --------------------------------------------------------------------------- #
-def _primitives_only_backend():
-    """A third-party backend exposing the pre-IR ArrayBackend surface only
-    (no linear_relu/bn_normalize_relu, no compile_region)."""
-    from repro.backend.numpy_backend import NumpyBackend
-
-    reference = NumpyBackend()
-
-    class PrimitivesOnly:
-        name = "primitives-only"
-
-    for method in (
-        "empty", "zeros", "add", "multiply", "divide", "negative", "power", "matmul",
-        "exp", "log", "sqrt", "tanh", "sum", "mean", "var", "amax", "pad",
-        "random_uniform", "standard_normal", "uniform", "relu", "sigmoid",
-        "linear", "softmax",
-        "softmax_grad", "log_softmax", "log_softmax_grad", "xent_grad",
-        "bn_normalize", "bn_input_grad", "dropout_mask", "sgd_update",
-        "adam_update",
-    ):
-        setattr(PrimitivesOnly, method, staticmethod(getattr(reference, method)))
-    backend = PrimitivesOnly()
-    assert not hasattr(backend, "linear_relu")
-    return backend
-
-
-def test_backends_without_composites_are_not_fused():
-    # A backend implementing only the documented primitive surface must get
-    # no fusion (instead of an AttributeError mid-replay).
-    rng = np.random.default_rng(17)
-    with use_backend(_primitives_only_backend()):
-        x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
-        w = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
-        s = Tensor(rng.standard_normal(2).astype(np.float32))
-        with no_grad(), ir.capture():
-            out = (F.linear(x, w).relu() * s + 1.0).sum()
-        assert fusion.fuse(out) == {}  # every pattern declined
-
-
-def test_serving_compiles_unfused_on_composite_less_backends():
-    from repro.serve import compile_inference
-
-    rng = np.random.default_rng(18)
-    model = nn.Sequential(nn.Linear(5, 4, rng=rng), nn.ReLU())
-    model.eval()
-    x = rng.standard_normal((3, 5)).astype(np.float32)
-    with use_backend(_primitives_only_backend()):
-        session = compile_inference(model, x)  # fuse=True, silently declined
-        assert session.fused_counts == {}
-        with no_grad():
-            expected = model(x).data
-        np.testing.assert_array_equal(session.run(x), expected)
 
 
 # --------------------------------------------------------------------------- #

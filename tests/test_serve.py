@@ -5,14 +5,9 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, no_grad
-from repro.backend import use_backend
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import InferenceSession, compile_inference, serve_batches
-
-#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
-#: fixture registers it for one test), kept so the case ids stay stable.
-BACKENDS = ("numpy", "fused")
 
 
 def _mlp(rng):
@@ -36,21 +31,19 @@ def _warm_stats(model, rng):
 # --------------------------------------------------------------------------- #
 # Replay fidelity
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("fuse", [False, True])
-def test_session_is_bit_equal_to_eager_no_grad(backend, fuse):
+def test_session_is_bit_equal_to_eager_no_grad(fuse):
     rng = np.random.default_rng(0)
-    with use_backend(backend):
-        model = _mlp(rng)
-        _warm_stats(model, rng)
-        model.eval()
-        example = rng.standard_normal((8, 12)).astype(np.float32)
-        session = compile_inference(model, example, fuse=fuse)
-        for _ in range(3):  # buffer reuse must not corrupt later calls
-            batch = rng.standard_normal((8, 12)).astype(np.float32)
-            with no_grad():
-                expected = model(batch).data
-            np.testing.assert_array_equal(session.run(batch), expected)
+    model = _mlp(rng)
+    _warm_stats(model, rng)
+    model.eval()
+    example = rng.standard_normal((8, 12)).astype(np.float32)
+    session = compile_inference(model, example, fuse=fuse)
+    for _ in range(3):  # buffer reuse must not corrupt later calls
+        batch = rng.standard_normal((8, 12)).astype(np.float32)
+        with no_grad():
+            expected = model(batch).data
+        np.testing.assert_array_equal(session.run(batch), expected)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -66,56 +59,52 @@ def test_tbnet_session_is_bit_equal_across_batch_sizes(batch):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_tbnet_session_is_bit_equal_to_eager(backend):
-    with use_backend(backend):
-        manual_seed(3)
-        model = TBNet(width=8)
-        opt = nn.optim.Adam(model.parameters(), lr=1e-3)
-        images, context, targets = make_synthetic_batch(16, rng=np.random.default_rng(1))
-        for _ in range(2):  # move running stats off their init values
-            model.train_step(opt, images, context, targets)
-        model.eval()
-        session = compile_inference(model, (images, context))
-        assert session.fused_counts  # the two-branch trace has fusable chains
-        expected = model.infer(images, context)
-        np.testing.assert_array_equal(session.run(images, context), expected)
-        # Fresh inputs through the same reused buffers.
-        images2, context2, _ = make_synthetic_batch(16, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(
-            session.run(images2, context2), model.infer(images2, context2)
-        )
+def test_tbnet_session_is_bit_equal_to_eager():
+    manual_seed(3)
+    model = TBNet(width=8)
+    opt = nn.optim.Adam(model.parameters(), lr=1e-3)
+    images, context, targets = make_synthetic_batch(16, rng=np.random.default_rng(1))
+    for _ in range(2):  # move running stats off their init values
+        model.train_step(opt, images, context, targets)
+    model.eval()
+    session = compile_inference(model, (images, context))
+    assert session.fused_counts  # the two-branch trace has fusable chains
+    expected = model.infer(images, context)
+    np.testing.assert_array_equal(session.run(images, context), expected)
+    # Fresh inputs through the same reused buffers.
+    images2, context2, _ = make_synthetic_batch(16, rng=np.random.default_rng(9))
+    np.testing.assert_array_equal(
+        session.run(images2, context2), model.infer(images2, context2)
+    )
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ("lazy",), indirect=True)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bucket", [1, 4, 16, 64])
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-def test_window_steps_are_bit_equal_to_eager(stride, padding, bucket, dtype, backend):
+def test_window_steps_are_bit_equal_to_eager(stride, padding, bucket, dtype):
     # Off TBNet's shapes: strided / unpadded convs, a padded overlapping
     # max-pool, and every input route of the window emitters — a raw session
     # input (first conv), a session-owned upstream buffer sliced directly
     # (second conv, last pool) and the padded private copy (first pool).
     rng = np.random.default_rng(17)
-    with use_backend(backend):
-        model = nn.Sequential(
-            nn.Conv2d(3, 4, 3, stride=stride, padding=padding, rng=rng),
-            nn.ReLU(),
-            nn.MaxPool2d(3, stride=2, padding=1),
-            nn.Conv2d(4, 5, 2, bias=False, rng=rng),
-            nn.MaxPool2d(2),
-        )
-        for param in model.parameters():
-            param.data = param.data.astype(dtype)
-        model.eval()
-        session = compile_inference(model, np.zeros((bucket, 3, 12, 12), dtype))
-        for _ in range(2):  # the cached slice views must survive buffer reuse
-            batch = rng.standard_normal((bucket, 3, 12, 12)).astype(dtype)
-            with no_grad():
-                expected = np.asarray(model(Tensor(batch, dtype=dtype)).data)
-            got = session.run(batch)
-            assert got.dtype == expected.dtype == dtype
-            assert got.tobytes() == expected.tobytes()
+    model = nn.Sequential(
+        nn.Conv2d(3, 4, 3, stride=stride, padding=padding, rng=rng),
+        nn.ReLU(),
+        nn.MaxPool2d(3, stride=2, padding=1),
+        nn.Conv2d(4, 5, 2, bias=False, rng=rng),
+        nn.MaxPool2d(2),
+    )
+    for param in model.parameters():
+        param.data = param.data.astype(dtype)
+    model.eval()
+    session = compile_inference(model, np.zeros((bucket, 3, 12, 12), dtype))
+    for _ in range(2):  # the cached slice views must survive buffer reuse
+        batch = rng.standard_normal((bucket, 3, 12, 12)).astype(dtype)
+        with no_grad():
+            expected = np.asarray(model(Tensor(batch, dtype=dtype)).data)
+        got = session.run(batch)
+        assert got.dtype == expected.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class _ScaleShiftRelu(nn.Module):
@@ -132,20 +121,18 @@ class _ScaleShiftRelu(nn.Module):
         return (h * self.scale + self.shift).relu()
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_session_emits_region_kernel_and_stays_bit_equal(backend):
+def test_session_emits_region_kernel_and_stays_bit_equal():
     rng = np.random.default_rng(9)
-    with use_backend(backend):
-        model = _ScaleShiftRelu(rng).eval()
-        x = rng.standard_normal((8, 12)).astype(np.float32)
-        session = compile_inference(model, x)
-        assert session.fused_counts.get("region") == 1
-        assert session.op_counts.get("region") == 1
-        for _ in range(3):
-            batch = rng.standard_normal((8, 12)).astype(np.float32)
-            with no_grad():
-                expected = model(batch).data
-            np.testing.assert_array_equal(session.run(batch), expected)
+    model = _ScaleShiftRelu(rng).eval()
+    x = rng.standard_normal((8, 12)).astype(np.float32)
+    session = compile_inference(model, x)
+    assert session.fused_counts.get("region") == 1
+    assert session.op_counts.get("region") == 1
+    for _ in range(3):
+        batch = rng.standard_normal((8, 12)).astype(np.float32)
+        with no_grad():
+            expected = model(batch).data
+        np.testing.assert_array_equal(session.run(batch), expected)
 
 
 def test_parameters_are_bound_by_reference():
@@ -391,39 +378,6 @@ def test_serve_batches_refuses_reduced_outputs():
     session = compile_inference(model, np.zeros((4, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="per-sample"):
         serve_batches(session, np.zeros((8, 3), dtype=np.float32))
-
-
-def test_non_builtin_backend_replays_through_its_own_methods():
-    from repro.backend import set_backend
-    from repro.backend.numpy_backend import NumpyBackend
-
-    class ShiftedLinear(NumpyBackend):
-        """A third-party backend whose linear adds 1 — the session must
-        dispatch through it, not through the raw-numpy fast path."""
-        name = "shifted"
-
-        def linear(self, x, w, b):
-            out = np.matmul(x, w) + 1.0
-            if b is not None:
-                out += b
-            return out
-
-    rng = np.random.default_rng(13)
-    model = nn.Sequential(nn.Linear(5, 3, rng=rng), nn.ReLU())
-    model.eval()
-    x = rng.standard_normal((4, 5)).astype(np.float32)
-    previous = set_backend("numpy")
-    try:
-        set_backend(ShiftedLinear())
-        session = compile_inference(model, x, fuse=False)
-        with no_grad():
-            expected = model(x).data
-        np.testing.assert_array_equal(session.run(x), expected)
-        set_backend("numpy")
-        plain = compile_inference(model, x, fuse=False).run(x)
-        assert not np.array_equal(plain, expected)  # the override mattered
-    finally:
-        set_backend(previous)
 
 
 def test_serve_batches_validates_inputs():

@@ -16,12 +16,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import no_grad
-from repro.backend import use_backend
 from repro.serve import DeadlineExceeded, Server
-
-#: ``fused`` names a second NumpyBackend instance (the conftest ``backend``
-#: fixture registers it for one test), kept so the case ids stay stable.
-BACKENDS = ("numpy", "fused")
 
 
 def _model(rng):
@@ -37,102 +32,98 @@ def _eager(model, arr):
         return model(arr).data
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_concurrent_submit_and_stop_leaves_no_future_stranded(backend):
-    with use_backend(backend):
-        rng = np.random.default_rng(20)
-        model = _model(rng)
-        server = Server(
-            model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
-            workers=2, max_wait=0.001,
-        )
-        server.start()
-        futures = []
-        futures_lock = threading.Lock()
-        submit_errors = []
+def test_concurrent_submit_and_stop_leaves_no_future_stranded():
+    rng = np.random.default_rng(20)
+    model = _model(rng)
+    server = Server(
+        model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
+        workers=2, max_wait=0.001,
+    )
+    server.start()
+    futures = []
+    futures_lock = threading.Lock()
+    submit_errors = []
 
-        def submitter(seed):
-            local = np.random.default_rng(seed)
-            for _ in range(40):
-                data = local.standard_normal((int(local.integers(1, 4)), 6))
-                try:
-                    future = server.submit(data.astype(np.float32))
-                except RuntimeError:
-                    submit_errors.append("stopped")  # server already stopping
-                    return
-                with futures_lock:
-                    futures.append(future)
-
-        threads = [threading.Thread(target=submitter, args=(30 + i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.01)
-        server.stop(drain=True, timeout=10.0)  # races the submitters
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        # Every accepted future reaches a terminal state quickly.
-        outcomes = {"ok": 0, "error": 0, "cancelled": 0}
-        for future in futures:
+    def submitter(seed):
+        local = np.random.default_rng(seed)
+        for _ in range(40):
+            data = local.standard_normal((int(local.integers(1, 4)), 6))
             try:
-                out = future.result(timeout=10)
-                assert out.shape[1] == 3
-                outcomes["ok"] += 1
-            except CancelledError:
-                outcomes["cancelled"] += 1
-            except (RuntimeError, DeadlineExceeded):
-                outcomes["error"] += 1
-        assert outcomes["ok"] >= 1  # the drain served what it accepted
-        stats = server.stats()
-        assert stats["queue_depth"] == 0
+                future = server.submit(data.astype(np.float32))
+            except RuntimeError:
+                submit_errors.append("stopped")  # server already stopping
+                return
+            with futures_lock:
+                futures.append(future)
+
+    threads = [threading.Thread(target=submitter, args=(30 + i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.01)
+    server.stop(drain=True, timeout=10.0)  # races the submitters
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    # Every accepted future reaches a terminal state quickly.
+    outcomes = {"ok": 0, "error": 0, "cancelled": 0}
+    for future in futures:
+        try:
+            out = future.result(timeout=10)
+            assert out.shape[1] == 3
+            outcomes["ok"] += 1
+        except CancelledError:
+            outcomes["cancelled"] += 1
+        except (RuntimeError, DeadlineExceeded):
+            outcomes["error"] += 1
+    assert outcomes["ok"] >= 1  # the drain served what it accepted
+    stats = server.stats()
+    assert stats["queue_depth"] == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_cancel_while_collecting_race(backend):
+def test_cancel_while_collecting_race():
     # Clients cancel futures at random moments — before collection, during
     # coalescing, after dispatch.  Whatever the interleaving: cancelled
     # futures never resolve with data, uncancelled futures always resolve
     # correctly, and the workers survive every outcome.
-    with use_backend(backend):
-        rng = np.random.default_rng(21)
-        model = _model(rng)
-        with Server(
-            model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
-            workers=2, max_wait=0.005,
-        ) as server:
-            for wave in range(6):
-                requests = [
-                    rng.standard_normal((1, 6)).astype(np.float32)
-                    for _ in range(24)
-                ]
-                futures = [server.submit(r) for r in requests]
-                cancel_rng = np.random.default_rng(100 + wave)
-                targets = cancel_rng.choice(len(futures), size=8, replace=False)
+    rng = np.random.default_rng(21)
+    model = _model(rng)
+    with Server(
+        model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
+        workers=2, max_wait=0.005,
+    ) as server:
+        for wave in range(6):
+            requests = [
+                rng.standard_normal((1, 6)).astype(np.float32)
+                for _ in range(24)
+            ]
+            futures = [server.submit(r) for r in requests]
+            cancel_rng = np.random.default_rng(100 + wave)
+            targets = cancel_rng.choice(len(futures), size=8, replace=False)
 
-                def canceller():
-                    for i in targets:
-                        futures[i].cancel()
+            def canceller():
+                for i in targets:
+                    futures[i].cancel()
 
-                thread = threading.Thread(target=canceller)
-                thread.start()
-                thread.join(timeout=10)
-                for i, (request, future) in enumerate(zip(requests, futures)):
-                    if future.cancelled():
-                        with pytest.raises(CancelledError):
-                            future.result(timeout=10)
-                        continue
-                    np.testing.assert_allclose(
-                        future.result(timeout=10), _eager(model, request),
-                        rtol=1e-4, atol=1e-5,
-                    )
-            # The server survived six waves of cancel races intact.
-            assert server.ready()
-            health = server.health()
-            assert health["workers_alive"] == 2
-            assert health["worker_crashes"] == 0
-        stats = server.stats()
-        assert stats["queue_depth"] == 0
-        assert stats["requests_failed"] == 0
+            thread = threading.Thread(target=canceller)
+            thread.start()
+            thread.join(timeout=10)
+            for i, (request, future) in enumerate(zip(requests, futures)):
+                if future.cancelled():
+                    with pytest.raises(CancelledError):
+                        future.result(timeout=10)
+                    continue
+                np.testing.assert_allclose(
+                    future.result(timeout=10), _eager(model, request),
+                    rtol=1e-4, atol=1e-5,
+                )
+        # The server survived six waves of cancel races intact.
+        assert server.ready()
+        health = server.health()
+        assert health["workers_alive"] == 2
+        assert health["worker_crashes"] == 0
+    stats = server.stats()
+    assert stats["queue_depth"] == 0
+    assert stats["requests_failed"] == 0
 
 
 def test_many_threads_hammering_one_server():

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, functional as F, kernels
-from repro.backend import NumpyBackend, get_backend, use_backend, workspace
+from repro.backend import get_backend, workspace
 from repro.codegen import (
     codegen_enabled, codegen_stats, have_compiler, jit, using_codegen, wait_for_compiles)
 from repro.models import TBNet, make_synthetic_batch
@@ -222,7 +222,7 @@ def test_saved_patch_matrix_and_frozen_filter(adopted):
     wd = draw(rng, (case["o"], case["c"]) + case["k"], F32, 0.0)
     bd = draw(rng, (case["o"],), F32, 0.0)
     be = get_backend()
-    arm = kernels.arm("conv2d", be, F32, 3, case["c"], case["h"], case["w"], *case["k"],
+    arm = kernels.arm("conv2d", F32, 3, case["c"], case["h"], case["w"], *case["k"],
                       *case["s"], *case["p"], case["o"], True)
     assert isinstance(arm, kernels.Conv2d)
     with np.errstate(all="ignore"):
@@ -306,17 +306,10 @@ def test_a_float64_gradient_into_a_float32_op_takes_the_numpy_body(adopted):
     assert first.dtype == F32 and first.tobytes() == run(False).tobytes()
 
 
-def test_other_backends_dtypes_and_oversized_planes_stay_numpy(adopted, stage_calls):
-    class Mine(NumpyBackend):
-        name = "mine"
-
+def test_dtypes_and_oversized_planes_stay_numpy(adopted, stage_calls):
     x16 = np.ones((2, 3), np.float16)
     big = np.ones((1, 1, 200, 200), np.float32)  # a padded plane past the C stack's share
     weight = np.ones((1, 1, 3, 3), np.float32)
-
-    def other_backend():
-        with use_backend(Mine()):
-            return Tensor(np.ones((2, 3), np.float32), requires_grad=True).relu().data
 
     def half():
         return Tensor(x16, requires_grad=True, dtype=np.float16).relu().data
@@ -324,7 +317,7 @@ def test_other_backends_dtypes_and_oversized_planes_stay_numpy(adopted, stage_ca
     def oversized():
         return F.conv2d(Tensor(big), Tensor(weight, requires_grad=True), padding=1).data
 
-    for reason, fn in (("backend", other_backend), ("dtype", half), ("geometry", oversized)):
+    for reason, fn in (("dtype", half), ("geometry", oversized)):
         kernels._COUNTED.clear()
         counted, _ = _counted(reason, fn)
         assert counted == 1, reason
@@ -383,7 +376,7 @@ def cold(tmp_path, monkeypatch):
 
 
 def test_a_run_that_adopts_half_way_equals_the_numpy_run(cold, stage_calls):
-    with using_codegen(False), use_backend("numpy"):
+    with using_codegen(False):
         want = train_hash(4, 40)
     held = []
 
@@ -408,13 +401,11 @@ def test_batch_64_hash_and_what_the_workspace_holds_across_the_switch(adopted):
     assert workspace.stats()["retained_bytes"] - held <= 4 * 2**20
 
 
-@pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"], indirect=True)
-def test_training_hash_is_the_same_on_every_arm(adopted, backend):
-    with use_backend(backend):
-        for optimizer in (Adam, SGD) if backend == "numpy" else (Adam,):
-            with using_codegen(False):
-                want = train_hash(4, 40, optimizer)
-            assert train_hash(4, 40, optimizer, pause=lambda: wait_for_compiles(300)) == want
+def test_training_hash_is_the_same_on_every_arm(adopted):
+    for optimizer in (Adam, SGD):
+        with using_codegen(False):
+            want = train_hash(4, 40, optimizer)
+        assert train_hash(4, 40, optimizer, pause=lambda: wait_for_compiles(300)) == want
 
 
 def test_threads_training_at_once_bind_their_own_tables(adopted):
@@ -444,11 +435,10 @@ def test_a_failing_compiler_leaves_training_on_the_numpy_bodies(
         cold, tmp_path, monkeypatch, stage_calls, kind, reason):
     _fake_cc(tmp_path, monkeypatch, kind)
     monkeypatch.setattr(jit, "_CC_TIMEOUT", 0.2)
-    with use_backend("numpy"), using_codegen(False):
+    with using_codegen(False):
         want = train_hash(4, 12)
     counted = _fallbacks(reason)
-    with use_backend("numpy"):
-        assert train_hash(4, 12, pause=lambda: wait_for_compiles(60)) == want
+    assert train_hash(4, 12, pause=lambda: wait_for_compiles(60)) == want
     assert not stage_calls
     assert _fallbacks(reason) - counted == 7  # once per signature, on the compile thread
     assert not list(cold.glob("*.so"))
