@@ -29,6 +29,23 @@ except ImportError:
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
 
 
+@pytest.fixture(autouse=True)
+def _backend_instance(request, monkeypatch):
+    """Installs the backend a test's ``backend`` parameter names.
+
+    ``numpy`` is the process's own :class:`~repro.backend.NumpyBackend`.
+    Any other name (``fused``, ``lazy``) is a further plain instance,
+    installed as the process's backend for this one test: such a case
+    checks that nothing depends on *which* instance runs it — the backend a
+    train replay or a session captures, the ``be`` a backward closure keeps.
+    """
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is not None and callspec.params.get("backend", "numpy") != "numpy":
+        from repro.backend import NumpyBackend, registry
+
+        monkeypatch.setattr(registry, "_BACKEND", NumpyBackend())
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _suite_kernel_cache(tmp_path_factory):
     """One kernel cache for the whole run (unless the caller named one).

@@ -1,15 +1,152 @@
-"""The numpy backend's numerical contracts, and bugfix regressions."""
+"""The numpy backend's numerical contracts, equivalence of the compiled arms
+with its methods, and bugfix regressions.
 
+The equivalence tests run every kernel (forward *and* backward), every
+optimizer update and a small training run twice: on the process's backend,
+with whatever compiled arms it has adopted, and on a second
+:class:`NumpyBackend` instance installed for the run with codegen off, so
+that every kernel takes :class:`NumpyBackend`'s own methods.  Tolerances are
+tight enough that the only admissible differences are last-ulp
+reassociation effects.
+"""
+
+import contextlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F
-from repro.backend import get_backend
+from repro.backend import NumpyBackend, get_backend, registry
+from repro.codegen import using_codegen
+
+RTOL, ATOL = 1e-5, 1e-6
+SECOND = "second"
 
 
+@contextlib.contextmanager
+def use(name):
+    """Run the block on the process's backend (``numpy``) or on a second
+    :class:`NumpyBackend` instance with codegen off (``SECOND``)."""
+    if name == "numpy":
+        yield
+        return
+    previous = registry._BACKEND
+    registry._BACKEND = NumpyBackend()
+    try:
+        with using_codegen(False):
+            yield
+    finally:
+        registry._BACKEND = previous
+
+
+def test_repro_backend_env_var_selects_default():
+    # REPRO_BACKEND is ignored: whatever it names — the built-in backend, a
+    # name once registered only by tests, a name no backend ever had — the
+    # process computes on its one NumpyBackend from the first use on.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import numpy as np, repro.backend as b\n"
+        "from repro.autograd import Tensor, functional as F\n"
+        "out = F.linear(Tensor(np.ones((2, 3), np.float32)), Tensor(np.ones((3, 4), np.float32)))\n"
+        "print(type(b.get_backend()).__name__, float(out.data.sum()))\n"
+    )
+    for value in ("numpy", "lazy", "nope"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), REPRO_BACKEND=value)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["NumpyBackend", "24.0"], value
+
+
+# --------------------------------------------------------------------------- #
+# Compiled arms against the backend's methods: kernels
+# --------------------------------------------------------------------------- #
+def run_on_backends(build, n_inputs, shapes, seed=0):
+    """Run ``build(*tensors) -> Tensor`` on each backend; return results.
+
+    Inputs are identical float32 arrays; backward is seeded with ones.
+    Returns ``{backend_name: (out_data, [input_grads])}``.
+    """
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes[:n_inputs]]
+    results = {}
+    for name in ("numpy", SECOND):
+        with use(name):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = build(*tensors)
+            seed_grad = None if out.data.size == 1 else np.ones_like(out.data)
+            out.backward(seed_grad)
+            results[name] = (out.data.copy(), [t.grad.copy() for t in tensors])
+    return results
+
+
+def assert_equivalent(results):
+    ref_out, ref_grads = results["numpy"]
+    out, grads = results[SECOND]
+    np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=ATOL)
+    assert len(ref_grads) == len(grads)
+    for rg, g in zip(ref_grads, grads):
+        np.testing.assert_allclose(g, rg, rtol=RTOL, atol=ATOL)
+
+
+KERNEL_CASES = {
+    "linear": (lambda x, w, b: F.linear(x, w, b), 3, [(8, 5), (5, 7), (7,)]),
+    "linear_no_bias": (lambda x, w: F.linear(x, w), 2, [(8, 5), (5, 7)]),
+    "conv2d": (
+        lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=1),
+        3,
+        [(2, 3, 9, 9), (4, 3, 3, 3), (4,)],
+    ),
+    "max_pool2d": (lambda x: F.max_pool2d(x, 2), 1, [(2, 3, 8, 8)]),
+    "avg_pool2d": (lambda x: F.avg_pool2d(x, 3, stride=2, padding=1), 1, [(2, 3, 9, 9)]),
+    "softmax": (lambda x: F.softmax(x), 1, [(6, 10)]),
+    "log_softmax": (lambda x: F.log_softmax(x), 1, [(6, 10)]),
+    "xent_mean": (
+        lambda x: F.softmax_cross_entropy(x, np.arange(6) % 4),
+        1,
+        [(6, 4)],
+    ),
+    "xent_sum": (
+        lambda x: F.softmax_cross_entropy(x, np.arange(6) % 4, reduction="sum"),
+        1,
+        [(6, 4)],
+    ),
+    "xent_none": (
+        lambda x: F.softmax_cross_entropy(x, np.arange(6) % 4, reduction="none"),
+        1,
+        [(6, 4)],
+    ),
+    "batch_norm_train": (
+        lambda x, w, b: F.batch_norm(x, w, b, training=True),
+        3,
+        [(6, 4), (4,), (4,)],
+    ),
+    "batch_norm_train_2d": (
+        lambda x: F.batch_norm(x, training=True),
+        1,
+        [(3, 4, 5, 5)],
+    ),
+    "sigmoid": (lambda x: x.sigmoid(), 1, [(7, 9)]),
+    "tanh": (lambda x: x.tanh(), 1, [(7, 9)]),
+    "exp_log_chain": (lambda x: ((x * x + 1.0).log().exp()).sum(), 1, [(5, 6)]),
+    "matmul": (lambda a, b: (a @ b).sum(), 2, [(6, 4), (4, 3)]),
+    "div_pow": (lambda a, b: (a / (b * b + 1.0) + a ** 3.0).sum(), 2, [(5, 5), (5, 5)]),
+    "reductions": (lambda x: (x.max(axis=1) + x.mean(axis=0) + x.sum(axis=(0, 1))), 1, [(6, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES), ids=sorted(KERNEL_CASES))
+def test_kernel_equivalence_across_backends(case):
+    build, n_inputs, shapes = KERNEL_CASES[case]
+    assert_equivalent(run_on_backends(build, n_inputs, shapes))
+
+
+@pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16, np.int32])
 @pytest.mark.parametrize(
     "shape, axis",
@@ -23,7 +160,7 @@ from repro.backend import get_backend
         ((0, 3), 0),  # nothing to average: numpy's nan, and its warnings
     ],
 )
-def test_var_replays_numpy_var_byte_for_byte(dtype, shape, axis):
+def test_var_replays_numpy_var_byte_for_byte(backend, dtype, shape, axis):
     # ``NumpyBackend.var`` spells out numpy's private ``_var`` to route its
     # temporary through ``be.empty``; a numpy release that changes ``_var``
     # must fail here, not in a tolerance somewhere downstream.
@@ -39,16 +176,111 @@ def test_var_replays_numpy_var_byte_for_byte(dtype, shape, axis):
             assert np.asarray(got).tobytes() == np.asarray(reference).tobytes()
 
 
-def test_optimizer_step_never_mutates_grad():
-    p = nn.Parameter(np.ones(3, dtype=np.float32))
-    g = np.full(3, 0.5, dtype=np.float32)
-    p.grad = g
-    nn.optim.SGD([p], lr=0.1, momentum=0.9, weight_decay=0.1, nesterov=True).step()
-    np.testing.assert_array_equal(g, np.full(3, 0.5, dtype=np.float32))
-    p2 = nn.Parameter(np.ones(3, dtype=np.float32))
-    p2.grad = g
-    nn.optim.Adam([p2], lr=0.1, weight_decay=0.1).step()
-    np.testing.assert_array_equal(g, np.full(3, 0.5, dtype=np.float32))
+def test_batch_norm_eval_equivalence_and_running_stats():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((8, 5)).astype(np.float32)
+    results = {}
+    for name in ("numpy", SECOND):
+        rm = np.zeros(5, dtype=np.float32)
+        rv = np.ones(5, dtype=np.float32)
+        with use(name):
+            t = Tensor(x.copy(), requires_grad=True)
+            # Training pass updates the running stats in place ...
+            F.batch_norm(t, running_mean=rm, running_var=rv, training=True)
+            # ... eval pass consumes them.
+            out = F.batch_norm(t, running_mean=rm, running_var=rv, training=False)
+            out.backward(np.ones_like(out.data))
+            results[name] = (out.data.copy(), rm.copy(), rv.copy(), t.grad.copy())
+    for ref, got in zip(results["numpy"], results[SECOND]):
+        np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
+
+
+def test_dropout_equivalence_with_shared_seed():
+    x = np.random.default_rng(4).standard_normal((16, 16)).astype(np.float32)
+    results = {}
+    for name in ("numpy", SECOND):
+        with use(name):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = F.dropout(t, p=0.4, training=True, rng=np.random.default_rng(99))
+            out.backward(np.ones_like(out.data))
+            results[name] = (out.data.copy(), t.grad.copy())
+    np.testing.assert_array_equal(results[SECOND][0], results["numpy"][0])
+    np.testing.assert_array_equal(results[SECOND][1], results["numpy"][1])
+
+
+# --------------------------------------------------------------------------- #
+# Compiled arms against the backend's methods: optimizers and a training run
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "make_opt",
+    [
+        lambda ps: nn.optim.SGD(ps, lr=0.05),
+        lambda ps: nn.optim.SGD(ps, lr=0.05, momentum=0.9, weight_decay=0.01),
+        lambda ps: nn.optim.SGD(ps, lr=0.05, momentum=0.9, nesterov=True),
+        lambda ps: nn.optim.SGD(ps, lr=0.05, momentum=0.9, weight_decay=0.01, nesterov=True),
+        lambda ps: nn.optim.Adam(ps, lr=0.01),
+        lambda ps: nn.optim.Adam(ps, lr=0.01, weight_decay=0.01),
+    ],
+    ids=["sgd", "sgd_mom_wd", "sgd_nesterov", "sgd_nesterov_wd", "adam", "adam_wd"],
+)
+def test_optimizer_equivalence_across_backends(make_opt):
+    rng = np.random.default_rng(7)
+    init = rng.standard_normal((4, 3)).astype(np.float32)
+    grads = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(5)]
+    finals = {}
+    for name in ("numpy", SECOND):
+        with use(name):
+            p = nn.Parameter(init.copy())
+            opt = make_opt([p])
+            for g in grads:
+                p.grad = g.copy()
+                opt.step()
+            finals[name] = p.data.copy()
+    np.testing.assert_allclose(finals[SECOND], finals["numpy"], rtol=RTOL, atol=ATOL)
+
+
+def test_optimizer_step_never_mutates_grad_on_either_backend():
+    for name in ("numpy", SECOND):
+        with use(name):
+            p = nn.Parameter(np.ones(3, dtype=np.float32))
+            g = np.full(3, 0.5, dtype=np.float32)
+            p.grad = g
+            nn.optim.SGD([p], lr=0.1, momentum=0.9, weight_decay=0.1, nesterov=True).step()
+            np.testing.assert_array_equal(g, np.full(3, 0.5, dtype=np.float32))
+            p2 = nn.Parameter(np.ones(3, dtype=np.float32))
+            p2.grad = g
+            nn.optim.Adam([p2], lr=0.1, weight_decay=0.1).step()
+            np.testing.assert_array_equal(g, np.full(3, 0.5, dtype=np.float32))
+
+
+def test_full_training_run_equivalence():
+    """A small MLP trained for several steps lands on the same weights."""
+    x = np.random.default_rng(11).standard_normal((32, 12)).astype(np.float32)
+    y = np.random.default_rng(12).integers(0, 5, 32)
+    finals, losses = {}, {}
+    for name in ("numpy", SECOND):
+        with use(name):
+            rng = np.random.default_rng(123)
+            model = nn.Sequential(
+                nn.Linear(12, 16, rng=rng), nn.BatchNorm1d(16), nn.ReLU(),
+                nn.Linear(16, 5, rng=rng),
+            )
+            opt = nn.optim.Adam(model.parameters(), lr=1e-2)
+            trace = []
+            for _ in range(10):
+                loss = F.softmax_cross_entropy(model(Tensor(x)), y)
+                loss.backward()
+                opt.step()
+                opt.zero_grad()
+                trace.append(loss.item())
+            finals[name] = {k: v.copy() for k, v in model.state_dict().items()}
+            losses[name] = trace
+    np.testing.assert_allclose(losses[SECOND], losses["numpy"], rtol=1e-4)
+    for key in finals["numpy"]:
+        np.testing.assert_allclose(
+            finals[SECOND][key], finals["numpy"][key], rtol=1e-4, atol=1e-5,
+            err_msg=f"state_dict entry {key} diverged across backends",
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -157,3 +389,16 @@ def test_softmax_cross_entropy_rejects_out_of_range_labels():
     assert float(loss.data) == 0.0
     loss.backward()
     assert empty.grad.shape == (0, 4)
+
+
+def test_backward_uses_the_backend_captured_at_trace_time():
+    # Forward on one backend instance, backward after switching away: the
+    # closure must keep using the backend that produced the forward buffers.
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 6)).astype(np.float32),
+               requires_grad=True)
+    with use(SECOND):
+        out = F.softmax_cross_entropy(x, np.arange(4) % 6)
+    out.backward()
+    x2 = Tensor(x.data.copy(), requires_grad=True)
+    F.softmax_cross_entropy(x2, np.arange(4) % 6).backward()
+    np.testing.assert_allclose(x.grad, x2.grad, rtol=RTOL, atol=ATOL)

@@ -9,6 +9,10 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import Server, SessionPool
 
+#: ``fused`` names a second NumpyBackend instance (the conftest
+#: ``_backend_instance`` fixture installs it for one test), kept so the case
+#: ids stay stable.
+BACKENDS = ("numpy", "fused")
 AWKWARD_COUNTS = (1, 5, 63, 65, 129)
 
 
@@ -62,7 +66,8 @@ def test_bucket_validation():
         SessionPool(model, np.zeros((1, 12), np.float32), buckets=())
 
 
-def test_pool_is_bit_equal_to_eager_for_awkward_counts():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pool_is_bit_equal_to_eager_for_awkward_counts(backend):
     # The numerics contract: every routed chunk is bit-equal to the eager
     # no_grad forward of exactly those samples, for every awkward count.
     rng = np.random.default_rng(1)
@@ -156,7 +161,8 @@ def test_pool_parameters_stay_bound_by_reference():
         start += chunk
 
 
-def test_tbnet_pool_round_trip():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tbnet_pool_round_trip(backend):
     manual_seed(31)
     model = TBNet(width=8)
     model.eval()

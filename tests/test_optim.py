@@ -212,13 +212,16 @@ def _decayed_state(dtype, make_opt, steps=1200):
     return p.data, (opt._m if isinstance(opt, nn.optim.Adam) else opt._velocity)[0]
 
 
+@pytest.mark.parametrize("backend", ["numpy", "fused"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "make_opt",
     [lambda ps: nn.optim.Adam(ps, lr=1e-3), lambda ps: nn.optim.SGD(ps, lr=1e-3, momentum=0.9)],
     ids=["adam", "sgd-momentum"],
 )
-def test_zero_gradient_moment_flushes_to_zero_not_to_a_subnormal(dtype, make_opt, unflushed):
+def test_zero_gradient_moment_flushes_to_zero_not_to_a_subnormal(
+    backend, dtype, make_opt, unflushed
+):
     tiny = np.finfo(dtype).tiny
     with unflushed():
         p_ref, stuck = _decayed_state(dtype, make_opt)

@@ -9,6 +9,11 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import InferenceSession, compile_inference, serve_batches
 
+#: ``fused`` names a second NumpyBackend instance (the conftest
+#: ``_backend_instance`` fixture installs it for one test), kept so the case
+#: ids stay stable.
+BACKENDS = ("numpy", "fused")
+
 
 def _mlp(rng):
     return nn.Sequential(
@@ -31,8 +36,9 @@ def _warm_stats(model, rng):
 # --------------------------------------------------------------------------- #
 # Replay fidelity
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fuse", [False, True])
-def test_session_is_bit_equal_to_eager_no_grad(fuse):
+def test_session_is_bit_equal_to_eager_no_grad(backend, fuse):
     rng = np.random.default_rng(0)
     model = _mlp(rng)
     _warm_stats(model, rng)
@@ -59,7 +65,8 @@ def test_tbnet_session_is_bit_equal_across_batch_sizes(batch):
     )
 
 
-def test_tbnet_session_is_bit_equal_to_eager():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tbnet_session_is_bit_equal_to_eager(backend):
     manual_seed(3)
     model = TBNet(width=8)
     opt = nn.optim.Adam(model.parameters(), lr=1e-3)
@@ -78,10 +85,11 @@ def test_tbnet_session_is_bit_equal_to_eager():
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS + ("lazy",))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bucket", [1, 4, 16, 64])
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-def test_window_steps_are_bit_equal_to_eager(stride, padding, bucket, dtype):
+def test_window_steps_are_bit_equal_to_eager(stride, padding, bucket, dtype, backend):
     # Off TBNet's shapes: strided / unpadded convs, a padded overlapping
     # max-pool, and every input route of the window emitters — a raw session
     # input (first conv), a session-owned upstream buffer sliced directly
@@ -121,7 +129,8 @@ class _ScaleShiftRelu(nn.Module):
         return (h * self.scale + self.shift).relu()
 
 
-def test_session_emits_region_kernel_and_stays_bit_equal():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_session_emits_region_kernel_and_stays_bit_equal(backend):
     rng = np.random.default_rng(9)
     model = _ScaleShiftRelu(rng).eval()
     x = rng.standard_normal((8, 12)).astype(np.float32)

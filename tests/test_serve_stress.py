@@ -18,6 +18,11 @@ from repro import nn
 from repro.autograd import no_grad
 from repro.serve import DeadlineExceeded, Server
 
+#: ``fused`` names a second NumpyBackend instance (the conftest
+#: ``_backend_instance`` fixture installs it for one test), kept so the case
+#: ids stay stable.
+BACKENDS = ("numpy", "fused")
+
 
 def _model(rng):
     model = nn.Sequential(
@@ -32,7 +37,8 @@ def _eager(model, arr):
         return model(arr).data
 
 
-def test_concurrent_submit_and_stop_leaves_no_future_stranded():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_concurrent_submit_and_stop_leaves_no_future_stranded(backend):
     rng = np.random.default_rng(20)
     model = _model(rng)
     server = Server(
@@ -80,7 +86,8 @@ def test_concurrent_submit_and_stop_leaves_no_future_stranded():
     assert stats["queue_depth"] == 0
 
 
-def test_cancel_while_collecting_race():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cancel_while_collecting_race(backend):
     # Clients cancel futures at random moments — before collection, during
     # coalescing, after dispatch.  Whatever the interleaving: cancelled
     # futures never resolve with data, uncancelled futures always resolve

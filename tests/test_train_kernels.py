@@ -306,7 +306,7 @@ def test_a_float64_gradient_into_a_float32_op_takes_the_numpy_body(adopted):
     assert first.dtype == F32 and first.tobytes() == run(False).tobytes()
 
 
-def test_dtypes_and_oversized_planes_stay_numpy(adopted, stage_calls):
+def test_other_backends_dtypes_and_oversized_planes_stay_numpy(adopted, stage_calls):
     x16 = np.ones((2, 3), np.float16)
     big = np.ones((1, 1, 200, 200), np.float32)  # a padded plane past the C stack's share
     weight = np.ones((1, 1, 3, 3), np.float32)
@@ -401,8 +401,9 @@ def test_batch_64_hash_and_what_the_workspace_holds_across_the_switch(adopted):
     assert workspace.stats()["retained_bytes"] - held <= 4 * 2**20
 
 
-def test_training_hash_is_the_same_on_every_arm(adopted):
-    for optimizer in (Adam, SGD):
+@pytest.mark.parametrize("backend", ["numpy", "fused", "lazy"])
+def test_training_hash_is_the_same_on_every_arm(adopted, backend):
+    for optimizer in (Adam, SGD) if backend == "numpy" else (Adam,):
         with using_codegen(False):
             want = train_hash(4, 40, optimizer)
         assert train_hash(4, 40, optimizer, pause=lambda: wait_for_compiles(300)) == want

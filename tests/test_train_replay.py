@@ -131,8 +131,10 @@ def test_replay_straddling_capture_and_adoption_equals_the_explicit_parts(
     assert got == run(40, True, **kwargs)
 
 
-@pytest.mark.parametrize("codegen, batch", [(True, 4), (False, 4), (True, 64)])
-def test_replay_equals_the_explicit_parts_on_every_arm(codegen, batch):
+@pytest.mark.parametrize("backend, codegen, batch", [
+    ("numpy", True, 4), ("fused", True, 4), ("lazy", True, 4),
+    ("numpy", False, 4), ("numpy", True, 64)])
+def test_replay_equals_the_explicit_parts_on_every_arm(backend, codegen, batch):
     with using_codegen(codegen):
         want = run(40, True, batch=batch)
         wait_for_compiles(300)
