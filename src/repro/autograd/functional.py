@@ -21,6 +21,13 @@ scalar reductions of the gathered loss — stays plain ndarray arithmetic.
 
 All public ops accept :class:`~repro.autograd.tensor.Tensor` (or anything
 coercible to one), record themselves on the tape and return a ``Tensor``.
+Those a replayed train step runs (``linear``, ``conv2d``, ``max_pool2d``,
+``batch_norm``, ``dropout``, ``softmax_cross_entropy``) are entries of the op
+table (:class:`repro.autograd.ir.Op`): the forward, the backward over the
+forward's saved context and the compiled-arm lookup are written once here,
+and the public function validates its arguments and records its call through
+the entry.
+
 What a window node retains for backward: ``conv2d`` keeps its patch matrix
 (``kh·kw`` times the input, until backward runs; the padded copy is dropped)
 and reuses it for the weight gradient, so the input is lowered once per
@@ -289,33 +296,27 @@ def linear(x, weight, bias=None) -> Tensor:
             f"linear bias must have shape ({w_t.data.shape[-1]},), got {b_t.data.shape}"
         )
 
-    out = be.linear(x_t.data, w_t.data, b_t.data if b_t is not None else None)
     parents = (x_t, w_t) if b_t is None else (x_t, w_t, b_t)
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            linear_backward(be, out_t.grad, x_t, w_t, b_t)
-
-        return _backward
-
-    return Tensor._make(out, parents, "linear", make_backward)
+    out, ctx = _LINEAR.forward(be, None, [t.data for t in parents], None, parents)
+    return Tensor._make(out, parents, "linear", _LINEAR.thunk(be, None, parents, ctx, None))
 
 
-def linear_backward(be, g: np.ndarray, x_t: Tensor, w_t: Tensor, b_t: Optional[Tensor]) -> None:
-    """Accumulate the affine map's three adjoints for incoming grad ``g``.
+def _linear(be, arm, xs, attrs, ports):
+    return be.linear(xs[0], xs[1], xs[2] if len(xs) == 3 else None), (xs[0], xs[1])
 
-    Shared by the ``linear`` tape node and the train-step replay — one
-    definition, so a backward fix reaches both.
-    """
+
+def linear_backward(be, arm, g, ports, ctx, attrs) -> None:
+    """Accumulate the affine map's three adjoints for incoming grad ``g``."""
+    (xd, wd), x_t, w_t = ctx, ports[0], ports[1]
     if x_t.requires_grad:
-        x_t._accumulate_fresh(be.matmul(g, w_t.data.swapaxes(-1, -2)))
+        x_t._accumulate_fresh(be.matmul(g, wd.swapaxes(-1, -2)))
     if w_t.requires_grad:
-        dw = be.matmul(x_t.data.swapaxes(-1, -2), g)
-        if dw.ndim > w_t.data.ndim:  # batched input: sum leading dims
-            dw = be.sum(dw, axis=tuple(range(dw.ndim - w_t.data.ndim)))
+        dw = be.matmul(xd.swapaxes(-1, -2), g)
+        if dw.ndim > wd.ndim:  # batched input: sum leading dims
+            dw = be.sum(dw, axis=tuple(range(dw.ndim - wd.ndim)))
         w_t._accumulate_fresh(dw)
-    if b_t is not None and b_t.requires_grad:
-        b_t._accumulate_fresh(be.sum(g, axis=tuple(range(g.ndim - 1))))
+    if len(ports) == 3 and ports[2].requires_grad:
+        ports[2]._accumulate_fresh(be.sum(g, axis=tuple(range(g.ndim - 1))))
 
 
 # --------------------------------------------------------------------------- #
@@ -348,52 +349,53 @@ def conv2d(
         raise ValueError(f"input has {xd.shape[1]} channels, weight expects {in_c}")
     if b_t is not None and b_t.data.shape != (out_c,):
         raise ValueError(f"conv2d bias must have shape ({out_c},), got {b_t.data.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    n, _, h, w = xd.shape
-    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
-    bd = None if b_t is None else b_t.data
-
-    # The compiled arm (repro.autograd.kernels) exists only under a tape.
-    arm = _conv2d_arm(xd, wd, bd is not None, (sh, sw), (ph, pw)) if _taping(x_t, w_t, b_t) else None
-    forward = arm and arm.forward(be, np.asarray(xd), wd, bd, oh, ow)
-    out, cols = forward or _conv2d_forward(be, xd, wd, bd, sh, sw, ph, pw)
-    if not w_t.requires_grad:
-        cols = None  # only the weight gradient reads it: do not pin it for a frozen filter
+    attrs = {"stride": _pair(stride), "padding": _pair(padding)}
+    # The kernel must fit the padded input.
+    _out_hw(xd.shape[2], xd.shape[3], kh, kw, *attrs["stride"], *attrs["padding"])
 
     parents = (x_t, w_t) if b_t is None else (x_t, w_t, b_t)
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            conv2d_backward(be, arm, out_t.grad, x_t, w_t, b_t, cols, (sh, sw), (ph, pw))
-
-        return _backward
-
-    return Tensor._make(
-        out, parents, "conv2d", make_backward,
-        attrs={"stride": (sh, sw), "padding": (ph, pw)},
-    )
+    xs = [t.data for t in parents]
+    # The compiled arm (repro.autograd.kernels) exists only under a tape.
+    arm = None
+    if _taping(*parents):
+        xs[0] = np.asarray(xd)
+        arm = _conv2d_arm(xs, attrs)
+    out, ctx = _CONV2D.forward(be, arm, xs, attrs, parents)
+    return Tensor._make(out, parents, "conv2d", _CONV2D.thunk(be, arm, parents, ctx, attrs),
+                        attrs=attrs)
 
 
-def _conv2d_arm(xd, wd, bias: bool, stride, padding, ask=True):
-    """``kernels.arm`` for a conv of ``xd`` with ``wd`` (see its ``ask``)."""
-    n, in_c, h, w = xd.shape
-    out_c, _, kh, kw = wd.shape
+def _conv2d_arm(xs, attrs, ask=True):
+    """``kernels.arm`` for a conv of ``xs[0]`` with ``xs[1]`` (see its ``ask``)."""
+    n, in_c, h, w = xs[0].shape
+    out_c, _, kh, kw = xs[1].shape
     return _get_kernels().arm(
-        "conv2d", xd.dtype, n, in_c, h, w, kh, kw, *stride, *padding, out_c, bias, ask=ask
+        "conv2d", xs[0].dtype, n, in_c, h, w, kh, kw, *attrs["stride"], *attrs["padding"],
+        out_c, len(xs) == 3, ask=ask
     )
 
 
-def conv2d_backward(be, arm, g, x_t: Tensor, w_t: Tensor, b_t: Optional[Tensor], cols, stride, padding) -> None:
+def _conv2d(be, arm, xs, attrs, ports):
+    """``(out, (x, weight, patch matrix))``; the patch matrix only for a
+    filter that takes a gradient (only the weight gradient reads it)."""
+    xd, wd = xs[0], xs[1]
+    bd = xs[2] if len(xs) == 3 else None
+    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
+    kh, kw = wd.shape[2:]
+    result = arm and arm.forward(be, xd, wd, bd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
+    out, cols = result or _conv2d_forward(be, xd, wd, bd, sh, sw, ph, pw)
+    return out, (xd, wd, cols if ports[1].requires_grad else None)
+
+
+def conv2d_backward(be, arm, g, ports, ctx, attrs) -> None:
     """Accumulate conv2d's adjoints for incoming grad ``g`` (``N, O, OH, OW``)
-    against the forward's patch matrix ``cols``; ``arm`` is the compiled arm
-    or ``None``.  Shared by the tape node and the train-step replay."""
-    wd = w_t.data
+    against the forward's patch matrix."""
+    (xd, wd, cols), x_t, w_t = ctx, ports[0], ports[1]
     out_c, _, kh, kw = wd.shape
-    n, in_c, h, w = x_t.data.shape
-    (sh, sw), (ph, pw) = stride, padding
-    if b_t is not None and b_t.requires_grad:
-        b_t._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
+    n, in_c, h, w = xd.shape
+    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
+    if len(ports) == 3 and ports[2].requires_grad:
+        ports[2]._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
     # (O, N*OH*OW): the layout the forward GEMM produced.
     g_t = arm and arm.transpose(be, g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
     if g_t is None:
@@ -432,49 +434,50 @@ def max_pool2d(
     ph, pw = _pair(padding)
     xd = x_t.data
     _check_pool("max_pool2d", xd, kh, kw, ph, pw)
-    n, c, h, w = xd.shape
-    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
+    _out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
 
+    attrs = {"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)}
     arm = None
     if _taping(x_t):
         xd = np.asarray(xd)
-        arm = _max_pool2d_arm(xd, (kh, kw), (sh, sw), (ph, pw))
-    out = arm and arm.forward(be, xd, oh, ow)
+        arm = _max_pool2d_arm((xd,), attrs)
+    out, ctx = _MAX_POOL2D.forward(be, arm, (xd,), attrs, (x_t,))
+    return Tensor._make(out, (x_t,), "max_pool2d", _MAX_POOL2D.thunk(be, arm, (x_t,), ctx, attrs),
+                        attrs=attrs)
+
+
+def _max_pool2d_arm(xs, attrs, ask=True):
+    """``kernels.arm`` for max-pooling ``xs[0]`` (see its ``ask``)."""
+    n, c, h, w = xs[0].shape
+    return _get_kernels().arm("max_pool2d", xs[0].dtype, n, c, h, w, *attrs["kernel_size"],
+                              *attrs["stride"], *attrs["padding"], ask=ask)
+
+
+def _max_pool2d(be, arm, xs, attrs, ports):
+    """``(out, (x, out, footprint slices))``; no slices from the compiled
+    arm (the numpy backward lowers the input itself, should it run)."""
+    xd = xs[0]
+    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
+    out = arm and arm.forward(be, xd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
     if out is None:
         out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
     else:
-        windows = None  # the numpy backward lowers the input itself, should it run
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            max_pool2d_backward(be, arm, out_t.grad, x_t, xd, out, windows, (kh, kw), (sh, sw), (ph, pw))
-
-        return _backward
-
-    return Tensor._make(
-        out, (x_t,), "max_pool2d", make_backward,
-        attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)},
-    )
+        windows = None
+    return out, (xd, out, windows)
 
 
-def _max_pool2d_arm(xd, kernel, stride, padding, ask=True):
-    """``kernels.arm`` for max-pooling ``xd`` (see its ``ask``)."""
-    n, c, h, w = xd.shape
-    return _get_kernels().arm("max_pool2d", xd.dtype, n, c, h, w, *kernel, *stride, *padding, ask=ask)
-
-
-def max_pool2d_backward(be, arm, g, x_t: Tensor, xd, out, windows, kernel, stride, padding) -> None:
-    """Accumulate max-pooling's adjoint for incoming grad ``g`` into ``x_t``:
-    each window's gradient to its first winner (``windows``: the forward's
-    footprint slices, or ``None`` to lower ``xd`` here).  Shared by the tape
-    node and the train-step replay."""
+def max_pool2d_backward(be, arm, g, ports, ctx, attrs) -> None:
+    """Accumulate max-pooling's adjoint for incoming grad ``g``: each
+    window's gradient to its first winner."""
+    x_t = ports[0]
     if not x_t.requires_grad:
         return
+    xd, out, windows = ctx
     dx = arm and arm.backward(be, xd, out, g)
     if dx is not None:
         x_t._accumulate_fresh(dx)
         return
-    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
     n, c, h, w = xd.shape
     if windows is None:
         windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
@@ -587,8 +590,6 @@ def batch_norm(
     for name, t in (("weight", w_t), ("bias", b_t)):
         if t is not None and t.data.shape != (c,):
             raise ValueError(f"batch_norm {name} must have shape ({c},), got {t.data.shape}")
-    axes = (0,) + tuple(range(2, xd.ndim))
-    bshape = (1, c) + (1,) * (xd.ndim - 2)
     m = xd.size // c  # elements per channel
     if training and m <= 1:
         raise ValueError(
@@ -597,62 +598,57 @@ def batch_norm(
             "use eval mode or a larger batch"
         )
 
-    arm = None
-    if _taping(x_t, w_t, b_t):
-        xd = np.asarray(xd)
-        arm = _batch_norm_arm(xd, w_t is not None, b_t is not None)
-    gamma = w_t.data if w_t is not None else None
-    beta = b_t.data if b_t is not None else None
-    out, xhat, mean, inv_std, use_batch_stats = _batch_norm_forward(
-        be, arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps
-    )
-
     parents = tuple(t for t in (x_t, w_t, b_t) if t is not None)
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            batch_norm_backward(
-                be, out_t.grad, x_t, w_t, b_t, xhat, inv_std, axes, bshape, use_batch_stats, arm
-            )
-
-        return _backward
-
-    return Tensor._make(
-        out, parents, "batch_norm", make_backward,
-        attrs={
-            "training": training,
-            "momentum": momentum,
-            "running": (running_mean, running_var),
-            "use_batch_stats": use_batch_stats,
-            "axes": axes,
-            "bshape": bshape,
-            "eps": eps,
-            # In eval mode ``mean`` can be the module's live running_mean
-            # buffer (np.asarray is a no-copy passthrough): snapshot it so
-            # later in-place stat updates cannot leak into a saved trace
-            # whose inv_std is already frozen.
-            "mean": mean if use_batch_stats else mean.copy(),
-            "inv_std": inv_std,
-            "xhat": xhat,
-            "has_weight": w_t is not None,
-            "has_bias": b_t is not None,
-        },
-    )
+    xs = [t.data for t in parents]
+    attrs = {
+        "training": training,
+        "momentum": momentum,
+        "running": (running_mean, running_var),
+        "axes": (0,) + tuple(range(2, xd.ndim)),
+        "bshape": (1, c) + (1,) * (xd.ndim - 2),
+        "eps": eps,
+        "has_weight": w_t is not None,
+        "has_bias": b_t is not None,
+    }
+    arm = None
+    if _taping(*parents):
+        xs[0] = np.asarray(xd)
+        arm = _batch_norm_arm(xs, attrs)
+    out, ctx = _BATCH_NORM.forward(be, arm, xs, attrs, parents)
+    xhat, mean, inv_std, use_batch_stats, _ = ctx
+    # What a captured trace replays: in eval mode ``mean`` can be the
+    # module's live running_mean buffer (np.asarray is a no-copy
+    # passthrough), so it is snapshot — later in-place stat updates cannot
+    # leak into a saved trace whose inv_std is already frozen.
+    attrs.update(use_batch_stats=use_batch_stats, inv_std=inv_std, xhat=xhat,
+                 mean=mean if use_batch_stats else mean.copy())
+    return Tensor._make(out, parents, "batch_norm", _BATCH_NORM.thunk(be, arm, parents, ctx, attrs),
+                        attrs=attrs)
 
 
-def _batch_norm_arm(xd, gamma: bool, beta: bool, ask=True):
-    """``kernels.arm`` for normalizing ``xd`` over its batch (see its ``ask``)."""
-    n, c = xd.shape[:2]
+def _batch_norm_arm(xs, attrs, ask=True):
+    """``kernels.arm`` for normalizing ``xs[0]`` over its batch (see its ``ask``)."""
+    n, c = xs[0].shape[:2]
     return _get_kernels().arm(
-        "batch_norm", xd.dtype, n, c, xd.size // max(n * c, 1), gamma, beta, ask=ask
+        "batch_norm", xs[0].dtype, n, c, xs[0].size // max(n * c, 1),
+        attrs["has_weight"], attrs["has_bias"], ask=ask
     )
+
+
+def _batch_norm(be, arm, xs, attrs, ports):
+    """``(out, (xhat, mean, inv_std, use_batch_stats, gamma))``, updating
+    the running statistics in place in training."""
+    gamma, beta = _bn_affine_inputs(xs, attrs)
+    out, xhat, mean, inv_std, use_batch_stats = _batch_norm_forward(
+        be, arm, xs[0], gamma, beta, *attrs["running"], attrs["training"], attrs["momentum"],
+        attrs["eps"])
+    return out, (xhat, mean, inv_std, use_batch_stats, gamma)
 
 
 def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps):
     """Batch norm's forward over ``xd`` (``arm``: the compiled arm or
     ``None``), updating the running statistics in place in training:
-    ``(out, xhat, mean, inv_std, use_batch_stats)``.  Shared by the tape
-    node and the train-step replay."""
+    ``(out, xhat, mean, inv_std, use_batch_stats)``."""
     axes = (0,) + tuple(range(2, xd.ndim))
     m = xd.size // xd.shape[1]  # elements per channel
     use_batch_stats = training or running_mean is None or running_var is None
@@ -681,31 +677,19 @@ def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, tra
     return out, xhat, mean, inv_std, use_batch_stats
 
 
-def batch_norm_backward(
-    be,
-    g: np.ndarray,
-    x_t: Tensor,
-    w_t: Optional[Tensor],
-    b_t: Optional[Tensor],
-    xhat: np.ndarray,
-    inv_std: np.ndarray,
-    axes,
-    bshape,
-    use_batch_stats: bool,
-    arm=None,
-) -> None:
-    """Accumulate batch-norm's adjoints for incoming grad ``g``.
-
-    Shared by the ``batch_norm`` tape node and the train-step replay — one
-    definition, so a backward fix reaches both.  ``arm``: the compiled arm the forward ran, else it is
-    looked up.
-    """
+def batch_norm_backward(be, arm, g, ports, ctx, attrs) -> None:
+    """Accumulate batch-norm's adjoints for incoming grad ``g``; without the
+    compiled arm the forward ran, the arm is looked up."""
+    xhat, _, inv_std, use_batch_stats, gamma = ctx
+    axes, bshape = attrs["axes"], attrs["bshape"]
+    x_t = ports[0]
+    w_t = ports[1] if attrs["has_weight"] else None
+    b_t = ports[-1] if attrs["has_bias"] else None
     if b_t is not None and b_t.requires_grad:
         b_t._accumulate_fresh(be.sum(g, axis=axes))
     if x_t.requires_grad and use_batch_stats:  # the compiled arm: elementwise passes in C
-        gamma = None if w_t is None else w_t.data
         if arm is None:
-            arm = _batch_norm_arm(xhat, gamma is not None, b_t is not None, ask=False)
+            arm = _batch_norm_arm((xhat,), attrs, ask=False)
         grads = arm and arm.backward(be, g, xhat, inv_std, gamma, axes)
         if grads is not None:
             if gamma is not None and w_t.requires_grad:
@@ -716,7 +700,7 @@ def batch_norm_backward(
         w_t._accumulate_fresh(be.sum(be.multiply(g, xhat), axis=axes))
     if not x_t.requires_grad:
         return
-    dxhat = be.multiply(g, w_t.data.reshape(bshape)) if w_t is not None else g
+    dxhat = be.multiply(g, gamma.reshape(bshape)) if w_t is not None else g
     if use_batch_stats:
         # Batch statistics depend on x: the full three-term adjoint.
         x_t._accumulate_fresh(be.bn_input_grad(dxhat, xhat, inv_std, axes, bshape))
@@ -749,28 +733,27 @@ def dropout(
     if not training or p == 0.0:
         return x_t
 
-    xd = x_t.data
-    mask = _dropout_mask(be, xd, p, rng)
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            if x_t.requires_grad:
-                x_t._accumulate_fresh(be.multiply(out_t.grad, mask))
-
-        return _backward
-
-    return Tensor._make(
-        be.multiply(xd, mask), (x_t,), "dropout", make_backward,
-        attrs={"mask": mask, "p": p, "rng": rng},
-    )
+    attrs = {"p": p, "rng": rng}
+    out, mask = _DROPOUT.forward(be, None, (x_t.data,), attrs, (x_t,))
+    attrs["mask"] = mask
+    return Tensor._make(out, (x_t,), "dropout", _DROPOUT.thunk(be, None, (x_t,), mask, attrs),
+                        attrs=attrs)
 
 
-def _dropout_mask(be, xd, p: float, rng) -> np.ndarray:
-    """The scaled keep-mask of one dropout call, drawn from ``rng`` or, for
-    ``None``, from the seeded global generator as it is now."""
+def _dropout(be, arm, xs, attrs, ports):
+    """``(x * mask, mask)``: the scaled keep-mask drawn from ``attrs["rng"]``
+    or, for ``None``, from the seeded global generator as it is now."""
+    xd, p, rng = xs[0], attrs["p"], attrs["rng"]
     if p == 1.0:
-        return be.zeros(xd.shape, dtype=xd.dtype)
-    return be.dropout_mask(rng if rng is not None else default_rng(), xd.shape, p, xd.dtype)
+        mask = be.zeros(xd.shape, dtype=xd.dtype)
+    else:
+        mask = be.dropout_mask(rng if rng is not None else default_rng(), xd.shape, p, xd.dtype)
+    return be.multiply(xd, mask), mask
+
+
+def _dropout_backward(be, arm, g, ports, mask, attrs) -> None:
+    if ports[0].requires_grad:
+        ports[0]._accumulate_fresh(be.multiply(g, mask))
 
 
 # --------------------------------------------------------------------------- #
@@ -834,23 +817,22 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
     else:
         t_t = Tensor(idx, dtype=np.int64)
 
-    out, logp, rows = _softmax_cross_entropy_forward(be, x_t.data, idx, reduction)
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            if x_t.requires_grad:
-                x_t._accumulate_fresh(_xent_backward(be, out_t.grad, logp, rows, idx, reduction))
-
-        return _backward
-
-    return Tensor._make(
-        out, (x_t, t_t), "softmax_cross_entropy", make_backward,
-        attrs={"reduction": reduction},
-    )
+    attrs, parents = {"reduction": reduction}, (x_t, t_t)
+    out, ctx = _SOFTMAX_CROSS_ENTROPY.forward(be, None, (x_t.data, idx), attrs, parents)
+    return Tensor._make(out, parents, "softmax_cross_entropy",
+                        _SOFTMAX_CROSS_ENTROPY.thunk(be, None, parents, ctx, attrs), attrs=attrs)
 
 
-def _xent_backward(be, g, logp, rows, idx, reduction: str) -> np.ndarray:
-    """The logits' gradient for the loss's incoming grad ``g``."""
+def _softmax_cross_entropy(be, arm, xs, attrs, ports):
+    """The loss over logits ``xs[0]`` and int64 class indices ``xs[1]``."""
+    out, logp, rows = _softmax_cross_entropy_forward(be, xs[0], xs[1], attrs["reduction"])
+    return out, (logp, rows, xs[1])
+
+
+def _softmax_cross_entropy_backward(be, arm, g, ports, ctx, attrs) -> None:
+    if not ports[0].requires_grad:
+        return
+    (logp, rows, idx), reduction = ctx, attrs["reduction"]
     if reduction == "none":
         scale = g.reshape(-1, 1)
         if scale.dtype != logp.dtype:
@@ -858,7 +840,7 @@ def _xent_backward(be, g, logp, rows, idx, reduction: str) -> np.ndarray:
     else:
         s = float(g) / idx.shape[0] if reduction == "mean" else float(g)
         scale = np.asarray(s, dtype=logp.dtype)
-    return be.xent_grad(logp, rows, idx, scale)
+    ports[0]._accumulate_fresh(be.xent_grad(logp, rows, idx, scale))
 
 
 def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, reduction: str):
@@ -892,6 +874,19 @@ def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, redu
     else:
         out = losses
     return np.asarray(out), logp, rows
+
+
+# --------------------------------------------------------------------------- #
+# The op table (repro.autograd.ir.Op): the tape ops above record their calls
+# through these entries, and a replayed train step runs them.
+# --------------------------------------------------------------------------- #
+_LINEAR = ir.define_op("linear", _linear, linear_backward)
+_CONV2D = ir.define_op("conv2d", _conv2d, conv2d_backward, _conv2d_arm)
+_MAX_POOL2D = ir.define_op("max_pool2d", _max_pool2d, max_pool2d_backward, _max_pool2d_arm)
+_BATCH_NORM = ir.define_op("batch_norm", _batch_norm, batch_norm_backward, _batch_norm_arm)
+_DROPOUT = ir.define_op("dropout", _dropout, _dropout_backward)
+_SOFTMAX_CROSS_ENTROPY = ir.define_op(
+    "softmax_cross_entropy", _softmax_cross_entropy, _softmax_cross_entropy_backward)
 
 
 # --------------------------------------------------------------------------- #

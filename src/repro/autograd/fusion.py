@@ -1,13 +1,13 @@
-"""Compile-time fusion: region extraction + pattern rewrites over captured traces.
+"""Compile-time fusion: region extraction over captured traces.
 
 The pass walks the node graph reachable from a root tensor (in topological
-order) and rewrites it at two granularities.  It is meant for captured
-``no_grad`` traces — :func:`repro.serve.compile_inference` runs it on the
-trace it compiles — and **a node that carries a backward thunk is never a
-fusion member**: on a training graph :func:`fuse` finds nothing to rewrite,
-and ``backward()`` never calls into this module.
+order) and collapses chains of it into ``region`` nodes.  It is meant for
+captured ``no_grad`` traces — :func:`repro.serve.compile_inference` runs it
+on the trace it compiles — and **a node that carries a backward thunk is
+never a fusion member**: on a training graph :func:`fuse` finds nothing to
+rewrite, and ``backward()`` never calls into this module.
 
-**Elementwise regions** (the general mechanism).  Maximal single-consumer
+**Elementwise regions.**  Maximal single-consumer
 chains of ``add``/``mul``/``div``/``neg``/``relu`` nodes — any mix, any
 length ≥ 2 — are collapsed into one ``region`` node carrying a
 :class:`~repro.codegen.region.RegionIR`.  On replay (serving) the region
@@ -25,24 +25,17 @@ Three extensions widen what a region may contain:
 - **Linear heads** — a ``linear`` node may be absorbed as the *first*
   member of a region: the GEMM still runs through the host BLAS, but its
   bias add (and any following activation) folds into the region's first
-  compiled loop.  ``linear → relu`` pairs are still claimed by the
-  ``linear_relu`` composite first.
+  compiled loop: ``linear → relu`` is a region of two members.
 - **Duplicated producers** — the single-consumer rule is lifted for one
   narrow shape: a lone elementwise node whose inputs are all graph
   leaves and whose output feeds *exactly two* region-eligible consumers
   is recomputed into each consuming region.  The producer node becomes
   dead and the serving emitter drops it.
 
-**Pattern pairs** (the composite-kernel mechanism).  ``linear → relu`` and
-``batch_norm → relu`` fuse into ``linear_relu`` / ``batch_norm_relu`` nodes
-dispatching to the backend composites: a GEMM or a batch norm cannot join
-an elementwise region, but rectifying inside the composite saves a pass
-over its output.  Every other elementwise chain is a region's business.
-
 A chain is fused only when each interior output is consumed by exactly one
 node of the walked graph, so no other consumer can observe a fused-away
-intermediate.  Fused nodes register forward evaluators in the IR registry,
-so a fused captured trace replays like any other.
+intermediate.  ``region`` registers a forward evaluator in the IR
+registry, so a fused captured trace replays like any other.
 """
 
 from __future__ import annotations
@@ -52,14 +45,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.autograd import ir
-from repro.autograd.functional import _bn_affine_inputs, _bn_replay_stats
 from repro.autograd.tensor import Tensor
 from repro.codegen import RegionIR, RegionInput, compile_region
 
 __all__ = ["FUSED_OPS", "fuse"]
 
 #: Ops produced by this pass (also the keys of the fusion-count stats).
-FUSED_OPS = ("linear_relu", "batch_norm_relu", "region")
+FUSED_OPS = ("region",)
 
 
 # --------------------------------------------------------------------------- #
@@ -165,12 +157,9 @@ def _compute_region_eligible(node) -> bool:
 
 
 def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
-    """Fuse over one topo list; returns counts per fused op.  Pattern pairs
-    go first (a GEMM or a batch norm cannot join an elementwise region, and
-    rectifying inside the composite is the bigger win), then maximal
-    regions over the remaining eligible nodes.  A rewrite only repoints the
-    head's output tensor, so the analysis of the original nodes that
-    follows it is unaffected."""
+    """Fuse maximal regions over one topo list; returns counts per fused
+    op.  A rewrite only repoints the head's output tensor, so the analysis
+    of the original nodes that follows it is unaffected."""
     counts: Dict[str, int] = {}
     node_ids = {id(n) for n in nodes}
     position = {id(n): i for i, n in enumerate(nodes)}
@@ -181,11 +170,9 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
             consumers[id(t)] = consumers.get(id(t), 0) + 1
             consumer_nodes.setdefault(id(t), []).append(node)
 
-    claimed: set = set()
-
     def fusable_producer(tensor: Tensor) -> Optional[ir.GraphNode]:
         node = tensor._node
-        if node is None or id(node) not in node_ids or id(node) in claimed:
+        if node is None or id(node) not in node_ids:
             return None
         if not _is_member(node) or tensor is root:
             return None
@@ -193,19 +180,6 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
             return None
         return node
 
-    # ---- pattern pairs (topo order keeps the pass deterministic) -------- #
-    for node in nodes:
-        if id(node) in claimed or node.op != "relu" or not _is_member(node):
-            continue
-        producer = fusable_producer(node.inputs[0])
-        if producer is None or producer.op not in ("linear", "batch_norm"):
-            continue
-        op = _rewrite_pair(producer, node)
-        counts[op] = counts.get(op, 0) + 1
-        claimed.add(id(producer))
-        claimed.add(id(node))
-
-    # ---- elementwise regions ------------------------------------------- #
     cache: dict = {}
     absorbed: set = set()
     dup: set = set()
@@ -226,7 +200,6 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
         if (
             p is None
             or id(p) not in node_ids
-            or id(p) in claimed
             or p.op not in _REGION_NODE_OPS
             or not _region_eligible(p, cache)
         ):
@@ -236,12 +209,12 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
             if tn is not None and id(tn) in node_ids:
                 return None  # inputs must be graph leaves
         for c in consumer_nodes[id(tensor)]:
-            if id(c) in claimed or c.op == "linear" or not _region_eligible(c, cache):
+            if c.op == "linear" or not _region_eligible(c, cache):
                 return None
         return p
 
     for node in nodes:
-        if id(node) in claimed or not _region_eligible(node, cache):
+        if not _region_eligible(node, cache):
             continue
         if node.op == "linear":
             # A linear is a head-only member: its operands must stay region
@@ -261,12 +234,7 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
                 dup.add(id(producer))
 
     for node in nodes:
-        if (
-            id(node) in claimed
-            or id(node) in absorbed
-            or id(node) in dup
-            or not _region_eligible(node, cache)
-        ):
+        if id(node) in absorbed or id(node) in dup or not _region_eligible(node, cache):
             continue
         members = _collect_members(node, edges, position)
         if len(members) < 2:
@@ -345,18 +313,8 @@ def _rewrite_region(members) -> None:
     out_t._node = ir.GraphNode("region", tuple(ext_tensors), attrs, out_t)
 
 
-def _rewrite_pair(P: ir.GraphNode, C: ir.GraphNode) -> str:
-    """``linear → relu`` / ``batch_norm → relu``  ⇒  one ``linear_relu`` /
-    ``batch_norm_relu`` node whose composite rectifies the producer's
-    output; returns the fused op."""
-    op = P.op + "_relu"
-    attrs = None if P.attrs is None else dict(P.attrs)
-    C.out._node = ir.GraphNode(op, P.inputs, attrs, C.out)
-    return op
-
-
 # --------------------------------------------------------------------------- #
-# Forward evaluators for the fused ops (graph replay / serving)
+# The fused op's forward evaluator (graph replay / serving)
 # --------------------------------------------------------------------------- #
 @ir.register_forward("region")
 def _eval_region(be, inputs, attrs):
@@ -364,16 +322,3 @@ def _eval_region(be, inputs, attrs):
     if kernel is None:
         kernel = attrs["_kernel"] = compile_region(attrs["region"])
     return kernel(inputs)
-
-
-@ir.register_forward("linear_relu")
-def _eval_linear_relu(be, inputs, attrs):
-    return be.linear_relu(inputs[0], inputs[1], inputs[2] if len(inputs) == 3 else None)
-
-
-@ir.register_forward("batch_norm_relu")
-def _eval_batch_norm_relu(be, inputs, attrs):
-    xd = inputs[0]
-    mean, inv_std = _bn_replay_stats(be, xd, attrs)
-    gamma, beta = _bn_affine_inputs(inputs, attrs)
-    return be.bn_normalize_relu(xd, mean, inv_std, gamma, beta, attrs["bshape"])[1]

@@ -9,7 +9,7 @@ rewritable*: downstream passes can pattern-match chains of nodes
 inputs (:mod:`repro.serve`), neither of which was possible when the tape was
 a pile of bare closures.
 
-Three pieces live here:
+Four pieces live here:
 
 - **The node/graph types.** ``GraphNode`` is the per-operation record;
   ``Graph`` is an ordered list of nodes collected by :func:`capture` (the
@@ -28,6 +28,12 @@ Three pieces live here:
   computation.  Evaluators for the tensor-level ops are registered below;
   :mod:`repro.autograd.functional` and :mod:`repro.autograd.fusion` register
   their own next to the kernels they mirror.
+- **The op table.** :data:`OPS` holds one :class:`Op` per op a replayed
+  train step runs — its compiled-arm lookup, its forward and its backward
+  over the forward's saved context — defined next to the kernels
+  (:func:`define_op`).  The tape op records its call through the entry and
+  :mod:`repro.autograd.replay` runs the same entry, so each such op is
+  written once.
 
 Lifetime: ``backward(retain_graph=False)`` *frees* the visited nodes — the
 backward thunk is swapped for a raising sentinel and ``inputs`` / ``attrs`` /
@@ -49,8 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.autograd.tensor import Tensor
 
 __all__ = [
+    "Fallback",
     "GraphNode",
     "Graph",
+    "Op",
+    "OPS",
+    "define_op",
     "capture",
     "current_capture",
     "toposort",
@@ -62,6 +72,22 @@ __all__ = [
     "run_steps",
     "explain_rows",
 ]
+
+
+class Fallback(Exception):
+    """A replayed route does not apply and the plain one runs instead;
+    ``reason`` says why, in the words the counters and ``explain()`` use.
+
+    A train-step replay raises it before touching any state for a tape it
+    cannot replay (``module``: for as long as the model stays as it is;
+    ``pending``: until the compile thread is done); a serving session's
+    compiled step raises it when a by-reference tensor was rebound to an
+    array its stages cannot read (``unplannable``: the session goes back to
+    its numpy steps, which take whatever numpy takes)."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 class GraphNode:
@@ -242,6 +268,56 @@ def explain_rows(rows) -> List[Dict[str, object]]:
         {"step": i, "ops": list(ops), "arm": arm, "reason": reason}
         for i, (ops, arm, reason) in enumerate(rows)
     ]
+
+
+# --------------------------------------------------------------------------- #
+# The op table
+# --------------------------------------------------------------------------- #
+class Op:
+    """One op, defined once — the shape of a tinygrad ``Function``: the
+    tape op records its call through it and a replayed train step runs it.
+
+    - ``forward(be, arm, xs, attrs, ports) -> (out, ctx)``: the output over
+      the input arrays ``xs`` and the context its backward reads.  ``ports``
+      are the inputs' gradient sinks, read here for ``requires_grad`` only.
+    - ``backward(be, arm, g, ports, ctx, attrs)``: accumulates each input's
+      adjoint of the incoming gradient ``g`` into its port
+      (``_accumulate_fresh`` / ``_accumulate``, under ``Tensor``'s rules).
+    - ``arm(xs, attrs, ask)``: the op's compiled arm
+      (:func:`repro.autograd.kernels.arm`, same ``ask``), or ``None`` for
+      an op without one.
+
+    A port is the input ``Tensor`` on the tape and a slot or a gradient row
+    in a replay; ``arm`` is what the lookup returned, ``None`` meaning the
+    numpy bodies.
+    """
+
+    __slots__ = ("name", "forward", "backward", "arm")
+
+    def __init__(self, name: str, forward: Callable, backward: Callable,
+                 arm: Optional[Callable] = None) -> None:
+        self.name = name
+        self.forward = forward
+        self.backward = backward
+        self.arm = arm
+
+    def thunk(self, be, arm, ports, ctx, attrs) -> Callable:
+        """The ``make_backward`` of one recorded call (see
+        ``Tensor._make``): the node's thunk runs :attr:`backward` over the
+        call's ``ctx`` with the output's gradient."""
+        backward = self.backward
+        return lambda out: lambda: backward(be, arm, out.grad, ports, ctx, attrs)
+
+
+#: Op name -> its :class:`Op`.
+OPS: Dict[str, Op] = {}
+
+
+def define_op(name: str, forward: Callable, backward: Callable,
+              arm: Optional[Callable] = None) -> Op:
+    """Enter op ``name`` into :data:`OPS` (see :class:`Op`); returns it."""
+    op = OPS[name] = Op(name, forward, backward, arm)
+    return op
 
 
 # --------------------------------------------------------------------------- #

@@ -14,21 +14,23 @@ generator in the same order — the global one resolved per step, so
 **one whole-model optimizer update** (:meth:`repro.nn.optim.Optimizer.flat_step`)
 over arrays the parameters and moments became views of at capture.
 
-**The same kernels, so the same bytes.**  Every step calls what the eager op
-calls — :mod:`repro.autograd.functional`'s forward cores and backward bodies,
-``Tensor.relu``'s, the backend's composites, and the compiled arms of
-:mod:`repro.autograd.kernels`, per node a copy whose stage tables keep what
-they bound (:meth:`~repro.autograd.kernels.Arm.pinned`).  No arithmetic lives
-here; gradients accumulate under ``Tensor._accumulate_fresh`` /
-``_accumulate``'s rules (:class:`_Port`).  Requests under the kernel
-workspace's floor get the array the first replayed step got at that position
-(:class:`_Tape`), so tables bind them once; larger ones go to the workspace
-each step, and a liveness pass lets every slot go after its last use, so a
-replay leases no more than the eager step's free-as-you-go backward did.
+**The same kernels, so the same bytes.**  Every node runs its op's entry in
+the op table (:data:`repro.autograd.ir.OPS`) — the forward and the backward
+the eager op records its call through — with the compiled arm of
+:mod:`repro.autograd.kernels` the capture found, per node a copy whose stage
+tables keep what they bound (:meth:`~repro.autograd.kernels.Arm.pinned`).
+One step builder serves every op; no arithmetic lives here, and gradients
+accumulate under ``Tensor._accumulate_fresh`` / ``_accumulate``'s rules
+(:class:`_Port`).  Requests under the kernel workspace's floor get the array
+the first replayed step got at that position (:class:`_Tape`), so tables bind
+them once; larger ones go to the workspace each step, and a liveness pass
+lets every slot go after its last use, so a replay leases no more than the
+eager step's free-as-you-go backward did.
 
 :class:`TrainReplay` refuses, before touching any state, a tape it cannot
-replay (:class:`Refused`).  When to capture and when a replay stops applying
-is :meth:`repro.models.TBNet.train_step`'s business.  Not thread-safe.
+replay (:class:`repro.autograd.ir.Fallback`).  When to capture and when a
+replay stops applying is :meth:`repro.models.TBNet.train_step`'s business.
+Not thread-safe.
 """
 
 from __future__ import annotations
@@ -40,23 +42,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd import functional as F, ir, kernels
-from repro.autograd.tensor import (
-    Tensor, _owned_copy, _relu_arm, _relu_backward, _relu_forward)
+from repro.autograd import ir, kernels
+from repro.autograd.ir import Fallback
+from repro.autograd.tensor import Tensor, _owned_copy
 from repro.backend import workspace
 from repro.obs import profile as _profile
 
-__all__ = ["Refused", "TrainReplay"]
-
-
-class Refused(Exception):
-    """The captured tape cannot be replayed; ``reason`` says why: ``module``
-    (for as long as the model stays as it is) or ``pending`` (until the
-    compile thread is done)."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+__all__ = ["TrainReplay"]
 
 
 class _Tape:
@@ -90,20 +82,19 @@ class _Tape:
 
 
 class _Port:
-    """What a backward body reads of a tensor (``data``, ``requires_grad``)
-    and where its gradient goes: a value slot (an activation), under
-    ``Tensor._accumulate_fresh`` / ``_accumulate``'s rules, or a row of the
-    flat gradient array (a parameter; ``first`` until the step's first
-    contribution)."""
+    """Where a tensor's gradient goes (``requires_grad``: whether it takes
+    one): a value slot (an activation), under ``Tensor._accumulate_fresh`` /
+    ``_accumulate``'s rules, or a row of the flat gradient array (a
+    parameter; ``first`` until the step's first contribution)."""
 
-    __slots__ = ("data", "requires_grad", "values", "slot", "dtype", "be", "row", "first")
+    __slots__ = ("requires_grad", "values", "slot", "dtype", "be", "row", "first")
 
     def __init__(self, requires_grad: bool, dtype, values=None, slot=None, be=None,
-                 row=None, data=None) -> None:
+                 row=None) -> None:
         self.requires_grad = requires_grad
         self.dtype = dtype
         self.values, self.slot, self.be = values, slot, be
-        self.row, self.first, self.data = row, True, data
+        self.row, self.first = row, True
 
     def _accumulate_fresh(self, grad: np.ndarray) -> None:
         row = self.row
@@ -130,19 +121,6 @@ class _Port:
             self._accumulate_fresh(grad)
 
 
-#: Ops whose eager kernel asks :mod:`repro.autograd.kernels` for a compiled
-#: arm: the lookup (``ask=None``) over the node's input arrays and attrs.
-_ARM_LOOKUPS = {
-    "conv2d": lambda xs, attrs: F._conv2d_arm(
-        xs[0], xs[1], len(xs) == 3, attrs["stride"], attrs["padding"], ask=None),
-    "max_pool2d": lambda xs, attrs: F._max_pool2d_arm(
-        xs[0], attrs["kernel_size"], attrs["stride"], attrs["padding"], ask=None),
-    "batch_norm": lambda xs, attrs: F._batch_norm_arm(
-        xs[0], attrs["has_weight"], attrs["has_bias"], ask=None),
-    "relu": lambda xs, attrs: _relu_arm(xs[0], ask=None),
-}
-
-
 class TrainReplay:
     """One captured train step over ``nodes`` (recording order, the loss
     last), recorded over the ``(images, context)`` ``inputs``; ``params``
@@ -154,33 +132,33 @@ class TrainReplay:
     def __init__(self, nodes, inputs, params, optimizer, be, counters=()) -> None:
         loss = nodes[-1].out if nodes else None
         if loss is None or nodes[-1].op != "softmax_cross_entropy" or loss.data.size != 1:
-            raise Refused("module")
+            raise Fallback("module")
         if any(t.requires_grad for t in inputs):
-            raise Refused("module")  # its gradient would be the caller's to keep
+            raise Fallback("module")  # its gradient would be the caller's to keep
         order = ir.toposort(loss._node)  # what backward() walks, leaves pruned
         produced = {id(node.out) for node in nodes}
         param_ids = {id(p): p for p in params}
         trained = {}
         for node in nodes:
-            if node.op not in _EMITTERS:
-                raise Refused("module")
+            if node.op not in ir.OPS:
+                raise Fallback("module")
             for j, t in enumerate(node.inputs):
                 if id(t) in param_ids:
                     if t.requires_grad:
                         trained[id(t)] = t
                 elif id(t) not in produced and not any(t is i for i in inputs) and not (
                         node.op == "softmax_cross_entropy" and j == 1):
-                    raise Refused("module")  # a constant the replay would freeze
+                    raise Fallback("module")  # a constant the replay would freeze
         updated = [p for p in optimizer.params if id(p) in trained]
         if len(updated) != len(trained) or len({p.data.dtype for p in updated}) > 1:
-            raise Refused("module")
+            raise Fallback("module")
         arms = {}
         for node in nodes:
-            lookup = _ARM_LOOKUPS.get(node.op)
+            lookup = ir.OPS[node.op].arm
             if lookup is not None and node.out.requires_grad:
-                arms[id(node)] = lookup([t.data for t in node.inputs], node.attrs)
+                arms[id(node)] = lookup([t.data for t in node.inputs], node.attrs, None)
         if kernels.PENDING in arms.values():
-            raise Refused("pending")
+            raise Fallback("pending")
 
         # Nothing refused: from here on the capture changes state.
         self._be = be
@@ -197,28 +175,34 @@ class TrainReplay:
         self._ports: Dict[int, _Port] = {}
         for p in params:
             self._slot[id(p)] = self._new(p.data)
-            self._ports[id(p)] = _Port(id(p) in rows, p.data.dtype, row=rows.get(id(p)), data=p.data)
+            self._ports[id(p)] = _Port(id(p) in rows, p.data.dtype, row=rows.get(id(p)))
         self._fixed = len(self._values)
         self._inputs = tuple(self._new() for _ in inputs)
         for t, slot in zip(inputs, self._inputs):
             self._slot[id(t)] = slot
-        self._targets = self._new()
+        self._targets = self._slot[id(nodes[-1].inputs[1])] = self._new()
         for node in nodes:
             self._slot[id(node.out)] = self._new()
 
         forward, backward, self._rows = [], {}, []
         for node in nodes:
-            arm = arms.get(id(node))
+            op, arm = ir.OPS[node.op], arms.get(id(node))
             arm = arm.pinned(workspace.FLOOR) if arm is not None else None
-            ins = [self._slot.get(id(t)) for t in node.inputs]
-            fwd, fuses, bwd, buses = _EMITTERS[node.op](
-                self, node, arm, self._tape.be, ins, self._slot[id(node.out)], self._grad_slot(node))
-            forward.append((fwd, fuses))
+            ins = tuple(self._slot[id(t)] for t in node.inputs)
+            out, ctx, g = self._slot[id(node.out)], self._new(), self._grad_slot(node)
+            # The op's parameters, not the capture's saved arrays.
+            attrs = {k: v for k, v in (node.attrs or {}).items() if not isinstance(v, np.ndarray)}
+            fwd, bwd = _op_steps(op, self._tape.be, arm, attrs, ins, out, ctx,
+                                 self._ports_of(node), g)
+            forward.append((fwd, ins + (out, ctx)))
             if node.backward is not None:
-                backward[id(node)] = (bwd, buses)
-            self._rows.append(((node.op,), "numpy" if arm is None else "compiled",
-                               _reason(node.op, arm)))
+                backward[id(node)] = (bwd, (g, ctx))
+            reason = None
+            if arm is None and op.arm is not None:
+                reason = "fallback" if kernels.jit.codegen_enabled() else "disabled"
+            self._rows.append(((node.op,), "numpy" if arm is None else "compiled", reason))
         self._loss = self._slot[id(loss)]
+        self._seed_slot = self._grad_slot(nodes[-1])
         backward = [backward[id(node)] for node in reversed(order) if id(node) in backward]
         self._param_ports = [self._ports[id(p)] for p in updated]
         self._lists = self._liveness(forward, backward)
@@ -318,6 +302,7 @@ class TrainReplay:
         loss = float(values[self._loss])
         for port in self._param_ports:
             port.first = True
+        values[self._seed_slot] = self._seed
         ir.run_steps(backward, values, profiler, bnames)
         if self._flat is not None:
             start = time.perf_counter()
@@ -327,194 +312,17 @@ class TrainReplay:
         return loss
 
 
-def _reason(op: str, pinned) -> Optional[str]:
-    if pinned is not None or op not in _ARM_LOOKUPS:
-        return None
-    return "fallback" if kernels.jit.codegen_enabled() else "disabled"
+def _op_steps(op: ir.Op, be, arm, attrs, ins, out, ctx, ports, g):
+    """The forward and backward step of one node running table op ``op``
+    over the slots ``ins``: the forward fills ``out`` and ``ctx`` (the saved
+    context), the backward reads ``ctx`` and the gradient in ``g``."""
+    forward, backward = op.forward, op.backward
 
+    def forward_step(v):
+        v[out], v[ctx] = forward(be, arm, [v[s] for s in ins], attrs, ports)
 
-# --------------------------------------------------------------------------- #
-# Emitters, one per op: given the node, its compiled arm (or ``None``), the
-# replay's backend, the slots of its inputs, of its output and of its output's
-# gradient, each appends the forward step and returns the backward step, both
-# calling the eager op's own bodies, with the slots each uses.
-# --------------------------------------------------------------------------- #
-def _conv2d(r, node, arm, be, ins, out, g):
-    xs, ws, bs = (ins + [None])[:3]
-    stride, padding = node.attrs["stride"], node.attrs["padding"]
-    oh, ow = node.out.data.shape[2:]
-    cols = r._new() if node.inputs[1].requires_grad else None
+    def backward_step(v):
+        backward(be, arm, v[g], ports, v[ctx], attrs)
 
-    def forward(v):
-        xd, wd, bd = v[xs], v[ws], None if bs is None else v[bs]
-        result = arm and arm.forward(be, xd, wd, bd, oh, ow)
-        v[out], c = result or F._conv2d_forward(be, xd, wd, bd, *stride, *padding)
-        if cols is not None:
-            v[cols] = c
+    return forward_step, backward_step
 
-    px, pw, pb = (r._ports_of(node) + [None])[:3]
-
-    def backward(v):
-        px.data = v[xs]
-        F.conv2d_backward(be, arm, v[g], px, pw, pb, None if cols is None else v[cols],
-                          stride, padding)
-        px.data = None
-
-    return forward, (xs, out, cols), backward, (xs, g, cols)
-
-
-def _max_pool2d(r, node, arm, be, ins, out, g):
-    (xs,), attrs = ins, node.attrs
-    kernel, stride, padding = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    oh, ow = node.out.data.shape[2:]
-    windows = r._new()
-
-    def forward(v):
-        pooled = arm and arm.forward(be, v[xs], oh, ow)
-        if pooled is None:
-            v[out], v[windows] = F._max_pool2d_forward(be, v[xs], *kernel, *stride, *padding)
-        else:
-            v[out] = pooled
-
-    (px,) = r._ports_of(node)
-
-    def backward(v):
-        F.max_pool2d_backward(be, arm, v[g], px, v[xs], v[out], v[windows], kernel, stride, padding)
-
-    return forward, (xs, out, windows), backward, (xs, out, windows, g)
-
-
-def _batch_norm(r, node, arm, be, ins, out, g):
-    attrs, values = node.attrs, r._values
-    xs = ins[0]
-    gamma = values[ins[1]] if attrs["has_weight"] else None
-    beta = values[ins[-1]] if attrs["has_bias"] else None
-    running, training = attrs["running"], attrs["training"]
-    momentum, eps = attrs["momentum"], attrs["eps"]
-    xhat, inv_std = r._new(), r._new()
-
-    def forward(v):
-        v[out], v[xhat], _, v[inv_std], _ = F._batch_norm_forward(
-            be, arm, v[xs], gamma, beta, *running, training, momentum, eps)
-
-    ports = r._ports_of(node)
-    px = ports[0]
-    pw = ports[1] if attrs["has_weight"] else None
-    pb = ports[-1] if attrs["has_bias"] else None
-    axes, bshape, batch_stats = attrs["axes"], attrs["bshape"], attrs["use_batch_stats"]
-
-    def backward(v):
-        F.batch_norm_backward(be, v[g], px, pw, pb, v[xhat], v[inv_std], axes, bshape,
-                              batch_stats, arm)
-
-    return forward, (xs, out, xhat, inv_std), backward, (g, xhat, inv_std)
-
-
-def _relu(r, node, arm, be, ins, out, g):
-    (xs,), mask = ins, r._new()
-
-    def forward(v):
-        v[out], v[mask] = _relu_forward(be, arm, v[xs])
-
-    (px,) = r._ports_of(node)
-
-    def backward(v):
-        if px.requires_grad:
-            px._accumulate_fresh(_relu_backward(be, arm, v[g], v[mask]))
-
-    return forward, (xs, out, mask), backward, (g, mask)
-
-
-def _reshape(r, node, arm, be, ins, out, g):
-    (xs,), shape, original = ins, node.attrs["shape"], node.inputs[0].data.shape
-
-    def forward(v):
-        v[out] = v[xs].reshape(shape)
-
-    (px,) = r._ports_of(node)
-
-    def backward(v):
-        if px.requires_grad:
-            px._accumulate(v[g].reshape(original))
-
-    return forward, (xs, out), backward, (g,)
-
-
-def _linear(r, node, arm, be, ins, out, g):
-    xs, ws, bs = (ins + [None])[:3]
-
-    def forward(v):
-        v[out] = be.linear(v[xs], v[ws], None if bs is None else v[bs])
-
-    px, pw, pb = (r._ports_of(node) + [None])[:3]
-
-    def backward(v):
-        px.data = v[xs]
-        F.linear_backward(be, v[g], px, pw, pb)
-        px.data = None
-
-    return forward, (xs, out), backward, (xs, g)
-
-
-def _dropout(r, node, arm, be, ins, out, g):
-    (xs,), mask = ins, r._new()
-    p, rng = node.attrs["p"], node.attrs["rng"]
-
-    def forward(v):
-        v[mask] = F._dropout_mask(be, v[xs], p, rng)
-        v[out] = be.multiply(v[xs], v[mask])
-
-    (px,) = r._ports_of(node)
-
-    def backward(v):
-        if px.requires_grad:
-            px._accumulate_fresh(be.multiply(v[g], v[mask]))
-
-    return forward, (xs, out, mask), backward, (g, mask)
-
-
-def _concat(r, node, arm, be, ins, out, g):
-    axis = node.attrs["axis"] % node.out.data.ndim
-    bounds = np.cumsum([0] + [t.data.shape[axis] for t in node.inputs])
-    cuts = [(slice(None),) * axis + (slice(a, b),) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def forward(v):
-        v[out] = np.concatenate([v[s] for s in ins], axis=axis)
-
-    ports = r._ports_of(node)
-
-    def backward(v):
-        for port, cut in zip(ports, cuts):
-            if port.requires_grad:
-                port._accumulate(v[g][cut])
-
-    return forward, tuple(ins) + (out,), backward, (g,)
-
-
-def _softmax_cross_entropy(r, node, arm, be, ins, out, g):
-    xs, idx, reduction = ins[0], r._targets, node.attrs["reduction"]
-    logp, rows = r._new(), r._new()
-
-    def forward(v):
-        v[out], v[logp], v[rows] = F._softmax_cross_entropy_forward(be, v[xs], v[idx], reduction)
-
-    px, seed = r._port(node.inputs[0]), r._seed
-
-    def backward(v):
-        if px.requires_grad:
-            px._accumulate_fresh(F._xent_backward(be, seed, v[logp], v[rows], v[idx], reduction))
-
-    return forward, (xs, idx, out, logp, rows), backward, (logp, rows, idx)
-
-
-_EMITTERS = {
-    "conv2d": _conv2d,
-    "max_pool2d": _max_pool2d,
-    "batch_norm": _batch_norm,
-    "relu": _relu,
-    "reshape": _reshape,
-    "linear": _linear,
-    "dropout": _dropout,
-    "concat": _concat,
-    "softmax_cross_entropy": _softmax_cross_entropy,
-}

@@ -12,7 +12,10 @@ The explicit node records (rather than bare closures) make the tape a real
 IR: :mod:`repro.autograd.replay` captures a train step's tape and replays it,
 :mod:`repro.autograd.fusion` rewrites chains of captured ``no_grad`` nodes,
 and :mod:`repro.serve` replays captured traces over new inputs through the
-forward-eval registry in :mod:`repro.autograd.ir`.
+forward-eval registry in :mod:`repro.autograd.ir`.  ``relu``, ``reshape`` and
+``concat`` — like the dense kernels of :mod:`repro.autograd.functional` — are
+entries of the op table (:class:`repro.autograd.ir.Op`): each records its call
+through its entry, and a replayed train step runs the same entry.
 
 Hot-path notes
 --------------
@@ -175,13 +178,18 @@ def _get_kernels():
     return _kernels_module
 
 
-def _relu_arm(data: np.ndarray, ask=True):
-    """``kernels.arm`` for relu over ``data`` (see its ``ask``)."""
-    return _get_kernels().arm("relu", data.dtype, data.size, ask=ask)
+# --------------------------------------------------------------------------- #
+# The tensor-level ops of the op table (repro.autograd.ir.Op): what the tape
+# records and a replayed train step runs
+# --------------------------------------------------------------------------- #
+def _relu_arm(xs, attrs, ask=True):
+    """``kernels.arm`` for relu over ``xs[0]`` (see its ``ask``)."""
+    return _get_kernels().arm("relu", xs[0].dtype, xs[0].size, ask=ask)
 
 
-def _relu_forward(be, arm, data: np.ndarray):
-    """``(relu(data), data > 0)``: one compiled pass, or numpy's two."""
+def _relu(be, arm, xs, attrs, ports):
+    """``(relu(x), x > 0)``: one compiled pass, or numpy's two."""
+    data = xs[0]
     result = arm and arm.forward(be, data)  # value and mask in one compiled pass
     if result is not None:
         return result
@@ -189,9 +197,41 @@ def _relu_forward(be, arm, data: np.ndarray):
     return be.relu(data), mask
 
 
-def _relu_backward(be, arm, g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    grad = arm and arm.backward(be, g, mask)
-    return be.multiply(g, mask) if grad is None else grad
+def _relu_backward(be, arm, g, ports, mask, attrs) -> None:
+    if ports[0].requires_grad:
+        grad = arm and arm.backward(be, g, mask)
+        ports[0]._accumulate_fresh(be.multiply(g, mask) if grad is None else grad)
+
+
+def _reshape(be, arm, xs, attrs, ports):
+    return xs[0].reshape(attrs["shape"]), xs[0].shape
+
+
+def _reshape_backward(be, arm, g, ports, shape, attrs) -> None:
+    if ports[0].requires_grad:
+        ports[0]._accumulate(g.reshape(shape))
+
+
+def _concat(be, arm, xs, attrs, ports):
+    """The concatenation and, per input, the index of its block."""
+    out = np.concatenate(xs, axis=attrs["axis"])
+    axis, start, cuts = attrs["axis"] % out.ndim, 0, []
+    for x in xs:
+        stop = start + x.shape[axis]
+        cuts.append((slice(None),) * axis + (slice(start, stop),))
+        start = stop
+    return out, cuts
+
+
+def _concat_backward(be, arm, g, ports, cuts, attrs) -> None:
+    for port, cut in zip(ports, cuts):
+        if port.requires_grad:
+            port._accumulate(g[cut])
+
+
+_RELU = _ir.define_op("relu", _relu, _relu_backward, _relu_arm)
+_RESHAPE = _ir.define_op("reshape", _reshape, _reshape_backward)
+_CONCAT = _ir.define_op("concat", _concat, _concat_backward)
 
 
 def _taping(*parents) -> bool:
@@ -612,23 +652,13 @@ class Tensor:
         # The mask is a gradient-only artifact: computing it in inference
         # would waste a full-size compare, so it exists only when a backward
         # will.
-        arm = None
-        if _GRAD_ENABLED and self.requires_grad:
-            arm = _relu_arm(self.data)
-            result, mask = _relu_forward(be, arm, self.data)
-            attrs = {"mask": mask}
-        else:
-            result = be.relu(self.data)
-            mask = attrs = None
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(_relu_backward(be, arm, out.grad, mask))
-
-            return _backward
-
-        return self._make(result, (self,), "relu", make_backward, attrs=attrs)
+        if not (_GRAD_ENABLED and self.requires_grad):
+            return self._make(be.relu(self.data), (self,), "relu", None)
+        xs, parents = (self.data,), (self,)
+        arm = _relu_arm(xs, None)
+        result, mask = _RELU.forward(be, arm, xs, None, parents)
+        return self._make(result, parents, "relu", _RELU.thunk(be, arm, parents, mask, None),
+                          attrs={"mask": mask})
 
     def sigmoid(self) -> "Tensor":
         be = get_backend()
@@ -699,18 +729,11 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original_shape = self.shape
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad.reshape(original_shape))
-
-            return _backward
-
+        attrs, parents = {"shape": shape}, (self,)
+        out, original = _RESHAPE.forward(None, None, (self.data,), attrs, parents)
         return self._make(
-            self.data.reshape(shape), (self,), "reshape", make_backward,
-            attrs={"shape": shape} if _capturing() else None,
+            out, parents, "reshape", _RESHAPE.thunk(None, None, parents, original, attrs),
+            attrs=attrs if _capturing() else None,
         )
 
     def transpose(self, *axes) -> "Tensor":
@@ -793,21 +816,10 @@ class Tensor:
             raise ValueError(
                 "Tensor.concatenate() needs at least one tensor, got an empty sequence"
             )
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-                    if tensor.requires_grad:
-                        slicer = [slice(None)] * out.grad.ndim
-                        slicer[axis] = slice(start, end)
-                        tensor._accumulate(out.grad[tuple(slicer)])
-
-            return _backward
-
-        return Tensor._make(data, tuple(tensors), "concat", make_backward, attrs={"axis": axis})
+        attrs, parents = {"axis": axis}, tuple(tensors)
+        data, cuts = _CONCAT.forward(None, None, [t.data for t in tensors], attrs, parents)
+        return Tensor._make(data, parents, "concat", _CONCAT.thunk(None, None, parents, cuts, attrs),
+                            attrs=attrs)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":

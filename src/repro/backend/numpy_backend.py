@@ -212,20 +212,6 @@ class NumpyBackend:
         dx *= inv_std.reshape(bshape)
         return dx
 
-    # ------------------------------------------------------------------ #
-    # Fused trace chains (reference: the exact op sequence of the separate
-    # kernels, so fused and unfused traces are bit-identical)
-    # ------------------------------------------------------------------ #
-    def linear_relu(self, x, w, b: Optional[np.ndarray]) -> np.ndarray:
-        out = self.linear(x, w, b)  # a buffer we own: rectify in place
-        return np.maximum(out, 0.0, out=out)
-
-    def bn_normalize_relu(
-        self, x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        xhat, out = self.bn_normalize(x, mean, inv_std, gamma, beta, bshape)
-        return xhat, np.maximum(out, 0.0, out=out)
-
     def dropout_mask(self, rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
         keep = self.random_uniform(rng, shape) >= p
         return keep.astype(dtype) / np.asarray(1.0 - p, dtype=dtype)

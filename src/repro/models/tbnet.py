@@ -145,7 +145,7 @@ class TBNet(nn.Module):
         with no_grad():
             return self.forward(images, context).data
 
-    def compile_serving(self, batch_size: int, fuse: bool = True):
+    def compile_serving(self, batch_size: int):
         """Compile a fixed-batch :class:`repro.serve.InferenceSession`.
 
         Switches the model to eval mode (serving sessions refuse train-mode
@@ -160,7 +160,7 @@ class TBNet(nn.Module):
         self.eval()
         images = Tensor.zeros(batch_size, self.in_channels, self.image_size, self.image_size)
         context = Tensor.zeros(batch_size, self.context_dim)
-        return compile_inference(self, (images, context), fuse=fuse)
+        return compile_inference(self, (images, context))
 
     def spawn_factory(self):
         """A picklable zero-arg callable rebuilding this architecture.
@@ -191,7 +191,6 @@ class TBNet(nn.Module):
         start_method: Optional[str] = None,
         max_batch_size: Optional[int] = None,
         max_wait: float = 0.002,
-        fuse: bool = True,
         start: bool = True,
         http_port: Optional[int] = None,
         http_host: str = "127.0.0.1",
@@ -261,7 +260,6 @@ class TBNet(nn.Module):
                 model_factory=self.spawn_factory(),
                 max_batch_size=max_batch_size,
                 max_wait=max_wait,
-                fuse=fuse,
                 **resilience,
             )
         else:
@@ -272,7 +270,6 @@ class TBNet(nn.Module):
                 workers=workers,
                 max_batch_size=max_batch_size,
                 max_wait=max_wait,
-                fuse=fuse,
                 **resilience,
             )
         if not start:
@@ -440,10 +437,10 @@ class _TrainState:
             self.replay = replay.TrainReplay(
                 graph.nodes, (images, context), self.signature.params, optimizer, get_backend(),
                 deltas)
-        except replay.Refused as refused:
-            if refused.reason == "module":
+        except ir.Fallback as fallback:
+            if fallback.reason == "module":
                 self.signature.reason = "module"  # until the signature changes
-            _count("eager", refused.reason)
+            _count("eager", fallback.reason)
         else:
             _count("eager", "capturing")
         graph = None

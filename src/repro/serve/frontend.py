@@ -298,8 +298,6 @@ class SessionPool:
         ``1`` so every sample count decomposes exactly; without it,
         remainders smaller than the smallest bucket fall back to the
         model's eager ``no_grad`` forward (counted in :attr:`eager_calls`).
-    fuse:
-        Run the compile-time fusion pass on each compiled session (default).
     metrics:
         Optional ``(bucket_counters, eager_counter)`` pair of
         :class:`repro.obs.metrics.Counter` children (``{bucket_size:
@@ -322,7 +320,6 @@ class SessionPool:
         model: Module,
         example_batch,
         buckets: Sequence[int] = DEFAULT_BUCKETS,
-        fuse: bool = True,
         metrics=None,
     ) -> None:
         self._buckets = _normalize_buckets(buckets)
@@ -360,7 +357,7 @@ class SessionPool:
             example = tuple(
                 np.resize(a, (bucket,) + a.shape[1:]) for a in examples
             )
-            session = _compile(model, example, fuse, self._gemm_stages)
+            session = _compile(model, example, self._gemm_stages)
             if not session.output_shape or session.output_shape[0] != bucket:
                 raise ValueError(
                     "SessionPool needs a per-sample model output of shape "
@@ -592,10 +589,6 @@ class Server:
     supervision:
         :class:`~repro.serve.resilience.SupervisionPolicy` tuning the
         watchdog (sweep interval, stuck timeout, restart backoff/cap).
-        Note: replacing a *stuck* worker compiles a fresh pool on the
-        watchdog thread; trace capture is process-global, so models whose
-        pools lack a size-1 bucket (eager-tail serving) should not rely on
-        stuck replacement while traffic is in flight.
 
     Observability parameters
     ------------------------
@@ -631,7 +624,6 @@ class Server:
         workers: int = 1,
         max_batch_size: Optional[int] = None,
         max_wait: float = 0.002,
-        fuse: bool = True,
         latency_window: int = 4096,
         queue_limit: Optional[int] = None,
         overload: str = "block",
@@ -666,7 +658,7 @@ class Server:
         )
         pool_metrics = (self._m.bucket_calls, self._m.eager_tail)
         self._pool_factory = self._make_pool_factory(
-            model, example_batch, buckets, fuse, pool_metrics
+            model, example_batch, buckets, pool_metrics
         )
         self._slots = [
             WorkerSlot(i, self._pool_factory()) for i in range(workers)
@@ -718,16 +710,13 @@ class Server:
         )
         self._m.batch_occupancy.set_function(self._occupancy)
 
-    def _make_pool_factory(self, model, example_batch, buckets, fuse,
-                           pool_metrics):
+    def _make_pool_factory(self, model, example_batch, buckets, pool_metrics):
         """Build the per-slot pool factory.  Subclasses substituting a
         different worker substrate (process-backed proxies) override this
         single seam; everything else — coalescing, retries, supervision,
         metrics — reuses whatever the factory returns, as long as it keeps
         the :class:`SessionPool` serving surface."""
-        return lambda: _ServerPool(
-            model, example_batch, buckets, fuse=fuse, metrics=pool_metrics
-        )
+        return lambda: _ServerPool(model, example_batch, buckets, metrics=pool_metrics)
 
     def _on_worker_kill(self, slot: WorkerSlot) -> None:
         """Hook invoked when a worker loop dies on :class:`WorkerKill`.

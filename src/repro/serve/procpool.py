@@ -196,8 +196,7 @@ def _serve_worker(spec: dict, conn) -> None:
         example = [np.array(a) for a in spec["example"]]
 
         def build_pool() -> SessionPool:
-            return _ServerPool(model, example, spec["buckets"],
-                               fuse=spec["fuse"])
+            return _ServerPool(model, example, spec["buckets"])
 
         pool = build_pool()
         # The parent folds this process's codegen counters into its /metrics
@@ -293,13 +292,11 @@ class _ProcWorkerProxy:
     path downstream is shared).
     """
 
-    def __init__(self, server: "ProcServer", pool_metrics,
-                 fuse: bool = True) -> None:
+    def __init__(self, server: "ProcServer", pool_metrics) -> None:
         self._server_ref = weakref.ref(server)
         self.index = next(server._proxy_ids)
         self._ctx = server._ctx
         self._spec = dict(server._base_spec)
-        self._spec["fuse"] = bool(fuse)
         self._buckets = server._norm_buckets
         self._per_sample_shapes = [s for s, _ in server._input_specs]
         self._dtypes = [d for _, d in server._input_specs]
@@ -723,7 +720,7 @@ class ProcServer(Server):
             "buffer_keys": sorted(name for name, _ in model.named_buffers()),
             "arena": self._arena.spec(),
             "serve_delay": float(worker_latency),
-            # "ring" and "fuse" are stamped per proxy.
+            # "ring" is stamped per proxy.
         }
         self._procs_torn_down = False
         super().__init__(model, example_batch, buckets,
@@ -786,10 +783,9 @@ class ProcServer(Server):
                 f"explicit model_factory; pickling the model failed: {exc}"
             ) from exc
 
-    def _make_pool_factory(self, model, example_batch, buckets, fuse,
-                           pool_metrics):
+    def _make_pool_factory(self, model, example_batch, buckets, pool_metrics):
         def factory() -> _ProcWorkerProxy:
-            proxy = _ProcWorkerProxy(self, pool_metrics, fuse=fuse)
+            proxy = _ProcWorkerProxy(self, pool_metrics)
             self._proxies.append(proxy)
             return proxy
         return factory

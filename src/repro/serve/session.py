@@ -2,15 +2,15 @@
 
 :func:`compile_inference` runs one forward pass of an **eval-mode** model
 over an example batch inside :func:`repro.autograd.ir.capture` +
-``no_grad()``, optionally runs the fusion pass over the captured trace, and
-compiles the surviving nodes into a flat list of step closures.  The
+``no_grad()``, runs the fusion pass over the captured trace, and compiles
+the surviving nodes into a flat list of step closures.  The
 returned :class:`InferenceSession` replays that list over new batches with:
 
 - **no tape**: no ``Tensor`` wrapping, no node recording, no module
   dispatch — each step is one bound closure over ndarrays;
-- **pre-allocated, reused buffers**: the hot ops (the affine maps, the
-  fused ``linear_relu``, elementwise chains, eval batch-norm, relu, concat)
-  write into buffers allocated once at compile time via ``out=`` kernels;
+- **pre-allocated, reused buffers**: the hot ops (the affine maps,
+  elementwise regions and chains, eval batch-norm, relu, concat) write into
+  buffers allocated once at compile time via ``out=`` kernels;
   batch-norm's eval statistics are folded to constants at compile;
 - **shape checking**: every call validates the incoming arrays against the
   example batch (fixed shapes are what make buffer reuse safe) and rejects
@@ -65,12 +65,6 @@ __all__ = ["InferenceSession", "compile_inference", "serve_batches"]
 ArrayOrTensor = Union[np.ndarray, Tensor]
 
 
-class Unbound(Exception):
-    """A by-reference tensor was rebound to an array the compiled stages
-    cannot read (other dtype, shape or layout): the session goes back to
-    its numpy steps, which take whatever numpy takes."""
-
-
 def _as_input_tensors(example_batch) -> Tuple[Tensor, ...]:
     """Normalize an example batch (array/Tensor or sequence of them)."""
     if isinstance(example_batch, (list, tuple)):
@@ -107,7 +101,7 @@ def _reject_training_nodes(nodes: Sequence[ir.GraphNode]) -> None:
                 "the captured trace contains a training-mode dropout node; "
                 "inference traces must be captured in eval mode"
             )
-        if node.op in ("batch_norm", "batch_norm_relu") and node.attrs["training"]:
+        if node.op == "batch_norm" and node.attrs["training"]:
             raise ValueError(
                 "the captured trace contains a train-mode batch_norm node "
                 "(replay would re-update its running statistics); capture in "
@@ -188,7 +182,7 @@ def _has_array_index(index) -> bool:
     return any(isinstance(item, (np.ndarray, list)) for item in items)
 
 
-def compile_inference(model: Module, example_batch, fuse: bool = True) -> "InferenceSession":
+def compile_inference(model: Module, example_batch) -> "InferenceSession":
     """Capture one eval-mode ``no_grad`` trace of ``model`` and compile it.
 
     The session starts on numpy steps and plans *compiled loop stages*
@@ -204,16 +198,15 @@ def compile_inference(model: Module, example_batch, fuse: bool = True) -> "Infer
     example_batch:
         One input array/Tensor, or a sequence of them, defining the fixed
         shapes (including the batch dimension) the session serves.
-    fuse:
-        Run the :mod:`repro.autograd.fusion` pass over the captured trace
-        (default), so the executor dispatches fused composites
-        (``linear_relu`` and friends) and codegen'd ``region`` kernels
-        instead of separate nodes.
+
+    The :mod:`repro.autograd.fusion` pass always runs over the captured
+    trace, so the executor dispatches codegen'd ``region`` kernels instead
+    of separate elementwise nodes.
     """
-    return _compile(model, example_batch, fuse, gemm_stages=True)
+    return _compile(model, example_batch, gemm_stages=True)
 
 
-def _compile(model: Module, example_batch, fuse: bool, gemm_stages: bool) -> "InferenceSession":
+def _compile(model: Module, example_batch, gemm_stages: bool) -> "InferenceSession":
     """:func:`compile_inference`; ``gemm_stages=False`` plans compiled
     stages for ``region`` steps only (see ``frontend._ServerPool``)."""
     if not isinstance(model, Module):
@@ -245,10 +238,8 @@ def _compile(model: Module, example_batch, fuse: bool, gemm_stages: bool) -> "In
             f"evaluator: {missing}; register one with "
             "repro.autograd.ir.register_forward"
         )
-    fused_counts: Dict[str, int] = {}
-    if fuse:
-        fused_counts = fusion.fuse(output)
-        nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
+    fused_counts = fusion.fuse(output)
+    nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
     session = InferenceSession(
         inputs, output, nodes, fused_counts, model=model, gemm_stages=gemm_stages
     )
@@ -297,9 +288,7 @@ class InferenceSession:
         #: on the other samples in their micro-batch, so chunk boundaries
         #: affect results for such traces.
         self.has_batch_statistics = any(
-            node.op in ("batch_norm", "batch_norm_relu")
-            and node.attrs["use_batch_stats"]
-            for node in nodes
+            node.op == "batch_norm" and node.attrs["use_batch_stats"] for node in nodes
         )
 
         # Slot assignment: inputs first, then one slot per node output.
@@ -423,11 +412,11 @@ class InferenceSession:
             self._adopt()
         try:
             self._replay(values)
-        except Unbound:
+        except ir.Fallback as fallback:
             # Every step rewrites its whole output, so the numpy steps
             # simply start over on the same inputs.
-            self._serve_numpy("unplannable")
-            count_fallback("unplannable")
+            self._serve_numpy(fallback.reason)
+            count_fallback(fallback.reason)
             self._replay(values)
         result = self._get_output(values)
         # Drop the slot references (caller inputs, generic-step outputs) so
@@ -564,18 +553,15 @@ class InferenceSession:
             buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
             return buf
 
-        if op in ("linear", "linear_relu") and node.inputs[0].data.ndim == 2:
+        if op == "linear" and node.inputs[0].data.ndim == 2:
             buf = own()
             gx, gw = getters[0], getters[1]
             gb = getters[2] if len(getters) == 3 else None
-            relu = op == "linear_relu"
 
             def step(values):
                 np.matmul(gx(values), gw(values), out=buf)
                 if gb is not None:
                     np.add(buf, gb(values), out=buf)
-                if relu:
-                    np.maximum(buf, 0.0, out=buf)
                 values[out_slot] = buf
 
             return step
@@ -629,7 +615,7 @@ class InferenceSession:
             self._region_steps[index] = (region, region_step)
             return region_step(region.interpret)
 
-        if op in ("batch_norm", "batch_norm_relu") and not attrs["use_batch_stats"]:
+        if op == "batch_norm" and not attrs["use_batch_stats"]:
             # Eval-mode statistics are constants of the trace: fold the
             # reshapes once; gamma/beta stay late-bound parameter reads.
             bshape = attrs["bshape"]
@@ -641,7 +627,6 @@ class InferenceSession:
                 if attrs["has_bias"]
                 else None
             )
-            relu = op == "batch_norm_relu"
             buf = own()
             gx = getters[0]
 
@@ -652,8 +637,6 @@ class InferenceSession:
                     np.multiply(buf, g_gamma(values).reshape(bshape), out=buf)
                 if g_beta is not None:
                     np.add(buf, g_beta(values).reshape(bshape), out=buf)
-                if relu:
-                    np.maximum(buf, 0.0, out=buf)
                 values[out_slot] = buf
 
             return step

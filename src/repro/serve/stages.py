@@ -9,8 +9,8 @@ one step each:
 - the host-BLAS ``np.matmul(..., out=)`` exactly as the numpy emitters
   issue it (same operand layouts → same BLAS call → same bits),
 - a **GEMM epilogue** stage: the transpose + bias add, then any eval
-  ``batch_norm`` / ``batch_norm_relu``, ``relu``, elementwise ``region``
-  and ``max_pool2d`` that follow, written directly in the layout the next
+  ``batch_norm``, ``relu``, elementwise ``region`` and ``max_pool2d`` that
+  follow, written directly in the layout the next
   consumer reads — NCHW, the flattened row of an absorbed ``reshape``, or
   a column slice of an absorbed ``concat``'s buffer.
 
@@ -42,9 +42,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.autograd.ir import Fallback
 from repro.codegen import jit
 from repro.codegen.cstage import operand_strides
-from repro.serve.session import Unbound
 
 __all__ = ["SessionPlan"]
 
@@ -165,7 +165,7 @@ class SessionPlan:
             group.operands.append(("gemm", (size, ("n", size), out.shape[3], 1)))
             group.value = ("in", 0)
             bias = node.inputs[2] if len(node.inputs) == 3 else None
-        elif op in ("linear", "linear_relu") and node.inputs[0].data.ndim == 2:
+        elif op == "linear" and node.inputs[0].data.ndim == 2:
             group.matmul = (getters[1], getters[0], None, session._bufs[slot], None)
             group.operands.append(("gemm", (out.shape[1], 1)))
             group.value = ("in", 0)
@@ -179,8 +179,6 @@ class SessionPlan:
                 return None
             shape = (group.dims[0],) + (1,) * (len(group.dims) - 1)
             group.apply("add", group.value, group.operand(bias, shape))
-        if op == "linear_relu":
-            group.apply("relu", group.value)
         return group
 
     def _extend(self, group: _Group) -> None:
@@ -214,7 +212,7 @@ class SessionPlan:
         if op == "relu":
             group.apply("relu", group.value)
             return True
-        if op in ("batch_norm", "batch_norm_relu") and node.inputs[0] is t:
+        if op == "batch_norm" and node.inputs[0] is t:
             if attrs["use_batch_stats"] or str(attrs["mean"].dtype) != group.dtype:
                 return False
             if any(str(p.data.dtype) != group.dtype for p in node.inputs[1:]):
@@ -229,8 +227,6 @@ class SessionPlan:
                 group.apply("mul", group.value, group.operand(affine.pop(0), bshape))
             if attrs["has_bias"]:
                 group.apply("add", group.value, group.operand(affine.pop(0), bshape))
-            if op == "batch_norm_relu":
-                group.apply("relu", group.value)
             return True
         if op == "max_pool2d" and len(group.dims) == 3:
             group.pool = tuple(attrs["kernel_size"]) + tuple(attrs["stride"]) + tuple(attrs["padding"])
@@ -451,7 +447,7 @@ class SessionPlan:
         def rebind(i: int, data) -> None:
             if (data.dtype != dtype or data.shape != shapes[i]
                     or not data.flags.c_contiguous or not data.flags.aligned):
-                raise Unbound
+                raise Fallback("unplannable")
             table[tensors[i][0]] = address(data)
             cached[i] = data
 

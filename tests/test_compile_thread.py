@@ -82,7 +82,7 @@ def _ends_on_numpy_steps(reason, timeout=60):
     check()  # served while the compile is in flight
     assert not session.wait_compiled(timeout)
     assert {(row["arm"], row["reason"]) for row in session.explain()} == {("numpy", reason)}
-    assert session.num_steps == 12
+    assert session.num_steps == 14
     check()
     assert _fallbacks(reason) == counted + 1
     assert codegen_stats()["fallbacks"] == total + 1

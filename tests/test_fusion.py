@@ -1,5 +1,5 @@
-"""Fusion-pass tests: pattern pairs and regions over captured traces, and
-training graphs left alone."""
+"""Fusion-pass tests: regions over captured traces, and training graphs left
+alone."""
 
 import numpy as np
 import pytest
@@ -18,18 +18,21 @@ def _replays(out):
 
 
 # --------------------------------------------------------------------------- #
-# Pattern pairs and regions
+# Regions
 # --------------------------------------------------------------------------- #
 def test_linear_relu_fuses_into_one_node():
+    # A region with a linear head: the GEMM stays on the host, the relu
+    # joins the region's loop.
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
     w = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
     with no_grad(), ir.capture():
         out = F.linear(x, w).relu()
     stats = fusion.fuse(out)
-    assert stats == {"linear_relu": 1}
-    assert out._node.op == "linear_relu"
+    assert stats == {"region": 1}
+    assert out._node.op == "region"
     assert out._node.inputs == (x, w)
+    assert out._node.attrs["region"].ops == (("linear", (0, 1)), ("relu", (2,)))
     _replays(out)
 
 
@@ -95,9 +98,9 @@ def test_fusion_applies_inside_nn_modules():
     x = np.random.default_rng(2).standard_normal((3, 6)).astype(np.float32)
     with no_grad(), ir.capture():
         out = model(x)
-    assert fusion.fuse(out) == {"linear_relu": 2}
-    assert out._node.op == "linear_relu"
-    assert out._node.inputs[0]._node.op == "linear_relu"
+    assert fusion.fuse(out) == {"region": 2}
+    assert out._node.op == "region"
+    assert out._node.inputs[0]._node.op == "region"
 
 
 # --------------------------------------------------------------------------- #

@@ -3,19 +3,25 @@
 A seeded generator builds eval-mode models whose forwards mix elementwise
 chains (``add`` / ``mul`` / ``div`` / ``neg`` / ``relu``) over operands
 broadcast against the activation, ``sum`` / ``mean`` tails over trailing
-axes, ``nn.Linear`` heads with and without bias, and eval ``BatchNorm1d``.
-One shape per kind, drawn in float32 and float64 at batch 1 and above:
+axes, ``nn.Linear`` heads with and without bias, and eval ``BatchNorm1d`` /
+``BatchNorm2d``.  One shape per kind, drawn in float32 and float64 at batch 1
+and above:
 
 - ``chain``: every value has one consumer;
 - ``fanout2``: a product of graph leaves feeds two chains (the duplicated
   producer, recomputed inside the one region);
 - ``fanout3``: the same product feeds three chains (refused: it stays a
   node of its own, and the chains fuse around it);
-- ``reduce``, ``linear``, ``batch_norm``: the structured members.
+- ``reduce``, ``linear``, ``batch_norm``: the structured members;
+- ``linear_relu``, ``batch_norm1d_relu``, ``batch_norm2d_relu``: a relu
+  straight after a linear (a region with a linear head) or an eval batch
+  norm (a batch-norm step, then the relu on its own or heading a region).
 
 ``compile_inference(...).run`` must give the bytes of the eager ``no_grad``
 forward, with codegen off (the region interpreter) and on (the compiled
-stages), on the example batch and on a fresh one.
+stages), on the example batch and on a fresh one — and so must the session a
+server's worker replays (``frontend._ServerPool``: regions compiled, no GEMM
+stages).
 """
 
 import numpy as np
@@ -25,9 +31,11 @@ from repro import nn
 from repro.autograd import Tensor, no_grad
 from repro.codegen import using_codegen
 from repro.serve import compile_inference
+from repro.serve.frontend import _ServerPool
 
 SEED = 28
-KINDS = ("chain", "fanout2", "fanout3", "reduce", "linear", "batch_norm")
+KINDS = ("chain", "fanout2", "fanout3", "reduce", "linear", "batch_norm",
+         "linear_relu", "batch_norm1d_relu", "batch_norm2d_relu")
 CASES = 4 * len(KINDS)
 
 
@@ -138,27 +146,36 @@ def _generate(kind, rng, dtype):
         model.steps = steps
         return model, shape
 
-    if kind == "linear":
+    if kind in ("linear", "linear_relu"):
         e = int(rng.choice([4, 12]))
         model.proj = nn.Linear(d, e, bias=bool(rng.random() < 0.5), rng=rng)
         if model.proj.bias is not None:
             model.proj.bias.data = b.array((e,))
         before = b.chain(b.length(0, 2), (n, d))
-        after = b.chain(b.length(), (n, e))
-        model.steps = lambda x: after(model.proj(before(x)))
+        if kind == "linear":
+            after = b.chain(b.length(), (n, e))
+            model.steps = lambda x: after(model.proj(before(x)))
+        else:
+            after = b.chain(b.length(0, 2), (n, e))
+            model.steps = lambda x: after(model.proj(before(x)).relu())
         _to_dtype(model.proj, dtype)
         return model, (n, d)
 
-    if kind == "batch_norm":
-        model.bn = nn.BatchNorm1d(d)
+    if kind in ("batch_norm", "batch_norm1d_relu", "batch_norm2d_relu"):
+        shape = (n, d) if kind != "batch_norm2d_relu" else (n, d, 3, 2)
+        model.bn = nn.BatchNorm2d(d) if len(shape) == 4 else nn.BatchNorm1d(d)
         model.bn.weight.data = b.array((d,))
         model.bn.bias.data = b.array((d,))
         model.bn.register_buffer("running_mean", b.array((d,)))
         model.bn.register_buffer("running_var", b.array((d,), positive=True))
-        after = b.chain(b.length(), (n, d))
-        model.steps = lambda x: after(model.bn(x))
+        if kind == "batch_norm":
+            after = b.chain(b.length(), shape)
+            model.steps = lambda x: after(model.bn(x))
+        else:
+            after = b.chain(b.length(0, 2), shape)
+            model.steps = lambda x: after(model.bn(x).relu())
         _to_dtype(model.bn, dtype)
-        return model, (n, d)
+        return model, shape
 
     chain = b.chain(b.length(2, 6), (n, d))
     model.steps = chain
@@ -183,18 +200,29 @@ def _eager(model, x):
         return model(Tensor(x, dtype=x.dtype)).data.tobytes()
 
 
+def _server_session(model, x):
+    """The session a server's worker replays over batches shaped like ``x``."""
+    return _ServerPool(model, x, buckets=(len(x),)).sessions[len(x)]
+
+
 @pytest.mark.parametrize("codegen", [False, True])
 def test_generated_traces_fuse_and_replay_the_eager_bytes(codegen):
     cases = _cases()
     with using_codegen(codegen):
         sessions = [compile_inference(model, inputs[0]) for _, model, inputs in cases]
+        served = [_server_session(model, inputs[0]) for _, model, inputs in cases]
     fused = {kind: 0 for kind in KINDS}
-    for (kind, model, inputs), session in zip(cases, sessions):
-        if codegen:
-            session.wait_compiled(120)
-        for x in inputs:
-            assert session.run(x).tobytes() == _eager(model, x), (kind, session.op_counts)
+    for (kind, model, inputs), session, server in zip(cases, sessions, served):
+        for arm in (session, server):
+            if codegen:
+                arm.wait_compiled(120)
+            for x in inputs:
+                assert arm.run(x).tobytes() == _eager(model, x), (kind, arm.op_counts)
         fused[kind] += bool(session.fused_counts)
+        if kind == "linear_relu":  # the linear heads the relu's region
+            assert "linear" not in session.op_counts, session.op_counts
+        if kind.endswith("_relu") and kind != "linear_relu":
+            assert session.op_counts["batch_norm"] == 1, session.op_counts
         if kind == "fanout2":  # the producer is recomputed in the region
             assert session.op_counts == {"region": 1}, session.op_counts
         if kind == "fanout3":  # refused: the producer stays, the chains fuse

@@ -1,4 +1,8 @@
-"""Graph-IR tests: node records, capture, topological order, replay."""
+"""Graph-IR tests: node records, capture, topological order, replay, the op
+table."""
+
+import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -236,3 +240,53 @@ def test_a_capture_collects_only_its_own_threads_nodes():
     thread.join(10)
     assert not thread.is_alive()
     assert [node.op for node in graph.nodes] == ["add"]
+
+
+# --------------------------------------------------------------------------- #
+# The op table
+# --------------------------------------------------------------------------- #
+def _parametrizations(test):
+    """Every keyword set the ``parametrize`` marks of ``test`` expand to."""
+    axes = []
+    for mark in getattr(test, "pytestmark", ()):
+        if mark.name != "parametrize":
+            continue
+        names = mark.args[0]
+        names = [n.strip() for n in names.split(",")] if isinstance(names, str) else list(names)
+        rows = [getattr(row, "values", row) for row in mark.args[1]]
+        axes.append([dict(zip(names, row if len(names) > 1 else (row,))) for row in rows])
+    for combo in itertools.product(*axes):
+        yield {k: v for params in combo for k, v in params.items()}
+
+
+def test_every_table_op_has_a_gradient_check(monkeypatch):
+    # Run every test of test_functional / test_tensor that calls
+    # check_gradients, with a spy in its place that records which table ops
+    # the checked function tapes (the tests themselves run the real checks).
+    import test_functional
+    import test_tensor
+    from repro.autograd.grad_check import GradCheckResult
+    from repro.codegen import using_codegen
+
+    checked = set()
+
+    def spy(fn, inputs, *args, **kwargs):
+        with ir.capture() as graph:
+            fn(*inputs)
+        checked.update(node.op for node in graph.nodes)
+        return GradCheckResult()
+
+    for module in (test_functional, test_tensor):
+        monkeypatch.setattr(module, "check_gradients", spy)
+        monkeypatch.setattr(module, "RNG", np.random.default_rng(0))  # leave theirs as it was
+        for name, test in vars(module).items():
+            if not (name.startswith("test_") and "check_gradients" in inspect.getsource(test)):
+                continue
+            for params in _parametrizations(test):
+                with using_codegen(False):  # a second sight would ask the compiler
+                    try:
+                        test(**params)
+                    except AssertionError:
+                        pass  # the stub result; the test itself checks the gradients
+    missing = sorted(set(ir.OPS) - checked)
+    assert not missing, f"table ops without a check_gradients case: {missing}"

@@ -153,7 +153,7 @@ def test_generated_stacks_agree_byte_for_byte(seed):
     assert staged.wait_compiled(120), staged.explain()
     rows = staged.explain()
     assert all(row["arm"] == "compiled" for row in rows
-               if row["ops"][0] in ("conv2d", "linear", "linear_relu")), rows
+               if row["ops"][0] in ("conv2d", "linear", "region")), rows
     assert all(row["reason"] == "disabled" for row in plain.explain())
     for special in (False, True, True):
         arrays = model.inputs(rng, n, special)
@@ -342,8 +342,10 @@ def test_server_pools_compile_regions_only_user_pools_everything():
     assert all(s.wait_compiled(120) and s.num_steps == 6 for s in pool.sessions.values())
     with model.serve(buckets=(1, 2), workers=1) as server:
         (served,) = server.pools
-        assert all(s.num_steps == 12 and not s.wait_compiled()
-                   for s in served.sessions.values())
+        for s in served.sessions.values():  # TBNet's three linear-head regions, no more
+            assert s.wait_compiled(120) and s.num_steps == 14
+            assert all((row["arm"] == "compiled") == (row["ops"] == ["region"])
+                       for row in s.explain()), s.explain()
     chain = ScaleShift().eval()
     x = np.zeros((2, 6), np.float32)
     from repro.serve import Server
@@ -403,10 +405,10 @@ def test_tbnet_replays_six_steps_and_one_kernel_serves_every_bucket(tmp_path, mo
     assert after["compiled"] == before["compiled"] + 1  # one cc for three buckets
     assert len(list(tmp_path.glob("*.so"))) == 1
     assert [row["ops"] for row in sessions[1].explain()] == [
-        ["linear_relu"], ["linear_relu"],
-        ["conv2d", "batch_norm_relu", "max_pool2d"],
-        ["conv2d", "batch_norm_relu", "max_pool2d", "reshape", "concat"],
-        ["linear_relu"], ["linear"],
+        ["region"], ["region"],
+        ["conv2d", "batch_norm", "relu", "max_pool2d"],
+        ["conv2d", "batch_norm", "relu", "max_pool2d", "reshape", "concat"],
+        ["region"], ["linear"],
     ]
     for n, session in sessions.items():
         images, context, _ = make_synthetic_batch(n, rng=np.random.default_rng(n))
@@ -425,7 +427,7 @@ def test_profiler_labels_name_the_ops_of_a_stage():
     images, context, _ = make_synthetic_batch(2, rng=np.random.default_rng(2))
     with using_profiler() as profiler:
         session.run(images, context)
-    assert "serve:conv2d+batch_norm_relu+max_pool2d" in profiler.stats()
+    assert "serve:conv2d+batch_norm+relu+max_pool2d" in profiler.stats()
 
 
 @needs_cc
@@ -446,7 +448,9 @@ def test_elementwise_region_joins_the_stage_of_its_producer():
     x = np.random.default_rng(4).standard_normal((3, 6)).astype(np.float32)
     session = compile_inference(model, x)
     assert session.wait_compiled(120)
-    assert [row["ops"] for row in session.explain()] == [["linear_relu", "region"]]
+    # The linear heads one region: both relus and the affine chain join it.
+    assert session.op_counts == {"region": 1}
+    assert [row["ops"] for row in session.explain()] == [["region"]]
     assert session.run(x).tobytes() == _eager(model, [x]).tobytes()
 
 
@@ -543,11 +547,11 @@ def test_reduction_tail_region_keeps_its_kernel_off_the_request_path(tmp_path, m
     model = MeanTail().eval()
     x = np.random.default_rng(3).standard_normal((4, 8)).astype(np.float32)
     session = compile_inference(model, x)
-    assert [row["reason"] for row in session.explain()] == ["pending", "pending"]
+    # One region: the linear head, the relu, the affine chain and the mean tail.
+    assert [row["reason"] for row in session.explain()] == ["pending"]
     want = _eager(model, [x]).tobytes()
     assert session.run(x).tobytes() == want  # the interpreter arm meanwhile
     assert session.wait_compiled(120)
-    assert [(row["ops"], row["arm"]) for row in session.explain()] == [
-        (["linear_relu"], "compiled"), (["region"], "compiled")]
+    assert [(row["ops"], row["arm"]) for row in session.explain()] == [(["region"], "compiled")]
     assert session.run(x).tobytes() == want
     jit.clear_kernel_memo()
