@@ -21,12 +21,10 @@ scalar reductions of the gathered loss — stays plain ndarray arithmetic.
 
 All public ops accept :class:`~repro.autograd.tensor.Tensor` (or anything
 coercible to one), record themselves on the tape and return a ``Tensor``.
-Those a replayed train step runs (``linear``, ``conv2d``, ``max_pool2d``,
-``batch_norm``, ``dropout``, ``softmax_cross_entropy``) are entries of the op
-table (:class:`repro.autograd.ir.Op`): the forward, the backward over the
-forward's saved context and the compiled-arm lookup are written once here,
-and the public function validates its arguments and records its call through
-the entry.
+Each is an entry of the op table (:class:`repro.autograd.ir.Op`): the
+forward, the backward over the forward's saved context, the compiled-arm
+lookup and the serving bind are written once here, and the public function
+validates its arguments and records its call through the entry.
 
 What a window node retains for backward: ``conv2d`` keeps its patch matrix
 (``kh·kw`` times the input, until backward runs; the padded copy is dropped)
@@ -52,13 +50,14 @@ are ``(out_channels, in_channels, kh, kw)``, classification logits are
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backend import default_rng, get_backend
 from repro.autograd import ir
-from repro.autograd.tensor import Tensor, _get_kernels, _owned_copy, _taping
+from repro.autograd.tensor import Tensor, _apply, _get_kernels, _owned_copy, _taping
 
 __all__ = [
     "im2col",
@@ -129,8 +128,8 @@ def _out_hw(h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
 # output rows, so each pass is a row-wise copy / ufunc over the image rather
 # than a gather of ``kw``-element window rows.  Convolution copies the slices
 # into a patch matrix and runs one GEMM; col2im adds them back; pooling
-# reduces across them.  ``repro.serve.session`` builds the same views once at
-# compile time over its preallocated buffers.
+# reduces across them.  The conv / pool binds build the same views once at
+# compile time over their preallocated buffers.
 # --------------------------------------------------------------------------- #
 def _window_slices(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
     """The ``kh * kw`` strided ``(N, C, OH, OW)`` views of a padded image,
@@ -149,6 +148,42 @@ def _patch_slots(cols: np.ndarray, n: int, c: int, oh: int, ow: int):
     ``(N, C, OH, OW)`` view that the ``k``-th window slice fills."""
     planes = cols.reshape(c, len(cols) // c, n, oh, ow)  # no -1: n may be 0
     return [planes[:, k].transpose(1, 0, 2, 3) for k in range(planes.shape[1])]
+
+
+def _window_source(x0: np.ndarray, footprint, ph: int, pw: int, fill: float):
+    """``x -> footprint slices`` of a bound conv/pool step's (padded) input,
+    bound for ``x0`` (see :meth:`repro.autograd.ir.Op.bind`).
+
+    The slices are views, so a shape-stable step builds them once.  Padded:
+    the input is copied into a buffer of the step's whose ``fill`` border is
+    written once; the views over it are constants.  Unpadded: the views slice
+    the input directly, built once for the executor's own buffer ``x0`` (the
+    same array on every call) and per call for anything else — a caller's
+    batch, which holding on to would pin it between calls (``fixed`` is a
+    weak reference, so an example ``x0`` dies with its trace).
+    """
+    n, c, h, w = x0.shape
+    if ph or pw:
+        xp = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, x0.dtype)
+        interior = xp[:, :, ph : ph + h, pw : pw + w]
+        windows = _window_slices(xp, *footprint)
+
+        def source(x):
+            np.copyto(interior, x)
+            return windows
+
+        return source
+    fixed, cache = weakref.ref(x0), [None, None]
+
+    def source(x):
+        if x is cache[0]:
+            return cache[1]
+        windows = _window_slices(x, *footprint)
+        if x is fixed():
+            cache[0], cache[1] = x, windows
+        return windows
+
+    return source
 
 
 def _patch_matrix(be, xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -216,10 +251,7 @@ def col2im(
 
 
 # --------------------------------------------------------------------------- #
-# Shared forward cores
-#
-# The trace kernels and the IR forward evaluators (graph replay) run the
-# *same* code, so a replayed node is bit-identical to the eager computation.
+# Forward cores
 # --------------------------------------------------------------------------- #
 def _conv2d_forward(
     be, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray],
@@ -305,6 +337,21 @@ def _linear(be, arm, xs, attrs, ports):
     return be.linear(xs[0], xs[1], xs[2] if len(xs) == 3 else None), (xs[0], xs[1])
 
 
+def _linear_bind(xs, attrs, out):
+    """The GEMM ``out=`` the step's buffer, then the bias added in place
+    (``be.linear``'s ops); a batched input takes the generic step."""
+    if xs[0].ndim != 2:
+        return None
+    buf = np.empty(out.shape, out.dtype)
+
+    def step(x, w, b=None):
+        np.matmul(x, w, out=buf)
+        return buf if b is None else np.add(buf, b, out=buf)
+
+    step.out = buf
+    return step
+
+
 def linear_backward(be, arm, g, ports, ctx, attrs) -> None:
     """Accumulate the affine map's three adjoints for incoming grad ``g``."""
     (xd, wd), x_t, w_t = ctx, ports[0], ports[1]
@@ -387,6 +434,36 @@ def _conv2d(be, arm, xs, attrs, ports):
     return out, (xd, wd, cols if ports[1].requires_grad else None)
 
 
+def _conv2d_bind(xs, attrs, out):
+    """``_conv2d_forward``'s arithmetic with every workspace allocated once:
+    the footprint slices copied into the channel-major patch matrix, one GEMM
+    against ``weight.reshape(O, -1)`` (same operand layouts, same BLAS call,
+    same bits), then the bias add into the NCHW output.  ``step.patches`` is
+    ``(patch matrix, GEMM output)``."""
+    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
+    n, c = xs[0].shape[:2]
+    oc, _, kh, kw = xs[1].shape
+    oh, ow = out.shape[2:]
+    source = _window_source(xs[0], (kh, kw, sh, sw), ph, pw, 0.0)
+    cols = np.empty((c * kh * kw, n * oh * ow), xs[0].dtype)
+    slots = _patch_slots(cols, n, c, oh, ow)
+    gemm = np.empty((oc, n * oh * ow), out.dtype)
+    gemm_nchw = gemm.reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+    buf = np.empty(out.shape, out.dtype)
+
+    def step(x, w, b=None):
+        for slot, window in zip(slots, source(x)):
+            np.copyto(slot, window)
+        np.matmul(w.reshape(oc, -1), cols, out=gemm)
+        if b is None:
+            np.copyto(buf, gemm_nchw)
+            return buf
+        return np.add(gemm_nchw, b.reshape(1, -1, 1, 1), out=buf)
+
+    step.out, step.patches = buf, (cols, gemm)
+    return step
+
+
 def conv2d_backward(be, arm, g, ports, ctx, attrs) -> None:
     """Accumulate conv2d's adjoints for incoming grad ``g`` (``N, O, OH, OW``)
     against the forward's patch matrix."""
@@ -466,6 +543,17 @@ def _max_pool2d(be, arm, xs, attrs, ports):
     return out, (xd, out, windows)
 
 
+def _max_pool2d_bind(xs, attrs, out):
+    """The eager kernel's ``_max_over`` (NaN propagates, ties keep the
+    earlier element) into the step's buffer."""
+    footprint, (ph, pw) = attrs["kernel_size"] + attrs["stride"], attrs["padding"]
+    source = _window_source(xs[0], footprint, ph, pw, -np.inf)
+    buf = np.empty(out.shape, out.dtype)
+    step = lambda x: _max_over(source(x), buf)
+    step.out = buf
+    return step
+
+
 def max_pool2d_backward(be, arm, g, ports, ctx, attrs) -> None:
     """Accumulate max-pooling's adjoint for incoming grad ``g``: each
     window's gradient to its first winner."""
@@ -518,30 +606,29 @@ def avg_pool2d(
     ph, pw = _pair(padding)
     xd = x_t.data
     _check_pool("avg_pool2d", xd, kh, kw, ph, pw)
+    _out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
+
+    return _apply(_AVG_POOL2D, (x_t,),
+                  {"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)})
+
+
+def _avg_pool2d(be, arm, xs, attrs, ports):
+    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
+    return _avg_pool2d_forward(be, xs[0], kh, kw, sh, sw, ph, pw), xs[0]
+
+
+def _avg_pool2d_backward(be, arm, g, ports, xd, attrs) -> None:
+    if not ports[0].requires_grad:
+        return
+    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
     n, c, h, w = xd.shape
-    _out_hw(h, w, kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
-
-    out = _avg_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
-    inv_area = 1.0 / (kh * kw)
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            if not x_t.requires_grad:
-                return
-            g = be.multiply(out_t.grad, np.asarray(inv_area, dtype=xd.dtype))
-            # Every patch entry is the same g value: add it per footprint
-            # slice instead of materializing a patch matrix for col2im.
-            dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
-            for dwindow in _window_slices(dxp, kh, kw, sh, sw):
-                dwindow += g
-            x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
-
-        return _backward
-
-    return Tensor._make(
-        out, (x_t,), "avg_pool2d", make_backward,
-        attrs={"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)},
-    )
+    g = be.multiply(g, np.asarray(1.0 / (kh * kw), dtype=xd.dtype))
+    # Every patch entry is the same g value: add it per footprint slice
+    # instead of materializing a patch matrix for col2im.
+    dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
+    for dwindow in _window_slices(dxp, kh, kw, sh, sw):
+        dwindow += g
+    ports[0]._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
 
 
 # --------------------------------------------------------------------------- #
@@ -677,6 +764,45 @@ def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, tra
     return out, xhat, mean, inv_std, use_batch_stats
 
 
+def _bn_affine_inputs(inputs, attrs) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Extract ``(gamma, beta)`` from a batch-norm node's input arrays."""
+    gamma = inputs[1] if attrs["has_weight"] else None
+    if attrs["has_bias"]:
+        beta = inputs[2] if attrs["has_weight"] else inputs[1]
+    else:
+        beta = None
+    return gamma, beta
+
+
+def _batch_norm_bind(xs, attrs, out):
+    """Eval statistics are constants of the trace: their reshapes are folded
+    once, gamma / beta stay late-bound reads.  Without running statistics
+    the generic step recomputes the batch's, as the eager kernel does."""
+    if attrs["training"]:
+        raise RuntimeError(
+            "cannot replay a train-mode batch_norm node: replaying would "
+            "re-update the running statistics; capture the trace in eval mode"
+        )
+    if attrs["use_batch_stats"]:
+        return None
+    bshape, has_weight, has_bias = attrs["bshape"], attrs["has_weight"], attrs["has_bias"]
+    mean = np.ascontiguousarray(attrs["mean"].reshape(bshape))
+    inv_std = np.ascontiguousarray(attrs["inv_std"].reshape(bshape))
+    buf = np.empty(out.shape, out.dtype)
+
+    def step(x, *affine):
+        np.subtract(x, mean, out=buf)
+        np.multiply(buf, inv_std, out=buf)
+        if has_weight:
+            np.multiply(buf, affine[0].reshape(bshape), out=buf)
+        if has_bias:
+            np.add(buf, affine[-1].reshape(bshape), out=buf)
+        return buf
+
+    step.out = buf
+    return step
+
+
 def batch_norm_backward(be, arm, g, ports, ctx, attrs) -> None:
     """Accumulate batch-norm's adjoints for incoming grad ``g``; without the
     compiled arm the forward ran, the arm is looked up."""
@@ -761,34 +887,27 @@ def _dropout_backward(be, arm, g, ports, mask, attrs) -> None:
 # --------------------------------------------------------------------------- #
 def softmax(x, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    be = get_backend()
-    x_t = Tensor._wrap(x)
-    probs = be.softmax(x_t.data, axis)  # owned fresh buffer
-
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            if x_t.requires_grad:
-                x_t._accumulate_fresh(be.softmax_grad(out_t.grad, probs, axis))
-
-        return _backward
-
-    return Tensor._make(probs, (x_t,), "softmax", make_backward, attrs={"axis": axis})
+    return _apply(_SOFTMAX, (Tensor._wrap(x),), {"axis": axis})
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
     """Numerically stable ``log(softmax(x))`` along ``axis``."""
-    be = get_backend()
-    x_t = Tensor._wrap(x)
-    logp = be.log_softmax(x_t.data, axis)
+    return _apply(_LOG_SOFTMAX, (Tensor._wrap(x),), {"axis": axis})
 
-    def make_backward(out_t: Tensor):
-        def _backward() -> None:
-            if x_t.requires_grad:
-                x_t._accumulate_fresh(be.log_softmax_grad(out_t.grad, logp, axis))
 
-        return _backward
+def _softmax_op(name: str, fn, grad) -> ir.Op:
+    """Enter a softmax-family op: ``y = fn(be, x, axis)``, input adjoint
+    ``grad(be, g, y, axis)``."""
 
-    return Tensor._make(logp, (x_t,), "log_softmax", make_backward, attrs={"axis": axis})
+    def forward(be, arm, xs, attrs, ports):
+        y = fn(be, xs[0], attrs["axis"])
+        return y, y
+
+    def backward(be, arm, g, ports, y, attrs) -> None:
+        if ports[0].requires_grad:
+            ports[0]._accumulate_fresh(grad(be, g, y, attrs["axis"]))
+
+    return ir.define_op(name, forward, backward)
 
 
 def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
@@ -824,9 +943,10 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
 
 
 def _softmax_cross_entropy(be, arm, xs, attrs, ports):
-    """The loss over logits ``xs[0]`` and int64 class indices ``xs[1]``."""
-    out, logp, rows = _softmax_cross_entropy_forward(be, xs[0], xs[1], attrs["reduction"])
-    return out, (logp, rows, xs[1])
+    """The loss over logits ``xs[0]`` and integer class indices ``xs[1]``."""
+    idx = xs[1].astype(np.int64, copy=False).reshape(-1)
+    out, logp, rows = _softmax_cross_entropy_forward(be, xs[0], idx, attrs["reduction"])
+    return out, (logp, rows, idx)
 
 
 def _softmax_cross_entropy_backward(be, arm, g, ports, ctx, attrs) -> None:
@@ -846,8 +966,8 @@ def _softmax_cross_entropy_backward(be, arm, g, ports, ctx, attrs) -> None:
 def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, reduction: str):
     """Shared validation + loss core; returns ``(out, logp, rows)``.
 
-    One definition serves the trace kernel and the IR replay evaluator, so
-    a fix to the loss math or its guards reaches both.
+    Every executor runs it through the op table entry, so a fix to the loss
+    math or its guards reaches all of them.
     """
     if logits.ndim != 2 or idx.shape[0] != logits.shape[0]:
         raise ValueError("softmax_cross_entropy expects (N, C) logits and (N,) targets")
@@ -878,100 +998,20 @@ def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, redu
 
 # --------------------------------------------------------------------------- #
 # The op table (repro.autograd.ir.Op): the tape ops above record their calls
-# through these entries, and a replayed train step runs them.
+# through these entries, a replayed train step runs them and a serving
+# session binds them.
 # --------------------------------------------------------------------------- #
-_LINEAR = ir.define_op("linear", _linear, linear_backward)
-_CONV2D = ir.define_op("conv2d", _conv2d, conv2d_backward, _conv2d_arm)
-_MAX_POOL2D = ir.define_op("max_pool2d", _max_pool2d, max_pool2d_backward, _max_pool2d_arm)
-_BATCH_NORM = ir.define_op("batch_norm", _batch_norm, batch_norm_backward, _batch_norm_arm)
+_LINEAR = ir.define_op("linear", _linear, linear_backward, bind=_linear_bind)
+_CONV2D = ir.define_op("conv2d", _conv2d, conv2d_backward, _conv2d_arm, _conv2d_bind)
+_MAX_POOL2D = ir.define_op("max_pool2d", _max_pool2d, max_pool2d_backward, _max_pool2d_arm,
+                           _max_pool2d_bind)
+_AVG_POOL2D = ir.define_op("avg_pool2d", _avg_pool2d, _avg_pool2d_backward)
+_BATCH_NORM = ir.define_op("batch_norm", _batch_norm, batch_norm_backward, _batch_norm_arm,
+                           _batch_norm_bind)
 _DROPOUT = ir.define_op("dropout", _dropout, _dropout_backward)
+_SOFTMAX = _softmax_op("softmax", lambda be, x, axis: be.softmax(x, axis),
+                       lambda be, g, y, axis: be.softmax_grad(g, y, axis))
+_LOG_SOFTMAX = _softmax_op("log_softmax", lambda be, x, axis: be.log_softmax(x, axis),
+                           lambda be, g, y, axis: be.log_softmax_grad(g, y, axis))
 _SOFTMAX_CROSS_ENTROPY = ir.define_op(
     "softmax_cross_entropy", _softmax_cross_entropy, _softmax_cross_entropy_backward)
-
-
-# --------------------------------------------------------------------------- #
-# IR forward evaluators
-#
-# Each replays a recorded node's forward from its saved attrs over new input
-# arrays, through the exact same core the trace kernel ran — graph replay
-# (repro.serve) is therefore bit-identical to the eager computation.
-# --------------------------------------------------------------------------- #
-def _bn_replay_stats(be, xd: np.ndarray, attrs: dict) -> Tuple[np.ndarray, np.ndarray]:
-    """``(mean, inv_std)`` for replaying a recorded batch-norm node."""
-    if attrs["training"]:
-        raise RuntimeError(
-            "cannot replay a train-mode batch_norm node: replaying would "
-            "re-update the running statistics; capture the trace in eval mode"
-        )
-    if attrs["use_batch_stats"]:
-        # Eval without running statistics: the batch-statistics fallback is
-        # recomputed from the new input, like the eager kernel does.
-        mean = be.mean(xd, axis=attrs["axes"])
-        var = be.var(xd, axis=attrs["axes"])
-        return mean, 1.0 / np.sqrt(var + attrs["eps"])
-    # Running statistics are frozen constants of the trace.
-    return attrs["mean"], attrs["inv_std"]
-
-
-def _bn_affine_inputs(inputs, attrs) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Extract ``(gamma, beta)`` from a batch-norm node's input arrays."""
-    gamma = inputs[1] if attrs["has_weight"] else None
-    if attrs["has_bias"]:
-        beta = inputs[2] if attrs["has_weight"] else inputs[1]
-    else:
-        beta = None
-    return gamma, beta
-
-
-@ir.register_forward("linear")
-def _eval_linear(be, inputs, attrs):
-    return be.linear(inputs[0], inputs[1], inputs[2] if len(inputs) == 3 else None)
-
-
-@ir.register_forward("conv2d")
-def _eval_conv2d(be, inputs, attrs):
-    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
-    bd = inputs[2] if len(inputs) == 3 else None
-    return _conv2d_forward(be, inputs[0], inputs[1], bd, sh, sw, ph, pw)[0]
-
-
-@ir.register_forward("max_pool2d")
-def _eval_max_pool2d(be, inputs, attrs):
-    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    return _max_pool2d_forward(be, inputs[0], kh, kw, sh, sw, ph, pw)[0]
-
-
-@ir.register_forward("avg_pool2d")
-def _eval_avg_pool2d(be, inputs, attrs):
-    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    return _avg_pool2d_forward(be, inputs[0], kh, kw, sh, sw, ph, pw)
-
-
-@ir.register_forward("batch_norm")
-def _eval_batch_norm(be, inputs, attrs):
-    xd = inputs[0]
-    mean, inv_std = _bn_replay_stats(be, xd, attrs)
-    gamma, beta = _bn_affine_inputs(inputs, attrs)
-    return be.bn_normalize(xd, mean, inv_std, gamma, beta, attrs["bshape"])[1]
-
-
-@ir.register_forward("dropout")
-def _eval_dropout(be, inputs, attrs):
-    # Deterministic replay of the mask drawn at trace time.
-    return be.multiply(inputs[0], attrs["mask"])
-
-
-@ir.register_forward("softmax")
-def _eval_softmax(be, inputs, attrs):
-    return be.softmax(inputs[0], attrs["axis"])
-
-
-@ir.register_forward("log_softmax")
-def _eval_log_softmax(be, inputs, attrs):
-    return be.log_softmax(inputs[0], attrs["axis"])
-
-
-@ir.register_forward("softmax_cross_entropy")
-def _eval_softmax_cross_entropy(be, inputs, attrs):
-    idx = inputs[1].astype(np.int64).reshape(-1)
-    return _softmax_cross_entropy_forward(be, inputs[0], idx, attrs["reduction"])[0]

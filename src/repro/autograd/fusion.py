@@ -30,12 +30,13 @@ Three extensions widen what a region may contain:
   narrow shape: a lone elementwise node whose inputs are all graph
   leaves and whose output feeds *exactly two* region-eligible consumers
   is recomputed into each consuming region.  The producer node becomes
-  dead and the serving emitter drops it.
+  dead and the serving session drops it.
 
 A chain is fused only when each interior output is consumed by exactly one
 node of the walked graph, so no other consumer can observe a fused-away
-intermediate.  ``region`` registers a forward evaluator in the IR
-registry, so a fused captured trace replays like any other.
+intermediate.  ``region`` is an entry of the op table
+(:data:`repro.autograd.ir.OPS`), so a fused captured trace replays like any
+other.
 """
 
 from __future__ import annotations
@@ -314,11 +315,23 @@ def _rewrite_region(members) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# The fused op's forward evaluator (graph replay / serving)
+# The fused op's table entry: no gradient flows through a region
 # --------------------------------------------------------------------------- #
-@ir.register_forward("region")
-def _eval_region(be, inputs, attrs):
-    kernel = attrs.get("_kernel")
-    if kernel is None:
-        kernel = attrs["_kernel"] = compile_region(attrs["region"])
-    return kernel(inputs)
+def _region(be, arm, xs, attrs, ports):
+    return compile_region(attrs["region"])(xs), None
+
+
+def _region_bind(xs, attrs, out):
+    """The region's interpreter into the step's buffer; ``step.over(kernel)``
+    is the same step over a native kernel of ``step.region``."""
+    buf = np.empty(out.shape, out.dtype)
+
+    def over(kernel):
+        return lambda *arrays: kernel(arrays, out=buf)
+
+    step = over(attrs["region"].interpret)
+    step.out, step.region, step.over = buf, attrs["region"], over
+    return step
+
+
+ir.define_op("region", _region, bind=_region_bind)

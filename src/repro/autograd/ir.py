@@ -9,7 +9,7 @@ rewritable*: downstream passes can pattern-match chains of nodes
 inputs (:mod:`repro.serve`), neither of which was possible when the tape was
 a pile of bare closures.
 
-Four pieces live here:
+Three pieces live here:
 
 - **The node/graph types.** ``GraphNode`` is the per-operation record;
   ``Graph`` is an ordered list of nodes collected by :func:`capture` (the
@@ -21,19 +21,12 @@ Four pieces live here:
   way the old tensor-level sort pruned leaves (``backward_only=True``, the
   ``backward()`` path) or following every recorded parent
   (``backward_only=False``, the replay/fusion path).
-- **The forward-eval registry.** Each op name maps to a function
-  ``fn(backend, input_arrays, attrs) -> ndarray`` that recomputes the op's
-  forward from its IR record.  The evaluators reproduce the exact expression
-  the trace kernels ran, so a replayed trace is bit-identical to the eager
-  computation.  Evaluators for the tensor-level ops are registered below;
-  :mod:`repro.autograd.functional` and :mod:`repro.autograd.fusion` register
-  their own next to the kernels they mirror.
-- **The op table.** :data:`OPS` holds one :class:`Op` per op a replayed
-  train step runs — its compiled-arm lookup, its forward and its backward
-  over the forward's saved context — defined next to the kernels
-  (:func:`define_op`).  The tape op records its call through the entry and
-  :mod:`repro.autograd.replay` runs the same entry, so each such op is
-  written once.
+- **The op table.** :data:`OPS` holds one :class:`Op` per op the tape
+  records — its forward, its backward over the forward's saved context, its
+  compiled-arm lookup and its inference bind — defined next to the kernels
+  (:func:`define_op`).  The tape op records its call through the entry,
+  :mod:`repro.autograd.replay` runs the same entry and :mod:`repro.serve`
+  binds it, so each op is written once for every executor.
 
 Lifetime: ``backward(retain_graph=False)`` *frees* the visited nodes — the
 backward thunk is swapped for a raising sentinel and ``inputs`` / ``attrs`` /
@@ -47,9 +40,12 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.backend import get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.autograd.tensor import Tensor
@@ -65,10 +61,6 @@ __all__ = [
     "current_capture",
     "toposort",
     "op_counts",
-    "register_forward",
-    "has_forward",
-    "run_forward",
-    "evaluate_node",
     "run_steps",
     "explain_rows",
 ]
@@ -97,7 +89,7 @@ class GraphNode:
     ----------
     op:
         Operation name (``"linear"``, ``"relu"``, ``"region"``, ...), the
-        key into the forward-eval registry and the fusion pattern tables.
+        key into the op table :data:`OPS`.
     inputs:
         The parent :class:`Tensor` objects, in the op's argument order.
     attrs:
@@ -273,210 +265,81 @@ def explain_rows(rows) -> List[Dict[str, object]]:
 # --------------------------------------------------------------------------- #
 # The op table
 # --------------------------------------------------------------------------- #
+#: The port of an input that takes no gradient: what an executor without a
+#: tape hands :attr:`Op.forward`.
+_CONSTANT = SimpleNamespace(requires_grad=False)
+
+
 class Op:
     """One op, defined once — the shape of a tinygrad ``Function``: the
-    tape op records its call through it and a replayed train step runs it.
+    tape op records its call through it, a replayed train step runs it and
+    a serving session binds it.
 
     - ``forward(be, arm, xs, attrs, ports) -> (out, ctx)``: the output over
       the input arrays ``xs`` and the context its backward reads.  ``ports``
       are the inputs' gradient sinks, read here for ``requires_grad`` only.
     - ``backward(be, arm, g, ports, ctx, attrs)``: accumulates each input's
       adjoint of the incoming gradient ``g`` into its port
-      (``_accumulate_fresh`` / ``_accumulate``, under ``Tensor``'s rules).
+      (``_accumulate_fresh`` / ``_accumulate``, under ``Tensor``'s rules);
+      ``None`` for an op no gradient flows through.
     - ``arm(xs, attrs, ask)``: the op's compiled arm
       (:func:`repro.autograd.kernels.arm`, same ``ask``), or ``None`` for
       an op without one.
+    - ``bind(xs, attrs, out) -> step`` (see :meth:`bind`), or ``None``.
 
     A port is the input ``Tensor`` on the tape and a slot or a gradient row
     in a replay; ``arm`` is what the lookup returned, ``None`` meaning the
     numpy bodies.
     """
 
-    __slots__ = ("name", "forward", "backward", "arm")
+    __slots__ = ("name", "forward", "backward", "arm", "_bind")
 
-    def __init__(self, name: str, forward: Callable, backward: Callable,
-                 arm: Optional[Callable] = None) -> None:
+    def __init__(self, name: str, forward: Callable, backward: Optional[Callable] = None,
+                 arm: Optional[Callable] = None, bind: Optional[Callable] = None) -> None:
         self.name = name
         self.forward = forward
         self.backward = backward
         self.arm = arm
+        self._bind = bind
 
     def thunk(self, be, arm, ports, ctx, attrs) -> Callable:
-        """The ``make_backward`` of one recorded call (see
-        ``Tensor._make``): the node's thunk runs :attr:`backward` over the
+        """The backward factory of one recorded call (``Tensor._make``'s
+        ``backward``): the node's thunk runs :attr:`backward` over the
         call's ``ctx`` with the output's gradient."""
         backward = self.backward
         return lambda out: lambda: backward(be, arm, out.grad, ports, ctx, attrs)
+
+    def bind(self, xs, attrs: dict, out: np.ndarray) -> Callable:
+        """The op's inference step, built once at compile time:
+        ``step(*arrays) -> ndarray``, the forward of one node over new input
+        arrays of the shapes and dtypes it was bound for.
+
+        ``xs`` are the input arrays as far as the executor knows them: its
+        own buffer where an input is one (the same array on every call),
+        else an example; ``out`` is an example output.  The entry's bind
+        runs the eager kernel's numpy calls ``out=`` into buffers it
+        allocates here, and exposes them on the step — ``step.out``, the
+        buffer every call returns, ``step.patches`` and ``step.region`` /
+        ``step.over(kernel)`` for the stage planner.  Without one (or when it declines, returning
+        ``None``) the step is the allocating :attr:`forward`, marked
+        ``step.generic``."""
+        step = self._bind(xs, attrs, out) if self._bind is not None else None
+        if step is None:
+            forward, be, ports = self.forward, get_backend(), (_CONSTANT,) * len(xs)
+
+            def step(*arrays):
+                return forward(be, None, arrays, attrs, ports)[0]
+
+            step.generic = True
+        return step
 
 
 #: Op name -> its :class:`Op`.
 OPS: Dict[str, Op] = {}
 
 
-def define_op(name: str, forward: Callable, backward: Callable,
-              arm: Optional[Callable] = None) -> Op:
+def define_op(name: str, forward: Callable, backward: Optional[Callable] = None,
+              arm: Optional[Callable] = None, bind: Optional[Callable] = None) -> Op:
     """Enter op ``name`` into :data:`OPS` (see :class:`Op`); returns it."""
-    op = OPS[name] = Op(name, forward, backward, arm)
+    op = OPS[name] = Op(name, forward, backward, arm, bind)
     return op
-
-
-# --------------------------------------------------------------------------- #
-# Forward-eval registry
-# --------------------------------------------------------------------------- #
-_FORWARD: Dict[str, Callable] = {}
-
-
-def register_forward(op: str):
-    """Decorator registering ``fn(be, inputs, attrs) -> ndarray`` for ``op``."""
-
-    def decorate(fn):
-        _FORWARD[op] = fn
-        return fn
-
-    return decorate
-
-
-def has_forward(op: str) -> bool:
-    """Whether a forward evaluator is registered for ``op``."""
-    return op in _FORWARD
-
-
-def run_forward(be, op: str, inputs: Tuple[np.ndarray, ...], attrs: Optional[dict]) -> np.ndarray:
-    """Recompute ``op``'s forward from raw input arrays and saved attrs."""
-    try:
-        fn = _FORWARD[op]
-    except KeyError:
-        raise KeyError(
-            f"no forward evaluator registered for op {op!r}; "
-            f"known ops: {sorted(_FORWARD)}"
-        ) from None
-    return fn(be, inputs, attrs or {})
-
-
-def evaluate_node(node: GraphNode, be, inputs: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Replay ``node``'s forward over new input arrays."""
-    return run_forward(be, node.op, inputs, node.attrs)
-
-
-# --------------------------------------------------------------------------- #
-# Evaluators for the tensor-level ops (repro.autograd.tensor).
-#
-# Each mirrors the exact expression the trace op ran, so replay is
-# bit-identical; structural ops stay plain numpy like the ops themselves.
-# --------------------------------------------------------------------------- #
-@register_forward("add")
-def _eval_add(be, inputs, attrs):
-    return be.add(inputs[0], inputs[1])
-
-
-@register_forward("neg")
-def _eval_neg(be, inputs, attrs):
-    return be.negative(inputs[0])
-
-
-@register_forward("mul")
-def _eval_mul(be, inputs, attrs):
-    return be.multiply(inputs[0], inputs[1])
-
-
-@register_forward("div")
-def _eval_div(be, inputs, attrs):
-    return be.divide(inputs[0], inputs[1])
-
-
-@register_forward("pow")
-def _eval_pow(be, inputs, attrs):
-    return be.power(inputs[0], attrs["exponent"])
-
-
-@register_forward("matmul")
-def _eval_matmul(be, inputs, attrs):
-    return be.matmul(inputs[0], inputs[1])
-
-
-@register_forward("abs")
-def _eval_abs(be, inputs, attrs):
-    return np.abs(inputs[0])
-
-
-@register_forward("exp")
-def _eval_exp(be, inputs, attrs):
-    return be.exp(inputs[0])
-
-
-@register_forward("log")
-def _eval_log(be, inputs, attrs):
-    return be.log(inputs[0])
-
-
-@register_forward("sqrt")
-def _eval_sqrt(be, inputs, attrs):
-    return be.sqrt(inputs[0])
-
-
-@register_forward("relu")
-def _eval_relu(be, inputs, attrs):
-    return be.relu(inputs[0])
-
-
-@register_forward("sigmoid")
-def _eval_sigmoid(be, inputs, attrs):
-    return be.sigmoid(inputs[0])
-
-
-@register_forward("tanh")
-def _eval_tanh(be, inputs, attrs):
-    return be.tanh(inputs[0])
-
-
-@register_forward("sum")
-def _eval_sum(be, inputs, attrs):
-    return be.sum(inputs[0], axis=attrs["axis"], keepdims=attrs["keepdims"])
-
-
-@register_forward("max")
-def _eval_max(be, inputs, attrs):
-    return be.amax(inputs[0], axis=attrs["axis"], keepdims=attrs["keepdims"])
-
-
-@register_forward("reshape")
-def _eval_reshape(be, inputs, attrs):
-    return inputs[0].reshape(attrs["shape"])
-
-
-@register_forward("transpose")
-def _eval_transpose(be, inputs, attrs):
-    return inputs[0].transpose(attrs["axes"])
-
-
-@register_forward("getitem")
-def _eval_getitem(be, inputs, attrs):
-    return inputs[0][attrs["index"]]
-
-
-@register_forward("concat")
-def _eval_concat(be, inputs, attrs):
-    return np.concatenate(list(inputs), axis=attrs["axis"])
-
-
-@register_forward("stack")
-def _eval_stack(be, inputs, attrs):
-    return np.stack(list(inputs), axis=attrs["axis"])
-
-
-@register_forward("pad2d")
-def _eval_pad2d(be, inputs, attrs):
-    p = attrs["padding"]
-    return np.pad(inputs[0], ((0, 0), (0, 0), (p, p), (p, p)), mode="constant")
-
-
-@register_forward("clone")
-def _eval_clone(be, inputs, attrs):
-    return inputs[0].copy()
-
-
-@register_forward("detach")
-def _eval_detach(be, inputs, attrs):
-    # Identity on the data; the detachment (no backward thunk) is a
-    # property of the node, not of the value.
-    return inputs[0]

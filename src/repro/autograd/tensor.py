@@ -3,7 +3,7 @@
 The design follows the classic "define-by-run tape" approach: every operation
 on :class:`Tensor` objects produces a new tensor whose
 :class:`~repro.autograd.ir.GraphNode` records the op name, the parent tensors,
-the saved arrays/attributes and a closure computing the local vector-Jacobian
+the saved arrays/attributes and a thunk computing the local vector-Jacobian
 product.  Calling :meth:`Tensor.backward` performs a topological sort of the
 recorded node graph and accumulates gradients into ``.grad`` of every tensor
 that requires them.
@@ -11,18 +11,18 @@ that requires them.
 The explicit node records (rather than bare closures) make the tape a real
 IR: :mod:`repro.autograd.replay` captures a train step's tape and replays it,
 :mod:`repro.autograd.fusion` rewrites chains of captured ``no_grad`` nodes,
-and :mod:`repro.serve` replays captured traces over new inputs through the
-forward-eval registry in :mod:`repro.autograd.ir`.  ``relu``, ``reshape`` and
-``concat`` — like the dense kernels of :mod:`repro.autograd.functional` — are
-entries of the op table (:class:`repro.autograd.ir.Op`): each records its call
-through its entry, and a replayed train step runs the same entry.
+and :mod:`repro.serve` replays captured traces over new inputs.  Every op
+here — like the dense kernels of :mod:`repro.autograd.functional` — is an
+entry of the op table (:class:`repro.autograd.ir.Op`): the method records its
+call through the entry's forward and backward, a replayed train step runs the
+same entry, and a serving session binds it.
 
 Hot-path notes
 --------------
 Gradient accumulation is done **in place**: the first gradient that reaches a
 tensor is copied exactly once (the "ownership copy"), and every later
 contribution is ``+=``-ed into that owned buffer via ``np.add(..., out=...)``.
-Backward closures that produce a fresh temporary hand it over through
+Backward functions that produce a fresh temporary hand it over through
 :meth:`Tensor._accumulate_fresh`, which *donates* the buffer instead of copying
 it, so the common single-consumer case allocates nothing extra at all.
 
@@ -52,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import numbers
 import time
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -92,10 +93,9 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
 def _capturing() -> bool:
     """Whether a :func:`repro.autograd.ir.capture` block is recording.
 
-    Structural-op attr dicts (reshape/transpose/sum/... parameters) exist
-    solely for captured-trace replay — training backward closes over the
-    values directly — so the hot ops build them only inside a capture
-    block, shaving the per-node dict allocation off every training step.
+    A node keeps its attrs (reshape/transpose/sum/... parameters) only for
+    a captured trace — a training backward reads the ones its thunk holds —
+    so the graph of an ordinary training step stays as small as it was.
     """
     return _ir._CAPTURE.graph is not None
 
@@ -180,8 +180,132 @@ def _get_kernels():
 
 # --------------------------------------------------------------------------- #
 # The tensor-level ops of the op table (repro.autograd.ir.Op): what the tape
-# records and a replayed train step runs
+# records, a replayed train step runs and a serving session binds
 # --------------------------------------------------------------------------- #
+def _accumulate_bcast(port, grad: np.ndarray, shape) -> None:
+    """Accumulate a shared buffer into ``port`` after undoing the broadcast
+    to ``shape``."""
+    reduced = _unbroadcast(grad, shape)
+    if reduced is grad:
+        port._accumulate(grad)
+    else:
+        port._accumulate_fresh(reduced)
+
+
+def _into(kernel):
+    """The bind of an op whose step is ``kernel(*arrays, out=buffer)``, one
+    buffer of the output's shape and dtype allocated at bind time."""
+
+    def bind(xs, attrs, out):
+        buf = np.empty(out.shape, out.dtype)
+        step = partial(kernel, out=buf)
+        step.out = buf
+        return step
+
+    return bind
+
+
+def _unary(name: str, fn, grad, bind=None) -> _ir.Op:
+    """Enter the one-input op ``y = fn(be, x)`` whose input adjoint is the
+    fresh ``grad(be, g, x, y)``."""
+
+    def forward(be, arm, xs, attrs, ports):
+        y = fn(be, xs[0])
+        return y, (xs[0], y)
+
+    def backward(be, arm, g, ports, ctx, attrs) -> None:
+        if ports[0].requires_grad:
+            ports[0]._accumulate_fresh(grad(be, g, *ctx))
+
+    return _ir.define_op(name, forward, backward, bind=bind)
+
+
+_NEG = _unary("neg", lambda be, x: be.negative(x), lambda be, g, x, y: be.negative(g),
+              _into(np.negative))
+_ABS = _unary("abs", lambda be, x: np.abs(x), lambda be, g, x, y: g * np.sign(x))
+_EXP = _unary("exp", lambda be, x: be.exp(x), lambda be, g, x, y: be.multiply(g, y))
+_LOG = _unary("log", lambda be, x: be.log(x), lambda be, g, x, y: be.divide(g, x))
+_SQRT = _unary("sqrt", lambda be, x: be.sqrt(x), lambda be, g, x, y: g * 0.5 / y)
+_SIGMOID = _unary("sigmoid", lambda be, x: be.sigmoid(x), lambda be, g, x, y: g * y * (1.0 - y))
+_TANH = _unary("tanh", lambda be, x: be.tanh(x), lambda be, g, x, y: g * (1.0 - y ** 2))
+
+
+def _add(be, arm, xs, attrs, ports):
+    return be.add(xs[0], xs[1]), (xs[0].shape, xs[1].shape)
+
+
+def _add_backward(be, arm, g, ports, shapes, attrs) -> None:
+    for port, shape in zip(ports, shapes):
+        if port.requires_grad:
+            _accumulate_bcast(port, g, shape)
+
+
+def _mul(be, arm, xs, attrs, ports):
+    return be.multiply(xs[0], xs[1]), xs
+
+
+def _mul_backward(be, arm, g, ports, xs, attrs) -> None:
+    a, b = xs
+    if ports[0].requires_grad:
+        ports[0]._accumulate_fresh(_unbroadcast(be.multiply(g, b), a.shape))
+    if ports[1].requires_grad:
+        ports[1]._accumulate_fresh(_unbroadcast(be.multiply(g, a), b.shape))
+
+
+def _div(be, arm, xs, attrs, ports):
+    return be.divide(xs[0], xs[1]), xs
+
+
+def _div_backward(be, arm, g, ports, xs, attrs) -> None:
+    a, b = xs
+    if ports[0].requires_grad:
+        ports[0]._accumulate_fresh(_unbroadcast(be.divide(g, b), a.shape))
+    if ports[1].requires_grad:
+        ports[1]._accumulate_fresh(_unbroadcast(
+            be.divide(be.multiply(be.negative(g), a), be.power(b, 2.0)), b.shape))
+
+
+def _pow(be, arm, xs, attrs, ports):
+    return be.power(xs[0], attrs["exponent"]), xs[0]
+
+
+def _pow_backward(be, arm, g, ports, x, attrs) -> None:
+    if ports[0].requires_grad:
+        exponent = attrs["exponent"]
+        # x**(e-1) hits zeros (e.g. the x**0.5 gradient at 0) with a
+        # divide-by-zero RuntimeWarning; the resulting inf matches torch,
+        # the warning spam does not.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ports[0]._accumulate_fresh(g * exponent * be.power(x, exponent - 1))
+
+
+def _matmul(be, arm, xs, attrs, ports):
+    return be.matmul(xs[0], xs[1]), xs
+
+
+def _matmul_backward(be, arm, g, ports, xs, attrs) -> None:
+    a, b = xs
+    # numpy matmul treats 1-D operands as a prepended row / appended column
+    # that is squeezed from the result; mirror that promotion so the
+    # adjoint GEMMs see 2-D operands.
+    a2 = a.reshape(1, -1) if a.ndim == 1 else a
+    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
+    if b.ndim == 1:  # append the column axis before the row axis
+        g = np.expand_dims(g, -1)
+    if a.ndim == 1:
+        g = np.expand_dims(g, -2)
+    if ports[0].requires_grad:
+        ga = be.matmul(g, b2.swapaxes(-1, -2))
+        if a.ndim == 1:
+            ga = np.squeeze(ga, -2)
+        ports[0]._accumulate_fresh(_unbroadcast(ga, a.shape))
+    if ports[1].requires_grad:
+        gb = be.matmul(a2.swapaxes(-1, -2), g)
+        if b.ndim == 1:
+            gb = np.squeeze(gb, -1)
+        ports[1]._accumulate_fresh(_unbroadcast(gb, b.shape))
+
+
 def _relu_arm(xs, attrs, ask=True):
     """``kernels.arm`` for relu over ``xs[0]`` (see its ``ask``)."""
     return _get_kernels().arm("relu", xs[0].dtype, xs[0].size, ask=ask)
@@ -203,6 +327,56 @@ def _relu_backward(be, arm, g, ports, mask, attrs) -> None:
         ports[0]._accumulate_fresh(be.multiply(g, mask) if grad is None else grad)
 
 
+def _reduced(g, attrs, ndim: int):
+    """``g`` with the axes a reduction over ``ndim`` axes dropped put back."""
+    axis = attrs["axis"]
+    if axis is not None and not attrs["keepdims"]:
+        # One axis at a time: older numpy does not accept tuples in
+        # np.expand_dims.
+        for a in _normalize_axes(axis, ndim):
+            g = np.expand_dims(g, axis=a)
+    return g
+
+
+def _sum(be, arm, xs, attrs, ports):
+    return be.sum(xs[0], axis=attrs["axis"], keepdims=attrs["keepdims"]), xs[0].shape
+
+
+def _sum_backward(be, arm, g, ports, shape, attrs) -> None:
+    if ports[0].requires_grad:
+        ports[0]._accumulate(np.broadcast_to(_reduced(g, attrs, len(shape)), shape))
+
+
+def _max(be, arm, xs, attrs, ports):
+    result = be.amax(xs[0], axis=attrs["axis"], keepdims=attrs["keepdims"])
+    return result, (xs[0], result)
+
+
+def _max_backward(be, arm, g, ports, ctx, attrs) -> None:
+    if not ports[0].requires_grad:
+        return
+    x, result = ctx
+    mask = (x == _reduced(result, attrs, x.ndim)).astype(x.dtype)
+    # Distribute gradient evenly across ties.
+    axis = attrs["axis"]
+    denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+    ports[0]._accumulate_fresh(_reduced(g, attrs, x.ndim) * mask / denom)
+
+
+def _reduce_bind(reduce):
+    """The bind of a reduction: ``reduce`` ``out=`` one buffer — a 0-d
+    array for a full reduction, like the tape's output."""
+
+    def bind(xs, attrs, out):
+        buf = np.empty(out.shape, out.dtype)
+        axis, keepdims = attrs["axis"], attrs["keepdims"]
+        step = lambda x: reduce(x, axis=axis, keepdims=keepdims, out=buf)
+        step.out = buf
+        return step
+
+    return bind
+
+
 def _reshape(be, arm, xs, attrs, ports):
     return xs[0].reshape(attrs["shape"]), xs[0].shape
 
@@ -210,6 +384,40 @@ def _reshape(be, arm, xs, attrs, ports):
 def _reshape_backward(be, arm, g, ports, shape, attrs) -> None:
     if ports[0].requires_grad:
         ports[0]._accumulate(g.reshape(shape))
+
+
+def _transpose(be, arm, xs, attrs, ports):
+    """The permuted view and its inverse permutation."""
+    axes = attrs["axes"]
+    # Normalize negatives before inverting: argsort of raw negative axes
+    # produces the wrong inverse permutation.
+    return xs[0].transpose(axes), tuple(np.argsort([a % xs[0].ndim for a in axes]))
+
+
+def _transpose_backward(be, arm, g, ports, inverse, attrs) -> None:
+    if ports[0].requires_grad:
+        ports[0]._accumulate(g.transpose(inverse))
+
+
+def _view_bind(view, key):
+    """The bind of a view op: ``view(x, attrs[key])``, no buffer."""
+
+    def bind(xs, attrs, out):
+        arg = attrs[key]
+        return lambda x: view(x, arg)
+
+    return bind
+
+
+def _getitem(be, arm, xs, attrs, ports):
+    return xs[0][attrs["index"]], xs[0]
+
+
+def _getitem_backward(be, arm, g, ports, x, attrs) -> None:
+    if ports[0].requires_grad:
+        grad = np.zeros(x.shape, dtype=x.dtype)
+        np.add.at(grad, attrs["index"], g)
+        ports[0]._accumulate_fresh(grad)
 
 
 def _concat(be, arm, xs, attrs, ports):
@@ -229,9 +437,74 @@ def _concat_backward(be, arm, g, ports, cuts, attrs) -> None:
             port._accumulate(g[cut])
 
 
-_RELU = _ir.define_op("relu", _relu, _relu_backward, _relu_arm)
-_RESHAPE = _ir.define_op("reshape", _reshape, _reshape_backward)
-_CONCAT = _ir.define_op("concat", _concat, _concat_backward)
+def _concat_bind(xs, attrs, out):
+    buf, axis = np.empty(out.shape, out.dtype), attrs["axis"]
+    step = lambda *arrays: np.concatenate(arrays, axis=axis, out=buf)
+    step.out = buf
+    return step
+
+
+def _stack(be, arm, xs, attrs, ports):
+    return np.stack(xs, axis=attrs["axis"]), None
+
+
+def _stack_backward(be, arm, g, ports, ctx, attrs) -> None:
+    axis = attrs["axis"]
+    for port, grad in zip(ports, np.split(g, len(ports), axis=axis)):
+        if port.requires_grad:
+            port._accumulate(np.squeeze(grad, axis=axis))
+
+
+def _pad2d(be, arm, xs, attrs, ports):
+    p = attrs["padding"]
+    return np.pad(xs[0], ((0, 0), (0, 0), (p, p), (p, p)), mode="constant"), None
+
+
+def _pad2d_backward(be, arm, g, ports, ctx, attrs) -> None:
+    if ports[0].requires_grad:
+        p = attrs["padding"]
+        ports[0]._accumulate(g[:, :, p:-p, p:-p])
+
+
+def _clone(be, arm, xs, attrs, ports):
+    return xs[0].copy(), None
+
+
+def _clone_backward(be, arm, g, ports, ctx, attrs) -> None:
+    if ports[0].requires_grad:
+        ports[0]._accumulate(g)
+
+
+_ADD = _ir.define_op("add", _add, _add_backward, bind=_into(np.add))
+_MUL = _ir.define_op("mul", _mul, _mul_backward, bind=_into(np.multiply))
+_DIV = _ir.define_op("div", _div, _div_backward, bind=_into(np.divide))
+_POW = _ir.define_op("pow", _pow, _pow_backward)
+_MATMUL = _ir.define_op("matmul", _matmul, _matmul_backward)
+_RELU = _ir.define_op("relu", _relu, _relu_backward, _relu_arm,
+                      _into(lambda x, out: np.maximum(x, 0.0, out=out)))
+_SUM = _ir.define_op("sum", _sum, _sum_backward, bind=_reduce_bind(np.ndarray.sum))
+_MAX = _ir.define_op("max", _max, _max_backward, bind=_reduce_bind(np.ndarray.max))
+_RESHAPE = _ir.define_op("reshape", _reshape, _reshape_backward,
+                         bind=_view_bind(np.ndarray.reshape, "shape"))
+_TRANSPOSE = _ir.define_op("transpose", _transpose, _transpose_backward,
+                           bind=_view_bind(np.ndarray.transpose, "axes"))
+_GETITEM = _ir.define_op("getitem", _getitem, _getitem_backward)
+_CONCAT = _ir.define_op("concat", _concat, _concat_backward, bind=_concat_bind)
+_STACK = _ir.define_op("stack", _stack, _stack_backward)
+_PAD2D = _ir.define_op("pad2d", _pad2d, _pad2d_backward)
+_CLONE = _ir.define_op("clone", _clone, _clone_backward)
+# Identity on the data; the detachment (no backward) is a property of the
+# node, not of the value.
+_ir.define_op("detach", lambda be, arm, xs, attrs, ports: (xs[0], None))
+
+
+def _apply(op: _ir.Op, parents: Tuple["Tensor", ...], attrs: Optional[dict] = None) -> "Tensor":
+    """Run table op ``op`` over ``parents``' data and record the call; the
+    node keeps ``attrs`` only inside a capture (the thunk has its own)."""
+    be = get_backend()
+    out, ctx = op.forward(be, None, [p.data for p in parents], attrs, parents)
+    return Tensor._make(out, parents, op.name, op.thunk(be, None, parents, ctx, attrs),
+                        attrs=attrs if _capturing() else None)
 
 
 def _taping(*parents) -> bool:
@@ -350,15 +623,7 @@ class Tensor:
 
     def clone(self) -> "Tensor":
         """Return a copy of this tensor that participates in the graph."""
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad)
-
-            return _backward
-
-        return self._make(self.data.copy(), (self,), "clone", make_backward)
+        return _apply(_CLONE, (self,))
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -404,14 +669,6 @@ class Tensor:
         else:
             np.add(g, grad, out=g)
 
-    def _accumulate_bcast(self, grad: np.ndarray) -> None:
-        """Accumulate a shared buffer that may need unbroadcasting first."""
-        reduced = _unbroadcast(grad, self.data.shape)
-        if reduced is grad:
-            self._accumulate(grad)
-        else:
-            self._accumulate_fresh(reduced)
-
     @staticmethod
     def _wrap(other: ArrayLike) -> "Tensor":
         if isinstance(other, Tensor):
@@ -450,33 +707,12 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._wrap(other)
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_bcast(out.grad)
-                if other.requires_grad:
-                    other._accumulate_bcast(out.grad)
-
-            return _backward
-
-        return self._make(be.add(self.data, other.data), (self, other), "add", make_backward)
+        return _apply(_ADD, (self, self._wrap(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(be.negative(out.grad))
-
-            return _backward
-
-        return self._make(be.negative(self.data), (self,), "neg", make_backward)
+        return _apply(_NEG, (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._wrap(other))
@@ -485,50 +721,12 @@ class Tensor:
         return self._wrap(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._wrap(other)
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(
-                        _unbroadcast(be.multiply(out.grad, other.data), self.data.shape)
-                    )
-                if other.requires_grad:
-                    other._accumulate_fresh(
-                        _unbroadcast(be.multiply(out.grad, self.data), other.data.shape)
-                    )
-
-            return _backward
-
-        return self._make(be.multiply(self.data, other.data), (self, other), "mul", make_backward)
+        return _apply(_MUL, (self, self._wrap(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._wrap(other)
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(
-                        _unbroadcast(be.divide(out.grad, other.data), self.data.shape)
-                    )
-                if other.requires_grad:
-                    other._accumulate_fresh(
-                        _unbroadcast(
-                            be.divide(
-                                be.multiply(be.negative(out.grad), self.data),
-                                be.power(other.data, 2.0),
-                            ),
-                            other.data.shape,
-                        )
-                    )
-
-            return _backward
-
-        return self._make(be.divide(self.data, other.data), (self, other), "div", make_backward)
+        return _apply(_DIV, (self, self._wrap(other)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._wrap(other) / self
@@ -536,113 +734,27 @@ class Tensor:
     def __pow__(self, exponent) -> "Tensor":
         # numpy scalars register with the numbers ABCs, so this covers
         # np.float32/np.float64/np.intXX as well as Python int/float.
-        if isinstance(exponent, numbers.Real):
-            exponent = float(exponent)
-        else:
+        if not isinstance(exponent, numbers.Real):
             raise TypeError(
                 "Tensor.__pow__ only supports real scalar exponents, got "
                 f"{type(exponent).__name__}"
             )
-
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    # x**(e-1) hits zeros (e.g. the x**0.5 gradient at 0)
-                    # with a divide-by-zero RuntimeWarning; the resulting
-                    # inf matches torch, the warning spam does not.
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        self._accumulate_fresh(
-                            out.grad * exponent * be.power(self.data, exponent - 1)
-                        )
-
-            return _backward
-
-        return self._make(
-            be.power(self.data, exponent), (self,), "pow", make_backward,
-            attrs={"exponent": exponent} if _capturing() else None,
-        )
+        return _apply(_POW, (self,), {"exponent": float(exponent)})
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = self._wrap(other)
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                a, b = self.data, other.data
-                # numpy matmul treats 1-D operands as a prepended row /
-                # appended column that is squeezed from the result; mirror
-                # that promotion so the adjoint GEMMs see 2-D operands.
-                a2 = a.reshape(1, -1) if a.ndim == 1 else a
-                b2 = b.reshape(-1, 1) if b.ndim == 1 else b
-                g2 = out.grad
-                if b.ndim == 1:  # append the column axis before the row axis
-                    g2 = np.expand_dims(g2, -1)
-                if a.ndim == 1:
-                    g2 = np.expand_dims(g2, -2)
-                if self.requires_grad:
-                    ga = be.matmul(g2, b2.swapaxes(-1, -2))
-                    if a.ndim == 1:
-                        ga = np.squeeze(ga, -2)
-                    self._accumulate_fresh(_unbroadcast(ga, a.shape))
-                if other.requires_grad:
-                    gb = be.matmul(a2.swapaxes(-1, -2), g2)
-                    if b.ndim == 1:
-                        gb = np.squeeze(gb, -1)
-                    other._accumulate_fresh(_unbroadcast(gb, b.shape))
-
-            return _backward
-
-        return self._make(be.matmul(self.data, other.data), (self, other), "matmul", make_backward)
+        return _apply(_MATMUL, (self, self._wrap(other)))
 
     def abs(self) -> "Tensor":
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(out.grad * np.sign(self.data))
-
-            return _backward
-
-        return self._make(np.abs(self.data), (self,), "abs", make_backward)
+        return _apply(_ABS, (self,))
 
     def exp(self) -> "Tensor":
-        be = get_backend()
-        result = be.exp(self.data)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(be.multiply(out.grad, result))
-
-            return _backward
-
-        return self._make(result, (self,), "exp", make_backward)
+        return _apply(_EXP, (self,))
 
     def log(self) -> "Tensor":
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(be.divide(out.grad, self.data))
-
-            return _backward
-
-        return self._make(be.log(self.data), (self,), "log", make_backward)
+        return _apply(_LOG, (self,))
 
     def sqrt(self) -> "Tensor":
-        be = get_backend()
-        result = be.sqrt(self.data)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(out.grad * 0.5 / result)
-
-            return _backward
-
-        return self._make(result, (self,), "sqrt", make_backward)
+        return _apply(_SQRT, (self,))
 
     # ------------------------------------------------------------------ #
     # Non-linearities
@@ -661,55 +773,16 @@ class Tensor:
                           attrs={"mask": mask})
 
     def sigmoid(self) -> "Tensor":
-        be = get_backend()
-        result = be.sigmoid(self.data)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(out.grad * result * (1.0 - result))
-
-            return _backward
-
-        return self._make(result, (self,), "sigmoid", make_backward)
+        return _apply(_SIGMOID, (self,))
 
     def tanh(self) -> "Tensor":
-        be = get_backend()
-        result = be.tanh(self.data)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate_fresh(out.grad * (1.0 - result ** 2))
-
-            return _backward
-
-        return self._make(result, (self,), "tanh", make_backward)
+        return _apply(_TANH, (self,))
 
     # ------------------------------------------------------------------ #
     # Reductions and shape manipulation
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        be = get_backend()
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if not self.requires_grad:
-                    return
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    # Re-insert each reduced axis explicitly; older numpy does
-                    # not accept tuples in np.expand_dims.
-                    for a in _normalize_axes(axis, self.data.ndim):
-                        grad = np.expand_dims(grad, axis=a)
-                self._accumulate(np.broadcast_to(grad, self.data.shape))
-
-            return _backward
-
-        return self._make(
-            be.sum(self.data, axis=axis, keepdims=keepdims), (self,), "sum", make_backward,
-            attrs={"axis": axis, "keepdims": keepdims} if _capturing() else None,
-        )
+        return _apply(_SUM, (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -729,82 +802,24 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        attrs, parents = {"shape": shape}, (self,)
-        out, original = _RESHAPE.forward(None, None, (self.data,), attrs, parents)
-        return self._make(
-            out, parents, "reshape", _RESHAPE.thunk(None, None, parents, original, attrs),
-            attrs=attrs if _capturing() else None,
-        )
+        return _apply(_RESHAPE, (self,), {"shape": shape})
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        # Normalize negatives before inverting: argsort of raw negative axes
-        # produces the wrong inverse permutation.
-        normalized = tuple(a % self.ndim for a in axes)
-        inverse = tuple(np.argsort(normalized))
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad.transpose(inverse))
-
-            return _backward
-
-        return self._make(
-            self.data.transpose(axes), (self,), "transpose", make_backward,
-            attrs={"axes": axes} if _capturing() else None,
-        )
+        return _apply(_TRANSPOSE, (self,), {"axes": axes})
 
     def flatten(self, start_dim: int = 1) -> "Tensor":
         new_shape = self.shape[:start_dim] + (-1,)
         return self.reshape(new_shape)
 
     def __getitem__(self, index) -> "Tensor":
-        index = _unwrap_index(index)
-        original_shape = self.shape
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    grad = np.zeros(original_shape, dtype=self.data.dtype)
-                    np.add.at(grad, index, out.grad)
-                    self._accumulate_fresh(grad)
-
-            return _backward
-
-        return self._make(
-            self.data[index], (self,), "getitem", make_backward,
-            attrs={"index": index} if _capturing() else None,
-        )
+        return _apply(_GETITEM, (self,), {"index": _unwrap_index(index)})
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        be = get_backend()
-        result = be.amax(self.data, axis=axis, keepdims=keepdims)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if not self.requires_grad:
-                    return
-                expanded, grad = result, out.grad
-                if axis is not None and not keepdims:
-                    # Re-insert reduced axes one at a time, like sum().
-                    for a in _normalize_axes(axis, self.data.ndim):
-                        expanded = np.expand_dims(expanded, axis=a)
-                        grad = np.expand_dims(grad, axis=a)
-                mask = (self.data == expanded).astype(self.data.dtype)
-                # Distribute gradient evenly across ties.
-                denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-                self._accumulate_fresh(grad * mask / denom)
-
-            return _backward
-
-        return self._make(
-            result, (self,), "max", make_backward,
-            attrs={"axis": axis, "keepdims": keepdims} if _capturing() else None,
-        )
+        return _apply(_MAX, (self,), {"axis": axis, "keepdims": keepdims})
 
     # ------------------------------------------------------------------ #
     # Combination helpers used by the two-branch model
@@ -816,10 +831,7 @@ class Tensor:
             raise ValueError(
                 "Tensor.concatenate() needs at least one tensor, got an empty sequence"
             )
-        attrs, parents = {"axis": axis}, tuple(tensors)
-        data, cuts = _CONCAT.forward(None, None, [t.data for t in tensors], attrs, parents)
-        return Tensor._make(data, parents, "concat", _CONCAT.thunk(None, None, parents, cuts, attrs),
-                            attrs=attrs)
+        return _apply(_CONCAT, tuple(tensors), {"axis": axis})
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -828,35 +840,13 @@ class Tensor:
             raise ValueError(
                 "Tensor.stack() needs at least one tensor, got an empty sequence"
             )
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                grads = np.split(out.grad, len(tensors), axis=axis)
-                for tensor, grad in zip(tensors, grads):
-                    if tensor.requires_grad:
-                        tensor._accumulate(np.squeeze(grad, axis=axis))
-
-            return _backward
-
-        return Tensor._make(data, tuple(tensors), "stack", make_backward, attrs={"axis": axis})
+        return _apply(_STACK, tuple(tensors), {"axis": axis})
 
     def pad2d(self, padding: int) -> "Tensor":
         """Zero-pad the two trailing spatial dimensions of an NCHW tensor."""
         if padding == 0:
             return self
-        pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        padded = np.pad(self.data, pad_width, mode="constant")
-
-        def make_backward(out: "Tensor") -> Callable[[], None]:
-            def _backward() -> None:
-                if self.requires_grad:
-                    grad = out.grad[:, :, padding:-padding, padding:-padding]
-                    self._accumulate(grad)
-
-            return _backward
-
-        return self._make(padded, (self,), "pad2d", make_backward, attrs={"padding": padding})
+        return _apply(_PAD2D, (self,), {"padding": padding})
 
     # ------------------------------------------------------------------ #
     # Backward pass

@@ -290,7 +290,7 @@ _STEPS: "weakref.WeakKeyDictionary[TBNet, _TrainState]" = weakref.WeakKeyDiction
 
 #: The forwards a replay can see through: the built-in layers' (a subclass
 #: that keeps its layer's forward is fine).
-_LAYER_FORWARDS = frozenset(
+_BUILT_IN_LAYER_FNS = frozenset(
     cls.forward for cls in (nn.Linear, nn.Conv2d, nn.BatchNorm2d, nn.BatchNorm1d, nn.Dropout,
                             nn.ReLU, nn.MaxPool2d, nn.Flatten, nn.Sequential)
 )
@@ -328,7 +328,7 @@ def _replayable(model: TBNet, modules, optimizer) -> bool:
                for rule in (nn.optim.SGD, nn.optim.Adam)):
         return False
     return all(
-        type(m).forward in _LAYER_FORWARDS and type(m).__call__ is nn.Module.__call__
+        type(m).forward in _BUILT_IN_LAYER_FNS and type(m).__call__ is nn.Module.__call__
         for m in modules
     )
 

@@ -9,9 +9,9 @@ returned :class:`InferenceSession` replays that list over new batches with:
 - **no tape**: no ``Tensor`` wrapping, no node recording, no module
   dispatch — each step is one bound closure over ndarrays;
 - **pre-allocated, reused buffers**: the hot ops (the affine maps,
-  elementwise regions and chains, eval batch-norm, relu, concat) write into
-  buffers allocated once at compile time via ``out=`` kernels;
-  batch-norm's eval statistics are folded to constants at compile;
+  convolution and max-pooling, elementwise regions, eval batch-norm, relu,
+  concat) write into buffers their binds allocate once at compile time via
+  ``out=`` kernels; batch-norm's eval statistics are folded to constants;
 - **shape checking**: every call validates the incoming arrays against the
   example batch (fixed shapes are what make buffer reuse safe) and rejects
   mismatches with a clear error.
@@ -22,10 +22,11 @@ off the calling thread — it **never waits for a compiler** — and its owner
 thread swaps them in at the top of a later :meth:`InferenceSession.run`;
 :meth:`InferenceSession.explain` says which arm runs each step and why.
 
-Replay is **bit-identical** to the eager ``no_grad`` forward: every
-specialized step runs the exact op sequence of the eager kernel (in-place
-where the buffer is owned), and ops without a specialized emitter fall back
-to the IR forward evaluators, which share the kernels' forward cores.
+Replay is **bit-identical** to the eager ``no_grad`` forward: every step is
+its op's entry in the op table bound for the trace
+(:meth:`repro.autograd.ir.Op.bind`) — the exact op sequence of the eager
+kernel, in place where the buffer is owned — or, for an op without a bind,
+the entry's forward itself.
 
 Train-mode state is refused twice: models with any module still in training
 mode are rejected up front, and traces containing train-mode nodes (a
@@ -53,9 +54,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import functional as F, fusion, ir
+from repro.autograd import fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
-from repro.backend import get_backend, workspace
+from repro.backend import workspace
 from repro.codegen.jit import codegen_enabled, count_fallback
 from repro.nn.module import Module
 from repro.obs.profile import active_profiler
@@ -230,13 +231,12 @@ def _compile(model: Module, example_batch, gemm_stages: bool) -> "InferenceSessi
     nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
     _reject_training_nodes(nodes)
     _reject_rewrapped_activations(graph, nodes, inputs)
-    missing = sorted({n.op for n in nodes if not ir.has_forward(n.op)})
+    missing = sorted({n.op for n in nodes if n.op not in ir.OPS})
     if missing:
         # Fail at compile, not at the first run()'s KeyError deep in a step.
         raise ValueError(
-            f"the captured trace contains ops with no registered forward "
-            f"evaluator: {missing}; register one with "
-            "repro.autograd.ir.register_forward"
+            f"the captured trace contains ops that are not in the op table: "
+            f"{missing}; define them with repro.autograd.ir.define_op"
         )
     fused_counts = fusion.fuse(output)
     nodes = ir.toposort(output._node, backward_only=False) if output._node is not None else []
@@ -275,14 +275,6 @@ class InferenceSession:
         self.fused_counts = dict(fused_counts or {})
         self.op_counts: Dict[str, int] = ir.op_counts(nodes)
         self._node_ops = [node.op for node in nodes]
-        # What the emitters tell the stage planner (dropped once it has run):
-        # the buffers the numpy steps own, by value slot — the compiled
-        # stages fill the same ones — each conv step's (patch matrix, GEMM
-        # output), and each region step's (RegionIR, compiled-step builder)
-        # by node index.
-        self._bufs: Dict[int, np.ndarray] = {}
-        self._conv_ws: Dict[int, tuple] = {}
-        self._region_steps: Dict[int, tuple] = {}
         #: Whether any node computes statistics *across* the batch (eval
         #: batch-norm without running statistics): sample outputs then depend
         #: on the other samples in their micro-batch, so chunk boundaries
@@ -300,11 +292,14 @@ class InferenceSession:
             slot_of[id(node.out)] = base + j
         self._values: List[Optional[np.ndarray]] = [None] * (base + len(nodes))
 
-        self._numpy_steps = self._steps = [
-            self._emit(j, node, slot_of) for j, node in enumerate(nodes)
-        ]
+        # A session input is a new array on every call: bind over a stand-in.
+        held = {id(t): t.data.view() for t in inputs}
+        #: Per node: its bound step, its inputs' readers and its output slot
+        #: — what the stage planner reads the step's buffers from, and what a
+        #: region's native kernel is bound over.
+        self._bound = [self._emit(node, slot_of, held) for node in nodes]
+        self._numpy_steps = self._steps = [_runner(*bound) for bound in self._bound]
         self._plan_stages(nodes, slot_of, gemm_stages)
-        del self._bufs, self._conv_ws, self._region_steps
 
         # For a degenerate trace (the model returned an input or a constant)
         # the getter falls through to the input slot / live tensor read.
@@ -370,7 +365,7 @@ class InferenceSession:
     def explain(self) -> List[Dict[str, object]]:
         """One row per replayed step: the trace ``ops`` it covers, the
         ``arm`` that runs it (``compiled`` loop stages around a host GEMM,
-        a specialised ``numpy`` step, or the ``generic`` IR evaluator) and,
+        a bound ``numpy`` step, or the ``generic`` allocating forward) and,
         when it is not compiled, the ``reason`` — ``pending`` while the
         compile is in flight, else a ``repro_codegen_fallback_total``
         reason."""
@@ -421,7 +416,7 @@ class InferenceSession:
         result = self._get_output(values)
         # Drop the slot references (caller inputs, generic-step outputs) so
         # a long-lived session does not pin the last batch between calls;
-        # the pre-allocated emitter buffers live in the step closures.
+        # the pre-allocated buffers live in the bound steps.
         for i in range(len(values)):
             values[i] = None
         return result
@@ -469,7 +464,7 @@ class InferenceSession:
         return [
             ((op,), "generic" if getattr(step, "generic", False) else "numpy",
              reason if covered is None or j in covered else "unplannable")
-            for j, (op, step) in enumerate(zip(self._node_ops, self._numpy_steps))
+            for j, (op, (step, _, _)) in enumerate(zip(self._node_ops, self._bound))
         ]
 
     def _serve_numpy(self, reason: Optional[str]) -> None:
@@ -534,254 +529,49 @@ class InferenceSession:
             return lambda values, _s=slot: values[_s]
         return lambda values, _t=tensor: _t.data
 
-    def _emit(self, index: int, node: ir.GraphNode, slot_of: Dict[int, int]):
-        """Compile one node into a step closure.
+    def _emit(self, node: ir.GraphNode, slot_of: Dict[int, int], held: Dict[int, np.ndarray]):
+        """Bind one node: ``(step, input readers, output slot)``.
 
-        Hot ops get specialized in-place emitters over pre-allocated
-        buffers (bit-equal to the eager kernels); every other op replays
-        through the generic IR evaluator, which dispatches through the
-        backend.
+        The step is the node's ``ir.OPS`` entry bound for this trace
+        (:meth:`repro.autograd.ir.Op.bind`): the eager kernel's numpy calls
+        ``out=`` into buffers allocated here, or the entry's allocating
+        forward (the ``generic`` arm).  ``held`` maps a tensor to the array
+        it will be on every call, as far as the session knows it.
         """
-        op = node.op
-        attrs = node.attrs or {}
-        out_slot = slot_of[id(node.out)]
-        getters = [self._getter_for(t, slot_of) for t in node.inputs]
-        example = node.out.data
+        step = ir.OPS[node.op].bind(
+            [held.get(id(t), t.data) for t in node.inputs], node.attrs or {}, node.out.data
+        )
+        if hasattr(step, "out"):
+            held[id(node.out)] = step.out
+        return step, [self._getter_for(t, slot_of) for t in node.inputs], slot_of[id(node.out)]
 
-        def own() -> np.ndarray:
-            """This step's pre-allocated output buffer."""
-            buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
-            return buf
+    def _kernel_step(self, j: int, kernel):
+        """Region node ``j``'s step over its native ``kernel``."""
+        step, getters, out_slot = self._bound[j]
+        return _runner(step.over(kernel), getters, out_slot)
 
-        if op == "linear" and node.inputs[0].data.ndim == 2:
-            buf = own()
-            gx, gw = getters[0], getters[1]
-            gb = getters[2] if len(getters) == 3 else None
 
-            def step(values):
-                np.matmul(gx(values), gw(values), out=buf)
-                if gb is not None:
-                    np.add(buf, gb(values), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "relu":
-            buf = own()
-            gx = getters[0]
-
-            def step(values):
-                np.maximum(gx(values), 0.0, out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op in ("add", "mul", "div"):
-            ufunc = {"add": np.add, "mul": np.multiply, "div": np.divide}[op]
-            buf = own()
-            ga, gb2 = getters[0], getters[1]
-
-            def step(values, _u=ufunc):
-                _u(ga(values), gb2(values), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "neg":
-            buf = own()
-            gx = getters[0]
-
-            def step(values):
-                np.negative(gx(values), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "region":
-            # One step for the whole extracted region, writing into a
-            # pre-allocated buffer.
-            region = attrs["region"]
-            buf = own()
-
-            def region_step(kern):
-                def step(values):
-                    kern([g(values) for g in getters], out=buf)
-                    values[out_slot] = buf
-
-                return step
-
-            # The numpy arm is the region's interpreter; a native kernel
-            # takes the step over once it exists (never waited for).
-            self._region_steps[index] = (region, region_step)
-            return region_step(region.interpret)
-
-        if op == "batch_norm" and not attrs["use_batch_stats"]:
-            # Eval-mode statistics are constants of the trace: fold the
-            # reshapes once; gamma/beta stay late-bound parameter reads.
-            bshape = attrs["bshape"]
-            mean_r = np.ascontiguousarray(attrs["mean"].reshape(bshape))
-            inv_r = np.ascontiguousarray(attrs["inv_std"].reshape(bshape))
-            g_gamma = getters[1] if attrs["has_weight"] else None
-            g_beta = (
-                (getters[2] if attrs["has_weight"] else getters[1])
-                if attrs["has_bias"]
-                else None
-            )
-            buf = own()
-            gx = getters[0]
-
-            def step(values):
-                np.subtract(gx(values), mean_r, out=buf)
-                np.multiply(buf, inv_r, out=buf)
-                if g_gamma is not None:
-                    np.multiply(buf, g_gamma(values).reshape(bshape), out=buf)
-                if g_beta is not None:
-                    np.add(buf, g_beta(values).reshape(bshape), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "conv2d":
-            return self._emit_conv2d(node, attrs, getters, out_slot, example, slot_of)
-
-        if op == "max_pool2d":
-            return self._emit_max_pool2d(node, attrs, getters, out_slot, example, slot_of)
-
-        if op == "reshape":
-            shape = attrs["shape"]
-            gx = getters[0]
-
-            def step(values):
-                values[out_slot] = gx(values).reshape(shape)
-
-            return step
-
-        if op == "transpose":
-            axes = attrs["axes"]
-            gx = getters[0]
-
-            def step(values):
-                values[out_slot] = gx(values).transpose(axes)
-
-            return step
-
-        if op == "concat":
-            axis = attrs["axis"]
-            buf = own()
-
-            def step(values):
-                np.concatenate([g(values) for g in getters], axis=axis, out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        # Everything else (avg-pooling, softmax family, reductions, ...)
-        # replays through the registered IR forward evaluator — identical
-        # math, allocating its own output.
-        return self._emit_generic(node, getters, out_slot)
-
-    def _emit_generic(self, node: ir.GraphNode, getters, out_slot):
-        be = get_backend()
+def _runner(fn, getters, out_slot):
+    """A step over the value slots: the bound step ``fn`` over the inputs
+    the ``getters`` read, its result into ``out_slot``."""
+    if len(getters) == 1:
+        (g,) = getters
 
         def step(values):
-            values[out_slot] = ir.evaluate_node(
-                node, be, tuple(g(values) for g in getters)
-            )
+            values[out_slot] = fn(g(values))
 
-        step.generic = True  # explain(): replayed by the IR evaluator
-        return step
-
-    def _window_source(self, node, slot_of, gx, footprint, ph, pw, fill):
-        """``values -> footprint slices`` of a conv/pool step's (padded) input.
-
-        The slices (:func:`functional._window_slices`) are views, so a
-        shape-stable session builds them once.  Padded: the input is copied
-        into a session-owned buffer whose ``fill`` border is written once;
-        the views over it are compile-time constants.  Unpadded: the views
-        slice the upstream array directly — interior steps write fixed
-        session-owned buffers, so they are cached keyed by that array's
-        identity (the cached strong reference makes the ``is`` check exact).
-        Raw session inputs are rebound every call, and caching one would pin
-        the caller's batch between calls, so those are sliced per call.
-        """
-        xd = node.inputs[0].data
-        n, c, h, w = xd.shape
-        if ph or pw:
-            xp_buf = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, xd.dtype)
-            interior = xp_buf[:, :, ph : ph + h, pw : pw + w]
-            windows = F._window_slices(xp_buf, *footprint)
-
-            def source(values):
-                np.copyto(interior, gx(values))
-                return windows
-
-            return source
-
-        in_slot = slot_of.get(id(node.inputs[0]))
-        cacheable = not (in_slot is not None and in_slot < len(self._input_meta))
-        cache = [None, None]
-
-        def source(values):
-            x = gx(values)
-            if x is cache[0]:
-                return cache[1]
-            windows = F._window_slices(x, *footprint)
-            if cacheable:
-                cache[0], cache[1] = x, windows
-            return windows
-
-        return source
-
-    def _emit_conv2d(self, node, attrs, getters, out_slot, example, slot_of):
-        """Conv replay with every workspace pre-allocated.
-
-        Runs the exact arithmetic of ``functional._conv2d_forward``: the
-        footprint slices are copied into the channel-major patch matrix
-        ``(C*kh*kw, N*OH*OW)``, one GEMM against ``weight.reshape(O, -1)``
-        (same operand layouts → same BLAS call → same bits) fills
-        ``(O, N*OH*OW)``, and the bias add writes the NCHW result — but the
-        padded image, the patch matrix, the GEMM output and every slice
-        view live in buffers and lists built once at compile time.
-        """
-        (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
-        xd = node.inputs[0].data
-        n, c = xd.shape[:2]
-        oc, _, kh, kw = node.inputs[1].data.shape
-        oh, ow = example.shape[2], example.shape[3]
-        gw = getters[1]
-        gb = getters[2] if len(getters) == 3 else None
-
-        source = self._window_source(node, slot_of, getters[0], (kh, kw, sh, sw), ph, pw, 0.0)
-        cols = np.empty((c * kh * kw, n * oh * ow), xd.dtype)
-        slots = F._patch_slots(cols, n, c, oh, ow)
-        gemm_out = np.empty((oc, n * oh * ow), example.dtype)
-        gemm_nchw = gemm_out.reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
-        buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
-        self._conv_ws[out_slot] = (cols, gemm_out)
+    elif len(getters) == 2:
+        g, h = getters
 
         def step(values):
-            for slot, window in zip(slots, source(values)):
-                np.copyto(slot, window)
-            np.matmul(gw(values).reshape(oc, -1), cols, out=gemm_out)
-            if gb is None:
-                np.copyto(buf, gemm_nchw)
-            else:
-                np.add(gemm_nchw, gb(values).reshape(1, -1, 1, 1), out=buf)
-            values[out_slot] = buf
+            values[out_slot] = fn(g(values), h(values))
 
-        return step
-
-    def _emit_max_pool2d(self, node, attrs, getters, out_slot, example, slot_of):
-        """Max-pool replay: the eager kernel's ``functional._max_over`` (NaN
-        propagates, ties keep the earlier element) into a pre-allocated output."""
-        footprint, (ph, pw) = attrs["kernel_size"] + attrs["stride"], attrs["padding"]
-        source = self._window_source(node, slot_of, getters[0], footprint, ph, pw, -np.inf)
-        buf = self._bufs[out_slot] = np.empty(example.shape, example.dtype)
+    else:
 
         def step(values):
-            values[out_slot] = F._max_over(source(values), buf)
+            values[out_slot] = fn(*[g(values) for g in getters])
 
-        return step
+    return step
 
 
 def serve_batches(

@@ -6,7 +6,7 @@ one step each:
 
 - a **gather** stage for ``conv2d``'s padding + footprint copy into the
   patch matrix,
-- the host-BLAS ``np.matmul(..., out=)`` exactly as the numpy emitters
+- the host-BLAS ``np.matmul(..., out=)`` exactly as the numpy steps
   issue it (same operand layouts → same BLAS call → same bits),
 - a **GEMM epilogue** stage: the transpose + bias add, then any eval
   ``batch_norm``, ``relu``, elementwise ``region`` and ``max_pool2d`` that
@@ -94,6 +94,10 @@ class SessionPlan:
         self._gemm = gemm  # False: only ``region`` steps start a group
         self._slot_of = slot_of
         self._nodes = nodes
+        self._bound = [step for step, _, _ in session._bound]
+        #: The buffer each numpy step fills, by value slot: the compiled
+        #: stages fill the same ones.
+        self._bufs = {slot: step.out for step, _, slot in session._bound if hasattr(step, "out")}
         uses: Dict[int, int] = {}
         self._consumer = {}
         for j, node in enumerate(nodes):
@@ -110,7 +114,7 @@ class SessionPlan:
                 continue
             group = self._start(j, node)
             if group is None:
-                if node.op == "region" and not session._region_steps[j][0].is_elementwise:
+                if node.op == "region" and not self._bound[j].region.is_elementwise:
                     self.jobs.append(j)
                 continue
             self._extend(group)
@@ -124,8 +128,9 @@ class SessionPlan:
         # Sever the example trace: the steps need the table rows, the
         # getters and the buffers, never the traced tensors (whose
         # activations would stay pinned for the session's lifetime).
-        self._region_steps = {j: session._region_steps[j] for j in self.jobs}
+        self._regions = [(j, self._bound[j].region) for j in self.jobs]
         self._session = self._nodes = self._consumer = self._slot_of = self._uses = None
+        self._bound = self._bufs = None
         for g in self.groups:
             g.tail = g.buffer_node = g.conv = g.redirect = g.operands = None
 
@@ -151,14 +156,13 @@ class SessionPlan:
         group.dims = group.out_dims = out.shape[1:]
         session = self._session
         getters = [session._getter_for(t, self._slot_of) for t in node.inputs]
-        slot = self._slot_of[id(node.out)]
         if op == "conv2d":
             x, w = node.inputs[0], node.inputs[1]
             if not self._is_activation(x):
                 return None
             oc, _, kh, kw = w.data.shape
             (sh, sw), (ph, pw) = node.attrs["stride"], node.attrs["padding"]
-            cols, gemm = session._conv_ws[slot]
+            cols, gemm = self._bound[j].patches
             group.conv = (x, x.data.shape[1:] + (kh, kw, sh, sw, ph, pw), cols)
             group.matmul = (getters[1], None, oc, gemm, cols)
             size = out.shape[2] * out.shape[3]
@@ -166,7 +170,7 @@ class SessionPlan:
             group.value = ("in", 0)
             bias = node.inputs[2] if len(node.inputs) == 3 else None
         elif op == "linear" and node.inputs[0].data.ndim == 2:
-            group.matmul = (getters[1], getters[0], None, session._bufs[slot], None)
+            group.matmul = (getters[1], getters[0], None, self._bound[j].out, None)
             group.operands.append(("gemm", (out.shape[1], 1)))
             group.value = ("in", 0)
             bias = node.inputs[2] if len(node.inputs) == 3 else None
@@ -194,7 +198,7 @@ class SessionPlan:
             group.members.append(k)
             group.ops.append(nodes[k].op)
             group.tail = nodes[k]
-            if self._slot_of[id(nodes[k].out)] in self._session._bufs:
+            if self._slot_of[id(nodes[k].out)] in self._bufs:
                 group.buffer_node = nodes[k]
 
     def _absorb(self, group: _Group, index: int, node, t) -> bool:
@@ -239,7 +243,7 @@ class SessionPlan:
     def _splice_region(self, group: _Group, index: int, node, t) -> bool:
         """Append an elementwise region's program (``t``: the running value
         among its inputs); a standalone region may lead with a ``linear``."""
-        region = self._session._region_steps[index][0]
+        region = self._bound[index].region
         if region.out_shape != (group.n,) + group.dims:
             return False
         ops = region.ops
@@ -317,7 +321,7 @@ class SessionPlan:
     # Binding: the pointer table and the stage signature
     # ------------------------------------------------------------------ #
     def _bind(self) -> None:
-        session, slot_of = self._session, self._slot_of
+        bufs, slot_of = self._bufs, self._slot_of
         entries: list = []   # what each table row points at
         index: dict = {}
         fixed: Dict[int, np.ndarray] = {}  # value slot -> buffer a compiled step fills
@@ -334,8 +338,8 @@ class SessionPlan:
                 slot = slot_of.get(id(ref))
                 if slot in fixed:
                     ref = fixed[slot]
-                elif slot in session._bufs and producer[slot] not in absorbed:
-                    ref = session._bufs[slot]
+                elif slot in bufs and producer[slot] not in absorbed:
+                    ref = bufs[slot]
                 elif slot is not None:
                     ref = slot
             key = ("slot", ref) if isinstance(ref, int) else id(ref)
@@ -357,12 +361,12 @@ class SessionPlan:
             if g.redirect is not None:
                 concat, offset = g.redirect
                 slot = slot_of[id(concat.out)]
-                dst = session._bufs[slot]
+                dst = bufs[slot]
                 stride = int(np.prod(dst.shape[1:], dtype=np.int64))
                 g.publish = (slot, dst)
             else:
                 slot = slot_of[id(g.tail.out)]
-                dst = session._bufs[slot_of[id(g.buffer_node.out)]]
+                dst = bufs[slot_of[id(g.buffer_node.out)]]
                 stride, offset = int(np.prod(g.out_dims, dtype=np.int64)), 0
                 g.publish = (slot, dst.reshape(g.tail.out.data.shape))
             fixed[slot] = dst
@@ -391,7 +395,7 @@ class SessionPlan:
         pending = []
         if self.signature is not None:
             pending.append(jit.resolve(self.signature, wait=False))
-        for region, _ in self._region_steps.values():
+        for _, region in self._regions:
             plan = region.lower()
             if plan is not None:
                 pending.append(jit.resolve(plan[0], wait=False))
@@ -405,10 +409,10 @@ class SessionPlan:
         reason = lib if isinstance(lib, str) else None
         rows = session._numpy_rows(reason)
         steps = list(session._numpy_steps)
-        for j, (region, build) in self._region_steps.items():
+        for j, region in self._regions:
             kernel = jit.compile_region(region)  # memo hits only
             if kernel.is_compiled:
-                steps[j], rows[j] = build(kernel), (rows[j][0], "compiled", None)
+                steps[j], rows[j] = session._kernel_step(j, kernel), (rows[j][0], "compiled", None)
             else:
                 reason = reason or kernel.reason
                 rows[j] = (rows[j][0], "numpy", kernel.reason)

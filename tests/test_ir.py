@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, functional as F, ir, no_grad
-from repro.backend import get_backend
 
 
 # --------------------------------------------------------------------------- #
@@ -168,15 +167,15 @@ def test_run_forward_replays_trace_bit_exactly():
     with no_grad(), ir.capture() as graph:
         out = F.softmax(F.linear(x, w).relu() * 2.0, axis=-1)
 
-    # Replay the captured nodes over fresh arrays through the registry.
-    be = get_backend()
+    # Replay the captured nodes over fresh arrays through the op table.
     new_x = rng.standard_normal((6, 8)).astype(np.float32)
     values = {id(x): new_x, id(w): w_np}
     for node in graph:
         arrays = tuple(
             values[id(t)] if id(t) in values else t.data for t in node.inputs
         )
-        values[id(node.out)] = ir.evaluate_node(node, be, arrays)
+        step = ir.OPS[node.op].bind(arrays, node.attrs or {}, node.out.data)
+        values[id(node.out)] = step(*arrays)
 
     with no_grad():
         expected = F.softmax(F.linear(Tensor(new_x), w).relu() * 2.0, axis=-1)
@@ -195,21 +194,22 @@ def test_cross_entropy_replay_binds_new_targets():
     assert node.inputs[1].data.dtype == np.int64  # labels ride as an input
     new_logits = rng.standard_normal((5, 4)).astype(np.float32)
     new_targets = np.array([3, 2, 1, 0, 1])
-    replayed = ir.evaluate_node(node, get_backend(), (new_logits, new_targets))
+    step = ir.OPS[node.op].bind((new_logits, new_targets), node.attrs, node.out.data)
+    replayed = step(new_logits, new_targets)
     with no_grad():
         expected = F.softmax_cross_entropy(Tensor(new_logits), new_targets)
     np.testing.assert_array_equal(replayed, expected.data)
     # Replay keeps the eager kernel's label validation: no silent wrap-around.
     bad = np.array([0, 1, -1, 2, 0])
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
-        ir.evaluate_node(node, get_backend(), (new_logits, bad))
+        step(new_logits, bad)
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
-        ir.evaluate_node(node, get_backend(), (new_logits, np.full(5, 9)))
+        step(new_logits, np.full(5, 9))
 
 
 def test_run_forward_unknown_op_raises():
-    with pytest.raises(KeyError, match="no forward evaluator"):
-        ir.run_forward(get_backend(), "definitely_not_an_op", (), {})
+    with pytest.raises(KeyError, match="definitely_not_an_op"):
+        ir.OPS["definitely_not_an_op"]
 
 
 def test_train_mode_batch_norm_replay_is_refused():
@@ -218,7 +218,7 @@ def test_train_mode_batch_norm_replay_is_refused():
         F.batch_norm(x, training=True)
     (node,) = graph.nodes
     with pytest.raises(RuntimeError, match="train-mode batch_norm"):
-        ir.evaluate_node(node, get_backend(), (x.data,))
+        ir.OPS[node.op].bind((x.data,), node.attrs, node.out.data)
 
 
 def test_a_capture_collects_only_its_own_threads_nodes():
@@ -288,5 +288,8 @@ def test_every_table_op_has_a_gradient_check(monkeypatch):
                         test(**params)
                     except AssertionError:
                         pass  # the stub result; the test itself checks the gradients
-    missing = sorted(set(ir.OPS) - checked)
+    # detach and region take no gradient: there is nothing to check.
+    differentiable = {name for name, op in ir.OPS.items() if op.backward is not None}
+    assert differentiable == set(ir.OPS) - {"detach", "region"}
+    missing = sorted(differentiable - checked)
     assert not missing, f"table ops without a check_gradients case: {missing}"

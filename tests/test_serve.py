@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, no_grad
+from repro.codegen import using_codegen
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import InferenceSession, compile_inference, serve_batches
@@ -113,6 +114,27 @@ def test_window_steps_are_bit_equal_to_eager(stride, padding, bucket, dtype, bac
         got = session.run(batch)
         assert got.dtype == expected.dtype == dtype
         assert got.tobytes() == expected.tobytes()
+
+
+def test_window_steps_never_hold_the_callers_batch():
+    # An unpadded conv slices the caller's batch in place: its views are
+    # built per call and dropped with it, the example's included.
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(18)
+    model = nn.Sequential(nn.Conv2d(3, 4, 3, rng=rng), nn.MaxPool2d(2)).eval()
+    example = rng.standard_normal((2, 3, 10, 10)).astype(np.float32)
+    batch = rng.standard_normal((2, 3, 10, 10)).astype(np.float32)
+    with using_codegen(False):
+        session = compile_inference(model, example)
+    for x in (example, batch, example):
+        with no_grad():
+            assert session.run(x).tobytes() == model(x).data.tobytes()
+    held = [weakref.ref(example), weakref.ref(batch)]
+    del example, batch, x
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
 
 
 class _ScaleShiftRelu(nn.Module):
@@ -521,8 +543,8 @@ def test_compile_rejects_ops_without_an_evaluator():
     class CustomOp(nn.Module):
         def forward(self, x):
             x = T._wrap(x)
-            # A custom op recorded straight onto the tape with no registered
-            # forward evaluator: compile must fail fast, not run() later.
+            # A custom op recorded straight onto the tape with no op table
+            # entry: compile must fail fast, not run() later.
             return T._make(
                 x.data * 2.0, (x,), "my_custom_double", lambda out: (lambda: None)
             )

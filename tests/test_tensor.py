@@ -57,6 +57,7 @@ def t64(shape, requires_grad=True, low=None):
         ("clone", lambda a: (a.clone() * a).sum(), [(3, 4)], None),
         ("pad2d", lambda a: (a.pad2d(1) ** 2.0).sum(), [(2, 2, 3, 3)], None),
         ("chain", lambda a, b: ((a @ b).relu().sigmoid() * 3.0).mean(), [(3, 4), (4, 5)], None),
+        ("max_all", lambda a: a.max(), [(3, 4)], None),
     ],
 )
 def test_op_gradients(name, fn, shapes, low):

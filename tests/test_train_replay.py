@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, ir, no_grad
+from repro.autograd import Tensor, functional as F, ir, no_grad
 from repro.backend import default_rng, manual_seed
 from repro.codegen import codegen_enabled, have_compiler, using_codegen, wait_for_compiles
 from repro.models import TBNet, make_synthetic_batch, tbnet
@@ -315,6 +315,26 @@ def test_what_changes_falls_back_counts_its_reason_and_recaptures(name):
     assert count("replay") - replayed >= 14
 
 
+class _HalvingPool(nn.Module):
+    """A layer whose forward the capture cannot see (not a built-in one)."""
+
+    def forward(self, x):
+        return F.avg_pool2d(x, 2)
+
+
+def test_a_built_in_layer_of_any_table_op_replays():
+    # Every op the tape records is an op table entry, average pooling too:
+    # a TBNet built from built-in layers replays, with the eager bytes.
+    def pool(model, opt, batches):
+        model.spatial.layers[3] = nn.AvgPool2d(2)
+
+    with using_codegen(False):  # no compile to wait for: replays from the third step
+        want = run(8, True, pool, 0)
+        replayed = count("replay")
+        assert run(8, False, pool, 0) == want
+    assert count("replay") - replayed >= 5
+
+
 def test_what_the_capture_cannot_see_stays_on_the_tape():
     class Custom(TBNet):
         def forward(self, images, context):
@@ -322,7 +342,7 @@ def test_what_the_capture_cannot_see_stays_on_the_tape():
 
     model = Custom(width=16, rng=np.random.default_rng(1))
     pooled = TBNet(width=16, rng=np.random.default_rng(1))
-    pooled.spatial.layers[3] = nn.AvgPool2d(2)
+    pooled.spatial.layers[3] = _HalvingPool()
     batch = make_synthetic_batch(4, rng=np.random.default_rng(2))
     for net in (model, pooled):
         opt = Adam(net.parameters(), 1e-3)
