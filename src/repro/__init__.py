@@ -2,12 +2,12 @@
 
 Layers:
 
-- :mod:`repro.backend` — the numpy array backend every kernel calls, its
-  kernel workspace, and the process-wide seeded generator.
+- :mod:`repro.backend` — the kernel workspace and the process-wide seeded
+  generator.
 - :mod:`repro.autograd` — the define-by-run tape engine (reified as a graph
   IR of explicit nodes), the dense kernels, and the compile-time fusion
-  pass over captured traces (:mod:`repro.autograd.fusion`), dispatching all
-  numerical work through the backend.
+  pass over captured traces (:mod:`repro.autograd.fusion`), computing with
+  numpy directly.
 - :mod:`repro.nn` — Module/Parameter containers, layers, init schemes and
   optimizers over the fused kernels.
 - :mod:`repro.models` — reference models; :class:`~repro.models.tbnet.TBNet`

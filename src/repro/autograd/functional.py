@@ -11,13 +11,11 @@ average-pooling reduce across the slices directly, never materializing
 windows.  :func:`im2col` / :func:`col2im` expose the lowering and its adjoint
 in the ``(N, OH, OW, C·kh·kw)`` layout.
 
-The dense numerical work dispatches through the **array backend**
-(:func:`repro.backend.get_backend`): the ndarray primitives (the GEMM,
-padding, reductions, transcendentals, RNG draws) and the elementwise chains
-(the affine map, the softmax family, batch-norm normalization, the dropout
-mask) are its methods.  The cheap glue between those calls — the footprint
-loop's slice copies and accumulations, broadcast bias adds, index gathers,
-scalar reductions of the gathered loss — stays plain ndarray arithmetic.
+Every kernel is plain numpy.  Its image-sized results — the patch matrix,
+the GEMM outputs, padded copies, batch-norm's ``xhat`` and output, gradient
+buffers — come from the kernel workspace (``workspace.empty``, see
+:mod:`repro.backend.workspace`) and are written with ``out=``, in the order
+of the arithmetic, so where a buffer comes from changes no byte.
 
 All public ops accept :class:`~repro.autograd.tensor.Tensor` (or anything
 coercible to one), record themselves on the tape and return a ``Tensor``.
@@ -50,14 +48,16 @@ are ``(out_channels, in_channels, kh, kw)``, classification logits are
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend import default_rng, get_backend
+from repro.backend import default_rng, workspace
 from repro.autograd import ir
-from repro.autograd.tensor import Tensor, _apply, _get_kernels, _owned_copy, _taping
+from repro.autograd.tensor import (
+    Tensor, _apply, _get_kernels, _owned_copy, _taping, _ws_matmul, _ws_multiply)
 
 __all__ = [
     "im2col",
@@ -84,17 +84,30 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return int(value), int(value)
 
 
-def _pad_hw(be, x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
+def _pad_hw(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
-    return be.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), value=value)
+    # Fill + one interior copy: np.pad's generic per-axis machinery costs
+    # more than the copy itself at the kernels' image sizes.
+    n, c, h, w = x.shape
+    xp = workspace.empty((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    xp.fill(value)
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    return xp
 
 
-def _unpad_hw(be, xp: np.ndarray, ph: int, pw: int) -> np.ndarray:
+def _unpad_hw(xp: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """The owned, contiguous interior of a padded gradient buffer."""
     if ph == 0 and pw == 0:
         return xp
-    return _owned_copy(be, xp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw])
+    return _owned_copy(xp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw])
+
+
+def _zeros(shape, dtype) -> np.ndarray:
+    """``np.zeros(shape, dtype)`` in a buffer from ``workspace.empty``."""
+    out = workspace.empty(shape, dtype)
+    out.fill(0)
+    return out
 
 
 def _check_pool(op: str, xd, kh: int, kw: int, ph: int, pw: int) -> None:
@@ -186,20 +199,20 @@ def _window_source(x0: np.ndarray, footprint, ph: int, pw: int, fill: float):
     return source
 
 
-def _patch_matrix(be, xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+def _patch_matrix(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     """Lower a padded NCHW image to the ``(C*kh*kw, N*OH*OW)`` patch matrix."""
     windows = _window_slices(xp, kh, kw, sh, sw)
     n, c, oh, ow = windows[0].shape
-    cols = be.empty((c * kh * kw, n * oh * ow), xp.dtype)
+    cols = workspace.empty((c * kh * kw, n * oh * ow), xp.dtype)
     for slot, window in zip(_patch_slots(cols, n, c, oh, ow), windows):
         np.copyto(slot, window)
     return cols
 
 
-def _patch_matrix_adjoint(be, cols: np.ndarray, xp_shape, kh, kw, sh, sw) -> np.ndarray:
+def _patch_matrix_adjoint(cols: np.ndarray, xp_shape, kh, kw, sh, sw) -> np.ndarray:
     """Scatter-add a ``(C*kh*kw, N*OH*OW)`` matrix back onto the padded image
     (the exact adjoint of :func:`_patch_matrix`: overlapping patches sum)."""
-    dxp = be.zeros(xp_shape, dtype=cols.dtype)
+    dxp = _zeros(xp_shape, cols.dtype)
     dwindows = _window_slices(dxp, kh, kw, sh, sw)
     n, c, oh, ow = dwindows[0].shape
     for slot, dwindow in zip(_patch_slots(cols, n, c, oh, ow), dwindows):
@@ -217,14 +230,13 @@ def im2col(
     channel-major layout of :func:`_patch_matrix`; this is its documented
     public view.)
     """
-    be = get_backend()
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    xp = _pad_hw(be, x, ph, pw)
+    xp = _pad_hw(x, ph, pw)
     oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
-    cols = _patch_matrix(be, xp, kh, kw, sh, sw)
-    return _owned_copy(be, cols.reshape(-1, len(xp), oh, ow).transpose(1, 2, 3, 0))
+    cols = _patch_matrix(xp, kh, kw, sh, sw)
+    return _owned_copy(cols.reshape(-1, len(xp), oh, ow).transpose(1, 2, 3, 0))
 
 
 def col2im(
@@ -238,33 +250,32 @@ def col2im(
 
     This is the exact adjoint of :func:`im2col`: overlapping patches sum.
     """
-    be = get_backend()
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, c, h, w = x_shape
     oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
     dxp = _patch_matrix_adjoint(
-        be, cols.reshape(n * oh * ow, c * kh * kw).T, (n, c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
+        cols.reshape(n * oh * ow, c * kh * kw).T, (n, c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
     )
-    return _unpad_hw(be, dxp, ph, pw)
+    return _unpad_hw(dxp, ph, pw)
 
 
 # --------------------------------------------------------------------------- #
 # Forward cores
 # --------------------------------------------------------------------------- #
 def _conv2d_forward(
-    be, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray],
+    xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray],
     sh: int, sw: int, ph: int, pw: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """NCHW cross-correlation core; returns ``(out, patch_matrix)``."""
     out_c, _, kh, kw = wd.shape
-    xp = _pad_hw(be, xd, ph, pw)
+    xp = _pad_hw(xd, ph, pw)
     oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
-    cols = _patch_matrix(be, xp, kh, kw, sh, sw)
+    cols = _patch_matrix(xp, kh, kw, sh, sw)
     # One GEMM over channels and kernel footprint: -> (O, N*OH*OW).
-    out_t = be.matmul(wd.reshape(out_c, -1), cols).reshape(out_c, len(xp), oh, ow)
-    out = be.empty((len(xp), out_c, oh, ow), out_t.dtype)
+    out_t = _ws_matmul(wd.reshape(out_c, -1), cols).reshape(out_c, len(xp), oh, ow)
+    out = workspace.empty((len(xp), out_c, oh, ow), out_t.dtype)
     if bd is None:
         np.copyto(out, out_t.transpose(1, 0, 2, 3))
     else:
@@ -283,20 +294,20 @@ def _max_over(windows, out: np.ndarray) -> np.ndarray:
 
 
 def _max_pool2d_forward(
-    be, xd: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
+    xd: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
 ) -> Tuple[np.ndarray, list]:
     """Max-pool core; returns ``(out, window_slices)``."""
     # Pad with -inf so padded positions never win the max.
-    windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
-    return _max_over(windows, be.empty(windows[0].shape, windows[0].dtype)), windows
+    windows = _window_slices(_pad_hw(xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
+    return _max_over(windows, workspace.empty(windows[0].shape, windows[0].dtype)), windows
 
 
 def _avg_pool2d_forward(
-    be, xd: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
+    xd: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
 ) -> np.ndarray:
     """Average-pool core: footprint-order running sum over the window area."""
-    windows = _window_slices(_pad_hw(be, xd, ph, pw), kh, kw, sh, sw)
-    out = _owned_copy(be, windows[0])
+    windows = _window_slices(_pad_hw(xd, ph, pw), kh, kw, sh, sw)
+    out = _owned_copy(windows[0])
     for window in windows[1:]:
         out += window
     out /= kh * kw
@@ -314,7 +325,6 @@ def linear(x, weight, bias=None) -> Tensor:
     dense kernels (two GEMMs and a column sum) with no broadcasting
     bookkeeping.
     """
-    be = get_backend()
     x_t = Tensor._wrap(x)
     w_t = Tensor._wrap(weight)
     b_t = Tensor._wrap(bias) if bias is not None else None
@@ -329,17 +339,20 @@ def linear(x, weight, bias=None) -> Tensor:
         )
 
     parents = (x_t, w_t) if b_t is None else (x_t, w_t, b_t)
-    out, ctx = _LINEAR.forward(be, None, [t.data for t in parents], None, parents)
-    return Tensor._make(out, parents, "linear", _LINEAR.thunk(be, None, parents, ctx, None))
+    out, ctx = _LINEAR.forward(None, [t.data for t in parents], None, parents)
+    return Tensor._make(out, parents, "linear", _LINEAR.thunk(None, parents, ctx, None))
 
 
-def _linear(be, arm, xs, attrs, ports):
-    return be.linear(xs[0], xs[1], xs[2] if len(xs) == 3 else None), (xs[0], xs[1])
+def _linear(arm, xs, attrs, ports):
+    out = _ws_matmul(xs[0], xs[1])
+    if len(xs) == 3:
+        out += xs[2]  # the GEMM's output is a fresh buffer of ours
+    return out, (xs[0], xs[1])
 
 
 def _linear_bind(xs, attrs, out):
     """The GEMM ``out=`` the step's buffer, then the bias added in place
-    (``be.linear``'s ops); a batched input takes the generic step."""
+    (``_linear``'s ops); a batched input takes the generic step."""
     if xs[0].ndim != 2:
         return None
     buf = np.empty(out.shape, out.dtype)
@@ -352,18 +365,18 @@ def _linear_bind(xs, attrs, out):
     return step
 
 
-def linear_backward(be, arm, g, ports, ctx, attrs) -> None:
+def linear_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate the affine map's three adjoints for incoming grad ``g``."""
     (xd, wd), x_t, w_t = ctx, ports[0], ports[1]
     if x_t.requires_grad:
-        x_t._accumulate_fresh(be.matmul(g, wd.swapaxes(-1, -2)))
+        x_t._accumulate_fresh(_ws_matmul(g, wd.swapaxes(-1, -2)))
     if w_t.requires_grad:
-        dw = be.matmul(xd.swapaxes(-1, -2), g)
+        dw = _ws_matmul(xd.swapaxes(-1, -2), g)
         if dw.ndim > wd.ndim:  # batched input: sum leading dims
-            dw = be.sum(dw, axis=tuple(range(dw.ndim - wd.ndim)))
+            dw = dw.sum(axis=tuple(range(dw.ndim - wd.ndim)))
         w_t._accumulate_fresh(dw)
     if len(ports) == 3 and ports[2].requires_grad:
-        ports[2]._accumulate_fresh(be.sum(g, axis=tuple(range(g.ndim - 1))))
+        ports[2]._accumulate_fresh(g.sum(axis=tuple(range(g.ndim - 1))))
 
 
 # --------------------------------------------------------------------------- #
@@ -383,7 +396,6 @@ def conv2d(
     for the weight gradient and runs the same footprint loop as col2im for
     the input gradient — the input is never lowered twice.
     """
-    be = get_backend()
     x_t = Tensor._wrap(x)
     w_t = Tensor._wrap(weight)
     b_t = Tensor._wrap(bias) if bias is not None else None
@@ -407,8 +419,8 @@ def conv2d(
     if _taping(*parents):
         xs[0] = np.asarray(xd)
         arm = _conv2d_arm(xs, attrs)
-    out, ctx = _CONV2D.forward(be, arm, xs, attrs, parents)
-    return Tensor._make(out, parents, "conv2d", _CONV2D.thunk(be, arm, parents, ctx, attrs),
+    out, ctx = _CONV2D.forward(arm, xs, attrs, parents)
+    return Tensor._make(out, parents, "conv2d", _CONV2D.thunk(arm, parents, ctx, attrs),
                         attrs=attrs)
 
 
@@ -422,15 +434,15 @@ def _conv2d_arm(xs, attrs, ask=True):
     )
 
 
-def _conv2d(be, arm, xs, attrs, ports):
+def _conv2d(arm, xs, attrs, ports):
     """``(out, (x, weight, patch matrix))``; the patch matrix only for a
     filter that takes a gradient (only the weight gradient reads it)."""
     xd, wd = xs[0], xs[1]
     bd = xs[2] if len(xs) == 3 else None
     (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
     kh, kw = wd.shape[2:]
-    result = arm and arm.forward(be, xd, wd, bd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
-    out, cols = result or _conv2d_forward(be, xd, wd, bd, sh, sw, ph, pw)
+    result = arm and arm.forward(xd, wd, bd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
+    out, cols = result or _conv2d_forward(xd, wd, bd, sh, sw, ph, pw)
     return out, (xd, wd, cols if ports[1].requires_grad else None)
 
 
@@ -464,7 +476,7 @@ def _conv2d_bind(xs, attrs, out):
     return step
 
 
-def conv2d_backward(be, arm, g, ports, ctx, attrs) -> None:
+def conv2d_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate conv2d's adjoints for incoming grad ``g`` (``N, O, OH, OW``)
     against the forward's patch matrix."""
     (xd, wd, cols), x_t, w_t = ctx, ports[0], ports[1]
@@ -472,23 +484,21 @@ def conv2d_backward(be, arm, g, ports, ctx, attrs) -> None:
     n, in_c, h, w = xd.shape
     (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
     if len(ports) == 3 and ports[2].requires_grad:
-        ports[2]._accumulate_fresh(be.sum(g, axis=(0, 2, 3)))
+        ports[2]._accumulate_fresh(g.sum(axis=(0, 2, 3)))
     # (O, N*OH*OW): the layout the forward GEMM produced.
-    g_t = arm and arm.transpose(be, g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
+    g_t = arm and arm.transpose(g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
     if g_t is None:
-        g_t = _owned_copy(be, g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+        g_t = _owned_copy(g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
     if w_t.requires_grad:
         # Contract over N*OH*OW against the forward's patch matrix.
-        dw = be.matmul(cols, g_t.T)  # (C*kh*kw, O)
-        w_t._accumulate_fresh(_owned_copy(be, dw.T).reshape(wd.shape))
+        dw = _ws_matmul(cols, g_t.T)  # (C*kh*kw, O)
+        w_t._accumulate_fresh(_owned_copy(dw.T).reshape(wd.shape))
     if x_t.requires_grad:
-        dcols = be.matmul(wd.reshape(out_c, -1).T, g_t)
-        dx = arm and arm.scatter(be, dcols, (n, in_c, h, w))
+        dcols = _ws_matmul(wd.reshape(out_c, -1).T, g_t)
+        dx = arm and arm.scatter(dcols, (n, in_c, h, w))
         if dx is None:
-            dxp = _patch_matrix_adjoint(
-                be, dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw
-            )
-            dx = _unpad_hw(be, dxp, ph, pw)
+            dxp = _patch_matrix_adjoint(dcols, (n, in_c, h + 2 * ph, w + 2 * pw), kh, kw, sh, sw)
+            dx = _unpad_hw(dxp, ph, pw)
         x_t._accumulate_fresh(dx)
 
 
@@ -504,7 +514,6 @@ def max_pool2d(
     row-major window order (``-0.0`` and ``+0.0`` tie); a window holding a
     NaN outputs NaN and routes its gradient to the first NaN.
     """
-    be = get_backend()
     x_t = Tensor._wrap(x)
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(kernel_size if stride is None else stride)
@@ -518,8 +527,8 @@ def max_pool2d(
     if _taping(x_t):
         xd = np.asarray(xd)
         arm = _max_pool2d_arm((xd,), attrs)
-    out, ctx = _MAX_POOL2D.forward(be, arm, (xd,), attrs, (x_t,))
-    return Tensor._make(out, (x_t,), "max_pool2d", _MAX_POOL2D.thunk(be, arm, (x_t,), ctx, attrs),
+    out, ctx = _MAX_POOL2D.forward(arm, (xd,), attrs, (x_t,))
+    return Tensor._make(out, (x_t,), "max_pool2d", _MAX_POOL2D.thunk(arm, (x_t,), ctx, attrs),
                         attrs=attrs)
 
 
@@ -530,14 +539,14 @@ def _max_pool2d_arm(xs, attrs, ask=True):
                               *attrs["stride"], *attrs["padding"], ask=ask)
 
 
-def _max_pool2d(be, arm, xs, attrs, ports):
+def _max_pool2d(arm, xs, attrs, ports):
     """``(out, (x, out, footprint slices))``; no slices from the compiled
     arm (the numpy backward lowers the input itself, should it run)."""
     xd = xs[0]
     (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    out = arm and arm.forward(be, xd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
+    out = arm and arm.forward(xd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
     if out is None:
-        out, windows = _max_pool2d_forward(be, xd, kh, kw, sh, sw, ph, pw)
+        out, windows = _max_pool2d_forward(xd, kh, kw, sh, sw, ph, pw)
     else:
         windows = None
     return out, (xd, out, windows)
@@ -554,32 +563,32 @@ def _max_pool2d_bind(xs, attrs, out):
     return step
 
 
-def max_pool2d_backward(be, arm, g, ports, ctx, attrs) -> None:
+def max_pool2d_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate max-pooling's adjoint for incoming grad ``g``: each
     window's gradient to its first winner."""
     x_t = ports[0]
     if not x_t.requires_grad:
         return
     xd, out, windows = ctx
-    dx = arm and arm.backward(be, xd, out, g)
+    dx = arm and arm.backward(xd, out, g)
     if dx is not None:
         x_t._accumulate_fresh(dx)
         return
     (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
     n, c, h, w = xd.shape
     if windows is None:
-        windows = _window_slices(_pad_hw(be, xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
-    dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
+        windows = _window_slices(_pad_hw(xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
+    dxp = _zeros((n, c, h + 2 * ph, w + 2 * pw), xd.dtype)
     dwindows = _window_slices(dxp, kh, kw, sh, sw)
     # First-winner masks: a window is ``pending`` until one of its
     # elements has claimed the gradient.  After the equality round
     # only windows holding a NaN are unclaimed (nothing compares
     # equal to their NaN output): a second round hands those to
     # their first NaN.
-    pending = be.empty(out.shape, bool)
+    pending = workspace.empty(out.shape, bool)
     pending.fill(True)
-    hit = be.empty(out.shape, bool)
-    routed = be.empty(out.shape, g.dtype)
+    hit = workspace.empty(out.shape, bool)
+    routed = workspace.empty(out.shape, g.dtype)
     claim_rounds = (
         lambda window: np.equal(window, out, out=hit),
         lambda window: np.isnan(window, out=hit),
@@ -592,14 +601,13 @@ def max_pool2d_backward(be, arm, g, ports, ctx, attrs) -> None:
             dwindow += np.multiply(g, hit, out=routed)
         if not pending.any():
             break
-    x_t._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
+    x_t._accumulate_fresh(_unpad_hw(dxp, ph, pw))
 
 
 def avg_pool2d(
     x, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0
 ) -> Tensor:
     """Average pooling over NCHW windows (padded zeros count toward the mean)."""
-    be = get_backend()
     x_t = Tensor._wrap(x)
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(kernel_size if stride is None else stride)
@@ -612,23 +620,23 @@ def avg_pool2d(
                   {"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)})
 
 
-def _avg_pool2d(be, arm, xs, attrs, ports):
+def _avg_pool2d(arm, xs, attrs, ports):
     (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    return _avg_pool2d_forward(be, xs[0], kh, kw, sh, sw, ph, pw), xs[0]
+    return _avg_pool2d_forward(xs[0], kh, kw, sh, sw, ph, pw), xs[0]
 
 
-def _avg_pool2d_backward(be, arm, g, ports, xd, attrs) -> None:
+def _avg_pool2d_backward(arm, g, ports, xd, attrs) -> None:
     if not ports[0].requires_grad:
         return
     (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
     n, c, h, w = xd.shape
-    g = be.multiply(g, np.asarray(1.0 / (kh * kw), dtype=xd.dtype))
+    g = _ws_multiply(g, np.asarray(1.0 / (kh * kw), dtype=xd.dtype))
     # Every patch entry is the same g value: add it per footprint slice
     # instead of materializing a patch matrix for col2im.
-    dxp = be.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
+    dxp = _zeros((n, c, h + 2 * ph, w + 2 * pw), xd.dtype)
     for dwindow in _window_slices(dxp, kh, kw, sh, sw):
         dwindow += g
-    ports[0]._accumulate_fresh(_unpad_hw(be, dxp, ph, pw))
+    ports[0]._accumulate_fresh(_unpad_hw(dxp, ph, pw))
 
 
 # --------------------------------------------------------------------------- #
@@ -665,7 +673,6 @@ def batch_norm(
     ``weight`` (gamma) and ``bias`` (beta) are optional ``(C,)`` tensors for
     the affine transform; either may be ``None``.
     """
-    be = get_backend()
     x_t = Tensor._wrap(x)
     w_t = Tensor._wrap(weight) if weight is not None else None
     b_t = Tensor._wrap(bias) if bias is not None else None
@@ -701,7 +708,7 @@ def batch_norm(
     if _taping(*parents):
         xs[0] = np.asarray(xd)
         arm = _batch_norm_arm(xs, attrs)
-    out, ctx = _BATCH_NORM.forward(be, arm, xs, attrs, parents)
+    out, ctx = _BATCH_NORM.forward(arm, xs, attrs, parents)
     xhat, mean, inv_std, use_batch_stats, _ = ctx
     # What a captured trace replays: in eval mode ``mean`` can be the
     # module's live running_mean buffer (np.asarray is a no-copy
@@ -709,7 +716,7 @@ def batch_norm(
     # leak into a saved trace whose inv_std is already frozen.
     attrs.update(use_batch_stats=use_batch_stats, inv_std=inv_std, xhat=xhat,
                  mean=mean if use_batch_stats else mean.copy())
-    return Tensor._make(out, parents, "batch_norm", _BATCH_NORM.thunk(be, arm, parents, ctx, attrs),
+    return Tensor._make(out, parents, "batch_norm", _BATCH_NORM.thunk(arm, parents, ctx, attrs),
                         attrs=attrs)
 
 
@@ -722,17 +729,17 @@ def _batch_norm_arm(xs, attrs, ask=True):
     )
 
 
-def _batch_norm(be, arm, xs, attrs, ports):
+def _batch_norm(arm, xs, attrs, ports):
     """``(out, (xhat, mean, inv_std, use_batch_stats, gamma))``, updating
     the running statistics in place in training."""
     gamma, beta = _bn_affine_inputs(xs, attrs)
     out, xhat, mean, inv_std, use_batch_stats = _batch_norm_forward(
-        be, arm, xs[0], gamma, beta, *attrs["running"], attrs["training"], attrs["momentum"],
+        arm, xs[0], gamma, beta, *attrs["running"], attrs["training"], attrs["momentum"],
         attrs["eps"])
     return out, (xhat, mean, inv_std, use_batch_stats, gamma)
 
 
-def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps):
+def _batch_norm_forward(arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps):
     """Batch norm's forward over ``xd`` (``arm``: the compiled arm or
     ``None``), updating the running statistics in place in training:
     ``(out, xhat, mean, inv_std, use_batch_stats)``."""
@@ -740,10 +747,10 @@ def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, tra
     m = xd.size // xd.shape[1]  # elements per channel
     use_batch_stats = training or running_mean is None or running_var is None
     if use_batch_stats:
-        mean = be.mean(xd, axis=axes)
-        var = arm and arm.var(be, xd, mean, axes)
+        mean = xd.mean(axis=axes)
+        var = arm and arm.var(xd, mean, axes)
         if var is None:
-            var = be.var(xd, axis=axes)
+            var = _var(xd, axis=axes)
     else:
         mean = np.asarray(running_mean, dtype=xd.dtype)
         var = np.asarray(running_var, dtype=xd.dtype)
@@ -759,9 +766,49 @@ def _batch_norm_forward(be, arm, xd, gamma, beta, running_mean, running_var, tra
 
     inv_std = 1.0 / np.sqrt(var + eps)
     bshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
-    normalized = arm and arm.normalize(be, xd, mean, inv_std, gamma, beta)
-    xhat, out = normalized or be.bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
+    normalized = arm and arm.normalize(xd, mean, inv_std, gamma, beta)
+    xhat, out = normalized or _bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
     return out, xhat, mean, inv_std, use_batch_stats
+
+
+def _var(x, axis=None) -> np.ndarray:
+    """``x.var(axis=axis)``, byte for byte: numpy's ``_var`` call for call,
+    with its one array-sized temporary from ``workspace.empty``."""
+    x = np.asarray(x)
+    if x.dtype.kind != "f" or x.dtype.itemsize < 4 or not x.flags.c_contiguous:
+        # numpy widens these itself / lays its temporary out like x, which
+        # decides the order the second sum adds in.
+        return x.var(axis=axis)
+    axes = range(x.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    count = np.intp(math.prod(x.shape[a] for a in axes))
+    mean = np.add.reduce(x, axis=axis, keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    dev = np.subtract(x, mean, out=workspace.empty(x.shape, x.dtype))
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=axis)
+    if isinstance(var, np.ndarray):
+        return np.true_divide(var, count, out=var, casting="unsafe")
+    return var.dtype.type(var / count)  # a full reduction is a scalar
+
+
+def _bn_normalize(x, mean, inv_std, gamma, beta, bshape: Tuple[int, ...]):
+    """``(xhat, out)``: ``xhat = (x - mean) * inv_std`` and ``out = xhat *
+    gamma + beta`` (either affine term may be ``None``).  ``out`` never
+    aliases ``xhat``: the caller saves ``xhat`` for the backward pass and
+    hands ``out`` to downstream ops."""
+    x, mean = np.asarray(x), mean.reshape(bshape)
+    xhat = np.subtract(x, mean, out=workspace.empty(x.shape, np.result_type(x.dtype, mean.dtype)))
+    np.multiply(xhat, inv_std.reshape(bshape), out=xhat)
+    # out's dtype is what the affine terms promote to.
+    affine = [p.dtype for p in (gamma, beta) if p is not None]
+    out = workspace.empty(xhat.shape, np.result_type(xhat.dtype, *affine))
+    if gamma is not None:
+        np.multiply(xhat, gamma.reshape(bshape), out=out)
+    else:
+        np.copyto(out, xhat)
+    if beta is not None:
+        np.add(out, beta.reshape(bshape), out=out)
+    return xhat, out
 
 
 def _bn_affine_inputs(inputs, attrs) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -803,7 +850,7 @@ def _batch_norm_bind(xs, attrs, out):
     return step
 
 
-def batch_norm_backward(be, arm, g, ports, ctx, attrs) -> None:
+def batch_norm_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate batch-norm's adjoints for incoming grad ``g``; without the
     compiled arm the forward ran, the arm is looked up."""
     xhat, _, inv_std, use_batch_stats, gamma = ctx
@@ -812,27 +859,35 @@ def batch_norm_backward(be, arm, g, ports, ctx, attrs) -> None:
     w_t = ports[1] if attrs["has_weight"] else None
     b_t = ports[-1] if attrs["has_bias"] else None
     if b_t is not None and b_t.requires_grad:
-        b_t._accumulate_fresh(be.sum(g, axis=axes))
+        b_t._accumulate_fresh(g.sum(axis=axes))
     if x_t.requires_grad and use_batch_stats:  # the compiled arm: elementwise passes in C
         if arm is None:
             arm = _batch_norm_arm((xhat,), attrs, ask=False)
-        grads = arm and arm.backward(be, g, xhat, inv_std, gamma, axes)
+        grads = arm and arm.backward(g, xhat, inv_std, gamma, axes)
         if grads is not None:
             if gamma is not None and w_t.requires_grad:
-                w_t._accumulate_fresh(be.sum(grads[0], axis=axes))
+                w_t._accumulate_fresh(grads[0].sum(axis=axes))
             x_t._accumulate_fresh(grads[1])
             return
     if w_t is not None and w_t.requires_grad:
-        w_t._accumulate_fresh(be.sum(be.multiply(g, xhat), axis=axes))
+        w_t._accumulate_fresh(_ws_multiply(g, xhat).sum(axis=axes))
     if not x_t.requires_grad:
         return
-    dxhat = be.multiply(g, gamma.reshape(bshape)) if w_t is not None else g
-    if use_batch_stats:
-        # Batch statistics depend on x: the full three-term adjoint.
-        x_t._accumulate_fresh(be.bn_input_grad(dxhat, xhat, inv_std, axes, bshape))
-    else:
+    dxhat = _ws_multiply(g, gamma.reshape(bshape)) if w_t is not None else g
+    if not use_batch_stats:
         # Running statistics are constants: pure elementwise scaling.
-        x_t._accumulate_fresh(be.multiply(dxhat, inv_std.reshape(bshape)))
+        x_t._accumulate_fresh(_ws_multiply(dxhat, inv_std.reshape(bshape)))
+        return
+    # Batch statistics depend on x: the full three-term adjoint,
+    # ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) * inv_std.
+    mean_dxhat = dxhat.mean(axis=axes).reshape(bshape)
+    t = _ws_multiply(dxhat, xhat)
+    mean_dxhat_xhat = t.mean(axis=axes).reshape(bshape)
+    np.multiply(xhat, mean_dxhat_xhat, out=t)
+    dx = np.subtract(dxhat, mean_dxhat, out=workspace.empty(t.shape, t.dtype))
+    dx -= t
+    dx *= inv_std.reshape(bshape)
+    x_t._accumulate_fresh(dx)
 
 
 def dropout(
@@ -854,32 +909,32 @@ def dropout(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dropout probability must be in [0, 1], got {p}")
-    be = get_backend()
     x_t = Tensor._wrap(x)
     if not training or p == 0.0:
         return x_t
 
     attrs = {"p": p, "rng": rng}
-    out, mask = _DROPOUT.forward(be, None, (x_t.data,), attrs, (x_t,))
+    out, mask = _DROPOUT.forward(None, (x_t.data,), attrs, (x_t,))
     attrs["mask"] = mask
-    return Tensor._make(out, (x_t,), "dropout", _DROPOUT.thunk(be, None, (x_t,), mask, attrs),
+    return Tensor._make(out, (x_t,), "dropout", _DROPOUT.thunk(None, (x_t,), mask, attrs),
                         attrs=attrs)
 
 
-def _dropout(be, arm, xs, attrs, ports):
+def _dropout(arm, xs, attrs, ports):
     """``(x * mask, mask)``: the scaled keep-mask drawn from ``attrs["rng"]``
     or, for ``None``, from the seeded global generator as it is now."""
     xd, p, rng = xs[0], attrs["p"], attrs["rng"]
     if p == 1.0:
-        mask = be.zeros(xd.shape, dtype=xd.dtype)
+        mask = _zeros(xd.shape, xd.dtype)
     else:
-        mask = be.dropout_mask(rng if rng is not None else default_rng(), xd.shape, p, xd.dtype)
-    return be.multiply(xd, mask), mask
+        keep = (rng if rng is not None else default_rng()).random(xd.shape) >= p
+        mask = keep.astype(xd.dtype) / np.asarray(1.0 - p, dtype=xd.dtype)
+    return _ws_multiply(xd, mask), mask
 
 
-def _dropout_backward(be, arm, g, ports, mask, attrs) -> None:
+def _dropout_backward(arm, g, ports, mask, attrs) -> None:
     if ports[0].requires_grad:
-        ports[0]._accumulate_fresh(be.multiply(g, mask))
+        ports[0]._accumulate_fresh(_ws_multiply(g, mask))
 
 
 # --------------------------------------------------------------------------- #
@@ -896,18 +951,35 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 
 def _softmax_op(name: str, fn, grad) -> ir.Op:
-    """Enter a softmax-family op: ``y = fn(be, x, axis)``, input adjoint
-    ``grad(be, g, y, axis)``."""
+    """Enter a softmax-family op: ``y = fn(x, axis)``, input adjoint
+    ``grad(g, y, axis)``."""
 
-    def forward(be, arm, xs, attrs, ports):
-        y = fn(be, xs[0], attrs["axis"])
+    def forward(arm, xs, attrs, ports):
+        y = fn(xs[0], attrs["axis"])
         return y, y
 
-    def backward(be, arm, g, ports, y, attrs) -> None:
+    def backward(arm, g, ports, y, attrs) -> None:
         if ports[0].requires_grad:
-            ports[0]._accumulate_fresh(grad(be, g, y, attrs["axis"]))
+            ports[0]._accumulate_fresh(grad(g, y, attrs["axis"]))
 
     return ir.define_op(name, forward, backward)
+
+
+def _softmax(z, axis: int) -> np.ndarray:
+    shifted = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g, probs, axis: int) -> np.ndarray:
+    gp = g * probs
+    return gp - probs * gp.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax(z, axis: int) -> np.ndarray:
+    shifted = z - z.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - lse
 
 
 def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
@@ -921,7 +993,6 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
     """
     if reduction not in ("mean", "sum", "none"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    be = get_backend()
     x_t = Tensor._wrap(logits)
     idx = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     idx = idx.astype(np.int64).reshape(-1)
@@ -937,19 +1008,19 @@ def softmax_cross_entropy(logits, targets, reduction: str = "mean") -> Tensor:
         t_t = Tensor(idx, dtype=np.int64)
 
     attrs, parents = {"reduction": reduction}, (x_t, t_t)
-    out, ctx = _SOFTMAX_CROSS_ENTROPY.forward(be, None, (x_t.data, idx), attrs, parents)
+    out, ctx = _SOFTMAX_CROSS_ENTROPY.forward(None, (x_t.data, idx), attrs, parents)
     return Tensor._make(out, parents, "softmax_cross_entropy",
-                        _SOFTMAX_CROSS_ENTROPY.thunk(be, None, parents, ctx, attrs), attrs=attrs)
+                        _SOFTMAX_CROSS_ENTROPY.thunk(None, parents, ctx, attrs), attrs=attrs)
 
 
-def _softmax_cross_entropy(be, arm, xs, attrs, ports):
+def _softmax_cross_entropy(arm, xs, attrs, ports):
     """The loss over logits ``xs[0]`` and integer class indices ``xs[1]``."""
     idx = xs[1].astype(np.int64, copy=False).reshape(-1)
-    out, logp, rows = _softmax_cross_entropy_forward(be, xs[0], idx, attrs["reduction"])
+    out, logp, rows = _softmax_cross_entropy_forward(xs[0], idx, attrs["reduction"])
     return out, (logp, rows, idx)
 
 
-def _softmax_cross_entropy_backward(be, arm, g, ports, ctx, attrs) -> None:
+def _softmax_cross_entropy_backward(arm, g, ports, ctx, attrs) -> None:
     if not ports[0].requires_grad:
         return
     (logp, rows, idx), reduction = ctx, attrs["reduction"]
@@ -960,10 +1031,12 @@ def _softmax_cross_entropy_backward(be, arm, g, ports, ctx, attrs) -> None:
     else:
         s = float(g) / idx.shape[0] if reduction == "mean" else float(g)
         scale = np.asarray(s, dtype=logp.dtype)
-    ports[0]._accumulate_fresh(be.xent_grad(logp, rows, idx, scale))
+    d = np.exp(logp)
+    d[rows, idx] -= 1.0
+    ports[0]._accumulate_fresh(d * scale)
 
 
-def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, reduction: str):
+def _softmax_cross_entropy_forward(logits: np.ndarray, idx: np.ndarray, reduction: str):
     """Shared validation + loss core; returns ``(out, logp, rows)``.
 
     Every executor runs it through the op table entry, so a fix to the loss
@@ -985,7 +1058,7 @@ def _softmax_cross_entropy_forward(be, logits: np.ndarray, idx: np.ndarray, redu
             f"[0, {n_classes}), got values in [{idx.min()}, {idx.max()}]"
         )
     rows = np.arange(idx.shape[0])
-    logp = be.log_softmax(logits, -1)
+    logp = _log_softmax(logits, -1)
     losses = -logp[rows, idx]
     if reduction == "mean":
         out = losses.mean(dtype=losses.dtype)
@@ -1009,9 +1082,8 @@ _AVG_POOL2D = ir.define_op("avg_pool2d", _avg_pool2d, _avg_pool2d_backward)
 _BATCH_NORM = ir.define_op("batch_norm", _batch_norm, batch_norm_backward, _batch_norm_arm,
                            _batch_norm_bind)
 _DROPOUT = ir.define_op("dropout", _dropout, _dropout_backward)
-_SOFTMAX = _softmax_op("softmax", lambda be, x, axis: be.softmax(x, axis),
-                       lambda be, g, y, axis: be.softmax_grad(g, y, axis))
-_LOG_SOFTMAX = _softmax_op("log_softmax", lambda be, x, axis: be.log_softmax(x, axis),
-                           lambda be, g, y, axis: be.log_softmax_grad(g, y, axis))
+_SOFTMAX = _softmax_op("softmax", _softmax, _softmax_grad)
+_LOG_SOFTMAX = _softmax_op("log_softmax", _log_softmax,
+                           lambda g, logp, axis: g - np.exp(logp) * g.sum(axis=axis, keepdims=True))
 _SOFTMAX_CROSS_ENTROPY = ir.define_op(
     "softmax_cross_entropy", _softmax_cross_entropy, _softmax_cross_entropy_backward)

@@ -317,7 +317,7 @@ def _rewrite_region(members) -> None:
 # --------------------------------------------------------------------------- #
 # The fused op's table entry: no gradient flows through a region
 # --------------------------------------------------------------------------- #
-def _region(be, arm, xs, attrs, ports):
+def _region(arm, xs, attrs, ports):
     return compile_region(attrs["region"])(xs), None
 
 

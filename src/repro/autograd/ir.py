@@ -45,8 +45,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 import numpy as np
 
-from repro.backend import get_backend
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.autograd.tensor import Tensor
 
@@ -275,10 +273,10 @@ class Op:
     tape op records its call through it, a replayed train step runs it and
     a serving session binds it.
 
-    - ``forward(be, arm, xs, attrs, ports) -> (out, ctx)``: the output over
+    - ``forward(arm, xs, attrs, ports) -> (out, ctx)``: the output over
       the input arrays ``xs`` and the context its backward reads.  ``ports``
       are the inputs' gradient sinks, read here for ``requires_grad`` only.
-    - ``backward(be, arm, g, ports, ctx, attrs)``: accumulates each input's
+    - ``backward(arm, g, ports, ctx, attrs)``: accumulates each input's
       adjoint of the incoming gradient ``g`` into its port
       (``_accumulate_fresh`` / ``_accumulate``, under ``Tensor``'s rules);
       ``None`` for an op no gradient flows through.
@@ -302,12 +300,12 @@ class Op:
         self.arm = arm
         self._bind = bind
 
-    def thunk(self, be, arm, ports, ctx, attrs) -> Callable:
+    def thunk(self, arm, ports, ctx, attrs) -> Callable:
         """The backward factory of one recorded call (``Tensor._make``'s
         ``backward``): the node's thunk runs :attr:`backward` over the
         call's ``ctx`` with the output's gradient."""
         backward = self.backward
-        return lambda out: lambda: backward(be, arm, out.grad, ports, ctx, attrs)
+        return lambda out: lambda: backward(arm, out.grad, ports, ctx, attrs)
 
     def bind(self, xs, attrs: dict, out: np.ndarray) -> Callable:
         """The op's inference step, built once at compile time:
@@ -325,10 +323,10 @@ class Op:
         ``step.generic``."""
         step = self._bind(xs, attrs, out) if self._bind is not None else None
         if step is None:
-            forward, be, ports = self.forward, get_backend(), (_CONSTANT,) * len(xs)
+            forward, ports = self.forward, (_CONSTANT,) * len(xs)
 
             def step(*arrays):
-                return forward(be, None, arrays, attrs, ports)[0]
+                return forward(None, arrays, attrs, ports)[0]
 
             step.generic = True
         return step

@@ -43,6 +43,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.functional import _out_hw
+from repro.autograd.tensor import _ws_matmul
+from repro.backend import workspace
 from repro.codegen import jit
 from repro.codegen.cstage import _CTYPE
 from repro.obs import profile as _profile
@@ -75,9 +77,9 @@ class Arm:
     A subclass per op: ``stages`` describes them to ``cstage`` (every extent
     but the batch a literal; a ``str`` instead names why numpy keeps this
     geometry) and the methods are the compiled bodies.  Each mirrors a numpy
-    body of ``autograd.functional`` / ``NumpyBackend`` / ``Tensor.relu``
-    buffer for buffer — results come from ``be.empty`` — and returns
-    ``None`` when that body has to run instead.
+    body of ``autograd.functional`` / ``autograd.tensor`` buffer for buffer —
+    results come from ``workspace.empty`` — and returns ``None`` when that
+    body has to run instead.
     """
 
     __slots__ = ("key", "library")
@@ -193,32 +195,32 @@ class Conv2d(Arm):
             ("scatter", dtype, 0, 1) + geometry,
         )
 
-    def forward(self, be, xd, wd, bd, oh: int, ow: int):
+    def forward(self, xd, wd, bd, oh: int, ow: int):
         """``functional._conv2d_forward``: ``(out, patch matrix)``."""
         if not (self.takes(wd) if bd is None else self.takes(wd, bd)):
             return None
         n, out_c = len(xd), len(wd)
-        cols = be.empty((wd.size // out_c, n * oh * ow), xd.dtype)
+        cols = workspace.empty((wd.size // out_c, n * oh * ow), xd.dtype)
         if not self.run(0, n, xd, cols):
             return None
-        gemm = be.matmul(wd.reshape(out_c, -1), cols)
-        out = be.empty((n, out_c, oh, ow), xd.dtype)
+        gemm = _ws_matmul(wd.reshape(out_c, -1), cols)
+        out = workspace.empty((n, out_c, oh, ow), xd.dtype)
         ran = self.run(1, n, gemm, out) if bd is None else self.run(1, n, gemm, bd, out)
         return (out, cols) if ran else None
 
-    def transpose(self, be, g, shape: tuple):
+    def transpose(self, g, shape: tuple):
         """The ``(N, O, OH, OW)`` gradient of an output of ``shape`` as the
         ``(O, N*OH*OW)`` matrix the forward GEMM produced."""
         if g.shape != shape or not self.takes(g):
             return None
-        g_t = be.empty((shape[1], g.size // shape[1]), g.dtype)
+        g_t = workspace.empty((shape[1], g.size // shape[1]), g.dtype)
         return g_t if self.run(2, shape[0], g, g_t) else None
 
-    def scatter(self, be, dcols, shape: tuple):
+    def scatter(self, dcols, shape: tuple):
         """``_patch_matrix_adjoint`` + ``_unpad_hw``: the input gradient."""
         if not self.takes(dcols):
             return None
-        dx = be.empty(shape, dcols.dtype)
+        dx = workspace.empty(shape, dcols.dtype)
         return dx if self.run(3, shape[0], dcols, dx) else None
 
 
@@ -237,14 +239,14 @@ class MaxPool2d(Arm):
             ("route", dtype, 0, 1, 2, 3, c, h, w) + pool,
         )
 
-    def forward(self, be, xd, oh: int, ow: int):
-        out = be.empty(xd.shape[:2] + (oh, ow), xd.dtype)
+    def forward(self, xd, oh: int, ow: int):
+        out = workspace.empty(xd.shape[:2] + (oh, ow), xd.dtype)
         return out if self.run(0, len(xd), xd, out) else None
 
-    def backward(self, be, xd, out, g):
+    def backward(self, xd, out, g):
         if g.shape != out.shape or not self.takes(xd, g):
             return None
-        dx = be.empty(xd.shape, xd.dtype)
+        dx = workspace.empty(xd.shape, xd.dtype)
         return dx if self.run(1, len(xd), xd, out, g, dx) else None
 
 
@@ -283,45 +285,45 @@ class BatchNorm(Arm):
         bwd2 = stage(((0, x), (1, x), (2, channel), (3, channel), (4, channel)), combine, 5)
         return var, normalize, bwd1, bwd2
 
-    def var(self, be, xd, mean, axes):
-        """``NumpyBackend.var``, given the mean it starts from (``xd.mean``
+    def var(self, xd, mean, axes):
+        """``functional._var``, given the mean it starts from (``xd.mean``
         and ``xd.var`` compute it with the same two calls)."""
-        dev = be.empty(xd.shape, xd.dtype)
+        dev = workspace.empty(xd.shape, xd.dtype)
         if not self.run(0, len(xd), xd, mean, dev):
             return None
         var = np.add.reduce(dev, axis=axes)
         return np.true_divide(var, np.intp(xd.size // len(var)), out=var, casting="unsafe")
 
-    def normalize(self, be, xd, mean, inv_std, gamma, beta):
-        """``NumpyBackend.bn_normalize``: ``(xhat, out)``."""
+    def normalize(self, xd, mean, inv_std, gamma, beta):
+        """``functional._bn_normalize``: ``(xhat, out)``."""
         operands = [xd, mean, inv_std] + [p for p in (gamma, beta) if p is not None]
         if mean.shape != inv_std.shape or mean.shape != (xd.shape[1],):
             return None
         if not self.takes(*operands):
             return None
-        xhat, out = be.empty(xd.shape, xd.dtype), be.empty(xd.shape, xd.dtype)
+        xhat, out = workspace.empty(xd.shape, xd.dtype), workspace.empty(xd.shape, xd.dtype)
         return (xhat, out) if self.run(1, len(xd), *operands, xhat, out) else None
 
-    def backward(self, be, g, xhat, inv_std, gamma, axes) -> Optional[Tuple]:
+    def backward(self, g, xhat, inv_std, gamma, axes) -> Optional[Tuple]:
         """``(g * xhat, dx)`` of a batch-statistics node (the first ``None``
         without a gamma): ``functional.batch_norm_backward``'s products and
-        ``NumpyBackend.bn_input_grad`` around numpy's own reductions."""
+        its three-term adjoint around numpy's own reductions."""
         affine = () if gamma is None else (gamma,)
         if g.shape != xhat.shape or any(p.shape != xhat.shape[1:2] for p in (inv_std, *affine)):
             return None
         if not self.takes(g, xhat, inv_std, *affine):
             return None
         n, shape, dtype = len(g), g.shape, g.dtype
-        t = be.empty(shape, dtype)
+        t = workspace.empty(shape, dtype)
         if gamma is None:
             gx, dxhat = None, g
             ran = self.run(2, n, g, xhat, t)
         else:
-            gx, dxhat = be.empty(shape, dtype), be.empty(shape, dtype)
+            gx, dxhat = workspace.empty(shape, dtype), workspace.empty(shape, dtype)
             ran = self.run(2, n, g, xhat, gamma, gx, dxhat, t)
         if not ran:
             return None
-        dx = be.empty(shape, dtype)
+        dx = workspace.empty(shape, dtype)
         means = dxhat.mean(axis=axes), t.mean(axis=axes)
         return (gx, dx) if self.run(3, n, dxhat, xhat, *means, inv_std, dx) else None
 
@@ -341,15 +343,15 @@ class Relu(Arm):
             ("map", dtype, (), ((0, flat), (1, flat, mask)), (("mul", (0, 1)),), None, 2, 1, 0),
         )
 
-    def forward(self, be, data):
+    def forward(self, data):
         """``(np.maximum(data, 0), data > 0)`` in one pass."""
-        out, mask = be.empty(data.shape, data.dtype), be.empty(data.shape, bool)
+        out, mask = workspace.empty(data.shape, data.dtype), workspace.empty(data.shape, bool)
         return (out, mask) if self.run(0, data.size, data, out, mask) else None
 
-    def backward(self, be, g, mask):
+    def backward(self, g, mask):
         if g.shape != mask.shape or not self.takes(g):
             return None
-        dx = be.empty(g.shape, g.dtype)
+        dx = workspace.empty(g.shape, g.dtype)
         return dx if self.run(1, g.size, g, mask, dx) else None
 
 

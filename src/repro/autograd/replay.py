@@ -21,11 +21,13 @@ the eager op records its call through — with the compiled arm of
 tables keep what they bound (:meth:`~repro.autograd.kernels.Arm.pinned`).
 One step builder serves every op; no arithmetic lives here, and gradients
 accumulate under ``Tensor._accumulate_fresh`` / ``_accumulate``'s rules
-(:class:`_Port`).  Requests under the kernel workspace's floor get the array
-the first replayed step got at that position (:class:`_Tape`), so tables bind
-them once; larger ones go to the workspace each step, and a liveness pass
-lets every slot go after its last use, so a replay leases no more than the
-eager step's free-as-you-go backward did.
+(:class:`_Port`).  While the forward and backward steps run, requests under
+the kernel workspace's floor get the array the first replayed step got at
+that position (:class:`_Tape`, the thread's small-request hook of
+:mod:`repro.backend.workspace`), so tables bind them once; larger ones go to
+the workspace each step, and a liveness pass lets every slot go after its
+last use, so a replay leases no more than the eager step's free-as-you-go
+backward did.
 
 :class:`TrainReplay` refuses, before touching any state, a tape it cannot
 replay (:class:`repro.autograd.ir.Fallback`).  When to capture and when a
@@ -35,8 +37,6 @@ Not thread-safe.
 
 from __future__ import annotations
 
-import copy
-import math
 import time
 from typing import Dict, List, Optional
 
@@ -52,23 +52,18 @@ __all__ = ["TrainReplay"]
 
 
 class _Tape:
-    """The replay's backend: a copy of the backend whose ``empty`` hands
-    every request under the workspace's floor the array the same request of
-    the first replayed step got — fixed buffers, so pinned stage tables bind
-    them once.  Larger requests go to the workspace each time.  A request
-    that differs from the recorded one (the sequence changed) gets a new
-    array, and the sequence is recorded again from there."""
+    """The replay's small-request hook (:func:`repro.backend.workspace.set_small`):
+    :meth:`empty` hands every request under the workspace's floor the array
+    the same request of the first replayed step got — fixed buffers, so
+    pinned stage tables bind them once.  A request that differs from the
+    recorded one (the sequence changed) gets a new array, and the sequence
+    is recorded again from there."""
 
-    def __init__(self, be) -> None:
-        self.be = copy.copy(be)
-        self.be.empty = self.empty
+    def __init__(self) -> None:
         self.arrays: List[np.ndarray] = []
         self.i = 0
 
-    def empty(self, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        if dtype.itemsize * math.prod(shape) >= workspace.FLOOR:
-            return workspace.empty(shape, dtype)
+    def empty(self, shape, dtype: np.dtype) -> np.ndarray:
         i, arrays = self.i, self.arrays
         self.i = i + 1
         if i < len(arrays):
@@ -87,13 +82,12 @@ class _Port:
     ``_accumulate``'s rules, or a row of the flat gradient array (a
     parameter; ``first`` until the step's first contribution)."""
 
-    __slots__ = ("requires_grad", "values", "slot", "dtype", "be", "row", "first")
+    __slots__ = ("requires_grad", "values", "slot", "dtype", "row", "first")
 
-    def __init__(self, requires_grad: bool, dtype, values=None, slot=None, be=None,
-                 row=None) -> None:
+    def __init__(self, requires_grad: bool, dtype, values=None, slot=None, row=None) -> None:
         self.requires_grad = requires_grad
         self.dtype = dtype
-        self.values, self.slot, self.be = values, slot, be
+        self.values, self.slot = values, slot
         self.row, self.first = row, True
 
     def _accumulate_fresh(self, grad: np.ndarray) -> None:
@@ -115,7 +109,7 @@ class _Port:
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.row is None and self.values[self.slot] is None:
             self.values[self.slot] = (
-                grad.astype(self.dtype) if grad.dtype != self.dtype else _owned_copy(self.be, grad)
+                grad.astype(self.dtype) if grad.dtype != self.dtype else _owned_copy(grad)
             )
         else:
             self._accumulate_fresh(grad)
@@ -129,7 +123,7 @@ class TrainReplay:
     forward and its backward: it flattens the updated parameters and their
     optimizer state (:meth:`repro.nn.optim.Optimizer.flatten`)."""
 
-    def __init__(self, nodes, inputs, params, optimizer, be, counters=()) -> None:
+    def __init__(self, nodes, inputs, params, optimizer, counters=()) -> None:
         loss = nodes[-1].out if nodes else None
         if loss is None or nodes[-1].op != "softmax_cross_entropy" or loss.data.size != 1:
             raise Fallback("module")
@@ -161,8 +155,7 @@ class TrainReplay:
             raise Fallback("pending")
 
         # Nothing refused: from here on the capture changes state.
-        self._be = be
-        self._tape = _Tape(be)
+        self._tape = _Tape()
         self._optimizer = optimizer
         self._counters = tuple(counters)
         self._flat = optimizer.flatten(updated) if updated else None
@@ -192,8 +185,7 @@ class TrainReplay:
             out, ctx, g = self._slot[id(node.out)], self._new(), self._grad_slot(node)
             # The op's parameters, not the capture's saved arrays.
             attrs = {k: v for k, v in (node.attrs or {}).items() if not isinstance(v, np.ndarray)}
-            fwd, bwd = _op_steps(op, self._tape.be, arm, attrs, ins, out, ctx,
-                                 self._ports_of(node), g)
+            fwd, bwd = _op_steps(op, arm, attrs, ins, out, ctx, self._ports_of(node), g)
             forward.append((fwd, ins + (out, ctx)))
             if node.backward is not None:
                 backward[id(node)] = (bwd, (g, ctx))
@@ -221,7 +213,7 @@ class TrainReplay:
         port = self._ports.get(id(t))
         if port is None:
             if t.requires_grad:
-                port = _Port(True, t.data.dtype, self._values, self._new(), self._tape.be)
+                port = _Port(True, t.data.dtype, self._values, self._new())
             else:
                 port = _Port(False, t.data.dtype)
             self._ports[id(t)] = port
@@ -298,31 +290,35 @@ class TrainReplay:
 
     def _steps(self, values, profiler) -> float:
         (forward, backward), (fnames, bnames) = self._lists, self._names
-        ir.run_steps(forward, values, profiler, fnames)
-        loss = float(values[self._loss])
-        for port in self._param_ports:
-            port.first = True
-        values[self._seed_slot] = self._seed
-        ir.run_steps(backward, values, profiler, bnames)
+        previous = workspace.set_small(self._tape.empty)
+        try:
+            ir.run_steps(forward, values, profiler, fnames)
+            loss = float(values[self._loss])
+            for port in self._param_ports:
+                port.first = True
+            values[self._seed_slot] = self._seed
+            ir.run_steps(backward, values, profiler, bnames)
+        finally:
+            workspace.set_small(previous)
         if self._flat is not None:
             start = time.perf_counter()
-            self._optimizer.flat_step(self._be, *self._flat[:3])
+            self._optimizer.flat_step(*self._flat[:3])
             if profiler is not None:
                 profiler.record("replay:optim", time.perf_counter() - start)
         return loss
 
 
-def _op_steps(op: ir.Op, be, arm, attrs, ins, out, ctx, ports, g):
+def _op_steps(op: ir.Op, arm, attrs, ins, out, ctx, ports, g):
     """The forward and backward step of one node running table op ``op``
     over the slots ``ins``: the forward fills ``out`` and ``ctx`` (the saved
     context), the backward reads ``ctx`` and the gradient in ``g``."""
     forward, backward = op.forward, op.backward
 
     def forward_step(v):
-        v[out], v[ctx] = forward(be, arm, [v[s] for s in ins], attrs, ports)
+        v[out], v[ctx] = forward(arm, [v[s] for s in ins], attrs, ports)
 
     def backward_step(v):
-        backward(be, arm, v[g], ports, v[ctx], attrs)
+        backward(arm, v[g], ports, v[ctx], attrs)
 
     return forward_step, backward_step
 

@@ -41,10 +41,8 @@ is implemented for arbitrary broadcastable shapes so the layer code in
 :mod:`repro.nn` stays simple.  Dense spatial kernels (im2col convolution,
 pooling, fused softmax cross-entropy) live in :mod:`repro.autograd.functional`.
 
-The numerical work of every op — elementwise arithmetic, matmul,
-transcendentals, reductions — dispatches through the array backend
-(:func:`repro.backend.get_backend`).  Structural ops (reshape, transpose,
-indexing, concatenation) have no numerical content and stay plain numpy.
+Every op computes with numpy directly; its image-sized results come from the
+kernel workspace (:mod:`repro.backend.workspace`).
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import default_rng, get_backend
+from repro.backend import default_rng, workspace
 from repro.autograd import ir as _ir
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
@@ -123,12 +121,41 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return np.asarray(grad).reshape(shape)
 
 
-def _owned_copy(be, arr: np.ndarray) -> np.ndarray:
+def _owned_copy(arr: np.ndarray) -> np.ndarray:
     """``arr.copy()`` (owned, C-contiguous, same dtype) in a buffer from
-    ``be.empty`` — the one spelling of "make this view mine" in the kernels."""
-    out = be.empty(arr.shape, arr.dtype)
+    ``workspace.empty`` — the one spelling of "make this view mine" in the
+    kernels."""
+    out = workspace.empty(arr.shape, arr.dtype)
     np.copyto(out, arr)
     return out
+
+
+# ``np.multiply`` / ``np.matmul`` / ``np.maximum(x, 0.0)`` with the result in
+# a buffer from ``workspace.empty``: the primitives every small op goes
+# through, so each takes numpy's own result when it cannot reach the
+# workspace's floor.  Asking first costs a small op about as much again
+# (``train_b4`` ``latency_ms_p50`` +8 % in 10 of 12 pairs, a 64-wide MLP step
+# +18 %); the image-sized kernels ask unconditionally.
+def _ws_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.nbytes < workspace.FLOOR > b.nbytes:  # so is a * b, short of an outer product
+        return np.multiply(a, b)
+    shape = a.shape if a.shape == b.shape else np.broadcast(a, b).shape
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+    return np.multiply(a, b, out=workspace.empty(shape, dtype))
+
+
+def _ws_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] * b.shape[1] * a.itemsize < workspace.FLOOR:
+        return np.matmul(a, b)  # small, a vector to squeeze or a stack: numpy's own result
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
+    return np.matmul(a, b, out=workspace.empty((a.shape[0], b.shape[1]), dtype))
+
+
+def _ws_relu(x: np.ndarray) -> np.ndarray:
+    if x.nbytes < workspace.FLOOR:
+        return np.maximum(x, 0.0)
+    dtype = x.dtype if x.dtype.kind == "f" else np.result_type(x, 0.0)
+    return np.maximum(x, 0.0, out=workspace.empty(x.shape, dtype))
 
 
 def _raise_freed_graph() -> None:
@@ -206,84 +233,83 @@ def _into(kernel):
 
 
 def _unary(name: str, fn, grad, bind=None) -> _ir.Op:
-    """Enter the one-input op ``y = fn(be, x)`` whose input adjoint is the
-    fresh ``grad(be, g, x, y)``."""
+    """Enter the one-input op ``y = fn(x)`` whose input adjoint is the
+    fresh ``grad(g, x, y)``."""
 
-    def forward(be, arm, xs, attrs, ports):
-        y = fn(be, xs[0])
+    def forward(arm, xs, attrs, ports):
+        y = fn(xs[0])
         return y, (xs[0], y)
 
-    def backward(be, arm, g, ports, ctx, attrs) -> None:
+    def backward(arm, g, ports, ctx, attrs) -> None:
         if ports[0].requires_grad:
-            ports[0]._accumulate_fresh(grad(be, g, *ctx))
+            ports[0]._accumulate_fresh(grad(g, *ctx))
 
     return _ir.define_op(name, forward, backward, bind=bind)
 
 
-_NEG = _unary("neg", lambda be, x: be.negative(x), lambda be, g, x, y: be.negative(g),
-              _into(np.negative))
-_ABS = _unary("abs", lambda be, x: np.abs(x), lambda be, g, x, y: g * np.sign(x))
-_EXP = _unary("exp", lambda be, x: be.exp(x), lambda be, g, x, y: be.multiply(g, y))
-_LOG = _unary("log", lambda be, x: be.log(x), lambda be, g, x, y: be.divide(g, x))
-_SQRT = _unary("sqrt", lambda be, x: be.sqrt(x), lambda be, g, x, y: g * 0.5 / y)
-_SIGMOID = _unary("sigmoid", lambda be, x: be.sigmoid(x), lambda be, g, x, y: g * y * (1.0 - y))
-_TANH = _unary("tanh", lambda be, x: be.tanh(x), lambda be, g, x, y: g * (1.0 - y ** 2))
+_NEG = _unary("neg", np.negative, lambda g, x, y: np.negative(g), _into(np.negative))
+_ABS = _unary("abs", np.abs, lambda g, x, y: g * np.sign(x))
+_EXP = _unary("exp", np.exp, lambda g, x, y: _ws_multiply(g, y))
+_LOG = _unary("log", np.log, lambda g, x, y: np.divide(g, x))
+_SQRT = _unary("sqrt", np.sqrt, lambda g, x, y: g * 0.5 / y)
+_SIGMOID = _unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * y * (1.0 - y))
+_TANH = _unary("tanh", np.tanh, lambda g, x, y: g * (1.0 - y ** 2))
 
 
-def _add(be, arm, xs, attrs, ports):
-    return be.add(xs[0], xs[1]), (xs[0].shape, xs[1].shape)
+def _add(arm, xs, attrs, ports):
+    return np.add(xs[0], xs[1]), (xs[0].shape, xs[1].shape)
 
 
-def _add_backward(be, arm, g, ports, shapes, attrs) -> None:
+def _add_backward(arm, g, ports, shapes, attrs) -> None:
     for port, shape in zip(ports, shapes):
         if port.requires_grad:
             _accumulate_bcast(port, g, shape)
 
 
-def _mul(be, arm, xs, attrs, ports):
-    return be.multiply(xs[0], xs[1]), xs
+def _mul(arm, xs, attrs, ports):
+    return _ws_multiply(xs[0], xs[1]), xs
 
 
-def _mul_backward(be, arm, g, ports, xs, attrs) -> None:
+def _mul_backward(arm, g, ports, xs, attrs) -> None:
     a, b = xs
     if ports[0].requires_grad:
-        ports[0]._accumulate_fresh(_unbroadcast(be.multiply(g, b), a.shape))
+        ports[0]._accumulate_fresh(_unbroadcast(_ws_multiply(g, b), a.shape))
     if ports[1].requires_grad:
-        ports[1]._accumulate_fresh(_unbroadcast(be.multiply(g, a), b.shape))
+        ports[1]._accumulate_fresh(_unbroadcast(_ws_multiply(g, a), b.shape))
 
 
-def _div(be, arm, xs, attrs, ports):
-    return be.divide(xs[0], xs[1]), xs
+def _div(arm, xs, attrs, ports):
+    return np.divide(xs[0], xs[1]), xs
 
 
-def _div_backward(be, arm, g, ports, xs, attrs) -> None:
+def _div_backward(arm, g, ports, xs, attrs) -> None:
     a, b = xs
     if ports[0].requires_grad:
-        ports[0]._accumulate_fresh(_unbroadcast(be.divide(g, b), a.shape))
+        ports[0]._accumulate_fresh(_unbroadcast(np.divide(g, b), a.shape))
     if ports[1].requires_grad:
         ports[1]._accumulate_fresh(_unbroadcast(
-            be.divide(be.multiply(be.negative(g), a), be.power(b, 2.0)), b.shape))
+            np.divide(_ws_multiply(np.negative(g), a), np.power(b, 2.0)), b.shape))
 
 
-def _pow(be, arm, xs, attrs, ports):
-    return be.power(xs[0], attrs["exponent"]), xs[0]
+def _pow(arm, xs, attrs, ports):
+    return np.power(xs[0], attrs["exponent"]), xs[0]
 
 
-def _pow_backward(be, arm, g, ports, x, attrs) -> None:
+def _pow_backward(arm, g, ports, x, attrs) -> None:
     if ports[0].requires_grad:
         exponent = attrs["exponent"]
         # x**(e-1) hits zeros (e.g. the x**0.5 gradient at 0) with a
         # divide-by-zero RuntimeWarning; the resulting inf matches torch,
         # the warning spam does not.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ports[0]._accumulate_fresh(g * exponent * be.power(x, exponent - 1))
+            ports[0]._accumulate_fresh(g * exponent * np.power(x, exponent - 1))
 
 
-def _matmul(be, arm, xs, attrs, ports):
-    return be.matmul(xs[0], xs[1]), xs
+def _matmul(arm, xs, attrs, ports):
+    return _ws_matmul(xs[0], xs[1]), xs
 
 
-def _matmul_backward(be, arm, g, ports, xs, attrs) -> None:
+def _matmul_backward(arm, g, ports, xs, attrs) -> None:
     a, b = xs
     # numpy matmul treats 1-D operands as a prepended row / appended column
     # that is squeezed from the result; mirror that promotion so the
@@ -295,12 +321,12 @@ def _matmul_backward(be, arm, g, ports, xs, attrs) -> None:
     if a.ndim == 1:
         g = np.expand_dims(g, -2)
     if ports[0].requires_grad:
-        ga = be.matmul(g, b2.swapaxes(-1, -2))
+        ga = _ws_matmul(g, b2.swapaxes(-1, -2))
         if a.ndim == 1:
             ga = np.squeeze(ga, -2)
         ports[0]._accumulate_fresh(_unbroadcast(ga, a.shape))
     if ports[1].requires_grad:
-        gb = be.matmul(a2.swapaxes(-1, -2), g)
+        gb = _ws_matmul(a2.swapaxes(-1, -2), g)
         if b.ndim == 1:
             gb = np.squeeze(gb, -1)
         ports[1]._accumulate_fresh(_unbroadcast(gb, b.shape))
@@ -311,20 +337,20 @@ def _relu_arm(xs, attrs, ask=True):
     return _get_kernels().arm("relu", xs[0].dtype, xs[0].size, ask=ask)
 
 
-def _relu(be, arm, xs, attrs, ports):
+def _relu(arm, xs, attrs, ports):
     """``(relu(x), x > 0)``: one compiled pass, or numpy's two."""
     data = xs[0]
-    result = arm and arm.forward(be, data)  # value and mask in one compiled pass
+    result = arm and arm.forward(data)  # value and mask in one compiled pass
     if result is not None:
         return result
-    mask = np.greater(data, 0, out=be.empty(data.shape, bool))
-    return be.relu(data), mask
+    mask = np.greater(data, 0, out=workspace.empty(data.shape, bool))
+    return _ws_relu(data), mask
 
 
-def _relu_backward(be, arm, g, ports, mask, attrs) -> None:
+def _relu_backward(arm, g, ports, mask, attrs) -> None:
     if ports[0].requires_grad:
-        grad = arm and arm.backward(be, g, mask)
-        ports[0]._accumulate_fresh(be.multiply(g, mask) if grad is None else grad)
+        grad = arm and arm.backward(g, mask)
+        ports[0]._accumulate_fresh(_ws_multiply(g, mask) if grad is None else grad)
 
 
 def _reduced(g, attrs, ndim: int):
@@ -338,21 +364,21 @@ def _reduced(g, attrs, ndim: int):
     return g
 
 
-def _sum(be, arm, xs, attrs, ports):
-    return be.sum(xs[0], axis=attrs["axis"], keepdims=attrs["keepdims"]), xs[0].shape
+def _sum(arm, xs, attrs, ports):
+    return xs[0].sum(axis=attrs["axis"], keepdims=attrs["keepdims"]), xs[0].shape
 
 
-def _sum_backward(be, arm, g, ports, shape, attrs) -> None:
+def _sum_backward(arm, g, ports, shape, attrs) -> None:
     if ports[0].requires_grad:
         ports[0]._accumulate(np.broadcast_to(_reduced(g, attrs, len(shape)), shape))
 
 
-def _max(be, arm, xs, attrs, ports):
-    result = be.amax(xs[0], axis=attrs["axis"], keepdims=attrs["keepdims"])
+def _max(arm, xs, attrs, ports):
+    result = xs[0].max(axis=attrs["axis"], keepdims=attrs["keepdims"])
     return result, (xs[0], result)
 
 
-def _max_backward(be, arm, g, ports, ctx, attrs) -> None:
+def _max_backward(arm, g, ports, ctx, attrs) -> None:
     if not ports[0].requires_grad:
         return
     x, result = ctx
@@ -377,16 +403,16 @@ def _reduce_bind(reduce):
     return bind
 
 
-def _reshape(be, arm, xs, attrs, ports):
+def _reshape(arm, xs, attrs, ports):
     return xs[0].reshape(attrs["shape"]), xs[0].shape
 
 
-def _reshape_backward(be, arm, g, ports, shape, attrs) -> None:
+def _reshape_backward(arm, g, ports, shape, attrs) -> None:
     if ports[0].requires_grad:
         ports[0]._accumulate(g.reshape(shape))
 
 
-def _transpose(be, arm, xs, attrs, ports):
+def _transpose(arm, xs, attrs, ports):
     """The permuted view and its inverse permutation."""
     axes = attrs["axes"]
     # Normalize negatives before inverting: argsort of raw negative axes
@@ -394,7 +420,7 @@ def _transpose(be, arm, xs, attrs, ports):
     return xs[0].transpose(axes), tuple(np.argsort([a % xs[0].ndim for a in axes]))
 
 
-def _transpose_backward(be, arm, g, ports, inverse, attrs) -> None:
+def _transpose_backward(arm, g, ports, inverse, attrs) -> None:
     if ports[0].requires_grad:
         ports[0]._accumulate(g.transpose(inverse))
 
@@ -409,18 +435,18 @@ def _view_bind(view, key):
     return bind
 
 
-def _getitem(be, arm, xs, attrs, ports):
+def _getitem(arm, xs, attrs, ports):
     return xs[0][attrs["index"]], xs[0]
 
 
-def _getitem_backward(be, arm, g, ports, x, attrs) -> None:
+def _getitem_backward(arm, g, ports, x, attrs) -> None:
     if ports[0].requires_grad:
         grad = np.zeros(x.shape, dtype=x.dtype)
         np.add.at(grad, attrs["index"], g)
         ports[0]._accumulate_fresh(grad)
 
 
-def _concat(be, arm, xs, attrs, ports):
+def _concat(arm, xs, attrs, ports):
     """The concatenation and, per input, the index of its block."""
     out = np.concatenate(xs, axis=attrs["axis"])
     axis, start, cuts = attrs["axis"] % out.ndim, 0, []
@@ -431,7 +457,7 @@ def _concat(be, arm, xs, attrs, ports):
     return out, cuts
 
 
-def _concat_backward(be, arm, g, ports, cuts, attrs) -> None:
+def _concat_backward(arm, g, ports, cuts, attrs) -> None:
     for port, cut in zip(ports, cuts):
         if port.requires_grad:
             port._accumulate(g[cut])
@@ -444,33 +470,33 @@ def _concat_bind(xs, attrs, out):
     return step
 
 
-def _stack(be, arm, xs, attrs, ports):
+def _stack(arm, xs, attrs, ports):
     return np.stack(xs, axis=attrs["axis"]), None
 
 
-def _stack_backward(be, arm, g, ports, ctx, attrs) -> None:
+def _stack_backward(arm, g, ports, ctx, attrs) -> None:
     axis = attrs["axis"]
     for port, grad in zip(ports, np.split(g, len(ports), axis=axis)):
         if port.requires_grad:
             port._accumulate(np.squeeze(grad, axis=axis))
 
 
-def _pad2d(be, arm, xs, attrs, ports):
+def _pad2d(arm, xs, attrs, ports):
     p = attrs["padding"]
     return np.pad(xs[0], ((0, 0), (0, 0), (p, p), (p, p)), mode="constant"), None
 
 
-def _pad2d_backward(be, arm, g, ports, ctx, attrs) -> None:
+def _pad2d_backward(arm, g, ports, ctx, attrs) -> None:
     if ports[0].requires_grad:
         p = attrs["padding"]
         ports[0]._accumulate(g[:, :, p:-p, p:-p])
 
 
-def _clone(be, arm, xs, attrs, ports):
+def _clone(arm, xs, attrs, ports):
     return xs[0].copy(), None
 
 
-def _clone_backward(be, arm, g, ports, ctx, attrs) -> None:
+def _clone_backward(arm, g, ports, ctx, attrs) -> None:
     if ports[0].requires_grad:
         ports[0]._accumulate(g)
 
@@ -495,15 +521,14 @@ _PAD2D = _ir.define_op("pad2d", _pad2d, _pad2d_backward)
 _CLONE = _ir.define_op("clone", _clone, _clone_backward)
 # Identity on the data; the detachment (no backward) is a property of the
 # node, not of the value.
-_ir.define_op("detach", lambda be, arm, xs, attrs, ports: (xs[0], None))
+_ir.define_op("detach", lambda arm, xs, attrs, ports: (xs[0], None))
 
 
 def _apply(op: _ir.Op, parents: Tuple["Tensor", ...], attrs: Optional[dict] = None) -> "Tensor":
     """Run table op ``op`` over ``parents``' data and record the call; the
     node keeps ``attrs`` only inside a capture (the thunk has its own)."""
-    be = get_backend()
-    out, ctx = op.forward(be, None, [p.data for p in parents], attrs, parents)
-    return Tensor._make(out, parents, op.name, op.thunk(be, None, parents, ctx, attrs),
+    out, ctx = op.forward(None, [p.data for p in parents], attrs, parents)
+    return Tensor._make(out, parents, op.name, op.thunk(None, parents, ctx, attrs),
                         attrs=attrs if _capturing() else None)
 
 
@@ -650,7 +675,7 @@ class Tensor:
         if g is None:
             dtype = self.data.dtype
             self.grad = (
-                grad.astype(dtype) if grad.dtype != dtype else _owned_copy(get_backend(), grad)
+                grad.astype(dtype) if grad.dtype != dtype else _owned_copy(grad)
             )
         else:
             np.add(g, grad, out=g)
@@ -760,16 +785,15 @@ class Tensor:
     # Non-linearities
     # ------------------------------------------------------------------ #
     def relu(self) -> "Tensor":
-        be = get_backend()
         # The mask is a gradient-only artifact: computing it in inference
         # would waste a full-size compare, so it exists only when a backward
         # will.
         if not (_GRAD_ENABLED and self.requires_grad):
-            return self._make(be.relu(self.data), (self,), "relu", None)
+            return self._make(_ws_relu(self.data), (self,), "relu", None)
         xs, parents = (self.data,), (self,)
         arm = _relu_arm(xs, None)
-        result, mask = _RELU.forward(be, arm, xs, None, parents)
-        return self._make(result, parents, "relu", _RELU.thunk(be, arm, parents, mask, None),
+        result, mask = _RELU.forward(arm, xs, None, parents)
+        return self._make(result, parents, "relu", _RELU.thunk(arm, parents, mask, None),
                           attrs={"mask": mask})
 
     def sigmoid(self) -> "Tensor":
@@ -984,7 +1008,7 @@ class Tensor:
     ) -> "Tensor":
         """Standard-normal tensor drawn from ``rng`` (or the seeded global one)."""
         rng = rng if rng is not None else default_rng()
-        data = get_backend().standard_normal(rng, Tensor._splat_shape(shape))
+        data = rng.standard_normal(Tensor._splat_shape(shape))
         data = data.astype(dtype or np.float32)
         return Tensor(data, requires_grad=requires_grad, dtype=data.dtype)
 
@@ -999,6 +1023,6 @@ class Tensor:
     ) -> "Tensor":
         """Uniform ``[low, high)`` tensor drawn from ``rng`` (or the seeded global one)."""
         rng = rng if rng is not None else default_rng()
-        data = get_backend().uniform(rng, low, high, Tensor._splat_shape(shape))
+        data = rng.uniform(low, high, Tensor._splat_shape(shape))
         data = data.astype(dtype or np.float32)
         return Tensor(data, requires_grad=requires_grad, dtype=data.dtype)

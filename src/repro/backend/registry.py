@@ -1,21 +1,18 @@
-"""The array backend every kernel dispatches through, and the seeded global
-random generator.
+"""The seeded global random generator, and :func:`get_backend`.
 
-:func:`get_backend` returns the one :class:`NumpyBackend` instance: the cheap
-accessor every kernel calls on its hot path.
-
-This module also owns the **seeded global generator**: the stream that
+The **seeded global generator** is the stream that
 ``repro.nn.init.manual_seed`` resets and that every default random draw in
 the stack (layer init, ``Tensor.randn``/``uniform``, the dropout mask) falls
 back to when no explicit ``rng`` is passed.  It lives here, below
 ``repro.autograd``, so the kernels can reach it without a layering inversion.
+
+The kernels call numpy directly; :func:`get_backend` returns the ``numpy``
+module for callers outside the package that still ask for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.backend.numpy_backend import NumpyBackend
 
 __all__ = [
     "default_rng",
@@ -25,12 +22,10 @@ __all__ = [
     "set_rng_state",
 ]
 
-_BACKEND = NumpyBackend()
 
-
-def get_backend() -> NumpyBackend:
-    """The array backend every kernel dispatches through."""
-    return _BACKEND
+def get_backend():
+    """The ``numpy`` module: what the kernels compute with."""
+    return np
 
 
 # --------------------------------------------------------------------------- #

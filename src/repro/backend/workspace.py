@@ -36,8 +36,14 @@ default ``mmap`` threshold: ``malloc`` serves those from its heap, which stays
 in the process once the large buffers no longer churn it) and interpreters
 without usable reference counts (no ``sys.getrefcount``, or the GIL disabled).
 
-Kernels do not import this module: they call ``be.empty`` and write into the
-result with ``out=``, keeping the order of the arithmetic.
+**The small-request hook.**  A thread may install, with :func:`set_small`, a
+function that serves its requests under the floor instead:
+:class:`repro.autograd.replay.TrainReplay` hands each of them the array the
+same request of its first replayed step got, so the stage tables it pins
+bind them once.  The hook is the installing thread's only.
+
+Kernels call :func:`empty` as ``workspace.empty`` (looked up per call) and
+write into the result with ``out=``, keeping the order of the arithmetic.
 """
 
 from __future__ import annotations
@@ -46,11 +52,11 @@ import math
 import sys
 import threading
 import weakref
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["empty", "stats", "trim"]
+__all__ = ["empty", "set_small", "stats", "trim"]
 
 #: Requests below this many bytes are plain ``np.empty``.
 FLOOR = 128 * 1024
@@ -73,7 +79,17 @@ _IDLE = (
 #: Requests by how they were served, process-wide: one plain add per request
 #: (monitoring counts, not synchronised across threads).
 _REQUESTS = {"hit": 0, "miss": 0, "small": 0}
-_LOCAL = threading.local()
+
+
+class _Local(threading.local):
+    """Per thread: the pool (made by the first pooled request) and the
+    small-request hook (see :func:`set_small`)."""
+
+    pool: "Optional[_Pool]" = None
+    small: Optional[Callable] = None
+
+
+_LOCAL = _Local()
 _POOLS: "weakref.WeakSet[_Pool]" = weakref.WeakSet()  # the live threads' pools
 _LOCK = threading.Lock()  # a thread's first request adds to _POOLS while stats() reads it
 
@@ -137,21 +153,34 @@ class _Pool:
 
 
 def _pool() -> _Pool:
-    try:
-        return _LOCAL.pool
-    except AttributeError:
+    pool = _LOCAL.pool
+    if pool is None:
         pool = _LOCAL.pool = _Pool()
-        return pool
+    return pool
 
 
 def empty(shape, dtype) -> np.ndarray:
-    """``np.empty(shape, dtype)`` for a tuple ``shape``, pooled when large."""
+    """``np.empty(shape, dtype)`` for a tuple ``shape``, pooled when large;
+    under the floor, the calling thread's hook serves when one is set."""
     dtype = np.dtype(dtype)
     nbytes = dtype.itemsize * math.prod(shape)
-    if nbytes < FLOOR or _IDLE is None:
-        _REQUESTS["small"] += 1
-        return np.empty(shape, dtype)
-    return _pool().lease(nbytes).view(dtype).reshape(shape)
+    if nbytes < FLOOR:
+        small = _LOCAL.small
+        if small is not None:
+            return small(shape, dtype)
+    elif _IDLE is not None:
+        return _pool().lease(nbytes).view(dtype).reshape(shape)
+    _REQUESTS["small"] += 1
+    return np.empty(shape, dtype)
+
+
+def set_small(hook: Optional[Callable]) -> Optional[Callable]:
+    """Install ``hook(shape, dtype) -> ndarray`` as the calling thread's
+    server of requests under the floor (``None``: plain ``np.empty``);
+    returns the hook it replaces.  Set it in a ``try`` and put the previous
+    one back in its ``finally``."""
+    previous, _LOCAL.small = _LOCAL.small, hook
+    return previous
 
 
 def trim() -> None:

@@ -418,9 +418,9 @@ class RegionIR:
                 fn = np.sum if op == "sum" else np.mean
                 r = fn(v, axis=axes, keepdims=keepdims, dtype=dtype, out=dst)
             elif op == "linear":
-                # Exactly the backend linear: a GEMM, then the bias added
-                # elementwise (the backend does `out += b`, which is the
-                # same IEEE add as np.add).
+                # Exactly the eager linear: a GEMM, then the bias added
+                # elementwise (``functional._linear`` does `out += b`, which
+                # is the same IEEE add as np.add).
                 r = np.matmul(vals[srcs[0]], vals[srcs[1]], out=dst)
                 if len(srcs) == 3:
                     r = np.add(r, vals[srcs[2]], out=dst)

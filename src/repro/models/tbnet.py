@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, ir, is_grad_enabled, no_grad
-from repro.backend import default_rng, get_backend
+from repro.backend import default_rng
 from repro.codegen.jit import codegen_enabled
 
 __all__ = ["TBNet", "make_synthetic_batch", "train_replay"]
@@ -435,8 +435,7 @@ class _TrainState:
         deltas = [(c, int(c) - b) for c, b in zip(counters, before) if int(c) != b]
         try:
             self.replay = replay.TrainReplay(
-                graph.nodes, (images, context), self.signature.params, optimizer, get_backend(),
-                deltas)
+                graph.nodes, (images, context), self.signature.params, optimizer, deltas)
         except ir.Fallback as fallback:
             if fallback.reason == "module":
                 self.signature.reason = "module"  # until the signature changes

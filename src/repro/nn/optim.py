@@ -6,10 +6,8 @@ modules) see the new values.  State buffers (momentum, Adam moments) are
 allocated lazily on the first step that sees a gradient and keyed by position,
 so parameters that never receive gradients cost nothing.
 
-The update rules themselves are backend methods
-(:meth:`~repro.backend.numpy_backend.NumpyBackend.sgd_update` /
-:meth:`~repro.backend.numpy_backend.NumpyBackend.adam_update`), applied to
-every parameter by ``step()``.
+The update rules themselves are :func:`sgd_update` / :func:`adam_update`,
+applied to every parameter by ``step()``.
 
 :meth:`Optimizer.flatten` moves parameters and their state into one array
 each (``.data`` and the state lists become views) and
@@ -26,7 +24,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.backend import get_backend
+from repro.backend import workspace
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -60,6 +58,45 @@ def _flush_subnormals(states: List[Optional[np.ndarray]]) -> None:
     for state in states:
         if state is not None:
             np.copyto(state, 0, where=np.abs(state) < np.finfo(state.dtype).tiny)
+
+
+# Each rule mutates ``p`` and its state (``v``; ``m`` and ``v``) in place,
+# never ``g``.  It runs the reference expressions' operations in their order
+# (IEEE products and sums commute: ``(1 - beta1) * g`` is ``g * (1 - beta1)``),
+# with the temporaries in one or two scratch buffers from ``workspace.empty``:
+# a whole-model update (``Optimizer.flat_step``) would otherwise map and fault
+# in fresh pages for each of them, every step.
+def sgd_update(p, g, v, lr, momentum, weight_decay, nesterov) -> None:
+    scratch = workspace.empty(p.shape, p.dtype)
+    if weight_decay:
+        g = np.add(g, np.multiply(p, weight_decay, out=scratch), out=scratch)
+    if momentum:
+        v *= momentum
+        v += g
+        if nesterov:
+            g = np.add(g, np.multiply(v, momentum, out=workspace.empty(p.shape, p.dtype)))
+        else:
+            g = v
+    p -= np.multiply(g, np.asarray(lr, dtype=p.dtype), out=scratch)
+
+
+def adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, weight_decay) -> None:
+    scratch = workspace.empty(p.shape, p.dtype)
+    if weight_decay:
+        g = np.add(g, np.multiply(p, weight_decay, out=scratch))
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=scratch)
+    v *= beta2
+    np.square(g, out=scratch)
+    scratch *= 1.0 - beta2
+    v += scratch
+    denom = np.divide(v, bc2, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = workspace.empty(p.shape, p.dtype)
+    np.multiply(m, np.asarray(lr / bc1, dtype=p.dtype), out=step)
+    step /= denom
+    p -= step
 
 
 class Optimizer:
@@ -121,7 +158,7 @@ class Optimizer:
         grads = np.empty(size, dtype)
         return flat, grads, states, _views(grads, params)
 
-    def flat_step(self, be, flat: np.ndarray, grads: np.ndarray, states: list) -> None:
+    def flat_step(self, flat: np.ndarray, grads: np.ndarray, states: list) -> None:
         """One :meth:`step` over arrays made by :meth:`flatten`."""
         raise NotImplementedError
 
@@ -160,15 +197,14 @@ class SGD(Optimizer):
         if self.momentum and self._step_count % _FLUSH_EVERY == 0:
             _flush_subnormals(self._velocity)
 
-    def flat_step(self, be, flat, grads, states) -> None:
+    def flat_step(self, flat, grads, states) -> None:
         self._advance()
-        be.sgd_update(
+        sgd_update(
             flat, grads, states[0] if states else None,
             self.lr, self.momentum, self.weight_decay, self.nesterov,
         )
 
     def step(self) -> None:
-        be = get_backend()
         self._advance()
         for i, p in enumerate(self.params):
             g = p.grad
@@ -178,10 +214,10 @@ class SGD(Optimizer):
             if self.momentum:
                 v = self._velocity[i]
                 if v is None:
-                    # Zero-initialised: the backend's first momentum update
+                    # Zero-initialised: sgd_update's first momentum update
                     # (v = momentum * 0 + g) then matches torch's v0 = g.
                     v = self._velocity[i] = np.zeros_like(p.data)
-            be.sgd_update(
+            sgd_update(
                 p.data, g, v, self.lr, self.momentum, self.weight_decay, self.nesterov
             )
 
@@ -221,15 +257,14 @@ class Adam(Optimizer):
             _flush_subnormals(self._m + self._v)
         return 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
 
-    def flat_step(self, be, flat, grads, states) -> None:
+    def flat_step(self, flat, grads, states) -> None:
         bc1, bc2 = self._advance()
-        be.adam_update(
+        adam_update(
             flat, grads, states[0], states[1], self.lr, self.beta1, self.beta2, self.eps,
             bc1, bc2, self.weight_decay,
         )
 
     def step(self) -> None:
-        be = get_backend()
         bc1, bc2 = self._advance()
         for i, p in enumerate(self.params):
             g = p.grad
@@ -239,7 +274,7 @@ class Adam(Optimizer):
             if m is None:
                 m = self._m[i] = np.zeros_like(p.data)
                 v = self._v[i] = np.zeros_like(p.data)
-            be.adam_update(
+            adam_update(
                 p.data, g, m, v, self.lr, self.beta1, self.beta2, self.eps,
                 bc1, bc2, self.weight_decay,
             )

@@ -83,9 +83,10 @@ allocate", per process, in the default registry (:func:`get_registry`), read
 from its own integers at scrape time:
 
 - ``repro_workspace_requests_total{result="hit"|"miss"|"small"}`` — buffers
-  the kernels asked ``be.empty`` for, served by a retained block, a newly
-  allocated one, or plain ``np.empty`` (under the size floor, or no usable
-  reference counts); a steady-state step moves only ``hit`` and ``small``;
+  the kernels asked ``workspace.empty`` for, served by a retained block, a
+  newly allocated one, or plain ``np.empty`` (under the size floor, or no
+  usable reference counts); a steady-state step moves only ``hit`` and
+  ``small``;
 - ``repro_workspace_retained_bytes`` — bytes of blocks held, leased or idle;
 - ``repro_workspace_leased_bytes_peak`` — most bytes leased at once (per
   thread, summed): the working set the retained bytes are there to cover.
@@ -132,7 +133,7 @@ def __getattr__(name: str):
 
 def _export_workspace() -> None:
     """Scrape-time views of the kernel workspace's counts (imported on the
-    first scrape: this package stays importable without the backend)."""
+    first scrape: this package stays importable without ``repro.backend``)."""
     registry = get_registry()
 
     def stat(key: str):

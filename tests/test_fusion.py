@@ -6,7 +6,6 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, fusion, ir, no_grad
-from repro.backend import get_backend
 from repro.nn.init import manual_seed
 
 
@@ -14,7 +13,7 @@ def _replays(out):
     """The fused root node, re-run over its inputs, gives the eager bytes."""
     node = out._node
     xs = tuple(t.data for t in node.inputs)
-    got = ir.OPS[node.op].forward(get_backend(), None, xs, node.attrs, None)[0]
+    got = ir.OPS[node.op].forward(None, xs, node.attrs, None)[0]
     assert got.tobytes() == out.data.tobytes()
 
 

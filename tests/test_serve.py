@@ -10,9 +10,8 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import InferenceSession, compile_inference, serve_batches
 
-#: ``fused`` names a second NumpyBackend instance (the conftest
-#: ``_backend_instance`` fixture installs it for one test), kept so the case
-#: ids stay stable.
+#: Historical case ids, kept so they stay stable: the ``backend`` values
+#: are plain parametrize values, and every case runs the same numpy kernels.
 BACKENDS = ("numpy", "fused")
 
 

@@ -18,9 +18,8 @@ from repro import nn
 from repro.autograd import no_grad
 from repro.serve import DeadlineExceeded, Server
 
-#: ``fused`` names a second NumpyBackend instance (the conftest
-#: ``_backend_instance`` fixture installs it for one test), kept so the case
-#: ids stay stable.
+#: Historical case ids, kept so they stay stable: the ``backend`` values
+#: are plain parametrize values, and every case runs the same numpy kernels.
 BACKENDS = ("numpy", "fused")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, functional as F, kernels
-from repro.backend import get_backend, workspace
+from repro.backend import workspace
 from repro.codegen import (
     codegen_enabled, codegen_stats, have_compiler, jit, using_codegen, wait_for_compiles)
 from repro.models import TBNet, make_synthetic_batch
@@ -221,13 +221,12 @@ def test_saved_patch_matrix_and_frozen_filter(adopted):
     xd = draw(rng, (3, case["c"], case["h"], case["w"]), F32, 0.3)
     wd = draw(rng, (case["o"], case["c"]) + case["k"], F32, 0.0)
     bd = draw(rng, (case["o"],), F32, 0.0)
-    be = get_backend()
     arm = kernels.arm("conv2d", F32, 3, case["c"], case["h"], case["w"], *case["k"],
                       *case["s"], *case["p"], case["o"], True)
     assert isinstance(arm, kernels.Conv2d)
     with np.errstate(all="ignore"):
-        out, cols = arm.forward(be, xd, wd, bd, 8, 8)
-        want_out, want_cols = F._conv2d_forward(be, xd, wd, bd, *case["s"], *case["p"])
+        out, cols = arm.forward(xd, wd, bd, 8, 8)
+        want_out, want_cols = F._conv2d_forward(xd, wd, bd, *case["s"], *case["p"])
     assert cols.tobytes() == want_cols.tobytes()  # a copy: no NaN rule needed
     same(out, want_out)
 

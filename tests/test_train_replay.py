@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import weakref
 
@@ -25,7 +26,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, ir, no_grad
-from repro.backend import default_rng, manual_seed
+from repro.backend import default_rng, manual_seed, workspace
 from repro.codegen import codegen_enabled, have_compiler, using_codegen, wait_for_compiles
 from repro.models import TBNet, make_synthetic_batch, tbnet
 from repro.nn import optim
@@ -162,6 +163,63 @@ def test_a_steady_replayed_step_allocates_nothing():
         tracemalloc.stop()
     assert count("replay") - replayed == 2
     assert peak - start < 128 * 1024  # the step's short-lived small arrays
+
+
+def test_a_replay_serves_only_its_own_threads_small_requests(monkeypatch):
+    # The replay's tape is the replaying thread's small-request hook: while
+    # thread A sits between its replayed forward and backward, thread B's
+    # sub-floor requests are plain arrays, never ones from A's tape.
+    model, opt, batches = build()
+    others, paused = [], threading.Event()
+    other = threading.Thread(target=lambda: paused.wait(60) and others.extend(
+        workspace.empty((16,), np.float32) for _ in range(64)))
+    run_steps = ir.run_steps
+
+    def pausing(steps, values, *args):
+        run_steps(steps, values, *args)
+        if not paused.is_set():  # after the forward: the hook is set
+            paused.set()
+            other.join(60)
+
+    with using_codegen(False):
+        for i in range(3):
+            model.train_step(opt, *batches[i % 4])
+        tape = tbnet.train_replay(model)._tape
+        other.start()
+        monkeypatch.setattr(ir, "run_steps", pausing)
+        replayed = count("replay")
+        model.train_step(opt, *batches[3])
+    other.join(60)
+    assert count("replay") - replayed == 1 and paused.is_set()
+    assert tape.arrays and len(others) == 64
+    assert not any(array is taped for array in others for taped in tape.arrays)
+
+
+def test_a_replay_that_raises_leaves_no_hook_behind(monkeypatch):
+    model, opt, batches = build()
+    failing, relu = [], ir.OPS["relu"]
+    backward = relu.backward
+
+    def flaky(*args):
+        if failing:
+            raise RuntimeError("injected")
+        backward(*args)
+
+    monkeypatch.setattr(relu, "backward", flaky)
+    with using_codegen(False):
+        for i in range(3):
+            model.train_step(opt, *batches[i % 4])
+        tape = tbnet.train_replay(model)._tape
+        failing.append(True)
+        replayed = count("replay")
+        with pytest.raises(RuntimeError, match="injected"):
+            model.train_step(opt, *batches[3])
+    assert count("replay") - replayed == 1 and tape.arrays
+    tape.i = 0  # a hook left behind would hand out the tape's first array again
+    first = tape.arrays[0]
+    fresh = workspace.empty(first.shape, first.dtype)
+    assert not any(fresh is taped for taped in tape.arrays)
+    assert workspace.set_small(None) is None
 
 
 def test_explain_names_each_captured_op_and_its_arm():

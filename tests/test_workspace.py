@@ -19,7 +19,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from repro.autograd import Tensor, no_grad
-from repro.backend import get_backend, workspace
+from repro.backend import workspace
 from repro.codegen import wait_for_compiles
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.optim import Adam
@@ -350,7 +350,7 @@ def test_without_getrefcount_the_workspace_degrades_to_np_empty(monkeypatch):
         importlib.reload(workspace)
         assert workspace._IDLE is None
         before = workspace.stats()
-        big = get_backend().empty((1024, 1024), np.float32)
+        big = workspace.empty((1024, 1024), np.float32)
         assert big.base is None and big.flags.owndata  # plain np.empty
         assert _losses(4) == reference
         after = workspace.stats()
