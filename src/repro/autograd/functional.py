@@ -33,13 +33,13 @@ row-major window order (``+0.0`` and ``-0.0`` tie) — a window holding a NaN
 outputs NaN and routes to its first NaN.
 
 Under a tape, ``conv2d`` / ``max_pool2d`` / ``batch_norm`` (and
-``Tensor.relu``) run compiled loop stages around the same GEMMs and
-reductions once :mod:`repro.autograd.kernels` has adopted them for their
-geometry — the same bytes, so the bodies here stay the reference and what
-runs until then.  A compiled window node retains the same arrays with one
-difference: ``max_pool2d`` keeps its *input* (no padded copy, no slice
-views) and its output; should its numpy backward have to run after all, it
-lowers the input then.
+``Tensor.relu``) run compiled loop stages around the same GEMMs — per-channel
+sums included, in numpy's order — once :mod:`repro.autograd.kernels` has
+adopted them for their geometry: the same bytes, so the bodies here stay the
+reference and what runs until then.  A compiled window node retains the
+same arrays with one difference: ``max_pool2d`` keeps its *input* (no padded
+copy, no slice views) and its output; should its numpy backward have to run
+after all, it lowers the input then.
 
 Layouts follow the PyTorch convention: images are NCHW, convolution weights
 are ``(out_channels, in_channels, kh, kw)``, classification logits are
@@ -483,12 +483,11 @@ def conv2d_backward(arm, g, ports, ctx, attrs) -> None:
     out_c, _, kh, kw = wd.shape
     n, in_c, h, w = xd.shape
     (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
-    if len(ports) == 3 and ports[2].requires_grad:
-        ports[2]._accumulate_fresh(g.sum(axis=(0, 2, 3)))
     # (O, N*OH*OW): the layout the forward GEMM produced.
-    g_t = arm and arm.transpose(g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
-    if g_t is None:
-        g_t = _owned_copy(g.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+    grads = arm and arm.transpose(g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
+    g_t, db = grads or (_owned_copy(g.transpose(1, 0, 2, 3)).reshape(out_c, -1), None)
+    if len(ports) == 3 and ports[2].requires_grad:
+        ports[2]._accumulate_fresh(g.sum(axis=(0, 2, 3)) if db is None else db)
     if w_t.requires_grad:
         # Contract over N*OH*OW against the forward's patch matrix.
         dw = _ws_matmul(cols, g_t.T)  # (C*kh*kw, O)
@@ -747,10 +746,8 @@ def _batch_norm_forward(arm, xd, gamma, beta, running_mean, running_var, trainin
     m = xd.size // xd.shape[1]  # elements per channel
     use_batch_stats = training or running_mean is None or running_var is None
     if use_batch_stats:
-        mean = xd.mean(axis=axes)
-        var = arm and arm.var(xd, mean, axes)
-        if var is None:
-            var = _var(xd, axis=axes)
+        stats = arm and arm.stats(xd)
+        mean, var = stats or (xd.mean(axis=axes), _var(xd, axis=axes))
     else:
         mean = np.asarray(running_mean, dtype=xd.dtype)
         var = np.asarray(running_var, dtype=xd.dtype)
@@ -858,17 +855,19 @@ def batch_norm_backward(arm, g, ports, ctx, attrs) -> None:
     x_t = ports[0]
     w_t = ports[1] if attrs["has_weight"] else None
     b_t = ports[-1] if attrs["has_bias"] else None
-    if b_t is not None and b_t.requires_grad:
-        b_t._accumulate_fresh(g.sum(axis=axes))
-    if x_t.requires_grad and use_batch_stats:  # the compiled arm: elementwise passes in C
+    if x_t.requires_grad and use_batch_stats:  # the compiled arm: sums and passes in C
         if arm is None:
             arm = _batch_norm_arm((xhat,), attrs, ask=False)
-        grads = arm and arm.backward(g, xhat, inv_std, gamma, axes)
+        grads = arm and arm.backward(g, xhat, inv_std, gamma)
         if grads is not None:
+            if b_t is not None and b_t.requires_grad:
+                b_t._accumulate_fresh(grads[0])
             if gamma is not None and w_t.requires_grad:
-                w_t._accumulate_fresh(grads[0].sum(axis=axes))
-            x_t._accumulate_fresh(grads[1])
+                w_t._accumulate_fresh(grads[1])
+            x_t._accumulate_fresh(grads[2])
             return
+    if b_t is not None and b_t.requires_grad:
+        b_t._accumulate_fresh(g.sum(axis=axes))
     if w_t is not None and w_t.requires_grad:
         w_t._accumulate_fresh(_ws_multiply(g, xhat).sum(axis=axes))
     if not x_t.requires_grad:

@@ -13,15 +13,18 @@ its numpy body, which stays the reference.  A process that never records a
 tape (serving, ``no_grad`` inference) never imports this module.
 
 What is compiled: the window gather / scatter-add and the GEMM epilogue of
-``conv2d`` and its gradient transpose; max-pool's running maximum and its
-first-winner gradient routing; the elementwise passes of train-mode
-``batch_norm`` (squared deviations, ``xhat`` and the output in one pass, the
-three products of the backward, its final combination) and relu's value +
-mask and masked gradient.  Every GEMM and every reduction between them is
-the numpy call it was, on materialised arrays, so no summation is
-reordered, and each stage applies numpy's operations in numpy's order to
-every element (:mod:`repro.codegen.cstage`): both arms produce **the same
-bytes**, and a run may switch between them at any step.
+``conv2d`` and its gradient transpose, which also sums the bias gradient;
+max-pool's running maximum and its first-winner gradient routing; train-mode
+``batch_norm``'s mean and variance in one call, ``xhat`` and the output in
+one pass, the backward's four per-channel sums (``dbeta``, ``dgamma`` and
+the two means of the adjoint) with ``dxhat`` in one pass, its final
+combination; relu's value + mask and masked gradient.  Every GEMM is the
+numpy call it was.  Each stage applies numpy's operations in numpy's order
+to every element, and sums per channel in numpy's order — every
+``(sample, channel)`` block's pairwise sum added onto ``+0.0`` in sample
+order (:mod:`repro.codegen.cstage`), which holds for more than one channel:
+a one-channel batch-norm stays numpy (``geometry``).  So both arms produce
+**the same bytes**, and a run may switch between them at any step.
 
 **The NaN rule.**  *Which* elements are NaN is identical on both arms; the
 sign and payload of a NaN produced from two NaN operands is unspecified
@@ -39,8 +42,6 @@ from __future__ import annotations
 import copy
 import time
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.autograd.functional import _out_hw
 from repro.autograd.tensor import _ws_matmul
@@ -191,7 +192,7 @@ class Conv2d(Arm):
         return (
             ("gather", dtype, 0, 1) + geometry,
             ("map", dtype, (out_c, oh, ow), inputs, ops, None, 1 + bias, out_c * size, 0),
-            ("transpose", dtype, 0, 1, out_c, size),
+            ("transpose", dtype, 0, 1, out_c, size) + ((2,) if bias else ()),
             ("scatter", dtype, 0, 1) + geometry,
         )
 
@@ -209,12 +210,16 @@ class Conv2d(Arm):
         return (out, cols) if ran else None
 
     def transpose(self, g, shape: tuple):
-        """The ``(N, O, OH, OW)`` gradient of an output of ``shape`` as the
-        ``(O, N*OH*OW)`` matrix the forward GEMM produced."""
+        """``(g_t, db)``: the ``(N, O, OH, OW)`` gradient of an output of
+        ``shape`` as the ``(O, N*OH*OW)`` matrix the forward GEMM produced
+        and, for a conv with a bias, ``g.sum(axis=(0, 2, 3))`` (else ``None``)."""
         if g.shape != shape or not self.takes(g):
             return None
         g_t = workspace.empty((shape[1], g.size // shape[1]), g.dtype)
-        return g_t if self.run(2, shape[0], g, g_t) else None
+        if not self.key[-1]:
+            return (g_t, None) if self.run(2, shape[0], g, g_t) else None
+        db = workspace.empty(shape[1:2], g.dtype)
+        return (g_t, db) if self.run(2, shape[0], g, g_t, db) else None
 
     def scatter(self, dcols, shape: tuple):
         """``_patch_matrix_adjoint`` + ``_unpad_hw``: the input gradient."""
@@ -256,12 +261,21 @@ class BatchNorm(Arm):
 
     @staticmethod
     def stages(dtype, c, size, gamma, beta):
+        # numpy sums a single channel's N*H*W as one run, and a stage keeps
+        # two rows of a plane on the C stack.
+        if c == 1 or 2 * size * 8 > _STACK:
+            return "geometry"
         x, channel = (c * size, size, 1), (0, 1, 0)
 
-        def stage(inputs, ops, dst):
-            return ("map", dtype, (c, size), inputs, ops, None, dst, c * size, 0)
+        def stage(inputs, ops, dst, sums=()):
+            return ("map", dtype, (c, size), inputs, ops, None, dst, c * size, 0) + (
+                (sums,) if sums else ())
 
-        var = stage(((0, x), (1, channel)), (("sub", (0, 1)), ("mul", (2, 2))), 2)
+        # mean, then the mean of (x - mean)^2: functional._var's two sums.
+        var = ("passes", dtype, (
+            stage(((0, x),), (), (), ((1, 0, True),)),
+            stage(((0, x), (1, channel)), (("sub", (0, 1)), ("mul", (2, 2))), (), ((2, 3, True),)),
+        ))
         # (x - mean) * inv_std [* gamma] [+ beta]: xhat and the output, one pass.
         k = 3 + gamma + beta
         ops = [("sub", (0, 1)), ("mul", (k, 2))]
@@ -274,25 +288,25 @@ class BatchNorm(Arm):
             tuple(ops),
             ((k, k + 1, None), (k + 1, k + len(ops) - 1, None)),
         )
-        if gamma:  # g * xhat, dxhat = g * gamma, dxhat * xhat
+        # sum(g), sum(g * xhat), mean(dxhat), mean(dxhat * xhat); dxhat is
+        # g * gamma, written out, or g itself.
+        if gamma:
             products = (("mul", (0, 1)), ("mul", (0, 2)), ("mul", (4, 1)))
-            outs = ((3, 3, None), (4, 4, None), (5, 5, None))
-            bwd1 = stage(((0, x), (1, x), (2, channel)), products, outs)
+            sums = ((4, 0, False), (5, 3, False), (6, 4, True), (7, 5, True))
+            bwd1 = stage(((0, x), (1, x), (2, channel)), products, ((3, 4, None),), sums)
         else:
-            bwd1 = stage(((0, x), (1, x)), (("mul", (0, 1)),), 2)
+            sums = ((2, 0, False), (3, 2, False), (4, 0, True), (5, 2, True))
+            bwd1 = stage(((0, x), (1, x)), (("mul", (0, 1)),), (), sums)
         # ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) * inv_std
         combine = (("mul", (1, 3)), ("sub", (0, 2)), ("sub", (6, 5)), ("mul", (7, 4)))
         bwd2 = stage(((0, x), (1, x), (2, channel), (3, channel), (4, channel)), combine, 5)
         return var, normalize, bwd1, bwd2
 
-    def var(self, xd, mean, axes):
-        """``functional._var``, given the mean it starts from (``xd.mean``
-        and ``xd.var`` compute it with the same two calls)."""
-        dev = workspace.empty(xd.shape, xd.dtype)
-        if not self.run(0, len(xd), xd, mean, dev):
-            return None
-        var = np.add.reduce(dev, axis=axes)
-        return np.true_divide(var, np.intp(xd.size // len(var)), out=var, casting="unsafe")
+    def stats(self, xd):
+        """``(xd.mean(axis=axes), functional._var(xd, axis=axes))``: numpy's
+        per-channel sums, in its order, in one call."""
+        mean, var = (workspace.empty(xd.shape[1:2], xd.dtype) for _ in range(2))
+        return (mean, var) if self.run(0, len(xd), xd, mean, var) else None
 
     def normalize(self, xd, mean, inv_std, gamma, beta):
         """``functional._bn_normalize``: ``(xhat, out)``."""
@@ -304,28 +318,28 @@ class BatchNorm(Arm):
         xhat, out = workspace.empty(xd.shape, xd.dtype), workspace.empty(xd.shape, xd.dtype)
         return (xhat, out) if self.run(1, len(xd), *operands, xhat, out) else None
 
-    def backward(self, g, xhat, inv_std, gamma, axes) -> Optional[Tuple]:
-        """``(g * xhat, dx)`` of a batch-statistics node (the first ``None``
-        without a gamma): ``functional.batch_norm_backward``'s products and
-        its three-term adjoint around numpy's own reductions."""
+    def backward(self, g, xhat, inv_std, gamma) -> Optional[Tuple]:
+        """``(dbeta, dgamma, dx)`` of a batch-statistics node:
+        ``functional.batch_norm_backward``'s sums, products and three-term
+        adjoint in two calls."""
         affine = () if gamma is None else (gamma,)
         if g.shape != xhat.shape or any(p.shape != xhat.shape[1:2] for p in (inv_std, *affine)):
             return None
         if not self.takes(g, xhat, inv_std, *affine):
             return None
         n, shape, dtype = len(g), g.shape, g.dtype
-        t = workspace.empty(shape, dtype)
+        sums = [workspace.empty(shape[1:2], dtype) for _ in range(4)]
         if gamma is None:
-            gx, dxhat = None, g
-            ran = self.run(2, n, g, xhat, t)
+            dxhat = g
+            ran = self.run(2, n, g, xhat, *sums)
         else:
-            gx, dxhat = workspace.empty(shape, dtype), workspace.empty(shape, dtype)
-            ran = self.run(2, n, g, xhat, gamma, gx, dxhat, t)
+            dxhat = workspace.empty(shape, dtype)
+            ran = self.run(2, n, g, xhat, gamma, dxhat, *sums)
         if not ran:
             return None
         dx = workspace.empty(shape, dtype)
-        means = dxhat.mean(axis=axes), t.mean(axis=axes)
-        return (gx, dx) if self.run(3, n, dxhat, xhat, *means, inv_std, dx) else None
+        ran = self.run(3, n, dxhat, xhat, sums[2], sums[3], inv_std, dx)
+        return (sums[0], sums[1], dx) if ran else None
 
 
 class Relu(Arm):

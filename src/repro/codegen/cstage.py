@@ -16,8 +16,8 @@ translation unit serves every bucket of a ``SessionPool`` and every batch
 of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
-The stage kinds (``transpose``, ``scatter`` and ``route`` are the train
-step's, ``reduce`` a region's):
+The stage kinds (``transpose``, ``scatter``, ``route`` and ``passes`` are
+the train step's, ``reduce`` a region's):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -26,7 +26,7 @@ step's, ``reduce`` a region's):
     ``weight.reshape(O, -1)``, exactly what
     ``functional._patch_matrix`` fills.  A copy: bit-equal trivially.
 
-``("map", dtype, dims, inputs, ops, pool, dst, dst_stride, dst_off)``
+``("map", dtype, dims, inputs, ops, pool, dst, dst_stride, dst_off[, sums])``
     An elementwise program over a logical ``(n,) + dims`` array, optionally
     reduced by a max-pool over its last two dims, written as one dense
     block per sample at ``tab[dst] + i*dst_stride + dst_off``.  ``inputs``
@@ -40,7 +40,16 @@ step's, ``reduce`` a region's):
     element, its C type (``unsigned char``: a bool mask), and ``dst`` may
     be a tuple of ``(tab_index, value slot, C type or None)`` — several
     destinations written in one pass (``xhat`` and the output; relu's value
-    and its mask, the ``pos`` op; batch-norm backward's three products).
+    and its mask, the ``pos`` op).  ``sums`` (the train step's) are
+    ``(tab_index, value slot, mean)`` per-channel reductions of a program
+    value over the batch and ``dims[1:]`` — ``v.sum(axis=(0, 2, ...))``
+    byte for byte, in **numpy's order** for ``dims[0] > 1`` channels: the
+    result starts at ``+0.0`` and each ``(sample, channel)`` block's
+    pairwise sum (below) is added onto it in sample order.  The block is
+    read where it lies (a dense input, a block just written) or from a stack
+    row the loop fills; ``mean`` divides as ``np.mean`` does, by the count in
+    double, then rounds to the dtype (batch-norm's statistics and its
+    backward's sums, ``dxhat`` written beside them).
 
 ``("reduce", dtype, dims, inputs, ops, red, mean, scratch, dst)``
     The ``map`` program over ``(n,) + dims``, summed over its last ``red``
@@ -50,11 +59,19 @@ step's, ``reduce`` a region's):
     ``tab[scratch]`` and collapsed with **numpy's pairwise summation** —
     8 accumulators over 8..128-element blocks, a fixed combine tree,
     halving above 128 at multiples of 8 — the order ``np.sum`` /
-    ``np.mean`` add a contiguous trailing-axes block in.
+    ``np.mean`` add a contiguous trailing-axes block in.  One such function
+    per plan and dtype serves every stage that sums.
 
-``("transpose", dtype, src, dst, c, size)``
+``("transpose", dtype, src, dst, c, size[, sum])``
     ``(n, c, size)`` to ``(c, n, size)``: a conv output's gradient as the
-    ``(O, n*OH*OW)`` matrix the forward GEMM produced.  A copy.
+    ``(O, n*OH*OW)`` matrix the forward GEMM produced.  A copy; with ``sum``
+    also the bias gradient ``src.sum(axis=(0, 2))`` into ``tab[sum]`` in
+    numpy's order — per block as ``map``'s sums, and for ``c == 1``, which
+    numpy sums as one run, one pairwise sum of all ``n*size`` elements.
+
+``("passes", dtype, (stage, stage, ...))``
+    Stages of the same dtype run one after another in one call, each seeing
+    what the one before wrote: batch-norm's mean, then its variance.
 
 ``("scatter", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     The gather's adjoint, ``functional._patch_matrix_adjoint`` +
@@ -92,6 +109,7 @@ from typing import List, Tuple
 __all__ = ["render_stages", "kernel_name", "operand_strides"]
 
 _CTYPE = {"float32": "float", "float64": "double"}
+_ZERO = {"float": "0.0f", "double": "0.0"}
 
 
 def kernel_name(signature: tuple) -> str:
@@ -120,19 +138,18 @@ def operand_strides(shape, against, activation: bool) -> tuple:
 
 def render_stages(signature: tuple) -> Tuple[str, str]:
     """Return ``(name, c_source)``; stage ``k`` is the symbol ``<name>_<k>``
-    (and a ``reduce`` stage's pairwise sum ``<name>_<k>_sum``, so the
-    sources of several plans concatenate into one translation unit)."""
+    (and the pairwise sum its summing stages share, ``<name>_<ctype>_sum``,
+    so the sources of several plans concatenate into one translation unit)."""
     name = kernel_name(signature)
     lines = ["#include <math.h>", "typedef long long i64;", ""]
+    summed = set()
     for k, stage in enumerate(signature[1]):
         ctype = _CTYPE[stage[1]]
-        if stage[0] == "reduce":
-            pairwise = f"{name}_{k}_sum"
-            zero = "0.0f" if ctype == "float" else "0.0"
-            lines.append(_PAIRWISE_C.format(name=pairwise, ctype=ctype, zero=zero))
-            body = _render_reduce(stage[2:], ctype, pairwise)
-        else:
-            body = _RENDER[stage[0]](stage[2:], ctype)
+        pairwise = f"{name}_{ctype}_sum"
+        body = _RENDER[stage[0]](stage[2:], ctype, pairwise)
+        if pairwise not in summed and any(pairwise + "(" in line for line in body):
+            summed.add(pairwise)
+            lines.append(_PAIRWISE_C.format(name=pairwise, ctype=ctype, zero=_ZERO[ctype]))
         lines.append(f"void {name}_{k}(void **tab, i64 n)")
         lines.append("{")
         lines.extend(body)
@@ -173,7 +190,7 @@ def _windows(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _render_gather(stage: tuple, ctype: str) -> List[str]:
+def _render_gather(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     src, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
     oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
     pixel = f"(x >= 0 && x < {w}) ? img[y * {w} + x] : 0" if pw else f"img[y * {w} + x]"
@@ -214,9 +231,10 @@ def _stride(stride) -> str:
     return f"(n * {stride[1]})" if isinstance(stride, tuple) else str(stride)
 
 
-def _render_map(stage: tuple, ctype: str) -> List[str]:
-    dims, inputs, ops, pool, dst, dst_stride, dst_off = stage
-    zero = "0.0f" if ctype == "float" else "0.0"
+def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+    dims, inputs, ops, pool, dst, dst_stride, dst_off, *sums = stage
+    sums = sums[0] if sums else ()
+    zero = _ZERO[ctype]
     bounds = ["n"] + [str(d) for d in dims]
     # With a pool the last two logical dims are walked by the footprint
     # loops of the body; the loop nest covers the dims in front of them.
@@ -234,6 +252,26 @@ def _render_map(stage: tuple, ctype: str) -> List[str]:
     ]
     for j, row, _, kind in outs:
         lines.append(f"    {kind or ctype} *{keyword}dst{j} = tab[{row}];")
+    # Where each summed slot's block is read: an input laid out densely (its
+    # pointer at the channel loop), an output block just written, else a
+    # stack row the loop fills.
+    dense, block = [], 1
+    for d in reversed(dims[1:]):
+        dense.insert(0, block)
+        block *= d
+    written = {slot: f"o{j} - {block}" for j, _, slot, kind in outs
+               if slot is not None and kind is None}
+    source = {}
+    for _, slot, _ in sums:
+        dense_input = slot < len(inputs) and list(inputs[slot][1][2:]) == dense
+        source[slot] = None if dense_input else written.get(slot, f"r{slot}")
+    rows = [slot for slot, name in source.items() if name == f"r{slot}"]
+    lines += [f"    {ctype} r{slot}[{block}];" for slot in rows]
+    for j, (row, _, _) in enumerate(sums):
+        lines.append(f"    {ctype} *restrict s{j} = tab[{row}];")
+    if sums:
+        zeroed = " ".join(f"s{j}[c] = {zero};" for j in range(len(sums)))
+        lines.append(f"    for (i64 c = 0; c < {dims[0]}; ++c) {{ {zeroed} }}")
     bases = [f"in{k}" for k in range(len(inputs))]
     # An operand is loaded at the deepest loop level it strides over (a
     # per-channel vector once per channel), so the inner loops carry no
@@ -250,6 +288,9 @@ def _render_map(stage: tuple, ctype: str) -> List[str]:
             if level[k] == depth and not windowed[k]:
                 lines.append(f"{indent}const {ctype} v{k} = {bases[k]}[0];")
 
+    def value(slot) -> str:
+        return f"{'v' if slot < len(inputs) else 't'}{slot}"
+
     load(-1, "    ")
     indent = "    "
     for d in range(outer):
@@ -264,18 +305,33 @@ def _render_map(stage: tuple, ctype: str) -> List[str]:
         if d == 0:
             for j, _, _, kind in outs:
                 lines.append(f"{indent}{kind or ctype} *o{j} = dst{j} + i0 * {dst_stride} + {dst_off};")
+        if d == 1:
+            for slot in source:
+                if source[slot] is None:
+                    source[slot] = bases[slot]
+            if rows:
+                lines.append(f"{indent}i64 q = 0;")
         load(d, indent)
     if not pool:
         program, last = _op_lines(ops, len(inputs), indent, ctype, zero)
         lines += program
         for j, _, slot, _ in outs:
-            value = last if slot is None else f"{'v' if slot < len(inputs) else 't'}{slot}"
-            lines.append(f"{indent}*o{j}++ = {value};")
+            lines.append(f"{indent}*o{j}++ = {last if slot is None else value(slot)};")
+        lines += [f"{indent}r{slot}[q] = {value(slot)};" for slot in rows]
+        if rows:
+            lines.append(f"{indent}++q;")
     else:
         lines += _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero)
-    for d in range(outer):
+    for d in reversed(range(outer)):
+        if d == 1:  # a (sample, channel) block is done: numpy adds its pairwise sum
+            for j, (_, slot, _) in enumerate(sums):
+                lines.append(f"{indent}s{j}[i1] += {pairwise}({source[slot]}, {block});")
         indent = indent[:-4]
         lines.append(f"{indent}}}")
+    for j, (_, _, mean) in enumerate(sums):
+        if mean:  # np.mean's true_divide by an intp count: in double, then rounded
+            lines.append(f"    for (i64 c = 0; c < {dims[0]}; ++c) "
+                         f"s{j}[c] = ({ctype})((double)s{j}[c] / (double)(n * {block}));")
     return lines
 
 
@@ -313,8 +369,10 @@ def _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero) ->
     return lines
 
 
+# Not inlined: call sites with literal extents would each get a clone of
+# their own, which costs the compiler more than the calls cost the stages.
 _PAIRWISE_C = """
-static {ctype} {name}(const {ctype} *a, i64 n)
+__attribute__((noinline)) static {ctype} {name}(const {ctype} *a, i64 n)
 {{
     if (n < 8) {{
         {ctype} res = {zero};
@@ -342,7 +400,7 @@ static {ctype} {name}(const {ctype} *a, i64 n)
 
 def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     dims, inputs, ops, red, mean, scratch, dst = stage
-    zero = "0.0f" if ctype == "float" else "0.0"
+    zero = _ZERO[ctype]
     bounds = ["n"] + [str(d) for d in dims]
     kept = len(bounds) - red
     lines = [f"    const {ctype} *in{k} = tab[{idx}];" for k, (idx, _) in enumerate(inputs)]
@@ -376,16 +434,40 @@ def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     return lines
 
 
-def _render_transpose(stage: tuple, ctype: str) -> List[str]:
-    src, dst, c, size = stage
-    return [
+def _render_transpose(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+    src, dst, c, size, *sums = stage
+    lines = [
         f"    const {ctype} *restrict src = tab[{src}];",
         f"    {ctype} *restrict dst = tab[{dst}];",
-        "    for (i64 b = 0; b < n; ++b)",
-        f"    for (i64 c = 0; c < {c}; ++c)",
+    ]
+    copy = [
         f"    for (i64 i = 0; i < {size}; ++i)",
         f"        dst[(c * n + b) * {size} + i] = src[(b * {c} + c) * {size} + i];",
     ]
+    loops = ["    for (i64 b = 0; b < n; ++b)", f"    for (i64 c = 0; c < {c}; ++c)"]
+    if not sums:
+        return lines + loops + copy
+    lines += [
+        f"    {ctype} *restrict sum = tab[{sums[0]}];",
+        f"    for (i64 c = 0; c < {c}; ++c) sum[c] = {_ZERO[ctype]};",
+    ]
+    if c == 1:  # numpy sums a single channel's n*size elements as one run
+        return lines + loops + copy + [f"    sum[0] += {pairwise}(src, n * {size});"]
+    return lines + [
+        loops[0],
+        loops[1] + " {",
+        *("    " + line for line in copy),
+        f"        sum[c] += {pairwise}(src + (b * {c} + c) * {size}, {size});",
+        "    }",
+    ]
+
+
+def _render_passes(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+    lines = []
+    for sub in stage[0]:
+        body = _RENDER[sub[0]](sub[2:], ctype, pairwise)
+        lines += ["    {"] + ["    " + line for line in body] + ["    }"]
+    return lines
 
 
 def _planes(body: List[str], c: int, h: int, w: int, ph: int, pw: int, ctype: str) -> List[str]:
@@ -411,7 +493,7 @@ def _planes(body: List[str], c: int, h: int, w: int, ph: int, pw: int, ctype: st
     return lines + ["    }"]
 
 
-def _render_scatter(stage: tuple, ctype: str) -> List[str]:
+def _render_scatter(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     src, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
     oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
     body = [
@@ -430,7 +512,7 @@ def _render_scatter(stage: tuple, ctype: str) -> List[str]:
     ] + _planes(body, c, h, w, ph, pw, ctype)
 
 
-def _render_route(stage: tuple, ctype: str) -> List[str]:
+def _render_route(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
     oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
     inside = [f"y >= {ph} && y < {h + ph}"] * bool(ph) + [f"x >= {pw} && x < {w + pw}"] * bool(pw)
@@ -473,6 +555,8 @@ def _render_route(stage: tuple, ctype: str) -> List[str]:
 _RENDER = {
     "gather": _render_gather,
     "map": _render_map,
+    "passes": _render_passes,
+    "reduce": _render_reduce,
     "scatter": _render_scatter,
     "route": _render_route,
     "transpose": _render_transpose,

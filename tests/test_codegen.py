@@ -198,6 +198,31 @@ def test_dtype_and_rank_changes_miss_cache(cache_dir):
 
 
 @needs_cc
+def test_a_compiler_of_another_version_builds_its_own_entry(cache_dir, monkeypatch):
+    # The entry's content hash covers the compiler's version line: what an
+    # old compiler built is never loaded for a new one.
+    region = _chain_region()
+    arrays = _arrays(region)
+    with using_codegen(True):
+        assert compile_region(region).is_compiled
+    (old,) = cache_dir.glob("*.so")
+    path, version = jit._compiler()
+    monkeypatch.setattr(jit, "_compiler", lambda: (path, version + " (another release)"))
+    loaded, load = [], jit._load_stages
+    monkeypatch.setattr(jit, "_load_stages", lambda so, *rest: loaded.append(so) or load(so, *rest))
+    clear_kernel_memo()
+    before = codegen_stats()
+    with using_codegen(True):
+        kern = compile_region(region)
+    assert kern.is_compiled
+    assert codegen_stats()["compiled"] == before["compiled"] + 1
+    assert sorted(cache_dir.glob("*.so")) == sorted({old} | set(loaded)) and len(loaded) == 1
+    assert old not in loaded
+    expect = np.maximum(arrays[0] * arrays[1] + arrays[2], 0.0)
+    assert kern(arrays).tobytes() == expect.tobytes()
+
+
+@needs_cc
 def test_corrupted_cache_entry_recompiles(cache_dir, tmp_path_factory, monkeypatch):
     # Compile in a scratch cache only to learn the entry's content-addressed
     # filename, then plant a garbage .so under that name in a *fresh* cache

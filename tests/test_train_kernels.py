@@ -57,15 +57,19 @@ def same(got, want, what=""):
     assert got[~nan].tobytes() == want[~nan].tobytes(), what
 
 
-def draw(rng, shape, dtype, poison):
+def draw(rng, shape, dtype, poison, zero=False):
     """Small integers (so maxima tie and sums are exact) plus noise on half
-    the elements; ``poison`` is the share replaced by special values."""
+    the elements; ``poison`` is the share replaced by special values.  With
+    ``zero`` channel 0 is all ``-0.0`` — its sum is ``+0.0`` only in numpy's
+    order, which adds every block onto ``+0.0``."""
     a = rng.integers(-3, 4, size=shape).astype(dtype)
     a += (rng.random(shape) < 0.5) * rng.standard_normal(shape).astype(dtype)
     tiny = np.finfo(dtype).smallest_subnormal
     specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny * 3], dtype)
     hit = rng.random(shape) < poison
     a[hit] = rng.choice(specials, size=int(hit.sum()))
+    if zero:
+        a[:, :1] = -0.0
     return a
 
 
@@ -98,16 +102,27 @@ POOLS = [  # (c, h, w, kernel, stride, padding)
     (1, 8, 6, (2, 3), (2, 3), (1, 1)),    # padded
     (1, 9, 9, (2, 2), (3, 3), (0, 0)),    # gaps between windows
 ]
-NORMS = [  # (shape behind N, gamma, beta)
+NORMS = [  # (shape behind N, gamma, beta[, channel 0 all -0.0])
     ((5,), True, True), ((3,), False, True), ((2,), False, False),
     ((3, 4, 5), True, True), ((2, 3, 3), False, False), ((4, 2, 2), True, False),
 ]
 CONVS = _conv_cases()
+# Per-channel sums in numpy's order (batch-norm's statistics and backward,
+# the conv bias gradient): planes that straddle the 8- and 128-element steps
+# of its pairwise sum; 2 and 16 channels, and 1 for the bias gradient (a
+# single channel is one run; batch-norm refuses it, see below).
+PLANES = ((1, 1), (1, 7), (2, 4), (3, 3), (8, 8), (1, 127), (8, 16), (3, 43), (16, 16), (1, 257))
+SUM_NORMS = [((2 + 14 * (i % 2),) + hw, i % 3 != 2, i % 4 != 3, True)
+             for i, hw in enumerate(PLANES)]
+SUM_CONVS = [dict(c=2, h=h, w=w, o=(1, 2, 16)[i % 3], k=(1, 1), s=(1, 1), p=(0, 0), bias=True,
+                  frozen=False, xgrad=True, zero=True)
+             for i, (h, w) in enumerate(((1, 1), (1, 7), (3, 3), (1, 127), (3, 43), (1, 257)))]
 
 
 def conv_run(case, n, dtype, poison, seed=0):
     rng = np.random.default_rng([seed, n])
-    x = Tensor(draw(rng, (n, case["c"], case["h"], case["w"]), dtype, poison),
+    zero = case.get("zero", False)
+    x = Tensor(draw(rng, (n, case["c"], case["h"], case["w"]), dtype, poison, zero),
                requires_grad=case["xgrad"], dtype=dtype)
     w = Tensor(draw(rng, (case["o"], case["c"]) + case["k"], dtype, poison / 2),
                requires_grad=not case["frozen"], dtype=dtype)
@@ -116,7 +131,7 @@ def conv_run(case, n, dtype, poison, seed=0):
     out = F.conv2d(x, w, b, stride=case["s"], padding=case["p"])
     if not out.requires_grad:
         return {"out": out.data}
-    out.backward(draw(rng, out.shape, dtype, poison))
+    out.backward(draw(rng, out.shape, dtype, poison, zero))
     return {"out": out.data, "dx": x.grad, "dw": w.grad, "db": b.grad if b is not None else None}
 
 
@@ -130,16 +145,16 @@ def pool_run(case, n, dtype, poison, seed=0):
 
 
 def norm_run(case, n, dtype, poison, seed=0):
-    shape, gamma, beta = case
+    shape, gamma, beta, zero = case if len(case) == 4 else (*case, False)
     rng = np.random.default_rng([seed, n])
-    x = Tensor(draw(rng, (n,) + shape, dtype, poison), requires_grad=True, dtype=dtype)
+    x = Tensor(draw(rng, (n,) + shape, dtype, poison, zero), requires_grad=True, dtype=dtype)
     w = Tensor(draw(rng, shape[:1], dtype, poison / 2), requires_grad=True, dtype=dtype) if gamma else None
     b = Tensor(draw(rng, shape[:1], dtype, poison / 2), requires_grad=True, dtype=dtype) if beta else None
     stats = np.zeros(shape[0], dtype), np.ones(shape[0], dtype)
     with np.errstate(all="ignore"):
         out = F.batch_norm(x, w, b, *stats, training=True)
         saved = {key: out._node.attrs[key] for key in ("xhat", "inv_std", "mean")}
-        out.backward(draw(rng, out.shape, dtype, poison))
+        out.backward(draw(rng, out.shape, dtype, poison, zero))
     return dict(saved, out=out.data, dx=x.grad, dgamma=w.grad if gamma else None,
                 dbeta=b.grad if beta else None, running_mean=stats[0], running_var=stats[1])
 
@@ -159,10 +174,13 @@ RUNS = (
     + [(norm_run, case) for case in NORMS]
     + [(relu_run, (3, 5)), (relu_run, ())]
 )
+FIRST_SUMS = len(RUNS)
+RUNS += [(norm_run, case) for case in SUM_NORMS] + [(conv_run, case) for case in SUM_CONVS]
 
 
-def _dtypes(index):  # f64 on every third case: the compiler's time is the suite's
-    return (F32, F64) if index % 3 == 0 else (F32,)
+def _dtypes(index):
+    # f64 on every third case and every other sum case: the compiler's time is the suite's
+    return (F32, F64) if index % (3 if index < FIRST_SUMS else 2) == 0 else (F32,)
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +247,70 @@ def test_saved_patch_matrix_and_frozen_filter(adopted):
         want_out, want_cols = F._conv2d_forward(xd, wd, bd, *case["s"], *case["p"])
     assert cols.tobytes() == want_cols.tobytes()  # a copy: no NaN rule needed
     same(out, want_out)
+
+
+def test_stages_leave_no_channel_sum_to_numpy(adopted, stage_calls):
+    # Batch-norm's statistics and its backward's sums, and a conv's bias
+    # gradient, come from the stages that stream those arrays anyway.
+    rng = np.random.default_rng(8)
+    conv, (shape, _, _) = CONVS[0], NORMS[3]
+    arrays = {
+        "conv": [draw(rng, s, F32, 0.0) for s in (
+            (3, conv["c"], conv["h"], conv["w"]), (conv["o"], conv["c"]) + conv["k"], (conv["o"],),
+            (3, conv["o"], conv["h"], conv["w"]))],
+        "norm": [draw(rng, s, F32, 0.0) for s in ((3,) + shape, shape[:1], shape[:1], (3,) + shape)],
+    }
+
+    def run(op):
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays[op][:3])
+        g = arrays[op][3]
+        calls = []
+
+        def spy(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(frame.f_code.co_name if event == "call" else arg.__name__)
+
+        sys.setprofile(spy)
+        try:
+            if op == "conv":
+                out = F.conv2d(x, w, b, stride=conv["s"], padding=conv["p"])
+            else:
+                out = F.batch_norm(x, w, b, np.zeros(shape[0], F32), np.ones(shape[0], F32))
+            out.backward(g)
+        finally:
+            sys.setprofile(None)
+        return {"sum", "mean", "reduce", "_sum", "_mean", "_var"} & set(calls)
+
+    for op in ("conv", "norm"):
+        with using_codegen(False):
+            assert run(op), op  # the numpy bodies sum with numpy
+        assert not stage_calls
+        assert not run(op), op
+        assert stage_calls and all(stage_calls)
+        del stage_calls[:]
+
+
+def test_one_channel_batch_norm_takes_the_numpy_body(adopted, stage_calls):
+    # numpy sums a single channel's N*H*W as one pairwise run, not sample by
+    # sample: batch-norm's stages refuse the geometry (a bias gradient's
+    # transpose sums it as that one run instead).
+    case = ((1, 3, 3), True, True, True)
+    for dtype in (F32, F64):
+        key = ("batch_norm", dtype, 1, 9, True, True)
+        kernels._ARMS.pop(key, None)
+        kernels._COUNTED.discard((key, "geometry"))
+
+        def runs():
+            with np.errstate(all="ignore"):
+                return [norm_run(case, n, dtype, 0.3) for n in BATCHES if n]
+
+        counted, (got, _) = _counted("geometry", runs)
+        assert counted == 1 and not stage_calls
+        with using_codegen(False):
+            want = runs()
+        for got_run, want_run in zip(got, want):
+            for name in want_run:
+                same(got_run[name], want_run[name], name)
 
 
 def test_route_runs_numpys_nan_round_over_every_window_or_none(adopted):
