@@ -14,17 +14,20 @@ tape (serving, ``no_grad`` inference) never imports this module.
 
 What is compiled: the window gather / scatter-add and the GEMM epilogue of
 ``conv2d`` and its gradient transpose, which also sums the bias gradient;
-max-pool's running maximum and its first-winner gradient routing; train-mode
-``batch_norm``'s mean and variance in one call, ``xhat`` and the output in
-one pass, the backward's four per-channel sums (``dbeta``, ``dgamma`` and
-the two means of the adjoint) with ``dxhat`` in one pass, its final
-combination; relu's value + mask and masked gradient.  Every GEMM is the
-numpy call it was.  Each stage applies numpy's operations in numpy's order
-to every element, and sums per channel in numpy's order — every
-``(sample, channel)`` block's pairwise sum added onto ``+0.0`` in sample
-order (:mod:`repro.codegen.cstage`), which holds for more than one channel:
-a one-channel batch-norm stays numpy (``geometry``).  So both arms produce
-**the same bytes**, and a run may switch between them at any step.
+max-pool's running maximum and its first-winner gradient routing (per window
+where windows neither overlap nor pad); train-mode ``batch_norm``'s mean and
+variance in one call, ``xhat`` and the output in one pass, the backward's
+four per-channel sums (``dbeta``, ``dgamma`` and the two means of the
+adjoint) with ``dxhat`` in one pass, its final combination; relu's value +
+mask and masked gradient; and, for a replayed step
+(:mod:`repro.autograd.replay`), the optimizer's whole-model update
+(:class:`Update`).  Every GEMM is the numpy call it was.  Each stage applies
+numpy's operations in numpy's order to every element, and sums per channel
+in numpy's order — every ``(sample, channel)`` block's pairwise sum added
+onto ``+0.0`` in sample order (:mod:`repro.codegen.cstage`), which holds for
+more than one channel: a one-channel batch-norm stays numpy (``geometry``).
+So both arms produce **the same bytes**, and a run may switch between them
+at any step.
 
 **The NaN rule.**  *Which* elements are NaN is identical on both arms; the
 sign and payload of a NaN produced from two NaN operands is unspecified
@@ -33,6 +36,7 @@ sign and payload of a NaN produced from two NaN operands is unspecified
 An operand the stages cannot take — wrong dtype, read-only, strided,
 misaligned — sends that call to the numpy body; like every reason an op
 geometry stays on numpy (``dtype``, ``geometry``, ``layout``, ``disabled``,
+``flags`` for an optimizer whose flags changed since its stage was chosen,
 or a failed build counted where it failed) it is counted once per signature
 under ``repro_codegen_fallback_total{reason}``.
 """
@@ -42,6 +46,8 @@ from __future__ import annotations
 import copy
 import time
 from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.autograd.functional import _out_hw
 from repro.autograd.tensor import _ws_matmul
@@ -369,4 +375,35 @@ class Relu(Arm):
         return dx if self.run(1, g.size, g, mask, dx) else None
 
 
-_OPS = {"conv2d": Conv2d, "max_pool2d": MaxPool2d, "batch_norm": BatchNorm, "relu": Relu}
+class Update(Arm):
+    """The optimizer's update over :meth:`repro.nn.optim.Optimizer.flatten`'s
+    arrays: one library per rule, dtype and the flags a numpy rule branches
+    on (``weight_decay``, ``momentum`` nonzero, ``nesterov``); ``n`` the
+    element count."""
+
+    __slots__ = ()
+    rows = ("optim.update[c]",)
+
+    @staticmethod
+    def stages(dtype, rule, decay, momentum, nesterov):
+        return (("update", dtype, rule, decay, momentum, nesterov),)
+
+    def update(self, flags: tuple, values: tuple, *arrays) -> bool:
+        """``sgd_update`` / ``adam_update`` over ``arrays`` (parameters,
+        gradients, state), the rule's scalars ``values`` rounded to the dtype
+        as numpy rounds a Python float operand.  ``False``, counted once as
+        ``flags``, when the optimizer's ``flags`` are no longer the stage's."""
+        if flags != self.key[2:]:
+            _numpy(self.key, "flags")
+            return False
+        rule, _, momentum, _ = flags
+        n = arrays[0].size
+        if len(arrays) != (4 if rule == "adam" else 2 + momentum) or any(a.size != n for a in arrays):
+            return False  # not what the stage reads: the numpy rule decides
+        if not self.takes(*arrays):
+            return False
+        return self.run(0, n, *arrays, np.array(values, self.key[1]))
+
+
+_OPS = {"conv2d": Conv2d, "max_pool2d": MaxPool2d, "batch_norm": BatchNorm, "relu": Relu,
+        "update": Update}

@@ -12,7 +12,10 @@ generator in the same order — the global one resolved per step, so
 ``manual_seed`` takes effect); **backward**, in the reverse topological order
 ``backward()`` walks, each parameter gradient into its row of one flat array;
 **one whole-model optimizer update** (:meth:`repro.nn.optim.Optimizer.flat_step`)
-over arrays the parameters and moments became views of at capture.
+over arrays the parameters and moments became views of at capture — the
+compiled ``update`` stage (:class:`repro.autograd.kernels.Update`) once it
+is adopted: every capture attempt sights it as an eager step sights an op's
+stages, and each replayed step looks again until it is there.
 
 **The same kernels, so the same bytes.**  Every node runs its op's entry in
 the op table (:data:`repro.autograd.ir.OPS`) — the forward and the backward
@@ -37,6 +40,7 @@ Not thread-safe.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Dict, List, Optional
 
@@ -146,6 +150,12 @@ class TrainReplay:
         updated = [p for p in optimizer.params if id(p) in trained]
         if len(updated) != len(trained) or len({p.data.dtype for p in updated}) > 1:
             raise Fallback("module")
+        # The optimizer's stage is asked for as the ops' are at their eager
+        # steps — every attempt sights it — but a capture never waits for it.
+        # What ``kernels.arm`` is asked: op, dtype, size, the rule's flags.
+        size = sum(p.data.size for p in updated)
+        update_args = ("update", updated[0].data.dtype, size) + optimizer.flags() if size else None
+        update = kernels.arm(*update_args) if update_args else None
         arms = {}
         for node in nodes:
             lookup = ir.OPS[node.op].arm
@@ -159,6 +169,8 @@ class TrainReplay:
         self._optimizer = optimizer
         self._counters = tuple(counters)
         self._flat = optimizer.flatten(updated) if updated else None
+        self._update_args = update_args
+        self._update = self._pin(update)
         rows = dict(zip(map(id, updated), self._flat[3])) if updated else {}
         self._seed = np.ones_like(loss.data)  # backward()'s seed of a scalar loss
 
@@ -226,6 +238,12 @@ class TrainReplay:
     def _ports_of(self, node) -> list:
         return [self._port(t) for t in node.inputs]
 
+    @staticmethod
+    def _pin(update):
+        """The update arm over tables of the replay's own, which keep its
+        flat arrays bound for good (``None`` stays ``None``)."""
+        return update.pinned(sys.maxsize) if update is not None else None
+
     def _liveness(self, forward, backward):
         """The forward and backward step lists, each step followed by letting
         go of the slots it used last (constants stay)."""
@@ -261,8 +279,24 @@ class TrainReplay:
         """One row per captured node: its ``ops``, the ``arm`` that runs it
         (``compiled`` stages or the ``numpy`` body) and, for an op with a
         compiled arm that runs numpy, the ``reason`` (``disabled``, or
-        ``fallback``: see ``repro_codegen_fallback_total``)."""
-        return ir.explain_rows(self._rows)
+        ``fallback``: see ``repro_codegen_fallback_total``); then one for
+        the optimizer's update (``sgd_update`` / ``adam_update``), whose
+        reason may also be ``pending`` (its stage is being built) or
+        ``flags`` (a flag it branches on changed since the capture)."""
+        rows = list(self._rows)
+        if self._update_args is not None:
+            flags = self._optimizer.flags()
+            arm, reason = "numpy", None
+            if not kernels.jit.codegen_enabled():
+                reason = "disabled"
+            elif self._update is not None:
+                arm, reason = ("compiled", None) if flags == self._update.key[2:] else (arm, "flags")
+            else:
+                args = self._update_args  # the arm's key leaves the size out
+                reason = "fallback" if kernels._ARMS.get(args[:2] + args[3:], ()) is None \
+                    else "pending"
+            rows.append(((f"{flags[0]}_update",), arm, reason))
+        return ir.explain_rows(rows)
 
     def run(self, images: np.ndarray, context: np.ndarray, targets) -> float:
         """One train step over a batch of the captured shapes and dtypes;
@@ -301,10 +335,13 @@ class TrainReplay:
         finally:
             workspace.set_small(previous)
         if self._flat is not None:
+            update = self._update
+            if update is None and self._update_args is not None:  # sightings, then adoption
+                update = self._update = self._pin(kernels.arm(*self._update_args))
             start = time.perf_counter()
-            self._optimizer.flat_step(*self._flat[:3])
+            self._optimizer.flat_step(*self._flat[:3], update)
             if profiler is not None:
-                profiler.record("replay:optim", time.perf_counter() - start)
+                profiler.record("replay:optim", time.perf_counter() - start - profiler.take_inner())
         return loss
 
 

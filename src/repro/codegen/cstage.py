@@ -16,8 +16,8 @@ translation unit serves every bucket of a ``SessionPool`` and every batch
 of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
-The stage kinds (``transpose``, ``scatter``, ``route`` and ``passes`` are
-the train step's, ``reduce`` a region's):
+The stage kinds (``transpose``, ``scatter``, ``route``, ``passes`` and
+``update`` are the train step's, ``reduce`` a region's):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -81,12 +81,30 @@ the train step's, ``reduce`` a region's):
     order, from ``+0.0`` — and the interior lands in the unpadded ``dx``.
 
 ``("route", dtype, x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
-    ``max_pool2d``'s backward over the same planes, numpy's two rounds in
-    numpy's order: a window's gradient goes to its first element equal to
-    the output, then — only if some output anywhere is NaN, which is when
-    numpy runs its second round, over every window — to the first NaN of
-    each window still unclaimed; either round adds ``g * hit`` (``g * 0``
-    where nothing is claimed: NaN for an infinite ``g``) for every window.
+    ``max_pool2d``'s backward, numpy's two rounds in numpy's order: a
+    window's gradient goes to its first element equal to the output, then —
+    only if some output anywhere is NaN, which is when numpy runs its second
+    round, over every window — to the first NaN of each window still
+    unclaimed; either round adds ``g * hit`` (``g * 0`` where nothing is
+    claimed: NaN for an infinite ``g``) for every window.  Windows that
+    neither overlap nor pad (``kh <= sh``, ``kw <= sw``, no padding:
+    TBNet's 2x2/s2) are routed per window, each element of ``dx`` written
+    once with exactly numpy's additions onto its zero — ``(T)0 + g * hit1``
+    then, when round two runs, ``+ g * hit2``; an element in no window is
+    ``+0.0``.  The select is arithmetic (a ternary compiles to branches).
+    Other windows accumulate, per ``(sample, channel)``, on a zeroed plane
+    as the scatter does.
+
+``("update", dtype, rule, decay, momentum, nesterov)``
+    The optimizer's ``sgd_update`` / ``adam_update`` (``rule``), element by
+    element over flat arrays of ``n`` elements: parameters, gradients and
+    the rule's state at ``tab[0]``, ``tab[1]``, ``tab[2...]``, then a row of
+    the rule's scalars, rounded to the dtype by the caller as numpy rounds a
+    Python float operand.  ``decay`` / ``momentum`` (nonzero) and
+    ``nesterov`` are the branches the numpy rule takes, literals here; each
+    operation is one IEEE operation in the rule's order, ``sqrt``
+    included (correctly rounded, unlike the transcendentals regions leave
+    out).
 
 Bit-equality with the numpy steps rests on a few rules: each op is one
 IEEE-754 scalar operation rounded to the stage dtype, as numpy's ufunc
@@ -515,6 +533,15 @@ def _render_scatter(stage: tuple, ctype: str, pairwise: str) -> List[str]:
 def _render_route(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
     oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
+    head = [
+        f"    const {ctype} *restrict src = tab[{x}], *restrict out = tab[{out}], *restrict g = tab[{g}];",
+        f"    {ctype} *restrict dx = tab[{dst}];",
+        # numpy runs round two over the whole array or not at all.
+        "    int second = 0;",
+        f"    for (i64 i = 0; i < n * {c * oh * ow}; ++i) second |= out[i] != out[i];",
+    ]
+    if kh <= sh and kw <= sw and not (ph or pw):
+        return head + _route_windows(ctype, c, h, w, kh, kw, sh, sw)
     inside = [f"y >= {ph} && y < {h + ph}"] * bool(ph) + [f"x >= {pw} && x < {w + pw}"] * bool(pw)
     pixel = f"img[(y - {ph}) * {w} + x - {pw}]"
     if inside:
@@ -543,13 +570,88 @@ def _render_route(stage: tuple, ctype: str, pairwise: str) -> List[str]:
             f"{pad}}}",
         ]
         body.append("        if (second) {" if pad == "        " else "        }")
-    return [
-        f"    const {ctype} *restrict src = tab[{x}], *restrict out = tab[{out}], *restrict g = tab[{g}];",
-        f"    {ctype} *restrict dx = tab[{dst}];",
-        # numpy runs round two over the whole array or not at all.
-        "    int second = 0;",
-        f"    for (i64 i = 0; i < n * {c * oh * ow}; ++i) second |= out[i] != out[i];",
-    ] + _planes(body, c, h, w, ph, pw, ctype)
+    return head + _planes(body, c, h, w, ph, pw, ctype)
+
+
+def _route_windows(ctype: str, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> List[str]:
+    """The route over windows that neither overlap nor pad: each element of
+    ``dx`` is written once, with the additions numpy makes onto it — ``+0.0
+    + g * hit`` and, when round two runs, ``+ g * hit`` again — as
+    arithmetic (a select compiles to branches); an element in no window is
+    ``+0.0``."""
+    oh, ow = _windows(h, kh, sh, 0), _windows(w, kw, sw, 0)
+    # Gaps between windows and rows / columns past the last one.
+    gaps = kh < sh or h > oh * sh or kw < sw or w > ow * sw
+    lines = []
+    for second in (True, False):
+        pend = " int p2 = o != o;" if second else ""
+        claim = ["                const int h2 = p2 & (v != v);", "                p2 ^= h2;"] if second else []
+        add = f" + gi * ({ctype})h2" if second else ""
+        lines += [
+            "    if (second) {" if second else "    } else {",
+            "    for (i64 b = 0; b < n; ++b)",
+            f"    for (i64 c = 0; c < {c}; ++c) {{",
+            f"        const {ctype} *img = src + (b * {c} + c) * {h * w};",
+            f"        {ctype} *plane = dx + (b * {c} + c) * {h * w};",
+            f"        const {ctype} *mo = out + (b * {c} + c) * {oh * ow}, *go = g + (b * {c} + c) * {oh * ow};",
+            f"        for (i64 oy = 0; oy < {oh}; ++oy)",
+            f"        for (i64 ox = 0; ox < {ow}; ++ox) {{",
+            f"            const {ctype} o = mo[oy * {ow} + ox], gi = go[oy * {ow} + ox];",
+            f"            int p1 = 1;{pend}",
+            f"            for (i64 fi = 0; fi < {kh}; ++fi)",
+            f"            for (i64 fj = 0; fj < {kw}; ++fj) {{",
+            f"                const i64 at = (oy * {sh} + fi) * {w} + ox * {sw} + fj;",
+            f"                const {ctype} v = img[at];",
+            "                const int h1 = p1 & (v == o);",
+            "                p1 ^= h1;",
+            *claim,
+            f"                plane[at] = ({ctype})0 + gi * ({ctype})h1{add};",
+            "            }",
+            "        }",
+        ]
+        if gaps:
+            covered = f"y / {sh} < {oh} && y % {sh} < {kh} && x / {sw} < {ow} && x % {sw} < {kw}"
+            lines += [
+                f"        for (i64 y = 0; y < {h}; ++y)",
+                f"        for (i64 x = 0; x < {w}; ++x)",
+                f"            if (!({covered})) plane[y * {w} + x] = 0;",
+            ]
+        lines.append("    }")
+    return lines + ["    }"]
+
+
+def _render_update(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+    rule, decay, momentum, nesterov = stage
+    sqrt = "sqrtf" if ctype == "float" else "sqrt"
+    states = ("m", "v") if rule == "adam" else ("v",) * momentum
+    lines = [
+        f"    {ctype} *restrict p = tab[0];",
+        f"    const {ctype} *restrict g = tab[1];",
+        *(f"    {ctype} *restrict {name} = tab[{2 + k}];" for k, name in enumerate(states)),
+        f"    const {ctype} *s = tab[{2 + len(states)}];",
+    ]
+    if rule == "adam":
+        names = ("beta1", "rest1", "beta2", "rest2", "bc2", "eps", "lr", "wd")  # rest: 1 - beta
+    else:
+        names = ("lr", "momentum", "wd")
+    lines += [f"    const {ctype} {name} = s[{k}];" for k, name in enumerate(names)]
+    lines += ["    for (i64 i = 0; i < n; ++i) {", f"        {ctype} gi = g[i];"]
+    if decay:
+        lines.append("        gi = gi + p[i] * wd;")
+    if rule == "adam":
+        lines += [
+            f"        const {ctype} mi = m[i] * beta1 + gi * rest1;",
+            f"        const {ctype} vi = v[i] * beta2 + gi * gi * rest2;",
+            "        m[i] = mi;",
+            "        v[i] = vi;",
+            f"        p[i] = p[i] - mi * lr / ({sqrt}(vi / bc2) + eps);",
+        ]
+    else:
+        if momentum:
+            lines += [f"        const {ctype} vi = v[i] * momentum + gi;", "        v[i] = vi;"]
+            lines.append("        gi = gi + vi * momentum;" if nesterov else "        gi = vi;")
+        lines.append("        p[i] = p[i] - gi * lr;")
+    return lines + ["    }"]
 
 
 _RENDER = {
@@ -560,4 +662,5 @@ _RENDER = {
     "scatter": _render_scatter,
     "route": _render_route,
     "transpose": _render_transpose,
+    "update": _render_update,
 }

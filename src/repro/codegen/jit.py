@@ -243,7 +243,7 @@ def count_fallback(reason: str) -> None:
     label of ``repro_codegen_fallback_total``): ``disabled``,
     ``no_compiler``, ``compile_failed``, ``load_failed`` or ``unplannable``;
     from the train step's kernels (:mod:`repro.autograd.kernels`, once per
-    signature) also ``dtype``, ``geometry`` and ``layout``."""
+    signature) also ``dtype``, ``geometry``, ``layout`` and ``flags``."""
     _metrics()["fallback"].labels(reason=reason).inc()
     with _LOCK:
         _STATS["fallbacks"] += 1
@@ -262,9 +262,12 @@ _MISSING = object()
 #: sequences are independent, so vectorizing them is IEEE-exact); no
 #: -ffast-math, and -ffp-contract=off because GCC otherwise contracts
 #: a*b+c into FMA, which changes the last bits — the numpy arm never
-#: fuses, so the C arm must not either.  The flags participate in the
-#: cache content hash: a flag change can never serve a stale binary.
-_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+#: fuses, so the C arm must not either.  -fno-math-errno lets ``sqrt``
+#: compile to the (correctly rounded) vector instruction instead of a
+#: scalar call kept for ``errno``; no result changes.  The flags
+#: participate in the cache content hash: a flag change can never serve
+#: a stale binary.
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 #: Longest one compiler run may take before it is killed (``compile_failed``).
 _CC_TIMEOUT = 120.0

@@ -13,7 +13,13 @@ applied to every parameter by ``step()``.
 each (``.data`` and the state lists become views) and
 :meth:`Optimizer.flat_step` applies the rule to the whole arrays at once —
 elementwise, so the same bytes — for the replayed train step; ``step()``
-keeps working on the views.
+keeps working on the views.  Given the compiled ``update`` stage of the
+optimizer's :meth:`~Optimizer.flags` (:class:`repro.autograd.kernels.Update`),
+``flat_step`` runs the rule as that one C call instead: the same operations
+in the same order, its scalars rounded to the dtype as numpy rounds a Python
+float operand, so again the same bytes.  The rules here stay the reference,
+the ``REPRO_CODEGEN=0`` arm and the fallback; the subnormal sweep stays
+numpy either way.
 """
 
 from __future__ import annotations
@@ -158,8 +164,15 @@ class Optimizer:
         grads = np.empty(size, dtype)
         return flat, grads, states, _views(grads, params)
 
-    def flat_step(self, flat: np.ndarray, grads: np.ndarray, states: list) -> None:
-        """One :meth:`step` over arrays made by :meth:`flatten`."""
+    def flat_step(self, flat: np.ndarray, grads: np.ndarray, states: list, arm=None) -> None:
+        """One :meth:`step` over arrays made by :meth:`flatten`; ``arm`` (a
+        :class:`repro.autograd.kernels.Update` of :meth:`flags`) runs it as
+        one compiled stage, else — or when it declines — the numpy rule."""
+        raise NotImplementedError
+
+    def flags(self) -> tuple:
+        """What the update rule branches on: ``(rule, weight_decay != 0,
+        momentum != 0, nesterov)``, literals of its compiled stage."""
         raise NotImplementedError
 
 
@@ -197,8 +210,14 @@ class SGD(Optimizer):
         if self.momentum and self._step_count % _FLUSH_EVERY == 0:
             _flush_subnormals(self._velocity)
 
-    def flat_step(self, flat, grads, states) -> None:
+    def flags(self) -> tuple:
+        return ("sgd", self.weight_decay != 0.0, self.momentum != 0.0, self.nesterov)
+
+    def flat_step(self, flat, grads, states, arm=None) -> None:
         self._advance()
+        values = (self.lr, self.momentum, self.weight_decay)
+        if arm is not None and arm.update(self.flags(), values, flat, grads, *states):
+            return
         sgd_update(
             flat, grads, states[0] if states else None,
             self.lr, self.momentum, self.weight_decay, self.nesterov,
@@ -257,8 +276,15 @@ class Adam(Optimizer):
             _flush_subnormals(self._m + self._v)
         return 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
 
-    def flat_step(self, flat, grads, states) -> None:
+    def flags(self) -> tuple:
+        return ("adam", self.weight_decay != 0.0, False, False)
+
+    def flat_step(self, flat, grads, states, arm=None) -> None:
         bc1, bc2 = self._advance()
+        b1, b2 = self.beta1, self.beta2
+        values = (b1, 1.0 - b1, b2, 1.0 - b2, bc2, self.eps, self.lr / bc1, self.weight_decay)
+        if arm is not None and arm.update(self.flags(), values, flat, grads, *states):
+            return
         adam_update(
             flat, grads, states[0], states[1], self.lr, self.beta1, self.beta2, self.eps,
             bc1, bc2, self.weight_decay,

@@ -222,6 +222,39 @@ def test_a_compiler_of_another_version_builds_its_own_entry(cache_dir, monkeypat
     assert kern(arrays).tobytes() == expect.tobytes()
 
 
+def test_the_compile_flags_keep_ieee_arithmetic():
+    # Bit-identity with numpy rests on these: no a*b+c contracted into an
+    # FMA, and none of the flags that let the compiler reassociate, drop
+    # signed zeros or assume no NaN / inf.
+    assert "-ffp-contract=off" in jit._CFLAGS
+    unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-ffinite-math-only"}
+    assert not unsafe & set(jit._CFLAGS)
+
+
+@needs_cc
+def test_other_compile_flags_build_their_own_entry(cache_dir, monkeypatch):
+    # The flags are part of the entry's content hash: what other flags
+    # built is never loaded.
+    region = _chain_region()
+    arrays = _arrays(region)
+    with using_codegen(True):
+        assert compile_region(region).is_compiled
+    (old,) = cache_dir.glob("*.so")
+    monkeypatch.setattr(jit, "_CFLAGS", jit._CFLAGS + ("-g0",))
+    loaded, load = [], jit._load_stages
+    monkeypatch.setattr(jit, "_load_stages", lambda so, *rest: loaded.append(so) or load(so, *rest))
+    clear_kernel_memo()
+    before = codegen_stats()
+    with using_codegen(True):
+        kern = compile_region(region)
+    assert kern.is_compiled
+    assert codegen_stats()["compiled"] == before["compiled"] + 1
+    assert sorted(cache_dir.glob("*.so")) == sorted({old} | set(loaded)) and len(loaded) == 1
+    assert old not in loaded
+    expect = np.maximum(arrays[0] * arrays[1] + arrays[2], 0.0)
+    assert kern(arrays).tobytes() == expect.tobytes()
+
+
 @needs_cc
 def test_corrupted_cache_entry_recompiles(cache_dir, tmp_path_factory, monkeypatch):
     # Compile in a scratch cache only to learn the entry's content-addressed

@@ -27,6 +27,7 @@ from repro.autograd import Tensor, functional as F, kernels
 from repro.backend import workspace
 from repro.codegen import (
     codegen_enabled, codegen_stats, have_compiler, jit, using_codegen, wait_for_compiles)
+from repro.codegen.cstage import render_stages
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.optim import SGD, Adam
 from repro.obs.profile import using_profiler
@@ -101,7 +102,15 @@ POOLS = [  # (c, h, w, kernel, stride, padding)
     (2, 6, 5, (3, 2), (1, 1), (1, 1)),    # overlapping and padded
     (1, 8, 6, (2, 3), (2, 3), (1, 1)),    # padded
     (1, 9, 9, (2, 2), (3, 3), (0, 0)),    # gaps between windows
+    # Windows that neither overlap nor pad: routed per window (the ids above
+    # come first in RUNS, these after the sum cases).
+    (3, 16, 16, (2, 2), (2, 2), (0, 0)),  # TBNet's pools, on an even plane
+    (2, 9, 7, (2, 2), (2, 2), (0, 0)),    # odd: the last row and column in no window
+    (2, 9, 11, (3, 3), (3, 3), (0, 0)),
+    (2, 7, 6, (1, 1), (2, 2), (0, 0)),    # every other row and column in no window
+    (1, 8, 10, (2, 3), (2, 3), (0, 0)),
 ]
+FIRST_ROUTES = 6
 NORMS = [  # (shape behind N, gamma, beta[, channel 0 all -0.0])
     ((5,), True, True), ((3,), False, True), ((2,), False, False),
     ((3, 4, 5), True, True), ((2, 3, 3), False, False), ((4, 2, 2), True, False),
@@ -170,16 +179,20 @@ def relu_run(shape, n, dtype, poison, seed=0):
 
 RUNS = (
     [(conv_run, case) for case in CONVS]
-    + [(pool_run, case) for case in POOLS]
+    + [(pool_run, case) for case in POOLS[:FIRST_ROUTES]]
     + [(norm_run, case) for case in NORMS]
     + [(relu_run, (3, 5)), (relu_run, ())]
 )
 FIRST_SUMS = len(RUNS)
 RUNS += [(norm_run, case) for case in SUM_NORMS] + [(conv_run, case) for case in SUM_CONVS]
+ROUTES = len(RUNS)
+RUNS += [(pool_run, case) for case in POOLS[FIRST_ROUTES:]]
 
 
 def _dtypes(index):
     # f64 on every third case and every other sum case: the compiler's time is the suite's
+    if index >= ROUTES:
+        return F32, F64
     return (F32, F64) if index % (3 if index < FIRST_SUMS else 2) == 0 else (F32,)
 
 
@@ -311,6 +324,21 @@ def test_one_channel_batch_norm_takes_the_numpy_body(adopted, stage_calls):
         for got_run, want_run in zip(got, want):
             for name in want_run:
                 same(got_run[name], want_run[name], name)
+
+
+def test_disjoint_windows_are_routed_per_window_and_overlapping_ones_accumulate():
+    # TBNet's 2x2/s2 pools write each gradient element once, with no zeroed
+    # plane and no pending flags; overlapping or padded windows keep numpy's
+    # accumulation across windows.
+    def route(c, h, w, k, s, p):
+        stages = kernels.MaxPool2d.stages("float32", c, h, w, *k, *s, *p)
+        return render_stages(("stages", stages[1:]))[1]
+
+    tbnet = [(c, h, h, (2, 2), (2, 2), (0, 0)) for c, h in ((16, 16), (32, 8))]
+    for case in tbnet + [POOLS[0], POOLS[1], POOLS[5]] + POOLS[FIRST_ROUTES:]:
+        assert "pend[" not in route(*case), case
+    for case in POOLS[2:5]:
+        assert "pend[" in route(*case), case
 
 
 def test_route_runs_numpys_nan_round_over_every_window_or_none(adopted):
@@ -467,8 +495,9 @@ def test_a_run_that_adopts_half_way_equals_the_numpy_run(cold, stage_calls):
 
     compiled = codegen_stats()["compiled"]
     assert train_hash(4, 40, pause=adopt) == want
-    # 29 stages a step.
-    assert all(stage_calls) and held[0] < 19 * 29 <= len(stage_calls) - held[0]
+    # 30 stages a step: the capture's eager step runs the ops' 29, every
+    # replayed step after it the optimizer's update too.
+    assert all(stage_calls) and held[0] < 29 + 19 * 30 <= len(stage_calls) - held[0]
     assert 1 <= codegen_stats()["compiled"] - compiled <= 3  # queued signatures share a unit
 
 
@@ -522,7 +551,7 @@ def test_a_failing_compiler_leaves_training_on_the_numpy_bodies(
     counted = _fallbacks(reason)
     assert train_hash(4, 12, pause=lambda: wait_for_compiles(60)) == want
     assert not stage_calls
-    assert _fallbacks(reason) - counted == 7  # once per signature, on the compile thread
+    assert _fallbacks(reason) - counted == 8  # once per signature, on the compile thread
     assert not list(cold.glob("*.so"))
 
 
@@ -548,6 +577,15 @@ def test_profile_rows_name_the_compiled_stages_and_still_sum_to_the_step(adopted
     step = prof.step_stats()["backward"]
     total = sum(row["total_ms"] for row in rows.values())
     assert 0.5 * step["mean_ms"] < total <= step["mean_ms"]  # stage rows are not counted twice
+    model.train_step(opt, *batch)
+    with using_profiler() as prof:
+        model.train_step(opt, *batch)  # replayed: the optimizer's update is a stage too
+    rows = prof.stats()
+    for op in ("replay:optim", "replay:optim.update[c]", "replay:max_pool2d.route[c]"):
+        assert op in rows, op
+    step = prof.step_stats()["replay"]
+    total = sum(row["total_ms"] for row in rows.values())
+    assert 0.5 * step["mean_ms"] < total <= step["mean_ms"]
 
 
 # --------------------------------------------------------------------------- #

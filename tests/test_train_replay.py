@@ -229,11 +229,12 @@ def test_explain_names_each_captured_op_and_its_arm():
             model.train_step(opt, *batches[i % 4])
         rows = tbnet.train_replay(model).explain()
     ops = [row["ops"][0] for row in rows]
-    assert ops.count("conv2d") == 2 and ops[-1] == "softmax_cross_entropy" and len(ops) == 20
+    assert ops.count("conv2d") == 2 and ops[-2] == "softmax_cross_entropy" and len(ops) == 21
+    assert ops[-1] == "adam_update"  # the optimizer's row
     for row in rows:
         assert row["arm"] == "numpy"
         assert row["reason"] == ("disabled" if row["ops"][0] in (
-            "conv2d", "batch_norm", "relu", "max_pool2d") else None)
+            "conv2d", "batch_norm", "relu", "max_pool2d", "adam_update") else None)
 
 
 def test_a_collected_model_frees_its_replay():
