@@ -57,7 +57,7 @@ import numpy as np
 from repro.backend import default_rng, workspace
 from repro.autograd import ir
 from repro.autograd.tensor import (
-    Tensor, _apply, _get_kernels, _owned_copy, _taping, _ws_matmul, _ws_multiply)
+    Tensor, _apply, _owned_copy, _taping, _ws_matmul, _ws_multiply)
 
 __all__ = [
     "im2col",
@@ -365,6 +365,13 @@ def _linear_bind(xs, attrs, out):
     return step
 
 
+def _linear_program(p, geometry, gemm, bias=None) -> None:
+    """A 2-D linear's epilogue: its GEMM's ``(n, out)`` output plus the bias."""
+    p.value = p.input(gemm, (p.against[1], 1))
+    if bias is not None:
+        p.apply("add", p.value, p.channel(bias))
+
+
 def linear_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate the affine map's three adjoints for incoming grad ``g``."""
     (xd, wd), x_t, w_t = ctx, ports[0], ports[1]
@@ -418,20 +425,26 @@ def conv2d(
     arm = None
     if _taping(*parents):
         xs[0] = np.asarray(xd)
-        arm = _conv2d_arm(xs, attrs)
+        arm = _CONV2D.arm(xs, attrs)
     out, ctx = _CONV2D.forward(arm, xs, attrs, parents)
     return Tensor._make(out, parents, "conv2d", _CONV2D.thunk(arm, parents, ctx, attrs),
                         attrs=attrs)
 
 
-def _conv2d_arm(xs, attrs, ask=True):
-    """``kernels.arm`` for a conv of ``xs[0]`` with ``xs[1]`` (see its ``ask``)."""
-    n, in_c, h, w = xs[0].shape
+def _conv2d_geometry(xs, attrs):
+    """``(n, c, h, w, kh, kw, sh, sw, ph, pw, out_c, bias)``: the gather
+    stage's geometry, then the filter bank's."""
     out_c, _, kh, kw = xs[1].shape
-    return _get_kernels().arm(
-        "conv2d", xs[0].dtype, n, in_c, h, w, kh, kw, *attrs["stride"], *attrs["padding"],
-        out_c, len(xs) == 3, ask=ask
-    )
+    return (*xs[0].shape, kh, kw, *attrs["stride"], *attrs["padding"], out_c, len(xs) == 3)
+
+
+def _conv2d_program(p, geometry, gemm, bias=None) -> None:
+    """A conv's epilogue: its GEMM's ``(O, n*OH*OW)`` output read in NCHW
+    order, plus the bias."""
+    oh, ow = _out_hw(*geometry[1:9])
+    p.value = p.input(gemm, (oh * ow, ("n", oh * ow), ow, 1))
+    if bias is not None:
+        p.apply("add", p.value, p.channel(bias))
 
 
 def _conv2d(arm, xs, attrs, ports):
@@ -525,17 +538,20 @@ def max_pool2d(
     arm = None
     if _taping(x_t):
         xd = np.asarray(xd)
-        arm = _max_pool2d_arm((xd,), attrs)
+        arm = _MAX_POOL2D.arm((xd,), attrs)
     out, ctx = _MAX_POOL2D.forward(arm, (xd,), attrs, (x_t,))
     return Tensor._make(out, (x_t,), "max_pool2d", _MAX_POOL2D.thunk(arm, (x_t,), ctx, attrs),
                         attrs=attrs)
 
 
-def _max_pool2d_arm(xs, attrs, ask=True):
-    """``kernels.arm`` for max-pooling ``xs[0]`` (see its ``ask``)."""
-    n, c, h, w = xs[0].shape
-    return _get_kernels().arm("max_pool2d", xs[0].dtype, n, c, h, w, *attrs["kernel_size"],
-                              *attrs["stride"], *attrs["padding"], ask=ask)
+def _max_pool2d_geometry(xs, attrs):
+    """``(n, c, h, w, kh, kw, sh, sw, ph, pw)``."""
+    return (*xs[0].shape, *attrs["kernel_size"], *attrs["stride"], *attrs["padding"])
+
+
+def _max_pool2d_program(p, geometry) -> None:
+    """Max-pooling is the window over the program's last two dims."""
+    p.pool = geometry[3:]
 
 
 def _max_pool2d(arm, xs, attrs, ports):
@@ -706,7 +722,7 @@ def batch_norm(
     arm = None
     if _taping(*parents):
         xs[0] = np.asarray(xd)
-        arm = _batch_norm_arm(xs, attrs)
+        arm = _BATCH_NORM.arm(xs, attrs)
     out, ctx = _BATCH_NORM.forward(arm, xs, attrs, parents)
     xhat, mean, inv_std, use_batch_stats, _ = ctx
     # What a captured trace replays: in eval mode ``mean`` can be the
@@ -719,13 +735,22 @@ def batch_norm(
                         attrs=attrs)
 
 
-def _batch_norm_arm(xs, attrs, ask=True):
-    """``kernels.arm`` for normalizing ``xs[0]`` over its batch (see its ``ask``)."""
+def _batch_norm_geometry(xs, attrs):
+    """``(n, c, elements per sample and channel, gamma, beta)``."""
     n, c = xs[0].shape[:2]
-    return _get_kernels().arm(
-        "batch_norm", xs[0].dtype, n, c, xs[0].size // max(n * c, 1),
-        attrs["has_weight"], attrs["has_bias"], ask=ask
-    )
+    return n, c, xs[0].size // max(n * c, 1), attrs["has_weight"], attrs["has_bias"]
+
+
+def _batch_norm_program(p, geometry, mean, inv_std, *affine):
+    """``(x - mean) * inv_std [* gamma] [+ beta]`` over the running value,
+    the output running on; returns ``xhat``'s src."""
+    mean, inv_std, *affine = (p.channel(ref) for ref in (mean, inv_std, *affine))
+    xhat = p.apply("mul", p.apply("sub", p.value, mean), inv_std)
+    if geometry[2]:
+        p.apply("mul", p.value, affine[0])
+    if geometry[3]:
+        p.apply("add", p.value, affine[-1])
+    return xhat
 
 
 def _batch_norm(arm, xs, attrs, ports):
@@ -843,7 +868,7 @@ def _batch_norm_bind(xs, attrs, out):
             np.add(buf, affine[-1].reshape(bshape), out=buf)
         return buf
 
-    step.out = buf
+    step.out, step.consts = buf, (mean, inv_std)
     return step
 
 
@@ -857,7 +882,7 @@ def batch_norm_backward(arm, g, ports, ctx, attrs) -> None:
     b_t = ports[-1] if attrs["has_bias"] else None
     if x_t.requires_grad and use_batch_stats:  # the compiled arm: sums and passes in C
         if arm is None:
-            arm = _batch_norm_arm((xhat,), attrs, ask=False)
+            arm = _BATCH_NORM.arm((xhat,), attrs, ask=False)
         grads = arm and arm.backward(g, xhat, inv_std, gamma)
         if grads is not None:
             if b_t is not None and b_t.requires_grad:
@@ -1073,13 +1098,15 @@ def _softmax_cross_entropy_forward(logits: np.ndarray, idx: np.ndarray, reductio
 # through these entries, a replayed train step runs them and a serving
 # session binds them.
 # --------------------------------------------------------------------------- #
-_LINEAR = ir.define_op("linear", _linear, linear_backward, bind=_linear_bind)
-_CONV2D = ir.define_op("conv2d", _conv2d, conv2d_backward, _conv2d_arm, _conv2d_bind)
-_MAX_POOL2D = ir.define_op("max_pool2d", _max_pool2d, max_pool2d_backward, _max_pool2d_arm,
-                           _max_pool2d_bind)
+_LINEAR = ir.define_op("linear", _linear, linear_backward, _linear_bind,
+                       ir.Stage(ir.HEAD, _linear_program))
+_CONV2D = ir.define_op("conv2d", _conv2d, conv2d_backward, _conv2d_bind,
+                       ir.Stage(ir.HEAD, _conv2d_program, _conv2d_geometry))
+_MAX_POOL2D = ir.define_op("max_pool2d", _max_pool2d, max_pool2d_backward, _max_pool2d_bind,
+                           ir.Stage(ir.EPILOGUE, _max_pool2d_program, _max_pool2d_geometry))
 _AVG_POOL2D = ir.define_op("avg_pool2d", _avg_pool2d, _avg_pool2d_backward)
-_BATCH_NORM = ir.define_op("batch_norm", _batch_norm, batch_norm_backward, _batch_norm_arm,
-                           _batch_norm_bind)
+_BATCH_NORM = ir.define_op("batch_norm", _batch_norm, batch_norm_backward, _batch_norm_bind,
+                           ir.Stage(ir.EPILOGUE, _batch_norm_program, _batch_norm_geometry))
 _DROPOUT = ir.define_op("dropout", _dropout, _dropout_backward)
 _SOFTMAX = _softmax_op("softmax", _softmax, _softmax_grad)
 _LOG_SOFTMAX = _softmax_op("log_softmax", _log_softmax,

@@ -334,4 +334,4 @@ def _region_bind(xs, attrs, out):
     return step
 
 
-ir.define_op("region", _region, bind=_region_bind)
+ir.define_op("region", _region, bind=_region_bind, stage=ir.Stage(ir.ELEMENTWISE))

@@ -41,9 +41,11 @@ import contextlib
 import threading
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from repro.codegen.cstage import operand_strides
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.autograd.tensor import Tensor
@@ -54,6 +56,8 @@ __all__ = [
     "Graph",
     "Op",
     "OPS",
+    "Program",
+    "Stage",
     "define_op",
     "capture",
     "current_capture",
@@ -261,6 +265,100 @@ def explain_rows(rows) -> List[Dict[str, object]]:
 
 
 # --------------------------------------------------------------------------- #
+# Stage descriptions: how an op becomes compiled C stages
+# --------------------------------------------------------------------------- #
+#: An op's part in a serving group (:class:`Stage`).
+HEAD, EPILOGUE, ELEMENTWISE, LAYOUT, SINK = "head", "epilogue", "elementwise", "layout", "sink"
+
+
+class Program:
+    """A :mod:`repro.codegen.cstage` ``map`` program being written over the
+    logical shape ``against`` (the batch first): its operands, ``(ref,
+    strides)`` with ``ref`` what its writer binds (a table row, an array, a
+    tensor), the ops over them, the running ``value`` and a max-pool window
+    ``pool``.  A src is ``("in", k)`` or ``("op", i)``.  A ``literal``
+    program (a train arm's) strides a channel vector even for one channel."""
+
+    def __init__(self, against, literal: bool = False) -> None:
+        self.against = tuple(against)
+        self.literal = literal
+        self.operands: list = []
+        self.program: list = []
+        self.value = None
+        self.pool = None
+
+    def input(self, ref, strides):
+        for k, (have, have_strides) in enumerate(self.operands):
+            if have is ref and have_strides == strides:
+                return ("in", k)
+        self.operands.append((ref, strides))
+        return ("in", len(self.operands) - 1)
+
+    def operand(self, ref, shape, activation: bool = False):
+        return self.input(ref, operand_strides(shape, self.against, activation))
+
+    def channel(self, ref):
+        """A per-channel vector (axis 1), broadcast over every other axis."""
+        rest = len(self.against) - 2
+        if self.literal:
+            return self.input(ref, (0, 1) + (0,) * rest)
+        return self.operand(ref, self.against[1:2] + (1,) * rest)
+
+    def apply(self, op: str, *srcs):
+        self.program.append((op, srcs))
+        self.value = ("op", len(self.program) - 1)
+        return self.value
+
+    def number(self, src) -> int:
+        return src[1] if src[0] == "in" else len(self.operands) + src[1]
+
+    def stage(self, dtype: str, inputs, dst, size: int, offset: int = 0) -> tuple:
+        """The ``map`` stage of the program, its operands bound as ``inputs``."""
+        ops = tuple((op, tuple(map(self.number, srcs))) for op, srcs in self.program)
+        return ("map", dtype, self.against[1:], inputs, ops, self.pool, dst, size, offset)
+
+
+class Stage(NamedTuple):
+    """An op's stage description: what the stage planners —
+    :class:`repro.serve.stages.SessionPlan` and
+    :func:`repro.autograd.kernels.arm` — read instead of the op's name.
+
+    - ``part``: the op's part in a serving group, or ``None``.
+      :data:`HEAD`, a GEMM that starts one (conv2d with its gather, a 2-D
+      linear); :data:`EPILOGUE`, an op over the group's running value
+      (relu, eval batch-norm, max-pool); :data:`ELEMENTWISE`, an epilogue
+      over operands of its own that may start a group too (a region);
+      :data:`LAYOUT`, a reshape closing it; :data:`SINK`, a concat whose
+      axis-1 blocks the groups write.
+    - ``program(p, geometry, *refs)``: the op's forward epilogue as
+      :class:`Program` pieces on ``p``, whose running value is the op's
+      input (a head reads its GEMM's output, ``refs[0]``); the ``refs`` are
+      the operands after it, an epilogue's constants first.
+    - ``geometry(xs, attrs) -> (n, *geometry)``: what the op's train arm is
+      keyed by over the input arrays ``xs``, ``n`` its runtime extent;
+      ``program`` reads the rest.  ``None``: the op has no train arm.
+    """
+
+    part: Optional[str]
+    program: Optional[Callable] = None
+    geometry: Optional[Callable] = None
+
+
+_kernels = None
+
+
+def _train_kernels():
+    """:mod:`repro.autograd.kernels`, imported by the first ask: a process
+    that only serves never loads it."""
+    global _kernels
+    if _kernels is None:
+        from repro.autograd import kernels
+
+        _kernels = kernels
+    return _kernels
+
+
+# --------------------------------------------------------------------------- #
 # The op table
 # --------------------------------------------------------------------------- #
 #: The port of an input that takes no gradient: what an executor without a
@@ -280,25 +378,32 @@ class Op:
       adjoint of the incoming gradient ``g`` into its port
       (``_accumulate_fresh`` / ``_accumulate``, under ``Tensor``'s rules);
       ``None`` for an op no gradient flows through.
-    - ``arm(xs, attrs, ask)``: the op's compiled arm
-      (:func:`repro.autograd.kernels.arm`, same ``ask``), or ``None`` for
-      an op without one.
     - ``bind(xs, attrs, out) -> step`` (see :meth:`bind`), or ``None``.
+    - ``stage``: its :class:`Stage` description.
 
     A port is the input ``Tensor`` on the tape and a slot or a gradient row
-    in a replay; ``arm`` is what the lookup returned, ``None`` meaning the
+    in a replay; ``arm`` is what :meth:`arm` returned, ``None`` meaning the
     numpy bodies.
     """
 
-    __slots__ = ("name", "forward", "backward", "arm", "_bind")
+    __slots__ = ("name", "forward", "backward", "_bind", "stage")
 
     def __init__(self, name: str, forward: Callable, backward: Optional[Callable] = None,
-                 arm: Optional[Callable] = None, bind: Optional[Callable] = None) -> None:
+                 bind: Optional[Callable] = None, stage: Stage = Stage(None)) -> None:
         self.name = name
         self.forward = forward
         self.backward = backward
-        self.arm = arm
         self._bind = bind
+        self.stage = stage
+
+    def arm(self, xs, attrs, ask=True):
+        """The op's compiled arm over the input arrays ``xs``:
+        :func:`repro.autograd.kernels.arm` at the geometry its description
+        keys (same ``ask``), or ``None`` for an op without one."""
+        geometry = self.stage.geometry
+        if geometry is None:
+            return None
+        return _train_kernels().arm(self, xs[0].dtype, *geometry(xs, attrs), ask=ask)
 
     def thunk(self, arm, ports, ctx, attrs) -> Callable:
         """The backward factory of one recorded call (``Tensor._make``'s
@@ -317,10 +422,10 @@ class Op:
         else an example; ``out`` is an example output.  The entry's bind
         runs the eager kernel's numpy calls ``out=`` into buffers it
         allocates here, and exposes them on the step — ``step.out``, the
-        buffer every call returns, ``step.patches`` and ``step.region`` /
-        ``step.over(kernel)`` for the stage planner.  Without one (or when it declines, returning
-        ``None``) the step is the allocating :attr:`forward`, marked
-        ``step.generic``."""
+        buffer every call returns, ``step.patches``, ``step.consts`` and
+        ``step.region`` / ``step.over(kernel)`` for the stage planner.
+        Without one (or when it declines, returning ``None``) the step is the
+        allocating :attr:`forward`, marked ``step.generic``."""
         step = self._bind(xs, attrs, out) if self._bind is not None else None
         if step is None:
             forward, ports = self.forward, (_CONSTANT,) * len(xs)
@@ -337,7 +442,7 @@ OPS: Dict[str, Op] = {}
 
 
 def define_op(name: str, forward: Callable, backward: Optional[Callable] = None,
-              arm: Optional[Callable] = None, bind: Optional[Callable] = None) -> Op:
+              bind: Optional[Callable] = None, stage: Stage = Stage(None)) -> Op:
     """Enter op ``name`` into :data:`OPS` (see :class:`Op`); returns it."""
-    op = OPS[name] = Op(name, forward, backward, arm, bind)
+    op = OPS[name] = Op(name, forward, backward, bind, stage)
     return op

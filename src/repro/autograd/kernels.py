@@ -49,6 +49,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.autograd import functional as F, ir, tensor
 from repro.autograd.functional import _out_hw
 from repro.autograd.tensor import _ws_matmul
 from repro.backend import workspace
@@ -56,13 +57,14 @@ from repro.codegen import jit
 from repro.codegen.cstage import _CTYPE
 from repro.obs import profile as _profile
 
-__all__ = ["arm"]
+__all__ = ["UPDATE", "arm", "refused"]
 
 #: The most bytes one stage may keep on the C stack (a padded plane).
 _STACK = 256 * 1024
 
-#: key -> :class:`Arm` | ``None`` (numpy, for good) | ``(Pending, signature)``,
-#: the pending ``None`` between a geometry's first sight and its second.
+#: key — ``(op name, dtype, *geometry)`` — -> :class:`Arm` | ``None`` (numpy,
+#: for good) | ``(Pending, signature)``, the pending ``None`` between a
+#: geometry's first sight and its second.
 _ARMS: dict = {}
 _ASK = object()
 #: What :func:`arm` answers a capture (``ask=None``) while a geometry is unsettled.
@@ -81,9 +83,11 @@ def _numpy(key: tuple, reason: str) -> None:
 class Arm:
     """The loaded stages of one op geometry (``key``: op, dtype, geometry).
 
-    A subclass per op: ``stages`` describes them to ``cstage`` (every extent
-    but the batch a literal; a ``str`` instead names why numpy keeps this
-    geometry) and the methods are the compiled bodies.  Each mirrors a numpy
+    A subclass per op (``op``, its entry): ``stages`` describes them to
+    ``cstage`` (every extent but the batch a literal; a ``str`` instead names
+    why numpy keeps this geometry) — a forward stage from the program pieces
+    of the op's description, which serving plans from too — and the methods
+    are the compiled bodies.  Each mirrors a numpy
     body of ``autograd.functional`` / ``autograd.tensor`` buffer for buffer —
     results come from ``workspace.empty`` — and returns ``None`` when that
     body has to run instead.
@@ -128,9 +132,21 @@ class Arm:
         return True
 
 
-def arm(op: str, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
-    """The compiled arm of ``op`` at this dtype and geometry over ``n``
-    leading items, or ``None``: run the numpy body.  Never waits.
+def _key(op: ir.Op, dtype, geometry: tuple) -> tuple:
+    return (op.name, dtype) + geometry
+
+
+def refused(op: ir.Op, dtype, n: int, *geometry) -> bool:
+    """Whether :func:`arm` (same arguments) answers numpy for good: the
+    geometry was refused or its build failed — not yet asked for, or being
+    built, is not refused."""
+    return _ARMS.get(_key(op, dtype, geometry), ()) is None
+
+
+def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
+    """The compiled arm of table op ``op`` (:meth:`repro.autograd.ir.Op.arm`
+    asks with its description's geometry) at this dtype and geometry over
+    ``n`` leading items, or ``None``: run the numpy body.  Never waits.
 
     A geometry's first sight adopts what the kernel cache already holds and
     builds nothing; the compile thread is asked at the second — a shape that
@@ -141,7 +157,7 @@ def arm(op: str, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
     :data:`PENDING` instead of ``None`` while the answer may still change."""
     if not n:
         return None
-    key = (op, dtype) + geometry
+    key = _key(op, dtype, geometry)
     # What an adopted arm costs per call is the budget of a small batch: the
     # scoped override is one attribute read, ``REPRO_CODEGEN`` (a microsecond
     # of ``os.environ``) is read while asking — as sessions and region
@@ -159,7 +175,7 @@ def arm(op: str, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
         return _numpy(key, "disabled")
     if found is _ASK:
         native = dtype.name in _CTYPE and dtype.isnative  # what ``cstage`` renders
-        stages = _OPS[op].stages(dtype.name, *geometry) if native else "dtype"
+        stages = _BODY[op].stages(dtype.name, *geometry) if native else "dtype"
         if isinstance(stages, str):
             _ARMS[key] = None
             return _numpy(key, stages)
@@ -178,28 +194,28 @@ def arm(op: str, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
     if isinstance(resolved, str):  # counted by the compile thread
         _ARMS[key] = None
         return None
-    found = _ARMS[key] = _OPS[op](key, resolved[0])
+    found = _ARMS[key] = _BODY[op](key, resolved[0])
     return found
 
 
 class Conv2d(Arm):
     __slots__ = ()
+    op = F._CONV2D
     rows = ("conv2d.gather[c]", "conv2d.epilogue[c]", "conv2d.transpose[c]", "conv2d.scatter[c]")
 
     @staticmethod
-    def stages(dtype, c, h, w, kh, kw, sh, sw, ph, pw, out_c, bias):
+    def stages(dtype, *geometry):
+        c, h, w, kh, kw, sh, sw, ph, pw, out_c, bias = geometry
         if (ph or pw) and (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
             return "geometry"
         oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-        size, geometry = oh * ow, (c, h, w, kh, kw, sh, sw, ph, pw)
-        # The GEMM's (O, n*OH*OW) output read in NCHW order, plus the bias.
-        gemm = (0, (size, ("n", size), ow, 1))
-        inputs, ops = ((gemm, (1, (0, 1, 0, 0))), (("add", (0, 1)),)) if bias else ((gemm,), ())
+        epilogue = ir.Program((1, out_c, oh, ow), literal=True)
+        F._conv2d_program(epilogue, geometry, *range(1 + bias))  # the GEMM's row 0, the bias 1
         return (
-            ("gather", dtype, 0, 1) + geometry,
-            ("map", dtype, (out_c, oh, ow), inputs, ops, None, 1 + bias, out_c * size, 0),
-            ("transpose", dtype, 0, 1, out_c, size) + ((2,) if bias else ()),
-            ("scatter", dtype, 0, 1) + geometry,
+            ("gather", dtype, 0, 1) + geometry[:9],
+            epilogue.stage(dtype, tuple(epilogue.operands), 1 + bias, out_c * oh * ow),
+            ("transpose", dtype, 0, 1, out_c, oh * ow) + ((2,) if bias else ()),
+            ("scatter", dtype, 0, 1) + geometry[:9],
         )
 
     def forward(self, xd, wd, bd, oh: int, ow: int):
@@ -237,17 +253,21 @@ class Conv2d(Arm):
 
 class MaxPool2d(Arm):
     __slots__ = ()
+    op = F._MAX_POOL2D
     rows = ("max_pool2d.max[c]", "max_pool2d.route[c]")
 
     @staticmethod
-    def stages(dtype, c, h, w, kh, kw, sh, sw, ph, pw):
+    def stages(dtype, *geometry):
+        c, h, w, kh, kw, sh, sw, ph, pw = geometry
         oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
         if oh * ow + bool(ph or pw) * (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
             return "geometry"
-        image, pool = (0, (c * h * w, h * w, w, 1)), (kh, kw, sh, sw, ph, pw)
+        window = ir.Program((1, c, h, w), literal=True)
+        window.value = window.input(0, (c * h * w, h * w, w, 1))
+        F._max_pool2d_program(window, geometry)
         return (
-            ("map", dtype, (c, h, w), (image,), (), pool, 1, c * oh * ow, 0),
-            ("route", dtype, 0, 1, 2, 3, c, h, w) + pool,
+            window.stage(dtype, tuple(window.operands), 1, c * oh * ow),
+            ("route", dtype, 0, 1, 2, 3) + geometry,
         )
 
     def forward(self, xd, oh: int, ow: int):
@@ -263,6 +283,7 @@ class MaxPool2d(Arm):
 
 class BatchNorm(Arm):
     __slots__ = ()
+    op = F._BATCH_NORM
     rows = ("batch_norm.var[c]", "batch_norm.normalize[c]", "batch_norm.bwd1[c]", "batch_norm.bwd2[c]")
 
     @staticmethod
@@ -282,18 +303,13 @@ class BatchNorm(Arm):
             stage(((0, x),), (), (), ((1, 0, True),)),
             stage(((0, x), (1, channel)), (("sub", (0, 1)), ("mul", (2, 2))), (), ((2, 3, True),)),
         ))
-        # (x - mean) * inv_std [* gamma] [+ beta]: xhat and the output, one pass.
-        k = 3 + gamma + beta
-        ops = [("sub", (0, 1)), ("mul", (k, 2))]
-        if gamma:
-            ops.append(("mul", (k + 1, 3)))
-        if beta:
-            ops.append(("add", (k + len(ops) - 1, 3 + gamma)))
-        normalize = stage(
-            tuple((i, channel if i else x) for i in range(k)),
-            tuple(ops),
-            ((k, k + 1, None), (k + 1, k + len(ops) - 1, None)),
-        )
+        # xhat and the output in one pass: eval serving's program over x.
+        program = ir.Program((1, c, size), literal=True)
+        program.value = program.input(0, x)
+        xhat = F._batch_norm_program(program, (c, size, gamma, beta), *range(1, 3 + gamma + beta))
+        k, out = len(program.operands), program.value
+        normalize = program.stage(dtype, tuple(program.operands), (
+            (k, program.number(xhat), None), (k + 1, program.number(out), None)), c * size)
         # sum(g), sum(g * xhat), mean(dxhat), mean(dxhat * xhat); dxhat is
         # g * gamma, written out, or g itself.
         if gamma:
@@ -352,14 +368,18 @@ class Relu(Arm):
     """Flat: one library per dtype, ``n`` the element count."""
 
     __slots__ = ()
+    op = tensor._RELU
     rows = ("relu.forward[c]", "relu.backward[c]")
 
     @staticmethod
     def stages(dtype):
         flat, mask = (1,), "unsigned char"  # numpy's bool
-        outs = ((1, 1, None), (2, 2, mask))
+        forward = ir.Program((1,), literal=True)
+        x = forward.value = forward.input(0, flat)
+        tensor._relu_program(forward, ())
+        forward.apply("pos", x)  # and the mask
         return (
-            ("map", dtype, (), ((0, flat),), (("relu", (0,)), ("pos", (0,))), None, outs, 1, 0),
+            forward.stage(dtype, tuple(forward.operands), ((1, 1, None), (2, 2, mask)), 1),
             ("map", dtype, (), ((0, flat), (1, flat, mask)), (("mul", (0, 1)),), None, 2, 1, 0),
         )
 
@@ -375,6 +395,11 @@ class Relu(Arm):
         return dx if self.run(1, g.size, g, mask, dx) else None
 
 
+#: The optimizer's update: not a table op (:meth:`repro.nn.optim.Optimizer.flat_step`
+#: runs it), asked for like one.
+UPDATE = ir.Op("update", None)
+
+
 class Update(Arm):
     """The optimizer's update over :meth:`repro.nn.optim.Optimizer.flatten`'s
     arrays: one library per rule, dtype and the flags a numpy rule branches
@@ -382,6 +407,7 @@ class Update(Arm):
     element count."""
 
     __slots__ = ()
+    op = UPDATE
     rows = ("optim.update[c]",)
 
     @staticmethod
@@ -405,5 +431,5 @@ class Update(Arm):
         return self.run(0, n, *arrays, np.array(values, self.key[1]))
 
 
-_OPS = {"conv2d": Conv2d, "max_pool2d": MaxPool2d, "batch_norm": BatchNorm, "relu": Relu,
-        "update": Update}
+#: Each op's compiled bodies.
+_BODY = {body.op: body for body in Arm.__subclasses__()}

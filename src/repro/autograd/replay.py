@@ -154,13 +154,13 @@ class TrainReplay:
         # steps — every attempt sights it — but a capture never waits for it.
         # What ``kernels.arm`` is asked: op, dtype, size, the rule's flags.
         size = sum(p.data.size for p in updated)
-        update_args = ("update", updated[0].data.dtype, size) + optimizer.flags() if size else None
+        update_args = (kernels.UPDATE, updated[0].data.dtype, size) + optimizer.flags() \
+            if size else None
         update = kernels.arm(*update_args) if update_args else None
         arms = {}
         for node in nodes:
-            lookup = ir.OPS[node.op].arm
-            if lookup is not None and node.out.requires_grad:
-                arms[id(node)] = lookup([t.data for t in node.inputs], node.attrs, None)
+            if node.out.requires_grad:
+                arms[id(node)] = ir.OPS[node.op].arm([t.data for t in node.inputs], node.attrs, None)
         if kernels.PENDING in arms.values():
             raise Fallback("pending")
 
@@ -202,7 +202,7 @@ class TrainReplay:
             if node.backward is not None:
                 backward[id(node)] = (bwd, (g, ctx))
             reason = None
-            if arm is None and op.arm is not None:
+            if arm is None and op.stage.geometry is not None:
                 reason = "fallback" if kernels.jit.codegen_enabled() else "disabled"
             self._rows.append(((node.op,), "numpy" if arm is None else "compiled", reason))
         self._loss = self._slot[id(loss)]
@@ -292,9 +292,7 @@ class TrainReplay:
             elif self._update is not None:
                 arm, reason = ("compiled", None) if flags == self._update.key[2:] else (arm, "flags")
             else:
-                args = self._update_args  # the arm's key leaves the size out
-                reason = "fallback" if kernels._ARMS.get(args[:2] + args[3:], ()) is None \
-                    else "pending"
+                reason = "fallback" if kernels.refused(*self._update_args) else "pending"
             rows.append(((f"{flags[0]}_update",), arm, reason))
         return ir.explain_rows(rows)
 

@@ -190,21 +190,6 @@ def _get_profile():
     return _profile_module
 
 
-_kernels_module = None
-
-
-def _get_kernels():
-    """Lazy import of :mod:`repro.autograd.kernels`, the compiled arm of the
-    image-sized kernels: loaded by the first op that records a backward
-    thunk, never by a process that only serves."""
-    global _kernels_module
-    if _kernels_module is None:
-        from repro.autograd import kernels
-
-        _kernels_module = kernels
-    return _kernels_module
-
-
 # --------------------------------------------------------------------------- #
 # The tensor-level ops of the op table (repro.autograd.ir.Op): what the tape
 # records, a replayed train step runs and a serving session binds
@@ -332,11 +317,6 @@ def _matmul_backward(arm, g, ports, xs, attrs) -> None:
         ports[1]._accumulate_fresh(_unbroadcast(gb, b.shape))
 
 
-def _relu_arm(xs, attrs, ask=True):
-    """``kernels.arm`` for relu over ``xs[0]`` (see its ``ask``)."""
-    return _get_kernels().arm("relu", xs[0].dtype, xs[0].size, ask=ask)
-
-
 def _relu(arm, xs, attrs, ports):
     """``(relu(x), x > 0)``: one compiled pass, or numpy's two."""
     data = xs[0]
@@ -351,6 +331,10 @@ def _relu_backward(arm, g, ports, mask, attrs) -> None:
     if ports[0].requires_grad:
         grad = arm and arm.backward(g, mask)
         ports[0]._accumulate_fresh(_ws_multiply(g, mask) if grad is None else grad)
+
+
+def _relu_program(p, geometry) -> None:
+    p.apply("relu", p.value)
 
 
 def _reduced(g, attrs, ndim: int):
@@ -506,16 +490,17 @@ _MUL = _ir.define_op("mul", _mul, _mul_backward, bind=_into(np.multiply))
 _DIV = _ir.define_op("div", _div, _div_backward, bind=_into(np.divide))
 _POW = _ir.define_op("pow", _pow, _pow_backward)
 _MATMUL = _ir.define_op("matmul", _matmul, _matmul_backward)
-_RELU = _ir.define_op("relu", _relu, _relu_backward, _relu_arm,
-                      _into(lambda x, out: np.maximum(x, 0.0, out=out)))
+_RELU = _ir.define_op("relu", _relu, _relu_backward,
+                      _into(lambda x, out: np.maximum(x, 0.0, out=out)),
+                      _ir.Stage(_ir.EPILOGUE, _relu_program, lambda xs, attrs: (xs[0].size,)))
 _SUM = _ir.define_op("sum", _sum, _sum_backward, bind=_reduce_bind(np.ndarray.sum))
 _MAX = _ir.define_op("max", _max, _max_backward, bind=_reduce_bind(np.ndarray.max))
 _RESHAPE = _ir.define_op("reshape", _reshape, _reshape_backward,
-                         bind=_view_bind(np.ndarray.reshape, "shape"))
+                         _view_bind(np.ndarray.reshape, "shape"), _ir.Stage(_ir.LAYOUT))
 _TRANSPOSE = _ir.define_op("transpose", _transpose, _transpose_backward,
                            bind=_view_bind(np.ndarray.transpose, "axes"))
 _GETITEM = _ir.define_op("getitem", _getitem, _getitem_backward)
-_CONCAT = _ir.define_op("concat", _concat, _concat_backward, bind=_concat_bind)
+_CONCAT = _ir.define_op("concat", _concat, _concat_backward, _concat_bind, _ir.Stage(_ir.SINK))
 _STACK = _ir.define_op("stack", _stack, _stack_backward)
 _PAD2D = _ir.define_op("pad2d", _pad2d, _pad2d_backward)
 _CLONE = _ir.define_op("clone", _clone, _clone_backward)
@@ -791,7 +776,7 @@ class Tensor:
         if not (_GRAD_ENABLED and self.requires_grad):
             return self._make(_ws_relu(self.data), (self,), "relu", None)
         xs, parents = (self.data,), (self,)
-        arm = _relu_arm(xs, None)
+        arm = _RELU.arm(xs, None)
         result, mask = _RELU.forward(arm, xs, None, parents)
         return self._make(result, parents, "relu", _RELU.thunk(arm, parents, mask, None),
                           attrs={"mask": mask})

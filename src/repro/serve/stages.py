@@ -42,48 +42,34 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.autograd import ir
 from repro.autograd.ir import Fallback
 from repro.codegen import jit
-from repro.codegen.cstage import operand_strides
 
 __all__ = ["SessionPlan"]
 
 _FLOATS = ("float32", "float64")
 
 
-class _Group:
-    """One compiled step: optional gather, optional GEMM, one map stage."""
+class _Group(ir.Program):
+    """One compiled step: optional gather, optional GEMM, one map stage —
+    the program over the head's output shape; an operand's ref is
+    ``"gemm"``, a tensor or an array."""
 
     def __init__(self, index: int, node) -> None:
+        out = node.out.data
+        super().__init__(out.shape)
         self.members = [index]
         self.ops = [node.op]
         self.tail = node          # last member: its output is the group's
         self.buffer_node = node   # last member owning a numpy-step buffer
-        self.operands: list = []  # (ref, strides); ref: "gemm" | Tensor | ndarray
-        self.program: list = []   # (op, srcs); srcs: ("in", k) | ("op", i)
-        self.value = None         # the running value, as a src
-        self.n = 0
-        self.dims: tuple = ()     # logical extents behind the leading n
-        self.out_dims: tuple = () # the same, after the pool
-        self.dtype = ""
-        self.pool = None          # (kh, kw, sh, sw, ph, pw)
+        self.n, self.dims = out.shape[0], out.shape[1:]  # the batch, the extents behind it
+        self.out_dims = self.dims # the same, after the pool
+        self.dtype = str(out.dtype)
         self.closed = False       # after a reshape only a concat may follow
         self.conv = None          # (x tensor, gather geometry, patch matrix)
         self.matmul = None        # (w getter, x getter, conv rows, GEMM output, patch matrix)
         self.redirect = None      # (concat node, element offset) when absorbed
-
-    def operand(self, ref, shape, activation: bool = False):
-        strides = operand_strides(shape, (self.n,) + self.dims, activation)
-        for k, (have, have_strides) in enumerate(self.operands):
-            if have is ref and have_strides == strides:
-                return ("in", k)
-        self.operands.append((ref, strides))
-        return ("in", len(self.operands) - 1)
-
-    def apply(self, op: str, *srcs):
-        self.program.append((op, srcs))
-        self.value = ("op", len(self.program) - 1)
-        return self.value
 
 
 class SessionPlan:
@@ -91,7 +77,7 @@ class SessionPlan:
 
     def __init__(self, session, nodes, slot_of, gemm: bool = True) -> None:
         self._session = session
-        self._gemm = gemm  # False: only ``region`` steps start a group
+        self._gemm = gemm  # False: only elementwise steps (regions) start a group
         self._slot_of = slot_of
         self._nodes = nodes
         self._bound = [step for step, _, _ in session._bound]
@@ -114,7 +100,8 @@ class SessionPlan:
                 continue
             group = self._start(j, node)
             if group is None:
-                if node.op == "region" and not self._bound[j].region.is_elementwise:
+                part = ir.OPS[node.op].stage.part
+                if part == ir.ELEMENTWISE and not self._bound[j].region.is_elementwise:
                     self.jobs.append(j)
                 continue
             self._extend(group)
@@ -143,46 +130,42 @@ class SessionPlan:
     def _is_activation(self, t) -> bool:
         return id(t) in self._slot_of
 
+    @staticmethod
+    def _stage(node):
+        """The description of a node's op and its train geometry (or ``None``)."""
+        stage = ir.OPS[node.op].stage
+        if stage.geometry is None:
+            return stage, None
+        return stage, stage.geometry([t.data for t in node.inputs], node.attrs)[1:]
+
     def _start(self, j: int, node) -> Optional[_Group]:
-        op = node.op
+        stage, geometry = self._stage(node)
+        part = stage.part
+        if part != ir.ELEMENTWISE and (part != ir.HEAD or not self._gemm):
+            return None
         out = node.out.data
         dtype = str(out.dtype)
-        if dtype not in _FLOATS or out.ndim < 1 or not (self._gemm or op == "region"):
+        if dtype not in _FLOATS or out.ndim < 1:
             return None
         if any(str(t.data.dtype) != dtype for t in node.inputs):
             return None
         group = _Group(j, node)
-        group.dtype, group.n = dtype, out.shape[0]
-        group.dims = group.out_dims = out.shape[1:]
-        session = self._session
-        getters = [session._getter_for(t, self._slot_of) for t in node.inputs]
-        if op == "conv2d":
-            x, w = node.inputs[0], node.inputs[1]
+        if part == ir.ELEMENTWISE:
+            return group if self._splice_region(group, j, node, None) else None
+        step = self._bound[j]
+        if getattr(step, "generic", False):
+            return None  # a batched linear
+        getter = partial(self._session._getter_for, slot_of=self._slot_of)
+        x, w = node.inputs[:2]
+        if hasattr(step, "patches"):  # a conv: its input gathered into a patch matrix
             if not self._is_activation(x):
                 return None
-            oc, _, kh, kw = w.data.shape
-            (sh, sw), (ph, pw) = node.attrs["stride"], node.attrs["padding"]
-            cols, gemm = self._bound[j].patches
-            group.conv = (x, x.data.shape[1:] + (kh, kw, sh, sw, ph, pw), cols)
-            group.matmul = (getters[1], None, oc, gemm, cols)
-            size = out.shape[2] * out.shape[3]
-            group.operands.append(("gemm", (size, ("n", size), out.shape[3], 1)))
-            group.value = ("in", 0)
-            bias = node.inputs[2] if len(node.inputs) == 3 else None
-        elif op == "linear" and node.inputs[0].data.ndim == 2:
-            group.matmul = (getters[1], getters[0], None, self._bound[j].out, None)
-            group.operands.append(("gemm", (out.shape[1], 1)))
-            group.value = ("in", 0)
-            bias = node.inputs[2] if len(node.inputs) == 3 else None
-        elif op == "region":
-            return group if self._splice_region(group, j, node, None) else None
+            cols, gemm = step.patches
+            group.conv = (x, geometry[:9], cols)
+            group.matmul = (getter(w), None, len(w.data), gemm, cols)
         else:
-            return None
-        if bias is not None:
-            if bias.data.shape != (group.dims[0],):
-                return None
-            shape = (group.dims[0],) + (1,) * (len(group.dims) - 1)
-            group.apply("add", group.value, group.operand(bias, shape))
+            group.matmul = (getter(w), getter(x), None, step.out, None)
+        stage.program(group, geometry, "gemm", *node.inputs[2:])
         return group
 
     def _extend(self, group: _Group) -> None:
@@ -202,43 +185,29 @@ class SessionPlan:
                 group.buffer_node = nodes[k]
 
     def _absorb(self, group: _Group, index: int, node, t) -> bool:
-        op, attrs = node.op, node.attrs or {}
+        stage, geometry = self._stage(node)
         out = node.out.data
         if group.closed or str(out.dtype) != group.dtype:
             return False
-        if op == "reshape" and node.inputs[0] is t:
+        if stage.part == ir.LAYOUT and node.inputs[0] is t:
             if out.ndim < 1 or out.shape[0] != group.n:
                 return False
             group.closed = True
             return True
         if group.pool is not None:
             return False  # nothing but a reshape (and a concat) reads a pooled value
-        if op == "relu":
-            group.apply("relu", group.value)
-            return True
-        if op == "batch_norm" and node.inputs[0] is t:
-            if attrs["use_batch_stats"] or str(attrs["mean"].dtype) != group.dtype:
-                return False
-            if any(str(p.data.dtype) != group.dtype for p in node.inputs[1:]):
-                return False
-            bshape = tuple(attrs["bshape"])
-            stats = [np.ascontiguousarray(attrs[key].reshape(bshape))
-                     for key in ("mean", "inv_std")]
-            group.apply("sub", group.value, group.operand(stats[0], bshape))
-            group.apply("mul", group.value, group.operand(stats[1], bshape))
-            affine = list(node.inputs[1:])
-            if attrs["has_weight"]:
-                group.apply("mul", group.value, group.operand(affine.pop(0), bshape))
-            if attrs["has_bias"]:
-                group.apply("add", group.value, group.operand(affine.pop(0), bshape))
-            return True
-        if op == "max_pool2d" and len(group.dims) == 3:
-            group.pool = tuple(attrs["kernel_size"]) + tuple(attrs["stride"]) + tuple(attrs["padding"])
-            group.out_dims = out.shape[1:]
-            return True
-        if op == "region":
+        if stage.part == ir.ELEMENTWISE:
             return self._splice_region(group, index, node, t)
-        return False
+        step = self._bound[index]
+        if stage.part != ir.EPILOGUE or node.inputs[0] is not t or getattr(step, "generic", False):
+            return False  # (a batch-norm over its batch's statistics is generic)
+        refs = getattr(step, "consts", ()) + node.inputs[1:]
+        if any(str(ref.dtype if isinstance(ref, np.ndarray) else ref.data.dtype) != group.dtype
+               for ref in refs):
+            return False
+        stage.program(group, geometry, *refs)
+        group.out_dims = out.shape[1:]
+        return True
 
     def _splice_region(self, group: _Group, index: int, node, t) -> bool:
         """Append an elementwise region's program (``t``: the running value
@@ -300,7 +269,7 @@ class SessionPlan:
         every sample's row."""
         by_tail = {id(g.tail.out): g for g in self.groups}
         for j, node in enumerate(self._nodes):
-            if node.op != "concat" or node.out.data.ndim < 2:
+            if ir.OPS[node.op].stage.part != ir.SINK or node.out.data.ndim < 2:
                 continue
             if node.attrs["axis"] % node.out.data.ndim != 1:
                 continue
@@ -314,7 +283,7 @@ class SessionPlan:
                 offset += int(np.prod(t.data.shape[1:], dtype=np.int64))
             last = max(producers, key=lambda g: g.members[-1])
             last.members.append(j)
-            last.ops.append("concat")
+            last.ops.append(node.op)
             self._absorbed.add(j)
 
     # ------------------------------------------------------------------ #
@@ -357,7 +326,6 @@ class SessionPlan:
                 stages.append(("gather", g.dtype, row(x), row(cols)) + geometry)
             else:
                 g.gather = None
-            dims = g.dims
             if g.redirect is not None:
                 concat, offset = g.redirect
                 slot = slot_of[id(concat.out)]
@@ -370,16 +338,12 @@ class SessionPlan:
                 stride, offset = int(np.prod(g.out_dims, dtype=np.int64)), 0
                 g.publish = (slot, dst.reshape(g.tail.out.data.shape))
             fixed[slot] = dst
-            n_in = len(g.operands)
-            number = lambda s: s[1] if s[0] == "in" else n_in + s[1]
             inputs = tuple(
                 (row(g.matmul[3] if isinstance(ref, str) else ref), strides)
                 for ref, strides in g.operands
             )
-            ops = tuple((op, tuple(number(s) for s in srcs)) for op, srcs in g.program)
             g.map = len(stages)
-            stages.append(("map", g.dtype, dims, inputs, ops, g.pool,
-                           row(dst), stride, offset))
+            stages.append(g.stage(g.dtype, inputs, row(dst), stride, offset))
         self.signature = ("stages", tuple(stages))
         self._entries = entries
         #: The shape each by-reference tensor was rendered for, by table row.

@@ -1,8 +1,11 @@
 """Graph-IR tests: node records, capture, topological order, replay, the op
 table."""
 
+import ast
 import inspect
 import itertools
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +296,26 @@ def test_every_table_op_has_a_gradient_check(monkeypatch):
     assert differentiable == set(ir.OPS) - {"detach", "region"}
     missing = sorted(differentiable - checked)
     assert not missing, f"table ops without a check_gradients case: {missing}"
+
+
+def test_the_stage_planners_read_descriptions_not_op_names():
+    # Which op becomes which stage is the op table's to say (``ir.Stage``):
+    # the planners name no table op but in cstage's own vocabulary — the
+    # region program's ops, its ``pos``, the stage kinds.
+    import repro.autograd.fusion  # noqa: F401  (the region entry)
+    from repro.codegen import REGION_OPS, REGION_STRUCTURED_OPS, cstage
+
+    vocabulary = {*REGION_OPS, *REGION_STRUCTURED_OPS, "pos", *cstage._RENDER}
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    found = []
+    for path in (src / "serve" / "stages.py", src / "autograd" / "kernels.py"):
+        with tokenize.open(path) as source:
+            for token in tokenize.generate_tokens(source.readline):
+                if token.type != tokenize.STRING:
+                    continue
+                if "f" in token.string[:token.string.index(token.string[-1])].lower():
+                    continue  # an f-string's parts are not literals
+                value = ast.literal_eval(token.string)
+                if value in ir.OPS and value not in vocabulary:
+                    found.append(f"{path.name}:{token.start[0]}: {value!r}")
+    assert not found, "\n".join(found)

@@ -63,7 +63,7 @@ def gradients(dtype, size, steps, seed=0):
 
 
 def update_arm(rule, dtype, size=1):
-    return kernels.arm("update", dtype, size, *make(rule, [Parameter(np.ones(1), dtype)]).flags())
+    return kernels.arm(kernels.UPDATE, dtype, size, *make(rule, [Parameter(np.ones(1), dtype)]).flags())
 
 
 @pytest.fixture(scope="module")

@@ -252,7 +252,7 @@ def test_saved_patch_matrix_and_frozen_filter(adopted):
     xd = draw(rng, (3, case["c"], case["h"], case["w"]), F32, 0.3)
     wd = draw(rng, (case["o"], case["c"]) + case["k"], F32, 0.0)
     bd = draw(rng, (case["o"],), F32, 0.0)
-    arm = kernels.arm("conv2d", F32, 3, case["c"], case["h"], case["w"], *case["k"],
+    arm = kernels.arm(F._CONV2D, F32, 3, case["c"], case["h"], case["w"], *case["k"],
                       *case["s"], *case["p"], case["o"], True)
     assert isinstance(arm, kernels.Conv2d)
     with np.errstate(all="ignore"):

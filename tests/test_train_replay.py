@@ -237,6 +237,44 @@ def test_explain_names_each_captured_op_and_its_arm():
             "conv2d", "batch_norm", "relu", "max_pool2d", "adam_update") else None)
 
 
+@compiling
+@pytest.mark.parametrize("cc, arm, reason", [
+    (None, "compiled", None), ("exits_nonzero", "numpy", "fallback")])
+def test_the_update_row_reads_pending_until_its_stage_is_built_or_has_failed(
+        tmp_path, monkeypatch, cc, arm, reason):
+    # The capture sights the optimizer's stage and the replay's first step
+    # asks for it: pending while the compile thread builds it, then compiled
+    # — or numpy for good, ``fallback``, when the compiler fails.
+    from repro.autograd import kernels
+    from repro.codegen import jit
+
+    from test_compile_thread import _fake_cc
+
+    if cc is not None:
+        _fake_cc(tmp_path, monkeypatch, cc)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    monkeypatch.setattr(jit, "_cc_cache", None)
+    monkeypatch.setattr(kernels, "_ARMS", {})
+    monkeypatch.setattr(kernels, "_COUNTED", set())
+    jit.clear_kernel_memo()
+    try:
+        model, opt, batches = build()
+        for i in range(4):
+            if i == 3:
+                assert wait_for_compiles(300)  # the ops' stages: the capture waits for them
+            model.train_step(opt, *batches[i % 4])
+        reasons = [tbnet.train_replay(model).explain()[-1]]
+        assert wait_for_compiles(300)
+        model.train_step(opt, *batches[0])
+        reasons.append(tbnet.train_replay(model).explain()[-1])
+        assert reasons == [
+            {"step": 20, "ops": ["adam_update"], "arm": "numpy", "reason": "pending"},
+            {"step": 20, "ops": ["adam_update"], "arm": arm, "reason": reason}]
+    finally:
+        wait_for_compiles(120)
+        jit.clear_kernel_memo()
+
+
 def test_a_collected_model_frees_its_replay():
     model, opt, batches = build()
     for i in range(4):
