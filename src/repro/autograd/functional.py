@@ -20,9 +20,11 @@ of the arithmetic, so where a buffer comes from changes no byte.
 All public ops accept :class:`~repro.autograd.tensor.Tensor` (or anything
 coercible to one), record themselves on the tape and return a ``Tensor``.
 Each is an entry of the op table (:class:`repro.autograd.ir.Op`): the
-forward, the backward over the forward's saved context, the compiled-arm
-lookup and the serving bind are written once here, and the public function
-validates its arguments and records its call through the entry.
+forward, the backward over the forward's saved context, the serving bind
+and the stage description — the op's part in a compiled group, its
+epilogue as program pieces, its train arm's geometry — are written once
+here, and the public function validates its arguments and records its call
+through the entry.
 
 What a window node retains for backward: ``conv2d`` keeps its patch matrix
 (``kh·kw`` times the input, until backward runs; the padded copy is dropped)

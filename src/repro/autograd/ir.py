@@ -23,10 +23,12 @@ Three pieces live here:
   (``backward_only=False``, the replay/fusion path).
 - **The op table.** :data:`OPS` holds one :class:`Op` per op the tape
   records — its forward, its backward over the forward's saved context, its
-  compiled-arm lookup and its inference bind — defined next to the kernels
-  (:func:`define_op`).  The tape op records its call through the entry,
-  :mod:`repro.autograd.replay` runs the same entry and :mod:`repro.serve`
-  binds it, so each op is written once for every executor.
+  inference bind and its stage description (:class:`Stage`: its part in a
+  compiled group, its epilogue as :class:`Program` pieces, its train arm's
+  geometry) — defined next to the kernels (:func:`define_op`).  The tape op
+  records its call through the entry, :mod:`repro.autograd.replay` runs the
+  same entry, :mod:`repro.serve` binds it and both stage planners read its
+  description, so each op is written once for every executor.
 
 Lifetime: ``backward(retain_graph=False)`` *frees* the visited nodes — the
 backward thunk is swapped for a raising sentinel and ``inputs`` / ``attrs`` /

@@ -2,32 +2,30 @@
 
 A train step is mostly numpy passes over activations: strided footprint
 loops with inner runs of 8-16 elements, batch-norm and relu chains that
-stream every activation a dozen times.  ``conv2d`` / ``max_pool2d`` /
-``batch_norm`` / ``relu`` therefore ask here — **only where a backward thunk
-is being built or run** — for C loop stages of their shape: described as a
-``("stages", ...)`` signature, rendered by :mod:`repro.codegen.cstage`,
-built by :mod:`repro.codegen.jit`'s compile thread.  :func:`arm` never waits
-for a compiler; until a library is adopted, when codegen is off, and for
-whatever the stages do not cover, it returns ``None`` and the caller runs
-its numpy body, which stays the reference.  A process that never records a
-tape (serving, ``no_grad`` inference) never imports this module.
+stream every activation a dozen times.  An op whose stage description
+(:class:`repro.autograd.ir.Stage`) keys a train geometry — ``conv2d`` /
+``max_pool2d`` / ``batch_norm`` / ``relu`` — therefore asks here through
+:meth:`repro.autograd.ir.Op.arm`, **only where a backward thunk is being
+built or run**, for C loop stages of its shape: a ``("stages", ...)``
+signature, rendered by :mod:`repro.codegen.cstage`, built by
+:mod:`repro.codegen.jit`'s compile thread.  The forward stages are the
+description's program pieces — the ones eval serving plans from
+(:mod:`repro.serve.stages`) — and nothing here names an op.  :func:`arm`
+never waits for a compiler; until a library is adopted, when codegen is
+off, and for whatever the stages do not cover, it returns ``None`` and the
+caller runs its numpy body, which stays the reference.  A process that
+never records a tape (serving, ``no_grad`` inference) never imports this
+module.
 
-What is compiled: the window gather / scatter-add and the GEMM epilogue of
-``conv2d`` and its gradient transpose, which also sums the bias gradient;
-max-pool's running maximum and its first-winner gradient routing (per window
-where windows neither overlap nor pad); train-mode ``batch_norm``'s mean and
-variance in one call, ``xhat`` and the output in one pass, the backward's
-four per-channel sums (``dbeta``, ``dgamma`` and the two means of the
-adjoint) with ``dxhat`` in one pass, its final combination; relu's value +
-mask and masked gradient; and, for a replayed step
-(:mod:`repro.autograd.replay`), the optimizer's whole-model update
-(:class:`Update`).  Every GEMM is the numpy call it was.  Each stage applies
-numpy's operations in numpy's order to every element, and sums per channel
-in numpy's order — every ``(sample, channel)`` block's pairwise sum added
-onto ``+0.0`` in sample order (:mod:`repro.codegen.cstage`), which holds for
-more than one channel: a one-channel batch-norm stays numpy (``geometry``).
-So both arms produce **the same bytes**, and a run may switch between them
-at any step.
+What is compiled, per op, is in its :class:`Arm`'s ``stages`` — and, for a
+replayed step (:mod:`repro.autograd.replay`), the optimizer's whole-model
+update (:class:`Update`).  Every GEMM is the numpy call it was.  Each stage
+applies numpy's operations in numpy's order to every element, and sums per
+channel in numpy's order — every ``(sample, channel)`` block's pairwise sum
+added onto ``+0.0`` in sample order (:mod:`repro.codegen.cstage`), which
+holds for more than one channel: a one-channel batch-norm stays numpy
+(``geometry``).  So both arms produce **the same bytes**, and a run may
+switch between them at any step.
 
 **The NaN rule.**  *Which* elements are NaN is identical on both arms; the
 sign and payload of a NaN produced from two NaN operands is unspecified
@@ -62,9 +60,9 @@ __all__ = ["UPDATE", "arm", "refused"]
 #: The most bytes one stage may keep on the C stack (a padded plane).
 _STACK = 256 * 1024
 
-#: key — ``(op name, dtype, *geometry)`` — -> :class:`Arm` | ``None`` (numpy,
-#: for good) | ``(Pending, signature)``, the pending ``None`` between a
-#: geometry's first sight and its second.
+#: ``(op name, dtype, *geometry)`` -> :class:`Arm` | ``None`` (numpy, for good)
+#: | ``(Pending, signature)``, the pending ``None`` between a geometry's first
+#: sight and its second.
 _ARMS: dict = {}
 _ASK = object()
 #: What :func:`arm` answers a capture (``ask=None``) while a geometry is unsettled.
@@ -85,12 +83,11 @@ class Arm:
 
     A subclass per op (``op``, its entry): ``stages`` describes them to
     ``cstage`` (every extent but the batch a literal; a ``str`` instead names
-    why numpy keeps this geometry) — a forward stage from the program pieces
-    of the op's description, which serving plans from too — and the methods
-    are the compiled bodies.  Each mirrors a numpy
-    body of ``autograd.functional`` / ``autograd.tensor`` buffer for buffer —
-    results come from ``workspace.empty`` — and returns ``None`` when that
-    body has to run instead.
+    why numpy keeps this geometry) and the methods are the compiled bodies.
+    Each mirrors a numpy body of ``autograd.functional`` /
+    ``autograd.tensor`` buffer for buffer — results come from
+    ``workspace.empty`` — and returns ``None`` when that body has to run
+    instead.
     """
 
     __slots__ = ("key", "library")
@@ -132,15 +129,10 @@ class Arm:
         return True
 
 
-def _key(op: ir.Op, dtype, geometry: tuple) -> tuple:
-    return (op.name, dtype) + geometry
-
-
 def refused(op: ir.Op, dtype, n: int, *geometry) -> bool:
     """Whether :func:`arm` (same arguments) answers numpy for good: the
-    geometry was refused or its build failed — not yet asked for, or being
-    built, is not refused."""
-    return _ARMS.get(_key(op, dtype, geometry), ()) is None
+    geometry was refused or its build failed, not just unsettled."""
+    return _ARMS.get((op.name, dtype) + geometry, ()) is None
 
 
 def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
@@ -157,7 +149,7 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
     :data:`PENDING` instead of ``None`` while the answer may still change."""
     if not n:
         return None
-    key = _key(op, dtype, geometry)
+    key = (op.name, dtype) + geometry
     # What an adopted arm costs per call is the budget of a small batch: the
     # scoped override is one attribute read, ``REPRO_CODEGEN`` (a microsecond
     # of ``os.environ``) is read while asking — as sessions and region

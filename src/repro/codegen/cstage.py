@@ -1,10 +1,11 @@
 """Render compiled loop stages to one C translation unit.
 
-:mod:`repro.serve.session` plans the work that surrounds a trace's GEMMs
+:mod:`repro.serve.stages` plans the work that surrounds a session's GEMMs
 into *stages*, :mod:`repro.autograd.kernels` does so for the tape's
-image-sized kernels, forward and backward, and
-:meth:`repro.codegen.region.RegionIR.lower` for a fused region; each
-describes them as one hashable signature::
+image-sized kernels, forward and backward — both from the ops' stage
+descriptions (:class:`repro.autograd.ir.Stage`), whose ``map`` program
+pieces they share — and :meth:`repro.codegen.region.RegionIR.lower` for a
+fused region; each describes them as one hashable signature::
 
     ("stages", (stage, stage, ...))
 

@@ -1,27 +1,28 @@
 """Plan the work around a trace's GEMMs into compiled loop stages.
 
 :class:`SessionPlan` groups maximal single-consumer runs of a session's
-steps — by op sequence, never by model class — into *groups* that replay as
-one step each:
+steps into *groups* that replay as one step each, from the stage
+description of each step's op (:class:`repro.autograd.ir.Stage`) — never
+from an op's name, and never by model class:
 
-- a **gather** stage for ``conv2d``'s padding + footprint copy into the
-  patch matrix,
-- the host-BLAS ``np.matmul(..., out=)`` exactly as the numpy steps
-  issue it (same operand layouts → same BLAS call → same bits),
-- a **GEMM epilogue** stage: the transpose + bias add, then any eval
-  ``batch_norm``, ``relu``, elementwise ``region`` and ``max_pool2d`` that
-  follow, written directly in the layout the next
-  consumer reads — NCHW, the flattened row of an absorbed ``reshape``, or
-  a column slice of an absorbed ``concat``'s buffer.
+- a **gather** stage for a head whose step gathers a patch matrix (a conv's
+  padding + footprint copy),
+- the host-BLAS ``np.matmul(..., out=)`` exactly as the numpy steps issue
+  it (same operand layouts → same BLAS call → same bits),
+- one **map** stage: the head's epilogue (the bias add), then the program
+  pieces of every epilogue that follows (eval batch-norm, relu, max-pool,
+  an elementwise region), written directly in the layout the next consumer
+  reads — NCHW, the flattened row of a closing layout op (a reshape), or a
+  column slice of an axis-1 sink's (a concat's) buffer.
 
-An elementwise ``region`` with no GEMM in front is an epilogue over its
-own operands (a ``linear`` head inside a region is the GEMM).  Everything
-else stays the numpy step it is — an elementwise region the stages cannot
+An elementwise region with no GEMM in front is an epilogue over its own
+operands (a ``linear`` head inside a region is the GEMM).  Everything else
+stays the numpy step it is — an elementwise region the stages cannot
 express (non-float or mixed dtypes, a 0-d output) runs ``region.interpret``
-— except a *structured* region (reduction tails), which runs its own
-stage plan (:meth:`~repro.codegen.region.RegionIR.lower`) through
-:func:`repro.codegen.compile_region`, queued on the same compile thread
-and built in the same compiler run.
+— except a *structured* region (reduction tails), which runs its own stage
+plan (:meth:`~repro.codegen.region.RegionIR.lower`) through
+:func:`repro.codegen.compile_region`, queued on the same compile thread and
+built in the same compiler run.
 
 The plan is described to :mod:`repro.codegen.cstage` as one hashable
 signature with the batch as a runtime argument, so every bucket of a pool,
@@ -29,10 +30,9 @@ every worker thread and every worker process share one compile.  Stages
 are called through a pointer table: session-owned buffers are bound once,
 by-reference parameters are re-bound when ``tensor.data`` changes identity
 (``load_state_dict``, optimizer steps and ``publish_weights`` keep working
-without recompiling) and raw inputs are bound per call.
-
-The compiled arm reuses the numpy steps' own buffers (patch matrix, GEMM
-output, step outputs), so adopting it allocates nothing but the table.
+without recompiling) and raw inputs are bound per call.  The compiled arm
+reuses the numpy steps' own buffers (patch matrix, GEMM output, step
+outputs), so adopting it allocates nothing but the table.
 """
 
 from __future__ import annotations
