@@ -282,12 +282,10 @@ class Program:
     program (a train arm's) strides a channel vector even for one channel."""
 
     def __init__(self, against, literal: bool = False) -> None:
-        self.against = tuple(against)
-        self.literal = literal
+        self.against, self.literal = tuple(against), literal
         self.operands: list = []
         self.program: list = []
-        self.value = None
-        self.pool = None
+        self.value = self.pool = None
 
     def input(self, ref, strides):
         for k, (have, have_strides) in enumerate(self.operands):
@@ -314,9 +312,11 @@ class Program:
     def number(self, src) -> int:
         return src[1] if src[0] == "in" else len(self.operands) + src[1]
 
-    def stage(self, dtype: str, inputs, dst, size: int, offset: int = 0) -> tuple:
-        """The ``map`` stage of the program, its operands bound as ``inputs``."""
+    def stage(self, dtype: str, dst, size: int, offset: int = 0, inputs=None) -> tuple:
+        """The ``map`` stage of the program, its operands bound as ``inputs``
+        (by default as they are: table rows)."""
         ops = tuple((op, tuple(map(self.number, srcs))) for op, srcs in self.program)
+        inputs = tuple(self.operands) if inputs is None else inputs
         return ("map", dtype, self.against[1:], inputs, ops, self.pool, dst, size, offset)
 
 

@@ -205,7 +205,7 @@ class Conv2d(Arm):
         F._conv2d_program(epilogue, geometry, *range(1 + bias))  # the GEMM's row 0, the bias 1
         return (
             ("gather", dtype, 0, 1) + geometry[:9],
-            epilogue.stage(dtype, tuple(epilogue.operands), 1 + bias, out_c * oh * ow),
+            epilogue.stage(dtype, 1 + bias, out_c * oh * ow),
             ("transpose", dtype, 0, 1, out_c, oh * ow) + ((2,) if bias else ()),
             ("scatter", dtype, 0, 1) + geometry[:9],
         )
@@ -258,7 +258,7 @@ class MaxPool2d(Arm):
         window.value = window.input(0, (c * h * w, h * w, w, 1))
         F._max_pool2d_program(window, geometry)
         return (
-            window.stage(dtype, tuple(window.operands), 1, c * oh * ow),
+            window.stage(dtype, 1, c * oh * ow),
             ("route", dtype, 0, 1, 2, 3) + geometry,
         )
 
@@ -300,7 +300,7 @@ class BatchNorm(Arm):
         program.value = program.input(0, x)
         xhat = F._batch_norm_program(program, (c, size, gamma, beta), *range(1, 3 + gamma + beta))
         k, out = len(program.operands), program.value
-        normalize = program.stage(dtype, tuple(program.operands), (
+        normalize = program.stage(dtype, (
             (k, program.number(xhat), None), (k + 1, program.number(out), None)), c * size)
         # sum(g), sum(g * xhat), mean(dxhat), mean(dxhat * xhat); dxhat is
         # g * gamma, written out, or g itself.
@@ -371,7 +371,7 @@ class Relu(Arm):
         tensor._relu_program(forward, ())
         forward.apply("pos", x)  # and the mask
         return (
-            forward.stage(dtype, tuple(forward.operands), ((1, 1, None), (2, 2, mask)), 1),
+            forward.stage(dtype, ((1, 1, None), (2, 2, mask)), 1),
             ("map", dtype, (), ((0, flat), (1, flat, mask)), (("mul", (0, 1)),), None, 2, 1, 0),
         )
 

@@ -63,8 +63,7 @@ class _Group(ir.Program):
         self.ops = [node.op]
         self.tail = node          # last member: its output is the group's
         self.buffer_node = node   # last member owning a numpy-step buffer
-        self.n, self.dims = out.shape[0], out.shape[1:]  # the batch, the extents behind it
-        self.out_dims = self.dims # the same, after the pool
+        self.n = out.shape[0]
         self.dtype = str(out.dtype)
         self.closed = False       # after a reshape only a concat may follow
         self.conv = None          # (x tensor, gather geometry, patch matrix)
@@ -131,15 +130,15 @@ class SessionPlan:
         return id(t) in self._slot_of
 
     @staticmethod
-    def _stage(node):
-        """The description of a node's op and its train geometry (or ``None``)."""
-        stage = ir.OPS[node.op].stage
+    def _geometry(node, stage):
+        """The geometry a node's op keys its train arm by, which its program
+        reads (``None``: the op has no train arm)."""
         if stage.geometry is None:
-            return stage, None
-        return stage, stage.geometry([t.data for t in node.inputs], node.attrs)[1:]
+            return None
+        return stage.geometry([t.data for t in node.inputs], node.attrs)[1:]
 
     def _start(self, j: int, node) -> Optional[_Group]:
-        stage, geometry = self._stage(node)
+        stage = ir.OPS[node.op].stage
         part = stage.part
         if part != ir.ELEMENTWISE and (part != ir.HEAD or not self._gemm):
             return None
@@ -157,6 +156,7 @@ class SessionPlan:
             return None  # a batched linear
         getter = partial(self._session._getter_for, slot_of=self._slot_of)
         x, w = node.inputs[:2]
+        geometry = self._geometry(node, stage)
         if hasattr(step, "patches"):  # a conv: its input gathered into a patch matrix
             if not self._is_activation(x):
                 return None
@@ -185,7 +185,7 @@ class SessionPlan:
                 group.buffer_node = nodes[k]
 
     def _absorb(self, group: _Group, index: int, node, t) -> bool:
-        stage, geometry = self._stage(node)
+        stage = ir.OPS[node.op].stage
         out = node.out.data
         if group.closed or str(out.dtype) != group.dtype:
             return False
@@ -205,15 +205,14 @@ class SessionPlan:
         if any(str(ref.dtype if isinstance(ref, np.ndarray) else ref.data.dtype) != group.dtype
                for ref in refs):
             return False
-        stage.program(group, geometry, *refs)
-        group.out_dims = out.shape[1:]
+        stage.program(group, self._geometry(node, stage), *refs)
         return True
 
     def _splice_region(self, group: _Group, index: int, node, t) -> bool:
         """Append an elementwise region's program (``t``: the running value
         among its inputs); a standalone region may lead with a ``linear``."""
         region = self._bound[index].region
-        if region.out_shape != (group.n,) + group.dims:
+        if region.out_shape != group.against:
             return False
         ops = region.ops
         head = t is None and ops[0][0] == "linear"
@@ -335,7 +334,7 @@ class SessionPlan:
             else:
                 slot = slot_of[id(g.tail.out)]
                 dst = bufs[slot_of[id(g.buffer_node.out)]]
-                stride, offset = int(np.prod(g.out_dims, dtype=np.int64)), 0
+                stride, offset = int(np.prod(g.tail.out.data.shape[1:], dtype=np.int64)), 0
                 g.publish = (slot, dst.reshape(g.tail.out.data.shape))
             fixed[slot] = dst
             inputs = tuple(
@@ -343,7 +342,7 @@ class SessionPlan:
                 for ref, strides in g.operands
             )
             g.map = len(stages)
-            stages.append(g.stage(g.dtype, inputs, row(dst), stride, offset))
+            stages.append(g.stage(g.dtype, row(dst), stride, offset, inputs))
         self.signature = ("stages", tuple(stages))
         self._entries = entries
         #: The shape each by-reference tensor was rendered for, by table row.
