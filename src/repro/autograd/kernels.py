@@ -55,7 +55,7 @@ from repro.codegen import jit
 from repro.codegen.cstage import _CTYPE
 from repro.obs import profile as _profile
 
-__all__ = ["UPDATE", "arm", "refused"]
+__all__ = ["UPDATE", "arm"]
 
 #: The most bytes one stage may keep on the C stack (a padded plane).
 _STACK = 256 * 1024
@@ -127,12 +127,6 @@ class Arm:
                 _numpy(self.key, "dtype")
                 return False
         return True
-
-
-def refused(op: ir.Op, dtype, n: int, *geometry) -> bool:
-    """Whether :func:`arm` (same arguments) answers numpy for good: the
-    geometry was refused or its build failed, not just unsettled."""
-    return _ARMS.get((op.name, dtype) + geometry, ()) is None
 
 
 def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:

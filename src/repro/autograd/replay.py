@@ -292,7 +292,9 @@ class TrainReplay:
             elif self._update is not None:
                 arm, reason = ("compiled", None) if flags == self._update.key[2:] else (arm, "flags")
             else:
-                reason = "fallback" if kernels.refused(*self._update_args) else "pending"
+                # Asked as a capture asks: ``None`` is numpy for good.
+                unsettled = kernels.arm(*self._update_args, ask=None) is not None
+                reason = "pending" if unsettled else "fallback"
             rows.append(((f"{flags[0]}_update",), arm, reason))
         return ir.explain_rows(rows)
 
