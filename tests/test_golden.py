@@ -119,7 +119,7 @@ def fingerprint() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
-    except Exception:  # older numpy: no dict mode
+    except (TypeError, KeyError):  # older numpy: no dict mode; no BLAS entry
         blas = "unknown"
     return {
         "numpy": np.__version__,
