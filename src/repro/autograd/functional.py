@@ -745,7 +745,7 @@ def _batch_norm_geometry(xs, attrs):
 
 def _batch_norm_program(p, geometry, mean, inv_std, *affine):
     """``(x - mean) * inv_std [* gamma] [+ beta]`` over the running value,
-    the output running on; returns ``xhat``'s src."""
+    which the output becomes; returns ``xhat``'s src."""
     mean, inv_std, *affine = (p.channel(ref) for ref in (mean, inv_std, *affine))
     xhat = p.apply("mul", p.apply("sub", p.value, mean), inv_std)
     if geometry[2]:
