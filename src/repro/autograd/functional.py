@@ -494,15 +494,28 @@ def _conv2d_bind(xs, attrs, out):
 def conv2d_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate conv2d's adjoints for incoming grad ``g`` (``N, O, OH, OW``)
     against the forward's patch matrix."""
+    xd, wd = ctx[:2]
+    out_c, _, kh, kw = wd.shape
+    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
+    # (O, N*OH*OW): the layout the forward GEMM produced.
+    grads = arm and arm.transpose(g, (len(xd), out_c) + _out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
+    g_t, db = grads or (_owned_copy(g.transpose(1, 0, 2, 3)).reshape(out_c, -1), None)
+    if len(ports) == 3 and ports[2].requires_grad and db is None:
+        db = g.sum(axis=(0, 2, 3))
+    _conv2d_adjoints(arm, g_t, db, ports, ctx, attrs)
+
+
+def _conv2d_adjoints(arm, g_t, db, ports, ctx, attrs) -> None:
+    """conv2d's adjoints from its output's gradient ``g_t`` in the ``(O,
+    N*OH*OW)`` layout of the forward GEMM and, for a bias taking one, the
+    bias gradient ``db``: the weight's and the input's GEMMs, then the
+    input's scatter (``arm.scatter``, or numpy's)."""
     (xd, wd, cols), x_t, w_t = ctx, ports[0], ports[1]
     out_c, _, kh, kw = wd.shape
     n, in_c, h, w = xd.shape
     (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
-    # (O, N*OH*OW): the layout the forward GEMM produced.
-    grads = arm and arm.transpose(g, (n, out_c) + _out_hw(h, w, kh, kw, sh, sw, ph, pw))
-    g_t, db = grads or (_owned_copy(g.transpose(1, 0, 2, 3)).reshape(out_c, -1), None)
     if len(ports) == 3 and ports[2].requires_grad:
-        ports[2]._accumulate_fresh(g.sum(axis=(0, 2, 3)) if db is None else db)
+        ports[2]._accumulate_fresh(db)
     if w_t.requires_grad:
         # Contract over N*OH*OW against the forward's patch matrix.
         dw = _ws_matmul(cols, g_t.T)  # (C*kh*kw, O)
@@ -779,20 +792,31 @@ def _batch_norm_forward(arm, xd, gamma, beta, running_mean, running_var, trainin
         mean = np.asarray(running_mean, dtype=xd.dtype)
         var = np.asarray(running_var, dtype=xd.dtype)
 
-    if training and running_mean is not None and running_var is not None:
-        # Unbiased variance for the running estimate (biased for
-        # normalization); m > 1 is guaranteed by batch_norm's check.
-        unbiased = var * (m / (m - 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased.astype(running_var.dtype)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
+    if training:
+        _bn_running(running_mean, running_var, mean, var, m, momentum)
+    inv_std = _bn_inv_std(var, eps)
     bshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
     normalized = arm and arm.normalize(xd, mean, inv_std, gamma, beta)
     xhat, out = normalized or _bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
     return out, xhat, mean, inv_std, use_batch_stats
+
+
+def _bn_running(running_mean, running_var, mean, var, m: int, momentum: float) -> None:
+    """A training step's update of the running statistics, when there are
+    any, from the batch's ``mean`` and biased ``var`` over ``m`` elements a
+    channel: the unbiased variance for the running estimate; ``m > 1`` is
+    guaranteed by batch_norm's check."""
+    if running_mean is None or running_var is None:
+        return
+    unbiased = var * (m / (m - 1))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.astype(running_mean.dtype)
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased.astype(running_var.dtype)
+
+
+def _bn_inv_std(var, eps: float) -> np.ndarray:
+    return 1.0 / np.sqrt(var + eps)
 
 
 def _var(x, axis=None) -> np.ndarray:
@@ -887,10 +911,7 @@ def batch_norm_backward(arm, g, ports, ctx, attrs) -> None:
             arm = _BATCH_NORM.arm((xhat,), attrs, ask=False)
         grads = arm and arm.backward(g, xhat, inv_std, gamma)
         if grads is not None:
-            if b_t is not None and b_t.requires_grad:
-                b_t._accumulate_fresh(grads[0])
-            if gamma is not None and w_t.requires_grad:
-                w_t._accumulate_fresh(grads[1])
+            _bn_affine_grads(ports, attrs, *grads[:2])
             x_t._accumulate_fresh(grads[2])
             return
     if b_t is not None and b_t.requires_grad:
@@ -914,6 +935,17 @@ def batch_norm_backward(arm, g, ports, ctx, attrs) -> None:
     dx -= t
     dx *= inv_std.reshape(bshape)
     x_t._accumulate_fresh(dx)
+
+
+def _bn_affine_grads(ports, attrs, dbeta, dgamma) -> None:
+    """Accumulate the gradients of a batch-norm node's affine terms (its
+    ``ports`` after the input's), those that take one."""
+    w_t = ports[1] if attrs["has_weight"] else None
+    b_t = ports[-1] if attrs["has_bias"] else None
+    if b_t is not None and b_t.requires_grad:
+        b_t._accumulate_fresh(dbeta)
+    if w_t is not None and w_t.requires_grad:
+        w_t._accumulate_fresh(dgamma)
 
 
 def dropout(

@@ -59,6 +59,7 @@ __all__ = [
     "Op",
     "OPS",
     "Program",
+    "Readers",
     "Stage",
     "define_op",
     "capture",
@@ -257,6 +258,36 @@ def run_steps(steps, values: list, profiler=None, names=()) -> None:
         profiler.record(name, perf() - start - profiler.take_inner())
 
 
+class Readers:
+    """Who reads each value of a node list in recording order: ``uses[id(t)]``,
+    how many node inputs name tensor ``t``, and the last node reading it.
+    :meth:`chain` is the single-consumer walk both stage planners group by —
+    a serving session's gather → GEMM → epilogue groups
+    (:class:`repro.serve.stages.SessionPlan`) and a replayed train step's
+    conv blocks (:mod:`repro.autograd.replay`)."""
+
+    def __init__(self, nodes) -> None:
+        self.nodes = nodes
+        self.uses: Dict[int, int] = {}
+        self._reader: Dict[int, int] = {}
+        for j, node in enumerate(nodes):
+            for t in node.inputs:
+                self.uses[id(t)] = self.uses.get(id(t), 0) + 1
+                self._reader[id(t)] = j
+
+    def chain(self, j: int, accept: Callable) -> Iterator[int]:
+        """The indices of the nodes after ``nodes[j]`` along single-consumer
+        edges — each the only reader of the output before it — for as long
+        as ``accept(k, node, t)`` holds (``t``: the output ``node`` reads)."""
+        t = self.nodes[j].out
+        while self.uses.get(id(t)) == 1:
+            k = self._reader[id(t)]
+            if not accept(k, self.nodes[k], t):
+                return
+            yield k
+            t = self.nodes[k].out
+
+
 def explain_rows(rows) -> List[Dict[str, object]]:
     """``explain()`` rows from ``(ops, arm, reason)`` triples: the trace ops
     a step covers, the arm that runs it and why it is not compiled."""
@@ -312,12 +343,13 @@ class Program:
     def number(self, src) -> int:
         return src[1] if src[0] == "in" else len(self.operands) + src[1]
 
-    def stage(self, dtype: str, dst, size: int, offset: int = 0, inputs=None) -> tuple:
+    def stage(self, dtype: str, dst, size, offset: int = 0, inputs=None, sums=()) -> tuple:
         """The ``map`` stage of the program, its operands bound as ``inputs``
-        (by default as they are: table rows)."""
+        (by default as they are: table rows), with per-channel ``sums``."""
         ops = tuple((op, tuple(map(self.number, srcs))) for op, srcs in self.program)
         inputs = tuple(self.operands) if inputs is None else inputs
-        return ("map", dtype, self.against[1:], inputs, ops, self.pool, dst, size, offset)
+        return ("map", dtype, self.against[1:], inputs, ops, self.pool, dst, size, offset) + (
+            (sums,) if sums else ())
 
 
 class Stage(NamedTuple):

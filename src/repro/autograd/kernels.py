@@ -18,8 +18,9 @@ never records a tape (serving, ``no_grad`` inference) never imports this
 module.
 
 What is compiled, per op, is in its :class:`Arm`'s ``stages`` — and, for a
-replayed step (:mod:`repro.autograd.replay`), the optimizer's whole-model
-update (:class:`Update`).  Every GEMM is the numpy call it was.  Each stage
+replayed step (:mod:`repro.autograd.replay`), each conv block's three
+stages from the same pieces (:class:`Block`) and the optimizer's whole-model update
+(:class:`Update`).  Every GEMM is the numpy call it was.  Each stage
 applies numpy's operations in numpy's order to every element, and sums per
 channel in numpy's order — every ``(sample, channel)`` block's pairwise sum
 added onto ``+0.0`` in sample order (:mod:`repro.codegen.cstage`), which
@@ -42,6 +43,7 @@ under ``repro_codegen_fallback_total{reason}``.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from typing import Optional, Tuple
 
@@ -55,7 +57,7 @@ from repro.codegen import jit
 from repro.codegen.cstage import _CTYPE
 from repro.obs import profile as _profile
 
-__all__ = ["UPDATE", "arm"]
+__all__ = ["BLOCK", "UPDATE", "arm"]
 
 #: The most bytes one stage may keep on the C stack (a padded plane).
 _STACK = 256 * 1024
@@ -279,16 +281,9 @@ class BatchNorm(Arm):
         if c == 1 or 2 * size * 8 > _STACK:
             return "geometry"
         x, channel = (c * size, size, 1), (0, 1, 0)
-
-        def stage(inputs, ops, dst, sums=()):
-            return ("map", dtype, (c, size), inputs, ops, None, dst, c * size, 0) + (
-                (sums,) if sums else ())
-
+        stage = _channels(dtype, c, size)
         # mean, then the mean of (x - mean)^2: functional._var's two sums.
-        var = ("passes", dtype, (
-            stage(((0, x),), (), (), ((1, 0, True),)),
-            stage(((0, x), (1, channel)), (("sub", (0, 1)), ("mul", (2, 2))), (), ((2, 3, True),)),
-        ))
+        var = ("passes", dtype, (stage(((0, x),), (), (), ((1, 0, True),)), _variance(stage, x, 0, 1, 2)))
         # xhat and the output in one pass: eval serving's program over x.
         program = ir.Program((1, c, size), literal=True)
         program.value = program.input(0, x)
@@ -305,9 +300,7 @@ class BatchNorm(Arm):
         else:
             sums = ((2, 0, False), (3, 2, False), (4, 0, True), (5, 2, True))
             bwd1 = stage(((0, x), (1, x)), (("mul", (0, 1)),), (), sums)
-        # ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) * inv_std
-        combine = (("mul", (1, 3)), ("sub", (0, 2)), ("sub", (6, 5)), ("mul", (7, 4)))
-        bwd2 = stage(((0, x), (1, x), (2, channel), (3, channel), (4, channel)), combine, 5)
+        bwd2 = stage(((0, x), (1, x), (2, channel), (3, channel), (4, channel)), _COMBINE, 5)
         return var, normalize, bwd1, bwd2
 
     def stats(self, xd):
@@ -350,6 +343,31 @@ class BatchNorm(Arm):
         return (sums[0], sums[1], dx) if ran else None
 
 
+def _channels(dtype, c: int, size: int):
+    """``stage(inputs, ops, dst, sums=(), stride=c * size)``: a ``map``
+    stage over ``(n, c, size)`` — a batch-norm's channels."""
+
+    def stage(inputs, ops, dst, sums=(), stride=c * size):
+        return ("map", dtype, (c, size), inputs, ops, None, dst, stride, 0) + (
+            (sums,) if sums else ())
+
+    return stage
+
+
+def _variance(stage, strides, x: int, mean: int, var: int) -> tuple:
+    """``functional._var``'s second sum: the mean of ``(x - mean)^2`` per
+    channel, from table rows ``x`` (of these ``strides``) and ``mean`` into
+    ``var``."""
+    inputs = ((x, strides), (mean, (0, 1, 0)))
+    return stage(inputs, (("sub", (0, 1)), ("mul", (2, 2))), (), ((var, 3, True),))
+
+
+#: Batch-norm's three-term adjoint over ``dxhat``, ``xhat``, ``mean(dxhat)``,
+#: ``mean(dxhat * xhat)``, ``inv_std``:
+#: ``((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) * inv_std`` (value 8).
+_COMBINE = (("mul", (1, 3)), ("sub", (0, 2)), ("sub", (6, 5)), ("mul", (7, 4)))
+
+
 class Relu(Arm):
     """Flat: one library per dtype, ``n`` the element count."""
 
@@ -379,6 +397,178 @@ class Relu(Arm):
             return None
         dx = workspace.empty(g.shape, g.dtype)
         return dx if self.run(1, g.size, g, mask, dx) else None
+
+
+#: A conv block of a replayed step (:class:`Block`): not a table op, asked
+#: for like one.
+BLOCK = ir.Op("block", None)
+
+
+class Block(Arm):
+    """One conv block of a replayed train step: a conv2d, the train-mode
+    batch_norm reading its output, the relu reading that and the max_pool2d
+    reading that (``members``' ops; each the only reader of the one before:
+    :meth:`repro.autograd.ir.Readers.chain`), as three stages of its own —
+    the members' pieces, arranged so an activation is streamed as few times
+    as the sums allow — around the conv's ``gather`` and ``scatter``, which
+    its adopted :class:`Conv2d` arm runs (``head``, set by the replay):
+
+    0. after the gather and the GEMM, the conv epilogue writing the conv's
+       output with batch-norm's mean summed from it, then the variance pass;
+    1. after batch-norm's per-channel tail (``inv_std``; the running
+       statistics move once this stage ran), one ``map`` pass writing
+       ``xhat`` and the relu's output, and pooling each plane it wrote —
+       batch-norm's own output is never written;
+    2. backward: the max-pool's route into a stack plane, the relu's mask
+       (its output ``> 0``), batch-norm's four sums and ``dxhat``, then its
+       three-term adjoint written straight into the ``(O, N*OH*OW)`` layout
+       of the conv's GEMM with the conv bias's gradient; the two GEMMs and
+       the scatter follow.
+
+    Every element sees the members' operations in their numpy order, so the
+    block's bytes are those of the members' steps.  A geometry whose windows
+    overlap or pad, a one-channel batch-norm and planes past the stack's
+    share stay on the members' steps (``geometry``)."""
+
+    __slots__ = ("head",)
+    op = BLOCK
+    members = (Conv2d, BatchNorm, Relu, MaxPool2d)
+
+    @classmethod
+    def ask(cls, nodes) -> Optional[tuple]:
+        """What :func:`arm` is asked for the block over the recorded chain
+        ``nodes`` — ``(BLOCK, dtype, n, *geometry)`` — or ``None`` when the
+        chain is not one."""
+        if tuple(ir.OPS[node.op] for node in nodes) != tuple(body.op for body in cls.members):
+            return None
+        conv, norm, _, pool = nodes
+        dtype = conv.out.data.dtype
+        if not (norm.attrs["training"] and dtype.name in _CTYPE and dtype.isnative):
+            return None
+        if any(node.backward is None or any(t.data.dtype != dtype for t in node.inputs)
+               for node in nodes):
+            return None
+        (n, *head), (_, _, _, *affine), (_, _, _, _, *window) = (
+            ir.OPS[node.op].stage.geometry([t.data for t in node.inputs], node.attrs)
+            for node in (conv, norm, pool))
+        return (BLOCK, dtype, n, *head, *affine, *window)
+
+    @staticmethod
+    def stages(dtype, *geometry):
+        c, h, w, kh, kw, sh, sw, ph, pw, o, bias, gamma, beta = geometry[:13]
+        window = geometry[13:]
+        conv = Conv2d.stages(dtype, *geometry[:11])
+        if isinstance(conv, str):
+            return conv
+        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+        size = oh * ow
+        pkh, pkw, psh, psw, pph, ppw = window
+        # The route's windows neither overlap nor pad; the backward keeps a
+        # plane and three rows of it on the C stack.
+        if o == 1 or pkh > psh or pkw > psw or pph or ppw or 4 * size * 8 > _STACK:
+            return "geometry"
+        stage = _channels(dtype, o, size)
+        x, channel = (o * size, size, 1), (0, 1, 0)
+        # 1: rows gemm, [bias,] the conv's output, mean, var.
+        epilogue = ir.Program((1, o, oh, ow), literal=True)
+        F._conv2d_program(epilogue, geometry, *range(1 + bias))
+        k, value = 1 + bias, epilogue.number(epilogue.value)
+        stats = ("passes", dtype, (
+            epilogue.stage(dtype, ((k, value, None),), o * size, sums=((k + 1, value, True),)),
+            _variance(stage, x, k, k + 1, k + 2),
+        ))
+        # 2: rows the conv's output, mean, inv_std, [gamma,] [beta,] xhat,
+        # the relu's output, the pooled output.
+        program = ir.Program((1, o, oh, ow), literal=True)
+        program.value = program.input(0, (o * size, size, ow, 1))
+        xhat = F._batch_norm_program(program, (o, size, gamma, beta), *range(1, 3 + gamma + beta))
+        tensor._relu_program(program, ())
+        F._max_pool2d_program(program, (o, oh, ow) + window)
+        k, relu = len(program.operands), program.number(program.value)
+        dst = ((k, program.number(xhat), None), (k + 1, relu, None), (k + 2, None, None))
+        normalize = program.stage(dtype, dst, o * math.prod(_out_hw(oh, ow, *window)))
+        # 3: rows g, the pooled output, the relu's output, xhat, inv_std,
+        # [gamma,] dxhat, sum(d), sum(d * xhat), mean(dxhat),
+        # mean(dxhat * xhat), the GEMM-layout gradient[, the bias gradient];
+        # d is the relu's input gradient, dxhat d * gamma or d itself.
+        route = ("route", 2, 1, 0, oh, ow, pkh, pkw, psh, psw)
+        inputs = ((route, (0, 0, 1)), (2, x), (3, x)) + ((5, channel),) * gamma
+        n_in, k = len(inputs), 5 + gamma
+        d = dxhat = n_in + 1
+        ops = [("pos", (1,)), ("mul", (0, n_in))]
+        if gamma:
+            ops.append(("mul", (d, 3)))
+            dxhat += 1
+        ops.append(("mul", (d, 2)))
+        ops += [("mul", (dxhat, 2))] * gamma
+        dgamma, dxx = n_in + len(ops) - 1 - gamma, n_in + len(ops) - 1
+        sums = ((k + 1, d, False), (k + 2, dgamma, False), (k + 3, dxhat, True), (k + 4, dxx, True))
+        adjoint = ((k, x), (3, x), (k + 3, channel), (k + 4, channel), (4, channel))
+        backward = ("passes", dtype, (
+            stage(inputs, tuple(ops), ((k, dxhat, None),), sums),
+            stage(adjoint, _COMBINE, ((k + 5, 8, None),), ((k + 6, 8, False),) * bias,
+                  (size, ("n", size))),
+        ))
+        return stats, normalize, backward
+
+    def forward(self, xs, attrs, ports):
+        """The pooled output and the context :meth:`backward` reads, with
+        the running statistics moved, over the inputs no member produces
+        (the conv's, then batch-norm's affine terms) and the members' own
+        parameters and ports; ``None`` — nothing has changed — when the
+        members' steps have to run instead."""
+        _, dtype, c, h, w, kh, kw, sh, sw, ph, pw, o, bias, gamma, beta = self.key[:15]
+        window = self.key[15:]
+        norm = attrs[1]
+        x, wd = xs[:2]
+        flags = x.flags
+        if not (flags.c_contiguous and flags.aligned and flags.writeable):
+            x = np.require(x, requirements="CAW")  # a copy: the gather reads the same values
+        n = len(x)
+        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+        cols = workspace.empty((c * kh * kw, n * oh * ow), dtype)
+        if not self.head.run(0, n, x, cols):
+            return None
+        gemm = _ws_matmul(wd.reshape(o, -1), cols)
+        out = workspace.empty((n, o, oh, ow), dtype)
+        mean, var = workspace.empty((o,), dtype), workspace.empty((o,), dtype)
+        if not self.run(0, n, gemm, *xs[2:2 + bias], out, mean, var):
+            return None
+        inv_std = F._bn_inv_std(var, norm["eps"])
+        affine = xs[2 + bias:]
+        xhat, relu = workspace.empty(out.shape, dtype), workspace.empty(out.shape, dtype)
+        pooled = workspace.empty((n, o) + _out_hw(oh, ow, *window), dtype)
+        if not self.run(1, n, out, mean, inv_std, *affine, xhat, relu, pooled):
+            return None
+        F._bn_running(*norm["running"], mean, var, n * oh * ow, norm["momentum"])
+        cols = cols if ports[0][1].requires_grad else None  # only the weight gradient reads it
+        return pooled, (x, wd, cols, xhat, relu, pooled, inv_std, affine[:gamma])
+
+    def backward(self, g, ports, ctx, attrs) -> None:
+        """Accumulate the block's adjoints of the pooled output's gradient
+        ``g`` into the conv's and batch-norm's ports, in the members' order."""
+        x, wd, cols, xhat, relu, pooled, inv_std, gamma = ctx
+        o, bias = self.key[11], self.key[12]
+        if g.shape != pooled.shape or not self.takes(g):
+            raise RuntimeError("a block's output gradient is not of its output's shape and dtype")
+        flags = g.flags
+        if not (flags.c_contiguous and flags.aligned and flags.writeable):
+            g = np.require(g, requirements="CAW")
+        n, shape, dtype = len(xhat), xhat.shape, xhat.dtype
+        dxhat = workspace.empty(shape, dtype)
+        sums = [workspace.empty((o,), dtype) for _ in range(4)]
+        g_t = workspace.empty((o, xhat.size // o), dtype)
+        db = workspace.empty((o,), dtype) if bias else None
+        if not self.run(2, n, g, pooled, relu, xhat, inv_std, *gamma, dxhat, *sums, g_t,
+                        *(db,) * bias):
+            # Every operand but g was bound by the forward's stages.
+            raise RuntimeError("a block's backward stage could not bind its operands")
+        F._bn_affine_grads(ports[1], attrs[1], sums[0], sums[1])
+        F._conv2d_adjoints(self.head, g_t, db, ports[0], (x, wd, cols), attrs[0])
+
+
+Block.rows = tuple(f"{'+'.join(body.op.name for body in Block.members)}.{stage}[c]"
+                   for stage in ("stats", "normalize", "backward"))
 
 
 #: The optimizer's update: not a table op (:meth:`repro.nn.optim.Optimizer.flat_step`

@@ -17,6 +17,14 @@ compiled ``update`` stage (:class:`repro.autograd.kernels.Update`) once it
 is adopted: every capture attempt sights it as an eager step sights an op's
 stages, and each replayed step looks again until it is there.
 
+**Conv blocks.**  Each conv2d → train-mode batch_norm → relu → max_pool2d
+chain — found from the ops' stage descriptions along the single-consumer
+walk serving's groups take (:meth:`repro.autograd.ir.Readers.chain`) —
+replays as one forward and one backward step: its members' steps until its
+own stages (:class:`repro.autograd.kernels.Block`) are adopted — asked for
+at the first capture attempt — then theirs: three native calls forward and
+one or two backward where its members make eleven or twelve.
+
 **The same kernels, so the same bytes.**  Every node runs its op's entry in
 the op table (:data:`repro.autograd.ir.OPS`) — the forward and the backward
 the eager op records its call through — with the compiled arm of
@@ -40,13 +48,14 @@ Not thread-safe.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd import ir, kernels
+from repro.autograd import functional as F, ir, kernels
 from repro.autograd.ir import Fallback
 from repro.autograd.tensor import Tensor, _owned_copy
 from repro.backend import workspace
@@ -129,7 +138,7 @@ class TrainReplay:
 
     def __init__(self, nodes, inputs, params, optimizer, counters=()) -> None:
         loss = nodes[-1].out if nodes else None
-        if loss is None or nodes[-1].op != "softmax_cross_entropy" or loss.data.size != 1:
+        if loss is None or ir.OPS.get(nodes[-1].op) is not F._SOFTMAX_CROSS_ENTROPY or loss.data.size != 1:
             raise Fallback("module")
         if any(t.requires_grad for t in inputs):
             raise Fallback("module")  # its gradient would be the caller's to keep
@@ -145,7 +154,7 @@ class TrainReplay:
                     if t.requires_grad:
                         trained[id(t)] = t
                 elif id(t) not in produced and not any(t is i for i in inputs) and not (
-                        node.op == "softmax_cross_entropy" and j == 1):
+                        node is nodes[-1] and j == 1):  # the loss's targets
                     raise Fallback("module")  # a constant the replay would freeze
         updated = [p for p in optimizer.params if id(p) in trained]
         if len(updated) != len(trained) or len({p.data.dtype for p in updated}) > 1:
@@ -157,6 +166,11 @@ class TrainReplay:
         update_args = (kernels.UPDATE, updated[0].data.dtype, size) + optimizer.flags() \
             if size else None
         update = kernels.arm(*update_args) if update_args else None
+        # The conv blocks' stages are asked for at the first attempt, which
+        # the step's third call makes (its ops asked at their second):
+        # queued behind the ops', they are built in the same compiler run.
+        blocks = [(chain, args, kernels.arm(*args) or kernels.arm(*args))
+                  for chain, args in _blocks(nodes, order)]
         arms = {}
         for node in nodes:
             if node.out.requires_grad:
@@ -192,12 +206,10 @@ class TrainReplay:
         forward, backward, self._rows = [], {}, []
         for node in nodes:
             op, arm = ir.OPS[node.op], arms.get(id(node))
-            arm = arm.pinned(workspace.FLOOR) if arm is not None else None
+            arm = arms[id(node)] = arm.pinned(workspace.FLOOR) if arm is not None else None
             ins = tuple(self._slot[id(t)] for t in node.inputs)
             out, ctx, g = self._slot[id(node.out)], self._new(), self._grad_slot(node)
-            # The op's parameters, not the capture's saved arrays.
-            attrs = {k: v for k, v in (node.attrs or {}).items() if not isinstance(v, np.ndarray)}
-            fwd, bwd = _op_steps(op, arm, attrs, ins, out, ctx, self._ports_of(node), g)
+            fwd, bwd = _op_steps(op, arm, _params(node), ins, out, ctx, self._ports_of(node), g)
             forward.append((fwd, ins + (out, ctx)))
             if node.backward is not None:
                 backward[id(node)] = (bwd, (g, ctx))
@@ -205,9 +217,24 @@ class TrainReplay:
             if arm is None and op.stage.geometry is not None:
                 reason = "fallback" if kernels.jit.codegen_enabled() else "disabled"
             self._rows.append(((node.op,), "numpy" if arm is None else "compiled", reason))
+        # Each conv block runs as one forward and one backward step, in
+        # place of its members': its own stages once they are adopted.
+        self._blocks = []
+        for chain, args, arm in blocks:
+            block = _Block(self, [nodes[i] for i in chain], args, arm, arms.get(id(nodes[chain[0]])),
+                           [forward[i] for i in chain],
+                           [backward[id(nodes[i])] for i in reversed(chain)])
+            for i in chain:
+                backward[id(nodes[i])] = forward[i] = self._rows[i] = None
+            backward[id(nodes[chain[-1]])] = block.backward
+            forward[chain[-1]], self._rows[chain[0]] = block.forward, block
+            self._blocks.append(block)
+        forward = [step for step in forward if step is not None]
+        self._rows = [row for row in self._rows if row is not None]
         self._loss = self._slot[id(loss)]
         self._seed_slot = self._grad_slot(nodes[-1])
-        backward = [backward[id(node)] for node in reversed(order) if id(node) in backward]
+        backward = [backward[id(node)] for node in reversed(order)
+                    if backward.get(id(node)) is not None]
         self._param_ports = [self._ports[id(p)] for p in updated]
         self._lists = self._liveness(forward, backward)
         self._names = tuple([name] * len(steps) for name, steps in
@@ -276,14 +303,18 @@ class TrainReplay:
     # Running
     # ------------------------------------------------------------------ #
     def explain(self) -> List[Dict[str, object]]:
-        """One row per captured node: its ``ops``, the ``arm`` that runs it
-        (``compiled`` stages or the ``numpy`` body) and, for an op with a
-        compiled arm that runs numpy, the ``reason`` (``disabled``, or
-        ``fallback``: see ``repro_codegen_fallback_total``); then one for
-        the optimizer's update (``sgd_update`` / ``adam_update``), whose
-        reason may also be ``pending`` (its stage is being built) or
-        ``flags`` (a flag it branches on changed since the capture)."""
-        rows = list(self._rows)
+        """One row per captured node, a conv block's four ops sharing one:
+        its ``ops``, the ``arm`` that runs it (``compiled`` stages or the
+        ``numpy`` body) and, for an op with a compiled arm that runs
+        numpy, the ``reason`` (``disabled``, or ``fallback``: see
+        ``repro_codegen_fallback_total``); then one for the optimizer's
+        update (``sgd_update`` / ``adam_update``).  A block's or the
+        update's reason may also be ``pending`` (its stages are being
+        built), a block's ``geometry`` (overlapping or padded windows, one
+        channel, planes past the stack's share: its members' steps run, on
+        their own arms), the update's ``flags`` (a flag it branches on
+        changed since the capture)."""
+        rows = [row.row() if isinstance(row, _Block) else row for row in self._rows]
         if self._update_args is not None:
             flags = self._optimizer.flags()
             arm, reason = "numpy", None
@@ -303,7 +334,8 @@ class TrainReplay:
         returns the loss before the update, as ``train_step`` does.  Under
         a profiler: one ``replay`` step with ``replay:forward`` /
         ``replay:backward`` / ``replay:optim`` rows beside the compiled
-        stages' own."""
+        stages' own (a block's ``replay:conv2d+batch_norm+relu+max_pool2d.<stage>[c]`` beside its
+        head's ``replay:conv2d.gather[c]`` / ``scatter[c]``)."""
         values = self._values
         values[self._inputs[0]] = images
         values[self._inputs[1]] = context
@@ -324,6 +356,9 @@ class TrainReplay:
 
     def _steps(self, values, profiler) -> float:
         (forward, backward), (fnames, bnames) = self._lists, self._names
+        for block in self._blocks:
+            if block.arm is None and block.head is not None:  # sightings, then adoption
+                block.adopt(kernels.arm(*block.args))
         previous = workspace.set_small(self._tape.empty)
         try:
             ir.run_steps(forward, values, profiler, fnames)
@@ -343,6 +378,98 @@ class TrainReplay:
             if profiler is not None:
                 profiler.record("replay:optim", time.perf_counter() - start - profiler.take_inner())
         return loss
+
+
+def _params(node) -> dict:
+    """A node's op parameters, not the capture's saved arrays."""
+    return {k: v for k, v in (node.attrs or {}).items() if not isinstance(v, np.ndarray)}
+
+
+def _blocks(nodes, order) -> list:
+    """``(node indices, what kernels.arm is asked)`` of each conv block of a
+    captured step (:class:`repro.autograd.kernels.Block`): a head and the
+    epilogues after it along single-consumer edges (the walk serving's
+    groups take), whose backward steps run back to back — so running them
+    as one step moves no gradient accumulation past another's."""
+    readers = ir.Readers(nodes)
+    taped = (node for node in reversed(order) if node.backward is not None)
+    place = {id(node): i for i, node in enumerate(taped)}
+    size = len(kernels.Block.members)
+
+    def epilogue(k, node, t):
+        return ir.OPS[node.op].stage.part == ir.EPILOGUE and node.inputs[0] is t
+
+    blocks = []
+    for j, node in enumerate(nodes):
+        if ir.OPS[node.op].stage.part != ir.HEAD:
+            continue
+        chain = [j, *itertools.islice(readers.chain(j, epilogue), size - 1)]
+        args = kernels.Block.ask([nodes[i] for i in chain])
+        if args is None:
+            continue
+        at = [place.get(id(nodes[i])) for i in reversed(chain)]
+        if None not in at and at == list(range(at[0], at[0] + size)):
+            blocks.append((chain, args))
+    return blocks
+
+
+class _Block:
+    """One conv block of a replay over its ``members``' nodes: their
+    ``forward`` / ``backward`` entries (``(step, slots used)``, in running
+    order) until its stages are adopted (and for a step whose forward stages
+    cannot bind), then :class:`repro.autograd.kernels.Block`'s, over the
+    inputs no member produces and every member's ports and parameters, with
+    ``head`` — the head's own pinned arm — running the gather and scatter."""
+
+    def __init__(self, replay: TrainReplay, members, args, arm, head, forward, backward) -> None:
+        self.ops = tuple(node.op for node in members)
+        self.args, self.head, self.arm = args, head, None
+        self.adopt(arm)
+        inside = {id(node.out) for node in members}
+        ins = tuple(replay._slot[id(t)] for node in members for t in node.inputs
+                    if id(t) not in inside)
+        ports = tuple(replay._ports_of(node) for node in members)
+        attrs = tuple(_params(node) for node in members)
+        out, ctx, g = replay._slot[id(members[-1].out)], replay._new(), replay._grad_slot(members[-1])
+
+        def forward_step(v):
+            arm = self.arm
+            result = arm.forward([v[s] for s in ins], attrs, ports) if arm is not None else None
+            if result is None:
+                v[ctx] = None
+                for step, _ in forward:
+                    step(v)
+            else:
+                v[out], v[ctx] = result
+
+        def backward_step(v):
+            context = v[ctx]
+            if context is None:
+                for step, _ in backward:
+                    step(v)
+            else:
+                self.arm.backward(v[g], ports, context, attrs)
+
+        self.forward = (forward_step, sum((uses for _, uses in forward), (ctx,)))
+        self.backward = (backward_step, sum((uses for _, uses in backward), (ctx, g)))
+
+    def adopt(self, arm) -> None:
+        if arm is not None and self.head is not None:
+            self.arm = arm.pinned(workspace.FLOOR)
+            self.arm.head = self.head
+
+    def row(self) -> tuple:
+        """Its ``explain()`` row: ``compiled``, or why its stages do not run."""
+        if self.arm is not None:
+            return self.ops, "compiled", None
+        if not kernels.jit.codegen_enabled():
+            return self.ops, "numpy", "disabled"
+        found = kernels.arm(*self.args, ask=None)
+        if found is not None:  # adopted without its head's arm: for good
+            return self.ops, "numpy", "pending" if self.head is not None else "fallback"
+        op, dtype, _, *geometry = self.args
+        refused = isinstance(kernels.Block.stages(dtype.name, *geometry), str)
+        return self.ops, "numpy", "geometry" if refused else "fallback"
 
 
 def _op_steps(op: ir.Op, arm, attrs, ins, out, ctx, ports, g):

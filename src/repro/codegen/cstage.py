@@ -18,7 +18,9 @@ of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
 The stage kinds (``transpose``, ``scatter``, ``route``, ``passes`` and
-``update`` are the train step's, ``reduce`` a region's):
+``update`` are the train step's, ``reduce`` a region's; a replayed step's
+conv block (:class:`repro.autograd.kernels.Block`) is ``gather``, two
+``passes`` around a ``map`` and a ``scatter``):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -41,7 +43,22 @@ The stage kinds (``transpose``, ``scatter``, ``route``, ``passes`` and
     element, its C type (``unsigned char``: a bool mask), and ``dst`` may
     be a tuple of ``(tab_index, value slot, C type or None)`` — several
     destinations written in one pass (``xhat`` and the output; relu's value
-    and its mask, the ``pos`` op).  ``sums`` (the train step's) are
+    and its mask, the ``pos`` op), whose innermost loop vectorises without
+    alias checks (``#pragma GCC ivdep``: they alias no operand).  With a
+    pool as well, the destinations are dense full-resolution blocks
+    (``prod(dims)`` a sample) but the one whose value slot is ``None``: it
+    gets the pool of the program's last value, which must be written too,
+    over each ``(sample, channel)`` plane just written, at ``dst_stride`` a
+    sample (a conv block's ``xhat``, relu output and pooled output).  A
+    ``dst_stride`` pair ``(sample, channel)`` places each ``(sample,
+    channel)`` block on its own — ``(size, ("n", size))`` writes the
+    ``(O, n*OH*OW)`` layout of a conv GEMM's output.  An input's
+    ``tab_index`` may be ``("route", x, out, g, h, w, kh, kw, sh, sw)``: the
+    max-pool gradient ``tab[g]`` routed over windows that neither overlap
+    nor pad, as the ``route`` stage routes it, into a stack plane per
+    ``(sample, channel)`` read with strides ``(0, 0, 1)`` (a conv block's
+    backward: route, relu mask and batch-norm's sums in one pass).
+    ``sums`` (the train step's) are
     ``(tab_index, value slot, mean)`` per-channel reductions of a program
     value over the batch and ``dims[1:]`` — ``v.sum(axis=(0, 2, ...))``
     byte for byte, in **numpy's order** for ``dims[0] > 1`` channels: the
@@ -72,7 +89,9 @@ The stage kinds (``transpose``, ``scatter``, ``route``, ``passes`` and
 
 ``("passes", dtype, (stage, stage, ...))``
     Stages of the same dtype run one after another in one call, each seeing
-    what the one before wrote: batch-norm's mean, then its variance.
+    what the one before wrote: batch-norm's mean, then its variance; a conv
+    block's epilogue with that mean, then the variance; its backward's sums,
+    then the adjoint they feed.
 
 ``("scatter", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     The gather's adjoint, ``functional._patch_matrix_adjoint`` +
@@ -183,8 +202,8 @@ def _op_expr(op: str, srcs, val, zero: str) -> str:
         return f"-{a}"
     if op == "relu":
         return f"({a} > {zero} || isnan({a})) ? {a} : {zero}"
-    if op == "pos":  # relu's gradient mask, ``np.greater(x, 0)``
-        return f"{a} > {zero}"
+    if op == "pos":  # relu's gradient mask, ``np.greater(x, 0)``; quiet, so it vectorises
+        return f"isgreater({a}, {zero})"
     b = val[srcs[1]]
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
     return f"{a} {sym} {b}"
@@ -255,20 +274,34 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     sums = sums[0] if sums else ()
     zero = _ZERO[ctype]
     bounds = ["n"] + [str(d) for d in dims]
-    # With a pool the last two logical dims are walked by the footprint
-    # loops of the body; the loop nest covers the dims in front of them.
-    outer = len(bounds) - (2 if pool else 0)
+    several = isinstance(dst, tuple)
+    # With several destinations a pool reduces the program's last value,
+    # written at full resolution, plane by plane; with one it is folded into
+    # the loop nest, whose last two logical dims the footprint loops walk.
+    planes = bool(pool) and several
+    outer = len(bounds) - (2 if pool and not planes else 0)
     types = [operand[2] if len(operand) == 3 else ctype for operand in inputs]
     inputs = [operand[:2] for operand in inputs]
+    routed = {k: idx for k, (idx, _) in enumerate(inputs) if isinstance(idx, tuple)}
     # One destination — a table row, written with the program's last value —
     # or several ``(row, value slot, C type or None)``.  The operands of
     # those never alias, and saying so keeps three output streams vectorised.
-    several = isinstance(dst, tuple)
     outs = [(j, *out) for j, out in enumerate(dst)] if several else [("", dst, None, None)]
     keyword = "restrict " if several else ""
     lines = [
         f"    const {types[k]} *{keyword}in{k} = tab[{idx}];" for k, (idx, _) in enumerate(inputs)
+        if k not in routed
     ]
+    for k, (_, x, out, g, h, w, kh, kw, sh, sw) in routed.items():
+        pooled = dims[0] * _windows(h, kh, sh, 0) * _windows(w, kw, sw, 0)
+        lines += [
+            f"    const {ctype} *restrict rx{k} = tab[{x}], *restrict ro{k} = tab[{out}], "
+            f"*restrict rg{k} = tab[{g}];",
+            f"    {ctype} u{k}[{h * w}];",
+            # numpy runs round two over the whole array or not at all.
+            f"    int second{k} = 0;",
+            f"    for (i64 i = 0; i < n * {pooled}; ++i) second{k} |= ro{k}[i] != ro{k}[i];",
+        ]
     for j, row, _, kind in outs:
         lines.append(f"    {kind or ctype} *{keyword}dst{j} = tab[{row}];")
     # Where each summed slot's block is read: an input laid out densely (its
@@ -291,16 +324,21 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     if sums:
         zeroed = " ".join(f"s{j}[c] = {zero};" for j in range(len(sums)))
         lines.append(f"    for (i64 c = 0; c < {dims[0]}; ++c) {{ {zeroed} }}")
-    bases = [f"in{k}" for k in range(len(inputs))]
+    bases = [f"u{k}" if k in routed else f"in{k}" for k in range(len(inputs))]
     # An operand is loaded at the deepest loop level it strides over (a
     # per-channel vector once per channel), so the inner loops carry no
     # load the compiler would have to prove invariant; operands that stride
     # over pooled dims are read per footprint element instead.
-    windowed = [bool(pool) and any(strides[outer:]) for _, strides in inputs]
+    windowed = [bool(pool) and not planes and any(strides[outer:]) for _, strides in inputs]
     level = [
         max((d for d in range(outer) if strides[d] != 0), default=-1)
         for _, strides in inputs
     ]
+    # A destination's pointer: per sample, or — a ``(sample, channel)``
+    # stride pair, the channel's maybe ``("n", k)`` — per channel block.
+    per_block = isinstance(dst_stride, tuple)
+    sample = [block * dims[0] if planes and slot is not None else dst_stride
+              for _, _, slot, _ in outs]
 
     def load(depth: int, indent: str) -> None:
         for k in range(len(inputs)):
@@ -313,6 +351,10 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     load(-1, "    ")
     indent = "    "
     for d in range(outer):
+        if several and d == outer - 1:
+            # No destination aliases an operand: vectorise without checks
+            # (a loop with many summed rows exceeds the checks GCC versions for).
+            lines.append(f"{indent}#pragma GCC ivdep")
         lines.append(f"{indent}for (i64 i{d} = 0; i{d} < {bounds[d]}; ++i{d}) {{")
         indent += "    "
         for k, (_, strides) in enumerate(inputs):
@@ -321,21 +363,28 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
                     f"{indent}const {types[k]} *b{k}_{d} = {bases[k]} + i{d} * {_stride(strides[d])};"
                 )
                 bases[k] = f"b{k}_{d}"
-        if d == 0:
-            for j, _, _, kind in outs:
-                lines.append(f"{indent}{kind or ctype} *o{j} = dst{j} + i0 * {dst_stride} + {dst_off};")
+        if d == 0 and not per_block:
+            for (j, _, _, kind), stride in zip(outs, sample):
+                lines.append(f"{indent}{kind or ctype} *o{j} = dst{j} + i0 * {stride} + {dst_off};")
         if d == 1:
+            if per_block:
+                for j, _, _, kind in outs:
+                    lines.append(f"{indent}{kind or ctype} *o{j} = dst{j} + i0 * {dst_stride[0]} + "
+                                 f"i1 * {_stride(dst_stride[1])} + {dst_off};")
             for slot in source:
                 if source[slot] is None:
                     source[slot] = bases[slot]
             if rows:
                 lines.append(f"{indent}i64 q = 0;")
+            for k, route in routed.items():
+                lines += _routed_plane(k, route, dims[0], ctype, indent)
         load(d, indent)
-    if not pool:
+    if not pool or planes:
         program, last = _op_lines(ops, len(inputs), indent, ctype, zero)
         lines += program
         for j, _, slot, _ in outs:
-            lines.append(f"{indent}*o{j}++ = {last if slot is None else value(slot)};")
+            if not (planes and slot is None):
+                lines.append(f"{indent}*o{j}++ = {last if slot is None else value(slot)};")
         lines += [f"{indent}r{slot}[q] = {value(slot)};" for slot in rows]
         if rows:
             lines.append(f"{indent}++q;")
@@ -343,6 +392,10 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
         lines += _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero)
     for d in reversed(range(outer)):
         if d == 1:  # a (sample, channel) block is done: numpy adds its pairwise sum
+            if planes:
+                last = len(inputs) + len(ops) - 1
+                pooled = next(j for j, _, slot, _ in outs if slot is None)
+                lines += _plane_pool(written[last], f"o{pooled}", dims, pool, indent, ctype, zero)
             for j, (_, slot, _) in enumerate(sums):
                 lines.append(f"{indent}s{j}[i1] += {pairwise}({source[slot]}, {block});")
         indent = indent[:-4]
@@ -352,6 +405,53 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
             lines.append(f"    for (i64 c = 0; c < {dims[0]}; ++c) "
                          f"s{j}[c] = ({ctype})((double)s{j}[c] / (double)(n * {block}));")
     return lines
+
+
+def _plane_pool(src: str, dst: str, dims, pool, indent: str, ctype: str, zero: str) -> List[str]:
+    """The max-pool of one just-written ``(sample, channel)`` plane at
+    ``src`` into the pooled plane at ``dst``: ``functional._max_over``'s
+    running maximum, as in :func:`_pool_body`."""
+    kh, kw, sh, sw, ph, pw = pool
+    h, w = dims[-2], dims[-1]
+    oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
+    inside = [f"y >= 0 && y < {h}"] * bool(ph) + [f"x >= 0 && x < {w}"] * bool(pw)
+    pixel = f"plane[y * {w} + x]"
+    if inside:
+        pixel = f"({' && '.join(inside)}) ? {pixel} : -INFINITY"
+    return [
+        f"{indent}{{",
+        f"{indent}    const {ctype} *plane = {src};",
+        f"{indent}    for (i64 py = 0; py < {oh}; ++py)",
+        f"{indent}    for (i64 px = 0; px < {ow}; ++px) {{",
+        f"{indent}        {ctype} m = {zero};",
+        f"{indent}        for (i64 fi = 0; fi < {kh}; ++fi)",
+        f"{indent}        for (i64 fj = 0; fj < {kw}; ++fj) {{",
+        f"{indent}            const i64 y = py * {sh} + fi - {ph}, x = px * {sw} + fj - {pw};",
+        f"{indent}            const {ctype} t = {pixel};",
+        f"{indent}            m = (fi + fj == 0 || t > m || isnan(t)) ? t : m;",
+        f"{indent}        }}",
+        f"{indent}        *{dst}++ = m;",
+        f"{indent}    }}",
+        f"{indent}}}",
+    ]
+
+
+def _routed_plane(k: int, route: tuple, c: int, ctype: str, indent: str) -> List[str]:
+    """Fill the stack plane ``u<k>`` with one ``(sample, channel)`` plane of
+    a max-pool's routed gradient (see the ``route`` stage)."""
+    _, _, _, _, h, w, kh, kw, sh, sw = route
+    oh, ow = _windows(h, kh, sh, 0), _windows(w, kw, sw, 0)
+    lines = [
+        f"{indent}{{",
+        f"{indent}    const {ctype} *img = rx{k} + (i0 * {c} + i1) * {h * w};",
+        f"{indent}    {ctype} *plane = u{k};",
+        f"{indent}    const {ctype} *mo = ro{k} + (i0 * {c} + i1) * {oh * ow}, "
+        f"*go = rg{k} + (i0 * {c} + i1) * {oh * ow};",
+    ]
+    for second in (True, False):
+        lines.append(f"{indent}    if (second{k}) {{" if second else f"{indent}    }} else {{")
+        lines += [indent + "    " + line[4:] for line in _route_plane(ctype, h, w, kh, kw, sh, sw, second)]
+    return lines + [f"{indent}    }}", f"{indent}}}"]
 
 
 def _pool_body(dims, inputs, ops, pool, windowed, bases, indent, ctype, zero) -> List[str]:
@@ -575,19 +675,12 @@ def _render_route(stage: tuple, ctype: str, pairwise: str) -> List[str]:
 
 
 def _route_windows(ctype: str, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> List[str]:
-    """The route over windows that neither overlap nor pad: each element of
-    ``dx`` is written once, with the additions numpy makes onto it — ``+0.0
-    + g * hit`` and, when round two runs, ``+ g * hit`` again — as
-    arithmetic (a select compiles to branches); an element in no window is
-    ``+0.0``."""
+    """The route over windows that neither overlap nor pad, one plane at a
+    time (:func:`_route_plane`), with the NaN round's branch outside the
+    sample and channel loops."""
     oh, ow = _windows(h, kh, sh, 0), _windows(w, kw, sw, 0)
-    # Gaps between windows and rows / columns past the last one.
-    gaps = kh < sh or h > oh * sh or kw < sw or w > ow * sw
     lines = []
     for second in (True, False):
-        pend = " int p2 = o != o;" if second else ""
-        claim = ["                const int h2 = p2 & (v != v);", "                p2 ^= h2;"] if second else []
-        add = f" + gi * ({ctype})h2" if second else ""
         lines += [
             "    if (second) {" if second else "    } else {",
             "    for (i64 b = 0; b < n; ++b)",
@@ -595,30 +688,49 @@ def _route_windows(ctype: str, c: int, h: int, w: int, kh: int, kw: int, sh: int
             f"        const {ctype} *img = src + (b * {c} + c) * {h * w};",
             f"        {ctype} *plane = dx + (b * {c} + c) * {h * w};",
             f"        const {ctype} *mo = out + (b * {c} + c) * {oh * ow}, *go = g + (b * {c} + c) * {oh * ow};",
-            f"        for (i64 oy = 0; oy < {oh}; ++oy)",
-            f"        for (i64 ox = 0; ox < {ow}; ++ox) {{",
-            f"            const {ctype} o = mo[oy * {ow} + ox], gi = go[oy * {ow} + ox];",
-            f"            int p1 = 1;{pend}",
-            f"            for (i64 fi = 0; fi < {kh}; ++fi)",
-            f"            for (i64 fj = 0; fj < {kw}; ++fj) {{",
-            f"                const i64 at = (oy * {sh} + fi) * {w} + ox * {sw} + fj;",
-            f"                const {ctype} v = img[at];",
-            "                const int h1 = p1 & (v == o);",
-            "                p1 ^= h1;",
-            *claim,
-            f"                plane[at] = ({ctype})0 + gi * ({ctype})h1{add};",
-            "            }",
-            "        }",
         ]
-        if gaps:
-            covered = f"y / {sh} < {oh} && y % {sh} < {kh} && x / {sw} < {ow} && x % {sw} < {kw}"
-            lines += [
-                f"        for (i64 y = 0; y < {h}; ++y)",
-                f"        for (i64 x = 0; x < {w}; ++x)",
-                f"            if (!({covered})) plane[y * {w} + x] = 0;",
-            ]
+        lines += _route_plane(ctype, h, w, kh, kw, sh, sw, second)
         lines.append("    }")
     return lines + ["    }"]
+
+
+def _route_plane(ctype: str, h: int, w: int, kh: int, kw: int, sh: int, sw: int, second: bool) -> List[str]:
+    """One ``(sample, channel)`` plane of the route over windows that
+    neither overlap nor pad, from ``img`` / ``mo`` / ``go`` into ``plane``:
+    each element is written once, with the additions numpy makes onto it —
+    ``+0.0 + g * hit`` and, when round two runs (``second``), ``+ g * hit``
+    again — as arithmetic (a select compiles to branches); an element in no
+    window is ``+0.0``."""
+    oh, ow = _windows(h, kh, sh, 0), _windows(w, kw, sw, 0)
+    # Gaps between windows and rows / columns past the last one.
+    gaps = kh < sh or h > oh * sh or kw < sw or w > ow * sw
+    pend = " int p2 = o != o;" if second else ""
+    claim = ["                const int h2 = p2 & (v != v);", "                p2 ^= h2;"] if second else []
+    add = f" + gi * ({ctype})h2" if second else ""
+    lines = [
+        f"        for (i64 oy = 0; oy < {oh}; ++oy)",
+        f"        for (i64 ox = 0; ox < {ow}; ++ox) {{",
+        f"            const {ctype} o = mo[oy * {ow} + ox], gi = go[oy * {ow} + ox];",
+        f"            int p1 = 1;{pend}",
+        f"            for (i64 fi = 0; fi < {kh}; ++fi)",
+        f"            for (i64 fj = 0; fj < {kw}; ++fj) {{",
+        f"                const i64 at = (oy * {sh} + fi) * {w} + ox * {sw} + fj;",
+        f"                const {ctype} v = img[at];",
+        "                const int h1 = p1 & (v == o);",
+        "                p1 ^= h1;",
+        *claim,
+        f"                plane[at] = ({ctype})0 + gi * ({ctype})h1{add};",
+        "            }",
+        "        }",
+    ]
+    if gaps:
+        covered = f"y / {sh} < {oh} && y % {sh} < {kh} && x / {sw} < {ow} && x % {sw} < {kw}"
+        lines += [
+            f"        for (i64 y = 0; y < {h}; ++y)",
+            f"        for (i64 x = 0; x < {w}; ++x)",
+            f"            if (!({covered})) plane[y * {w} + x] = 0;",
+        ]
+    return lines
 
 
 def _render_update(stage: tuple, ctype: str, pairwise: str) -> List[str]:

@@ -83,13 +83,7 @@ class SessionPlan:
         #: The buffer each numpy step fills, by value slot: the compiled
         #: stages fill the same ones.
         self._bufs = {slot: step.out for step, _, slot in session._bound if hasattr(step, "out")}
-        uses: Dict[int, int] = {}
-        self._consumer = {}
-        for j, node in enumerate(nodes):
-            for t in node.inputs:
-                uses[id(t)] = uses.get(id(t), 0) + 1
-                self._consumer[id(t)] = j
-        self._uses = uses
+        self._readers = ir.Readers(nodes)
         self.groups: List[_Group] = []
         #: Node indices of structured regions: they keep compile_region's kernels.
         self.jobs: List[int] = []
@@ -115,7 +109,7 @@ class SessionPlan:
         # getters and the buffers, never the traced tensors (whose
         # activations would stay pinned for the session's lifetime).
         self._regions = [(j, self._bound[j].region) for j in self.jobs]
-        self._session = self._nodes = self._consumer = self._slot_of = self._uses = None
+        self._session = self._nodes = self._readers = self._slot_of = None
         self._bound = self._bufs = None
         for g in self.groups:
             g.tail = g.buffer_node = g.conv = g.redirect = g.operands = None
@@ -170,13 +164,9 @@ class SessionPlan:
 
     def _extend(self, group: _Group) -> None:
         nodes = self._nodes
-        while True:
-            t = group.tail.out
-            if self._uses.get(id(t)) != 1:
-                return
-            k = self._consumer[id(t)]
-            if k in self._absorbed or not self._absorb(group, k, nodes[k], t):
-                return  # (a region joins the first of its producers only)
+        # (A region joins the first of its producers only.)
+        accept = lambda k, node, t: k not in self._absorbed and self._absorb(group, k, node, t)
+        for k in self._readers.chain(group.members[0], accept):
             self._absorbed.add(k)
             group.members.append(k)
             group.ops.append(nodes[k].op)
@@ -273,7 +263,7 @@ class SessionPlan:
             if node.attrs["axis"] % node.out.data.ndim != 1:
                 continue
             producers = [by_tail.get(id(t)) for t in node.inputs]
-            if any(g is None or g.redirect or self._uses[id(g.tail.out)] != 1
+            if any(g is None or g.redirect or self._readers.uses[id(g.tail.out)] != 1
                    or g.dtype != str(node.out.data.dtype) for g in producers):
                 continue
             offset = 0

@@ -5,13 +5,15 @@ Cross-arm equality (compiled vs numpy, replay vs explicit parts) is tested
 elsewhere; this file pins *cross-commit* equality against
 ``tests/golden.json``, in two tiers:
 
-- **Rendered C, everywhere.**  The stage signatures of TBNet's serving plan
-  and of its train arms (width 16; batch 4 and 64; Adam and Nesterov SGD
-  with weight decay), each pinned by its ``kernel_name`` and the sha256 of
-  the C :func:`repro.codegen.cstage.render_stages` writes for it.  The
-  signatures are read where the code asks for them (the first sight of a
-  train arm, a session's request) with the compiler kept out, so this tier
-  needs none.  With a compiler, the compiled serving ``explain()`` rows too.
+- **Rendered C, everywhere.**  The stage signatures of TBNet's serving plan,
+  of its train arms (width 16; batch 4 and 64; Adam and Nesterov SGD with
+  weight decay; its conv blocks' among them) and of a linear + elementwise
+  chain's session (the layered benchmark's ``infer_chain_b64`` model), each
+  pinned by its ``kernel_name`` and the sha256 of the C
+  :func:`repro.codegen.cstage.render_stages` writes for it.  The signatures
+  are read where the code asks for them (the first sight of a train arm, a
+  session's request) with the compiler kept out, so this tier needs none.
+  With a compiler, the compiled sessions' ``explain()`` rows too.
 - **Numbers, per platform.**  Short replayed train digests and the outputs of
   ``compile_serving(1)`` / ``(8)``, keyed by a fingerprint of everything
   that may change a float's bits here: the numpy version, its BLAS, the CPU
@@ -30,11 +32,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.autograd import kernels
 from repro.codegen import have_compiler, jit, using_codegen, wait_for_compiles
 from repro.codegen.cstage import render_stages
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.optim import SGD, Adam
+from repro.serve import compile_inference
 
 GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text())
 
@@ -46,6 +50,31 @@ OPTIMIZERS = {
 
 def _model():
     return TBNet(width=16, rng=np.random.default_rng(1))
+
+
+class Chain(nn.Module):
+    """3x Linear(128, 128) + relu, 3x relu(h * scale + shift), Linear(128,
+    10): a model whose session fuses elementwise regions behind its GEMMs."""
+
+    def __init__(self, rng) -> None:
+        super().__init__()
+        self.body = nn.Sequential(*[
+            layer for _ in range(3) for layer in (nn.Linear(128, 128, rng=rng), nn.ReLU())])
+        self.scale = nn.Parameter(rng.standard_normal(128).astype(np.float32))
+        self.shift = nn.Parameter(rng.standard_normal(128).astype(np.float32))
+        self.out = nn.Linear(128, 10, rng=rng)
+
+    def forward(self, x):
+        h = self.body(x)
+        for _ in range(3):
+            h = (h * self.scale + self.shift).relu()
+        return self.out(h)
+
+
+def _chain_session():
+    model = Chain(np.random.default_rng(1))
+    model.eval()
+    return compile_inference(model, np.random.default_rng(2).standard_normal((64, 128)).astype(np.float32))
 
 
 def _rendered(signatures) -> dict:
@@ -96,6 +125,12 @@ def test_serving_plan_renders_the_pinned_c(no_compiles):
     assert [g.ops for g in session._plan.groups] == GOLDEN["serving_groups"]
 
 
+def test_chain_session_plan_renders_the_pinned_c(no_compiles):
+    session = _chain_session()
+    assert _rendered(no_compiles) == GOLDEN["chain_stages"]
+    assert [g.ops for g in session._plan.groups] == GOLDEN["chain_groups"]
+
+
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler: nothing is compiled")
 def test_compiled_serving_explains_the_pinned_rows():
     with using_codegen(True):
@@ -103,6 +138,9 @@ def test_compiled_serving_explains_the_pinned_rows():
             session = _model().compile_serving(batch)
             assert session.wait_compiled(120), session.explain()
             assert session.explain() == GOLDEN["serving_explain"], batch
+        session = _chain_session()
+        assert session.wait_compiled(120), session.explain()
+        assert session.explain() == GOLDEN["chain_explain"]
 
 
 # --------------------------------------------------------------------------- #

@@ -308,7 +308,8 @@ def test_the_stage_planners_read_descriptions_not_op_names():
     vocabulary = {*REGION_OPS, *REGION_STRUCTURED_OPS, "pos", *cstage._RENDER}
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     found = []
-    for path in (src / "serve" / "stages.py", src / "autograd" / "kernels.py"):
+    for path in (src / "serve" / "stages.py", src / "autograd" / "kernels.py",
+                 src / "autograd" / "replay.py", src / "autograd" / "ir.py"):
         with tokenize.open(path) as source:
             for token in tokenize.generate_tokens(source.readline):
                 if token.type != tokenize.STRING:

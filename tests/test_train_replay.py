@@ -33,7 +33,7 @@ from repro.nn import optim
 from repro.nn.optim import SGD, Adam
 from repro.obs.profile import using_profiler
 
-from test_train_kernels import cold  # noqa: F401  (fixture)
+from test_train_kernels import cold, stage_calls  # noqa: F401  (fixtures)
 
 compiling = pytest.mark.skipif(
     not (have_compiler() and codegen_enabled()),
@@ -165,6 +165,22 @@ def test_a_steady_replayed_step_allocates_nothing():
     assert peak - start < 128 * 1024  # the step's short-lived small arrays
 
 
+@compiling
+def test_an_adopted_step_makes_sixteen_stage_calls(stage_calls):
+    # 30 on the ops' own stages: each conv block is five calls (four where
+    # the images take no gradient), each relu two, the update one.
+    model, opt, batches = build()
+    for i in range(6):
+        model.train_step(opt, *batches[i % 4])
+    assert wait_for_compiles(300)
+    model.train_step(opt, *batches[0])  # adopts the conv blocks' stages
+    del stage_calls[:]
+    model.train_step(opt, *batches[1])
+    assert stage_calls == [True] * 16
+    rows = tbnet.train_replay(model).explain()
+    assert [row["arm"] for row in rows if len(row["ops"]) == 4] == ["compiled"] * 2
+
+
 def test_a_replay_serves_only_its_own_threads_small_requests(monkeypatch):
     # The replay's tape is the replaying thread's small-request hook: while
     # thread A sits between its replayed forward and backward, thread B's
@@ -229,8 +245,10 @@ def test_explain_names_each_captured_op_and_its_arm():
             model.train_step(opt, *batches[i % 4])
         rows = tbnet.train_replay(model).explain()
     ops = [row["ops"][0] for row in rows]
-    assert ops.count("conv2d") == 2 and ops[-2] == "softmax_cross_entropy" and len(ops) == 21
+    # 20 ops and the optimizer's row, each conv block's four ops one row.
+    assert ops.count("conv2d") == 2 and ops[-2] == "softmax_cross_entropy" and len(ops) == 15
     assert ops[-1] == "adam_update"  # the optimizer's row
+    assert [row["ops"] for row in rows[:2]] == [["conv2d", "batch_norm", "relu", "max_pool2d"]] * 2
     for row in rows:
         assert row["arm"] == "numpy"
         assert row["reason"] == ("disabled" if row["ops"][0] in (
@@ -263,13 +281,17 @@ def test_the_update_row_reads_pending_until_its_stage_is_built_or_has_failed(
             if i == 3:
                 assert wait_for_compiles(300)  # the ops' stages: the capture waits for them
             model.train_step(opt, *batches[i % 4])
-        reasons = [tbnet.train_replay(model).explain()[-1]]
+        rows = [tbnet.train_replay(model).explain()]
         assert wait_for_compiles(300)
         model.train_step(opt, *batches[0])
-        reasons.append(tbnet.train_replay(model).explain()[-1])
-        assert reasons == [
-            {"step": 20, "ops": ["adam_update"], "arm": "numpy", "reason": "pending"},
-            {"step": 20, "ops": ["adam_update"], "arm": arm, "reason": reason}]
+        rows.append(tbnet.train_replay(model).explain())
+        assert [explained[-1] for explained in rows] == [
+            {"step": 14, "ops": ["adam_update"], "arm": "numpy", "reason": "pending"},
+            {"step": 14, "ops": ["adam_update"], "arm": arm, "reason": reason}]
+        # The conv blocks' stages, asked for at the first capture attempt,
+        # are built with the ops' the capture waits for.
+        assert [[(r["arm"], r["reason"]) for r in explained if len(r["ops"]) == 4]
+                for explained in rows] == [[(arm, reason)] * 2] * 2
     finally:
         wait_for_compiles(120)
         jit.clear_kernel_memo()
