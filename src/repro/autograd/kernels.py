@@ -457,7 +457,7 @@ class Block(Arm):
     def stages(dtype, *geometry):
         c, h, w, kh, kw, sh, sw, ph, pw, o, bias, gamma, beta = geometry[:13]
         window = geometry[13:]
-        conv = Conv2d.stages(dtype, *geometry[:11])
+        conv = Conv2d.stages(dtype, *geometry[:11])  # what the head refuses, the block does
         if isinstance(conv, str):
             return conv
         oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
@@ -521,6 +521,8 @@ class Block(Arm):
         window = self.key[15:]
         norm = attrs[1]
         x, wd = xs[:2]
+        if not self.takes(x):
+            return None
         flags = x.flags
         if not (flags.c_contiguous and flags.aligned and flags.writeable):
             x = np.require(x, requirements="CAW")  # a copy: the gather reads the same values

@@ -464,10 +464,10 @@ class _Block:
             return self.ops, "compiled", None
         if not kernels.jit.codegen_enabled():
             return self.ops, "numpy", "disabled"
-        found = kernels.arm(*self.args, ask=None)
-        if found is not None:  # adopted without its head's arm: for good
+        if kernels.arm(*self.args, ask=None) is not None:  # being built, or built
+            # Without its head's arm a block never runs: numpy for good.
             return self.ops, "numpy", "pending" if self.head is not None else "fallback"
-        op, dtype, _, *geometry = self.args
+        _, dtype, _, *geometry = self.args
         refused = isinstance(kernels.Block.stages(dtype.name, *geometry), str)
         return self.ops, "numpy", "geometry" if refused else "fallback"
 

@@ -7,7 +7,8 @@ members' steps before that.  Random stacks of such blocks vary stride,
 padding and kernel, the pool (2x2/s2 windows fuse; overlapping or padded
 ones stay on their members' steps, ``geometry``), conv bias and batch-norm
 affine on or off, f32 / f64, batch 1 / 3 / 64 and special values in the
-images (NaN, +-inf, +-0.0, subnormals).  The members run their numpy
+last step's images (NaN, +-inf, +-0.0, subnormals: the steps before stay
+finite, so the comparisons keep their power).  The members run their numpy
 bodies here; their own stages have their own suite.  A replayed run's losses,
 parameters, running statistics and optimizer moments (which carry the
 gradients) must be those of the same run through explicit ``loss()`` /
@@ -30,30 +31,30 @@ from test_train_kernels import same
 
 STEPS, ADOPT = 7, 4  # the third step captures; held-back blocks adopt at ADOPT
 FUSED = (2, 2, 0)
-#: Per case: pool, (conv bias, batch-norm affine), special values in the images.
+#: Per case: each block's pool and (conv bias, batch-norm affine), then the
+#: special values in the last step's images.
 AXES = [
-    (FUSED, (True, True), (np.nan, -0.0)),
-    (FUSED, (False, False), (np.inf, "subnormal")),
-    (FUSED, (True, False), (-np.inf, 0.0)),
-    ((3, 2, 0), (False, True), (np.nan,)),  # overlapping windows
-    (FUSED, (False, True), ("subnormal", -0.0)),
-    ((2, 2, 1), (True, False), ()),  # padded windows
+    (((FUSED, (True, True)), (FUSED, (False, True))), (np.nan, -0.0)),
+    (((FUSED, (False, False)),), (np.inf, "subnormal")),
+    (((FUSED, (True, False)),), (-np.inf, 0.0)),
+    ((((3, 2, 0), (False, True)),), (np.nan,)),  # overlapping windows
+    ((((2, 2, 1), (True, False)),), ("subnormal", -0.0)),  # padded windows
 ]
 
 
 def _cases():
     """Seeded stacks over :data:`AXES`; f32 / f64 and batch 1 / 3 / 64 in
-    turn, the first case two blocks deep."""
+    turn."""
     rng = np.random.default_rng(39)
     cases = []
     while len(cases) < len(AXES):
         i = len(cases)
-        pool, (bias, affine), specials = AXES[i]
+        blocks, specials = AXES[i]
         case = dict(c=int(rng.integers(1, 4)), size=int(rng.integers(6, 10)), blocks=[], seed=i,
                     dtype=(np.float32, np.float64)[i % 2], batch=(1, 3, 64)[i % 3],
                     specials=specials)
         size, fits = case["size"], True
-        for _ in range(1 + (i == 0)):
+        for pool, (bias, affine) in blocks:
             k, s, p = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(0, 2))
             conv = (size + 2 * p - k) // s + 1
             size = (conv + 2 * pool[2] - pool[0]) // pool[1] + 1
@@ -72,7 +73,7 @@ CASES = _cases()
 
 def build(case):
     """A TBNet whose spatial branch is the case's stack, its optimizer and
-    two batches."""
+    three batches."""
     dtype, rng = case["dtype"], np.random.default_rng(case["seed"])
     model = TBNet(in_channels=case["c"], context_dim=4, num_classes=3, width=2, rng=rng)
     layers, c = [], case["c"]
@@ -82,6 +83,10 @@ def build(case):
         c = b["o"]
     model.spatial = nn.Sequential(*layers, nn.Flatten())
     model.head.layers[0] = nn.Linear(case["flat"] + 4, 8, rng=rng)
+    for norm in layers[1::4]:
+        if norm.affine:  # not the identity: batch-norm's output and xhat differ in sign
+            norm.weight.data[...] = rng.uniform(0.5, 1.5, norm.num_features)
+            norm.bias.data[...] = rng.normal(0.0, 0.5, norm.num_features)
     for param in model.parameters():
         param.data = param.data.astype(dtype)
     for module in model.modules():
@@ -92,10 +97,10 @@ def build(case):
     opt = (Adam(model.parameters(), 1e-2) if case["seed"] % 3
            else SGD(model.parameters(), 1e-2, momentum=0.9))
     batches = []
-    for _ in range(2):
+    for k in range(3):  # the third, with the special values, is the last step's
         shape = (case["batch"], case["c"], case["size"], case["size"])
         images = rng.standard_normal(shape).astype(dtype)
-        for special in case["specials"]:
+        for special in case["specials"] if k == 2 else ():
             value = np.finfo(dtype).smallest_subnormal if special == "subnormal" else special
             images[rng.random(shape) < 0.05] = value
         context = rng.standard_normal((case["batch"], 4)).astype(dtype)
@@ -106,12 +111,20 @@ def build(case):
 
 def trained(case, parts, hooks={}):
     """The case's run through ``train_step`` (or explicit parts): the
-    losses, the state dict and the optimizer's moments; ``hooks[step](model)``
-    runs after that step."""
+    losses, and the state dict and the optimizer's moments before and after
+    the last step; ``hooks[step](model)`` runs after that step."""
     model, opt, batches = build(case)
-    losses = []
+    losses, arrays = [], []
+
+    def state():
+        arrays.extend(np.copy(a) for a in model.state_dict().values())
+        for name in opt._state_lists:
+            arrays.extend(np.copy(a) for a in getattr(opt, name) if a is not None)
+
     for step in range(STEPS):
-        images, context, targets = batches[step % 2]
+        if step == STEPS - 1:
+            state()
+        images, context, targets = batches[2 if step == STEPS - 1 else step % 2]
         with np.errstate(all="ignore"):
             if parts:
                 loss = model.loss(images, context, targets)
@@ -123,10 +136,8 @@ def trained(case, parts, hooks={}):
                 losses.append(model.train_step(opt, images, context, targets))
         if step in hooks:
             hooks[step](model)
-    arrays = [np.array(losses)] + list(model.state_dict().values())
-    for name in opt._state_lists:
-        arrays += [a for a in getattr(opt, name) if a is not None]
-    return arrays
+    state()
+    return [np.array(losses)] + arrays
 
 
 def block_rows(model):
@@ -140,17 +151,18 @@ def check(got, want, case):
         same(g, w, f"{case} array {k}")
 
 
-def _only_blocks(held):
-    """``kernels.arm`` with the members' own stages numpy for good but the
-    conv's, whose gather and scatter a block runs — the blocks' are the ones
-    under test, the members' have theirs (``test_train_kernels``) — and the
-    blocks' held back while ``held.on``: asked for, they read as pending
-    (``kernels.PENDING`` to a capture), as while the compile thread builds
-    them."""
+def _only_blocks(held, case):
+    """``kernels.arm`` with the members' own stages numpy for good but, in a
+    case whose blocks fuse, the conv's, whose gather and scatter a block runs
+    — the blocks' are the ones under test, the members' have theirs
+    (``test_train_kernels``) — and the blocks' held back while ``held.on``:
+    asked for, they read as pending (``kernels.PENDING`` to a capture), as
+    while the compile thread builds them."""
     real = kernels.arm
+    heads = any(_fuses(case))
 
     def arm(op, dtype, n, *geometry, ask=True):
-        if op is kernels.Conv2d.op:
+        if op is kernels.Conv2d.op and heads:
             return real(op, dtype, n, *geometry, ask=ask)
         if op is not kernels.BLOCK:
             return None
@@ -167,20 +179,13 @@ def built():
     compile thread (the capture sights a block, the first replayed step
     asks)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "arm", _only_blocks(type("Held", (), {"on": False})()))
         for case in CASES:
+            patch.setattr(kernels, "arm", _only_blocks(type("Held", (), {"on": False})(), case))
             model, opt, batches = build(case)
             with np.errstate(all="ignore"):
                 for step in range(4):
                     model.train_step(opt, *batches[step % 2])
     assert wait_for_compiles(300)
-
-
-@pytest.fixture
-def held(monkeypatch):
-    state = type("Held", (), {"on": True})()
-    monkeypatch.setattr(kernels, "arm", _only_blocks(state))
-    return state
 
 
 def _fuses(case):
@@ -191,8 +196,10 @@ def _fuses(case):
                     reason="no C compiler available, or codegen is off (REPRO_CODEGEN=0)")
 @pytest.mark.parametrize("index", range(len(CASES)))
 def test_blocks_replay_the_explicit_parts_before_during_and_after_adoption(
-        built, held, index):
+        built, monkeypatch, index):
     case = CASES[index]
+    held = type("Held", (), {"on": True})()
+    monkeypatch.setattr(kernels, "arm", _only_blocks(held, case))
     rows = {}
 
     def adopt(model):
