@@ -469,7 +469,7 @@ class Block(Arm):
             return "geometry"
         stage = _channels(dtype, o, size)
         x, channel = (o * size, size, 1), (0, 1, 0)
-        # 1: rows gemm, [bias,] the conv's output, mean, var.
+        # 0: rows gemm, [bias,] the conv's output, mean, var.
         epilogue = ir.Program((1, o, oh, ow), literal=True)
         F._conv2d_program(epilogue, geometry, *range(1 + bias))
         k, value = 1 + bias, epilogue.number(epilogue.value)
@@ -477,7 +477,7 @@ class Block(Arm):
             epilogue.stage(dtype, ((k, value, None),), o * size, sums=((k + 1, value, True),)),
             _variance(stage, x, k, k + 1, k + 2),
         ))
-        # 2: rows the conv's output, mean, inv_std, [gamma,] [beta,] xhat,
+        # 1: rows the conv's output, mean, inv_std, [gamma,] [beta,] xhat,
         # the relu's output, the pooled output.
         program = ir.Program((1, o, oh, ow), literal=True)
         program.value = program.input(0, (o * size, size, ow, 1))
@@ -487,7 +487,7 @@ class Block(Arm):
         k, relu = len(program.operands), program.number(program.value)
         dst = ((k, program.number(xhat), None), (k + 1, relu, None), (k + 2, None, None))
         normalize = program.stage(dtype, dst, o * math.prod(_out_hw(oh, ow, *window)))
-        # 3: rows g, the pooled output, the relu's output, xhat, inv_std,
+        # 2: rows g, the pooled output, the relu's output, xhat, inv_std,
         # [gamma,] dxhat, sum(d), sum(d * xhat), mean(dxhat),
         # mean(dxhat * xhat), the GEMM-layout gradient[, the bias gradient];
         # d is the relu's input gradient, dxhat d * gamma or d itself.
