@@ -34,14 +34,13 @@ input and routes each window's gradient to the **first** maximal element in
 row-major window order (``+0.0`` and ``-0.0`` tie) — a window holding a NaN
 outputs NaN and routes to its first NaN.
 
-Under a tape, ``conv2d`` / ``max_pool2d`` / ``batch_norm`` (and
-``Tensor.relu``) run compiled loop stages around the same GEMMs — per-channel
-sums included, in numpy's order — once :mod:`repro.autograd.kernels` has
-adopted them for their geometry: the same bytes, so the bodies here stay the
-reference and what runs until then.  A compiled window node retains the
-same arrays with one difference: ``max_pool2d`` keeps its *input* (no padded
-copy, no slice views) and its output; should its numpy backward have to run
-after all, it lowers the input then.
+Under a tape, ``conv2d``'s patch matrix and input-gradient scatter (and
+``Tensor.relu``) run compiled loop stages around the same GEMMs once
+:mod:`repro.autograd.kernels` has adopted them for their geometry: the same
+bytes, so the bodies here stay the reference and what runs until then.  A
+replayed train step runs each conv → batch-norm → relu → max-pool chain as
+one compiled block (:class:`repro.autograd.kernels.Block`), from the program
+pieces and geometries defined here.
 
 Layouts follow the PyTorch convention: images are NCHW, convolution weights
 are ``(out_channels, in_channels, kh, kw)``, classification logits are
@@ -267,17 +266,21 @@ def col2im(
 # Forward cores
 # --------------------------------------------------------------------------- #
 def _conv2d_forward(
-    xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray],
+    arm, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray],
     sh: int, sw: int, ph: int, pw: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """NCHW cross-correlation core; returns ``(out, patch_matrix)``."""
-    out_c, _, kh, kw = wd.shape
-    xp = _pad_hw(xd, ph, pw)
-    oh, ow = _out_hw(xp.shape[2], xp.shape[3], kh, kw, sh, sw, 0, 0)
-    cols = _patch_matrix(xp, kh, kw, sh, sw)
+    """NCHW cross-correlation core; returns ``(out, patch_matrix)``.  The
+    patch matrix is the compiled ``arm``'s gather where one binds, else
+    numpy's footprint loop."""
+    out_c, in_c, kh, kw = wd.shape
+    n, _, h, w = xd.shape
+    oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+    cols = arm and arm.gather(xd, (in_c * kh * kw, n * oh * ow))
+    if cols is None:
+        cols = _patch_matrix(_pad_hw(xd, ph, pw), kh, kw, sh, sw)
     # One GEMM over channels and kernel footprint: -> (O, N*OH*OW).
-    out_t = _ws_matmul(wd.reshape(out_c, -1), cols).reshape(out_c, len(xp), oh, ow)
-    out = workspace.empty((len(xp), out_c, oh, ow), out_t.dtype)
+    out_t = _ws_matmul(wd.reshape(out_c, -1), cols).reshape(out_c, n, oh, ow)
+    out = workspace.empty((n, out_c, oh, ow), out_t.dtype)
     if bd is None:
         np.copyto(out, out_t.transpose(1, 0, 2, 3))
     else:
@@ -454,10 +457,7 @@ def _conv2d(arm, xs, attrs, ports):
     filter that takes a gradient (only the weight gradient reads it)."""
     xd, wd = xs[0], xs[1]
     bd = xs[2] if len(xs) == 3 else None
-    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
-    kh, kw = wd.shape[2:]
-    result = arm and arm.forward(xd, wd, bd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
-    out, cols = result or _conv2d_forward(xd, wd, bd, sh, sw, ph, pw)
+    out, cols = _conv2d_forward(arm, xd, wd, bd, *attrs["stride"], *attrs["padding"])
     return out, (xd, wd, cols if ports[1].requires_grad else None)
 
 
@@ -494,14 +494,9 @@ def _conv2d_bind(xs, attrs, out):
 def conv2d_backward(arm, g, ports, ctx, attrs) -> None:
     """Accumulate conv2d's adjoints for incoming grad ``g`` (``N, O, OH, OW``)
     against the forward's patch matrix."""
-    xd, wd = ctx[:2]
-    out_c, _, kh, kw = wd.shape
-    (sh, sw), (ph, pw) = attrs["stride"], attrs["padding"]
     # (O, N*OH*OW): the layout the forward GEMM produced.
-    grads = arm and arm.transpose(g, (len(xd), out_c) + _out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
-    g_t, db = grads or (_owned_copy(g.transpose(1, 0, 2, 3)).reshape(out_c, -1), None)
-    if len(ports) == 3 and ports[2].requires_grad and db is None:
-        db = g.sum(axis=(0, 2, 3))
+    g_t = _owned_copy(g.transpose(1, 0, 2, 3)).reshape(g.shape[1], -1)
+    db = g.sum(axis=(0, 2, 3)) if len(ports) == 3 and ports[2].requires_grad else None
     _conv2d_adjoints(arm, g_t, db, ports, ctx, attrs)
 
 
@@ -550,12 +545,8 @@ def max_pool2d(
     _out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw)  # the kernel must fit the padded input
 
     attrs = {"kernel_size": (kh, kw), "stride": (sh, sw), "padding": (ph, pw)}
-    arm = None
-    if _taping(x_t):
-        xd = np.asarray(xd)
-        arm = _MAX_POOL2D.arm((xd,), attrs)
-    out, ctx = _MAX_POOL2D.forward(arm, (xd,), attrs, (x_t,))
-    return Tensor._make(out, (x_t,), "max_pool2d", _MAX_POOL2D.thunk(arm, (x_t,), ctx, attrs),
+    out, ctx = _MAX_POOL2D.forward(None, (xd,), attrs, (x_t,))
+    return Tensor._make(out, (x_t,), "max_pool2d", _MAX_POOL2D.thunk(None, (x_t,), ctx, attrs),
                         attrs=attrs)
 
 
@@ -570,16 +561,10 @@ def _max_pool2d_program(p, geometry) -> None:
 
 
 def _max_pool2d(arm, xs, attrs, ports):
-    """``(out, (x, out, footprint slices))``; no slices from the compiled
-    arm (the numpy backward lowers the input itself, should it run)."""
-    xd = xs[0]
-    (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
-    out = arm and arm.forward(xd, *_out_hw(*xd.shape[2:], kh, kw, sh, sw, ph, pw))
-    if out is None:
-        out, windows = _max_pool2d_forward(xd, kh, kw, sh, sw, ph, pw)
-    else:
-        windows = None
-    return out, (xd, out, windows)
+    """``(out, (x, out, footprint slices))``."""
+    out, windows = _max_pool2d_forward(
+        xs[0], *attrs["kernel_size"], *attrs["stride"], *attrs["padding"])
+    return out, (xs[0], out, windows)
 
 
 def _max_pool2d_bind(xs, attrs, out):
@@ -600,14 +585,8 @@ def max_pool2d_backward(arm, g, ports, ctx, attrs) -> None:
     if not x_t.requires_grad:
         return
     xd, out, windows = ctx
-    dx = arm and arm.backward(xd, out, g)
-    if dx is not None:
-        x_t._accumulate_fresh(dx)
-        return
     (kh, kw), (sh, sw), (ph, pw) = attrs["kernel_size"], attrs["stride"], attrs["padding"]
     n, c, h, w = xd.shape
-    if windows is None:
-        windows = _window_slices(_pad_hw(xd, ph, pw, value=-np.inf), kh, kw, sh, sw)
     dxp = _zeros((n, c, h + 2 * ph, w + 2 * pw), xd.dtype)
     dwindows = _window_slices(dxp, kh, kw, sh, sw)
     # First-winner masks: a window is ``pending`` until one of its
@@ -734,11 +713,7 @@ def batch_norm(
         "has_weight": w_t is not None,
         "has_bias": b_t is not None,
     }
-    arm = None
-    if _taping(*parents):
-        xs[0] = np.asarray(xd)
-        arm = _BATCH_NORM.arm(xs, attrs)
-    out, ctx = _BATCH_NORM.forward(arm, xs, attrs, parents)
+    out, ctx = _BATCH_NORM.forward(None, xs, attrs, parents)
     xhat, mean, inv_std, use_batch_stats, _ = ctx
     # What a captured trace replays: in eval mode ``mean`` can be the
     # module's live running_mean buffer (np.asarray is a no-copy
@@ -746,7 +721,7 @@ def batch_norm(
     # leak into a saved trace whose inv_std is already frozen.
     attrs.update(use_batch_stats=use_batch_stats, inv_std=inv_std, xhat=xhat,
                  mean=mean if use_batch_stats else mean.copy())
-    return Tensor._make(out, parents, "batch_norm", _BATCH_NORM.thunk(arm, parents, ctx, attrs),
+    return Tensor._make(out, parents, "batch_norm", _BATCH_NORM.thunk(None, parents, ctx, attrs),
                         attrs=attrs)
 
 
@@ -771,34 +746,22 @@ def _batch_norm_program(p, geometry, mean, inv_std, *affine):
 def _batch_norm(arm, xs, attrs, ports):
     """``(out, (xhat, mean, inv_std, use_batch_stats, gamma))``, updating
     the running statistics in place in training."""
-    gamma, beta = _bn_affine_inputs(xs, attrs)
-    out, xhat, mean, inv_std, use_batch_stats = _batch_norm_forward(
-        arm, xs[0], gamma, beta, *attrs["running"], attrs["training"], attrs["momentum"],
-        attrs["eps"])
-    return out, (xhat, mean, inv_std, use_batch_stats, gamma)
-
-
-def _batch_norm_forward(arm, xd, gamma, beta, running_mean, running_var, training, momentum, eps):
-    """Batch norm's forward over ``xd`` (``arm``: the compiled arm or
-    ``None``), updating the running statistics in place in training:
-    ``(out, xhat, mean, inv_std, use_batch_stats)``."""
+    xd, (running_mean, running_var) = xs[0], attrs["running"]
     axes = (0,) + tuple(range(2, xd.ndim))
-    m = xd.size // xd.shape[1]  # elements per channel
-    use_batch_stats = training or running_mean is None or running_var is None
+    gamma, beta = _bn_affine_inputs(xs, attrs)
+    use_batch_stats = attrs["training"] or running_mean is None or running_var is None
     if use_batch_stats:
-        stats = arm and arm.stats(xd)
-        mean, var = stats or (xd.mean(axis=axes), _var(xd, axis=axes))
+        mean, var = xd.mean(axis=axes), _var(xd, axis=axes)
     else:
         mean = np.asarray(running_mean, dtype=xd.dtype)
         var = np.asarray(running_var, dtype=xd.dtype)
-
-    if training:
-        _bn_running(running_mean, running_var, mean, var, m, momentum)
-    inv_std = _bn_inv_std(var, eps)
+    if attrs["training"]:
+        m = xd.size // xd.shape[1]  # elements per channel
+        _bn_running(running_mean, running_var, mean, var, m, attrs["momentum"])
+    inv_std = _bn_inv_std(var, attrs["eps"])
     bshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
-    normalized = arm and arm.normalize(xd, mean, inv_std, gamma, beta)
-    xhat, out = normalized or _bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
-    return out, xhat, mean, inv_std, use_batch_stats
+    xhat, out = _bn_normalize(xd, mean, inv_std, gamma, beta, bshape)
+    return out, (xhat, mean, inv_std, use_batch_stats, gamma)
 
 
 def _bn_running(running_mean, running_var, mean, var, m: int, momentum: float) -> None:
@@ -899,21 +862,12 @@ def _batch_norm_bind(xs, attrs, out):
 
 
 def batch_norm_backward(arm, g, ports, ctx, attrs) -> None:
-    """Accumulate batch-norm's adjoints for incoming grad ``g``; without the
-    compiled arm the forward ran, the arm is looked up."""
+    """Accumulate batch-norm's adjoints for incoming grad ``g``."""
     xhat, _, inv_std, use_batch_stats, gamma = ctx
     axes, bshape = attrs["axes"], attrs["bshape"]
     x_t = ports[0]
     w_t = ports[1] if attrs["has_weight"] else None
     b_t = ports[-1] if attrs["has_bias"] else None
-    if x_t.requires_grad and use_batch_stats:  # the compiled arm: sums and passes in C
-        if arm is None:
-            arm = _BATCH_NORM.arm((xhat,), attrs, ask=False)
-        grads = arm and arm.backward(g, xhat, inv_std, gamma)
-        if grads is not None:
-            _bn_affine_grads(ports, attrs, *grads[:2])
-            x_t._accumulate_fresh(grads[2])
-            return
     if b_t is not None and b_t.requires_grad:
         b_t._accumulate_fresh(g.sum(axis=axes))
     if w_t is not None and w_t.requires_grad:

@@ -370,7 +370,9 @@ class Stage(NamedTuple):
       the operands after it, an epilogue's constants first.
     - ``geometry(xs, attrs) -> (n, *geometry)``: what the op's train arm is
       keyed by over the input arrays ``xs``, ``n`` its runtime extent;
-      ``program`` reads the rest.  ``None``: the op has no train arm.
+      ``program`` reads the rest.  ``None``: the op has no train arm.  A
+      replayed step's conv block is keyed by its members' geometries
+      (batch-norm and max-pool run compiled only there).
     """
 
     part: Optional[str]
@@ -433,7 +435,7 @@ class Op:
     def arm(self, xs, attrs, ask=True):
         """The op's compiled arm over the input arrays ``xs``:
         :func:`repro.autograd.kernels.arm` at the geometry its description
-        keys (same ``ask``), or ``None`` for an op without one."""
+        keys (same ``ask``), or ``None`` for an op without one of its own."""
         geometry = self.stage.geometry
         if geometry is None:
             return None

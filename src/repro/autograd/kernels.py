@@ -3,30 +3,31 @@
 A train step is mostly numpy passes over activations: strided footprint
 loops with inner runs of 8-16 elements, batch-norm and relu chains that
 stream every activation a dozen times.  An op whose stage description
-(:class:`repro.autograd.ir.Stage`) keys a train geometry — ``conv2d`` /
-``max_pool2d`` / ``batch_norm`` / ``relu`` — therefore asks here through
-:meth:`repro.autograd.ir.Op.arm`, **only where a backward thunk is being
-built or run**, for C loop stages of its shape: a ``("stages", ...)``
-signature, rendered by :mod:`repro.codegen.cstage`, built by
-:mod:`repro.codegen.jit`'s compile thread.  The forward stages are the
-description's program pieces — the ones eval serving plans from
-(:mod:`repro.serve.stages`) — and nothing here names an op.  :func:`arm`
-never waits for a compiler; until a library is adopted, when codegen is
-off, and for whatever the stages do not cover, it returns ``None`` and the
-caller runs its numpy body, which stays the reference.  A process that
-never records a tape (serving, ``no_grad`` inference) never imports this
-module.
+(:class:`repro.autograd.ir.Stage`) keys a train geometry therefore asks
+here through :meth:`repro.autograd.ir.Op.arm`, **only where a backward
+thunk is being built or run**, for C loop stages of its shape: a
+``("stages", ...)`` signature, rendered by :mod:`repro.codegen.cstage`,
+built by :mod:`repro.codegen.jit`'s compile thread.  :func:`arm` never
+waits for a compiler; until a library is adopted, when codegen is off, and
+for whatever the stages do not cover, it returns ``None`` and the caller
+runs its numpy body, which stays the reference.  A process that never
+records a tape (serving, ``no_grad`` inference) never imports this module.
 
-What is compiled, per op, is in its :class:`Arm`'s ``stages`` — and, for a
-replayed step (:mod:`repro.autograd.replay`), each conv block's three
-stages from the same pieces (:class:`Block`) and the optimizer's whole-model update
-(:class:`Update`).  Every GEMM is the numpy call it was.  Each stage
-applies numpy's operations in numpy's order to every element, and sums per
-channel in numpy's order — every ``(sample, channel)`` block's pairwise sum
-added onto ``+0.0`` in sample order (:mod:`repro.codegen.cstage`), which
-holds for more than one channel: a one-channel batch-norm stays numpy
-(``geometry``).  So both arms produce **the same bytes**, and a run may
-switch between them at any step.
+What is compiled is kept to what a replayed step (:mod:`repro.autograd.replay`)
+runs: each conv2d → batch_norm → relu → max_pool2d chain as a
+:class:`Block` of three stages built from the members' program pieces —
+the ones eval serving plans from (:mod:`repro.serve.stages`), so nothing
+here names an op — around its conv's :class:`Conv2d` gather and scatter;
+each other relu (:class:`Relu`); and the optimizer's whole-model update
+(:class:`Update`).  An eager step runs the conv gather and scatter and the
+relu stages too; its batch-norm and max-pool run their numpy bodies.  Every
+GEMM is the numpy call it was.  Each stage applies numpy's operations in
+numpy's order to every element, and sums per channel in numpy's order —
+every ``(sample, channel)`` block's pairwise sum added onto ``+0.0`` in
+sample order (:mod:`repro.codegen.cstage`), which holds for more than one
+channel: a one-channel block stays on its members (``geometry``).  So both
+arms produce **the same bytes**, and a run may switch between them at any
+step.
 
 **The NaN rule.**  *Which* elements are NaN is identical on both arms; the
 sign and payload of a NaN produced from two NaN operands is unspecified
@@ -45,7 +46,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -83,13 +84,14 @@ def _numpy(key: tuple, reason: str) -> None:
 class Arm:
     """The loaded stages of one op geometry (``key``: op, dtype, geometry).
 
-    A subclass per op (``op``, its entry): ``stages`` describes them to
-    ``cstage`` (every extent but the batch a literal; a ``str`` instead names
-    why numpy keeps this geometry) and the methods are the compiled bodies.
-    Each mirrors a numpy body of ``autograd.functional`` /
-    ``autograd.tensor`` buffer for buffer — results come from
-    ``workspace.empty`` — and returns ``None`` when that body has to run
-    instead.
+    A subclass per op a step runs compiled (``op``, its entry: conv2d's
+    gather and scatter, relu, a conv :class:`Block`, the optimizer's
+    :class:`Update`): ``stages`` describes them to ``cstage`` (every extent
+    but the batch a literal; a ``str`` instead names why numpy keeps this
+    geometry) and the methods are the compiled bodies.  Each mirrors a numpy
+    body of ``autograd.functional`` / ``autograd.tensor`` buffer for buffer
+    — results come from ``workspace.empty`` — and returns ``None`` when that
+    body has to run instead.
     """
 
     __slots__ = ("key", "library")
@@ -131,7 +133,7 @@ class Arm:
         return True
 
 
-def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
+def arm(op: ir.Op, dtype, n: int, *geometry, ask: Optional[bool] = True) -> Optional[Arm]:
     """The compiled arm of table op ``op`` (:meth:`repro.autograd.ir.Op.arm`
     asks with its description's geometry) at this dtype and geometry over
     ``n`` leading items, or ``None``: run the numpy body.  Never waits.
@@ -139,11 +141,12 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
     A geometry's first sight adopts what the kernel cache already holds and
     builds nothing; the compile thread is asked at the second — a shape that
     is recorded once (a gradient check, a test) costs no compiler run, and a
-    training run's first step only looks.  ``ask=False`` (a backward whose
-    forward did the asking) neither counts as a sight nor asks; ``ask=None``
-    (a replay being captured) does neither either and answers
-    :data:`PENDING` instead of ``None`` while the answer may still change."""
-    if not n:
+    training run's first step only looks.  ``ask=None`` (a replay being
+    captured) neither counts as a sight nor asks, and answers
+    :data:`PENDING` instead of ``None`` while the answer may still change.
+    An op without compiled bodies of its own (batch-norm and max-pool run
+    compiled only inside a :class:`Block`) gets ``None``, counted nowhere."""
+    if not n or op not in _BODY:
         return None
     key = (op.name, dtype) + geometry
     # What an adopted arm costs per call is the budget of a small batch: the
@@ -157,8 +160,6 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
         return found  # adopted, or numpy for good
     if ask is None:
         return PENDING if jit.codegen_enabled() else _numpy(key, "disabled")
-    if not ask:
-        return None
     if not jit.codegen_enabled():
         return _numpy(key, "disabled")
     if found is _ASK:
@@ -187,160 +188,35 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: bool = True) -> Optional[Arm]:
 
 
 class Conv2d(Arm):
+    """A conv geometry's gather (the patch matrix its forward GEMM reads) and
+    scatter (the input gradient from the backward's ``dcols``) — on an
+    eager step around numpy's GEMMs, bias add and bias gradient, in a
+    replayed one as a :class:`Block`'s head."""
+
     __slots__ = ()
     op = F._CONV2D
-    rows = ("conv2d.gather[c]", "conv2d.epilogue[c]", "conv2d.transpose[c]", "conv2d.scatter[c]")
+    rows = ("conv2d.gather[c]", "conv2d.scatter[c]")
 
     @staticmethod
     def stages(dtype, *geometry):
-        c, h, w, kh, kw, sh, sw, ph, pw, out_c, bias = geometry
+        window = geometry[:9]
+        _, h, w, _, _, _, _, ph, pw = window
         if (ph or pw) and (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
             return "geometry"
-        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-        epilogue = ir.Program((1, out_c, oh, ow), literal=True)
-        F._conv2d_program(epilogue, geometry, *range(1 + bias))  # the GEMM's row 0, the bias 1
-        return (
-            ("gather", dtype, 0, 1) + geometry[:9],
-            epilogue.stage(dtype, 1 + bias, out_c * oh * ow),
-            ("transpose", dtype, 0, 1, out_c, oh * ow) + ((2,) if bias else ()),
-            ("scatter", dtype, 0, 1) + geometry[:9],
-        )
+        return ("gather", dtype, 0, 1) + window, ("scatter", dtype, 0, 1) + window
 
-    def forward(self, xd, wd, bd, oh: int, ow: int):
-        """``functional._conv2d_forward``: ``(out, patch matrix)``."""
-        if not (self.takes(wd) if bd is None else self.takes(wd, bd)):
-            return None
-        n, out_c = len(xd), len(wd)
-        cols = workspace.empty((wd.size // out_c, n * oh * ow), xd.dtype)
-        if not self.run(0, n, xd, cols):
-            return None
-        gemm = _ws_matmul(wd.reshape(out_c, -1), cols)
-        out = workspace.empty((n, out_c, oh, ow), xd.dtype)
-        ran = self.run(1, n, gemm, out) if bd is None else self.run(1, n, gemm, bd, out)
-        return (out, cols) if ran else None
-
-    def transpose(self, g, shape: tuple):
-        """``(g_t, db)``: the ``(N, O, OH, OW)`` gradient of an output of
-        ``shape`` as the ``(O, N*OH*OW)`` matrix the forward GEMM produced
-        and, for a conv with a bias, ``g.sum(axis=(0, 2, 3))`` (else ``None``)."""
-        if g.shape != shape or not self.takes(g):
-            return None
-        g_t = workspace.empty((shape[1], g.size // shape[1]), g.dtype)
-        if not self.key[-1]:
-            return (g_t, None) if self.run(2, shape[0], g, g_t) else None
-        db = workspace.empty(shape[1:2], g.dtype)
-        return (g_t, db) if self.run(2, shape[0], g, g_t, db) else None
+    def gather(self, xd, shape: tuple):
+        """``functional._patch_matrix`` of the padded input: the ``shape``
+        ``(C*kh*kw, N*OH*OW)`` patch matrix."""
+        cols = workspace.empty(shape, xd.dtype)
+        return cols if self.run(0, len(xd), xd, cols) else None
 
     def scatter(self, dcols, shape: tuple):
         """``_patch_matrix_adjoint`` + ``_unpad_hw``: the input gradient."""
         if not self.takes(dcols):
             return None
         dx = workspace.empty(shape, dcols.dtype)
-        return dx if self.run(3, shape[0], dcols, dx) else None
-
-
-class MaxPool2d(Arm):
-    __slots__ = ()
-    op = F._MAX_POOL2D
-    rows = ("max_pool2d.max[c]", "max_pool2d.route[c]")
-
-    @staticmethod
-    def stages(dtype, *geometry):
-        c, h, w, kh, kw, sh, sw, ph, pw = geometry
-        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-        if oh * ow + bool(ph or pw) * (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
-            return "geometry"
-        window = ir.Program((1, c, h, w), literal=True)
-        window.value = window.input(0, (c * h * w, h * w, w, 1))
-        F._max_pool2d_program(window, geometry)
-        return (
-            window.stage(dtype, 1, c * oh * ow),
-            ("route", dtype, 0, 1, 2, 3) + geometry,
-        )
-
-    def forward(self, xd, oh: int, ow: int):
-        out = workspace.empty(xd.shape[:2] + (oh, ow), xd.dtype)
-        return out if self.run(0, len(xd), xd, out) else None
-
-    def backward(self, xd, out, g):
-        if g.shape != out.shape or not self.takes(xd, g):
-            return None
-        dx = workspace.empty(xd.shape, xd.dtype)
-        return dx if self.run(1, len(xd), xd, out, g, dx) else None
-
-
-class BatchNorm(Arm):
-    __slots__ = ()
-    op = F._BATCH_NORM
-    rows = ("batch_norm.var[c]", "batch_norm.normalize[c]", "batch_norm.bwd1[c]", "batch_norm.bwd2[c]")
-
-    @staticmethod
-    def stages(dtype, c, size, gamma, beta):
-        # numpy sums a single channel's N*H*W as one run, and a stage keeps
-        # two rows of a plane on the C stack.
-        if c == 1 or 2 * size * 8 > _STACK:
-            return "geometry"
-        x, channel = (c * size, size, 1), (0, 1, 0)
-        stage = _channels(dtype, c, size)
-        # mean, then the mean of (x - mean)^2: functional._var's two sums.
-        var = ("passes", dtype, (stage(((0, x),), (), (), ((1, 0, True),)), _variance(stage, x, 0, 1, 2)))
-        # xhat and the output in one pass: eval serving's program over x.
-        program = ir.Program((1, c, size), literal=True)
-        program.value = program.input(0, x)
-        xhat = F._batch_norm_program(program, (c, size, gamma, beta), *range(1, 3 + gamma + beta))
-        k, out = len(program.operands), program.value
-        normalize = program.stage(dtype, (
-            (k, program.number(xhat), None), (k + 1, program.number(out), None)), c * size)
-        # sum(g), sum(g * xhat), mean(dxhat), mean(dxhat * xhat); dxhat is
-        # g * gamma, written out, or g itself.
-        if gamma:
-            products = (("mul", (0, 1)), ("mul", (0, 2)), ("mul", (4, 1)))
-            sums = ((4, 0, False), (5, 3, False), (6, 4, True), (7, 5, True))
-            bwd1 = stage(((0, x), (1, x), (2, channel)), products, ((3, 4, None),), sums)
-        else:
-            sums = ((2, 0, False), (3, 2, False), (4, 0, True), (5, 2, True))
-            bwd1 = stage(((0, x), (1, x)), (("mul", (0, 1)),), (), sums)
-        bwd2 = stage(((0, x), (1, x), (2, channel), (3, channel), (4, channel)), _COMBINE, 5)
-        return var, normalize, bwd1, bwd2
-
-    def stats(self, xd):
-        """``(xd.mean(axis=axes), functional._var(xd, axis=axes))``: numpy's
-        per-channel sums, in its order, in one call."""
-        mean, var = (workspace.empty(xd.shape[1:2], xd.dtype) for _ in range(2))
-        return (mean, var) if self.run(0, len(xd), xd, mean, var) else None
-
-    def normalize(self, xd, mean, inv_std, gamma, beta):
-        """``functional._bn_normalize``: ``(xhat, out)``."""
-        operands = [xd, mean, inv_std] + [p for p in (gamma, beta) if p is not None]
-        if mean.shape != inv_std.shape or mean.shape != (xd.shape[1],):
-            return None
-        if not self.takes(*operands):
-            return None
-        xhat, out = workspace.empty(xd.shape, xd.dtype), workspace.empty(xd.shape, xd.dtype)
-        return (xhat, out) if self.run(1, len(xd), *operands, xhat, out) else None
-
-    def backward(self, g, xhat, inv_std, gamma) -> Optional[Tuple]:
-        """``(dbeta, dgamma, dx)`` of a batch-statistics node:
-        ``functional.batch_norm_backward``'s sums, products and three-term
-        adjoint in two calls."""
-        affine = () if gamma is None else (gamma,)
-        if g.shape != xhat.shape or any(p.shape != xhat.shape[1:2] for p in (inv_std, *affine)):
-            return None
-        if not self.takes(g, xhat, inv_std, *affine):
-            return None
-        n, shape, dtype = len(g), g.shape, g.dtype
-        sums = [workspace.empty(shape[1:2], dtype) for _ in range(4)]
-        if gamma is None:
-            dxhat = g
-            ran = self.run(2, n, g, xhat, *sums)
-        else:
-            dxhat = workspace.empty(shape, dtype)
-            ran = self.run(2, n, g, xhat, gamma, dxhat, *sums)
-        if not ran:
-            return None
-        dx = workspace.empty(shape, dtype)
-        ran = self.run(3, n, dxhat, xhat, sums[2], sums[3], inv_std, dx)
-        return (sums[0], sums[1], dx) if ran else None
+        return dx if self.run(1, shape[0], dcols, dx) else None
 
 
 def _channels(dtype, c: int, size: int):
@@ -432,14 +308,14 @@ class Block(Arm):
 
     __slots__ = ("head",)
     op = BLOCK
-    members = (Conv2d, BatchNorm, Relu, MaxPool2d)
+    members = (F._CONV2D, F._BATCH_NORM, tensor._RELU, F._MAX_POOL2D)
 
     @classmethod
     def ask(cls, nodes) -> Optional[tuple]:
         """What :func:`arm` is asked for the block over the recorded chain
         ``nodes`` — ``(BLOCK, dtype, n, *geometry)`` — or ``None`` when the
         chain is not one."""
-        if tuple(ir.OPS[node.op] for node in nodes) != tuple(body.op for body in cls.members):
+        if tuple(ir.OPS[node.op] for node in nodes) != cls.members:
             return None
         conv, norm, _, pool = nodes
         dtype = conv.out.data.dtype
@@ -528,8 +404,8 @@ class Block(Arm):
             x = np.require(x, requirements="CAW")  # a copy: the gather reads the same values
         n = len(x)
         oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-        cols = workspace.empty((c * kh * kw, n * oh * ow), dtype)
-        if not self.head.run(0, n, x, cols):
+        cols = self.head.gather(x, (c * kh * kw, n * oh * ow))
+        if cols is None:
             return None
         gemm = _ws_matmul(wd.reshape(o, -1), cols)
         out = workspace.empty((n, o, oh, ow), dtype)
@@ -569,7 +445,7 @@ class Block(Arm):
         F._conv2d_adjoints(self.head, g_t, db, ports[0], (x, wd, cols), attrs[0])
 
 
-Block.rows = tuple(f"{'+'.join(body.op.name for body in Block.members)}.{stage}[c]"
+Block.rows = tuple(f"{'+'.join(op.name for op in Block.members)}.{stage}[c]"
                    for stage in ("stats", "normalize", "backward"))
 
 

@@ -23,7 +23,8 @@ walk serving's groups take (:meth:`repro.autograd.ir.Readers.chain`) —
 replays as one forward and one backward step: its members' steps until its
 own stages (:class:`repro.autograd.kernels.Block`) are adopted — asked for
 at the first capture attempt — then theirs: three native calls forward and
-one or two backward where its members make eleven or twelve.
+one or two backward where its members run batch-norm and max-pool as numpy
+passes.
 
 **The same kernels, so the same bytes.**  Every node runs its op's entry in
 the op table (:data:`repro.autograd.ir.OPS`) — the forward and the backward
@@ -214,7 +215,7 @@ class TrainReplay:
             if node.backward is not None:
                 backward[id(node)] = (bwd, (g, ctx))
             reason = None
-            if arm is None and op.stage.geometry is not None:
+            if arm is None and op in kernels._BODY:  # an op with compiled bodies of its own
                 reason = "fallback" if kernels.jit.codegen_enabled() else "disabled"
             self._rows.append(((node.op,), "numpy" if arm is None else "compiled", reason))
         # Each conv block runs as one forward and one backward step, in
@@ -305,8 +306,8 @@ class TrainReplay:
     def explain(self) -> List[Dict[str, object]]:
         """One row per captured node, a conv block's four ops sharing one:
         its ``ops``, the ``arm`` that runs it (``compiled`` stages or the
-        ``numpy`` body) and, for an op with a compiled arm that runs
-        numpy, the ``reason`` (``disabled``, or ``fallback``: see
+        ``numpy`` body) and, for an op with compiled bodies of its own that
+        runs numpy, the ``reason`` (``disabled``, or ``fallback``: see
         ``repro_codegen_fallback_total``); then one for the optimizer's
         update (``sgd_update`` / ``adam_update``).  A block's or the
         update's reason may also be ``pending`` (its stages are being

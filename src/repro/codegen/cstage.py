@@ -17,10 +17,10 @@ translation unit serves every bucket of a ``SessionPool`` and every batch
 of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
-The stage kinds (``transpose``, ``scatter``, ``route``, ``passes`` and
-``update`` are the train step's, ``reduce`` a region's; a replayed step's
-conv block (:class:`repro.autograd.kernels.Block`) is ``gather``, two
-``passes`` around a ``map`` and a ``scatter``):
+The stage kinds (``scatter``, ``passes`` and ``update`` are the train
+step's, ``reduce`` a region's; a replayed step's conv block
+(:class:`repro.autograd.kernels.Block`) is ``gather``, two ``passes``
+around a ``map`` and a ``scatter``):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -42,9 +42,10 @@ conv block (:class:`repro.autograd.kernels.Block`) is ``gather``, two
     elementwise region.  For the train step an input may carry a third
     element, its C type (``unsigned char``: a bool mask), and ``dst`` may
     be a tuple of ``(tab_index, value slot, C type or None)`` — several
-    destinations written in one pass (``xhat`` and the output; relu's value
-    and its mask, the ``pos`` op), whose innermost loop vectorises without
-    alias checks (``#pragma GCC ivdep``: they alias no operand).  With a
+    destinations written in one pass (a conv block's ``xhat`` and relu
+    output; relu's value and its mask, the ``pos`` op), whose innermost
+    loop vectorises without alias checks (``#pragma GCC ivdep``: they
+    alias no operand).  With a
     pool as well, the destinations are dense full-resolution blocks
     (``prod(dims)`` a sample) but the one whose value slot is ``None``: it
     gets the pool of the program's last value, which must be written too,
@@ -54,10 +55,19 @@ conv block (:class:`repro.autograd.kernels.Block`) is ``gather``, two
     channel)`` block on its own — ``(size, ("n", size))`` writes the
     ``(O, n*OH*OW)`` layout of a conv GEMM's output.  An input's
     ``tab_index`` may be ``("route", x, out, g, h, w, kh, kw, sh, sw)``: the
-    max-pool gradient ``tab[g]`` routed over windows that neither overlap
-    nor pad, as the ``route`` stage routes it, into a stack plane per
-    ``(sample, channel)`` read with strides ``(0, 0, 1)`` (a conv block's
-    backward: route, relu mask and batch-norm's sums in one pass).
+    max-pool gradient ``tab[g]`` of the input ``tab[x]`` and output
+    ``tab[out]``, routed over windows that neither overlap nor pad into a
+    stack plane per ``(sample, channel)`` read with strides ``(0, 0, 1)``
+    (a conv block's backward: route, relu mask and batch-norm's sums in one
+    pass).  The route is ``functional.max_pool2d_backward``'s two rounds in
+    numpy's order: a window's gradient goes to its first element equal to
+    the output, then — only if some output anywhere is NaN, which is when
+    numpy runs its second round, over every window — to the first NaN of
+    each window still unclaimed.  Each element of the plane is written
+    once with exactly numpy's additions onto its zero, ``(T)0 + g * hit1``
+    then, when round two runs, ``+ g * hit2`` (``g * 0`` where nothing is
+    claimed: NaN for an infinite ``g``); an element in no window is
+    ``+0.0``.  The select is arithmetic (a ternary compiles to branches).
     ``sums`` (the train step's) are
     ``(tab_index, value slot, mean)`` per-channel reductions of a program
     value over the batch and ``dims[1:]`` — ``v.sum(axis=(0, 2, ...))``
@@ -80,18 +90,11 @@ conv block (:class:`repro.autograd.kernels.Block`) is ``gather``, two
     ``np.mean`` add a contiguous trailing-axes block in.  One such function
     per plan and dtype serves every stage that sums.
 
-``("transpose", dtype, src, dst, c, size[, sum])``
-    ``(n, c, size)`` to ``(c, n, size)``: a conv output's gradient as the
-    ``(O, n*OH*OW)`` matrix the forward GEMM produced.  A copy; with ``sum``
-    also the bias gradient ``src.sum(axis=(0, 2))`` into ``tab[sum]`` in
-    numpy's order — per block as ``map``'s sums, and for ``c == 1``, which
-    numpy sums as one run, one pairwise sum of all ``n*size`` elements.
-
 ``("passes", dtype, (stage, stage, ...))``
     Stages of the same dtype run one after another in one call, each seeing
-    what the one before wrote: batch-norm's mean, then its variance; a conv
-    block's epilogue with that mean, then the variance; its backward's sums,
-    then the adjoint they feed.
+    what the one before wrote: a conv block's epilogue with batch-norm's
+    mean summed from it, then the variance; its backward's sums, then the
+    adjoint they feed.
 
 ``("scatter", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     The gather's adjoint, ``functional._patch_matrix_adjoint`` +
@@ -99,21 +102,6 @@ conv block (:class:`repro.autograd.kernels.Block`) is ``gather``, two
     zeroed and the patch matrix's rows are added onto it in footprint order
     — per element the additions numpy's offset-outer loop makes, in its
     order, from ``+0.0`` — and the interior lands in the unpadded ``dx``.
-
-``("route", dtype, x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
-    ``max_pool2d``'s backward, numpy's two rounds in numpy's order: a
-    window's gradient goes to its first element equal to the output, then —
-    only if some output anywhere is NaN, which is when numpy runs its second
-    round, over every window — to the first NaN of each window still
-    unclaimed; either round adds ``g * hit`` (``g * 0`` where nothing is
-    claimed: NaN for an infinite ``g``) for every window.  Windows that
-    neither overlap nor pad (``kh <= sh``, ``kw <= sw``, no padding:
-    TBNet's 2x2/s2) are routed per window, each element of ``dx`` written
-    once with exactly numpy's additions onto its zero — ``(T)0 + g * hit1``
-    then, when round two runs, ``+ g * hit2``; an element in no window is
-    ``+0.0``.  The select is arithmetic (a ternary compiles to branches).
-    Other windows accumulate, per ``(sample, channel)``, on a zeroed plane
-    as the scatter does.
 
 ``("update", dtype, rule, decay, momentum, nesterov)``
     The optimizer's ``sgd_update`` / ``adam_update`` (``rule``), element by
@@ -438,7 +426,7 @@ def _plane_pool(src: str, dst: str, dims, pool, indent: str, ctype: str, zero: s
 
 def _routed_plane(k: int, route: tuple, c: int, ctype: str, indent: str) -> List[str]:
     """Fill the stack plane ``u<k>`` with one ``(sample, channel)`` plane of
-    a max-pool's routed gradient (see the ``route`` stage)."""
+    a max-pool's routed gradient (see ``map``'s routed input)."""
     _, _, _, _, h, w, kh, kw, sh, sw = route
     oh, ow = _windows(h, kh, sh, 0), _windows(w, kw, sw, 0)
     lines = [
@@ -553,34 +541,6 @@ def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     return lines
 
 
-def _render_transpose(stage: tuple, ctype: str, pairwise: str) -> List[str]:
-    src, dst, c, size, *sums = stage
-    lines = [
-        f"    const {ctype} *restrict src = tab[{src}];",
-        f"    {ctype} *restrict dst = tab[{dst}];",
-    ]
-    copy = [
-        f"    for (i64 i = 0; i < {size}; ++i)",
-        f"        dst[(c * n + b) * {size} + i] = src[(b * {c} + c) * {size} + i];",
-    ]
-    loops = ["    for (i64 b = 0; b < n; ++b)", f"    for (i64 c = 0; c < {c}; ++c)"]
-    if not sums:
-        return lines + loops + copy
-    lines += [
-        f"    {ctype} *restrict sum = tab[{sums[0]}];",
-        f"    for (i64 c = 0; c < {c}; ++c) sum[c] = {_ZERO[ctype]};",
-    ]
-    if c == 1:  # numpy sums a single channel's n*size elements as one run
-        return lines + loops + copy + [f"    sum[0] += {pairwise}(src, n * {size});"]
-    return lines + [
-        loops[0],
-        loops[1] + " {",
-        *("    " + line for line in copy),
-        f"        sum[c] += {pairwise}(src + (b * {c} + c) * {size}, {size});",
-        "    }",
-    ]
-
-
 def _render_passes(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     lines = []
     for sub in stage[0]:
@@ -629,69 +589,6 @@ def _render_scatter(stage: tuple, ctype: str, pairwise: str) -> List[str]:
         f"    {ctype} *restrict dx = tab[{dst}];",
         f"    const i64 m = n * {oh * ow};",
     ] + _planes(body, c, h, w, ph, pw, ctype)
-
-
-def _render_route(stage: tuple, ctype: str, pairwise: str) -> List[str]:
-    x, out, g, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
-    oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
-    head = [
-        f"    const {ctype} *restrict src = tab[{x}], *restrict out = tab[{out}], *restrict g = tab[{g}];",
-        f"    {ctype} *restrict dx = tab[{dst}];",
-        # numpy runs round two over the whole array or not at all.
-        "    int second = 0;",
-        f"    for (i64 i = 0; i < n * {c * oh * ow}; ++i) second |= out[i] != out[i];",
-    ]
-    if kh <= sh and kw <= sw and not (ph or pw):
-        return head + _route_windows(ctype, c, h, w, kh, kw, sh, sw)
-    inside = [f"y >= {ph} && y < {h + ph}"] * bool(ph) + [f"x >= {pw} && x < {w + pw}"] * bool(pw)
-    pixel = f"img[(y - {ph}) * {w} + x - {pw}]"
-    if inside:
-        pixel = f"({' && '.join(inside)}) ? {pixel} : -INFINITY"
-    body = [
-        f"        const {ctype} *img = src + (b * {c} + c) * {h * w};",
-        f"        const {ctype} *mo = out + (b * {c} + c) * {oh * ow}, *go = g + (b * {c} + c) * {oh * ow};",
-        f"        unsigned char pend[{oh * ow}];",
-    ]
-    # Round one hands a window to its first element equal to the output;
-    # round two, the windows still unclaimed — their output is NaN — to
-    # their first NaN.  Either round adds ``g * hit`` for every window.
-    rounds = (("1", "v == mo[i]", "        "), ("mo[i] != mo[i]", "v != v", "            "))
-    for pending, claim, pad in rounds:
-        body += [
-            f"{pad}for (i64 i = 0; i < {oh * ow}; ++i) pend[i] = {pending};",
-            f"{pad}for (i64 fi = 0; fi < {kh}; ++fi)",
-            f"{pad}for (i64 fj = 0; fj < {kw}; ++fj)",
-            f"{pad}for (i64 oy = 0; oy < {oh}; ++oy)",
-            f"{pad}for (i64 ox = 0; ox < {ow}; ++ox) {{",
-            f"{pad}    const i64 i = oy * {ow} + ox, y = oy * {sh} + fi, x = ox * {sw} + fj;",
-            f"{pad}    const {ctype} v = {pixel};",
-            f"{pad}    const unsigned char hit = pend[i] & ({claim});",
-            f"{pad}    pend[i] ^= hit;",
-            f"{pad}    tile[y * {w + 2 * pw} + x] += go[i] * ({ctype})hit;",
-            f"{pad}}}",
-        ]
-        body.append("        if (second) {" if pad == "        " else "        }")
-    return head + _planes(body, c, h, w, ph, pw, ctype)
-
-
-def _route_windows(ctype: str, c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> List[str]:
-    """The route over windows that neither overlap nor pad, one plane at a
-    time (:func:`_route_plane`), with the NaN round's branch outside the
-    sample and channel loops."""
-    oh, ow = _windows(h, kh, sh, 0), _windows(w, kw, sw, 0)
-    lines = []
-    for second in (True, False):
-        lines += [
-            "    if (second) {" if second else "    } else {",
-            "    for (i64 b = 0; b < n; ++b)",
-            f"    for (i64 c = 0; c < {c}; ++c) {{",
-            f"        const {ctype} *img = src + (b * {c} + c) * {h * w};",
-            f"        {ctype} *plane = dx + (b * {c} + c) * {h * w};",
-            f"        const {ctype} *mo = out + (b * {c} + c) * {oh * ow}, *go = g + (b * {c} + c) * {oh * ow};",
-        ]
-        lines += _route_plane(ctype, h, w, kh, kw, sh, sw, second)
-        lines.append("    }")
-    return lines + ["    }"]
 
 
 def _route_plane(ctype: str, h: int, w: int, kh: int, kw: int, sh: int, sw: int, second: bool) -> List[str]:
@@ -773,7 +670,5 @@ _RENDER = {
     "passes": _render_passes,
     "reduce": _render_reduce,
     "scatter": _render_scatter,
-    "route": _render_route,
-    "transpose": _render_transpose,
     "update": _render_update,
 }

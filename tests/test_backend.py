@@ -429,8 +429,8 @@ def test_backward_uses_the_backend_captured_at_trace_time(monkeypatch):
         monkeypatch.setattr(jit.StageLibrary, "run",
                             lambda self, *args: calls.append(run(self, *args)) or calls[-1])
         tensors, out = forward()
-    assert len(calls) == 4 and all(calls)  # gather, epilogue, relu, max
+    assert len(calls) == 2 and all(calls)  # gather, relu
     with using_codegen(False):
         got = grads(tensors, out)
-    assert len(calls) == 8 and all(calls)  # route, relu, transpose, scatter
+    assert len(calls) == 4 and all(calls)  # relu, scatter
     assert got == want

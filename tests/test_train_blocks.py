@@ -9,25 +9,33 @@ ones stay on their members' steps, ``geometry``), conv bias and batch-norm
 affine on or off, f32 / f64, batch 1 / 3 / 64 and special values in the
 last step's images (NaN, +-inf, +-0.0, subnormals: the steps before stay
 finite, so the comparisons keep their power).  The members run their numpy
-bodies here; their own stages have their own suite.  A replayed run's losses,
+bodies here (the relu's stages have their own suite).  A replayed run's losses,
 parameters, running statistics and optimizer moments (which carry the
 gradients) must be those of the same run through explicit ``loss()`` /
 ``backward()`` / ``step()`` calls — before, during and after the blocks'
 adoption, with codegen on and off (CI runs the suite under ``REPRO_CODEGEN``
 1 and 0 as well) — under the compiled arms' NaN rule
 (:func:`test_train_kernels.same`).
+
+The block's three stages are also checked on their own against the
+members' numpy bodies, from the conv's GEMM output on, over drawn operands
+(:func:`block_stages`): planes that straddle the 8- and 128-element steps
+of numpy's pairwise sum, a channel of ``-0.0`` (its sum is ``+0.0`` only in
+numpy's order), batch 1 / 3 / 64, f32 / f64, special values in odd
+channels, and the max-pool route's NaN round
+(``test_train_kernels.test_route_runs_numpys_nan_round_over_every_window_or_none``).
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, kernels
+from repro.autograd import Tensor, functional as F, kernels
 from repro.codegen import codegen_enabled, have_compiler, using_codegen, wait_for_compiles
 from repro.models import TBNet, tbnet
 from repro.nn.optim import SGD, Adam
 
-from test_train_kernels import same
+from test_train_kernels import draw, same
 
 STEPS, ADOPT = 7, 4  # the third step captures; held-back blocks adopt at ADOPT
 FUSED = (2, 2, 0)
@@ -152,9 +160,9 @@ def check(got, want, case):
 
 
 def _only_blocks(held, case):
-    """``kernels.arm`` with the members' own stages numpy for good but, in a
+    """``kernels.arm`` with the relu's stages numpy for good and, but in a
     case whose blocks fuse, the conv's, whose gather and scatter a block runs
-    — the blocks' are the ones under test, the members' have theirs
+    — the blocks' are the ones under test, the others have theirs
     (``test_train_kernels``) — and the blocks' held back while ``held.on``:
     asked for, they read as pending (``kernels.PENDING`` to a capture), as
     while the compile thread builds them."""
@@ -224,3 +232,154 @@ def test_blocks_without_codegen_replay_the_explicit_parts(index):
         got = trained(case, False, {STEPS - 1: lambda model: rows.extend(block_rows(model))})
         check(got, trained(case, True), case)
     assert rows == [("numpy", "disabled")] * len(case["blocks"])
+
+
+# --------------------------------------------------------------------------- #
+# A block's three stages against its members' numpy bodies
+# --------------------------------------------------------------------------- #
+#: Per case: the conv output's channels and plane, the pool (kernel and
+#: stride; windows that neither overlap nor pad), conv bias and batch-norm
+#: gamma / beta.  The planes straddle the 8- and 128-element steps of
+#: numpy's pairwise sum, which the block's per-channel sums follow.
+PLANES = [
+    (2, (3, 3), (2, 2, 2, 2), (True, True, True)),     # odd: the last row and column in no window
+    (3, (2, 4), (2, 2, 2, 2), (False, True, False)),
+    (16, (1, 7), (1, 1, 1, 2), (True, False, True)),   # every other column in no window
+    (2, (8, 16), (2, 2, 2, 2), (True, True, False)),
+    (3, (9, 15), (3, 3, 3, 3), (False, False, True)),
+    (16, (16, 16), (2, 2, 2, 2), (True, True, True)),  # TBNet's first block
+    (2, (11, 12), (2, 3, 2, 3), (False, True, True)),
+    (3, (1, 127), (1, 2, 1, 2), (True, False, False)),
+]
+STAGE_CASES = [(plane, zero) for plane in PLANES for zero in (False, True)]
+
+
+def _block_args(dtype, n, plane):
+    """What ``kernels.arm`` is asked for a block over a 1x1 conv whose
+    output is ``plane``."""
+    o, (h, w), window, (bias, gamma, beta) = plane
+    return (kernels.BLOCK, np.dtype(dtype), n, 1, h, w, 1, 1, 1, 1, 0, 0, o, bias, gamma, beta,
+            *window, 0, 0)
+
+
+def _stage_dtypes(index):
+    # f64 on two planes: the compiler's time is the suite's
+    return (np.float32, np.float64) if index % 8 < 2 else (np.float32,)
+
+
+def built_blocks(cases) -> dict:
+    """The adopted block arm of each ``(plane, dtype)`` case, keyed as
+    :func:`block_stages` looks it up: asked twice (the second sight asks),
+    one wait for the compile thread, then adopted."""
+    asked = [_block_args(dtype, 2, plane) for plane, dtype in cases]
+    for args in asked * 2:
+        kernels.arm(*args)
+    assert wait_for_compiles(300)
+    return {args[1:2] + args[3:]: kernels.arm(*args) for args in asked}
+
+
+@pytest.fixture(scope="module")
+def stage_blocks():
+    return built_blocks([(plane, dtype) for i, (plane, _) in enumerate(STAGE_CASES)
+                         for dtype in _stage_dtypes(i)])
+
+
+def block_stages(arms, plane, n, dtype, poison, zero=False, nan_round=None):
+    """One block's three stages over drawn operands, and the same chain
+    through its members' numpy bodies from the conv's GEMM output on:
+    ``(got, want)`` dicts of every array either writes.
+
+    The special values (share ``poison``) go into odd channels only, which a
+    NaN makes NaN throughout: the even ones keep the comparisons' power.
+    With ``zero`` channel 0 is all ``-0.0`` (the GEMM output and the conv
+    bias), its gamma ``-0.0`` and its output gradient non-negative, so
+    batch-norm's mean and its backward's ``dxhat`` sums add ``-0.0`` blocks:
+    ``+0.0`` only in numpy's order, which starts every channel at ``+0.0``.
+    ``nan_round`` (``False`` / ``True``) instead puts an infinite gradient on
+    one window of channel 0, whose winner it makes positive, and, when ``True``, one NaN into channel 1: numpy
+    then routes every window a second time."""
+    o, (h, w), window, (bias, gamma, beta) = plane
+    dtype = np.dtype(dtype)
+    arm = arms[(dtype,) + _block_args(dtype, n, plane)[3:]]
+    assert arm is not None
+    rng = np.random.default_rng([n, o, h, w])
+    odd = np.arange(o) % 2 == 1
+    gemm = draw(rng, (o, n * h * w), dtype, 0.0)
+    gemm[odd] = draw(rng, gemm[odd].shape, dtype, poison)
+    terms = [draw(rng, (o,), dtype, 0.0) if on else None for on in (bias, gamma, beta)]
+    if gamma:
+        terms[1] = np.abs(terms[1]) + 0.5  # not the identity, nor a sign flip
+    oh, ow = (h - window[0]) // window[2] + 1, (w - window[1]) // window[3] + 1
+    g = draw(rng, (n, o, oh, ow), dtype, 0.0)
+    g[:, odd] = draw(rng, g[:, odd].shape, dtype, poison)
+    if zero:
+        gemm[0] = -0.0
+        g[:, 0] = np.abs(g[:, 0])
+        for term in terms[:2]:
+            if term is not None:
+                term[0] = -0.0
+    if nan_round is not None:
+        gemm[0, 0] = 100.0  # its window's winner: a relu output > 0
+        g[0, 0, 0, 0] = np.inf
+        if nan_round:
+            gemm[1, 0] = np.nan
+    db, gamma, beta = terms
+    eps, momentum = 1e-5, 0.1
+
+    want = {}
+    conv = gemm.reshape(o, n, h, w).transpose(1, 0, 2, 3)  # _conv2d_forward's epilogue
+    want["out"] = np.empty((n, o, h, w), dtype)
+    if db is None:
+        np.copyto(want["out"], conv)
+    else:
+        np.add(conv, db.reshape(1, -1, 1, 1), out=want["out"])
+    stats = np.zeros(o, dtype), np.ones(o, dtype)
+    y = Tensor(want["out"], requires_grad=True, dtype=dtype)
+    params = [Tensor(t, requires_grad=True, dtype=dtype) if t is not None else None
+              for t in (gamma, beta)]
+    with using_codegen(False), np.errstate(all="ignore"):
+        z = F.batch_norm(y, *params, *stats, training=True, momentum=momentum, eps=eps)
+        relu = z.relu()
+        pooled = F.max_pool2d(relu, window[:2], window[2:])
+        want.update({key: z._node.attrs[key] for key in ("mean", "xhat", "inv_std")},
+                    relu=relu.data, pooled=pooled.data)
+        pooled.backward(g)
+        want["g_t"] = np.ascontiguousarray(y.grad.transpose(1, 0, 2, 3)).reshape(o, -1)
+        want["db"] = y.grad.sum(axis=(0, 2, 3)) if db is not None else None  # conv2d_backward's
+    want.update(dgamma=None if gamma is None else params[0].grad,
+                dbeta=None if beta is None else params[1].grad,
+                running_mean=stats[0], running_var=stats[1])
+
+    got, empty = {}, lambda *shape: np.empty(shape, dtype)
+    got["out"], mean, var = empty(n, o, h, w), empty(o), empty(o)
+    affine = [t for t in (gamma, beta) if t is not None]
+    with np.errstate(all="ignore"):
+        assert arm.run(0, n, gemm, *[db] * bias, got["out"], mean, var)
+        got["mean"], got["inv_std"] = mean, F._bn_inv_std(var, eps)
+        got["running_mean"], got["running_var"] = np.zeros(o, dtype), np.ones(o, dtype)
+        F._bn_running(got["running_mean"], got["running_var"], mean, var, n * h * w, momentum)
+        got["xhat"], got["relu"], got["pooled"] = empty(n, o, h, w), empty(n, o, h, w), empty(n, o, oh, ow)
+        assert arm.run(1, n, got["out"], mean, got["inv_std"], *affine, got["xhat"], got["relu"],
+                       got["pooled"])
+        sums, got["g_t"] = [empty(o) for _ in range(4)], empty(o, n * h * w)
+        got["db"] = empty(o) if bias else None
+        assert arm.run(2, n, g, got["pooled"], got["relu"], got["xhat"], got["inv_std"],
+                       *[gamma] * (gamma is not None), empty(n, o, h, w), *sums, got["g_t"],
+                       *[got["db"]] * bias)
+    got["dbeta"] = sums[0] if beta is not None else None
+    got["dgamma"] = sums[1] if gamma is not None else None
+    return got, want
+
+
+@pytest.mark.skipif(not (have_compiler() and codegen_enabled()),
+                    reason="no C compiler available, or codegen is off (REPRO_CODEGEN=0)")
+@pytest.mark.parametrize("index", range(len(STAGE_CASES)))
+def test_block_stages_equal_the_members_numpy_bodies_byte_for_byte(stage_blocks, index):
+    plane, zero = STAGE_CASES[index]
+    for dtype in _stage_dtypes(index):
+        for n in (1, 3, 64):
+            for poison in (0.0, 0.3):
+                got, want = block_stages(stage_blocks, plane, n, dtype, poison, zero)
+                assert got.keys() == want.keys()
+                for key in want:
+                    same(got[key], want[key], f"{plane} zero={zero} n={n} {dtype} {poison} {key}")

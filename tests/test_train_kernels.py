@@ -1,12 +1,15 @@
 """The compiled arm of the train step's kernels against the numpy bodies.
 
-``conv2d`` / ``max_pool2d`` / ``batch_norm`` / ``relu`` run C loop stages
-under a tape (:mod:`repro.autograd.kernels`) once the compile thread has built
-them, and their numpy bodies before that, with codegen off, and for any
-operand the stages cannot take.  The contract is **the same bytes**: every
-forward output, every array saved for backward and every gradient, on
-generated geometries, f32 and f64, N in {0, 1, 3, 64}, with inputs *and
-incoming gradients* carrying NaN / +-inf / +-0.0 / subnormals / exact ties.
+``conv2d``'s gather and scatter and ``relu`` run C loop stages under a tape
+(:mod:`repro.autograd.kernels`) once the compile thread has built them, and
+their numpy bodies before that, with codegen off, and for any operand the
+stages cannot take; a replayed step's conv blocks run stages of their own
+(``test_train_blocks``), and the tests here that need one (the channel
+sums, one channel, the max-pool route) drive them.  The contract is **the
+same bytes**: every forward output, every array saved for backward and
+every gradient, on generated geometries, f32 and f64, N in {0, 1, 3, 64},
+with inputs *and incoming gradients* carrying NaN / +-inf / +-0.0 /
+subnormals / exact ties.
 
 **The NaN rule** (:func:`same`): *which* elements are NaN is identical on
 both arms; the sign and payload of a NaN produced from two NaN operands is
@@ -19,6 +22,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from repro.codegen import (
     codegen_enabled, codegen_stats, have_compiler, jit, using_codegen, wait_for_compiles)
 from repro.codegen.cstage import render_stages
 from repro.models import TBNet, make_synthetic_batch
+from repro.models.tbnet import train_replay
 from repro.nn.optim import SGD, Adam
 from repro.obs.profile import using_profiler
 
@@ -95,34 +100,34 @@ def _conv_cases():
     return cases
 
 
-POOLS = [  # (c, h, w, kernel, stride, padding)
+#: Footprints a conv's gather and scatter walk, ``(c, h, w, kernel, stride,
+#: padding)``: windows that overlap, pad or leave gaps.  Those from
+#: FIRST_GAPS on (neither overlapping nor padded) come last in RUNS.
+WINDOWS = [
     (2, 8, 8, (2, 2), (2, 2), (0, 0)),    # stride = kernel
     (2, 7, 9, (2, 2), (2, 2), (0, 0)),    # extents not divisible by the kernel
     (1, 7, 7, (3, 3), (2, 2), (0, 0)),    # overlapping
     (2, 6, 5, (3, 2), (1, 1), (1, 1)),    # overlapping and padded
     (1, 8, 6, (2, 3), (2, 3), (1, 1)),    # padded
     (1, 9, 9, (2, 2), (3, 3), (0, 0)),    # gaps between windows
-    # Windows that neither overlap nor pad: routed per window (the ids above
-    # come first in RUNS, these after the sum cases).
-    (3, 16, 16, (2, 2), (2, 2), (0, 0)),  # TBNet's pools, on an even plane
+    (3, 16, 16, (2, 2), (2, 2), (0, 0)),  # TBNet's pools, as a footprint
     (2, 9, 7, (2, 2), (2, 2), (0, 0)),    # odd: the last row and column in no window
     (2, 9, 11, (3, 3), (3, 3), (0, 0)),
     (2, 7, 6, (1, 1), (2, 2), (0, 0)),    # every other row and column in no window
     (1, 8, 10, (2, 3), (2, 3), (0, 0)),
 ]
-FIRST_ROUTES = 6
-NORMS = [  # (shape behind N, gamma, beta[, channel 0 all -0.0])
-    ((5,), True, True), ((3,), False, True), ((2,), False, False),
-    ((3, 4, 5), True, True), ((2, 3, 3), False, False), ((4, 2, 2), True, False),
-]
+FIRST_GAPS = 6
+WINDOW_CONVS = [dict(c=c, h=h, w=w, o=1 + i % 3, k=k, s=s, p=p, bias=i % 2 == 0, frozen=False,
+                     xgrad=True) for i, (c, h, w, k, s, p) in enumerate(WINDOWS)]
+#: Relu shapes behind N: one library per dtype, flat over the elements, so
+#: what varies is the vector loop's tail.
+SHAPES = [(5,), (3,), (2,), (3, 4, 5), (2, 3, 3), (4, 2, 2)]
 CONVS = _conv_cases()
-# Per-channel sums in numpy's order (batch-norm's statistics and backward,
-# the conv bias gradient): planes that straddle the 8- and 128-element steps
-# of its pairwise sum; 2 and 16 channels, and 1 for the bias gradient (a
-# single channel is one run; batch-norm refuses it, see below).
+# Element counts and planes that straddle the 8- and 128-element steps of a
+# vector loop and of numpy's pairwise sum: relus with channel 0 all -0.0, and
+# biased 1x1 convs of 1, 2 and 16 output channels over long rows.
 PLANES = ((1, 1), (1, 7), (2, 4), (3, 3), (8, 8), (1, 127), (8, 16), (3, 43), (16, 16), (1, 257))
-SUM_NORMS = [((2 + 14 * (i % 2),) + hw, i % 3 != 2, i % 4 != 3, True)
-             for i, hw in enumerate(PLANES)]
+SUM_RELUS = [(2 + 14 * (i % 2),) + hw for i, hw in enumerate(PLANES)]
 SUM_CONVS = [dict(c=2, h=h, w=w, o=(1, 2, 16)[i % 3], k=(1, 1), s=(1, 1), p=(0, 0), bias=True,
                   frozen=False, xgrad=True, zero=True)
              for i, (h, w) in enumerate(((1, 1), (1, 7), (3, 3), (1, 127), (3, 43), (1, 257)))]
@@ -144,54 +149,35 @@ def conv_run(case, n, dtype, poison, seed=0):
     return {"out": out.data, "dx": x.grad, "dw": w.grad, "db": b.grad if b is not None else None}
 
 
-def pool_run(case, n, dtype, poison, seed=0):
-    c, h, w, k, s, p = case
-    rng = np.random.default_rng([seed, n])
-    x = Tensor(draw(rng, (n, c, h, w), dtype, poison), requires_grad=True, dtype=dtype)
-    out = F.max_pool2d(x, k, s, p)
-    out.backward(draw(rng, out.shape, dtype, poison))
-    return {"out": out.data, "dx": x.grad}
-
-
-def norm_run(case, n, dtype, poison, seed=0):
-    shape, gamma, beta, zero = case if len(case) == 4 else (*case, False)
+def relu_run(shape, n, dtype, poison, seed=0, zero=False):
     rng = np.random.default_rng([seed, n])
     x = Tensor(draw(rng, (n,) + shape, dtype, poison, zero), requires_grad=True, dtype=dtype)
-    w = Tensor(draw(rng, shape[:1], dtype, poison / 2), requires_grad=True, dtype=dtype) if gamma else None
-    b = Tensor(draw(rng, shape[:1], dtype, poison / 2), requires_grad=True, dtype=dtype) if beta else None
-    stats = np.zeros(shape[0], dtype), np.ones(shape[0], dtype)
-    with np.errstate(all="ignore"):
-        out = F.batch_norm(x, w, b, *stats, training=True)
-        saved = {key: out._node.attrs[key] for key in ("xhat", "inv_std", "mean")}
-        out.backward(draw(rng, out.shape, dtype, poison, zero))
-    return dict(saved, out=out.data, dx=x.grad, dgamma=w.grad if gamma else None,
-                dbeta=b.grad if beta else None, running_mean=stats[0], running_var=stats[1])
-
-
-def relu_run(shape, n, dtype, poison, seed=0):
-    rng = np.random.default_rng([seed, n])
-    x = Tensor(draw(rng, (n,) + shape, dtype, poison), requires_grad=True, dtype=dtype)
     out = x.relu()
     mask = out._node.attrs["mask"]
-    out.backward(draw(rng, out.shape, dtype, poison))
+    out.backward(draw(rng, out.shape, dtype, poison, zero))
     return {"out": out.data, "mask": mask, "dx": x.grad}
+
+
+def zero_relu_run(shape, n, dtype, poison, seed=0):
+    """:func:`relu_run` with channel 0 all ``-0.0``."""
+    return relu_run(shape, n, dtype, poison, seed, zero=True)
 
 
 RUNS = (
     [(conv_run, case) for case in CONVS]
-    + [(pool_run, case) for case in POOLS[:FIRST_ROUTES]]
-    + [(norm_run, case) for case in NORMS]
+    + [(conv_run, case) for case in WINDOW_CONVS[:FIRST_GAPS]]
+    + [(relu_run, shape) for shape in SHAPES]
     + [(relu_run, (3, 5)), (relu_run, ())]
 )
 FIRST_SUMS = len(RUNS)
-RUNS += [(norm_run, case) for case in SUM_NORMS] + [(conv_run, case) for case in SUM_CONVS]
-ROUTES = len(RUNS)
-RUNS += [(pool_run, case) for case in POOLS[FIRST_ROUTES:]]
+RUNS += [(zero_relu_run, shape) for shape in SUM_RELUS] + [(conv_run, case) for case in SUM_CONVS]
+GAPS = len(RUNS)
+RUNS += [(conv_run, case) for case in WINDOW_CONVS[FIRST_GAPS:]]
 
 
 def _dtypes(index):
     # f64 on every third case and every other sum case: the compiler's time is the suite's
-    if index >= ROUTES:
+    if index >= GAPS:
         return F32, F64
     return (F32, F64) if index % (3 if index < FIRST_SUMS else 2) == 0 else (F32,)
 
@@ -232,8 +218,6 @@ def test_compiled_arm_equals_numpy_arm_byte_for_byte(adopted, stage_calls, index
     with np.errstate(all="ignore"):
         for dtype in _dtypes(index):
             for n in BATCHES:
-                if run is norm_run and n * int(np.prod(case[0][1:])) <= 1:
-                    continue  # train-mode batch_norm refuses one value per channel
                 for poison in (0.0, 0.3):
                     with using_codegen(False):
                         want = run(case, n, dtype, poison)
@@ -246,7 +230,10 @@ def test_compiled_arm_equals_numpy_arm_byte_for_byte(adopted, stage_calls, index
                         same(got[key], want[key], f"{run.__name__} {case} n={n} {dtype} {key}")
 
 
-def test_saved_patch_matrix_and_frozen_filter(adopted):
+def test_saved_patch_matrix_and_frozen_filter(adopted, stage_calls):
+    # The gather writes the patch matrix numpy's footprint loop writes, and
+    # the forward's GEMM and bias add over it are numpy's on either arm; a
+    # node whose filter takes no gradient keeps no patch matrix.
     case = CONVS[0]
     rng = np.random.default_rng(3)
     xd = draw(rng, (3, case["c"], case["h"], case["w"]), F32, 0.3)
@@ -256,109 +243,115 @@ def test_saved_patch_matrix_and_frozen_filter(adopted):
                       *case["s"], *case["p"], case["o"], True)
     assert isinstance(arm, kernels.Conv2d)
     with np.errstate(all="ignore"):
-        out, cols = arm.forward(xd, wd, bd, 8, 8)
-        want_out, want_cols = F._conv2d_forward(xd, wd, bd, *case["s"], *case["p"])
+        out, cols = F._conv2d_forward(arm, xd, wd, bd, *case["s"], *case["p"])
+        assert stage_calls == [True]
+        want_out, want_cols = F._conv2d_forward(None, xd, wd, bd, *case["s"], *case["p"])
+        ports = [SimpleNamespace(requires_grad=r) for r in (True, False, True)]
+        attrs = {"stride": case["s"], "padding": case["p"]}
+        assert F._CONV2D.forward(arm, [xd, wd, bd], attrs, ports)[1][2] is None
     assert cols.tobytes() == want_cols.tobytes()  # a copy: no NaN rule needed
     same(out, want_out)
 
 
-def test_stages_leave_no_channel_sum_to_numpy(adopted, stage_calls):
-    # Batch-norm's statistics and its backward's sums, and a conv's bias
-    # gradient, come from the stages that stream those arrays anyway.
-    rng = np.random.default_rng(8)
-    conv, (shape, _, _) = CONVS[0], NORMS[3]
-    arrays = {
-        "conv": [draw(rng, s, F32, 0.0) for s in (
-            (3, conv["c"], conv["h"], conv["w"]), (conv["o"], conv["c"]) + conv["k"], (conv["o"],),
-            (3, conv["o"], conv["h"], conv["w"]))],
-        "norm": [draw(rng, s, F32, 0.0) for s in ((3,) + shape, shape[:1], shape[:1], (3,) + shape)],
-    }
+def test_stages_leave_no_channel_sum_to_numpy():
+    # A replayed step's conv blocks sum batch-norm's statistics, its
+    # backward's four sums and the conv bias gradient in the stages that
+    # stream those arrays anyway: no member's numpy body sums.
+    members = {"_batch_norm", "_var", "batch_norm_backward", "conv2d_backward"}
 
-    def run(op):
-        x, w, b = (Tensor(a, requires_grad=True) for a in arrays[op][:3])
-        g = arrays[op][3]
-        calls = []
+    def summed(model, opt, batch):
+        callers = set()
 
         def spy(frame, event, arg):
-            if event in ("call", "c_call"):
-                calls.append(frame.f_code.co_name if event == "call" else arg.__name__)
+            if event == "call":
+                name, caller = frame.f_code.co_name, frame.f_back.f_code.co_name
+            elif event == "c_call":
+                name, caller = getattr(arg, "__name__", ""), frame.f_code.co_name
+            else:
+                return
+            if name in ("sum", "mean", "reduce", "_sum", "_mean", "_var"):
+                callers.add(caller)
 
         sys.setprofile(spy)
         try:
-            if op == "conv":
-                out = F.conv2d(x, w, b, stride=conv["s"], padding=conv["p"])
-            else:
-                out = F.batch_norm(x, w, b, np.zeros(shape[0], F32), np.ones(shape[0], F32))
-            out.backward(g)
+            model.train_step(opt, *batch)
         finally:
             sys.setprofile(None)
-        return {"sum", "mean", "reduce", "_sum", "_mean", "_var"} & set(calls)
+        return callers & members
 
-    for op in ("conv", "norm"):
-        with using_codegen(False):
-            assert run(op), op  # the numpy bodies sum with numpy
-        assert not stage_calls
-        assert not run(op), op
-        assert stage_calls and all(stage_calls)
-        del stage_calls[:]
+    batch = make_synthetic_batch(8, rng=np.random.default_rng(2))
+    runs = []
+    for enabled in (False, True):
+        with using_codegen(enabled):
+            model = TBNet(width=16, rng=np.random.default_rng(1))
+            opt = Adam(model.parameters(), 1e-3)
+            for step in range(9):
+                if step % 3 == 2:
+                    assert wait_for_compiles(300)  # the ops' stages, then the blocks'
+                model.train_step(opt, *batch)
+            blocks = [r["arm"] for r in train_replay(model).explain() if len(r["ops"]) == 4]
+            assert blocks == ["compiled" if enabled else "numpy"] * 2
+            runs.append(summed(model, opt, batch))
+    assert runs[0] == members and not runs[1]
 
 
-def test_one_channel_batch_norm_takes_the_numpy_body(adopted, stage_calls):
+def test_one_channel_batch_norm_takes_the_numpy_body(stage_calls):
     # numpy sums a single channel's N*H*W as one pairwise run, not sample by
-    # sample: batch-norm's stages refuse the geometry (a bias gradient's
-    # transpose sums it as that one run instead).
-    case = ((1, 3, 3), True, True, True)
-    for dtype in (F32, F64):
-        key = ("batch_norm", dtype, 1, 9, True, True)
-        kernels._ARMS.pop(key, None)
-        kernels._COUNTED.discard((key, "geometry"))
+    # sample: a conv block over one channel refuses the geometry (counted
+    # once) and replays its members' steps, batch-norm's numpy body among
+    # them; a bias gradient stays numpy's too.
+    from test_train_blocks import STEPS, block_rows, check, trained
 
-        def runs():
-            with np.errstate(all="ignore"):
-                return [norm_run(case, n, dtype, 0.3) for n in BATCHES if n]
-
-        counted, (got, _) = _counted("geometry", runs)
-        assert counted == 1 and not stage_calls
-        with using_codegen(False):
-            want = runs()
-        for got_run, want_run in zip(got, want):
-            for name in want_run:
-                same(got_run[name], want_run[name], name)
+    case = dict(c=2, size=8, seed=1, dtype=np.float32, batch=4, specials=(), flat=16, blocks=[
+        dict(o=1, k=3, s=1, p=1, pool=(2, 2, 0), bias=True, affine=True)])
+    for key in [key for key in kernels._ARMS if key[0] == "block" and key[11] == 1]:
+        del kernels._ARMS[key]
+    kernels._COUNTED.difference_update(
+        [entry for entry in kernels._COUNTED if entry[0][0] == "block" and entry[0][11] == 1])
+    rows, before = [], _fallbacks("geometry")
+    hooks = {1: lambda model: wait_for_compiles(300),  # the capture finds its ops' stages
+             STEPS - 1: lambda model: rows.extend(block_rows(model))}
+    got = trained(case, False, hooks)
+    assert _fallbacks("geometry") - before == 1
+    assert rows == [("numpy", "geometry")] and stage_calls and all(stage_calls)
+    check(got, trained(case, True), case)
 
 
 def test_disjoint_windows_are_routed_per_window_and_overlapping_ones_accumulate():
-    # TBNet's 2x2/s2 pools write each gradient element once, with no zeroed
-    # plane and no pending flags; overlapping or padded windows keep numpy's
-    # accumulation across windows.
-    def route(c, h, w, k, s, p):
-        stages = kernels.MaxPool2d.stages("float32", c, h, w, *k, *s, *p)
-        return render_stages(("stages", stages[1:]))[1]
+    # A conv block routes its pool's gradient per window and writes each
+    # element once, with no zeroed plane: TBNet's 2x2/s2 and other windows
+    # that neither overlap nor pad.  Overlapping or padded windows stay on
+    # the members' steps, whose numpy backward accumulates across windows.
+    def block(c, h, w, k, s, p):  # behind a 1x1 conv of two channels
+        return kernels.Block.stages("float32", c, h, w, 1, 1, 1, 1, 0, 0, 2, True, True, True,
+                                    *k, *s, *p)
 
-    tbnet = [(c, h, h, (2, 2), (2, 2), (0, 0)) for c, h in ((16, 16), (32, 8))]
-    for case in tbnet + [POOLS[0], POOLS[1], POOLS[5]] + POOLS[FIRST_ROUTES:]:
-        assert "pend[" not in route(*case), case
-    for case in POOLS[2:5]:
-        assert "pend[" in route(*case), case
+    tbnet = [(c, h, h, (2, 2), (2, 2), (0, 0)) for c, h in ((3, 16), (16, 8))]
+    for case in tbnet + [WINDOWS[0], WINDOWS[1], WINDOWS[5]] + WINDOWS[FIRST_GAPS:]:
+        backward = render_stages(("stages", block(*case)[2:]))[1]
+        assert "plane[at] = (float)0 + gi * (float)h1" in backward, case
+        assert "tile[" not in backward, case
+    for case in WINDOWS[2:5]:
+        assert block(*case) == "geometry", case
 
 
-def test_route_runs_numpys_nan_round_over_every_window_or_none(adopted):
+def test_route_runs_numpys_nan_round_over_every_window_or_none():
     # One NaN anywhere makes numpy add ``g * 0`` to every window a second
-    # time: an infinite gradient then reads NaN even at its winner.
-    c, h, w, k, s, p = POOLS[0]
+    # time: an infinite gradient then reads NaN even at its winner.  A conv
+    # block routes its pool's gradient in its backward stage, NaN round too.
+    # One-element windows, so nothing but round two adds ``inf * 0``.
+    from test_train_blocks import PLANES, block_stages, built_blocks
+
+    plane = PLANES[2]
+    assert plane[2][:2] == (1, 1)
+    arms = built_blocks([(plane, np.float32)])
     for nan_somewhere in (False, True):
-        x = np.arange(2 * c * h * w, dtype=np.float32).reshape(2, c, h, w)
-        if nan_somewhere:
-            x[1, 1, 7, 7] = np.nan
-        g = np.ones((2, c, 4, 4), np.float32)
-        g[0, 0, 0, 0] = np.inf
-        grads = []
-        for enabled in (False, True):
-            with using_codegen(enabled), np.errstate(all="ignore"):
-                t = Tensor(x, requires_grad=True)
-                F.max_pool2d(t, k, s, p).backward(g)
-                grads.append(t.grad)
-        same(grads[1], grads[0])
-        assert np.isnan(grads[0][0, 0, 1, 1]) == nan_somewhere  # the winner of the inf window
+        got, want = block_stages(arms, plane, 2, np.float32, 0.0, nan_round=nan_somewhere)
+        for key in want:
+            same(got[key], want[key], key)
+        # Channel 0's gradient sum: inf from the inf window's winner, or NaN
+        # after round two.
+        assert np.isnan(want["dbeta"][0]) == nan_somewhere
 
 
 # --------------------------------------------------------------------------- #
@@ -373,9 +366,12 @@ def _counted(reason, fn):
 
 @pytest.mark.parametrize("layout", ["strided", "fortran", "read_only"])
 def test_layouts_the_stages_cannot_bind_take_the_numpy_body(adopted, stage_calls, layout):
-    c, h, w, k, s, p = POOLS[0]
+    # A conv input the gather cannot bind: numpy's patch matrix.
+    case = WINDOW_CONVS[0]
+    c, h, w, k, s, p, o = (case[key] for key in ("c", "h", "w", "k", "s", "p", "o"))
     rng = np.random.default_rng(4)
     base = draw(rng, (3, c, h, 2 * w), F32, 0.0)
+    weight, bias = draw(rng, (o, c) + k, F32, 0.0), draw(rng, (o,), F32, 0.0)
     x = {"strided": base[..., ::2], "fortran": np.asfortranarray(base[..., :w]),
          "read_only": base[..., :w].copy()}[layout]
     if layout == "read_only":
@@ -384,32 +380,33 @@ def test_layouts_the_stages_cannot_bind_take_the_numpy_body(adopted, stage_calls
     def run(data=x):
         t = Tensor(data, requires_grad=True)
         assert t.data is data
-        out = F.max_pool2d(t, k, s, p)
+        out = F.conv2d(t, Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True),
+                       stride=s, padding=p)
         out.backward(np.ones(out.shape, np.float32))
         return out.data, t.grad
 
-    kernels._COUNTED.discard((("max_pool2d", F32, c, h, w) + k + s + p, "layout"))
+    kernels._COUNTED.discard((("conv2d", F32, c, h, w) + k + s + p + (o, True), "layout"))
     counted, (first, second) = _counted("layout", run)
     assert counted == 1  # per signature, not per call
+    assert stage_calls == [False, True] * 2  # the gather refuses, the scatter binds
     want = run(np.ascontiguousarray(x))
     for got in (first, second):
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_a_float64_gradient_into_a_float32_op_takes_the_numpy_body(adopted):
-    c, h, w, k, s, p = POOLS[0]
-    x = draw(np.random.default_rng(5), (2, c, h, w), F32, 0.0)
-    g = draw(np.random.default_rng(6), (2, c, 4, 4), F64, 0.0)
+    x = draw(np.random.default_rng(5), (2, 3, 4, 4), F32, 0.0)
+    g = draw(np.random.default_rng(6), (2, 3, 4, 4), F64, 0.0)
 
     def run(enabled=True):
         with using_codegen(enabled):
             t = Tensor(x, requires_grad=True)
-            out = F.max_pool2d(t, k, s, p)
+            out = t.relu()
             out.grad = g  # what no ``backward(grad)`` hands a thunk: it casts first
             out._node.backward()
             return t.grad
 
-    kernels._COUNTED.discard((("max_pool2d", F32, c, h, w) + k + s + p, "dtype"))
+    kernels._COUNTED.discard((("relu", F32), "dtype"))
     counted, (first, _) = _counted("dtype", run)
     assert counted == 1
     assert first.dtype == F32 and first.tobytes() == run(False).tobytes()
@@ -495,10 +492,12 @@ def test_a_run_that_adopts_half_way_equals_the_numpy_run(cold, stage_calls):
 
     compiled = codegen_stats()["compiled"]
     assert train_hash(4, 40, pause=adopt) == want
-    # The capture's eager step runs the ops' 29 stages, every replayed step
-    # after it 16: each conv block's five (four where the images take no
-    # gradient), each relu's two and the optimizer's update.
-    assert all(stage_calls) and held[0] < 29 + 19 * 16 <= len(stage_calls) - held[0]
+    # The capture's eager step runs the ops' 13 stages (each conv's gather,
+    # the scatter of the one whose input takes a gradient, each relu's two),
+    # every replayed step after it 16: each conv block's five (four where
+    # the images take no gradient), each other relu's two and the
+    # optimizer's update.
+    assert all(stage_calls) and held[0] < 13 + 19 * 16 <= len(stage_calls) - held[0]
     assert 1 <= codegen_stats()["compiled"] - compiled <= 3  # queued signatures share a unit
 
 
@@ -552,9 +551,9 @@ def test_a_failing_compiler_leaves_training_on_the_numpy_bodies(
     counted = _fallbacks(reason)
     assert train_hash(4, 12, pause=lambda: wait_for_compiles(60)) == want
     assert not stage_calls
-    # Once per signature, on the compile thread: the ops' 7, the update's and
-    # the two conv blocks'.
-    assert _fallbacks(reason) - counted == 10
+    # Once per signature, on the compile thread: the two convs' and the
+    # relus', the update's and the two conv blocks'.
+    assert _fallbacks(reason) - counted == 6
     assert not list(cold.glob("*.so"))
 
 
@@ -574,8 +573,7 @@ def test_profile_rows_name_the_compiled_stages_and_still_sum_to_the_step(adopted
         opt.zero_grad()
     rows = prof.stats()
     assert all(op.startswith("backward:") for op in rows)
-    for op in ("conv2d", "conv2d.scatter[c]", "conv2d.transpose[c]", "max_pool2d.route[c]",
-               "batch_norm.bwd1[c]", "batch_norm.bwd2[c]", "relu.backward[c]"):
+    for op in ("conv2d", "conv2d.scatter[c]", "batch_norm", "max_pool2d", "relu.backward[c]"):
         assert "backward:" + op in rows, op
     step = prof.step_stats()["backward"]
     total = sum(row["total_ms"] for row in rows.values())
