@@ -63,7 +63,7 @@ __all__ = ["BLOCK", "UPDATE", "arm"]
 #: The most bytes one stage may keep on the C stack (a padded plane).
 _STACK = 256 * 1024
 
-#: ``(op name, dtype, *geometry)`` -> :class:`Arm` | ``None`` (numpy, for good)
+#: ``(op name, dtype, *keyed geometry)`` -> :class:`Arm` | ``None`` (numpy, for good)
 #: | ``(Pending, signature)``, the pending ``None`` between a geometry's first
 #: sight and its second.
 _ARMS: dict = {}
@@ -96,6 +96,9 @@ class Arm:
 
     __slots__ = ("key", "library")
     rows: tuple = ()  # the stages' profiler rows
+    #: How many leading geometry items ``stages`` reads, and so the arm's key
+    #: (``None``: all of them).
+    keyed: Optional[int] = None
 
     def __init__(self, key: tuple, library) -> None:
         self.key = key
@@ -146,8 +149,10 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: Optional[bool] = True) -> Opti
     :data:`PENDING` instead of ``None`` while the answer may still change.
     An op without compiled bodies of its own (batch-norm and max-pool run
     compiled only inside a :class:`Block`) gets ``None``, counted nowhere."""
-    if not n or op not in _BODY:
+    body = _BODY.get(op)
+    if not n or body is None:
         return None
+    geometry = geometry[:body.keyed]
     key = (op.name, dtype) + geometry
     # What an adopted arm costs per call is the budget of a small batch: the
     # scoped override is one attribute read, ``REPRO_CODEGEN`` (a microsecond
@@ -164,7 +169,7 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: Optional[bool] = True) -> Opti
         return _numpy(key, "disabled")
     if found is _ASK:
         native = dtype.name in _CTYPE and dtype.isnative  # what ``cstage`` renders
-        stages = _BODY[op].stages(dtype.name, *geometry) if native else "dtype"
+        stages = body.stages(dtype.name, *geometry) if native else "dtype"
         if isinstance(stages, str):
             _ARMS[key] = None
             return _numpy(key, stages)
@@ -183,7 +188,7 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: Optional[bool] = True) -> Opti
     if isinstance(resolved, str):  # counted by the compile thread
         _ARMS[key] = None
         return None
-    found = _ARMS[key] = _BODY[op](key, resolved[0])
+    found = _ARMS[key] = body(key, resolved[0])
     return found
 
 
@@ -191,15 +196,16 @@ class Conv2d(Arm):
     """A conv geometry's gather (the patch matrix its forward GEMM reads) and
     scatter (the input gradient from the backward's ``dcols``) — on an
     eager step around numpy's GEMMs, bias add and bias gradient, in a
-    replayed one as a :class:`Block`'s head."""
+    replayed one as a :class:`Block`'s head.  Both read the input window
+    alone, so convs that differ only in width or bias share one arm."""
 
     __slots__ = ()
     op = F._CONV2D
     rows = ("conv2d.gather[c]", "conv2d.scatter[c]")
+    keyed = 9  # (c, h, w, kh, kw, sh, sw, ph, pw)
 
     @staticmethod
-    def stages(dtype, *geometry):
-        window = geometry[:9]
+    def stages(dtype, *window):
         _, h, w, _, _, _, _, ph, pw = window
         if (ph or pw) and (h + 2 * ph) * (w + 2 * pw) * 8 > _STACK:
             return "geometry"
@@ -333,7 +339,7 @@ class Block(Arm):
     def stages(dtype, *geometry):
         c, h, w, kh, kw, sh, sw, ph, pw, o, bias, gamma, beta = geometry[:13]
         window = geometry[13:]
-        conv = Conv2d.stages(dtype, *geometry[:11])  # what the head refuses, the block does
+        conv = Conv2d.stages(dtype, *geometry[:Conv2d.keyed])  # what the head refuses, the block does
         if isinstance(conv, str):
             return conv
         oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)

@@ -4,8 +4,14 @@ See :mod:`repro.codegen.region` for the IR and its stage plan,
 :mod:`repro.codegen.cstage` for the C renderer, and
 :mod:`repro.codegen.jit` for compilation, the on-disk kernel cache, and
 the numpy-interpreter fallback arm.
+
+The region IR (:mod:`repro.codegen.region`: ``RegionIR``, ``RegionInput``,
+``REGION_OPS``, ``REGION_STRUCTURED_OPS``) loads on first access (PEP 562),
+with the fusion pass that builds regions: a train step's stages are
+``cstage`` plans of their own, so a training process never loads it.
 """
 
+from repro import _lazy
 from repro.codegen.jit import (
     clear_kernel_memo,
     codegen_enabled,
@@ -18,12 +24,9 @@ from repro.codegen.jit import (
     using_codegen,
     wait_for_compiles,
 )
-from repro.codegen.region import (
-    REGION_OPS,
-    REGION_STRUCTURED_OPS,
-    RegionInput,
-    RegionIR,
-)
+
+__getattr__, __dir__ = _lazy(__name__, dict.fromkeys(
+    ("REGION_OPS", "REGION_STRUCTURED_OPS", "RegionInput", "RegionIR"), "region"))
 
 __all__ = [
     "REGION_OPS",

@@ -62,12 +62,14 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
 from repro.codegen.cstage import kernel_name, render_stages
-from repro.codegen.region import RegionIR
+
+if TYPE_CHECKING:
+    from repro.codegen.region import RegionIR
 
 __all__ = [
     "codegen_enabled",

@@ -235,9 +235,6 @@ class TBNet(nn.Module):
         picks ``fork``/``spawn``); there, hot weight updates go through
         ``server.publish_weights()``.
         """
-        # Deferred: serve sits above models.
-        from repro.serve import ProcServer, Server
-
         if workers_mode not in ("thread", "process"):
             raise ValueError(
                 f"workers_mode must be 'thread' or 'process', got "
@@ -250,7 +247,11 @@ class TBNet(nn.Module):
             Tensor.zeros(1, self.in_channels, self.image_size, self.image_size),
             Tensor.zeros(1, self.context_dim),
         )
+        # Deferred, and only the front end this mode runs: serve sits above
+        # models, and a thread server never loads ``multiprocessing``.
         if workers_mode == "process":
+            from repro.serve import ProcServer
+
             server = ProcServer(
                 self,
                 example,
@@ -263,6 +264,8 @@ class TBNet(nn.Module):
                 **resilience,
             )
         else:
+            from repro.serve import Server
+
             server = Server(
                 self,
                 example,

@@ -100,6 +100,7 @@ Training registers one family there too, on its first step
   ``capture``, ``no_grad``, ``pending``, ``capturing``).
 """
 
+from repro import _lazy
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     NULL_REGISTRY,
@@ -119,16 +120,10 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import Span, Tracer
 
-
-def __getattr__(name: str):
-    """``ObsHTTPServer`` on first use: ``http.server`` (with ``email``,
-    ``ssl``, ``socketserver``) is 7 MiB and 40 ms that a process which never
-    opens the HTTP edge — every trainer, every worker — need not pay."""
-    if name == "ObsHTTPServer":
-        from repro.obs.http import ObsHTTPServer
-
-        return ObsHTTPServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# ``ObsHTTPServer`` on first use: ``http.server`` (with ``email``, ``ssl``,
+# ``socketserver``) is 7 MiB and 40 ms that a process which never opens the
+# HTTP edge — every trainer, every worker — need not pay.
+__getattr__, __dir__ = _lazy(__name__, {"ObsHTTPServer": "http"})
 
 
 def _export_workspace() -> None:

@@ -54,23 +54,45 @@ part of the compiled signature; train-mode traces are rejected; parameters
 are bound by reference, batch-norm statistics are frozen at compile) and
 :mod:`repro.serve.frontend` for the batching, sharding, and resilience
 semantics.
+
+**What an import loads.**  ``import repro.serve`` loads
+:mod:`repro.serve.session` only: :func:`compile_inference`,
+:class:`InferenceSession` and :func:`serve_batches`, which a trainer that
+compiles a serving session (``TBNet.compile_serving``) needs.  Every other
+name resolves on first access (PEP 562), with the module that defines it:
+``Server`` / ``SessionPool`` / ``DEFAULT_BUCKETS`` (and with them
+:mod:`concurrent.futures`, :mod:`logging`, the resilience policies),
+``ProcServer`` (with :mod:`multiprocessing`), ``ParamArena`` /
+``RequestRing`` (with :mod:`multiprocessing.shared_memory`),
+``AsyncServer`` and the fault hooks.  Each entry point — ``TBNet.serve``,
+``Server(...)``, ``ProcServer(...)`` — touches its names on the calling
+thread before it starts a worker, so no worker, watchdog or compile thread
+ever imports: a ``fork`` while another thread holds the import lock would
+hand the child a lock nobody releases.
 """
 
-from repro.serve.aio import AsyncServer
-from repro.serve.arena import ParamArena, RequestRing
-from repro.serve.faults import FaultInjector, PoisonedRequest, inject_faults
-from repro.serve.frontend import DEFAULT_BUCKETS, Server, SessionPool
-from repro.serve.procpool import ProcServer
-from repro.serve.resilience import (
-    BACKPRESSURE_MODES,
-    DeadlineExceeded,
-    RetryPolicy,
-    ServerOverloaded,
-    SupervisionPolicy,
-    TransientError,
-    WorkerKill,
-)
+from repro import _lazy
 from repro.serve.session import InferenceSession, compile_inference, serve_batches
+
+__getattr__, __dir__ = _lazy(__name__, {
+    "AsyncServer": "aio",
+    "ParamArena": "arena",
+    "RequestRing": "arena",
+    "FaultInjector": "faults",
+    "PoisonedRequest": "faults",
+    "inject_faults": "faults",
+    "DEFAULT_BUCKETS": "frontend",
+    "Server": "frontend",
+    "SessionPool": "frontend",
+    "ProcServer": "procpool",
+    "BACKPRESSURE_MODES": "resilience",
+    "DeadlineExceeded": "resilience",
+    "RetryPolicy": "resilience",
+    "ServerOverloaded": "resilience",
+    "SupervisionPolicy": "resilience",
+    "TransientError": "resilience",
+    "WorkerKill": "resilience",
+})
 
 __all__ = [
     "AsyncServer",

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import fusion, ir
+from repro.autograd import ir
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import workspace
 from repro.codegen.jit import codegen_enabled, count_fallback
@@ -210,6 +210,7 @@ def compile_inference(model: Module, example_batch) -> "InferenceSession":
 def _compile(model: Module, example_batch, gemm_stages: bool) -> "InferenceSession":
     """:func:`compile_inference`; ``gemm_stages=False`` plans compiled
     stages for ``region`` steps only (see ``frontend._ServerPool``)."""
+    from repro.autograd import fusion  # deferred: a process that never compiles never pays
     if not isinstance(model, Module):
         raise TypeError(
             f"compile_inference expects a repro.nn Module, got {type(model).__name__}"

@@ -5,6 +5,7 @@ shape, dtype and array type — on fresh inputs, with codegen on and off."""
 import numpy as np
 import pytest
 
+import repro.autograd.fusion  # noqa: F401  (the region entry)
 from repro import nn
 from repro.autograd import Tensor, functional as F, ir, no_grad
 from repro.codegen import using_codegen

@@ -385,13 +385,41 @@ def test_layouts_the_stages_cannot_bind_take_the_numpy_body(adopted, stage_calls
         out.backward(np.ones(out.shape, np.float32))
         return out.data, t.grad
 
-    kernels._COUNTED.discard((("conv2d", F32, c, h, w) + k + s + p + (o, True), "layout"))
+    kernels._COUNTED.discard((("conv2d", F32, c, h, w) + k + s + p, "layout"))
     counted, (first, second) = _counted("layout", run)
     assert counted == 1  # per signature, not per call
     assert stage_calls == [False, True] * 2  # the gather refuses, the scatter binds
     want = run(np.ascontiguousarray(x))
     for got in (first, second):
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_convs_of_one_input_window_share_one_arm(adopted):
+    # The gather and scatter read the input window alone: convs that differ
+    # in width or bias resolve one signature, and an operand the stages
+    # cannot bind is counted once for all of them.
+    case = WINDOW_CONVS[0]
+    c, h, w, k, s, p = (case[key] for key in ("c", "h", "w", "k", "s", "p"))
+    window = (c, h, w) + k + s + p
+    arms = {kernels.arm(F._CONV2D, F32, 3, *window, o, bias)
+            for o, bias in ((1, True), (4, True), (7, False))}
+    assert len(arms) == 1 and isinstance(arms.pop(), kernels.Conv2d)
+    assert ("conv2d", F32) + window in kernels._ARMS
+    assert all(len(key) == 2 + len(window) for key in kernels._ARMS if key[0] == "conv2d")
+
+    rng = np.random.default_rng(7)
+    x = draw(rng, (3, c, h, 2 * w), F32, 0.0)[..., ::2]  # the gather cannot bind it
+
+    def run(o):
+        weight = Tensor(draw(rng, (o, c) + k, F32, 0.0), requires_grad=True)
+        out = F.conv2d(Tensor(x, requires_grad=True), weight, stride=s, padding=p)
+        out.backward(np.ones(out.shape, np.float32))
+
+    kernels._COUNTED.discard((("conv2d", F32) + window, "layout"))
+    before = _fallbacks("layout")
+    run(1)
+    run(5)
+    assert _fallbacks("layout") - before == 1
 
 
 def test_a_float64_gradient_into_a_float32_op_takes_the_numpy_body(adopted):
