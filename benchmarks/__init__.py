@@ -1,11 +1,14 @@
-"""Benchmark harness for the repro autograd engine.
+"""Benchmarks for the repro engine; two entry points.
 
-``benchmarks/_seed_tensor.py`` is a frozen copy of the seed tape engine
-(allocating gradient accumulation, non-freeing backward pass); the harness
-times identical workloads on it and on ``repro.autograd`` so every PR has a
-performance trajectory to beat.  Run::
+``benchmarks/layered/run.py`` is the repository benchmark (declared in
+``BENCHMARK.json``): eight end-to-end workloads, each in a fresh process,
+with per-layer readings and a ``--compare`` of two result sets::
 
-    PYTHONPATH=src python benchmarks/bench_autograd.py
+    python3 benchmarks/layered/run.py --smoke
 
-which writes ``BENCH_autograd.json`` in the repository root.
+``benchmarks/gates.py`` is CI's performance gate: fusion, batch-1
+inference, process-vs-thread serving and observability overhead ratios,
+each printed beside its bound, exit status 1 on a miss::
+
+    PYTHONPATH=src python benchmarks/gates.py
 """

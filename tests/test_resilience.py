@@ -137,6 +137,33 @@ def test_shed_oldest_cancels_stalest_and_keeps_depth_bounded():
             assert stats["requests_rejected"] == 0
 
 
+@pytest.mark.parametrize("bounded", [True, False], ids=["shed_oldest", "unbounded"])
+def test_overload_burst_sheds_only_with_a_bounded_queue(bounded):
+    # Capacity is one request per 2 ms and the whole burst arrives at once:
+    # a bounded queue sheds the stalest, an unbounded one serves all 32.
+    # Either way the completed requests carry a tail latency.
+    rng = np.random.default_rng(3)
+    kwargs = {"queue_limit": 8, "overload": "shed_oldest"} if bounded else {}
+    with _server(_model(), buckets=(1,), workers=1, max_batch_size=1,
+                 max_wait=0.0, **kwargs) as server:
+        with inject_faults(server, latency=0.002):
+            futures = [server.submit(_req(rng)) for _ in range(32)]
+            completed = 0
+            for future in futures:
+                try:
+                    future.result(timeout=10)
+                    completed += 1
+                except CancelledError:
+                    pass
+            stats = server.stats()
+    assert stats["latency_ms_p99"] > 0
+    if bounded:
+        assert stats["requests_shed"] > 0
+        assert completed == 32 - stats["requests_shed"]
+    else:
+        assert stats["requests_shed"] == 0 and completed == 32
+
+
 def test_block_mode_waits_for_space():
     rng = np.random.default_rng(3)
     model = _model()
