@@ -37,9 +37,10 @@ Counters:
 - ``repro_serve_samples_completed_total`` — samples inside completed requests;
 - ``repro_serve_batches_dispatched_total`` — coalesced batches handed to workers;
 - ``repro_serve_batches_immediate_total`` — of those, batches dispatched
-  without lingering for stragglers (isolated first request, full batch, or
-  ``max_wait=0``; the ``coalesce`` span's ``lingered`` arg says which path
-  a request's batch took);
+  without lingering for stragglers: every batch under the default
+  ``max_wait=0``; with a positive ``max_wait``, those led by an isolated
+  request or filled to ``max_batch_size`` (the ``coalesce`` span's
+  ``lingered`` arg says which path a request's batch took);
 - ``repro_serve_samples_dispatched_total`` — samples inside dispatched batches
   (clamped per dispatch to ``max_batch_size``, the occupancy numerator);
 - ``repro_serve_requests_rejected_total`` — ``reject``-mode overload refusals;

@@ -54,6 +54,7 @@ import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing as mp
+from multiprocessing.connection import wait as mp_wait
 
 import numpy as np
 
@@ -73,7 +74,6 @@ from repro.serve.frontend import (
     Server,
     SessionPool,
     _NULL_COUNTER,
-    _ServerPool,
     _normalize_buckets,
 )
 from repro.serve.resilience import DeadlineExceeded, WorkerKill, WorkerSlot
@@ -196,7 +196,7 @@ def _serve_worker(spec: dict, conn) -> None:
         example = [np.array(a) for a in spec["example"]]
 
         def build_pool() -> SessionPool:
-            return _ServerPool(model, example, spec["buckets"])
+            return SessionPool(model, example, spec["buckets"])
 
         pool = build_pool()
         # The parent folds this process's codegen counters into its /metrics
@@ -239,6 +239,7 @@ def _serve_worker(spec: dict, conn) -> None:
                     "codegen": codegen_enabled(),
                     "env": {k: os.environ.get(k) for k in _ENV_KEYS},
                     "arena_version": binder.version,
+                    "explain": {b: s.explain() for b, s in pool.sessions.items()},
                 }
                 if msg[1]:  # draw one value from the propagated RNG stream
                     reply["rng_draw"] = float(default_rng().standard_normal())
@@ -540,8 +541,9 @@ class _ProcWorkerProxy:
 
     def probe(self, rng_draw: bool = False, timeout: float = 30.0) -> dict:
         """Ask the worker process to report its effective settings
-        (codegen toggle, env, pid; optionally one draw from its
-        propagated RNG stream).  Test/debug surface."""
+        (codegen toggle, env, pid, each bucket session's ``explain()``
+        rows; optionally one draw from its propagated RNG stream).
+        Test/debug surface."""
         with self._io_lock:
             self._ensure_ready()
             self._send(("probe", bool(rng_draw)))
@@ -561,15 +563,25 @@ class _ProcWorkerProxy:
             raise WorkerKill(f"worker pipe broke on send: {exc}") from None
 
     def _recv(self, timeout: Optional[float] = None):
-        """Wait for one reply, polling so a dead process is noticed even
+        """Wait for one reply, or for the process to end: the wait wakes on
+        the process sentinel too, so a dead process is noticed at once even
         when it never wrote EOF (SIGKILL mid-write, kernel OOM, ...)."""
         conn, proc = self._conn, self._proc
+        if conn is None:
+            raise WorkerKill("worker pipe is closed")
+        waitables = [conn] if proc is None else [conn, proc.sentinel]
         deadline = time.monotonic() + timeout if timeout is not None else None
         while True:
-            if conn is None:
-                raise WorkerKill("worker pipe is closed")
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                self.kill_process()
+                raise WorkerKill(
+                    f"worker process pid={self.pid} did not reply within "
+                    f"{timeout}s; killed"
+                )
+            ready = mp_wait(waitables, remaining)
             try:
-                if conn.poll(0.05):
+                if conn in ready:
                     msg = conn.recv()
                     if msg[0] != "codegen":
                         return msg
@@ -583,8 +595,8 @@ class _ProcWorkerProxy:
                     f"(exitcode={proc.exitcode if proc else None})"
                 ) from None
             if proc is not None and not proc.is_alive():
-                # Drain one last time: the reply may have been in flight
-                # when the process exited.
+                # Drain one last time: the reply may have landed between
+                # the wait and the process's exit.
                 try:
                     if conn.poll(0):
                         return conn.recv()
@@ -593,12 +605,6 @@ class _ProcWorkerProxy:
                 raise WorkerKill(
                     f"worker process pid={self.pid} died "
                     f"(exitcode={proc.exitcode})"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                self.kill_process()
-                raise WorkerKill(
-                    f"worker process pid={self.pid} did not reply within "
-                    f"{timeout}s; killed"
                 )
 
 

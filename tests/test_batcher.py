@@ -1,4 +1,5 @@
-"""The batcher's linger policy: isolated requests dispatch at once.
+"""The batcher's linger policy: by default it never lingers; with a
+``max_wait`` window, isolated requests still dispatch at once.
 
 Three layers, cheapest first: the pure helpers over scripted timestamps, the
 ``submit()`` stamp driven through the real code path under a scripted clock
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.codegen import using_codegen
 from repro.serve import (
     AsyncServer,
     ProcServer,
@@ -215,6 +217,31 @@ def test_a_request_on_the_heels_of_another_pays_the_window():
     assert stats["batches_dispatched"] == 2
     assert stats["batches_immediate"] == 1
     assert lingered == [False, True]
+
+
+def test_a_default_server_never_lingers():
+    # max_wait defaults to 0: an idle worker serves a request at once, also
+    # one on the heels of another.
+    with _make("thread") as server:
+        server.submit(_req()).result(timeout=30)
+        server.submit(_req()).result(timeout=30)
+        stats = server.stats()
+        lingered = [s.args["lingered"] for s in server.tracer.spans()
+                    if s.name == "coalesce"]
+    assert stats["batches_immediate"] == stats["batches_dispatched"] == 2
+    assert lingered == [False, False]
+
+
+def test_process_workers_plan_gemm_stages():
+    # A ProcServer worker builds a plain SessionPool: every step, the
+    # linear head included, is planned for a compiled stage.  (Thread
+    # workers keep GEMM steps on numpy; see frontend._ServerPool.)
+    with using_codegen(True), _make("process", buckets=(1, 4)) as server:
+        server.submit(_req()).result(timeout=60)
+        (probe,) = server.probe_workers()
+    assert sorted(probe["explain"]) == [1, 4]
+    for rows in probe["explain"].values():
+        assert rows and all(row["reason"] != "unplannable" for row in rows), rows
 
 
 def test_back_to_back_burst_still_coalesces():

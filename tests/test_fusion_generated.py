@@ -20,8 +20,8 @@ and above:
 ``compile_inference(...).run`` must give the bytes of the eager ``no_grad``
 forward, with codegen off (the region interpreter) and on (the compiled
 stages), on the example batch and on a fresh one — and so must the session a
-server's worker replays (``frontend._ServerPool``: regions compiled, no GEMM
-stages).
+thread server's worker replays (``frontend._ServerPool``: regions compiled,
+no GEMM stages).
 """
 
 import numpy as np

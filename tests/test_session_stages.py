@@ -330,9 +330,53 @@ def test_publish_weights_reaches_compiled_stages_in_worker_processes():
 
 
 @needs_cc
+def test_param_hot_swap_reaches_conv_gemm_stages_in_worker_processes():
+    # Process workers compile TBNet's conv / linear heads into stage groups;
+    # a param-only publish rebinds them without a recompile.
+    from repro.models import TBNet
+    from repro.serve import ProcServer
+
+    rng = np.random.default_rng(41)
+    model = TBNet(width=4, image_size=8, context_dim=8, rng=rng).eval()
+    images = rng.standard_normal((5, 3, 8, 8)).astype(np.float32)
+    context = rng.standard_normal((5, 8)).astype(np.float32)
+    one, four = (images[:1], context[:1]), (images[1:], context[1:])
+
+    def served(server):
+        return [server.submit(*r).result(timeout=120).tobytes() for r in (one, four)]
+
+    def eager():
+        return [_eager(model, list(r)).tobytes() for r in (one, four)]
+
+    def pending(probe):
+        return any(row["reason"] == "pending"
+                   for rows in probe["explain"].values() for row in rows)
+
+    with ProcServer(model, one, buckets=(1, 4), workers=1,
+                    model_factory=model.spawn_factory()) as server:
+        deadline = time.monotonic() + 120
+        while True:  # until both buckets' sessions adopted their stages
+            assert served(server) == eager()
+            (probe,) = server.probe_workers()
+            if not pending(probe) or time.monotonic() > deadline:
+                break
+        rows = [row for rows in probe["explain"].values() for row in rows]
+        assert any("conv2d" in row["ops"] for row in rows), rows
+        assert all(row["arm"] == "compiled" for row in rows
+                   if "conv2d" in row["ops"] or "linear" in row["ops"]), rows
+        for p in model.parameters():
+            p.data *= np.float32(1.25)
+        assert server.publish_weights() == 2
+        assert served(server) == eager()
+        (after,) = server.probe_workers()
+    assert after["pid"] == probe["pid"] and after["arena_version"] == 2
+    assert after["explain"] == probe["explain"]  # the same compiled groups
+
+
+@needs_cc
 def test_server_pools_compile_regions_only_user_pools_everything():
     # See frontend._ServerPool: the frozen benchmark cannot measure a server
-    # whose GEMM steps are compiled, so a Server's own pools leave them.
+    # whose GEMM steps are compiled, so a thread Server's own pools leave them.
     from repro.models import TBNet
     from repro.serve import SessionPool
 
