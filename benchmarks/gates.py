@@ -25,7 +25,7 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.obs import NULL_REGISTRY
 
 ROUNDS, REPEATS = 2, 3  # blocks per arm: ROUNDS * REPEATS, a warm-up step per round
-SERVE_BUCKETS, SERVE = (1, 4, 8), {"workers": 2, "max_wait": 0.001}
+SERVE_BUCKETS, SERVE = (1, 4, 8), {"workers": 2}
 
 
 class ArmsDiffer(Exception):

@@ -190,7 +190,6 @@ class TBNet(nn.Module):
         workers_mode: str = "thread",
         start_method: Optional[str] = None,
         max_batch_size: Optional[int] = None,
-        max_wait: float = 0.0,
         start: bool = True,
         http_port: Optional[int] = None,
         http_host: str = "127.0.0.1",
@@ -207,16 +206,9 @@ class TBNet(nn.Module):
                 logits = server(images, context)        # blocking
                 future = server.submit(images, context) # or async
 
-        ``max_wait`` is the longest a request is held to form a batch and
-        the horizon of the isolation test.  The default ``0`` never holds
-        one: an idle worker serves what is queued at once, and batches form
-        from requests that queue while the workers are busy.  With a
-        positive ``max_wait`` an isolated request (nothing arrived in the
-        ``max_wait`` seconds before it) is still dispatched at once, but a
-        request that follows another within ``max_wait`` opens a window of
-        at most ``max_wait``, never past a collected deadline — fewer,
-        fuller batches at up to ``max_wait`` more latency (README's serving
-        section records what that buys).
+        No request is held to form a batch: an idle worker serves what is
+        queued at once, and batches form from requests that queue while
+        the workers are busy.
 
         Extra keyword arguments pass straight through to
         :class:`repro.serve.Server` — the resilience knobs (``queue_limit``,
@@ -263,7 +255,6 @@ class TBNet(nn.Module):
                 start_method=start_method,
                 model_factory=self.spawn_factory(),
                 max_batch_size=max_batch_size,
-                max_wait=max_wait,
                 **resilience,
             )
         else:
@@ -275,7 +266,6 @@ class TBNet(nn.Module):
                 buckets,
                 workers=workers,
                 max_batch_size=max_batch_size,
-                max_wait=max_wait,
                 **resilience,
             )
         if not start:

@@ -36,11 +36,6 @@ Counters:
 - ``repro_serve_requests_completed_total`` — requests resolved with a result;
 - ``repro_serve_samples_completed_total`` — samples inside completed requests;
 - ``repro_serve_batches_dispatched_total`` — coalesced batches handed to workers;
-- ``repro_serve_batches_immediate_total`` — of those, batches dispatched
-  without lingering for stragglers: every batch under the default
-  ``max_wait=0``; with a positive ``max_wait``, those led by an isolated
-  request or filled to ``max_batch_size`` (the ``coalesce`` span's
-  ``lingered`` arg says which path a request's batch took);
 - ``repro_serve_samples_dispatched_total`` — samples inside dispatched batches
   (clamped per dispatch to ``max_batch_size``, the occupancy numerator);
 - ``repro_serve_requests_rejected_total`` — ``reject``-mode overload refusals;

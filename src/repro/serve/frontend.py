@@ -19,14 +19,9 @@ that into a front end that serves *any* traffic shape and survives failure:
   back; a batching loop coalesces pending requests up to
   ``max_batch_size`` samples, packs them into bucket runs, and scatters
   **result copies** back into the futures — callers own their outputs,
-  the reused session buffers never escape.  By default (``max_wait=0``)
-  the loop is work-conserving: an idle worker serves whatever is queued
-  at once, and batches form only from requests that queue while every
-  worker is busy.  A positive ``max_wait`` trades latency for CPU: an
-  **isolated** request (nothing arrived in the ``max_wait`` seconds before
-  it) is still dispatched at once, but a request that follows another
-  within ``max_wait`` opens a window of at most ``max_wait``, never past a
-  collected deadline (see :func:`is_isolated` / :func:`linger_until`).
+  the reused session buffers never escape.  The loop is work-conserving
+  and has no timer: an idle worker serves whatever is queued at once, and
+  batches form only from requests that queue while every worker is busy.
 - **Sharding**: ``workers=N`` runs N batching loops, each holding its own
   :class:`SessionPool` replica.  Replicas are safe because replay touches
   only per-session pre-allocated buffers while parameters stay bound by
@@ -68,8 +63,8 @@ that into a front end that serves *any* traffic shape and survives failure:
   latency plus the queue-wait/service breakdown, served throughput, and
   the resilience counters (``requests_rejected`` / ``requests_shed`` /
   ``requests_expired`` / ``requests_failed`` / ``batches_retried`` /
-  ``worker_restarts``); the ``serve_queue`` benchmark workload records
-  them.
+  ``worker_restarts``); the ``serve_*`` benchmark workloads report them
+  as their ``frontend.*`` layer rows.
 
 Deterministic chaos hooks for all of the above live in
 :mod:`repro.serve.faults`.
@@ -120,48 +115,10 @@ from repro.serve.session import (
     _compile,
 )
 
-__all__ = ["SessionPool", "Server", "DEFAULT_BUCKETS", "is_isolated",
-           "linger_until"]
+__all__ = ["SessionPool", "Server", "DEFAULT_BUCKETS"]
 
 DEFAULT_BUCKETS = (1, 4, 16, 64)
 
-
-# ---------------------------------------------------------------------- #
-# Batching policy: pure functions of timestamps (no clock, lock or thread),
-# so the policy is table-tested without sleeping.
-# ---------------------------------------------------------------------- #
-def is_isolated(prev_arrival: Optional[float], arrival: float,
-                max_wait: float) -> bool:
-    """True when no request arrived in the ``max_wait`` before this one.
-
-    A batch window opened at the predecessor would already have closed
-    without this request, so nothing suggests a companion is on its way:
-    such a request is dispatched without lingering.  The first request a
-    server ever accepts has no predecessor and is isolated.
-    """
-    return prev_arrival is None or arrival - prev_arrival > max_wait
-
-
-def linger_until(isolated: bool, collected_at: float, max_wait: float,
-                 earliest_deadline: Optional[float] = None) -> float:
-    """Monotonic time until which a batch may wait for stragglers.
-
-    ``isolated`` / ``collected_at`` describe the batch's *first* request;
-    ``earliest_deadline`` is the soonest deadline among the requests
-    collected so far.  An isolated first request does not linger (the
-    result is ``collected_at``); otherwise the window is ``max_wait`` long,
-    cut back to the midpoint between collection and the earliest deadline.
-    The midpoint — not the deadline itself — because a window that closes
-    *at* a deadline hands the worker a request that has already expired
-    (a process worker refuses it); this way the server never spends more
-    than half of a request's remaining budget sleeping on it.
-    """
-    if isolated:
-        return collected_at
-    until = collected_at + max_wait
-    if earliest_deadline is not None:
-        until = min(until, collected_at + (earliest_deadline - collected_at) / 2)
-    return until
 
 #: Server-label allocator: every Server's metrics carry server="srvN" so
 #: several servers can share one registry without colliding.
@@ -182,10 +139,10 @@ class _ServerMetrics:
 
     __slots__ = (
         "requests_submitted", "requests_completed", "samples_completed",
-        "batches_dispatched", "batches_immediate", "samples_dispatched",
-        "requests_rejected", "requests_shed", "requests_expired",
-        "requests_failed", "batches_retried", "worker_restarts",
-        "queue_depth", "workers_alive", "batch_occupancy",
+        "batches_dispatched", "samples_dispatched", "requests_rejected",
+        "requests_shed", "requests_expired", "requests_failed",
+        "batches_retried", "worker_restarts", "queue_depth",
+        "workers_alive", "batch_occupancy",
         "request_latency_ms", "queue_wait_ms", "service_ms", "bucket_calls",
         "eager_tail",
     )
@@ -213,9 +170,6 @@ class _ServerMetrics:
         self.batches_dispatched = counter(
             "repro_serve_batches_dispatched_total",
             "Coalesced batches handed to workers.")
-        self.batches_immediate = counter(
-            "repro_serve_batches_immediate_total",
-            "Batches dispatched without lingering for stragglers.")
         self.samples_dispatched = counter(
             "repro_serve_samples_dispatched_total",
             "Samples inside dispatched batches (clamped to max_batch_size).")
@@ -513,7 +467,7 @@ class _ServerPool(SessionPool):
 
 class _Request:
     __slots__ = ("arrays", "n", "future", "submitted_at", "deadline", "started",
-                 "trace_id", "collected_at", "isolated")
+                 "trace_id", "collected_at")
 
     def __init__(self, arrays, n, future, submitted_at, deadline=None,
                  trace_id=0):
@@ -533,10 +487,6 @@ class _Request:
         #: queue-wait/service boundary); re-set if the request is re-queued
         #: after a worker crash, so stage metrics cover the last attempt.
         self.collected_at: Optional[float] = None
-        #: :func:`is_isolated` verdict, stamped once by ``submit()`` (a
-        #: re-queued request keeps it): a batch this request leads is
-        #: dispatched without lingering.
-        self.isolated = False
 
 
 class Server:
@@ -550,17 +500,9 @@ class Server:
     pending request, absorbs every whole request already queued up to
     ``max_batch_size`` samples, runs the coalesced batch through its
     private pool replica (isolating failures per request), and scatters the
-    results back.  With the default ``max_wait=0`` it never lingers: an
-    idle worker serves what is queued at once, and batches grow only from
-    requests that queue while the workers are busy.  A positive
-    ``max_wait`` holds a batch for stragglers when one is likely: an
-    isolated request (nothing arrived in the ``max_wait`` seconds before
-    it) is dispatched at once; a request that follows another within
-    ``max_wait`` opens a window of at most ``max_wait``, never past a
-    collected deadline; a burst after idle sends its first request alone.
-    ``max_wait`` is thus both the longest a request is held to form a batch
-    and the horizon of the isolation test (README's serving section
-    records what the window costs and saves).
+    results back.  It never waits for more: an idle worker serves what is
+    queued at once, and batches grow only from requests that queue while
+    the workers are busy.
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`
     explicitly::
@@ -628,7 +570,6 @@ class Server:
         *,
         workers: int = 1,
         max_batch_size: Optional[int] = None,
-        max_wait: float = 0.0,
         latency_window: int = 4096,
         queue_limit: Optional[int] = None,
         overload: str = "block",
@@ -642,8 +583,6 @@ class Server:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         if overload not in BACKPRESSURE_MODES:
@@ -675,7 +614,6 @@ class Server:
         )
         if self._max_batch < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        self._max_wait = float(max_wait)
         self._queue_limit = queue_limit
         self._overload = overload
         self._default_timeout = default_timeout
@@ -704,9 +642,6 @@ class Server:
         self._service_times: deque = deque(maxlen=latency_window)
         self._first_dispatch_at: Optional[float] = None
         self._last_completion_at: Optional[float] = None
-        #: submitted_at of the latest accepted request (cond held): the
-        #: predecessor is_isolated() measures the next arrival against.
-        self._last_arrival: Optional[float] = None
         # Scrape-time gauges: evaluated by the registry at render, so queue
         # churn never writes a gauge.
         self._m.queue_depth.set_function(lambda: float(len(self._queue)))
@@ -950,11 +885,6 @@ class Server:
             self._check_accepting_locked()
             if self._queue_limit is not None:
                 self._admit_locked(request, deadline)
-            # Stamped only once the request is accepted: zero-sample and
-            # refused submits are not arrivals.
-            request.isolated = is_isolated(self._last_arrival, now,
-                                           self._max_wait)
-            self._last_arrival = now
             self._queue.append(request)
             self._cond.notify_all()
         self._m.requests_submitted.inc()
@@ -983,7 +913,15 @@ class Server:
                 stale = self._queue.popleft()
                 if stale.future.cancel():
                     self._m.requests_shed.inc()
-                # Already cancelled/running futures just drop off the queue.
+                elif stale.started and not stale.future.done():
+                    # Re-queued after its worker was killed: the future is
+                    # RUNNING, so cancel() cannot take it; fail it instead.
+                    stale.future.set_exception(ServerOverloaded(
+                        "shed from a full queue "
+                        f"(queue_limit={self._queue_limit}) while awaiting "
+                        "a retry after its worker died"
+                    ))
+                    self._m.requests_shed.inc()
         else:  # block
             while len(self._queue) >= self._queue_limit:
                 if deadline is not None:
@@ -1033,10 +971,6 @@ class Server:
           (deadline sweeps), ``requests_failed`` (futures resolved with the
           batch's exception), ``batches_retried`` (re-serve attempts from
           transient retries and bisection), ``worker_restarts``;
-        - ``batches_immediate``: batches dispatched without lingering for
-          stragglers (every batch at the default ``max_wait=0``; with a
-          window, an isolated first request or a full batch); the rest of
-          ``batches_dispatched`` paid a window;
         - plus raw counters (requests/samples/batches), ``workers_alive``,
           and the pools' bucket routing counts.
         """
@@ -1065,7 +999,6 @@ class Server:
             "requests_completed": m.requests_completed.value,
             "samples_completed": completed_samples,
             "batches_dispatched": m.batches_dispatched.value,
-            "batches_immediate": m.batches_immediate.value,
             "batch_occupancy": float(self._occupancy()),
             "throughput_rps": float(throughput),
             "requests_rejected": m.requests_rejected.value,
@@ -1130,78 +1063,62 @@ class Server:
             if not request.future.done():
                 request.future.set_exception(exc)
 
-    def _collect(self, slot: WorkerSlot) -> Optional[Tuple[List[_Request], bool]]:
+    def _collect(self, slot: WorkerSlot) -> Optional[List[_Request]]:
         """Take one coalesced batch off the queue (None = shut down).
 
-        Blocks until a request arrives, then absorbs whole pending requests
-        while the running total stays within ``max_batch_size``.  Once the
-        queue is empty it lingers for stragglers until
-        :func:`linger_until`: not at all when the first request is
-        isolated, otherwise for at most ``max_wait`` seconds and never past
-        the midpoint to a collected deadline.  Returns the batch and
-        whether it lingered.  Requests are never split: a request larger
-        than ``max_batch_size`` is dispatched alone (the pool decomposes it
-        internally).
+        Blocks until a request arrives, then absorbs whole queued requests
+        while the running total stays within ``max_batch_size``, and stops
+        as soon as the queue is empty — it never waits for more.  Requests
+        are never split: a request larger than ``max_batch_size`` is
+        dispatched alone (the pool decomposes it internally).
 
         Expired requests are swept here (resolved with
         :class:`DeadlineExceeded`, never served) and every collected future
         is moved to RUNNING (``set_running_or_notify_cancel``): futures a
         client already cancelled are dropped, and a cancel arriving after
         collection becomes a no-op instead of an ``InvalidStateError`` when
-        the worker scatters results.  Each pop notifies the condition so
-        ``block``-mode submitters waiting for queue space wake up.
+        the worker scatters results.  The lock is held throughout, so one
+        notify after the pops (or before sleeping on an emptied queue)
+        wakes ``block``-mode submitters waiting for queue space.
         """
+        requests: List[_Request] = []
+        total = 0
+        popped = False
         with self._cond:
-            while True:
-                while not self._queue and not self._stopping and not slot.retired:
-                    self._cond.wait()
-                if slot.retired or not self._queue:
-                    return None  # retired, or stopping with a drained queue
-                now = time.monotonic()
-                first = self._queue.popleft()
-                self._cond.notify_all()
-                if self._expire_locked(first, now):
-                    continue
-                if first.started or first.future.set_running_or_notify_cancel():
-                    first.started = True
-                    first.collected_at = now
-                    break  # not cancelled; serve it
-            requests = [first]
-            total = first.n
-            earliest = first.deadline
-            lingered = False
             while total < self._max_batch:
-                if self._queue:
-                    now = time.monotonic()
-                    if self._expire_locked(self._queue[0], now):
-                        self._queue.popleft()
+                if not requests and slot.retired:
+                    break
+                if not self._queue:
+                    if requests or self._stopping:
+                        break  # never wait for more; or drained at stop
+                    if popped:
                         self._cond.notify_all()
-                        continue
-                    if total + self._queue[0].n > self._max_batch:
-                        break
-                    request = self._queue.popleft()
-                    self._cond.notify_all()
-                    if not (request.started
-                            or request.future.set_running_or_notify_cancel()):
-                        continue  # cancelled while queued: drop it
-                    request.started = True
-                    request.collected_at = now
-                    requests.append(request)
-                    total += request.n
-                    if request.deadline is not None and (
-                            earliest is None or request.deadline < earliest):
-                        earliest = request.deadline
-                else:
-                    remaining = linger_until(
-                        first.isolated, first.collected_at, self._max_wait,
-                        earliest) - time.monotonic()
-                    if remaining <= 0 or self._stopping:
-                        break
-                    lingered = True
-                    self._cond.wait(timeout=remaining)
+                        popped = False
+                    self._cond.wait()
+                    continue
+                request = self._queue[0]
+                now = time.monotonic()
+                expired = self._expire_locked(request, now)
+                if not expired and requests and (
+                        total + request.n > self._max_batch):
+                    break
+                self._queue.popleft()
+                popped = True
+                if expired or not (
+                        request.started
+                        or request.future.set_running_or_notify_cancel()):
+                    continue  # expired, or cancelled while queued: drop it
+                request.started = True
+                request.collected_at = now
+                requests.append(request)
+                total += request.n
+            if popped:
+                self._cond.notify_all()
+            if not requests:
+                return None
             if self._first_dispatch_at is None:
                 self._first_dispatch_at = time.monotonic()
-            return requests, lingered
+            return requests
 
     def _requeue(self, requests: List[_Request]) -> None:
         """Put a killed worker's unresolved requests back at the queue head.
@@ -1227,31 +1144,23 @@ class Server:
 
     def _worker(self, slot: WorkerSlot) -> None:
         while True:
-            collected = self._collect(slot)
-            if collected is None:
+            requests = self._collect(slot)
+            if requests is None:
                 return
-            requests, lingered = collected
             total = sum(r.n for r in requests)
             dispatched_at = time.monotonic()
             self._m.batches_dispatched.inc()
-            if not lingered:
-                self._m.batches_immediate.inc()
             # Clamped so occupancy stays a fraction <= 1.0: an oversized
             # single request (never split) counts as one full dispatch.
             self._m.samples_dispatched.inc(min(total, self._max_batch))
             # Stage boundary: submit -> collected is queue wait, collected ->
-            # dispatch is coalescing (waiting for stragglers).  A re-queued
-            # request (worker killed mid-serve) is collected again, so these
-            # cover its last attempt.
-            queue_waits = []
+            # dispatch is coalescing.  A re-queued request (worker killed
+            # mid-serve) is collected again, so these cover its last attempt.
+            queue_waits = [r.collected_at - r.submitted_at for r in requests]
             spans = [] if self._tracer is not None else None
             coalesce_args = {"batch_requests": len(requests),
-                             "batch_samples": total, "lingered": lingered}
+                             "batch_samples": total}
             for request in requests:
-                if request.collected_at is None:
-                    continue
-                wait = request.collected_at - request.submitted_at
-                queue_waits.append(wait)
                 if spans is not None and request.trace_id:
                     spans.append((request.trace_id, "queue_wait",
                                   request.submitted_at, request.collected_at,
@@ -1259,9 +1168,7 @@ class Server:
                     spans.append((request.trace_id, "coalesce",
                                   request.collected_at, dispatched_at,
                                   coalesce_args))
-            if queue_waits:
-                self._m.queue_wait_ms.observe_many(
-                    [w * 1e3 for w in queue_waits])
+            self._m.queue_wait_ms.observe_many([w * 1e3 for w in queue_waits])
             if spans:
                 self._tracer.record_many(spans)
             with self._lock:
@@ -1376,15 +1283,13 @@ class Server:
         # same quantity so percentiles and /metrics agree on what
         # "latency" means (submit-to-result).
         latencies = [done_at - r.submitted_at for r in requests]
-        services = [done_at - r.collected_at for r in requests
-                    if r.collected_at is not None]
+        services = [done_at - r.collected_at for r in requests]
         with self._lock:
             self._last_completion_at = done_at
             self._latencies.extend(latencies)
             self._service_times.extend(services)
         self._m.request_latency_ms.observe_many([v * 1e3 for v in latencies])
-        if services:
-            self._m.service_ms.observe_many([v * 1e3 for v in services])
+        self._m.service_ms.observe_many([v * 1e3 for v in services])
         if self._tracer is not None:
             resolve_end = time.monotonic()
             spans = []

@@ -12,10 +12,15 @@ of hanging it for hours.
 
 When ``pytest-timeout`` is importable it owns the job (richer reporting,
 per-test markers) and the fallback stays disarmed.
+
+The ``hold_workers`` fixture parks a server's workers so a test can queue
+a burst behind them and see it coalesce without relying on timing.
 """
 
+import contextlib
 import faulthandler
 import os
+import threading
 
 import pytest
 
@@ -72,3 +77,45 @@ def _no_compile_outlives_its_test():
     from repro.codegen import wait_for_compiles
 
     wait_for_compiles(120)
+
+
+@contextlib.contextmanager
+def _hold_workers(server, *parked_request):
+    """Park every worker of ``server`` inside its pool's ``serve`` until the
+    block exits, so whatever the block submits is queued as one burst.
+
+    One ``parked_request`` is submitted per worker, each only after the
+    previous one holds its worker (so no two share a batch).  Yields their
+    futures.  On exit the workers are released and collect the burst in
+    whole-request batches of up to ``max_batch_size`` samples — coalescing
+    that depends on no timing.
+    """
+    release = threading.Event()
+    entered = threading.Semaphore(0)
+    originals = [(pool, pool.serve) for pool in server.pools]
+
+    def wrap(serve):
+        def held(batch, out=None):
+            entered.release()
+            release.wait(timeout=60)
+            return serve(batch, out)
+        return held
+
+    for pool, serve in originals:
+        pool.serve = wrap(serve)
+    try:
+        parked = []
+        for _ in range(server.workers):
+            parked.append(server.submit(*parked_request))
+            assert entered.acquire(timeout=60), "a worker never picked up"
+        yield parked
+    finally:
+        release.set()
+        for pool, serve in originals:
+            pool.serve = serve
+
+
+@pytest.fixture
+def hold_workers():
+    """``with hold_workers(server, x) as parked:`` — see :func:`_hold_workers`."""
+    return _hold_workers

@@ -1,10 +1,9 @@
-"""The batcher's linger policy: by default it never lingers; with a
-``max_wait`` window, isolated requests still dispatch at once.
+"""The batcher's one policy: an idle worker serves what is queued at once,
+and batches form only from requests that queue while every worker is busy.
 
-Three layers, cheapest first: the pure helpers over scripted timestamps, the
-``submit()`` stamp driven through the real code path under a scripted clock
-(no worker threads, no sleeps), and a few end-to-end checks whose
-``max_wait`` (0.25 s) is far above anything the assertions time.
+The collect loop is driven directly under a scripted clock (no worker
+threads, no sleeps); the end-to-end checks time a serial request against a
+bound far above a single serve, and hold the worker to queue a burst.
 """
 
 import asyncio
@@ -15,16 +14,9 @@ import pytest
 
 from repro import nn
 from repro.codegen import using_codegen
-from repro.serve import (
-    AsyncServer,
-    ProcServer,
-    Server,
-    ServerOverloaded,
-)
+from repro.serve import AsyncServer, ProcServer, Server
 from repro.serve import frontend
-from repro.serve.frontend import is_isolated, linger_until
 
-WINDOW = 0.25  # end-to-end max_wait: 2.5x the "at once" bound below
 AT_ONCE = 0.1
 
 
@@ -55,50 +47,7 @@ def _timed(future):
 
 
 # --------------------------------------------------------------------------- #
-# The pure helpers
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "prev, arrival, max_wait, expected",
-    [
-        (None, 5.0, 0.25, True),     # first request since start
-        (5.0, 5.125, 0.25, False),   # inside the predecessor's window
-        (5.0, 5.25, 0.25, False),    # exactly at its edge: still inside
-        (5.0, 5.375, 0.25, True),    # past it
-        (5.0, 4.875, 0.25, False),   # racing submitters stamped out of order
-        (None, 5.0, 0.0, True),
-        (5.0, 5.0, 0.0, False),      # max_wait=0: only a tie is "together"
-        (5.0, 5.125, 0.0, True),
-    ],
-)
-def test_is_isolated(prev, arrival, max_wait, expected):
-    assert is_isolated(prev, arrival, max_wait) is expected
-
-
-@pytest.mark.parametrize(
-    "isolated, collected_at, max_wait, earliest_deadline, expected",
-    [
-        (True, 10.0, 0.002, None, 10.0),     # isolated: no linger at all
-        (True, 10.0, 0.002, 10.001, 10.0),
-        (False, 10.0, 0.002, None, 10.002),  # a companion is likely: one window
-        (False, 10.0, 0.0, None, 10.0),      # max_wait=0 never holds a request
-        (False, 10.0, 0.3, 20.0, 10.3),      # distant deadline: no effect
-        (False, 10.0, 0.3, 10.05, 10.025),   # capped at the midpoint to it
-        (False, 10.0, 0.3, 10.6, 10.3),      # midpoint == window end
-    ],
-)
-def test_linger_until(isolated, collected_at, max_wait, earliest_deadline,
-                      expected):
-    got = linger_until(isolated, collected_at, max_wait, earliest_deadline)
-    assert got == pytest.approx(expected, abs=1e-12)
-    # Never before collection, never longer than max_wait, and short of any
-    # collected deadline.
-    assert collected_at <= got <= collected_at + max_wait
-    if earliest_deadline is not None and not isolated and max_wait > 0:
-        assert got < earliest_deadline
-
-
-# --------------------------------------------------------------------------- #
-# submit() stamps, under a scripted clock
+# The collect loop, under a scripted clock
 # --------------------------------------------------------------------------- #
 class _Clock:
     """Stands in for the ``time`` module inside ``repro.serve.frontend``."""
@@ -110,72 +59,38 @@ class _Clock:
         return self.now
 
 
-@pytest.fixture
-def scripted(monkeypatch):
-    """A server that accepts submits but runs no thread: the queue keeps
-    every request for inspection and time only moves when the test says."""
+def test_collect_takes_whole_queued_requests_and_never_waits(monkeypatch):
     clock = _Clock()
     monkeypatch.setattr(frontend, "time", clock)
-
-    def build(**kwargs):
-        server = _make("thread", max_wait=0.002, **kwargs)
-        server._started = True  # accept submits without spawning workers
-        return server
-
-    return build, clock
-
-
-def test_submit_stamps_isolation_from_arrival_gaps(scripted):
-    build, clock = scripted
-    server = build()
-    gaps = [None, 0.0019, 0.0021, 0.0005, 0.0005, 1.0]
-    for gap in gaps:
-        clock.now += gap or 0.0
-        server.submit(_req())
-    assert [r.isolated for r in server._queue] == [
-        True, False, True, False, False, True]
-
-
-def test_zero_sample_and_refused_submits_are_not_arrivals(scripted):
-    build, clock = scripted
-    server = build(queue_limit=1, overload="reject")
-    server.submit(_req())
-    accepted_at = clock.now
-    clock.now += 1.0
-    assert server.submit(_req(0)).result(timeout=0).shape == (0, 3)
-    with pytest.raises(ServerOverloaded):
-        server.submit(_req())
-    assert server._last_arrival == accepted_at
-    # The next accepted request is measured against the last *accepted*
-    # one, a second ago — not against the two non-arrivals just now.
-    server._queue.clear()
-    clock.now += 0.0001
-    server.submit(_req())
-    assert server._queue[0].isolated
-
-
-def test_isolated_batch_is_collected_without_waiting_and_requeue_keeps_the_stamp(
-        scripted):
-    build, clock = scripted
-    server = build()
+    server = _make("thread", max_batch_size=4)
+    server._started = True  # accept submits without spawning workers
     slot = server._slots[0]
-    server.submit(_req())
-    clock.now += 0.0005
-    server.submit(_req(2))
+
     def no_wait(timeout=None):
         raise AssertionError(f"_collect waited (timeout={timeout})")
 
-    server._cond.wait = no_wait  # the clock is frozen: a wait would never end
-    requests, lingered = server._collect(slot)
-    assert [r.n for r in requests] == [1, 2] and lingered is False
-    assert [r.isolated for r in requests] == [True, False]
-    # A worker killed mid-serve hands its requests back; an hour later the
-    # head still carries the verdict of its arrival.
-    clock.now += 3600.0
-    server._requeue(requests)
-    again, lingered = server._collect(slot)
-    assert again == requests and lingered is False
-    assert [r.isolated for r in again] == [True, False]
+    server._cond.wait = no_wait  # the clock is frozen: a wait never ends
+    expired = server.submit(_req(), timeout=1.0)
+    ones = [server.submit(_req()), server.submit(_req(2))]
+    cancelled = server.submit(_req())
+    cancelled.cancel()
+    rest = [server.submit(_req(2)), server.submit(_req(5))]
+    clock.now += 2.0
+    # The expired head is resolved and the cancelled one dropped, never
+    # served; whole requests fill up to max_batch_size, and a request
+    # larger than it leaves alone.
+    batches = [server._collect(slot) for _ in range(3)]
+    assert [[r.n for r in batch] for batch in batches] == [[1, 2], [2], [5]]
+    assert [r.future for r in batches[0] + batches[1]] == ones + rest[:1]
+    assert isinstance(expired.exception(timeout=0), frontend.DeadlineExceeded)
+    assert cancelled.cancelled() and not server._queue
+    # A killed worker's requests go back to the head and are collected
+    # again, still RUNNING, ahead of later arrivals.
+    late = server.submit(_req(2))
+    server._requeue(batches[0])
+    again = server._collect(slot)
+    assert again == batches[0] and all(r.future.running() for r in again)
+    assert [r.future for r in server._collect(slot)] == [late]
 
 
 # --------------------------------------------------------------------------- #
@@ -183,14 +98,13 @@ def test_isolated_batch_is_collected_without_waiting_and_requeue_keeps_the_stamp
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("kind", ["thread", "process"])
 def test_isolated_request_is_served_at_once(kind):
-    with _make(kind, max_wait=WINDOW) as server:
-        # First request since start: isolated (and, in process mode, the
-        # one that waits for the worker's startup handshake).
+    with _make(kind) as server:
+        # The first request (in process mode, the one that waits for the
+        # worker's startup handshake), then one with nothing else in flight.
         server.submit(_req()).result(timeout=60)
-        time.sleep(WINDOW * 1.2)  # idle for longer than the window
         assert _timed(server.submit(_req())) < AT_ONCE
         stats = server.stats()
-    assert stats["batches_dispatched"] == stats["batches_immediate"] == 2
+    assert stats["batches_dispatched"] == 2
 
 
 def test_isolated_request_is_served_at_once_through_the_async_door():
@@ -200,36 +114,21 @@ def test_isolated_request_is_served_at_once_through_the_async_door():
         await aserver.submit(_req())
         return time.monotonic() - start
 
-    with _make("thread", max_wait=WINDOW) as server:
+    with _make("thread") as server:
         assert asyncio.run(run(server)) < AT_ONCE
 
 
-def test_a_request_on_the_heels_of_another_pays_the_window():
-    with _make("thread", max_wait=WINDOW) as server:
-        first = server.submit(_req())
-        assert _timed(first) < AT_ONCE  # after idle: alone, at once
-        # Its follower arrives inside the window the first would have
-        # opened: a third may well be coming, so it lingers for it.
-        assert _timed(server.submit(_req())) >= WINDOW
-        stats = server.stats()
-        lingered = [s.args["lingered"] for s in server.tracer.spans()
-                    if s.name == "coalesce"]
-    assert stats["batches_dispatched"] == 2
-    assert stats["batches_immediate"] == 1
-    assert lingered == [False, True]
-
-
 def test_a_default_server_never_lingers():
-    # max_wait defaults to 0: an idle worker serves a request at once, also
-    # one on the heels of another.
+    # A request on the heels of another is served at once, alone: nothing
+    # holds it for a companion that may follow.
     with _make("thread") as server:
-        server.submit(_req()).result(timeout=30)
-        server.submit(_req()).result(timeout=30)
+        assert _timed(server.submit(_req())) < AT_ONCE
+        assert _timed(server.submit(_req())) < AT_ONCE
         stats = server.stats()
-        lingered = [s.args["lingered"] for s in server.tracer.spans()
-                    if s.name == "coalesce"]
-    assert stats["batches_immediate"] == stats["batches_dispatched"] == 2
-    assert lingered == [False, False]
+        coalesced = [s.args["batch_requests"] for s in server.tracer.spans()
+                     if s.name == "coalesce"]
+    assert stats["batches_dispatched"] == 2
+    assert coalesced == [1, 1]
 
 
 def test_process_workers_plan_gemm_stages():
@@ -244,29 +143,14 @@ def test_process_workers_plan_gemm_stages():
         assert rows and all(row["reason"] != "unplannable" for row in rows), rows
 
 
-def test_back_to_back_burst_still_coalesces():
+def test_back_to_back_burst_still_coalesces(hold_workers):
     n = 12
-    with _make("thread", max_wait=WINDOW) as server:
-        futures = [server.submit(_req()) for _ in range(n)]
-        for future in futures:
+    with _make("thread") as server:
+        with hold_workers(server, _req()) as parked:
+            futures = [server.submit(_req()) for _ in range(n)]
+        for future in parked + futures:
             future.result(timeout=30)
         stats = server.stats()
-    # The head of the burst may leave alone (or with whatever had queued
-    # by the time the worker woke); everything behind it shares one window.
-    assert stats["requests_completed"] == n
-    assert stats["batches_dispatched"] <= 2
-
-
-@pytest.mark.parametrize("kind", ["thread", "process"])
-def test_linger_never_outlasts_a_collected_deadline(kind):
-    # The window (3 s) is six times the request's whole budget: holding it
-    # for stragglers served it late in thread mode and expired it in process
-    # mode (the worker refuses a batch whose deadline has passed).  The
-    # scale is what a loaded 2-vCPU box can honour: the linger stops at the
-    # midpoint to the deadline, which leaves a forked worker 250 ms to pick
-    # the batch up (a 50 ms budget left it 25 ms, and missed one run in nine).
-    with _make(kind, max_wait=3.0) as server:
-        server.submit(_req()).result(timeout=60)  # primes: the next follows it
-        future = server.submit(_req(), timeout=0.5)
-        assert _timed(future) < 1.5
-        assert server.stats()["requests_expired"] == 0
+    # The burst queued behind the busy worker leaves as one batch.
+    assert stats["requests_completed"] == n + 1
+    assert stats["batches_dispatched"] == 2

@@ -47,7 +47,6 @@ def _eager(model, arr):
 
 def _server(model, **kwargs):
     kwargs.setdefault("buckets", (1, 2, 4))
-    kwargs.setdefault("max_wait", 0.002)
     return Server(model, np.zeros((1, 6), np.float32), **kwargs)
 
 
@@ -98,25 +97,24 @@ def test_injector_latency_and_custom_fault_class():
 # --------------------------------------------------------------------------- #
 # Batch-failure isolation
 # --------------------------------------------------------------------------- #
-def test_poisoned_request_fails_alone_while_cobatched_succeed():
+def test_poisoned_request_fails_alone_while_cobatched_succeed(hold_workers):
     rng = np.random.default_rng(2)
     model = _model()
     with _server(model, workers=1) as server:
         poison = lambda arrays: bool(np.isnan(arrays[0]).any())  # noqa: E731
-        with inject_faults(server, latency=0.05, poison=poison) as chaos:
-            # Occupy the worker so the next four requests coalesce into one
-            # batch (max_batch_size = max bucket = 4).
-            warm = server.submit(_req(rng))
-            time.sleep(0.02)
+        with inject_faults(server, poison=poison) as chaos:
             clean = [_req(rng) for _ in range(3)]
             bad = _req(rng)
             bad[0, 0] = np.nan
-            futures = [
-                server.submit(clean[0]),
-                server.submit(clean[1]),
-                server.submit(bad),
-                server.submit(clean[2]),
-            ]
+            # Occupy the worker so the next four requests coalesce into one
+            # batch (max_batch_size = max bucket = 4).
+            with hold_workers(server, _req(rng)) as (warm,):
+                futures = [
+                    server.submit(clean[0]),
+                    server.submit(clean[1]),
+                    server.submit(bad),
+                    server.submit(clean[2]),
+                ]
             assert warm.result(timeout=5).shape == (1, 3)
             # The poisoned request fails with the poison fault...
             with pytest.raises(PoisonedRequest):
@@ -236,7 +234,12 @@ def test_killed_worker_is_respawned_and_the_request_still_served():
     assert stats["worker_restarts"] == 1
 
 
-def _check_crash_loop_retires_the_slot(max_wait):
+def test_crash_loop_cap_holds_when_a_respawn_dies_within_the_sweep():
+    # A crash loop retires the slot and fails the queue.  The respawned
+    # thread collects the re-queued request and dies again before the
+    # watchdog's sweep ends: the slot is dead with no respawn pending,
+    # which must still count as recoverable (3 crashes, not "all workers
+    # are dead" after the first).
     rng = np.random.default_rng(8)
     model = _model()
     supervision = SupervisionPolicy(
@@ -245,7 +248,7 @@ def _check_crash_loop_retires_the_slot(max_wait):
         restart_backoff=0.001,
         restart_backoff_cap=0.002,
     )
-    with _server(model, supervision=supervision, max_wait=max_wait) as server:
+    with _server(model, supervision=supervision) as server:
         with inject_faults(server, kill_on=set(range(1, 50))) as chaos:
             future = server.submit(_req(rng))
             with pytest.raises(RuntimeError, match="all workers are dead"):
@@ -259,18 +262,6 @@ def _check_crash_loop_retires_the_slot(max_wait):
             with pytest.raises(RuntimeError, match="Server failed"):
                 server.submit(_req(rng))
     assert chaos.killed == 3
-
-
-def test_crash_loop_retires_the_slot_and_fails_the_queue():
-    _check_crash_loop_retires_the_slot(max_wait=0.002)
-
-
-def test_crash_loop_cap_holds_when_a_respawn_dies_within_the_sweep():
-    # Without a linger the respawned thread collects the re-queued request
-    # and dies again before the watchdog's sweep ends: the slot is dead with
-    # no respawn pending, which must still count as recoverable (3 crashes,
-    # not "all workers are dead" after the first).
-    _check_crash_loop_retires_the_slot(max_wait=0.0)
 
 
 def test_stuck_worker_is_replaced_and_new_requests_flow():

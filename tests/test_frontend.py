@@ -197,15 +197,19 @@ def test_server_serves_requests_bit_equal_per_dispatch():
         np.testing.assert_array_equal(server(data), _eager(model, data))
 
 
-def test_server_coalesces_and_scatters_correct_rows():
+def test_server_coalesces_and_scatters_correct_rows(hold_workers):
     rng = np.random.default_rng(11)
     model = _mlp(rng)
     requests = [rng.standard_normal((n, 12)).astype(np.float32) for n in (1, 3, 1, 2, 5, 1, 1, 2)]
     with Server(
-        model, np.zeros((1, 12), np.float32), buckets=(1, 4, 16),
-        workers=2, max_wait=0.02,
+        model, np.zeros((1, 12), np.float32), buckets=(1, 4, 16), workers=2,
     ) as server:
-        futures = [server.submit(r) for r in requests]
+        # Both workers busy: the 16-sample burst queues whole, and the
+        # first worker back takes all of it as one batch.
+        with hold_workers(server, requests[0]) as parked:
+            futures = [server.submit(r) for r in requests]
+        for future in parked:
+            future.result(timeout=10)
         for request, future in zip(requests, futures):
             got = future.result(timeout=10)
             assert got.shape == (request.shape[0], 5)
@@ -216,15 +220,16 @@ def test_server_coalesces_and_scatters_correct_rows():
                 got, _eager(model, request), rtol=1e-4, atol=1e-5
             )
         stats = server.stats()
-    assert stats["requests_completed"] == len(requests)
-    assert stats["samples_completed"] == sum(r.shape[0] for r in requests)
+    assert stats["requests_completed"] == len(requests) + 2
+    assert stats["samples_completed"] == sum(r.shape[0] for r in requests) + 2
+    assert stats["batches_dispatched"] == 3
     assert stats["queue_depth"] == 0
 
 
 def test_server_results_are_owned_copies():
     rng = np.random.default_rng(12)
     model = _mlp(rng)
-    with Server(model, np.zeros((1, 12), np.float32), buckets=(1, 4), max_wait=0.02) as server:
+    with Server(model, np.zeros((1, 12), np.float32), buckets=(1, 4)) as server:
         futures = [
             server.submit(rng.standard_normal((1, 12)).astype(np.float32))
             for _ in range(8)
@@ -239,22 +244,23 @@ def test_server_results_are_owned_copies():
         np.testing.assert_array_equal(a, b)
 
 
-def test_server_metrics_shape():
+def test_server_metrics_shape(hold_workers):
     rng = np.random.default_rng(13)
     model = _mlp(rng)
     with Server(
-        model, np.zeros((1, 12), np.float32), buckets=(1, 4, 16), max_wait=0.05
+        model, np.zeros((1, 12), np.float32), buckets=(1, 4, 16)
     ) as server:
-        futures = [
-            server.submit(rng.standard_normal((1, 12)).astype(np.float32))
-            for _ in range(32)
-        ]
-        for future in futures:
+        with hold_workers(server, np.zeros((1, 12), np.float32)) as parked:
+            futures = [
+                server.submit(rng.standard_normal((1, 12)).astype(np.float32))
+                for _ in range(32)
+            ]
+        for future in parked + futures:
             future.result(timeout=10)
         stats = server.stats()
-    # Batching happened: far fewer dispatches than requests, real occupancy.
-    assert stats["batches_dispatched"] < 32
-    assert 0.0 < stats["batch_occupancy"] <= 1.0
+    # Batching happened: the parked request, then two full batches of 16.
+    assert stats["batches_dispatched"] == 3
+    assert stats["batch_occupancy"] == pytest.approx(33 / 48)
     assert stats["latency_ms_p95"] >= stats["latency_ms_p50"] > 0.0
     assert stats["throughput_rps"] > 0.0
     # Each dispatch decomposes into >= 1 bucket runs.
@@ -295,7 +301,7 @@ def test_server_survives_cancelled_futures():
     rng = np.random.default_rng(19)
     model = _mlp(rng)
     with Server(
-        model, np.zeros((1, 12), np.float32), buckets=(1, 4), max_wait=0.2
+        model, np.zeros((1, 12), np.float32), buckets=(1, 4)
     ) as server:
         first = server.submit(rng.standard_normal((1, 12)).astype(np.float32))
         second = server.submit(rng.standard_normal((1, 12)).astype(np.float32))
@@ -328,8 +334,6 @@ def test_server_rejects_bad_config():
     model = _mlp(np.random.default_rng(16))
     with pytest.raises(ValueError, match="workers"):
         Server(model, np.zeros((1, 12), np.float32), workers=0)
-    with pytest.raises(ValueError, match="max_wait"):
-        Server(model, np.zeros((1, 12), np.float32), max_wait=-1.0)
     with pytest.raises(ValueError, match="max_batch_size"):
         Server(model, np.zeros((1, 12), np.float32), max_batch_size=0)
 

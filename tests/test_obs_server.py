@@ -26,7 +26,6 @@ def _mlp(rng):
 
 def _server(rng, **kwargs):
     kwargs.setdefault("buckets", (1, 4))
-    kwargs.setdefault("max_wait", 0.001)
     return Server(_mlp(rng), np.zeros((1, 12), np.float32), **kwargs)
 
 
@@ -183,18 +182,21 @@ def test_retried_request_records_a_serve_span_per_attempt():
         assert server.stats()["batches_retried"] == 1.0
 
 
-def test_bisected_poisoned_request_spans_and_isolation():
+def test_bisected_poisoned_request_spans_and_isolation(hold_workers):
     rng = np.random.default_rng(6)
     clean_a = rng.standard_normal((1, 12)).astype(np.float32)
     poisoned = np.full((1, 12), np.nan, dtype=np.float32)
     clean_b = rng.standard_normal((1, 12)).astype(np.float32)
-    with _server(rng, workers=1, max_wait=0.2, max_batch_size=4) as server:
+    with _server(rng, workers=1, max_batch_size=4) as server:
         with inject_faults(
             server, poison=lambda arrays: np.isnan(arrays[0]).any(), seed=0,
         ) as chaos:
-            # One coalesced group of three requests, the middle one poisoned.
-            futures = [server.submit(clean_a), server.submit(poisoned),
-                       server.submit(clean_b)]
+            # One coalesced group of three requests, the middle one
+            # poisoned, queued behind a parked clean request.
+            with hold_workers(server, clean_a) as parked:
+                futures = [server.submit(clean_a), server.submit(poisoned),
+                           server.submit(clean_b)]
+            parked[0].result(timeout=10)
             results = []
             for f in futures:
                 try:
@@ -208,7 +210,7 @@ def test_bisected_poisoned_request_spans_and_isolation():
         assert isinstance(results[2], np.ndarray)
 
         all_spans = server.tracer.spans()
-        poisoned_id = sorted({s.trace_id for s in all_spans})[1]  # 2nd submit
+        poisoned_id = sorted({s.trace_id for s in all_spans})[2]  # 3rd submit
         spans, by_name = _spans_by_name(server.tracer, poisoned_id)
         # The poisoned request was served more than once (group, then its
         # bisection half/single), every attempt failing.

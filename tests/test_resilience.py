@@ -45,7 +45,6 @@ def _eager(model, arr):
 
 def _server(model, **kwargs):
     kwargs.setdefault("buckets", (1, 2, 4))
-    kwargs.setdefault("max_wait", 0.002)
     return Server(model, np.zeros((1, 6), np.float32), **kwargs)
 
 
@@ -137,6 +136,27 @@ def test_shed_oldest_cancels_stalest_and_keeps_depth_bounded():
             assert stats["requests_rejected"] == 0
 
 
+def test_shed_oldest_fails_a_requeued_request_instead_of_stranding_it():
+    # A request re-queued after its worker was killed holds a RUNNING
+    # future, which cancel() cannot take: shedding it must resolve it.
+    rng = np.random.default_rng(2)
+    slow_respawn = SupervisionPolicy(
+        watchdog_interval=0.01, restart_backoff=5.0, restart_backoff_cap=5.0)
+    with _server(_model(), workers=1, queue_limit=1, overload="shed_oldest",
+                 supervision=slow_respawn) as server:
+        with inject_faults(server, kill_on={1}) as chaos:
+            first = server.submit(_req(rng))
+            server._slots[0].thread.join(timeout=5)  # died, re-queued first
+            assert chaos.killed == 1 and server.health()["queue_depth"] == 1
+            second = server.submit(_req(rng))  # sheds first
+            with pytest.raises(ServerOverloaded, match="shed"):
+                first.result(timeout=1)
+            assert server.stats()["requests_shed"] == 1
+        server.stop(timeout=0.1)
+    with pytest.raises(RuntimeError, match="unserved"):
+        second.result(timeout=1)
+
+
 @pytest.mark.parametrize("bounded", [True, False], ids=["shed_oldest", "unbounded"])
 def test_overload_burst_sheds_only_with_a_bounded_queue(bounded):
     # Capacity is one request per 2 ms and the whole burst arrives at once:
@@ -145,7 +165,7 @@ def test_overload_burst_sheds_only_with_a_bounded_queue(bounded):
     rng = np.random.default_rng(3)
     kwargs = {"queue_limit": 8, "overload": "shed_oldest"} if bounded else {}
     with _server(_model(), buckets=(1,), workers=1, max_batch_size=1,
-                 max_wait=0.0, **kwargs) as server:
+                 **kwargs) as server:
         with inject_faults(server, latency=0.002):
             futures = [server.submit(_req(rng)) for _ in range(32)]
             completed = 0
@@ -186,6 +206,29 @@ def test_block_mode_waits_for_space():
             assert not thread.is_alive()
             for future in (first, queued, results["future"]):
                 assert future.result(timeout=5).shape == (1, 3)
+
+
+def test_block_mode_wakes_when_a_worker_sweeps_the_expired_head(hold_workers):
+    # No watchdog: only the collecting worker can free the slot the expired
+    # request holds, and it must wake the blocked submitter before it sleeps
+    # on the emptied queue.
+    rng = np.random.default_rng(3)
+    with _server(_model(), workers=1, queue_limit=1, overload="block",
+                 supervise=False) as server:
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.setdefault("future", server.submit(_req(rng))))
+        with hold_workers(server, _req(rng)) as (parked,):
+            doomed = server.submit(_req(rng), timeout=0.001)  # fills the queue
+            thread.start()
+            thread.join(timeout=0.05)
+            assert thread.is_alive()  # blocked: no space
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        with pytest.raises(DeadlineExceeded):
+            doomed.result(timeout=5)
+        for future in (parked, results["future"]):
+            assert future.result(timeout=5).shape == (1, 3)
 
 
 def test_block_mode_honors_deadline_synchronously():

@@ -42,7 +42,7 @@ def test_concurrent_submit_and_stop_leaves_no_future_stranded(backend):
     model = _model(rng)
     server = Server(
         model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
-        workers=2, max_wait=0.001,
+        workers=2,
     )
     server.start()
     futures = []
@@ -95,7 +95,7 @@ def test_cancel_while_collecting_race(backend):
     model = _model(rng)
     with Server(
         model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
-        workers=2, max_wait=0.005,
+        workers=2,
     ) as server:
         for wave in range(6):
             requests = [
@@ -140,7 +140,7 @@ def test_many_threads_hammering_one_server():
     failures = []
     with Server(
         model, np.zeros((1, 6), np.float32), buckets=(1, 2, 4),
-        workers=2, max_wait=0.001, queue_limit=256, overload="block",
+        workers=2, queue_limit=256, overload="block",
     ) as server:
 
         def client(seed):
