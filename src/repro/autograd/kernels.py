@@ -15,19 +15,23 @@ records a tape (serving, ``no_grad`` inference) never imports this module.
 
 What is compiled is kept to what a replayed step (:mod:`repro.autograd.replay`)
 runs: each conv2d → batch_norm → relu → max_pool2d chain as a
-:class:`Block` of three stages built from the members' program pieces —
-the ones eval serving plans from (:mod:`repro.serve.stages`), so nothing
-here names an op — around its conv's :class:`Conv2d` gather and scatter;
-each other relu (:class:`Relu`); and the optimizer's whole-model update
-(:class:`Update`).  An eager step runs the conv gather and scatter and the
-relu stages too; its batch-norm and max-pool run their numpy bodies.  Every
-GEMM is the numpy call it was.  Each stage applies numpy's operations in
-numpy's order to every element, and sums per channel in numpy's order —
-every ``(sample, channel)`` block's pairwise sum added onto ``+0.0`` in
-sample order (:mod:`repro.codegen.cstage`), which holds for more than one
-channel: a one-channel block stays on its members (``geometry``).  So both
-arms produce **the same bytes**, and a run may switch between them at any
-step.
+:class:`Block`, one native call each way, built from the members' program
+pieces — the ones eval serving plans from (:mod:`repro.serve.stages`), so
+nothing here names an op — with the conv's gather, GEMMs and scatter; each
+other relu (:class:`Relu`); and the optimizer's whole-model update
+(:class:`Update`).  An eager step runs the conv's gather and scatter
+(:class:`Conv2d`) and the relu stages too; its GEMMs are numpy's, its
+batch-norm and max-pool run their numpy bodies.  A block calls, from C, the
+GEMM numpy's ``matmul`` calls (:func:`repro.codegen.jit.blas_gemm`) with
+the arguments ``matmul`` passes for the same operands, so each product is
+the numpy call's, bit for bit; a block whose products numpy would not hand
+to that GEMM is no block (:meth:`Block.ask`).  Each stage applies numpy's
+operations in numpy's order to every element, and sums per channel in
+numpy's order — every ``(sample, channel)`` block's pairwise sum added onto
+``+0.0`` in sample order (:mod:`repro.codegen.cstage`), which holds for
+more than one channel: a one-channel block stays on its members
+(``geometry``).  So both arms produce **the same bytes**, and a run may
+switch between them at any step.
 
 **The NaN rule.**  *Which* elements are NaN is identical on both arms; the
 sign and payload of a NaN produced from two NaN operands is unspecified
@@ -36,8 +40,9 @@ sign and payload of a NaN produced from two NaN operands is unspecified
 An operand the stages cannot take — wrong dtype, read-only, strided,
 misaligned — sends that call to the numpy body; like every reason an op
 geometry stays on numpy (``dtype``, ``geometry``, ``layout``, ``disabled``,
-``flags`` for an optimizer whose flags changed since its stage was chosen,
-or a failed build counted where it failed) it is counted once per signature
+``blas`` for a block where numpy's BLAS exports no GEMM to call, ``flags``
+for an optimizer whose flags changed since its stage was chosen, or a
+failed build counted where it failed) it is counted once per signature
 under ``repro_codegen_fallback_total{reason}``.
 """
 
@@ -52,7 +57,6 @@ import numpy as np
 
 from repro.autograd import functional as F, ir, tensor
 from repro.autograd.functional import _out_hw
-from repro.autograd.tensor import _ws_matmul
 from repro.backend import workspace
 from repro.codegen import jit
 from repro.codegen.cstage import _CTYPE
@@ -60,7 +64,9 @@ from repro.obs import profile as _profile
 
 __all__ = ["BLOCK", "UPDATE", "arm"]
 
-#: The most bytes one stage may keep on the C stack (a padded plane).
+#: The most bytes one stage may keep on the C stack (a padded plane); a
+#: block's backward holds two such shares at once, its route's and its
+#: scatter's.
 _STACK = 256 * 1024
 
 #: ``(op name, dtype, *keyed geometry)`` -> :class:`Arm` | ``None`` (numpy, for good)
@@ -194,10 +200,11 @@ def arm(op: ir.Op, dtype, n: int, *geometry, ask: Optional[bool] = True) -> Opti
 
 class Conv2d(Arm):
     """A conv geometry's gather (the patch matrix its forward GEMM reads) and
-    scatter (the input gradient from the backward's ``dcols``) — on an
-    eager step around numpy's GEMMs, bias add and bias gradient, in a
-    replayed one as a :class:`Block`'s head.  Both read the input window
-    alone, so convs that differ only in width or bias share one arm."""
+    scatter (the input gradient from the backward's ``dcols``), around
+    numpy's GEMMs, bias add and bias gradient: an eager step's, and a
+    replayed one's outside a :class:`Block` (which renders both itself).
+    Both read the input window alone, so convs that differ only in width or
+    bias share one arm."""
 
     __slots__ = ()
     op = F._CONV2D
@@ -290,31 +297,47 @@ class Block(Arm):
     """One conv block of a replayed train step: a conv2d, the train-mode
     batch_norm reading its output, the relu reading that and the max_pool2d
     reading that (``members``' ops; each the only reader of the one before:
-    :meth:`repro.autograd.ir.Readers.chain`), as three stages of its own —
-    the members' pieces, arranged so an activation is streamed as few times
-    as the sums allow — around the conv's ``gather`` and ``scatter``, which
-    its adopted :class:`Conv2d` arm runs (``head``, set by the replay):
+    :meth:`repro.autograd.ir.Readers.chain`), as one native call each way.
+    Its first three stages are the members' pieces, arranged so an
+    activation is streamed as few times as the sums allow:
 
     0. after the gather and the GEMM, the conv epilogue writing the conv's
        output with batch-norm's mean summed from it, then the variance pass;
-    1. after batch-norm's per-channel tail (``inv_std``; the running
-       statistics move once this stage ran), one ``map`` pass writing
-       ``xhat`` and the relu's output, and pooling each plane it wrote —
-       batch-norm's own output is never written;
+    1. after batch-norm's per-channel tail (``inv_std``), one ``map`` pass
+       writing ``xhat`` and the relu's output, and pooling each plane it
+       wrote — batch-norm's own output is never written;
     2. backward: the max-pool's route into a stack plane, the relu's mask
        (its output ``> 0``), batch-norm's four sums and ``dxhat``, then its
        three-term adjoint written straight into the ``(O, N*OH*OW)`` layout
-       of the conv's GEMM with the conv bias's gradient; the two GEMMs and
-       the scatter follow.
+       of the conv's GEMM with the conv bias's gradient.
+
+    The two stages the replay calls run them in order, and call the GEMM
+    numpy's ``matmul`` calls (:func:`repro.codegen.jit.blas_gemm`) with the
+    arguments it passes for the same operands:
+
+    3. forward: the conv's gather, its GEMM, stage 0, batch-norm's tail —
+       ``inv_std``, then the running statistics (numpy's ``_bn_running``
+       moves statistics of another dtype after the call) — and stage 1;
+    4. backward: stage 2, then, for a filter that takes a gradient, the
+       weight's GEMM ``cols @ g_t.T`` and its transposed copy, and, for an
+       input that takes one, the input's GEMM ``w.T @ g_t`` and the scatter.
 
     Every element sees the members' operations in their numpy order, so the
     block's bytes are those of the members' steps.  A geometry whose windows
     overlap or pad, a one-channel batch-norm and planes past the stack's
-    share stay on the members' steps (``geometry``)."""
+    share stay on the members' steps (``geometry``), as does every block
+    where numpy's BLAS exports no GEMM to call (``blas``); a one-element
+    footprint, whose products numpy hands to gemv or a loop of its own, is
+    no block (:meth:`ask`)."""
 
-    __slots__ = ("head",)
+    __slots__ = ("gemm", "frames")
     op = BLOCK
     members = (F._CONV2D, F._BATCH_NORM, tensor._RELU, F._MAX_POOL2D)
+
+    def __init__(self, key: tuple, library) -> None:
+        super().__init__(key, library)
+        self.gemm = jit.blas_gemm(key[1].name)  # what ``stages`` found: a table row
+        self.frames = None  # a pinned arm's buffers (:meth:`lease`)
 
     @classmethod
     def ask(cls, nodes) -> Optional[tuple]:
@@ -333,22 +356,28 @@ class Block(Arm):
         (n, *head), (_, _, _, *affine), (_, _, _, _, *window) = (
             ir.OPS[node.op].stage.geometry([t.data for t in node.inputs], node.attrs)
             for node in (conv, norm, pool))
+        if head[0] * head[3] * head[4] == 1:
+            # A one-element footprint: numpy hands the conv's products to gemv
+            # or to a loop of its own, which the block's GEMMs are not.
+            return None
         return (BLOCK, dtype, n, *head, *affine, *window)
 
     @staticmethod
     def stages(dtype, *geometry):
         c, h, w, kh, kw, sh, sw, ph, pw, o, bias, gamma, beta = geometry[:13]
         window = geometry[13:]
-        conv = Conv2d.stages(dtype, *geometry[:Conv2d.keyed])  # what the head refuses, the block does
+        conv = Conv2d.stages(dtype, *geometry[:Conv2d.keyed])  # what the conv's arm refuses, the block does
         if isinstance(conv, str):
             return conv
         oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-        size = oh * ow
+        size, footprint = oh * ow, c * kh * kw
         pkh, pkw, psh, psw, pph, ppw = window
         # The route's windows neither overlap nor pad; the backward keeps a
         # plane and three rows of it on the C stack.
         if o == 1 or pkh > psh or pkw > psw or pph or ppw or 4 * size * 8 > _STACK:
             return "geometry"
+        if jit.blas_gemm(dtype) is None:
+            return "blas"
         stage = _channels(dtype, o, size)
         x, channel = (o * size, size, 1), (0, 1, 0)
         # 0: rows gemm, [bias,] the conv's output, mean, var.
@@ -391,7 +420,62 @@ class Block(Arm):
             stage(adjoint, _COMBINE, ((k + 5, 8, None),), ((k + 6, 8, False),) * bias,
                   (size, ("n", size))),
         ))
-        return stats, normalize, backward
+        # 3: rows as :meth:`forward` binds them.
+        names = ("x", "w") + ("bias",) * bias + ("gamma",) * gamma + ("beta",) * beta + (
+            "cols", "gemm", "out", "mean", "var", "inv_std", "xhat", "relu", "pooled",
+            "running_mean", "running_var", "scalars", "blas")
+        at = {name: row for row, name in enumerate(names)}
+        batch = ("n", size)  # the GEMMs' extent over the batch: n * size
+        forward = ("passes", dtype, (
+            ("gather", dtype, at["x"], at["cols"]) + geometry[:Conv2d.keyed],
+            ("gemm", dtype, at["blas"], False, False, o, batch, footprint,
+             at["w"], footprint, at["cols"], batch, at["gemm"], batch),
+            ("call", dtype, 0, tuple(at[name] for name in (
+                "gemm", *("bias",) * bias, "out", "mean", "var"))),
+            ("tail", dtype, o, size, at["var"], at["mean"], at["inv_std"], at["running_mean"],
+             at["running_var"], at["scalars"]),
+            ("call", dtype, 1, tuple(at[name] for name in (
+                "out", "mean", "inv_std", *("gamma",) * gamma, *("beta",) * beta,
+                "xhat", "relu", "pooled"))),
+        ))
+        # 4: rows as :meth:`backward` binds them: stage 2's, then the weight
+        # gradient as its GEMM writes it and as the filter's, the input's
+        # patch-matrix gradient and its gradient, the patch matrix, the filter.
+        g_t, adjoint = k + 5, tuple(range(k + 6 + bias))
+        dw_t, dw, dcols, dx, cols, w, blas = range(len(adjoint), len(adjoint) + 7)
+        backprop = ("passes", dtype, (
+            ("call", dtype, 2, adjoint),
+            ("when", dtype, dw_t, (
+                ("gemm", dtype, blas, False, True, footprint, o, batch,
+                 cols, batch, g_t, batch, dw_t, o),
+                ("transpose", dtype, dw_t, dw, footprint, o),
+            )),
+            ("when", dtype, dcols, (
+                ("gemm", dtype, blas, True, False, footprint, batch, o,
+                 w, footprint, g_t, batch, dcols, batch),
+                ("scatter", dtype, dcols, dx) + geometry[:Conv2d.keyed],
+            )),
+        ))
+        return stats, normalize, backward, forward, backprop
+
+    def pinned(self, keep_below: int) -> "Block":
+        arm = super().pinned(keep_below)
+        arm.frames = {}
+        return arm
+
+    def lease(self, key: tuple, shapes) -> list:
+        """A call's buffers of the arm's dtype, one per entry of
+        ``shapes()`` (``None``: no buffer).  Those under the workspace's
+        floor are made at the first call under ``key`` (stage and batch)
+        and handed out again at every later one, as the replay's tape hands
+        out the ops' small buffers, so the pinned tables bind them once; the
+        others come from ``workspace.empty`` each call.  A pinned arm's."""
+        frame, dtype = self.frames.get(key), self.key[1]
+        if frame is None:
+            frame = self.frames[key] = [
+                shape if shape is None or dtype.itemsize * math.prod(shape) >= workspace.FLOOR
+                else np.empty(shape, dtype) for shape in shapes()]
+        return [workspace.empty(b, dtype) if b.__class__ is tuple else b for b in frame]
 
     def forward(self, xs, attrs, ports):
         """The pooled output and the context :meth:`backward` reads, with
@@ -399,34 +483,36 @@ class Block(Arm):
         (the conv's, then batch-norm's affine terms) and the members' own
         parameters and ports; ``None`` — nothing has changed — when the
         members' steps have to run instead."""
-        _, dtype, c, h, w, kh, kw, sh, sw, ph, pw, o, bias, gamma, beta = self.key[:15]
-        window = self.key[15:]
+        dtype, o, bias, gamma = self.key[1], self.key[11], self.key[12], self.key[13]
         norm = attrs[1]
-        x, wd = xs[:2]
+        x = xs[0]
         if not self.takes(x):
             return None
+        running, numpy_running = norm["running"], None
+        if running[0] is None or running[1] is None:
+            running = (None, None)  # no running statistics to move
+        elif running[0].dtype != dtype or running[1].dtype != dtype:
+            running, numpy_running = (None, None), running  # numpy moves them, below
         flags = x.flags
         if not (flags.c_contiguous and flags.aligned and flags.writeable):
             x = np.require(x, requirements="CAW")  # a copy: the gather reads the same values
         n = len(x)
-        oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
-        cols = self.head.gather(x, (c * kh * kw, n * oh * ow))
-        if cols is None:
+
+        def shapes():
+            c, h, w, kh, kw, sh, sw, ph, pw = self.key[2:11]
+            oh, ow = _out_hw(h, w, kh, kw, sh, sw, ph, pw)
+            out = (n, o, oh, ow)
+            return ((c * kh * kw, n * oh * ow), (o, n * oh * ow), out, (o,), (o,), (o,), out, out,
+                    (n, o) + _out_hw(oh, ow, *self.key[15:]))
+
+        cols, gemm, out, mean, var, inv_std, xhat, relu, pooled = self.lease((3, n), shapes)
+        if not self.run(3, n, x, *xs[1:], cols, gemm, out, mean, var, inv_std, xhat, relu, pooled,
+                        *running, np.array((norm["eps"], norm["momentum"])), self.gemm):
             return None
-        gemm = _ws_matmul(wd.reshape(o, -1), cols)
-        out = workspace.empty((n, o, oh, ow), dtype)
-        mean, var = workspace.empty((o,), dtype), workspace.empty((o,), dtype)
-        if not self.run(0, n, gemm, *xs[2:2 + bias], out, mean, var):
-            return None
-        inv_std = F._bn_inv_std(var, norm["eps"])
-        affine = xs[2 + bias:]
-        xhat, relu = workspace.empty(out.shape, dtype), workspace.empty(out.shape, dtype)
-        pooled = workspace.empty((n, o) + _out_hw(oh, ow, *window), dtype)
-        if not self.run(1, n, out, mean, inv_std, *affine, xhat, relu, pooled):
-            return None
-        F._bn_running(*norm["running"], mean, var, n * oh * ow, norm["momentum"])
+        if numpy_running is not None:
+            F._bn_running(*numpy_running, mean, var, cols.shape[1], norm["momentum"])
         cols = cols if ports[0][1].requires_grad else None  # only the weight gradient reads it
-        return pooled, (x, wd, cols, xhat, relu, pooled, inv_std, affine[:gamma])
+        return pooled, (x, xs[1], cols, xhat, relu, pooled, inv_std, xs[2 + bias:2 + bias + gamma])
 
     def backward(self, g, ports, ctx, attrs) -> None:
         """Accumulate the block's adjoints of the pooled output's gradient
@@ -438,21 +524,35 @@ class Block(Arm):
         flags = g.flags
         if not (flags.c_contiguous and flags.aligned and flags.writeable):
             g = np.require(g, requirements="CAW")
-        n, shape, dtype = len(xhat), xhat.shape, xhat.dtype
-        dxhat = workspace.empty(shape, dtype)
-        sums = [workspace.empty((o,), dtype) for _ in range(4)]
-        g_t = workspace.empty((o, xhat.size // o), dtype)
-        db = workspace.empty((o,), dtype) if bias else None
-        if not self.run(2, n, g, pooled, relu, xhat, inv_std, *gamma, dxhat, *sums, g_t,
-                        *(db,) * bias):
-            # Every operand but g was bound by the forward's stages.
+        n, conv = len(xhat), ports[0]
+
+        def shapes():
+            footprint, columns = wd.size // o, xhat.size // o
+            weight = ((footprint, o), wd.shape) if cols is not None else (None, None)
+            data = ((footprint, columns), x.shape) if conv[0].requires_grad else (None, None)
+            return (xhat.shape,) + ((o,),) * 4 + ((o, columns),) + ((o,),) * bias + weight + data
+
+        # dxhat, sum(d) (beta's gradient), sum(d * xhat) (gamma's), batch-norm's
+        # two means, the GEMM-layout gradient[, the conv bias's gradient], the
+        # weight gradient as its GEMM writes it and as the filter's (for a
+        # filter that takes one), the input's patch-matrix gradient and its
+        # gradient (for an input that takes one).
+        buffers = self.lease((4, n), shapes)
+        if not self.run(4, n, g, pooled, relu, xhat, inv_std, *gamma, *buffers, cols, wd, self.gemm):
+            # Every operand but g was bound by the forward's stage or is new.
             raise RuntimeError("a block's backward stage could not bind its operands")
-        F._bn_affine_grads(ports[1], attrs[1], sums[0], sums[1])
-        F._conv2d_adjoints(self.head, g_t, db, ports[0], (x, wd, cols), attrs[0])
+        F._bn_affine_grads(ports[1], attrs[1], buffers[1], buffers[2])
+        dw, dx = buffers[-3], buffers[-1]
+        if bias and conv[2].requires_grad:
+            conv[2]._accumulate_fresh(buffers[6])
+        if dw is not None:
+            conv[1]._accumulate_fresh(dw)
+        if dx is not None:
+            conv[0]._accumulate_fresh(dx)
 
 
 Block.rows = tuple(f"{'+'.join(op.name for op in Block.members)}.{stage}[c]"
-                   for stage in ("stats", "normalize", "backward"))
+                   for stage in ("stats", "normalize", "adjoint", "forward", "backward"))
 
 
 #: The optimizer's update: not a table op (:meth:`repro.nn.optim.Optimizer.flat_step`

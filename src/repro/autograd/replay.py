@@ -22,9 +22,9 @@ chain — found from the ops' stage descriptions along the single-consumer
 walk serving's groups take (:meth:`repro.autograd.ir.Readers.chain`) —
 replays as one forward and one backward step: its members' steps until its
 own stages (:class:`repro.autograd.kernels.Block`) are adopted — asked for
-at the first capture attempt — then theirs: three native calls forward and
-one or two backward where its members run batch-norm and max-pool as numpy
-passes.
+at the first capture attempt — then theirs: one native call each way, the
+conv's GEMMs among them, where its members make some ten Python-level calls
+each way around their GEMMs and batch-norm's and max-pool's numpy passes.
 
 **The same kernels, so the same bytes.**  Every node runs its op's entry in
 the op table (:data:`repro.autograd.ir.OPS`) — the forward and the backward
@@ -222,8 +222,7 @@ class TrainReplay:
         # place of its members': its own stages once they are adopted.
         self._blocks = []
         for chain, args, arm in blocks:
-            block = _Block(self, [nodes[i] for i in chain], args, arm, arms.get(id(nodes[chain[0]])),
-                           [forward[i] for i in chain],
+            block = _Block(self, [nodes[i] for i in chain], args, arm, [forward[i] for i in chain],
                            [backward[id(nodes[i])] for i in reversed(chain)])
             for i in chain:
                 backward[id(nodes[i])] = forward[i] = self._rows[i] = None
@@ -312,9 +311,10 @@ class TrainReplay:
         update (``sgd_update`` / ``adam_update``).  A block's or the
         update's reason may also be ``pending`` (its stages are being
         built), a block's ``geometry`` (overlapping or padded windows, one
-        channel, planes past the stack's share: its members' steps run, on
-        their own arms), the update's ``flags`` (a flag it branches on
-        changed since the capture)."""
+        channel, planes past the stack's share) or ``blas`` (numpy's BLAS
+        exports no GEMM for it to call) — its members' steps run, on their
+        own arms — the update's ``flags`` (a flag it branches on changed
+        since the capture)."""
         rows = [row.row() if isinstance(row, _Block) else row for row in self._rows]
         if self._update_args is not None:
             flags = self._optimizer.flags()
@@ -335,8 +335,9 @@ class TrainReplay:
         returns the loss before the update, as ``train_step`` does.  Under
         a profiler: one ``replay`` step with ``replay:forward`` /
         ``replay:backward`` / ``replay:optim`` rows beside the compiled
-        stages' own (a block's ``replay:conv2d+batch_norm+relu+max_pool2d.<stage>[c]`` beside its
-        head's ``replay:conv2d.gather[c]`` / ``scatter[c]``)."""
+        stages' own (a block's
+        ``replay:conv2d+batch_norm+relu+max_pool2d.forward[c]`` /
+        ``backward[c]``, GEMMs included)."""
         values = self._values
         values[self._inputs[0]] = images
         values[self._inputs[1]] = context
@@ -358,7 +359,7 @@ class TrainReplay:
     def _steps(self, values, profiler) -> float:
         (forward, backward), (fnames, bnames) = self._lists, self._names
         for block in self._blocks:
-            if block.arm is None and block.head is not None:  # sightings, then adoption
+            if block.arm is None:  # sightings, then adoption
                 block.adopt(kernels.arm(*block.args))
         previous = workspace.set_small(self._tape.empty)
         try:
@@ -417,14 +418,13 @@ def _blocks(nodes, order) -> list:
 class _Block:
     """One conv block of a replay over its ``members``' nodes: their
     ``forward`` / ``backward`` entries (``(step, slots used)``, in running
-    order) until its stages are adopted (and for a step whose forward stages
+    order) until its stages are adopted (and for a step whose forward stage
     cannot bind), then :class:`repro.autograd.kernels.Block`'s, over the
-    inputs no member produces and every member's ports and parameters, with
-    ``head`` — the head's own pinned arm — running the gather and scatter."""
+    inputs no member produces and every member's ports and parameters."""
 
-    def __init__(self, replay: TrainReplay, members, args, arm, head, forward, backward) -> None:
+    def __init__(self, replay: TrainReplay, members, args, arm, forward, backward) -> None:
         self.ops = tuple(node.op for node in members)
-        self.args, self.head, self.arm = args, head, None
+        self.args, self.arm = args, None
         self.adopt(arm)
         inside = {id(node.out) for node in members}
         ins = tuple(replay._slot[id(t)] for node in members for t in node.inputs
@@ -455,9 +455,8 @@ class _Block:
         self.backward = (backward_step, sum((uses for _, uses in backward), (ctx, g)))
 
     def adopt(self, arm) -> None:
-        if arm is not None and self.head is not None:
+        if arm is not None:
             self.arm = arm.pinned(workspace.FLOOR)
-            self.arm.head = self.head
 
     def row(self) -> tuple:
         """Its ``explain()`` row: ``compiled``, or why its stages do not run."""
@@ -466,11 +465,10 @@ class _Block:
         if not kernels.jit.codegen_enabled():
             return self.ops, "numpy", "disabled"
         if kernels.arm(*self.args, ask=None) is not None:  # being built, or built
-            # Without its head's arm a block never runs: numpy for good.
-            return self.ops, "numpy", "pending" if self.head is not None else "fallback"
+            return self.ops, "numpy", "pending"
         _, dtype, _, *geometry = self.args
-        refused = isinstance(kernels.Block.stages(dtype.name, *geometry), str)
-        return self.ops, "numpy", "geometry" if refused else "fallback"
+        refused = kernels.Block.stages(dtype.name, *geometry)
+        return self.ops, "numpy", refused if isinstance(refused, str) else "fallback"
 
 
 def _op_steps(op: ir.Op, arm, attrs, ins, out, ctx, ports, g):

@@ -10,17 +10,20 @@ fused region; each describes them as one hashable signature::
     ("stages", (stage, stage, ...))
 
 Every stage renders as ``void <name>_<k>(void **tab, i64 n)``: ``tab`` is
-the caller's pointer table (one entry per buffer, parameter or operand) and
+the caller's pointer table (one entry per buffer, parameter or operand, or
+a BLAS function's address, or null) and
 ``n`` the leading extent of the stage's arrays — the batch.  ``n`` is the
 only runtime bound; every other extent and stride is a literal, so one
 translation unit serves every bucket of a ``SessionPool`` and every batch
 of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
-The stage kinds (``scatter``, ``passes`` and ``update`` are the train
-step's, ``reduce`` a region's; a replayed step's conv block
-(:class:`repro.autograd.kernels.Block`) is ``gather``, two ``passes``
-around a ``map`` and a ``scatter``):
+The stage kinds (``scatter``, ``passes``, ``update`` and the rest after
+``update`` are the train step's, ``reduce`` a region's; a replayed step's
+conv block (:class:`repro.autograd.kernels.Block`) is two ``passes`` and a
+``map``, which its two one-call stages ``call`` between a ``gather``,
+``gemm`` pieces, batch-norm's ``tail``, a ``transpose`` and a
+``scatter``):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -114,6 +117,34 @@ around a ``map`` and a ``scatter``):
     included (correctly rounded, unlike the transcendentals regions leave
     out).
 
+``("gemm", dtype, fn, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc)``
+    ``tab[c] = op(tab[a]) @ op(tab[b])`` by the CBLAS GEMM whose address is
+    the table row ``tab[fn]`` — the one numpy's ``matmul`` calls
+    (:func:`repro.codegen.jit.blas_gemm`): row-major, ``alpha`` 1, ``beta``
+    0, and the transposes, extents and leading dimensions ``matmul`` passes
+    for the same operands (an extent ``("n", s)`` is ``n*s``), so the
+    product is numpy's, bit for bit.  No stage library links a BLAS.
+
+``("call", dtype, k, rows)``
+    Stage ``k`` of the same plan over a table of ``tab``'s ``rows``.
+
+``("when", dtype, row, (stage, stage, ...))``
+    ``passes`` that run only when ``tab[row]`` is not a null pointer: the
+    gradients of a block's filter and input, where they take one.
+
+``("tail", dtype, c, size, var, mean, inv_std, running_mean, running_var, scalars)``
+    Batch-norm's per-channel tail over ``c`` channels of ``n*size``
+    elements: ``inv_std = 1 / sqrt(var + eps)``, then — unless
+    ``tab[running_mean]`` is null — the running statistics moved as
+    ``functional._bn_running`` moves them, from the doubles ``eps`` and
+    ``momentum`` at ``tab[scalars]``, each rounded to the dtype as numpy
+    rounds a Python float operand (``1 - momentum`` and ``m / (m - 1)`` in
+    double first, as Python computes them).
+
+``("transpose", dtype, src, dst, rows, cols)``
+    The ``(cols, rows)`` copy of the ``(rows, cols)`` array at ``tab[src]``
+    transposed: the weight gradient's ``dw.T`` copy.
+
 Bit-equality with the numpy steps rests on a few rules: each op is one
 IEEE-754 scalar operation rounded to the stage dtype, as numpy's ufunc
 loops compute it (``-ffp-contract=off``: no ``a*b+c`` contracted into an
@@ -171,8 +202,8 @@ def render_stages(signature: tuple) -> Tuple[str, str]:
     summed = set()
     for k, stage in enumerate(signature[1]):
         ctype = _CTYPE[stage[1]]
-        pairwise = f"{name}_{ctype}_sum"
-        body = _RENDER[stage[0]](stage[2:], ctype, pairwise)
+        pairwise = _pairwise(name, ctype)
+        body = _RENDER[stage[0]](stage[2:], ctype, name)
         if pairwise not in summed and any(pairwise + "(" in line for line in body):
             summed.add(pairwise)
             lines.append(_PAIRWISE_C.format(name=pairwise, ctype=ctype, zero=_ZERO[ctype]))
@@ -182,6 +213,11 @@ def render_stages(signature: tuple) -> Tuple[str, str]:
         lines.append("}")
         lines.append("")
     return name, "\n".join(lines)
+
+
+def _pairwise(name: str, ctype: str) -> str:
+    """The pairwise sum the summing stages of plan ``name`` share."""
+    return f"{name}_{ctype}_sum"
 
 
 def _op_expr(op: str, srcs, val, zero: str) -> str:
@@ -216,7 +252,7 @@ def _windows(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _render_gather(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+def _render_gather(stage: tuple, ctype: str, name: str) -> List[str]:
     src, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
     oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
     pixel = f"(x >= 0 && x < {w}) ? img[y * {w} + x] : 0" if pw else f"img[y * {w} + x]"
@@ -257,7 +293,7 @@ def _stride(stride) -> str:
     return f"(n * {stride[1]})" if isinstance(stride, tuple) else str(stride)
 
 
-def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+def _render_map(stage: tuple, ctype: str, name: str) -> List[str]:
     dims, inputs, ops, pool, dst, dst_stride, dst_off, *sums = stage
     sums = sums[0] if sums else ()
     zero = _ZERO[ctype]
@@ -385,7 +421,7 @@ def _render_map(stage: tuple, ctype: str, pairwise: str) -> List[str]:
                 pooled = next(j for j, _, slot, _ in outs if slot is None)
                 lines += _plane_pool(written[last], f"o{pooled}", dims, pool, indent, ctype, zero)
             for j, (_, slot, _) in enumerate(sums):
-                lines.append(f"{indent}s{j}[i1] += {pairwise}({source[slot]}, {block});")
+                lines.append(f"{indent}s{j}[i1] += {_pairwise(name, ctype)}({source[slot]}, {block});")
         indent = indent[:-4]
         lines.append(f"{indent}}}")
     for j, (_, _, mean) in enumerate(sums):
@@ -505,7 +541,7 @@ __attribute__((noinline)) static {ctype} {name}(const {ctype} *a, i64 n)
 """
 
 
-def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+def _render_reduce(stage: tuple, ctype: str, name: str) -> List[str]:
     dims, inputs, ops, red, mean, scratch, dst = stage
     zero = _ZERO[ctype]
     bounds = ["n"] + [str(d) for d in dims]
@@ -533,7 +569,7 @@ def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     for _ in range(kept, len(bounds)):
         indent = indent[:-4]
         lines.append(f"{indent}}}")
-    total = f"{pairwise}(row, extent)"
+    total = f"{_pairwise(name, ctype)}(row, extent)"
     lines.append(f"{indent}*o++ = {f'({total}) / ({ctype})extent' if mean else total};")
     for _ in range(kept):
         indent = indent[:-4]
@@ -541,12 +577,75 @@ def _render_reduce(stage: tuple, ctype: str, pairwise: str) -> List[str]:
     return lines
 
 
-def _render_passes(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+def _render_passes(stage: tuple, ctype: str, name: str) -> List[str]:
     lines = []
     for sub in stage[0]:
-        body = _RENDER[sub[0]](sub[2:], ctype, pairwise)
+        body = _RENDER[sub[0]](sub[2:], ctype, name)
         lines += ["    {"] + ["    " + line for line in body] + ["    }"]
     return lines
+
+
+def _render_when(stage: tuple, ctype: str, name: str) -> List[str]:
+    row, stages = stage
+    return [f"    if (tab[{row}]) {{"] + [
+        "    " + line for line in _render_passes((stages,), ctype, name)] + ["    }"]
+
+
+def _render_call(stage: tuple, ctype: str, name: str) -> List[str]:
+    k, rows = stage
+    return [
+        f"    void *sub[{len(rows)}] = {{{', '.join(f'tab[{row}]' for row in rows)}}};",
+        f"    {name}_{k}(sub, n);",
+    ]
+
+
+#: ``CblasRowMajor`` and ``CblasNoTrans`` / ``CblasTrans``.
+_ROW_MAJOR, _TRANS = 101, (111, 112)
+
+
+def _render_gemm(stage: tuple, ctype: str, name: str) -> List[str]:
+    fn, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc = stage
+    m, n, k, lda, ldb, ldc = (_stride(v) for v in (m, n, k, lda, ldb, ldc))
+    return [
+        f"    typedef void (*gemm_t)(int, int, int, i64, i64, i64, {ctype}, const {ctype} *, i64, "
+        f"const {ctype} *, i64, {ctype}, {ctype} *, i64);",
+        f"    ((gemm_t)tab[{fn}])({_ROW_MAJOR}, {_TRANS[trans_a]}, {_TRANS[trans_b]}, {m}, {n}, {k}, "
+        f"({ctype})1, tab[{a}], {lda}, tab[{b}], {ldb}, ({ctype})0, tab[{c}], {ldc});",
+    ]
+
+
+def _render_tail(stage: tuple, ctype: str, name: str) -> List[str]:
+    c, size, var, mean, inv_std, running_mean, running_var, scalars = stage
+    sqrt = "sqrtf" if ctype == "float" else "sqrt"
+    return [
+        f"    const {ctype} *restrict var = tab[{var}], *restrict mean = tab[{mean}];",
+        f"    {ctype} *restrict inv = tab[{inv_std}];",
+        f"    const double *s = tab[{scalars}];",
+        f"    const {ctype} eps = ({ctype})s[0];",
+        f"    for (i64 c = 0; c < {c}; ++c) inv[c] = ({ctype})1 / {sqrt}(var[c] + eps);",
+        f"    if (tab[{running_mean}]) {{",
+        f"        {ctype} *restrict rm = tab[{running_mean}], *restrict rv = tab[{running_var}];",
+        f"        const {ctype} keep = ({ctype})(1.0 - s[1]), move = ({ctype})s[1];",
+        f"        const {ctype} unbias = ({ctype})((double)(n * {size}) / (double)(n * {size} - 1));",
+        f"        for (i64 c = 0; c < {c}; ++c) {{",
+        f"            const {ctype} u = var[c] * unbias;",
+        "            rm[c] = rm[c] * keep;",
+        "            rm[c] = rm[c] + move * mean[c];",
+        "            rv[c] = rv[c] * keep;",
+        "            rv[c] = rv[c] + move * u;",
+        "        }",
+        "    }",
+    ]
+
+
+def _render_transpose(stage: tuple, ctype: str, name: str) -> List[str]:
+    src, dst, rows, cols = stage
+    return [
+        f"    const {ctype} *restrict src = tab[{src}];",
+        f"    {ctype} *restrict dst = tab[{dst}];",
+        f"    for (i64 j = 0; j < {cols}; ++j)",
+        f"    for (i64 i = 0; i < {rows}; ++i) dst[j * {rows} + i] = src[i * {cols} + j];",
+    ]
 
 
 def _planes(body: List[str], c: int, h: int, w: int, ph: int, pw: int, ctype: str) -> List[str]:
@@ -572,7 +671,7 @@ def _planes(body: List[str], c: int, h: int, w: int, ph: int, pw: int, ctype: st
     return lines + ["    }"]
 
 
-def _render_scatter(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+def _render_scatter(stage: tuple, ctype: str, name: str) -> List[str]:
     src, dst, c, h, w, kh, kw, sh, sw, ph, pw = stage
     oh, ow = _windows(h, kh, sh, ph), _windows(w, kw, sw, pw)
     body = [
@@ -630,7 +729,7 @@ def _route_plane(ctype: str, h: int, w: int, kh: int, kw: int, sh: int, sw: int,
     return lines
 
 
-def _render_update(stage: tuple, ctype: str, pairwise: str) -> List[str]:
+def _render_update(stage: tuple, ctype: str, name: str) -> List[str]:
     rule, decay, momentum, nesterov = stage
     sqrt = "sqrtf" if ctype == "float" else "sqrt"
     states = ("m", "v") if rule == "adam" else ("v",) * momentum
@@ -665,10 +764,15 @@ def _render_update(stage: tuple, ctype: str, pairwise: str) -> List[str]:
 
 
 _RENDER = {
+    "call": _render_call,
     "gather": _render_gather,
+    "gemm": _render_gemm,
     "map": _render_map,
     "passes": _render_passes,
     "reduce": _render_reduce,
     "scatter": _render_scatter,
+    "tail": _render_tail,
+    "transpose": _render_transpose,
     "update": _render_update,
+    "when": _render_when,
 }

@@ -334,11 +334,19 @@ class StageLibrary:
         return True
 
 
+#: What a :class:`PinnedStages` row holds once its array was let go: bound
+#: again at the next call, whatever it is (``None`` included).
+_GONE = object()
+
+
 class PinnedStages:
     """A :class:`StageLibrary` with one table per stage kept across calls: a
     row is bound again only when its array is not the one bound last time.
     Arrays of ``keep_below`` bytes or more (pooled workspace blocks) are let
-    go after each call and bound every time.  Not thread-safe."""
+    go after each call and bound every time.  Besides arrays, a row may be
+    bound to ``None`` (a null pointer: what the stage skips) or to an
+    ``int`` address (a function of numpy's BLAS, :func:`blas_gemm`).  Not
+    thread-safe."""
 
     __slots__ = ("fns", "keep_below", "tables", "held")
 
@@ -346,7 +354,7 @@ class PinnedStages:
         self.fns = fns
         self.keep_below = keep_below
         self.tables = [(ctypes.c_void_p * 8)() for _ in fns]
-        self.held = [[None] * 8 for _ in fns]
+        self.held = [[None] * 8 for _ in fns]  # a fresh table's rows are null
 
     def run(self, k: int, n: int, *arrays) -> bool:
         """:meth:`StageLibrary.run` over this caller's table of stage ``k``."""
@@ -355,23 +363,28 @@ class PinnedStages:
             table = self.tables[k] = (ctypes.c_void_p * len(arrays))()
             held = self.held[k] = [None] * len(arrays)
         align = arrays[0].itemsize - 1
+        let_go = []
         i = 0
         try:
             for array in arrays:
                 if held[i] is not array:
-                    address = _addressof(_from_buffer(array))
-                    if address & align:
-                        held[i] = None
-                        return False
+                    if array is None or array.__class__ is int:
+                        address = array
+                    else:
+                        address = _addressof(_from_buffer(array))
+                        if address & align:
+                            held[i] = _GONE
+                            return False
+                        if array.nbytes >= self.keep_below:
+                            let_go.append(i)
                     table[i], held[i] = address, array
                 i += 1
         except (TypeError, ValueError):  # read-only / strided or empty
-            held[i] = None
+            held[i] = _GONE
             return False
         self.fns[k](table, n)
-        for i, array in enumerate(arrays):
-            if array.nbytes >= self.keep_below:
-                held[i] = None
+        for i in let_go:
+            held[i] = _GONE
         return True
 
 
@@ -393,6 +406,34 @@ def _load_stages(so_path: Path, name: str, signature: tuple):
         lambda rows: (ctypes.c_void_p * max(rows, 1))(),
         lambda a: a.ctypes.data,
     ), (lib,)
+
+
+#: The CBLAS GEMM numpy's ``matmul`` calls, by dtype: numpy's bundled ILP64
+#: OpenBLAS exports it under these names.
+_GEMM_SYMBOLS = {"float32": "scipy_cblas_sgemm64_", "float64": "scipy_cblas_dgemm64_"}
+_GEMMS: dict = {}
+
+
+def blas_gemm(dtype: str) -> Optional[int]:
+    """The address of the GEMM numpy's ``matmul`` calls for the dtype named
+    ``dtype``, or ``None`` where numpy's BLAS exports no such symbol.  Looked
+    up once, on numpy's own extension module — ``dlsym`` searches the
+    libraries it links, so this is the BLAS numpy loaded, and no stage
+    library links one: a stage calls it through a table row holding this
+    address (the ``gemm`` stage of :mod:`repro.codegen.cstage`)."""
+    address = _GEMMS.get(dtype, _MISSING)
+    if address is _MISSING:
+        try:
+            try:
+                from numpy._core import _multiarray_umath as umath
+            except ImportError:  # numpy < 2
+                from numpy.core import _multiarray_umath as umath
+            symbol = getattr(ctypes.CDLL(umath.__file__), _GEMM_SYMBOLS[dtype])
+            address = ctypes.cast(symbol, ctypes.c_void_p).value
+        except (ImportError, OSError, AttributeError, KeyError):
+            address = None
+        _GEMMS[dtype] = address
+    return address
 
 
 @contextlib.contextmanager

@@ -760,21 +760,32 @@ class Server:
 
         With ``drain=True`` (default) already-submitted requests are served
         before the workers exit; with ``drain=False`` pending futures are
-        cancelled.  Whatever is still queued when the workers are gone —
-        because they all died, or because ``timeout`` seconds passed — is
-        resolved exceptionally with a clear error instead of stranding the
-        clients, and blocked ``submit()`` callers are woken.
+        cancelled (or failed, for a request re-queued after its worker
+        died: its future is running).  Whatever is still queued when the
+        workers are gone — because they all died, or because ``timeout``
+        seconds passed — is resolved exceptionally with a clear error
+        instead of stranding the clients, and blocked ``submit()`` callers
+        are woken.
         """
         http, self._http = self._http, None
         if http is not None:
             http.stop()
+        retried = []
         with self._cond:
             already = not self._started or self._stopping
             self._stopping = True
             if not already and not drain:
                 while self._queue:
-                    self._queue.popleft().future.cancel()
+                    request = self._queue.popleft()
+                    if not request.future.cancel() and request.started:
+                        retried.append(request)
             self._cond.notify_all()
+        # Re-queued after its worker was killed: the future is RUNNING, so
+        # cancel() cannot take it; fail it instead.
+        for request in retried:
+            self._resolve_exceptionally(request, RuntimeError(
+                "Server stopped without draining while this request awaited "
+                "a retry after its worker died"))
         self._stop_event.set()
         if already:
             return

@@ -1,0 +1,99 @@
+"""Counted budgets: what one steady step costs, in calls, as tier-1 ceilings.
+
+Wall time on a small shared box cannot resolve a few per cent; the work a
+step does can be counted exactly.  Each count here is taken in a fresh
+interpreter and asserted against a ceiling at its value when the ceiling
+was last moved.  A change that lowers a count lowers its ceiling with it;
+one that raises a ceiling says so and why.
+
+- **Adopted replayed TBNet train step** (the layered benchmark's
+  ``train_b4``: width 16, ``Adam(1e-3)``, batch 4, eight batches in turn),
+  once every stage it asks for is adopted: Python calls and C calls
+  (``sys.setprofile``'s ``call`` / ``c_call`` events: numpy's ufuncs are
+  neither) and native stage calls, per step over a window of 128 steps —
+  two of the optimizer's 64-step sweeps, so every window holds the same
+  work.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from repro.codegen import codegen_enabled, have_compiler
+
+#: Over 128 steps: Python calls, C calls, native stage calls — 320.02,
+#: 289.51 and 11 a step (407.02, 369.51 and 16 before each conv block ran as
+#: one native call each way).
+TRAIN_B4 = {"python": 40_963, "c": 37_057, "stages": 1_408}
+
+_TRAIN_B4 = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from repro.codegen import jit, wait_for_compiles
+    from repro.models import TBNet, make_synthetic_batch
+    from repro.models.tbnet import train_replay
+    from repro.nn.optim import Adam
+
+    model = TBNet(width=16, rng=np.random.default_rng(1))
+    opt = Adam(model.parameters(), 1e-3)
+    rng = np.random.default_rng(2)
+    batches = [make_synthetic_batch(4, rng=rng) for _ in range(8)]
+    done = 0
+
+    def steps(k):
+        global done
+        for _ in range(k):
+            model.train_step(opt, *batches[done % 8])
+            done += 1
+
+    for _ in range(2):  # the ops' and the update's stages, then the blocks'
+        steps(3)
+        assert wait_for_compiles(300)
+    steps(58)
+    blocks = [row["arm"] for row in train_replay(model).explain() if len(row["ops"]) == 4]
+    calls = {"python": 0, "c": 0}
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls["python"] += 1
+        elif event == "c_call":
+            calls["c"] += 1
+
+    sys.setprofile(count)
+    steps(128)
+    sys.setprofile(None)
+    stages = []
+    for library in (jit.StageLibrary, jit.PinnedStages):
+        def counting(self, k, n, *arrays, _run=library.run):
+            stages.append(k)
+            return _run(self, k, n, *arrays)
+        library.run = counting
+    steps(128)
+    print(json.dumps({"blocks": blocks, "stages": len(stages), **calls}))
+""")
+
+
+def _counts(script: str, cache) -> dict:
+    env = dict(os.environ, PYTHONPATH="src", REPRO_KERNEL_CACHE=str(cache))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not (have_compiler() and codegen_enabled()),
+                    reason="no C compiler available, or codegen is off (REPRO_CODEGEN=0)")
+def test_an_adopted_train_b4_step_stays_within_its_call_budget(tmp_path):
+    # A warm kernel cache for both counted runs: on a cold one the compile
+    # thread's timing decides which early steps run eager, and with them
+    # which block sizes the workspace pool has seen (its scans count).
+    _counts(_TRAIN_B4, tmp_path)
+    first, second = _counts(_TRAIN_B4, tmp_path), _counts(_TRAIN_B4, tmp_path)
+    assert first == second  # a count, not a timing: the same in every interpreter
+    assert first.pop("blocks") == ["compiled"] * 2, "the conv blocks' stages were never adopted"
+    over = {key: value for key, value in first.items() if value > TRAIN_B4[key]}
+    assert not over, f"over budget: {over} (ceilings {TRAIN_B4})"

@@ -157,6 +157,23 @@ def test_shed_oldest_fails_a_requeued_request_instead_of_stranding_it():
         second.result(timeout=1)
 
 
+def test_stop_without_draining_fails_a_requeued_request_instead_of_stranding_it():
+    # stop(drain=False) cancels what is queued; a request re-queued after its
+    # worker was killed holds a RUNNING future, which cancel() cannot take.
+    rng = np.random.default_rng(2)
+    slow_respawn = SupervisionPolicy(
+        watchdog_interval=0.01, restart_backoff=5.0, restart_backoff_cap=5.0)
+    server = _server(_model(), workers=1, supervision=slow_respawn).start()
+    with inject_faults(server, kill_on={1}) as chaos:
+        future = server.submit(_req(rng))
+        server._slots[0].thread.join(timeout=5)  # died, re-queued the request
+        assert chaos.killed == 1 and server.health()["queue_depth"] == 1
+        server.stop(drain=False, timeout=1)
+    assert future.done()
+    with pytest.raises(RuntimeError, match="without draining"):
+        future.result(timeout=0)
+
+
 @pytest.mark.parametrize("bounded", [True, False], ids=["shed_oldest", "unbounded"])
 def test_overload_burst_sheds_only_with_a_bounded_queue(bounded):
     # Capacity is one request per 2 ms and the whole burst arrives at once:
