@@ -1,36 +1,23 @@
-"""Compile-time fusion: region extraction over captured traces.
+"""Compile-time fusion: reduction tails over captured traces.
 
 The pass walks the node graph reachable from a root tensor (in topological
-order) and collapses chains of it into ``region`` nodes.  It is meant for
-captured ``no_grad`` traces — :func:`repro.serve.compile_inference` runs it
-on the trace it compiles — and **a node that carries a backward thunk is
-never a fusion member**: on a training graph :func:`fuse` finds nothing to
-rewrite, and ``backward()`` never calls into this module.
+order) and collapses the one kind of chain the serving planner
+(:class:`repro.serve.stages.SessionPlan`) cannot compose by itself into
+``region`` nodes: a chain that ends in — or runs through — a ``sum`` over
+a trailing contiguous run of axes, the softmax-CE style tail.  A maximal
+single-consumer chain of ``add`` / ``mul`` / ``div`` / ``neg`` / ``relu`` /
+``sum`` nodes (any mix, two members or more) that holds such a ``sum``
+becomes one node carrying a :class:`~repro.codegen.region.RegionIR`, which
+a serving session compiles through :func:`repro.codegen.compile_region`
+(falling back to the bit-equal numpy interpreter when codegen is off or no
+compiler exists).  Chains without a reduction are left as they are: the
+planner composes them from the op table's stage descriptions.
 
-**Elementwise regions.**  Maximal single-consumer
-chains of ``add``/``mul``/``div``/``neg``/``relu`` nodes — any mix, any
-length ≥ 2 — are collapsed into one ``region`` node carrying a
-:class:`~repro.codegen.region.RegionIR`.  On replay (serving) the region
-executes as **one compiled C loop** — a stage of its stage plan — through
-:func:`repro.codegen.compile_region` (falling back to the bit-equal numpy
-interpreter arm when codegen is off or no compiler exists); the loop takes
-the batch at run time, so one kernel serves every batch size of a
-structure.
-
-Three extensions widen what a region may contain:
-
-- **Reduction tails** — a ``sum`` node whose axes form a trailing
-  contiguous run joins the region, so a softmax-CE style epilogue compiles
-  into the same kernel pipeline instead of forcing a region boundary.
-- **Linear heads** — a ``linear`` node may be absorbed as the *first*
-  member of a region: the GEMM still runs through the host BLAS, but its
-  bias add (and any following activation) folds into the region's first
-  compiled loop: ``linear → relu`` is a region of two members.
-- **Duplicated producers** — the single-consumer rule is lifted for one
-  narrow shape: a lone elementwise node whose inputs are all graph
-  leaves and whose output feeds *exactly two* region-eligible consumers
-  is recomputed into each consuming region.  The producer node becomes
-  dead and the serving session drops it.
+It is meant for captured ``no_grad`` traces —
+:func:`repro.serve.compile_inference` runs it on the trace it compiles —
+and **a node that carries a backward thunk is never a fusion member**: on
+a training graph :func:`fuse` finds nothing to rewrite, and ``backward()``
+never calls into this module.
 
 A chain is fused only when each interior output is consumed by exactly one
 node of the walked graph, so no other consumer can observe a fused-away
@@ -49,10 +36,7 @@ from repro.autograd import ir
 from repro.autograd.tensor import Tensor
 from repro.codegen import RegionIR, RegionInput, compile_region
 
-__all__ = ["FUSED_OPS", "fuse"]
-
-#: Ops produced by this pass (also the keys of the fusion-count stats).
-FUSED_OPS = ("region",)
+__all__ = ["fuse"]
 
 
 # --------------------------------------------------------------------------- #
@@ -76,13 +60,11 @@ def fuse(root: Tensor) -> Dict[str, int]:
 # --------------------------------------------------------------------------- #
 # Analysis and rewrites over one topo walk
 # --------------------------------------------------------------------------- #
-#: Graph ops an elementwise region may absorb.  Restricted to ops whose C
-#: scalar form is bit-equal to the numpy ufunc (see repro.codegen.region);
-#: ``sub`` never appears as a node (a - b records add(a, neg(b))).
-_REGION_NODE_OPS = frozenset(("add", "mul", "div", "neg", "relu"))
-
-#: Structured graph ops a region may absorb.
-_REGION_STRUCTURED_NODE_OPS = frozenset(("sum", "linear"))
+#: Graph ops a region may absorb.  Restricted to ops whose C scalar form is
+#: bit-equal to the numpy ufunc (see repro.codegen.region), plus the
+#: trailing-axes ``sum``; ``sub`` never appears as a node (a - b records
+#: add(a, neg(b))).
+_REGION_NODE_OPS = frozenset(("add", "mul", "div", "neg", "relu", "sum"))
 
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
@@ -140,7 +122,7 @@ def _region_eligible(node, cache: dict) -> bool:
 def _compute_region_eligible(node) -> bool:
     if not _is_member(node):
         return False
-    if node.op not in _REGION_NODE_OPS and node.op not in _REGION_STRUCTURED_NODE_OPS:
+    if node.op not in _REGION_NODE_OPS:
         return False
     data = node.out.data
     if not isinstance(data, np.ndarray) or data.dtype not in (_F32, _F64):
@@ -151,25 +133,20 @@ def _compute_region_eligible(node) -> bool:
             return False
     if node.op == "sum":
         return _sum_meta(node) is not None
-    if node.op == "linear":
-        x, w = node.inputs[0].data, node.inputs[1].data
-        return x.ndim >= 2 and w.ndim == 2 and x.shape[-1] == w.shape[0]
     return True
 
 
 def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
-    """Fuse maximal regions over one topo list; returns counts per fused
-    op.  A rewrite only repoints the head's output tensor, so the analysis
-    of the original nodes that follows it is unaffected."""
+    """Fuse the maximal chains holding a ``sum`` over one topo list; returns
+    counts per fused op.  A rewrite only repoints the head's output tensor,
+    so the analysis of the original nodes that follows it is unaffected."""
     counts: Dict[str, int] = {}
     node_ids = {id(n) for n in nodes}
     position = {id(n): i for i, n in enumerate(nodes)}
     consumers: Dict[int, int] = {}
-    consumer_nodes: Dict[int, list] = {}
     for node in nodes:
         for t in node.inputs:
             consumers[id(t)] = consumers.get(id(t), 0) + 1
-            consumer_nodes.setdefault(id(t), []).append(node)
 
     def fusable_producer(tensor: Tensor) -> Optional[ir.GraphNode]:
         node = tensor._node
@@ -183,63 +160,22 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
 
     cache: dict = {}
     absorbed: set = set()
-    dup: set = set()
     edges: Dict[int, List[ir.GraphNode]] = {}
-
-    def dup_candidate(tensor: Tensor) -> Optional[ir.GraphNode]:
-        """A producer recomputable into each of its two consuming regions.
-
-        The narrow duplication shape: a lone *elementwise* node whose
-        inputs are all graph-external and whose output feeds exactly two
-        region-eligible consumers.  A third consumer is refused: the
-        producer then stays a node of its own and feeds its consumers'
-        regions as an external input.
-        """
-        if tensor is root or consumers.get(id(tensor)) != 2:
-            return None
-        p = tensor._node
-        if (
-            p is None
-            or id(p) not in node_ids
-            or p.op not in _REGION_NODE_OPS
-            or not _region_eligible(p, cache)
-        ):
-            return None
-        for t in p.inputs:
-            tn = t._node
-            if tn is not None and id(tn) in node_ids:
-                return None  # inputs must be graph leaves
-        for c in consumer_nodes[id(tensor)]:
-            if c.op == "linear" or not _region_eligible(c, cache):
-                return None
-        return p
-
     for node in nodes:
         if not _region_eligible(node, cache):
-            continue
-        if node.op == "linear":
-            # A linear is a head-only member: its operands must stay region
-            # inputs (the GEMM runs on the host), so it absorbs nothing.
             continue
         for t in node.inputs:
             producer = fusable_producer(t)
             if producer is not None and _region_eligible(producer, cache):
                 absorbed.add(id(producer))
                 edges.setdefault(id(node), []).append(producer)
-                continue
-            producer = dup_candidate(t)
-            if producer is not None:
-                links = edges.setdefault(id(node), [])
-                if producer not in links:
-                    links.append(producer)
-                dup.add(id(producer))
 
     for node in nodes:
-        if id(node) in absorbed or id(node) in dup or not _region_eligible(node, cache):
+        if id(node) in absorbed or not _region_eligible(node, cache):
             continue
         members = _collect_members(node, edges, position)
-        if len(members) < 2:
-            continue
+        if len(members) < 2 or all(m.op != "sum" for m in members):
+            continue  # the session planner composes a chain with no reduction
         _rewrite_region(members)
         counts["region"] = counts.get("region", 0) + 1
     return counts
@@ -248,8 +184,7 @@ def _rewrite(nodes, root: Tensor) -> Dict[str, int]:
 def _collect_members(head, edges, position) -> list:
     """All nodes absorbed (transitively) into ``head``, in topo order with
     the head last.  Capped at ``_MAX_REGION``; excluded producers simply
-    stay eager and feed the region as external inputs.  A duplicated
-    producer reachable through both of its consumers joins once."""
+    stay eager and feed the region as external inputs."""
     members = [head]
     seen = {id(head)}
     stack = [head]
@@ -270,10 +205,8 @@ def _collect_members(head, edges, position) -> list:
 def _rewrite_region(members) -> None:
     """Hang one ``region`` node on the head's output tensor.
 
-    External inputs take slots in first-use order; a duplicated producer
-    is wired in like any other member (the region recomputes it from its
-    leaf inputs).  The members are left as they were; nothing the fused
-    node replaces references them any more.
+    External inputs take slots in first-use order.  The members are left as
+    they were; nothing the fused node replaces references them any more.
     """
     member_index = {id(m): j for j, m in enumerate(members)}
     ext_slot: Dict[int, int] = {}
@@ -310,8 +243,7 @@ def _rewrite_region(members) -> None:
         out_t.data.shape,
         out_t.data.dtype,
     )
-    attrs = {"region": region, "size": len(members)}
-    out_t._node = ir.GraphNode("region", tuple(ext_tensors), attrs, out_t)
+    out_t._node = ir.GraphNode("region", tuple(ext_tensors), {"region": region}, out_t)
 
 
 # --------------------------------------------------------------------------- #
@@ -334,4 +266,4 @@ def _region_bind(xs, attrs, out):
     return step
 
 
-ir.define_op("region", _region, bind=_region_bind, stage=ir.Stage(ir.ELEMENTWISE))
+ir.define_op("region", _region, bind=_region_bind)

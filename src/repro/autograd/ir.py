@@ -360,14 +360,16 @@ class Stage(NamedTuple):
     - ``part``: the op's part in a serving group, or ``None``.
       :data:`HEAD`, a GEMM that starts one (conv2d with its gather, a 2-D
       linear); :data:`EPILOGUE`, an op over the group's running value
-      (relu, eval batch-norm, max-pool); :data:`ELEMENTWISE`, an epilogue
-      over operands of its own that may start a group too (a region);
-      :data:`LAYOUT`, a reshape closing it; :data:`SINK`, a concat whose
-      axis-1 blocks the groups write.
-    - ``program(p, geometry, *refs)``: the op's forward epilogue as
-      :class:`Program` pieces on ``p``, whose running value is the op's
-      input (a head reads its GEMM's output, ``refs[0]``); the ``refs`` are
-      the operands after it, an epilogue's constants first.
+      (relu, eval batch-norm, max-pool); :data:`ELEMENTWISE`, an op over
+      operands of its own, any of which may be the running value, that may
+      start a group too (add, mul, div, neg); :data:`LAYOUT`, a reshape
+      closing it; :data:`SINK`, a concat whose axis-1 blocks the groups
+      write.
+    - ``program(p, geometry, *refs)``: the op's forward as :class:`Program`
+      pieces on ``p``.  A head's and an epilogue's running value is the
+      op's input (a head reads its GEMM's output, ``refs[0]``), the
+      ``refs`` the operands after it, an epilogue's constants first; an
+      elementwise op's ``refs`` are the srcs of all its operands.
     - ``geometry(xs, attrs) -> (n, *geometry)``: what the op's train arm is
       keyed by over the input arrays ``xs``, ``n`` its runtime extent;
       ``program`` reads the rest.  ``None``: the op has no train arm.  A

@@ -217,7 +217,14 @@ def _into(kernel):
     return bind
 
 
-def _unary(name: str, fn, grad, bind=None) -> _ir.Op:
+def _elementwise(name: str) -> _ir.Stage:
+    """The stage description of an elementwise op: itself, applied to its
+    operands' :class:`~repro.autograd.ir.Program` srcs (the group's running
+    value among them, or not)."""
+    return _ir.Stage(_ir.ELEMENTWISE, lambda p, geometry, *srcs: p.apply(name, *srcs))
+
+
+def _unary(name: str, fn, grad, bind=None, stage=_ir.Stage(None)) -> _ir.Op:
     """Enter the one-input op ``y = fn(x)`` whose input adjoint is the
     fresh ``grad(g, x, y)``."""
 
@@ -229,10 +236,11 @@ def _unary(name: str, fn, grad, bind=None) -> _ir.Op:
         if ports[0].requires_grad:
             ports[0]._accumulate_fresh(grad(g, *ctx))
 
-    return _ir.define_op(name, forward, backward, bind=bind)
+    return _ir.define_op(name, forward, backward, bind, stage)
 
 
-_NEG = _unary("neg", np.negative, lambda g, x, y: np.negative(g), _into(np.negative))
+_NEG = _unary("neg", np.negative, lambda g, x, y: np.negative(g), _into(np.negative),
+              _elementwise("neg"))
 _ABS = _unary("abs", np.abs, lambda g, x, y: g * np.sign(x))
 _EXP = _unary("exp", np.exp, lambda g, x, y: _ws_multiply(g, y))
 _LOG = _unary("log", np.log, lambda g, x, y: np.divide(g, x))
@@ -485,9 +493,9 @@ def _clone_backward(arm, g, ports, ctx, attrs) -> None:
         ports[0]._accumulate(g)
 
 
-_ADD = _ir.define_op("add", _add, _add_backward, bind=_into(np.add))
-_MUL = _ir.define_op("mul", _mul, _mul_backward, bind=_into(np.multiply))
-_DIV = _ir.define_op("div", _div, _div_backward, bind=_into(np.divide))
+_ADD = _ir.define_op("add", _add, _add_backward, _into(np.add), _elementwise("add"))
+_MUL = _ir.define_op("mul", _mul, _mul_backward, _into(np.multiply), _elementwise("mul"))
+_DIV = _ir.define_op("div", _div, _div_backward, _into(np.divide), _elementwise("div"))
 _POW = _ir.define_op("pow", _pow, _pow_backward)
 _MATMUL = _ir.define_op("matmul", _matmul, _matmul_backward)
 _RELU = _ir.define_op("relu", _relu, _relu_backward,

@@ -42,7 +42,7 @@ conv block (:class:`repro.autograd.kernels.Block`) is two ``passes`` and a
     ``ops`` is a :class:`~repro.codegen.region.RegionIR` program over them.
     This is the GEMM epilogue (bias, eval batch-norm, relu, pool, written
     in the layout the next consumer reads) and, with no GEMM in front, an
-    elementwise region.  For the train step an input may carry a third
+    elementwise chain.  For the train step an input may carry a third
     element, its C type (``unsigned char``: a bool mask), and ``dst`` may
     be a tuple of ``(tab_index, value slot, C type or None)`` — several
     destinations written in one pass (a conv block's ``xhat`` and relu

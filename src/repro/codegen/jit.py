@@ -848,14 +848,14 @@ if hasattr(os, "register_at_fork"):
 # --------------------------------------------------------------------------- #
 def _region_kernel(region: RegionIR, plan: tuple, lib: StageLibrary) -> Callable:
     """``kernel(arrays, out=None)`` over a region's loaded stage plan: the
-    bound inputs, ``out`` and each GEMM or buffer of the plan take a table
-    row, then every stage runs.  A call whose arrays cannot be bound
-    (read-only, empty, misaligned) is the interpreter's."""
+    bound inputs, ``out`` and each buffer of the plan take a table row,
+    then every stage runs.  A call whose arrays cannot be bound (read-only,
+    empty, misaligned) is the interpreter's."""
     _, extents, work = plan
     bind, interpret, run = region.bind, region.interpret, lib.run
     out_shape, dtype = region.out_shape, region.out_dtype
     stages = tuple(enumerate(extents))
-    ascontiguous, empty, matmul = np.ascontiguousarray, np.empty, np.matmul
+    ascontiguous, empty = np.ascontiguousarray, np.empty
 
     def kernel(arrays, out=None):
         if out is None:
@@ -864,9 +864,7 @@ def _region_kernel(region: RegionIR, plan: tuple, lib: StageLibrary) -> Callable
             raise ValueError(f"out must be {dtype} {out_shape}, got {out.dtype} {out.shape}")
         rows = [ascontiguous(a) for a in bind(arrays)]
         rows.append(out)
-        for item in work:
-            rows.append(empty(item, dtype) if type(item) is int
-                        else matmul(rows[item[0]], rows[item[1]]))
+        rows.extend(empty(size, dtype) for size in work)
         for k, n in stages:
             if not run(k, n, *rows):
                 return interpret(arrays, out=out)
@@ -879,8 +877,8 @@ def _region_kernel(region: RegionIR, plan: tuple, lib: StageLibrary) -> Callable
 def compile_region(region: RegionIR) -> Callable:
     """Compile one region into ``kernel(arrays, out=None) -> ndarray``.
 
-    The returned callable takes the region's *dynamic* input arrays (consts
-    are bound inside) and an optional pre-allocated ``out`` buffer.  It runs
+    The returned callable takes the region's input arrays and an optional
+    pre-allocated ``out`` buffer.  It runs
     the region's stage plan (:meth:`RegionIR.lower`) natively when codegen
     is enabled and a compiler is available, and the numpy-interpreter arm
     otherwise — the two arms are bit-equal, so which one you got is

@@ -2,12 +2,12 @@
 
 A *region* is the unit the fusion pass extracts and codegen compiles: a
 DAG of elementwise operations (``add``/``sub``/``mul``/``div``/
-``neg``/``relu``) plus three *structured* node kinds — trailing-axes
-``sum``/``mean`` reduction tails and a ``linear`` (GEMM + bias) head —
+``neg``/``relu``) plus trailing-axes ``sum``/``mean`` reduction tails,
 whose interior values run without temporaries: a single pass over the
-output elements for elementwise programs, a pairwise-summing loop per
-reduction tail, and a host GEMM whose bias/activation epilogue folds into
-the first elementwise loop.
+output elements for elementwise programs and a pairwise-summing loop per
+reduction tail.  (Elementwise chains of a serving session are composed by
+its stage planner, :class:`repro.serve.stages.SessionPlan`; the fusion
+pass makes regions of reduction tails only.)
 
 The program form is linear SSA: slots ``[0, len(inputs))`` name the region
 inputs, and each op appends one more slot; the region's output is the last
@@ -18,15 +18,9 @@ third *meta* element:
   axes (numpy ``sum(axis=tuple(range(nd-k, nd)))``); ``keepdims`` keeps
   the reduced axes as size-1 dims.
 - ``("mean", (s,), (k, keepdims))`` — same axes, arithmetic mean.
-- ``("linear", (x, w[, b]))`` — ``matmul(x, w) + b``; all operands must be
-  *input* slots (the GEMM itself runs through the host BLAS — generated C
-  cannot be bit-equal to it — and only the epilogue joins the loop).
 
-Inputs carry their effective dtype/shape, an optional ``reshape`` applied
-to the bound array before use (batch-norm affine parameters are ``(C,)``
-arrays broadcast as ``(1, C, 1, 1)``), and an optional ``const`` array
-bound at build time (frozen batch-norm statistics) so callers only supply
-the *dynamic* inputs.
+Inputs carry their dtype and shape; every input is an array the caller
+passes.
 
 Two execution arms share this IR:
 
@@ -67,8 +61,8 @@ __all__ = ["REGION_OPS", "REGION_STRUCTURED_OPS", "RegionInput", "RegionIR"]
 #: two-arm equality.
 REGION_OPS = ("add", "sub", "mul", "div", "neg", "relu")
 
-#: Structured node kinds: trailing-axes reductions + the GEMM head.
-REGION_STRUCTURED_OPS = ("sum", "mean", "linear")
+#: Structured node kinds: trailing-axes reductions.
+REGION_STRUCTURED_OPS = ("sum", "mean")
 
 _ARITY = {"add": 2, "sub": 2, "mul": 2, "div": 2, "neg": 1, "relu": 1,
           "sum": 1, "mean": 1}
@@ -86,27 +80,14 @@ class _Unstageable(Exception):
 
 
 class RegionInput:
-    """One region operand: dtype/shape metadata plus optional binding.
+    """One region operand: the dtype and shape of the array a caller
+    passes, which broadcasts against the program's other values."""
 
-    ``shape`` is the *effective* shape (after ``reshape``) that participates
-    in broadcasting.  ``const`` pins the operand to a fixed array at build
-    time; const inputs are skipped in the dynamic-argument list callers pass
-    to the compiled kernel.
-    """
+    __slots__ = ("dtype", "shape")
 
-    __slots__ = ("dtype", "shape", "reshape", "const")
-
-    def __init__(
-        self,
-        dtype,
-        shape: Tuple[int, ...],
-        reshape: Optional[Tuple[int, ...]] = None,
-        const: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, dtype, shape: Tuple[int, ...]) -> None:
         self.dtype = np.dtype(dtype)
         self.shape = tuple(int(s) for s in shape)
-        self.reshape = tuple(reshape) if reshape is not None else None
-        self.const = const
 
 
 def _normalize_op(entry) -> tuple:
@@ -139,17 +120,7 @@ def _infer_slot_shapes(input_shapes: Sequence[Tuple[int, ...]], ops) -> List[tup
     for i, entry in enumerate(ops):
         op, srcs = entry[0], entry[1]
         meta = _op_meta(entry)
-        if op == "linear":
-            x, w = shapes[srcs[0]], shapes[srcs[1]]
-            if len(x) < 2 or len(w) != 2 or x[-1] != w[0]:
-                raise ValueError(
-                    f"op {i} (linear): incompatible shapes {x} @ {w}"
-                )
-            out = x[:-1] + (w[1],)
-            if len(srcs) == 3:
-                out = tuple(np.broadcast_shapes(out, shapes[srcs[2]]))
-            shapes.append(out)
-        elif op in ("sum", "mean"):
+        if op in ("sum", "mean"):
             k, keepdims = meta
             src = shapes[srcs[0]]
             if not 1 <= k <= len(src):
@@ -173,7 +144,7 @@ class RegionIR:
     Parameters
     ----------
     inputs:
-        The region operands, in the order dynamic arguments are passed.
+        The region operands, in the order their arrays are passed.
     ops:
         ``(op, src_slots)`` pairs — or ``(op, src_slots, meta)`` triples
         for the reduction kinds; ``src_slots`` index inputs
@@ -202,17 +173,7 @@ class RegionIR:
         n_in = len(self.inputs)
         for i, entry in enumerate(self.ops):
             op, srcs = entry[0], entry[1]
-            if op == "linear":
-                if len(srcs) not in (2, 3):
-                    raise ValueError(
-                        f"op {i} (linear) takes 2 or 3 operands, got {len(srcs)}"
-                    )
-                if any(s >= n_in for s in srcs):
-                    raise ValueError(
-                        f"op {i} (linear) operands must be region inputs "
-                        f"(the GEMM runs on the host), got slots {srcs}"
-                    )
-            elif op in _ARITY:
+            if op in _ARITY:
                 if len(srcs) != _ARITY[op]:
                     raise ValueError(
                         f"op {op!r} takes {_ARITY[op]} operands, got {len(srcs)}"
@@ -237,16 +198,6 @@ class RegionIR:
                 f"declared out_shape is {self.out_shape}"
             )
 
-    @property
-    def num_dynamic(self) -> int:
-        """How many (non-const) arrays a caller passes per execution."""
-        return sum(1 for inp in self.inputs if inp.const is None)
-
-    @property
-    def is_elementwise(self) -> bool:
-        """Whether the program contains only plain elementwise ops."""
-        return all(len(entry) == 2 and entry[0] != "linear" for entry in self.ops)
-
     # ------------------------------------------------------------------ #
     # The C arm's stage plan
     # ------------------------------------------------------------------ #
@@ -258,26 +209,24 @@ class RegionIR:
         operand broader than the stage's value — and the interpreter serves.
 
         The plan's table holds the bound inputs in rows ``0 .. len(inputs)
-        - 1``, the output in the next, then one row per ``work`` entry:
-        ``(x, w)``, the host ``np.matmul`` of two input rows (generated C
-        cannot be bit-equal to BLAS, so a ``linear``'s bias and epilogue
-        join a stage and its GEMM does not), or the element count of a
-        buffer (a reduction's scratch row or an intermediate result).
-        ``extents[k]`` is stage ``k``'s leading extent, its runtime ``n``.
+        - 1``, the output in the next, then one row per ``work`` entry: the
+        element count of a buffer (a reduction's scratch row or an
+        intermediate result).  ``extents[k]`` is stage ``k``'s leading
+        extent, its runtime ``n``.
         """
         n_in, shapes, dtype = len(self.inputs), self.slot_shapes, str(self.out_dtype)
         final = n_in + len(self.ops) - 1
         work: list = []
         stages: list = []
         extents: list = []
-        #: value (a slot, or a GEMM's key) -> (row, shape) of the buffer holding it
+        #: value (a slot) -> (row, shape) of the buffer holding it
         held = {s: (s, shapes[s]) for s in range(n_in)}
         program: list = []  # the open stage: (op, srcs); src ("in", k) | ("op", i)
         operands: list = []  # its (row, shape) inputs
         local: dict = {}  # value -> its src in the open stage
 
-        def buffer(entry) -> int:
-            work.append(entry)
+        def buffer(size: int) -> int:
+            work.append(size)
             return n_in + len(work)
 
         def src(value):
@@ -318,15 +267,7 @@ class RegionIR:
         try:
             for j, entry in enumerate(self.ops):
                 op, srcs, slot = entry[0], entry[1], n_in + j
-                if op == "linear":
-                    x, w = srcs[0], srcs[1]
-                    gemm = (buffer((x, w)), shapes[x][:-1] + (shapes[w][1],))
-                    if len(srcs) == 2:
-                        held[slot] = gemm
-                        continue
-                    held[("gemm", slot)] = gemm
-                    program.append(("add", (src(("gemm", slot)), src(srcs[2]))))
-                elif op in ("sum", "mean"):
+                if op in ("sum", "mean"):
                     if not program:
                         src(srcs[0])
                     elif local.get(srcs[0]) != ("op", len(program) - 1):
@@ -336,11 +277,6 @@ class RegionIR:
                 else:
                     program.append((op, tuple(src(s) for s in srcs)))
                 local[slot] = ("op", len(program) - 1)
-            if final not in local and held[final][0] != n_in:
-                program.clear()  # a bias-free GEMM last: copied out
-                operands.clear()
-                local.clear()
-                src(final)
             if final in local:
                 close(shapes[final], final)
         except _Unstageable:
@@ -351,26 +287,12 @@ class RegionIR:
     # Binding + the numpy interpreter arm
     # ------------------------------------------------------------------ #
     def bind(self, arrays: Sequence[np.ndarray]) -> list:
-        """Resolve the full operand list: consts spliced in, reshapes applied.
-
-        Validates the dynamic arrays against the recorded shapes — a
+        """The operand list, validated against the recorded inputs — a
         mismatch would make the compiled kernel's stride arithmetic read out
-        of bounds, so it is a hard error, not a silent best-effort.
-        """
-        bound = []
-        j = 0
-        for i, inp in enumerate(self.inputs):
-            if inp.const is not None:
-                bound.append(inp.const)
-                continue
-            if j >= len(arrays):
-                raise ValueError(
-                    f"region takes {self.num_dynamic} arrays, got {len(arrays)}"
-                )
-            a = arrays[j]
-            j += 1
-            if inp.reshape is not None:
-                a = a.reshape(inp.reshape)
+        of bounds, so it is a hard error, not a silent best-effort."""
+        if len(arrays) != len(self.inputs):
+            raise ValueError(f"region takes {len(self.inputs)} arrays, got {len(arrays)}")
+        for i, (a, inp) in enumerate(zip(arrays, self.inputs)):
             if a.shape != inp.shape:
                 raise ValueError(
                     f"region input {i} has shape {a.shape}, expected {inp.shape}"
@@ -379,12 +301,7 @@ class RegionIR:
                 raise ValueError(
                     f"region input {i} has dtype {a.dtype}, expected {inp.dtype}"
                 )
-            bound.append(a)
-        if j != len(arrays):
-            raise ValueError(
-                f"region takes {self.num_dynamic} arrays, got {len(arrays)}"
-            )
-        return bound
+        return list(arrays)
 
     def interpret(
         self, arrays: Sequence[np.ndarray], out: Optional[np.ndarray] = None
@@ -417,13 +334,6 @@ class RegionIR:
                 axes = tuple(range(v.ndim - k, v.ndim))
                 fn = np.sum if op == "sum" else np.mean
                 r = fn(v, axis=axes, keepdims=keepdims, dtype=dtype, out=dst)
-            elif op == "linear":
-                # Exactly the eager linear: a GEMM, then the bias added
-                # elementwise (``functional._linear`` does `out += b`, which
-                # is the same IEEE add as np.add).
-                r = np.matmul(vals[srcs[0]], vals[srcs[1]], out=dst)
-                if len(srcs) == 3:
-                    r = np.add(r, vals[srcs[2]], out=dst)
             else:
                 r = _UFUNC[op](vals[srcs[0]], vals[srcs[1]], out=dst)
             vals.append(r)

@@ -447,8 +447,12 @@ class SessionPool:
 
 
 class _ServerPool(SessionPool):
-    """The pool of a thread :class:`Server` worker: its sessions compile
-    their ``region`` steps but keep conv / linear steps on numpy.
+    """The pool of a thread :class:`Server` worker: its sessions plan with
+    ``gemm_stages=False`` — no conv heads a compiled group, and a 2-D linear
+    heads one only when at least one more op joins it (an epilogue or an
+    elementwise op after it); a conv, and a linear with nothing after it,
+    stay numpy steps.  Elementwise chains and reduction regions compile as
+    in every session.
 
     Not a design choice — a measuring limit.  The repo benchmark's
     saturating closed loop (``serve_sat_mixed``, thread workers) draws its

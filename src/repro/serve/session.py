@@ -2,22 +2,24 @@
 
 :func:`compile_inference` runs one forward pass of an **eval-mode** model
 over an example batch inside :func:`repro.autograd.ir.capture` +
-``no_grad()``, runs the fusion pass over the captured trace, and compiles
-the surviving nodes into a flat list of step closures.  The
+``no_grad()``, runs the fusion pass over the captured trace (it makes
+reduction tails ``region`` nodes), and compiles the surviving nodes into a
+flat list of step closures.  The
 returned :class:`InferenceSession` replays that list over new batches with:
 
 - **no tape**: no ``Tensor`` wrapping, no node recording, no module
   dispatch — each step is one bound closure over ndarrays;
 - **pre-allocated, reused buffers**: the hot ops (the affine maps,
-  convolution and max-pooling, elementwise regions, eval batch-norm, relu,
-  concat) write into buffers their binds allocate once at compile time via
+  convolution and max-pooling, elementwise ops, reduction regions, eval
+  batch-norm, relu, concat) write into buffers their binds allocate once at compile time via
   ``out=`` kernels; batch-norm's eval statistics are folded to constants;
 - **shape checking**: every call validates the incoming arrays against the
   example batch (fixed shapes are what make buffer reuse safe) and rejects
   mismatches with a clear error.
 
 Those steps are the *no-compiler arm*: the session also plans compiled
-loop stages around its GEMMs (:mod:`repro.serve.stages`), has them compiled
+loop stages around its GEMMs and over its elementwise chains
+(:mod:`repro.serve.stages`), has them compiled
 off the calling thread — it **never waits for a compiler** — and its owner
 thread swaps them in at the top of a later :meth:`InferenceSession.run`;
 :meth:`InferenceSession.explain` says which arm runs each step and why.
@@ -186,10 +188,11 @@ def _has_array_index(index) -> bool:
 def compile_inference(model: Module, example_batch) -> "InferenceSession":
     """Capture one eval-mode ``no_grad`` trace of ``model`` and compile it.
 
-    The session starts on numpy steps and plans *compiled loop stages*
-    around its GEMMs (see :mod:`repro.serve.stages`); kernels already in the
-    on-disk cache are adopted before this returns, anything else compiles
-    off the calling thread and is adopted at the top of a later ``run``.
+    The session starts on numpy steps, one per node, and plans *compiled
+    loop stages* around its GEMMs and over its elementwise chains (see
+    :mod:`repro.serve.stages`); kernels already in the on-disk cache are
+    adopted before this returns, anything else compiles off the calling
+    thread and is adopted at the top of a later ``run``.
 
     Parameters
     ----------
@@ -201,15 +204,18 @@ def compile_inference(model: Module, example_batch) -> "InferenceSession":
         shapes (including the batch dimension) the session serves.
 
     The :mod:`repro.autograd.fusion` pass always runs over the captured
-    trace, so the executor dispatches codegen'd ``region`` kernels instead
-    of separate elementwise nodes.
+    trace: a chain holding a trailing-axes ``sum`` becomes one ``region``
+    step, which compiles through :func:`repro.codegen.compile_region`.
+    Every other elementwise chain stays one step per node until the stage
+    plan's kernel is adopted.
     """
     return _compile(model, example_batch, gemm_stages=True)
 
 
 def _compile(model: Module, example_batch, gemm_stages: bool) -> "InferenceSession":
-    """:func:`compile_inference`; ``gemm_stages=False`` plans compiled
-    stages for ``region`` steps only (see ``frontend._ServerPool``)."""
+    """:func:`compile_inference`; with ``gemm_stages=False`` no conv heads
+    a compiled group and a 2-D linear heads one only when another op joins
+    it (see ``frontend._ServerPool``)."""
     from repro.autograd import fusion  # deferred: a process that never compiles never pays
     if not isinstance(model, Module):
         raise TypeError(

@@ -10,17 +10,21 @@ from an op's name, and never by model class:
 - the host-BLAS ``np.matmul(..., out=)`` exactly as the numpy steps issue
   it (same operand layouts → same BLAS call → same bits),
 - one **map** stage: the head's epilogue (the bias add), then the program
-  pieces of every epilogue that follows (eval batch-norm, relu, max-pool,
-  an elementwise region), written directly in the layout the next consumer
-  reads — NCHW, the flattened row of a closing layout op (a reshape), or a
-  column slice of an axis-1 sink's (a concat's) buffer.
+  pieces of every op that follows (eval batch-norm, relu, max-pool, the
+  elementwise ``add`` / ``mul`` / ``div`` / ``neg``), written directly in
+  the layout the next consumer reads — NCHW, the flattened row of a closing
+  layout op (a reshape), or a column slice of an axis-1 sink's (a concat's)
+  buffer.
 
-An elementwise region with no GEMM in front is an epilogue over its own
-operands (a ``linear`` head inside a region is the GEMM).  Everything else
-stays the numpy step it is — an elementwise region the stages cannot
-express (non-float or mixed dtypes, a 0-d output) runs ``region.interpret``
-— except a *structured* region (reduction tails), which runs its own stage
-plan (:meth:`~repro.codegen.region.RegionIR.lower`) through
+This is the one place elementwise chains fuse.  An elementwise op joins a
+group when its output has the group's shape and the running value is one
+of its operands unbroadcast; its other operands, broadcast against the
+output, are read as they are.  An elementwise op may also start a group
+(all its operands read); a group with no GEMM is kept only with two
+members or more, so a lone op stays the numpy step it is.  Everything else
+stays a numpy step too — but a *reduction region* (the trailing-axes sum
+tails :mod:`repro.autograd.fusion` extracts), which runs its own stage plan
+(:meth:`~repro.codegen.region.RegionIR.lower`) through
 :func:`repro.codegen.compile_region`, queued on the same compile thread and
 built in the same compiler run.
 
@@ -76,7 +80,8 @@ class SessionPlan:
 
     def __init__(self, session, nodes, slot_of, gemm: bool = True) -> None:
         self._session = session
-        self._gemm = gemm  # False: only elementwise steps (regions) start a group
+        #: False: no conv heads a group, and a linear only with more members
+        self._gemm = gemm
         self._slot_of = slot_of
         self._nodes = nodes
         self._bound = [step for step, _, _ in session._bound]
@@ -85,7 +90,7 @@ class SessionPlan:
         self._bufs = {slot: step.out for step, _, slot in session._bound if hasattr(step, "out")}
         self._readers = ir.Readers(nodes)
         self.groups: List[_Group] = []
-        #: Node indices of structured regions: they keep compile_region's kernels.
+        #: Node indices of reduction regions: they keep compile_region's kernels.
         self.jobs: List[int] = []
         self._absorbed = set()
         for j, node in enumerate(nodes):
@@ -93,12 +98,12 @@ class SessionPlan:
                 continue
             group = self._start(j, node)
             if group is None:
-                part = ir.OPS[node.op].stage.part
-                if part == ir.ELEMENTWISE and not self._bound[j].region.is_elementwise:
+                if hasattr(self._bound[j], "over"):  # runs over a region's own kernel
                     self.jobs.append(j)
                 continue
             self._extend(group)
-            self.groups.append(group)
+            if len(group.members) > 1 or (self._gemm and group.matmul is not None):
+                self.groups.append(group)
         self._absorb_concats()
         self.groups.sort(key=lambda g: g.members[-1])
         self.covered = set(self.jobs).union(*(g.members for g in self.groups))
@@ -134,7 +139,7 @@ class SessionPlan:
     def _start(self, j: int, node) -> Optional[_Group]:
         stage = ir.OPS[node.op].stage
         part = stage.part
-        if part != ir.ELEMENTWISE and (part != ir.HEAD or not self._gemm):
+        if part not in (ir.HEAD, ir.ELEMENTWISE):
             return None
         out = node.out.data
         dtype = str(out.dtype)
@@ -144,7 +149,7 @@ class SessionPlan:
             return None
         group = _Group(j, node)
         if part == ir.ELEMENTWISE:
-            return group if self._splice_region(group, j, node, None) else None
+            return group if self._elementwise(group, node, None) else None
         step = self._bound[j]
         if getattr(step, "generic", False):
             return None  # a batched linear
@@ -152,7 +157,7 @@ class SessionPlan:
         x, w = node.inputs[:2]
         geometry = self._geometry(node, stage)
         if hasattr(step, "patches"):  # a conv: its input gathered into a patch matrix
-            if not self._is_activation(x):
+            if not (self._gemm and self._is_activation(x)):
                 return None
             cols, gemm = step.patches
             group.conv = (x, geometry[:9], cols)
@@ -164,7 +169,7 @@ class SessionPlan:
 
     def _extend(self, group: _Group) -> None:
         nodes = self._nodes
-        # (A region joins the first of its producers only.)
+        # (An op reading two groups' values joins the first to reach it.)
         accept = lambda k, node, t: k not in self._absorbed and self._absorb(group, k, node, t)
         for k in self._readers.chain(group.members[0], accept):
             self._absorbed.add(k)
@@ -187,7 +192,7 @@ class SessionPlan:
         if group.pool is not None:
             return False  # nothing but a reshape (and a concat) reads a pooled value
         if stage.part == ir.ELEMENTWISE:
-            return self._splice_region(group, index, node, t)
+            return self._elementwise(group, node, t)
         step = self._bound[index]
         if stage.part != ir.EPILOGUE or node.inputs[0] is not t or getattr(step, "generic", False):
             return False  # (a batch-norm over its batch's statistics is generic)
@@ -198,58 +203,18 @@ class SessionPlan:
         stage.program(group, self._geometry(node, stage), *refs)
         return True
 
-    def _splice_region(self, group: _Group, index: int, node, t) -> bool:
-        """Append an elementwise region's program (``t``: the running value
-        among its inputs); a standalone region may lead with a ``linear``."""
-        region = self._bound[index].region
-        if region.out_shape != group.against:
+    def _elementwise(self, group: _Group, node, t) -> bool:
+        """Apply an elementwise op to its operands, ``t`` (the running value)
+        among them unless it starts the group.  The running value has the
+        group's shape, so an output of another shape — the running value
+        broadcast — refuses the op."""
+        if node.out.data.shape != group.against:
             return False
-        ops = region.ops
-        head = t is None and ops[0][0] == "linear"
-        if any(len(e) != 2 or e[0] == "linear" for e in ops[head:]):
+        if any(str(x.data.dtype) != group.dtype for x in node.inputs):
             return False
-        dynamic = iter(node.inputs)
-        tensors = [None if inp.const is not None else next(dynamic) for inp in region.inputs]
-        if any(x is not None and str(x.data.dtype) != group.dtype for x in tensors):
-            return False
-        if any(x is t and inp.shape != region.out_shape
-               for x, inp in zip(tensors, region.inputs) if t is not None):
-            return False  # the running value would be broadcast or reshaped
-        n_in = len(region.inputs)
-        if head:
-            xs, ws = ops[0][1][0], ops[0][1][1]
-            x, w = tensors[xs], tensors[ws]
-            if (x is None or w is None or x.data.ndim != 2
-                    or region.inputs[xs].reshape or region.inputs[ws].reshape):
-                return False
-            session = self._session
-            gemm = np.empty((x.data.shape[0], w.data.shape[1]), group.dtype)
-            group.matmul = (session._getter_for(w, self._slot_of),
-                            session._getter_for(x, self._slot_of), None, gemm, None)
-        running = group.value
-        srcs: dict = {}
-
-        def src(s):
-            if s not in srcs:
-                inp, x = region.inputs[s], tensors[s]
-                if x is t and t is not None:
-                    srcs[s] = running
-                elif x is None:
-                    const = np.ascontiguousarray(inp.const.reshape(inp.shape))
-                    srcs[s] = group.operand(const, inp.shape)
-                else:
-                    srcs[s] = group.operand(x, inp.shape, self._is_activation(x))
-            return srcs[s]
-
-        for i, (op, operands) in enumerate(ops):
-            if op == "linear":
-                value = group.operand("gemm", gemm.shape, True)
-                if len(operands) == 3:
-                    value = group.apply("add", value, src(operands[2]))
-                srcs[n_in + i] = value
-            else:
-                srcs[n_in + i] = group.apply(op, *(src(s) for s in operands))
-        group.value = srcs[n_in + len(ops) - 1]
+        srcs = [group.value if x is t else group.operand(x, x.data.shape, self._is_activation(x))
+                for x in node.inputs]
+        ir.OPS[node.op].stage.program(group, None, *srcs)
         return True
 
     def _absorb_concats(self) -> None:

@@ -134,7 +134,8 @@ def test_a_default_server_never_lingers():
 def test_process_workers_plan_gemm_stages():
     # A ProcServer worker builds a plain SessionPool: every step, the
     # linear head included, is planned for a compiled stage.  (Thread
-    # workers keep GEMM steps on numpy; see frontend._ServerPool.)
+    # workers keep convs, and a linear with nothing after it, on numpy; see
+    # frontend._ServerPool.)
     with using_codegen(True), _make("process", buckets=(1, 4)) as server:
         server.submit(_req()).result(timeout=60)
         (probe,) = server.probe_workers()

@@ -13,6 +13,10 @@ one that raises a ceiling says so and why.
   neither) and native stage calls, per step over a window of 128 steps —
   two of the optimizer's 64-step sweeps, so every window holds the same
   work.
+- **Warm compiled serving runs**: ``session.run`` of TBNet (width 16) at
+  batch 1 and of the layered benchmark's linear + elementwise chain at
+  batch 64, once every planned kernel is adopted — Python and C calls over
+  64 runs.
 """
 
 import json
@@ -77,6 +81,59 @@ _TRAIN_B4 = textwrap.dedent("""
 """)
 
 
+#: Over 64 warm runs: Python calls and C calls of ``session.run`` — 24 and 7
+#: a run for TBNet at batch 1, 17 and 5 for the chain at batch 64.
+SERVE = {"tbnet_b1": {"python": 1_536, "c": 449}, "chain_b64": {"python": 1_088, "c": 321}}
+
+_SERVE = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from repro import nn
+    from repro.models import TBNet, make_synthetic_batch
+    from repro.serve import compile_inference
+
+    class Chain(nn.Module):  # the layered benchmark's infer_chain_b64 model
+        def __init__(self, rng):
+            super().__init__()
+            self.body = nn.Sequential(*[layer for _ in range(3)
+                                        for layer in (nn.Linear(128, 128, rng=rng), nn.ReLU())])
+            self.scale = nn.Parameter(rng.standard_normal(128).astype(np.float32))
+            self.shift = nn.Parameter(rng.standard_normal(128).astype(np.float32))
+            self.out = nn.Linear(128, 10, rng=rng)
+
+        def forward(self, x):
+            h = self.body(x)
+            for _ in range(3):
+                h = (h * self.scale + self.shift).relu()
+            return self.out(h)
+
+    def count(session, arrays):
+        assert session.wait_compiled(120), session.explain()
+        for _ in range(8):
+            session.run(*arrays)
+        calls = {"python": 0, "c": 0}
+
+        def counting(frame, event, arg):
+            if event == "call":
+                calls["python"] += 1
+            elif event == "c_call":
+                calls["c"] += 1
+
+        sys.setprofile(counting)
+        for _ in range(64):
+            session.run(*arrays)
+        sys.setprofile(None)
+        return calls
+
+    tbnet = TBNet(width=16, rng=np.random.default_rng(1))
+    images, context, _ = make_synthetic_batch(1, rng=np.random.default_rng(2))
+    chain = Chain(np.random.default_rng(1)).eval()
+    x = np.random.default_rng(2).standard_normal((64, 128)).astype(np.float32)
+    print(json.dumps({"tbnet_b1": count(tbnet.compile_serving(1), (images, context)),
+                      "chain_b64": count(compile_inference(chain, x), (x,))}))
+""")
+
+
 def _counts(script: str, cache) -> dict:
     env = dict(os.environ, PYTHONPATH="src", REPRO_KERNEL_CACHE=str(cache))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -97,3 +154,13 @@ def test_an_adopted_train_b4_step_stays_within_its_call_budget(tmp_path):
     assert first.pop("blocks") == ["compiled"] * 2, "the conv blocks' stages were never adopted"
     over = {key: value for key, value in first.items() if value > TRAIN_B4[key]}
     assert not over, f"over budget: {over} (ceilings {TRAIN_B4})"
+
+
+@pytest.mark.skipif(not (have_compiler() and codegen_enabled()),
+                    reason="no C compiler available, or codegen is off (REPRO_CODEGEN=0)")
+def test_a_warm_compiled_session_run_stays_within_its_call_budget(tmp_path):
+    cold, warm = _counts(_SERVE, tmp_path), _counts(_SERVE, tmp_path)
+    assert cold == warm  # a count, not a timing: the same in every interpreter
+    over = {(model, key): value for model, counts in cold.items()
+            for key, value in counts.items() if value > SERVE[model][key]}
+    assert not over, f"over budget: {over} (ceilings {SERVE})"

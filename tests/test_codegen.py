@@ -27,11 +27,7 @@ def _chain_region(shape=(4, 8), dtype=np.float32):
 
 def _arrays(region, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        rng.standard_normal(inp.shape).astype(inp.dtype)
-        for inp in region.inputs
-        if inp.const is None
-    ]
+    return [rng.standard_normal(inp.shape).astype(inp.dtype) for inp in region.inputs]
 
 
 @pytest.fixture
@@ -282,25 +278,6 @@ def test_corrupted_cache_entry_recompiles(cache_dir, tmp_path_factory, monkeypat
     assert kern(arrays).tobytes() == expect.tobytes()
 
 
-@needs_cc
-def test_const_inputs_are_bound_not_passed(cache_dir):
-    shift = np.full((8,), -0.25, np.float32)
-    inputs = [
-        RegionInput(np.float32, (4, 8)),
-        RegionInput(np.float32, (8,), const=shift),
-    ]
-    region = RegionIR(inputs, [("add", (0, 1)), ("relu", (2,))], (4, 8), np.float32)
-    assert region.num_dynamic == 1
-    x = np.random.default_rng(5).standard_normal((4, 8)).astype(np.float32)
-    expect = np.maximum(x + shift, 0.0)
-    with using_codegen(True):
-        kern = compile_region(region)
-    assert kern([x]).tobytes() == expect.tobytes()
-    with using_codegen(False):
-        interp = compile_region(region)
-    assert interp([x]).tobytes() == expect.tobytes()
-
-
 def test_codegen_counters_exported_to_registry(cache_dir):
     from repro.obs.metrics import get_registry
 
@@ -312,7 +289,7 @@ def test_codegen_counters_exported_to_registry(cache_dir):
 
 
 # --------------------------------------------------------------------------- #
-# Structured regions: reduction tails, linear heads
+# Structured regions: reduction tails
 # --------------------------------------------------------------------------- #
 def _reduce_region(op="sum", shape=(6, 10), k=1, keepdims=False, dtype=np.float32):
     """``op((a * b), over the last k axes)`` — map stage + reduce tail."""
@@ -320,22 +297,6 @@ def _reduce_region(op="sum", shape=(6, 10), k=1, keepdims=False, dtype=np.float3
     kept = shape[: len(shape) - k]
     out_shape = kept + (1,) * k if keepdims else kept
     ops = [("mul", (0, 1)), (op, (2,), (k, keepdims))]
-    return RegionIR(inputs, ops, out_shape, dtype)
-
-
-def _linear_region(b=True, tail=None, dtype=np.float32, n=4, d=6, m=8):
-    """``relu(x @ w [+ b])`` with an optional reduction tail."""
-    inputs = [RegionInput(dtype, (n, d)), RegionInput(dtype, (d, m))]
-    srcs = (0, 1)
-    if b:
-        inputs.append(RegionInput(dtype, (m,)))
-        srcs = (0, 1, 2)
-    first = len(inputs)
-    ops = [("linear", srcs), ("relu", (first,))]
-    out_shape = (n, m)
-    if tail is not None:
-        ops.append((tail, (first + 1,), (1, False)))
-        out_shape = (n,)
     return RegionIR(inputs, ops, out_shape, dtype)
 
 
@@ -358,8 +319,6 @@ def test_reduction_meta_is_part_of_the_program():
     r1 = _reduce_region(k=1)
     r2 = _reduce_region(shape=(6, 10, 3), k=2)
     assert r1.lower()[0] != r2.lower()[0]
-    assert not r1.is_elementwise
-    assert _chain_region().is_elementwise
 
 
 def test_reduction_interpret_matches_eager_and_pins_dtype():
@@ -410,41 +369,6 @@ def test_reduction_tail_kernel_bit_equal_to_interpreter(cache_dir, dtype, op, re
         assert buf.tobytes() == expect.tobytes()
 
 
-@needs_cc
-@pytest.mark.parametrize("reload", [False, True])
-@pytest.mark.parametrize("bias", [True, False])
-def test_linear_epilogue_kernel_matches_interpreter(cache_dir, reload, bias):
-    region = _linear_region(b=bias)
-    arrays = _arrays(region, seed=9)
-    kern = _compiled(region, reload)
-    assert kern.is_compiled
-    expect = region.interpret(arrays)
-    x, w = arrays[0], arrays[1]
-    eager = np.matmul(x, w)
-    if bias:
-        eager = np.add(eager, arrays[2])
-    eager = np.maximum(eager, 0.0)
-    assert expect.tobytes() == eager.tobytes()
-    assert kern(arrays).tobytes() == expect.tobytes()
-
-
-@needs_cc
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_linear_reduction_pipeline_kernel(cache_dir, dtype):
-    # GEMM head -> relu epilogue -> sum tail: three stages through one
-    # compiled pipeline, bit-equal to the interpreter and to eager numpy.
-    region = _linear_region(tail="sum", dtype=dtype)
-    arrays = _arrays(region, seed=21)
-    with using_codegen(True):
-        kern = compile_region(region)
-    assert kern.is_compiled
-    expect = region.interpret(arrays)
-    eager = np.maximum(np.add(np.matmul(arrays[0], arrays[1]), arrays[2]), 0.0)
-    eager = eager.sum(axis=-1, dtype=dtype)
-    assert expect.tobytes() == eager.tobytes()
-    assert kern(arrays).tobytes() == expect.tobytes()
-
-
 def test_scalar_full_reduction_compiles_or_interprets(cache_dir):
     # Reduce over *every* axis: 0-d output exercises the (0,) dims path.
     region = _reduce_region(shape=(5, 7), k=2)
@@ -478,7 +402,7 @@ def test_unplannable_structured_region_falls_back_whole(cache_dir):
 
 @needs_cc
 def test_stage_tables_grow_past_eight_rows(cache_dir, monkeypatch):
-    # Eleven dynamic inputs and the output: a twelve-row pointer table.
+    # Eleven inputs and the output: a twelve-row pointer table.
     inputs = [RegionInput(np.float32, (3, 5)) for _ in range(11)]
     ops = [("add", (0, 1))] + [(("mul", "add")[i % 2], (11 + i, i + 2)) for i in range(9)]
     region = RegionIR(inputs, ops, (3, 5), np.float32)

@@ -1,11 +1,11 @@
 """Generated regions: every compiled kernel byte-equal to ``RegionIR.interpret``.
 
 A seeded generator draws region programs over the whole region language —
-``REGION_OPS`` chains, ``sum`` / ``mean`` tails, ``linear`` heads — with
-output ranks 0 to 4, operands broadcast on every axis (including a
-``(1, d)`` row against an ``(n, d)`` activation at n = 1 and n > 1), const
-and reshaped inputs, reduced extents on both sides of 8 and 128, and
-float32 / float64 data poisoned with NaN, ±inf, ±0.0 and subnormals.  The
+``REGION_OPS`` chains and ``sum`` / ``mean`` tails — with output ranks 0 to
+4, operands broadcast on every axis (including a ``(1, d)`` row against an
+``(n, d)`` activation at n = 1 and n > 1), reduced extents on both sides of
+8 and 128, and float32 / float64 data poisoned with NaN, ±inf, ±0.0 and
+subnormals.  The
 number of structures is bounded: each one is one compile.
 
 Every byte is compared but the sign bit of a NaN.  IEEE-754 leaves open
@@ -66,18 +66,9 @@ class _Builder:
         self.density = rng.choice([0.0, 1 / 256, 1 / 8])
         self.inputs, self.arrays, self.ops = [], [], []
 
-    def input(self, shape, kind=None):
-        rng = self.rng
-        kind = kind or rng.choice(["dynamic"] * 4 + ["const", "reshaped"])
-        value = _poisoned(rng, shape, self.dtype, self.density)
-        if kind == "const":
-            self.inputs.append(RegionInput(self.dtype, shape, const=value))
-        elif kind == "reshaped":  # passed flat, reshaped when bound
-            self.inputs.append(RegionInput(self.dtype, shape, reshape=shape))
-            self.arrays.append(value.reshape(-1))
-        else:
-            self.inputs.append(RegionInput(self.dtype, shape))
-            self.arrays.append(value)
+    def input(self, shape):
+        self.inputs.append(RegionInput(self.dtype, shape))
+        self.arrays.append(_poisoned(self.rng, shape, self.dtype, self.density))
         return ("in", len(self.inputs) - 1)
 
     def emit(self, op, *srcs, meta=None):
@@ -121,25 +112,12 @@ class _Builder:
 
 
 def _generate(rng, dtype, kind):
-    """One random region of ``kind`` (``map``, ``reduce`` or ``linear``, which
-    may take a reduction tail too) and the dynamic arrays it takes."""
+    """One random region of ``kind`` (``map`` or ``reduce``) and the arrays
+    it takes."""
     b = _Builder(rng, dtype)
     n = int(rng.choice([1, 1, 2, 5]))
-    head = kind == "linear"
-    tail = kind == "reduce" or (head and rng.random() < 0.5)
-    if head:
-        d, m = int(rng.choice([1, 3, 8])), int(rng.choice([1, 4, 9]))
-        lead = (n,) if rng.random() < 0.7 else (2, n)
-        x = b.input(lead + (d,), kind=str(rng.choice(["dynamic", "reshaped"])))
-        w = b.input((d, m), kind=str(rng.choice(["dynamic", "const"])))
-        core = lead + (m,)
-        if rng.random() < 0.7:
-            bias = b.input((m,) if rng.random() < 0.5 else (1, m))
-            running = b.emit("linear", x, w, bias)
-        else:
-            running = b.emit("linear", x, w)
-        k = 1
-    elif tail:
+    tail = kind == "reduce"
+    if tail:
         k = int(rng.integers(1, 4))
         kept = (n,) + tuple(int(s) for s in rng.choice([1, 3, 4], int(rng.integers(0, 4 - k))))
         if rng.random() < 0.25:
@@ -147,13 +125,13 @@ def _generate(rng, dtype, kind):
         reduced = _REDUCED[k][int(rng.integers(0, len(_REDUCED[k])))]
         core = kept + reduced
         k = len(reduced)
-        running = b.input(core, kind="dynamic")
+        running = b.input(core)
     else:
         rank = int(rng.integers(0, 5))
         rest = rng.choice([1, 2, 3, 5], max(rank - 1, 0))
         core = ((n,) + tuple(int(s) for s in rest))[:rank]
-        running = b.input(core, kind="dynamic")
-    running = b.chain(running, core, int(rng.integers(0 if head else 1, 5)))
+        running = b.input(core)
+    running = b.chain(running, core, int(rng.integers(1, 5)))
     out_shape = core
     if tail:
         keepdims = bool(rng.random() < 0.3)
@@ -172,9 +150,9 @@ def _row_broadcast_regions(dtype):
     rng = np.random.default_rng(SEED)
     for n in (1, 4):
         b = _Builder(rng, dtype)
-        x = b.input((n, 6), kind="dynamic")
-        row = b.input((1, 6), kind="dynamic")
-        col = b.input((6,), kind="dynamic")
+        x = b.input((n, 6))
+        row = b.input((1, 6))
+        col = b.input((6,))
         b.emit("relu", b.emit("add", b.emit("mul", x, row), col))
         yield b.region((n, 6)), b.arrays
 
@@ -183,7 +161,7 @@ def _cases():
     rng = np.random.default_rng(SEED)
     for i in range(CASES):
         dtype = (np.float32, np.float64)[i % 2]
-        yield _generate(rng, dtype, ("map", "reduce", "linear", "reduce")[i // 2 % 4])
+        yield _generate(rng, dtype, ("map", "reduce")[i // 2 % 2])
     for dtype in (np.float32, np.float64):
         yield from _row_broadcast_regions(dtype)
 

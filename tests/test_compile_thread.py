@@ -82,7 +82,7 @@ def _ends_on_numpy_steps(reason, timeout=60):
     check()  # served while the compile is in flight
     assert not session.wait_compiled(timeout)
     assert {(row["arm"], row["reason"]) for row in session.explain()} == {("numpy", reason)}
-    assert session.num_steps == 14
+    assert session.num_steps == 17
     check()
     assert _fallbacks(reason) == counted + 1
     assert codegen_stats()["fallbacks"] == total + 1
@@ -242,8 +242,9 @@ def test_interpreter_exit_mid_compile_leaves_no_compiler_and_no_entry(cold, tmp_
 
 
 class _RegionModel(nn.Module):
-    """``relu(linear(x) * scale)``: one ``region`` step, the kind a server's
-    worker compiles (module-level: ``spawn`` workers unpickle the factory)."""
+    """``relu(linear(x) * scale)``: one group, linear-headed, the kind a
+    server's worker compiles (module-level: ``spawn`` workers unpickle the
+    factory)."""
 
     def __init__(self):
         super().__init__()

@@ -1,12 +1,15 @@
-"""Fusion-pass tests: regions over captured traces, and training graphs left
-alone."""
+"""Fusion tests: elementwise chains as the session planner groups them,
+reduction tails as the fusion pass makes them regions, and training graphs
+left alone."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.autograd import Tensor, functional as F, fusion, ir, no_grad
+from repro.codegen import have_compiler, using_codegen
 from repro.nn.init import manual_seed
+from repro.serve import compile_inference
 
 
 def _replays(out):
@@ -17,63 +20,69 @@ def _replays(out):
     assert got.tobytes() == out.data.tobytes()
 
 
+class _Forward(nn.Module):
+    def __init__(self, forward) -> None:
+        super().__init__()
+        self.fn = forward
+
+    def forward(self, *xs):
+        return self.fn(*xs)
+
+
+def _planned(model, *arrays):
+    """The ops of each group the planner makes of ``model``'s session over
+    ``arrays`` — with a compiler, each one compiled ``explain()`` row once
+    adopted — after checking the session's bytes against the eager
+    forward."""
+    model = model if isinstance(model, nn.Module) else _Forward(model).eval()
+    with using_codegen(True):
+        session = compile_inference(model, list(arrays))
+        groups = [g.ops for g in session._plan.groups] if session._plan else []
+        if have_compiler():
+            assert session.wait_compiled(120), session.explain()
+            compiled = [row["ops"] for row in session.explain() if row["arm"] == "compiled"]
+            assert [ops for ops in compiled if ops != ["region"]] == groups, session.explain()
+    with no_grad():
+        want = model(*(Tensor(a, dtype=a.dtype) for a in arrays)).data
+    assert session.run(*arrays).tobytes() == want.tobytes()
+    return groups
+
+
 # --------------------------------------------------------------------------- #
-# Regions
+# Elementwise chains: the planner's groups
 # --------------------------------------------------------------------------- #
 def test_linear_relu_fuses_into_one_node():
-    # A region with a linear head: the GEMM stays on the host, the relu
-    # joins the region's loop.
+    # The linear heads a group: the GEMM stays on the host, the bias add and
+    # the relu are its map stage.  The fusion pass leaves the trace alone.
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
+    x = rng.standard_normal((4, 3)).astype(np.float32)
     w = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
     with no_grad(), ir.capture():
-        out = F.linear(x, w).relu()
-    stats = fusion.fuse(out)
-    assert stats == {"region": 1}
-    assert out._node.op == "region"
-    assert out._node.inputs == (x, w)
-    assert out._node.attrs["region"].ops == (("linear", (0, 1)), ("relu", (2,)))
-    _replays(out)
+        out = F.linear(Tensor(x), w).relu()
+    assert fusion.fuse(out) == {} and out._node.op == "relu"
+    assert _planned(lambda x: F.linear(x, w).relu(), x) == [["linear", "relu"]]
 
 
 def test_mul_add_relu_chain_becomes_one_region():
-    # mul → add → relu: the whole elementwise chain collapses into one
-    # region node.
-    x = Tensor([1.0, -2.0])
+    # mul → add → relu with no GEMM in front: the mul starts the group.
+    x = np.array([[1.0, -2.0], [0.5, 3.0]], np.float32)
     s = Tensor([3.0, 4.0])
     t = Tensor([0.5, 0.5])
-    with no_grad(), ir.capture():
-        out = (x * s + t).relu()
-    stats = fusion.fuse(out)
-    assert stats == {"region": 1}
-    assert out._node.op == "region"
-    assert out._node.attrs["size"] == 3
-    assert [op for op, _ in out._node.attrs["region"].ops] == ["mul", "add", "relu"]
-    assert out._node.inputs == (x, s, t)
-    _replays(out)
+    assert _planned(lambda x: (x * s + t).relu(), x) == [["mul", "add", "relu"]]
 
 
 def test_add_relu_fuses_into_a_region():
-    a = Tensor([1.0, -2.0])
+    a = np.array([[1.0, -2.0]], np.float32)
     b = Tensor([3.0, -4.0])
-    with no_grad(), ir.capture():
-        out = (a + b).relu()
-    assert fusion.fuse(out) == {"region": 1}
-    assert out._node.op == "region"
-    assert out._node.attrs["size"] == 2
+    assert _planned(lambda a: (a + b).relu(), a) == [["add", "relu"]]
 
 
 def test_region_matches_either_addend_side():
-    a = Tensor([1.0, 2.0])
+    # The running value is the add's *right* operand, and the mul's.
+    a = np.array([[1.0, 2.0], [-1.0, 0.25]], np.float32)
     b = Tensor([3.0, 4.0])
     c = Tensor([5.0, 6.0])
-    with no_grad(), ir.capture():
-        out = c + a * b  # the mul is the *right* operand of add
-    assert fusion.fuse(out) == {"region": 1}
-    # c takes slot 0 only after the mul's operands: slots go in member order.
-    assert out._node.inputs == (a, b, c)
-    assert out._node.attrs["region"].ops == (("mul", (0, 1)), ("add", (2, 3)))
-    _replays(out)
+    assert _planned(lambda a: c + b * (a / b), a) == [["div", "mul", "add"]]
 
 
 def test_shared_intermediate_is_not_fused():
@@ -98,9 +107,8 @@ def test_fusion_applies_inside_nn_modules():
     x = np.random.default_rng(2).standard_normal((3, 6)).astype(np.float32)
     with no_grad(), ir.capture():
         out = model(x)
-    assert fusion.fuse(out) == {"region": 2}
-    assert out._node.op == "region"
-    assert out._node.inputs[0]._node.op == "region"
+    assert fusion.fuse(out) == {}
+    assert _planned(model, x) == [["linear", "relu"], ["linear", "relu"]]
 
 
 # --------------------------------------------------------------------------- #
@@ -173,7 +181,6 @@ def test_captured_reduction_tail_joins_the_region():
     assert out._node.op == "region"
     region = out._node.attrs["region"]
     assert region.ops == (("mul", (0, 1)), ("sum", (2,), (1, False)))
-    assert not region.is_elementwise
     _replays(out)
 
 
@@ -193,34 +200,17 @@ def test_captured_mean_tail_fuses_with_its_epilogue():
 
 
 # --------------------------------------------------------------------------- #
-# Multi-consumer regions: duplicated cheap producers
+# Multi-consumer values: never fused away
 # --------------------------------------------------------------------------- #
-def test_fanout_producer_is_duplicated_into_one_region():
-    # p feeds two eligible elementwise consumers: instead of refusing the
-    # whole chain, the pass recomputes p inside the region from its leaves.
-    x = Tensor([1.0, -2.0, 3.0])
-    y = Tensor([0.5, 4.0, -1.5])
-    with no_grad(), ir.capture():
-        p = x * y
-        out = p.relu() + (-p)
-    assert fusion.fuse(out) == {"region": 1}
-    assert out._node.op == "region"
-    assert out._node.inputs == (x, y)  # p is recomputed, not read
-    assert [op for op, _ in out._node.attrs["region"].ops] == ["mul", "neg", "relu", "add"]
-    _replays(out)
-
-
 def test_three_way_fanout_is_still_refused():
-    # A third consumer is refused: p stays a node of its own and feeds the
-    # region its consumers form as an external input.
-    x = Tensor([1.0, -2.0])
+    # p feeds three consumers: it stays a numpy step of its own, and the
+    # chains around it group without it.  The relu, an epilogue, cannot
+    # start a group; the neg and the second mul can, and the adds join
+    # whichever reaches them first.
+    x = np.array([[1.0, -2.0]], np.float32)
     y = Tensor([3.0, 0.5])
-    with no_grad(), ir.capture():
-        p = x * y
-        out = p.relu() + (-p) + p * y
-    assert fusion.fuse(out) == {"region": 1}
-    assert p._node.op == "mul" and p in out._node.inputs
-    _replays(out)
+    groups = _planned(lambda x: (lambda p: p.relu() + (-p) + p * y)(x * y), x)
+    assert groups == [["neg", "add"], ["mul", "add"]]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Generated traces: every fused session byte-equal to the eager forward.
+"""Generated traces: every planned session byte-equal to the eager forward.
 
 A seeded generator builds eval-mode models whose forwards mix elementwise
 chains (``add`` / ``mul`` / ``div`` / ``neg`` / ``relu``) over operands
@@ -8,28 +8,33 @@ axes, ``nn.Linear`` heads with and without bias, and eval ``BatchNorm1d`` /
 and above:
 
 - ``chain``: every value has one consumer;
-- ``fanout2``: a product of graph leaves feeds two chains (the duplicated
-  producer, recomputed inside the one region);
-- ``fanout3``: the same product feeds three chains (refused: it stays a
-  node of its own, and the chains fuse around it);
-- ``reduce``, ``linear``, ``batch_norm``: the structured members;
+- ``fanout2``, ``fanout3``: a product of graph leaves feeds two or three
+  chains (it stays a numpy step of its own; the chains group around it);
+- ``reduce``: a chain with a trailing-axes tail (the fusion pass's region);
+- ``linear``, ``batch_norm``: a chain after a GEMM head or an epilogue;
 - ``linear_relu``, ``batch_norm1d_relu``, ``batch_norm2d_relu``: a relu
-  straight after a linear (a region with a linear head) or an eval batch
-  norm (a batch-norm step, then the relu on its own or heading a region).
+  straight after a linear (the linear heads a group) or an eval batch norm
+  (a batch-norm step and the relu stay numpy: neither starts a group);
+- ``operand_second``: the running value always the second operand
+  (``scale * h``); ``scalar_operand``: every operand 0-d;
+- ``relu_first``: a headless chain that starts at a relu (an epilogue:
+  it stays a numpy step).
 
 ``compile_inference(...).run`` must give the bytes of the eager ``no_grad``
-forward, with codegen off (the region interpreter) and on (the compiled
-stages), on the example batch and on a fresh one — and so must the session a
-thread server's worker replays (``frontend._ServerPool``: regions compiled,
-no GEMM stages).
+forward, with codegen off (numpy steps) and on (the compiled stages), on the
+example batch and on a fresh one — and so must the session a thread
+server's worker replays (``frontend._ServerPool``: no conv heads, a linear
+only with an op after it).  With codegen on, the planner's groups are
+checked against the planning rule and, given a compiler, against the
+compiled ``explain()`` rows.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, no_grad
-from repro.codegen import using_codegen
+from repro.autograd import Tensor, ir, no_grad
+from repro.codegen import have_compiler, using_codegen
 from repro.serve import compile_inference
 from repro.serve.frontend import _ServerPool
 
@@ -37,6 +42,8 @@ SEED = 28
 KINDS = ("chain", "fanout2", "fanout3", "reduce", "linear", "batch_norm",
          "linear_relu", "batch_norm1d_relu", "batch_norm2d_relu")
 CASES = 4 * len(KINDS)
+#: Drawn after the cases above, twice each (float32, float64).
+EXTRA_KINDS = ("operand_second", "scalar_operand", "relu_first")
 
 
 class _Generated(nn.Module):
@@ -62,21 +69,24 @@ class _Builder:
             value = np.abs(value) + 0.5
         return value.astype(self.dtype)
 
-    def operand(self, shape, positive=False):
+    def operand(self, shape, positive=False, scalar=False):
         """A leaf broadcast against an activation of ``shape``: the full
         shape, its last axis alone or as a row, a column, or a scalar."""
         shapes = [shape, shape[-1:], (1,) * (len(shape) - 1) + shape[-1:],
                   shape[:-1] + (1,), ()]
-        shape = shapes[self.rng.integers(len(shapes))]
+        shape = () if scalar else shapes[self.rng.integers(len(shapes))]
         return Tensor(self.array(shape, positive), dtype=self.dtype)
 
-    def chain(self, length, shape):
+    def chain(self, length, shape, ops=("add", "mul", "div", "neg", "relu"), left=None,
+              scalar=False):
         """``length`` random elementwise ops over an activation of
-        ``shape``, as a function of the activation."""
-        ops = []
+        ``shape``, as a function of the activation (``left``: whether the
+        operand comes first, else drawn; ``scalar``: 0-d operands)."""
+        choices, ops = ops, []
         for _ in range(length):
-            op = str(self.rng.choice(["add", "mul", "div", "neg", "relu"]))
-            ops.append((op, self.operand(shape, positive=op == "div"), self.rng.random() < 0.5))
+            op = str(self.rng.choice(choices))
+            c = self.operand(shape, positive=op == "div", scalar=scalar)
+            ops.append((op, c, self.rng.random() < 0.5 if left is None else left))
 
         def apply(h):
             for op, c, left in ops:
@@ -177,6 +187,19 @@ def _generate(kind, rng, dtype):
         _to_dtype(model.bn, dtype)
         return model, shape
 
+    if kind == "operand_second":
+        model.steps = b.chain(b.length(2, 4), (n, d), ("add", "mul"), left=True)
+        return model, (n, d)
+
+    if kind == "scalar_operand":
+        model.steps = b.chain(b.length(2, 4), (n, d), ("add", "mul", "div"), scalar=True)
+        return model, (n, d)
+
+    if kind == "relu_first":
+        after = b.chain(b.length(0, 3), (n, d))
+        model.steps = lambda x: after(x.relu())
+        return model, (n, d)
+
     chain = b.chain(b.length(2, 6), (n, d))
     model.steps = chain
     return model, (n, d)
@@ -184,10 +207,11 @@ def _generate(kind, rng, dtype):
 
 def _cases():
     rng = np.random.default_rng(SEED)
+    drawn = [(KINDS[i % len(KINDS)], (np.float32, np.float64)[(i // len(KINDS)) % 2])
+             for i in range(CASES)]
+    drawn += [(kind, dtype) for dtype in (np.float32, np.float64) for kind in EXTRA_KINDS]
     cases = []
-    for i in range(CASES):
-        kind = KINDS[i % len(KINDS)]
-        dtype = (np.float32, np.float64)[(i // len(KINDS)) % 2]
+    for kind, dtype in drawn:
         model, shape = _generate(kind, rng, dtype)
         model.eval()
         inputs = [rng.standard_normal(shape).astype(dtype) for _ in range(2)]
@@ -205,26 +229,51 @@ def _server_session(model, x):
     return _ServerPool(model, x, buckets=(len(x),)).sessions[len(x)]
 
 
+def _groups(session, gemm):
+    """The planner's groups of ``session`` as ``(member node indices, ops)``,
+    checked against its rule: a group starts at a head or an elementwise
+    op, and one with no GEMM it may run (``gemm``: a session's own; else a
+    server worker's, whose conv never heads one) has two members or more;
+    given a compiler, each is one compiled ``explain()`` row."""
+    groups = [(g.members, g.ops) for g in session._plan.groups] if session._plan else []
+    for members, ops in groups:
+        part = ir.OPS[ops[0]].stage.part
+        assert part in (ir.HEAD, ir.ELEMENTWISE), ops
+        assert len(ops) > 1 or (gemm and part == ir.HEAD), ops
+    if have_compiler():
+        compiled = [row["ops"] for row in session.explain() if row["arm"] == "compiled"]
+        assert [ops for ops in compiled if ops != ["region"]] == [ops for _, ops in groups]
+    return groups
+
+
 @pytest.mark.parametrize("codegen", [False, True])
 def test_generated_traces_fuse_and_replay_the_eager_bytes(codegen):
     cases = _cases()
     with using_codegen(codegen):
         sessions = [compile_inference(model, inputs[0]) for _, model, inputs in cases]
         served = [_server_session(model, inputs[0]) for _, model, inputs in cases]
-    fused = {kind: 0 for kind in KINDS}
+    regions = {kind: 0 for kind in KINDS + EXTRA_KINDS}
     for (kind, model, inputs), session, server in zip(cases, sessions, served):
         for arm in (session, server):
             if codegen:
                 arm.wait_compiled(120)
             for x in inputs:
                 assert arm.run(x).tobytes() == _eager(model, x), (kind, arm.op_counts)
-        fused[kind] += bool(session.fused_counts)
-        if kind == "linear_relu":  # the linear heads the relu's region
-            assert "linear" not in session.op_counts, session.op_counts
-        if kind.endswith("_relu") and kind != "linear_relu":
+        regions[kind] += session.fused_counts.get("region", 0)
+        if not codegen:
+            continue
+        own, worker = _groups(session, True), _groups(server, False)
+        if kind.startswith("linear"):  # the linear heads a group in both
+            assert [ops[0] for _, ops in own].count("linear") == 1, own
+            assert [ops[0] for _, ops in worker].count("linear") == 1, worker
+        if kind == "linear_relu":
+            assert any(ops[:2] == ["linear", "relu"] for _, ops in own + worker), own
+        if kind in ("operand_second", "scalar_operand"):  # one group, every op
+            assert [len(members) for members, _ in own] == [sum(session.op_counts.values())], own
+        if kind.startswith("fanout") or kind == "relu_first":
+            # the fan-out product, a leading relu: numpy steps (the first node)
+            assert all(0 not in members for members, _ in own + worker), own
+        if kind.startswith("batch_norm"):  # an epilogue with no head: numpy
             assert session.op_counts["batch_norm"] == 1, session.op_counts
-        if kind == "fanout2":  # the producer is recomputed in the region
-            assert session.op_counts == {"region": 1}, session.op_counts
-        if kind == "fanout3":  # refused: the producer stays, the chains fuse
-            assert session.op_counts == {"mul": 1, "region": 1}, session.op_counts
-    assert all(fused.values()), fused
+            assert all("batch_norm" not in ops for _, ops in own + worker), own
+    assert {kind for kind, count in regions.items() if count} == {"reduce"}, regions

@@ -8,7 +8,8 @@ elsewhere; this file pins *cross-commit* equality against
 - **Rendered C, everywhere.**  The stage signatures of TBNet's serving plan,
   of its train arms (width 16; batch 4 and 64; Adam and Nesterov SGD with
   weight decay; its conv blocks' among them) and of a linear + elementwise
-  chain's session (the layered benchmark's ``infer_chain_b64`` model), each
+  chain's session (the layered benchmark's ``infer_chain_b64`` model) and
+  of both models' thread-server worker sessions (no GEMM stages), each
   pinned by its ``kernel_name`` and the sha256 of the C
   :func:`repro.codegen.cstage.render_stages` writes for it.  The signatures
   are read where the code asks for them (the first sight of a train arm, a
@@ -39,6 +40,7 @@ from repro.codegen.cstage import render_stages
 from repro.models import TBNet, make_synthetic_batch
 from repro.nn.optim import SGD, Adam
 from repro.serve import compile_inference
+from repro.serve.frontend import _ServerPool
 
 GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text())
 
@@ -129,6 +131,18 @@ def test_chain_session_plan_renders_the_pinned_c(no_compiles):
     session = _chain_session()
     assert _rendered(no_compiles) == GOLDEN["chain_stages"]
     assert [g.ops for g in session._plan.groups] == GOLDEN["chain_groups"]
+
+
+def test_thread_worker_plans_render_the_pinned_c(no_compiles):
+    # A thread server's worker pools plan without GEMM stages of their own
+    # (frontend._ServerPool): TBNet's linear + relu groups and the chain's.
+    model = _model().eval()
+    _ServerPool(model, (np.zeros((1, 3, 16, 16), np.float32), np.zeros((1, 16), np.float32)),
+                buckets=(1,))
+    chain = Chain(np.random.default_rng(1)).eval()
+    _ServerPool(chain, np.random.default_rng(2).standard_normal((64, 128)).astype(np.float32),
+                buckets=(64,))
+    assert _rendered(no_compiles) == GOLDEN["server_stages"]
 
 
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler: nothing is compiled")

@@ -75,7 +75,9 @@ def test_tbnet_session_is_bit_equal_to_eager(backend):
         model.train_step(opt, images, context, targets)
     model.eval()
     session = compile_inference(model, (images, context))
-    assert session.fused_counts  # the two-branch trace has fusable chains
+    assert session.fused_counts == {}  # no reduction tail: no region
+    if session._plan is not None:  # its linear + relu chains are the planner's
+        assert [g.ops for g in session._plan.groups].count(["linear", "relu"]) == 3
     expected = model.infer(images, context)
     np.testing.assert_array_equal(session.run(images, context), expected)
     # Fresh inputs through the same reused buffers.
@@ -137,7 +139,7 @@ def test_window_steps_never_hold_the_callers_batch():
 
 
 class _ScaleShiftRelu(nn.Module):
-    """An elementwise tail the fusion pass extracts as one region."""
+    """An elementwise tail the session planner joins to its linear's group."""
 
     def __init__(self, rng):
         super().__init__()
@@ -156,8 +158,10 @@ def test_session_emits_region_kernel_and_stays_bit_equal(backend):
     model = _ScaleShiftRelu(rng).eval()
     x = rng.standard_normal((8, 12)).astype(np.float32)
     session = compile_inference(model, x)
-    assert session.fused_counts.get("region") == 1
-    assert session.op_counts.get("region") == 1
+    assert session.fused_counts == {}
+    assert session.op_counts == {"linear": 1, "mul": 1, "add": 1, "relu": 1}
+    if session._plan is not None:
+        assert [g.ops for g in session._plan.groups] == [["linear", "mul", "add", "relu"]]
     for _ in range(3):
         batch = rng.standard_normal((8, 12)).astype(np.float32)
         with no_grad():

@@ -63,7 +63,7 @@ CASES = {
     "softmax": (lambda x: F.softmax(x, axis=-1), (_ROW,)),
     "log_softmax": (lambda x: F.log_softmax(x, axis=-1), (_ROW,)),
     "softmax_cross_entropy": (lambda x, t: F.softmax_cross_entropy(x, t), (_ROW, _LABELS)),
-    "region": (lambda x: (x * _C6 + _P6).relu(), (_ROW,)),
+    "region": (lambda x: (x * _C6).sum(axis=-1), (_ROW,)),  # a reduction tail
 }
 
 

@@ -288,9 +288,9 @@ def _process_lookups() -> float:
 
 
 class ScaleShift(nn.Module):
-    """``relu(linear(x) * scale + shift)``: the fusion pass makes the whole
-    forward one ``region`` with a ``linear`` head — the kind of step a
-    server's worker compiles (module-level: ``spawn`` workers unpickle it)."""
+    """``relu(linear(x) * scale + shift)``: the planner makes the whole
+    forward one group with a ``linear`` head — the kind of step a server's
+    worker compiles (module-level: ``spawn`` workers unpickle it)."""
 
     def __init__(self, seed=3):
         super().__init__()
@@ -376,7 +376,8 @@ def test_param_hot_swap_reaches_conv_gemm_stages_in_worker_processes():
 @needs_cc
 def test_server_pools_compile_regions_only_user_pools_everything():
     # See frontend._ServerPool: the frozen benchmark cannot measure a server
-    # whose GEMM steps are compiled, so a thread Server's own pools leave them.
+    # whose GEMM steps are compiled, so a thread Server's own pools leave
+    # them — but a linear an epilogue follows heads its group.
     from repro.models import TBNet
     from repro.serve import SessionPool
 
@@ -386,9 +387,9 @@ def test_server_pools_compile_regions_only_user_pools_everything():
     assert all(s.wait_compiled(120) and s.num_steps == 6 for s in pool.sessions.values())
     with model.serve(buckets=(1, 2), workers=1) as server:
         (served,) = server.pools
-        for s in served.sessions.values():  # TBNet's three linear-head regions, no more
+        for s in served.sessions.values():  # TBNet's three linear + relu groups, no more
             assert s.wait_compiled(120) and s.num_steps == 14
-            assert all((row["arm"] == "compiled") == (row["ops"] == ["region"])
+            assert all((row["arm"] == "compiled") == (row["ops"] == ["linear", "relu"])
                        for row in s.explain()), s.explain()
     chain = ScaleShift().eval()
     x = np.zeros((2, 6), np.float32)
@@ -398,7 +399,8 @@ def test_server_pools_compile_regions_only_user_pools_everything():
         (served,) = server.pools
         assert all(s.wait_compiled(120) for s in served.sessions.values())
         assert served.sessions[2].explain() == [
-            {"step": 0, "ops": ["region"], "arm": "compiled", "reason": None}]
+            {"step": 0, "ops": ["linear", "mul", "add", "relu"], "arm": "compiled",
+             "reason": None}]
 
 
 def test_wrong_shape_dtype_and_arity_are_still_rejected():
@@ -449,10 +451,10 @@ def test_tbnet_replays_six_steps_and_one_kernel_serves_every_bucket(tmp_path, mo
     assert after["compiled"] == before["compiled"] + 1  # one cc for three buckets
     assert len(list(tmp_path.glob("*.so"))) == 1
     assert [row["ops"] for row in sessions[1].explain()] == [
-        ["region"], ["region"],
+        ["linear", "relu"], ["linear", "relu"],
         ["conv2d", "batch_norm", "relu", "max_pool2d"],
         ["conv2d", "batch_norm", "relu", "max_pool2d", "reshape", "concat"],
-        ["region"], ["linear"],
+        ["linear", "relu"], ["linear"],
     ]
     for n, session in sessions.items():
         images, context, _ = make_synthetic_batch(n, rng=np.random.default_rng(n))
@@ -492,15 +494,14 @@ def test_elementwise_region_joins_the_stage_of_its_producer():
     x = np.random.default_rng(4).standard_normal((3, 6)).astype(np.float32)
     session = compile_inference(model, x)
     assert session.wait_compiled(120)
-    # The linear heads one region: both relus and the affine chain join it.
-    assert session.op_counts == {"region": 1}
-    assert [row["ops"] for row in session.explain()] == [["region"]]
+    # The linear heads one group: both relus and the affine chain join it.
+    assert [row["ops"] for row in session.explain()] == [["linear", "relu", "mul", "add", "relu"]]
     assert session.run(x).tobytes() == _eager(model, [x]).tobytes()
 
 
 class Residual(nn.Module):
     """Two conv branches over one input meeting in ``relu(a + b * scale)``:
-    the region joins one branch's stage and reads the other's output."""
+    the add joins one branch's group and reads the other's output."""
 
     def __init__(self, dtype=np.float32):
         super().__init__()
@@ -525,7 +526,8 @@ def test_region_reading_another_stages_output_runs_after_it(dtype):
     assert session.wait_compiled(120)
     rows = session.explain()
     assert all(row["arm"] == "compiled" for row in rows), rows
-    assert sorted(op for row in rows for op in row["ops"]) == ["conv2d", "conv2d", "region"]
+    assert sorted(op for row in rows for op in row["ops"]) == [
+        "add", "conv2d", "conv2d", "mul", "relu"]
     for _ in range(3):
         x = rng.standard_normal((3, 2, 5, 5)).astype(dtype)
         assert session.run(x).tobytes() == _eager(model, [x]).tobytes()
@@ -534,7 +536,7 @@ def test_region_reading_another_stages_output_runs_after_it(dtype):
 class PerBatchRows(nn.Module):
     """Full-rank activations whose leading extent is 1 next to an ``(n, d)``
     batch — a session input ``q`` and, by ``learned``, a ``linear`` over a
-    learned ``(1, k)`` query (a region's GEMM head with one row) or a sum
+    learned ``(1, k)`` query (a GEMM head with one row) or a sum
     over the batch axis (a generic step's output).  Each broadcasts over the
     batch; none is the batch."""
 
@@ -591,11 +593,13 @@ def test_reduction_tail_region_keeps_its_kernel_off_the_request_path(tmp_path, m
     model = MeanTail().eval()
     x = np.random.default_rng(3).standard_normal((4, 8)).astype(np.float32)
     session = compile_inference(model, x)
-    # One region: the linear head, the relu, the affine chain and the mean tail.
-    assert [row["reason"] for row in session.explain()] == ["pending"]
+    # The linear's group, then one region: the relu, the affine chain and the
+    # mean tail.
+    assert [row["reason"] for row in session.explain()] == ["pending"] * 2
     want = _eager(model, [x]).tobytes()
     assert session.run(x).tobytes() == want  # the interpreter arm meanwhile
     assert session.wait_compiled(120)
-    assert [(row["ops"], row["arm"]) for row in session.explain()] == [(["region"], "compiled")]
+    assert [(row["ops"], row["arm"]) for row in session.explain()] == [
+        (["linear"], "compiled"), (["region"], "compiled")]
     assert session.run(x).tobytes() == want
     jit.clear_kernel_memo()

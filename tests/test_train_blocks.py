@@ -9,7 +9,7 @@ ones stay on their members' steps, ``geometry``), conv bias and batch-norm
 affine on or off, f32 / f64, batch 1 / 3 / 64 and special values in the
 last step's images (NaN, +-inf, +-0.0, subnormals: the steps before stay
 finite, so the comparisons keep their power).  The members run their numpy
-bodies here (the relu's stages have their own suite).  A replayed run's losses,
+bodies here (their own stages have their own suite).  A replayed run's losses,
 parameters, running statistics and optimizer moments (which carry the
 gradients) must be those of the same run through explicit ``loss()`` /
 ``backward()`` / ``step()`` calls — before, during and after the blocks'
@@ -159,19 +159,15 @@ def check(got, want, case):
         same(g, w, f"{case} array {k}")
 
 
-def _only_blocks(held, case):
-    """``kernels.arm`` with the relu's stages numpy for good and, but in a
-    case whose blocks fuse, the conv's, whose gather and scatter a block runs
-    — the blocks' are the ones under test, the others have theirs
+def _only_blocks(held):
+    """``kernels.arm`` with every op's own stages numpy for good — the
+    blocks' are the ones under test, the others have theirs
     (``test_train_kernels``) — and the blocks' held back while ``held.on``:
     asked for, they read as pending (``kernels.PENDING`` to a capture), as
     while the compile thread builds them."""
     real = kernels.arm
-    heads = any(_fuses(case))
 
     def arm(op, dtype, n, *geometry, ask=True):
-        if op is kernels.Conv2d.op and heads:
-            return real(op, dtype, n, *geometry, ask=ask)
         if op is not kernels.BLOCK:
             return None
         if held.on and kernels.Block.stages(dtype.name, *geometry) != "geometry":
@@ -188,7 +184,7 @@ def built():
     asks)."""
     with pytest.MonkeyPatch.context() as patch:
         for case in CASES:
-            patch.setattr(kernels, "arm", _only_blocks(type("Held", (), {"on": False})(), case))
+            patch.setattr(kernels, "arm", _only_blocks(type("Held", (), {"on": False})()))
             model, opt, batches = build(case)
             with np.errstate(all="ignore"):
                 for step in range(4):
@@ -207,7 +203,7 @@ def test_blocks_replay_the_explicit_parts_before_during_and_after_adoption(
         built, monkeypatch, index):
     case = CASES[index]
     held = type("Held", (), {"on": True})()
-    monkeypatch.setattr(kernels, "arm", _only_blocks(held, case))
+    monkeypatch.setattr(kernels, "arm", _only_blocks(held))
     rows = {}
 
     def adopt(model):

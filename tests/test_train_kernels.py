@@ -655,6 +655,6 @@ def test_serving_and_inference_never_load_the_train_kernels(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    # Two compiler runs: the server's pools plan TBNet's three regions (a
-    # linear head and its relu each) as three stages, the session its eight.
+    # Two compiler runs: the server's pools plan TBNet's three linear + relu
+    # groups as three stages, the session its eight.
     assert proc.stdout.split() == ["2", "11"]
