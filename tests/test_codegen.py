@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.autograd import Tensor, functional as F, no_grad
 from repro.codegen import (
     RegionIR,
     RegionInput,
@@ -14,6 +16,7 @@ from repro.codegen import (
     using_codegen,
 )
 from repro.codegen import jit
+from repro.serve import compile_inference
 
 needs_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler available")
 
@@ -367,6 +370,103 @@ def test_reduction_tail_kernel_bit_equal_to_interpreter(cache_dir, dtype, op, re
         buf = np.empty(region.out_shape, region.out_dtype)
         assert kern(arrays, out=buf) is buf
         assert buf.tobytes() == expect.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# Linear heads: the session planner's compiled groups
+# --------------------------------------------------------------------------- #
+class _Forward(nn.Module):
+    def __init__(self, forward) -> None:
+        super().__init__()
+        self.fn = forward
+
+    def forward(self, *xs):
+        return self.fn(*xs)
+
+
+def _session(model, x, codegen=True):
+    """``compile_inference(model, [x])`` with every planned kernel adopted."""
+    with using_codegen(codegen):
+        session = compile_inference(model, [x])
+        if codegen:
+            assert session.wait_compiled(120), session.explain()
+    return session
+
+
+@needs_cc
+@pytest.mark.parametrize("reload", [False, True])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_epilogue_kernel_matches_interpreter(cache_dir, reload, bias):
+    # A linear heads a group whose map stage is its bias add and the relu;
+    # the numpy steps are the interpreter.  With ``reload`` a fresh memo
+    # loads the group's kernel from the disk cache.
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((4, 6)).astype(np.float32)
+    w = Tensor(rng.standard_normal((6, 8)).astype(np.float32))
+    b = Tensor(rng.standard_normal(8).astype(np.float32)) if bias else None
+    model = _Forward(lambda x: F.linear(x, w, b).relu()).eval()
+    session = _session(model, x)
+    if reload:
+        hits = codegen_stats()["disk_hits"]
+        clear_kernel_memo()
+        session = _session(model, x)
+        assert codegen_stats()["disk_hits"] > hits
+    assert session.explain() == [
+        {"step": 0, "ops": ["linear", "relu"], "arm": "compiled", "reason": None}
+    ]
+    expect = _session(model, x, codegen=False).run(x).copy()
+    eager = np.matmul(x, w.data)
+    if bias:
+        eager = np.add(eager, b.data)
+    eager = np.maximum(eager, 0.0)
+    assert expect.tobytes() == eager.tobytes()
+    assert session.run(x).tobytes() == expect.tobytes()
+
+
+@needs_cc
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_reduction_pipeline_kernel(cache_dir, dtype):
+    # GEMM head -> relu -> sum tail: the planner's linear group, then the
+    # fusion pass's reduction region, both compiled, bit-equal to the numpy
+    # steps and to eager numpy.
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((4, 6)).astype(dtype)
+    w = Tensor(rng.standard_normal((6, 8)).astype(dtype), dtype=dtype)
+    b = Tensor(rng.standard_normal(8).astype(dtype), dtype=dtype)
+    model = _Forward(lambda x: F.linear(x, w, b).relu().sum(axis=-1)).eval()
+    session = _session(model, x)
+    assert [(row["ops"], row["arm"]) for row in session.explain()] == [
+        (["linear"], "compiled"), (["region"], "compiled")
+    ]
+    expect = _session(model, x, codegen=False).run(x).copy()
+    eager = np.maximum(np.add(np.matmul(x, w.data), b.data), 0.0)
+    eager = eager.sum(axis=-1, dtype=dtype)
+    assert expect.tobytes() == eager.tobytes()
+    assert session.run(x).tobytes() == expect.tobytes()
+
+
+@needs_cc
+def test_const_inputs_are_bound_not_passed(cache_dir):
+    # An eval batch-norm's frozen statistics are constants of its step: the
+    # planner binds them into the group's pointer table once, at adoption,
+    # and no table row is bound per call.
+    rng = np.random.default_rng(5)
+    model = nn.Sequential(nn.Linear(6, 8, rng=rng), nn.BatchNorm1d(8), nn.ReLU())
+    model[1].running_mean[:] = rng.standard_normal(8)
+    model[1].running_var[:] = rng.uniform(0.5, 2.0, 8)
+    model.eval()
+    x = rng.standard_normal((4, 6)).astype(np.float32)
+    session = _session(model, x)
+    assert [row["ops"] for row in session.explain()] == [["linear", "batch_norm", "relu"]]
+    (step,) = [step for step, _, _ in session._bound if hasattr(step, "consts")]
+    entries = session._plan._entries
+    assert all(any(ref is const for ref in entries) for const in step.consts)
+    assert not any(isinstance(ref, int) for ref in entries)
+    for seed in (6, 7):
+        x = np.random.default_rng(seed).standard_normal((4, 6)).astype(np.float32)
+        with no_grad():
+            want = model(Tensor(x)).data
+        assert session.run(x).tobytes() == want.tobytes()
 
 
 def test_scalar_full_reduction_compiles_or_interprets(cache_dir):
