@@ -80,7 +80,9 @@ class Fallback(Exception):
     ``pending``: until the compile thread is done); a serving session's
     compiled step raises it when a by-reference tensor was rebound to an
     array its stages cannot read (``unplannable``: the session goes back to
-    its numpy steps, which take whatever numpy takes)."""
+    its numpy steps, which take whatever numpy takes) or when an input a
+    compiled product reads is laid out otherwise (``layout``: that call
+    runs the numpy steps)."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -243,9 +245,11 @@ def run_steps(steps, values: list, profiler=None, names=()) -> None:
 
     With a profiler, step ``i`` is timed as one call of the row
     ``names[i]``, less the rows of compiled stages recorded inside it
-    (:meth:`repro.obs.profile.Profiler.record_inner`); the caller opens the
-    profiler step around the call.  The same closures run in the same order
-    either way, so profiling changes no result.
+    (:meth:`repro.obs.profile.Profiler.record_inner`) — or, named ``None``,
+    records rows of its own (a serving session's driver, one per group it
+    runs); the caller opens the profiler step around the call.  The same
+    closures run in the same order either way, so profiling changes no
+    result.
     """
     if profiler is None:
         for step in steps:
@@ -253,6 +257,9 @@ def run_steps(steps, values: list, profiler=None, names=()) -> None:
         return
     perf = time.perf_counter
     for name, step in zip(names, steps):
+        if name is None:
+            step(values)
+            continue
         start = perf()
         step(values)
         profiler.record(name, perf() - start - profiler.take_inner())

@@ -100,7 +100,7 @@ class Arm:
     body has to run instead.
     """
 
-    __slots__ = ("key", "library")
+    __slots__ = ("key", "library", "tables")
     rows: tuple = ()  # the stages' profiler rows
     #: How many leading geometry items ``stages`` reads, and so the arm's key
     #: (``None``: all of them).
@@ -109,16 +109,19 @@ class Arm:
     def __init__(self, key: tuple, library) -> None:
         self.key = key
         self.library = library
+        self.tables = None  # a pinned arm's, one per stage (:meth:`pinned`)
 
     def run(self, k: int, n: int, *arrays) -> bool:
-        """Stage ``k`` over ``arrays`` (the first one of the arm's dtype);
-        ``False``, counted as ``layout``, if one cannot be bound."""
-        profiler = _profile._ACTIVE
-        if profiler is None:
+        """Stage ``k`` over ``arrays`` — on the arm's own table when pinned,
+        else the calling thread's; ``False``, counted as ``layout``, if one
+        cannot be bound."""
+        tables, profiler = self.tables, _profile._ACTIVE
+        start = _perf() if profiler is not None else None
+        if tables is None:
             ran = self.library.run(k, n, *arrays)
         else:
-            start = _perf()
-            ran = self.library.run(k, n, *arrays)
+            ran = tables[k].call(self.library.fns[k], n, arrays)
+        if profiler is not None:
             profiler.record_inner(self.rows[k], _perf() - start)
         if not ran:
             _numpy(self.key, "layout")
@@ -126,10 +129,11 @@ class Arm:
 
     def pinned(self, keep_below: int) -> "Arm":
         """This arm over stage tables of one caller's own, which keep what
-        they bound (:class:`repro.codegen.jit.PinnedStages`): for a replay
-        that hands every call the same buffers."""
+        they bound (:meth:`repro.codegen.jit.StageLibrary.table`, arrays under
+        ``keep_below`` bytes): for a replay that hands every call the same
+        buffers."""
         arm = copy.copy(self)
-        arm.library = jit.PinnedStages(self.library.fns, keep_below)
+        arm.tables = [self.library.table(keep_below=keep_below) for _ in self.library.fns]
         return arm
 
     def takes(self, *arrays) -> bool:

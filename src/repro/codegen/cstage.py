@@ -18,12 +18,16 @@ translation unit serves every bucket of a ``SessionPool`` and every batch
 of a training run, and ``-O3`` still sees fixed-size inner loops (the same
 loops with runtime extents measured *slower* than numpy's).
 
-The stage kinds (``scatter``, ``passes``, ``update`` and the rest after
-``update`` are the train step's, ``reduce`` a region's; a replayed step's
-conv block (:class:`repro.autograd.kernels.Block`) is two ``passes`` and a
-``map``, which its two one-call stages ``call`` between a ``gather``,
-``gemm`` pieces, batch-norm's ``tail``, a ``transpose`` and a
-``scatter``):
+The stage kinds (``scatter``, ``update``, ``call``, ``tail`` and
+``transpose`` are the train step's, ``reduce`` a region's, ``clock`` and
+``gemv`` a serving session's; a replayed step's conv block
+(:class:`repro.autograd.kernels.Block`) is two ``passes`` and a ``map``,
+which its two one-call stages ``call`` between a ``gather``, ``gemm``
+pieces, batch-norm's ``tail``, a ``transpose`` and a ``scatter``; a
+serving session's run of groups (:mod:`repro.serve.stages`) is one
+``passes`` of each group's ``gather``, its product — a ``gemm`` or a
+``gemv`` piece behind a ``when`` on its BLAS function's row — its ``map``
+and a ``clock``):
 
 ``("gather", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     ``conv2d``'s zero padding + footprint-slice copy in one pass: reads the
@@ -94,10 +98,10 @@ conv block (:class:`repro.autograd.kernels.Block`) is two ``passes`` and a
     per plan and dtype serves every stage that sums.
 
 ``("passes", dtype, (stage, stage, ...))``
-    Stages of the same dtype run one after another in one call, each seeing
-    what the one before wrote: a conv block's epilogue with batch-norm's
-    mean summed from it, then the variance; its backward's sums, then the
-    adjoint they feed.
+    Stages run one after another in one call, each in its own dtype and
+    seeing what the one before wrote: a conv block's epilogue with
+    batch-norm's mean summed from it, then the variance; its backward's
+    sums, then the adjoint they feed; a serving session's groups.
 
 ``("scatter", dtype, src, dst, c, h, w, kh, kw, sh, sw, ph, pw)``
     The gather's adjoint, ``functional._patch_matrix_adjoint`` +
@@ -124,6 +128,18 @@ conv block (:class:`repro.autograd.kernels.Block`) is two ``passes`` and a
     0, and the transposes, extents and leading dimensions ``matmul`` passes
     for the same operands (an extent ``("n", s)`` is ``n*s``), so the
     product is numpy's, bit for bit.  No stage library links a BLAS.
+
+``("gemv", dtype, fn, order, trans, m, n, a, lda, x, incx, y, incy)``
+    ``tab[y] = op(tab[a]) @ tab[x]`` by the CBLAS GEMV at ``tab[fn]``
+    (``order`` ``"row"`` or ``"col"``, ``alpha`` 1, ``beta`` 0), with the
+    arguments numpy's ``matmul`` passes for a row @ matrix or a matrix @
+    column (:func:`matmul_call`): a batch-1 linear's ``(1, d) @ (d, k)`` is
+    ``cblas_?gemv(RowMajor, Trans, d, k, 1, w, k, x, 1, 0, out, 1)``.
+
+``("clock", dtype, row, index)``
+    Unless ``tab[row]`` is a null pointer, the ``CLOCK_MONOTONIC`` time in
+    seconds (the clock of Python's ``time.perf_counter``) as the double
+    ``tab[row][index]``: a profiled serving run's group boundaries.
 
 ``("call", dtype, k, rows)``
     Stage ``k`` of the same plan over a table of ``tab``'s ``rows``.
@@ -163,7 +179,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Tuple
 
-__all__ = ["render_stages", "kernel_name", "operand_strides"]
+__all__ = ["render_stages", "kernel_name", "operand_strides", "matmul_call", "blas_piece"]
 
 _CTYPE = {"float32": "float", "float64": "double"}
 _ZERO = {"float": "0.0f", "double": "0.0"}
@@ -193,6 +209,82 @@ def operand_strides(shape, against, activation: bool) -> tuple:
     return tuple(strides)
 
 
+#: numpy's ``BLAS_MAXSIZE`` over its ILP64 BLAS: a longer extent or row
+#: stride takes numpy's own loop.
+_BLAS_MAX = 2**63 - 2
+_NONE = ("none",)
+
+
+def matmul_call(a, b, c, itemsize: int, same: bool = False, n: int = 1) -> tuple:
+    """The BLAS call numpy's ``matmul`` makes for ``a @ b`` into ``c`` — as
+    numpy 2.4's ``matmul.c.src`` picks it — so that a stage makes it too:
+
+    - ``("gemm", trans_a, trans_b, m, p, k, lda, ldb, ldc)``: ``cblas_?gemm``,
+      row-major;
+    - ``("gemv", order, trans, m, n, matrix, lda, incx, incy)``:
+      ``cblas_?gemv`` of the operand ``matrix`` names (``"a"`` or ``"b"``)
+      and the other, a vector: a row @ matrix (numpy swaps the operands) or
+      a matrix @ column;
+    - ``("none",)``: anything else — numpy's own loop (a column @ row, a zero
+      extent, an operand BLAS cannot stride), the ``dot`` of a row @ column,
+      or the ``syrk`` of ``A @ A.T``.
+
+    ``a``, ``b`` and ``c`` are the ``(shape, strides)`` of the 2-D operands,
+    strides in bytes; ``same``: ``a`` and ``b`` start at one address.  An
+    extent or a stride may be ``("n", s)``, ``n * s`` for the batch ``n``
+    given, and so are the call's extents and leading dimensions."""
+    (m, k), (s1m, s1n) = a
+    p, (s2n, s2p) = b[0][1], b[1]
+    som, sop = c[1]
+
+    def at(v):
+        return n * v[1] if isinstance(v, tuple) else v
+
+    def unit(v):  # a byte stride in elements
+        return ("n", v[1] // itemsize) if isinstance(v, tuple) else v // itemsize
+
+    def blasable(s1, s2, d1, d2) -> bool:  # numpy's is_blasable2d
+        s1, s2, d1, d2 = at(s1), at(s2), at(d1), at(d2)
+        return s2 == itemsize and s1 % itemsize == 0 and d2 <= s1 // itemsize <= _BLAS_MAX
+
+    def gemv(matrix, sm, sn, rows, cols, incx, incy) -> tuple:  # numpy's @TYPE@_gemv
+        order, lda = ("col", unit(sm)) if blasable(sm, sn, rows, cols) else ("row", unit(sn))
+        return ("gemv", order, True, cols, rows, matrix, lda, unit(incx), unit(incy))
+
+    dm, dn, dp = at(m), at(k), at(p)
+    if 0 in (dm, dn, dp) or max(dm, dn, dp) > _BLAS_MAX:
+        return _NONE
+    a_ok = blasable(s1m, s1n, m, k) or blasable(s1n, s1m, k, m)
+    b_ok = blasable(s2n, s2p, k, p) or blasable(s2p, s2n, p, k)
+    if 1 in (dm, dn, dp):
+        if dn == 1 or (dm == 1 and dp == 1):
+            return _NONE
+        if dm == 1 and b_ok and blasable(s1n, itemsize, k, 1):
+            return gemv("b", s2p, s2n, p, k, s1n, sop)
+        if dp == 1 and a_ok and blasable(s2n, itemsize, k, 1):
+            return gemv("a", s1m, s1n, m, k, s2n, som)
+        return _NONE
+    if not (a_ok and b_ok and blasable(som, sop, m, p)):
+        return _NONE
+    trans_a, trans_b = not blasable(s1m, s1n, m, k), not blasable(s2n, s2p, k, p)
+    if same and dm == dp and at(s1m) == at(s2p) and at(s1n) == at(s2n) and trans_a != trans_b:
+        return _NONE  # syrk
+    lda, ldb = unit(s1n if trans_a else s1m), unit(s2p if trans_b else s2n)
+    return ("gemm", trans_a, trans_b, m, p, k, lda, ldb, unit(som))
+
+
+def blas_piece(call: tuple, dtype: str, fn: int, a: int, b: int, c: int) -> tuple:
+    """The ``gemm`` / ``gemv`` piece that makes :func:`matmul_call`'s
+    ``call`` through the BLAS function at table row ``fn``, over the
+    operands at rows ``a`` and ``b`` into row ``c``."""
+    if call[0] == "gemm":
+        _, trans_a, trans_b, m, p, k, lda, ldb, ldc = call
+        return ("gemm", dtype, fn, trans_a, trans_b, m, p, k, a, lda, b, ldb, c, ldc)
+    _, order, trans, rows, cols, matrix, lda, incx, incy = call
+    mat, vec = (a, b) if matrix == "a" else (b, a)
+    return ("gemv", dtype, fn, order, trans, rows, cols, mat, lda, vec, incx, c, incy)
+
+
 def render_stages(signature: tuple) -> Tuple[str, str]:
     """Return ``(name, c_source)``; stage ``k`` is the symbol ``<name>_<k>``
     (and the pairwise sum its summing stages share, ``<name>_<ctype>_sum``,
@@ -201,12 +293,14 @@ def render_stages(signature: tuple) -> Tuple[str, str]:
     lines = ["#include <math.h>", "typedef long long i64;", ""]
     summed = set()
     for k, stage in enumerate(signature[1]):
-        ctype = _CTYPE[stage[1]]
-        pairwise = _pairwise(name, ctype)
-        body = _RENDER[stage[0]](stage[2:], ctype, name)
-        if pairwise not in summed and any(pairwise + "(" in line for line in body):
-            summed.add(pairwise)
-            lines.append(_PAIRWISE_C.format(name=pairwise, ctype=ctype, zero=_ZERO[ctype]))
+        body = _RENDER[stage[0]](stage[2:], _CTYPE[stage[1]], name)
+        for ctype in _CTYPE.values():
+            pairwise = _pairwise(name, ctype)
+            if pairwise not in summed and any(pairwise + "(" in line for line in body):
+                summed.add(pairwise)
+                lines.append(_PAIRWISE_C.format(name=pairwise, ctype=ctype, zero=_ZERO[ctype]))
+        if any("clock_gettime(" in line for line in body) and "#include <time.h>" not in lines:
+            lines.insert(1, "#include <time.h>")
         lines.append(f"void {name}_{k}(void **tab, i64 n)")
         lines.append("{")
         lines.extend(body)
@@ -579,8 +673,8 @@ def _render_reduce(stage: tuple, ctype: str, name: str) -> List[str]:
 
 def _render_passes(stage: tuple, ctype: str, name: str) -> List[str]:
     lines = []
-    for sub in stage[0]:
-        body = _RENDER[sub[0]](sub[2:], ctype, name)
+    for sub in stage[0]:  # each in its own dtype: a serving run mixes them
+        body = _RENDER[sub[0]](sub[2:], _CTYPE[sub[1]], name)
         lines += ["    {"] + ["    " + line for line in body] + ["    }"]
     return lines
 
@@ -599,8 +693,9 @@ def _render_call(stage: tuple, ctype: str, name: str) -> List[str]:
     ]
 
 
-#: ``CblasRowMajor`` and ``CblasNoTrans`` / ``CblasTrans``.
+#: ``CblasRowMajor``, ``CblasNoTrans`` / ``CblasTrans`` and the orders by name.
 _ROW_MAJOR, _TRANS = 101, (111, 112)
+_ORDER = {"row": 101, "col": 102}
 
 
 def _render_gemm(stage: tuple, ctype: str, name: str) -> List[str]:
@@ -611,6 +706,28 @@ def _render_gemm(stage: tuple, ctype: str, name: str) -> List[str]:
         f"const {ctype} *, i64, {ctype}, {ctype} *, i64);",
         f"    ((gemm_t)tab[{fn}])({_ROW_MAJOR}, {_TRANS[trans_a]}, {_TRANS[trans_b]}, {m}, {n}, {k}, "
         f"({ctype})1, tab[{a}], {lda}, tab[{b}], {ldb}, ({ctype})0, tab[{c}], {ldc});",
+    ]
+
+
+def _render_gemv(stage: tuple, ctype: str, name: str) -> List[str]:
+    fn, order, trans, m, n, a, lda, x, incx, y, incy = stage
+    m, n, lda, incx, incy = (_stride(v) for v in (m, n, lda, incx, incy))
+    return [
+        f"    typedef void (*gemv_t)(int, int, i64, i64, {ctype}, const {ctype} *, i64, "
+        f"const {ctype} *, i64, {ctype}, {ctype} *, i64);",
+        f"    ((gemv_t)tab[{fn}])({_ORDER[order]}, {_TRANS[trans]}, {m}, {n}, ({ctype})1, "
+        f"tab[{a}], {lda}, tab[{x}], {incx}, ({ctype})0, tab[{y}], {incy});",
+    ]
+
+
+def _render_clock(stage: tuple, ctype: str, name: str) -> List[str]:
+    row, index = stage
+    return [
+        f"    if (tab[{row}]) {{",
+        "        struct timespec ts;",
+        "        clock_gettime(CLOCK_MONOTONIC, &ts);",
+        f"        ((double *)tab[{row}])[{index}] = (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;",
+        "    }",
     ]
 
 
@@ -765,8 +882,10 @@ def _render_update(stage: tuple, ctype: str, name: str) -> List[str]:
 
 _RENDER = {
     "call": _render_call,
+    "clock": _render_clock,
     "gather": _render_gather,
     "gemm": _render_gemm,
+    "gemv": _render_gemv,
     "map": _render_map,
     "passes": _render_passes,
     "reduce": _render_reduce,

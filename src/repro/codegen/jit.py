@@ -245,7 +245,9 @@ def count_fallback(reason: str) -> None:
     label of ``repro_codegen_fallback_total``): ``disabled``,
     ``no_compiler``, ``compile_failed``, ``load_failed`` or ``unplannable``;
     from the train step's kernels (:mod:`repro.autograd.kernels`, once per
-    signature) also ``dtype``, ``geometry``, ``layout`` and ``flags``."""
+    signature) also ``dtype``, ``geometry``, ``layout`` and ``flags``; from
+    a serving session also ``layout``, once per call whose input a compiled
+    product cannot read as numpy would."""
     _metrics()["fallback"].labels(reason=reason).inc()
     with _LOCK:
         _STATS["fallbacks"] += 1
@@ -283,109 +285,93 @@ def clear_kernel_memo() -> None:
             del _MEMO[signature]
 
 
-class _Rows(threading.local):
-    """One reused pointer table per thread, for :meth:`StageLibrary.run`."""
-
-    def __init__(self) -> None:
-        self.table = (ctypes.c_void_p * 8)()
-
-
-_ROWS = _Rows()
+#: What a :class:`StageLibrary` row holds once its array was let go: bound again at
+#: the next call, whatever it is (``None`` included).
+_GONE = object()
 _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 
 
 class StageLibrary:
-    """The loaded stages of one stage plan (:mod:`repro.codegen.cstage`).
+    """The loaded stages of one stage plan (:mod:`repro.codegen.cstage`) and
+    a pointer table to call them over: ``fns[k](rows, n)`` runs stage ``k``
+    over the table ``rows``.  The table's one rebinding rule: a row is bound
+    again only when its array is not the one bound last.  Arrays of
+    ``keep_below`` bytes or more are let go once bound (bound again at
+    every call: pooled workspace blocks, a big batch's inputs); smaller ones
+    are held, so a caller that hands the same buffers to every call binds
+    them once.  Besides arrays, a row may be bound to ``None`` (a null
+    pointer: what a stage skips) or to an ``int`` address (a function of
+    numpy's BLAS, :func:`blas_gemm`; an array the caller keeps alive).
 
-    ``fns[k](table, n)`` runs stage ``k`` over a pointer table made by
-    ``table(rows)``; ``table[i] = address(array)`` binds row ``i``.  The
-    caller keeps every bound array alive.  A session binds its own table
-    once; :meth:`run` is for callers whose every operand is new each call.
-    """
+    The library :func:`resolve` hands out is shared: :meth:`run` calls its
+    stages over the calling thread's table, which holds nothing.  A caller
+    that hands its stages the same buffers call after call — a replayed
+    step's arm, a serving session — takes tables of its own
+    (:meth:`table`) and calls through :meth:`call`; those are one caller's,
+    not thread-safe."""
 
-    __slots__ = ("fns", "table", "address")
+    __slots__ = ("fns", "rows", "held", "keep_below")
 
-    def __init__(self, fns, table, address) -> None:
+    def __init__(self, fns=(), size: int = 8, keep_below: int = 0) -> None:
         self.fns = fns
-        self.table = table
-        self.address = address
+        self.rows = (ctypes.c_void_p * max(size, 1))()
+        self.held = [None] * max(size, 1)  # a fresh table's rows are null
+        self.keep_below = keep_below
+
+    def table(self, size: int = 8, keep_below: int = 0) -> "StageLibrary":
+        """These stages over a table of a caller's own."""
+        return StageLibrary(self.fns, size, keep_below)
 
     def run(self, k: int, n: int, *arrays) -> bool:
         """Stage ``k`` over ``arrays`` bound to rows 0, 1, … of the calling
-        thread's table (grown to the call's length).  ``False``, and nothing
-        ran, unless every one is a non-empty, writable, C-contiguous array
-        aligned to the item size of the first.  The address comes through
-        the buffer protocol: 0.3 us an operand where ``array.ctypes.data``
-        takes 1.3, and a train step binds a hundred of them."""
-        table = _ROWS.table
-        if len(arrays) > len(table):
-            table = _ROWS.table = (ctypes.c_void_p * len(arrays))()
-        low = i = 0
-        try:
-            for array in arrays:
-                table[i] = address = _addressof(_from_buffer(array))
-                low |= address
-                i += 1
-        except (TypeError, ValueError):  # read-only / strided or empty
-            return False
-        if low & (arrays[0].itemsize - 1):
-            return False
-        self.fns[k](table, n)
-        return True
+        thread's table (:meth:`call`)."""
+        return _ROWS.table.call(self.fns[k], n, arrays)
 
-
-#: What a :class:`PinnedStages` row holds once its array was let go: bound
-#: again at the next call, whatever it is (``None`` included).
-_GONE = object()
-
-
-class PinnedStages:
-    """A :class:`StageLibrary` with one table per stage kept across calls: a
-    row is bound again only when its array is not the one bound last time.
-    Arrays of ``keep_below`` bytes or more (pooled workspace blocks) are let
-    go after each call and bound every time.  Besides arrays, a row may be
-    bound to ``None`` (a null pointer: what the stage skips) or to an
-    ``int`` address (a function of numpy's BLAS, :func:`blas_gemm`).  Not
-    thread-safe."""
-
-    __slots__ = ("fns", "keep_below", "tables", "held")
-
-    def __init__(self, fns, keep_below: int) -> None:
-        self.fns = fns
-        self.keep_below = keep_below
-        self.tables = [(ctypes.c_void_p * 8)() for _ in fns]
-        self.held = [[None] * 8 for _ in fns]  # a fresh table's rows are null
-
-    def run(self, k: int, n: int, *arrays) -> bool:
-        """:meth:`StageLibrary.run` over this caller's table of stage ``k``."""
-        table, held = self.tables[k], self.held[k]
-        if len(arrays) > len(held):
-            table = self.tables[k] = (ctypes.c_void_p * len(arrays))()
-            held = self.held[k] = [None] * len(arrays)
-        align = arrays[0].itemsize - 1
-        let_go = []
-        i = 0
+    def call(self, fn, n: int, arrays, first: int = 0) -> bool:
+        """Bind ``arrays`` to rows ``first``, ``first + 1``, … (the table
+        grows to hold them), then run the stage ``fn(rows, n)`` — or, with
+        ``fn`` ``None``, nothing.  ``False``, and nothing ran, unless every
+        array is a non-empty, writable, C-contiguous array aligned to its
+        item size.  The address comes through the buffer protocol: 0.3 us an
+        operand where ``array.ctypes.data`` takes 1.3, and a train step
+        binds a hundred of them."""
+        held, rows = self.held, self.rows
+        i = first
         try:
             for array in arrays:
                 if held[i] is not array:
                     if array is None or array.__class__ is int:
-                        address = array
+                        rows[i] = held[i] = array
                     else:
                         address = _addressof(_from_buffer(array))
-                        if address & align:
+                        if address & (array.itemsize - 1):
                             held[i] = _GONE
                             return False
-                        if array.nbytes >= self.keep_below:
-                            let_go.append(i)
-                    table[i], held[i] = address, array
+                        rows[i] = address
+                        held[i] = array if array.nbytes < self.keep_below else _GONE
                 i += 1
         except (TypeError, ValueError):  # read-only / strided or empty
             held[i] = _GONE
             return False
-        self.fns[k](table, n)
-        for i in let_go:
-            held[i] = _GONE
+        except IndexError:  # more arrays than rows: grow, then bind again
+            grown = (ctypes.c_void_p * (first + len(arrays)))()
+            grown[:len(held)] = rows
+            self.rows = grown
+            held.extend([None] * (len(grown) - len(held)))
+            return self.call(fn, n, arrays, first)
+        if fn is not None:
+            fn(rows, n)
         return True
+
+
+class _Rows(threading.local):
+    """One table per thread, holding nothing, for :meth:`StageLibrary.run`."""
+
+    def __init__(self) -> None:
+        self.table = StageLibrary()
+
+
+_ROWS = _Rows()
 
 
 def _load_stages(so_path: Path, name: str, signature: tuple):
@@ -401,38 +387,41 @@ def _load_stages(so_path: Path, name: str, signature: tuple):
         fn.argtypes = [ctypes.c_void_p, ctypes.c_longlong]
         fn.restype = None
         fns.append(fn)
-    return StageLibrary(
-        fns,
-        lambda rows: (ctypes.c_void_p * max(rows, 1))(),
-        lambda a: a.ctypes.data,
-    ), (lib,)
+    return StageLibrary(fns), (lib,)
 
 
-#: The CBLAS GEMM numpy's ``matmul`` calls, by dtype: numpy's bundled ILP64
-#: OpenBLAS exports it under these names.
-_GEMM_SYMBOLS = {"float32": "scipy_cblas_sgemm64_", "float64": "scipy_cblas_dgemm64_"}
+#: The CBLAS routines numpy's ``matmul`` calls (:func:`repro.codegen.cstage.matmul_call`),
+#: by routine and dtype: numpy's bundled ILP64 OpenBLAS exports them under these names.
+_BLAS_SYMBOLS = {
+    ("gemm", "float32"): "scipy_cblas_sgemm64_", ("gemm", "float64"): "scipy_cblas_dgemm64_",
+    ("gemv", "float32"): "scipy_cblas_sgemv64_", ("gemv", "float64"): "scipy_cblas_dgemv64_",
+}
+#: Addresses found, by dtype: the GEMMs', and the GEMVs'.
 _GEMMS: dict = {}
+_GEMVS: dict = {}
 
 
-def blas_gemm(dtype: str) -> Optional[int]:
-    """The address of the GEMM numpy's ``matmul`` calls for the dtype named
-    ``dtype``, or ``None`` where numpy's BLAS exports no such symbol.  Looked
-    up once, on numpy's own extension module — ``dlsym`` searches the
-    libraries it links, so this is the BLAS numpy loaded, and no stage
-    library links one: a stage calls it through a table row holding this
-    address (the ``gemm`` stage of :mod:`repro.codegen.cstage`)."""
-    address = _GEMMS.get(dtype, _MISSING)
+def blas_gemm(dtype: str, routine: str = "gemm") -> Optional[int]:
+    """The address of the GEMM (``routine`` ``"gemv"``: the GEMV) numpy's
+    ``matmul`` calls for the dtype named ``dtype``, or ``None`` where numpy's
+    BLAS exports no such symbol.  Looked up once, on numpy's own extension
+    module — ``dlsym`` searches the libraries it links, so this is the BLAS
+    numpy loaded, and no stage library links one: a stage calls it through
+    a table row holding this address (the ``gemm`` and ``gemv`` pieces of
+    :mod:`repro.codegen.cstage`)."""
+    found = _GEMMS if routine == "gemm" else _GEMVS
+    address = found.get(dtype, _MISSING)
     if address is _MISSING:
         try:
             try:
                 from numpy._core import _multiarray_umath as umath
             except ImportError:  # numpy < 2
                 from numpy.core import _multiarray_umath as umath
-            symbol = getattr(ctypes.CDLL(umath.__file__), _GEMM_SYMBOLS[dtype])
+            symbol = getattr(ctypes.CDLL(umath.__file__), _BLAS_SYMBOLS[routine, dtype])
             address = ctypes.cast(symbol, ctypes.c_void_p).value
         except (ImportError, OSError, AttributeError, KeyError):
             address = None
-        _GEMMS[dtype] = address
+        found[dtype] = address
     return address
 
 

@@ -25,8 +25,10 @@ Two ways to turn it on:
 Instrumented paths (each records ``<path>:<op>`` so the same op is
 distinguishable per context):
 
-- ``serve:<op>`` — every compiled step replayed by
-  :meth:`repro.serve.session.InferenceSession.run`;
+- ``serve:<op>`` — every step replayed by
+  :meth:`repro.serve.session.InferenceSession.run`: a numpy step, or a
+  compiled group, ``serve:<op>+<op>…`` (one native call runs a run of
+  groups and timestamps each in C, so each still has its row);
 - ``backward:<op>`` — every backward thunk run by
   :meth:`repro.autograd.tensor.Tensor.backward`, and
   ``backward:<op>.<stage>[c]`` (``backward:conv2d.scatter[c]``) for each

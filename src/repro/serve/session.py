@@ -66,6 +66,7 @@ from repro.obs.profile import active_profiler
 __all__ = ["InferenceSession", "compile_inference", "serve_batches"]
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
+_ndarray = np.ndarray
 
 
 def _as_input_tensors(example_batch) -> Tuple[Tensor, ...]:
@@ -298,6 +299,8 @@ class InferenceSession:
         for j, node in enumerate(nodes):
             slot_of[id(node.out)] = base + j
         self._values: List[Optional[np.ndarray]] = [None] * (base + len(nodes))
+        self._cleared = [None] * len(self._values)
+        self._arity = len(inputs)
 
         # A session input is a new array on every call: bind over a stand-in.
         held = {id(t): t.data.view() for t in inputs}
@@ -349,9 +352,10 @@ class InferenceSession:
 
     @property
     def num_steps(self) -> int:
-        """How many steps one :meth:`run` replays now (fewer once compiled
-        stages have been adopted)."""
-        return len(self._steps)
+        """How many rows :meth:`explain` has now: one per numpy step, one
+        per compiled group (fewer once compiled stages have been adopted;
+        a run of groups replays as one native call)."""
+        return len(self._rows)
 
     def wait_compiled(self, timeout: Optional[float] = None) -> bool:
         """Wait for the compiles this session started and adopt them.
@@ -385,13 +389,19 @@ class InferenceSession:
         by the next call — copy it to keep it.
         """
         meta = self._input_meta
-        if len(batch) != len(meta):
+        if len(batch) != self._arity:
             raise ValueError(
                 f"session takes {len(meta)} input(s), got {len(batch)}"
             )
         values = self._values
         for i, item in enumerate(batch):
-            arr = item.data if isinstance(item, Tensor) else np.asarray(item)
+            kind = item.__class__  # exact classes first: no C call for them
+            if kind is _ndarray:
+                arr = item
+            elif kind is Tensor or isinstance(item, Tensor):
+                arr = item.data
+            else:
+                arr = np.asarray(item)
             shape, dtype = meta[i]
             if arr.shape != shape:
                 raise ValueError(
@@ -416,16 +426,21 @@ class InferenceSession:
             self._replay(values)
         except ir.Fallback as fallback:
             # Every step rewrites its whole output, so the numpy steps
-            # simply start over on the same inputs.
-            self._serve_numpy(fallback.reason)
+            # simply start over on the same inputs: for this call when an
+            # input is laid out as no compiled step reads it (``layout``),
+            # for good when a by-reference tensor is.
             count_fallback(fallback.reason)
-            self._replay(values)
+            if fallback.reason == "layout":
+                ir.run_steps(self._numpy_steps, values)
+            else:
+                self._serve_numpy(fallback.reason)
+                self._replay(values)
         result = self._get_output(values)
         # Drop the slot references (caller inputs, generic-step outputs) so
         # a long-lived session does not pin the last batch between calls;
-        # the pre-allocated buffers live in the bound steps.
-        for i in range(len(values)):
-            values[i] = None
+        # the pre-allocated buffers live in the bound steps (a compiled
+        # step's table holds what it bound, a small input among them).
+        values[:] = self._cleared
         return result
 
     __call__ = run
@@ -436,8 +451,8 @@ class InferenceSession:
             ir.run_steps(self._steps, values)
         else:
             with profiler.step("serve"):
-                names = ["serve:" + "+".join(ops) for ops, _, _ in self._rows]
-                ir.run_steps(self._steps, values, profiler, names)
+                names, steps = self._profiled
+                ir.run_steps(steps, values, profiler, names)
 
     # ------------------------------------------------------------------ #
     # Compiled stages: planned at construction, adopted when they exist
@@ -476,6 +491,8 @@ class InferenceSession:
 
     def _serve_numpy(self, reason: Optional[str]) -> None:
         self._steps = self._numpy_steps
+        #: The step names and the steps a profiled run times.
+        self._profiled = (["serve:" + op for op in self._node_ops], self._numpy_steps)
         #: Why the planned steps are not compiled (``None``: they are).
         self._reason = reason
         self._rows = self._numpy_rows(reason)
@@ -490,7 +507,7 @@ class InferenceSession:
         # compiles were dropped, queues its own.
         self._pending = self._plan.request() or None
         if self._pending is None:
-            self._steps, self._rows, self._reason = self._plan.steps(self)
+            self._steps, self._profiled, self._rows, self._reason = self._plan.steps(self)
 
     def _run_eager_tail(self, arrays: List[np.ndarray]) -> np.ndarray:
         """Eager ``no_grad`` forward for an odd-sized chunk (serve_batches).

@@ -81,7 +81,7 @@ def test_gemm_pieces_equal_np_matmul_byte_for_byte():
     assert {(piece[3], piece[4]) for piece in PIECES} == {(False, False), (False, True), (True, False)}
     resolved = jit.resolve(("stages", tuple(PIECES)))
     assert not isinstance(resolved, str), resolved
-    library = jit.PinnedStages(resolved[0].fns, 0)
+    library = resolved[0]
     rng = np.random.default_rng(7)
     for k, piece in enumerate(PIECES):
         dtype, fn, trans_a, trans_b = np.dtype(piece[1]), piece[2], piece[3], piece[4]
@@ -96,7 +96,7 @@ def test_gemm_pieces_equal_np_matmul_byte_for_byte():
             table[a_row], table[b_row], table[c_row], table[fn] = a, b, got, jit.blas_gemm(dtype.name)
             with np.errstate(all="ignore"):
                 want = np.matmul(a.T if trans_a else a, b.T if trans_b else b)
-                assert library.run(k, n, *table)
+                assert library.table().call(library.fns[k], n, table)
             same(got, want, f"{piece} n={n}")
 
 

@@ -16,7 +16,12 @@ one that raises a ceiling says so and why.
 - **Warm compiled serving runs**: ``session.run`` of TBNet (width 16) at
   batch 1 and of the layered benchmark's linear + elementwise chain at
   batch 64, once every planned kernel is adopted — Python and C calls over
-  64 runs.
+  64 runs of the same inputs (an input bound last time is not bound again).
+- **Serial requests through a default thread** ``Server`` (TBNet width 16,
+  one worker, buckets 1 / 4 / 8, no supervisor), once its worker sessions
+  are compiled: Python and C calls per request, on every thread, over 256
+  requests.  Its worker sessions plan without GEMM stages (each group a
+  Python step): this is the thread-worker path's count.
 """
 
 import json
@@ -30,9 +35,10 @@ import pytest
 from repro.codegen import codegen_enabled, have_compiler
 
 #: Over 128 steps: Python calls, C calls, native stage calls — 320.02,
-#: 289.51 and 11 a step (407.02, 369.51 and 16 before each conv block ran as
-#: one native call each way).
-TRAIN_B4 = {"python": 40_963, "c": 37_057, "stages": 1_408}
+#: 264.51 and 11 a step (407.02, 369.51 and 16 before each conv block ran as
+#: one native call each way; 289.51 C calls before one table type bound
+#: every stage call, without ``len`` or ``list.append`` calls of its own).
+TRAIN_B4 = {"python": 40_963, "c": 33_857, "stages": 1_408}
 
 _TRAIN_B4 = textwrap.dedent("""
     import json, sys
@@ -71,19 +77,24 @@ _TRAIN_B4 = textwrap.dedent("""
     steps(128)
     sys.setprofile(None)
     stages = []
-    for library in (jit.StageLibrary, jit.PinnedStages):
-        def counting(self, k, n, *arrays, _run=library.run):
-            stages.append(k)
-            return _run(self, k, n, *arrays)
-        library.run = counting
+    call = jit.StageLibrary.call
+
+    def counting(self, fn, n, arrays, first=0):
+        if fn is not None:
+            stages.append(fn)
+        return call(self, fn, n, arrays, first)
+
+    jit.StageLibrary.call = counting
     steps(128)
     print(json.dumps({"blocks": blocks, "stages": len(stages), **calls}))
 """)
 
 
-#: Over 64 warm runs: Python calls and C calls of ``session.run`` — 24 and 7
-#: a run for TBNet at batch 1, 17 and 5 for the chain at batch 64.
-SERVE = {"tbnet_b1": {"python": 1_536, "c": 449}, "chain_b64": {"python": 1_088, "c": 321}}
+#: Over 64 warm runs: Python calls and C calls of ``session.run`` — 7 and 1
+#: a run for TBNet at batch 1 and for the chain at batch 64 (and the one
+#: ``sys.setprofile`` that ends the count): each session is one native call
+#: (24 and 7, 17 and 5 while each group was a Python step).
+SERVE = {"tbnet_b1": {"python": 448, "c": 65}, "chain_b64": {"python": 448, "c": 65}}
 
 _SERVE = textwrap.dedent("""
     import json, sys
@@ -134,6 +145,43 @@ _SERVE = textwrap.dedent("""
 """)
 
 
+#: Per serial request through a default thread ``Server``: Python and C calls.
+SERVER = {"python": 180.0, "c": 128.0}
+
+_SERVER = textwrap.dedent("""
+    import json, sys, threading
+    import numpy as np
+    from repro.models import TBNet, make_synthetic_batch
+    from repro.serve import Server
+
+    model = TBNet(width=16, rng=np.random.default_rng(1)).eval()
+    images, context, _ = make_synthetic_batch(64, rng=np.random.default_rng(2))
+    requests = [(images.data[i:i + 1], context.data[i:i + 1]) for i in range(64)]
+    calls, counting = {"python": 0, "c": 0}, [False]
+
+    def count(frame, event, arg):
+        if counting[0]:
+            if event == "call":
+                calls["python"] += 1
+            elif event == "c_call":
+                calls["c"] += 1
+
+    threading.setprofile(count)  # the worker's thread too
+    with Server(model, requests[0], buckets=(1, 4, 8), workers=1, supervise=False) as server:
+        for pool in server.pools:
+            assert all(s.wait_compiled(120) for s in pool.sessions.values())
+        for request in requests:
+            server.submit(*request).result()
+        sys.setprofile(count)
+        counting[0] = True
+        for i in range(256):
+            server.submit(*requests[i % 64]).result()
+        counting[0] = False
+        sys.setprofile(None)
+    print(json.dumps({key: value / 256 for key, value in calls.items()}))
+""")
+
+
 def _counts(script: str, cache) -> dict:
     env = dict(os.environ, PYTHONPATH="src", REPRO_KERNEL_CACHE=str(cache))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -164,3 +212,11 @@ def test_a_warm_compiled_session_run_stays_within_its_call_budget(tmp_path):
     over = {(model, key): value for model, counts in cold.items()
             for key, value in counts.items() if value > SERVE[model][key]}
     assert not over, f"over budget: {over} (ceilings {SERVE})"
+
+
+@pytest.mark.skipif(not (have_compiler() and codegen_enabled()),
+                    reason="no C compiler available, or codegen is off (REPRO_CODEGEN=0)")
+def test_a_serial_request_through_a_thread_server_stays_within_its_call_budget(tmp_path):
+    counts = _counts(_SERVER, tmp_path)
+    over = {key: value for key, value in counts.items() if value > SERVER[key]}
+    assert not over, f"over budget: {over} (ceilings {SERVER})"

@@ -448,8 +448,8 @@ def test_linear_reduction_pipeline_kernel(cache_dir, dtype):
 @needs_cc
 def test_const_inputs_are_bound_not_passed(cache_dir):
     # An eval batch-norm's frozen statistics are constants of its step: the
-    # planner binds them into the group's pointer table once, at adoption,
-    # and no table row is bound per call.
+    # planner binds them into the group's pointer table once, at adoption;
+    # the one row bound per call is the input the GEMM reads.
     rng = np.random.default_rng(5)
     model = nn.Sequential(nn.Linear(6, 8, rng=rng), nn.BatchNorm1d(8), nn.ReLU())
     model[1].running_mean[:] = rng.standard_normal(8)
@@ -459,9 +459,10 @@ def test_const_inputs_are_bound_not_passed(cache_dir):
     session = _session(model, x)
     assert [row["ops"] for row in session.explain()] == [["linear", "batch_norm", "relu"]]
     (step,) = [step for step, _, _ in session._bound if hasattr(step, "consts")]
-    entries = session._plan._entries
+    (driver,) = session._plan._drivers
+    entries = driver.entries
     assert all(any(ref is const for ref in entries) for const in step.consts)
-    assert not any(isinstance(ref, int) for ref in entries)
+    assert [ref for ref in entries if isinstance(ref, int)] == [0]  # the input's value slot
     for seed in (6, 7):
         x = np.random.default_rng(seed).standard_normal((4, 6)).astype(np.float32)
         with no_grad():
@@ -521,7 +522,7 @@ def test_stage_tables_grow_past_eight_rows(cache_dir, monkeypatch):
     signature, extents, _ = region.lower()
     lib, _ = jit.resolve(signature)
     out = np.empty((3, 5), np.float32)
-    assert jit.PinnedStages(lib.fns, 1 << 20).run(0, extents[0], *arrays, out)
+    assert lib.table(keep_below=1 << 20).call(lib.fns[0], extents[0], [*arrays, out])
     assert out.tobytes() == expect
 
 

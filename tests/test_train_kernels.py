@@ -196,16 +196,18 @@ def adopted():
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """How many compiled stages ran (``run`` calls that bound, on a
-    library's shared tables or on a replay's pinned ones)."""
+    """How many compiled stages ran (table calls that bound, on a thread's
+    shared table or on a replay's pinned ones)."""
     calls = []
-    for library in (jit.StageLibrary, jit.PinnedStages):
-        def counting(self, k, n, *arrays, _run=library.run):
-            ran = _run(self, k, n, *arrays)
-            calls.append(ran)
-            return ran
+    call = jit.StageLibrary.call
 
-        monkeypatch.setattr(library, "run", counting)
+    def counting(self, fn, n, arrays, first=0):
+        ran = call(self, fn, n, arrays, first)
+        if fn is not None:
+            calls.append(ran)
+        return ran
+
+    monkeypatch.setattr(jit.StageLibrary, "call", counting)
     return calls
 
 
@@ -642,11 +644,16 @@ def test_serving_and_inference_never_load_the_train_kernels(tmp_path):
             session.run(images.data[i:i + 1], context.data[i:i + 1])
         assert "repro.autograd.kernels" not in sys.modules
         assert "repro.autograd.replay" not in sys.modules
-        kinds = {stage[0] for signature in jit._MEMO if signature[0] == "stages"
-                 for stage in signature[1]}
-        several = [stage for signature in jit._MEMO if signature[0] == "stages"
-                   for stage in signature[1] if stage[0] == "map" and isinstance(stage[6], tuple)]
-        assert kinds <= {"gather", "map"} and not several, kinds
+        def pieces(stage):  # a stage and what it runs, through passes and when
+            inner = stage[-1] if stage[0] in ("passes", "when") else ()
+            return [stage] + [piece for sub in inner for piece in pieces(sub)]
+
+        found = [piece for signature in jit._MEMO if signature[0] == "stages"
+                 for stage in signature[1] for piece in pieces(stage)]
+        kinds = {piece[0] for piece in found}
+        several = [piece for piece in found if piece[0] == "map" and isinstance(piece[6], tuple)]
+        serving = {"passes", "clock", "gather", "when", "gemm", "gemv", "map"}
+        assert kinds <= serving and not several, kinds
         print(codegen_stats()["compiled"], sum(len(s[1]) for s in jit._MEMO if s[0] == "stages"))
     """)
     # The default configuration, as the benchmark's workloads run it.
@@ -656,5 +663,5 @@ def test_serving_and_inference_never_load_the_train_kernels(tmp_path):
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     # Two compiler runs: the server's pools plan TBNet's three linear + relu
-    # groups as three stages, the session its eight.
-    assert proc.stdout.split() == ["2", "11"]
+    # groups as three stages, the session its six groups as one driver.
+    assert proc.stdout.split() == ["2", "4"]
